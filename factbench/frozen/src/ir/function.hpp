@@ -1,0 +1,119 @@
+#pragma once
+
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "ir/stmt.hpp"
+
+namespace fact::ir {
+
+/// Array declaration. Arrays model the memories of the synthesized design;
+/// the paper maps each array to its own memory so that concurrent accesses
+/// to distinct arrays never conflict.
+struct ArrayDecl {
+  std::string name;
+  size_t size = 0;
+  bool is_input = false;  // initialized from the input trace
+};
+
+/// A behavioral description: one top-level function whose body is executed
+/// repeatedly (one execution per arrival of new inputs), exactly like the
+/// paper's "one execution of the behavior".
+class Function {
+ public:
+  Function() = default;
+  explicit Function(std::string name) : name_(std::move(name)) {}
+
+  const std::string& name() const { return name_; }
+  void set_name(std::string n) { name_ = std::move(n); }
+
+  const std::vector<std::string>& params() const { return params_; }
+  void add_param(const std::string& p) { params_.push_back(p); }
+
+  const std::vector<ArrayDecl>& arrays() const { return arrays_; }
+  void add_array(const ArrayDecl& a) { arrays_.push_back(a); }
+  const ArrayDecl* find_array(const std::string& name) const;
+
+  const std::vector<std::string>& outputs() const { return outputs_; }
+  void add_output(const std::string& o) { outputs_.push_back(o); }
+
+  /// The body is always a Block statement. The mutable overload is a
+  /// copy-on-write barrier: it makes the whole tree uniquely owned first
+  /// (callers may mutate anything through the returned pointer), so prefer
+  /// find_stmt/splice — which copy only the path to the mutation — on
+  /// performance-sensitive paths.
+  const Stmt* body() const { return body_.get(); }
+  Stmt* body();
+  void set_body(StmtPtr b);
+
+  /// Assigns fresh preorder statement ids (0, 1, 2, ...). Called after any
+  /// structural edit that adds statements.
+  void renumber();
+
+  /// Assigns ids only to statements that have none (id == -1), continuing
+  /// past the current maximum. Transformations use this so that existing
+  /// statement ids — and therefore optimizer regions and profile keys —
+  /// stay stable across rewrites.
+  void assign_fresh_ids();
+
+  /// Largest statement id in use, or -1.
+  int max_stmt_id() const;
+
+  /// The set of all statement ids (used by the optimizer to detect
+  /// transform-created statements).
+  std::set<int> stmt_ids() const;
+
+  /// Finds the statement with the given id, or nullptr. The mutable
+  /// overload is copy-on-write: it copies the spine from the root to the
+  /// statement and makes the statement's subtree uniquely owned, so the
+  /// caller may freely mutate through the returned pointer without
+  /// affecting functions that share the rest of the tree.
+  const Stmt* find_stmt(int id) const;
+  Stmt* find_stmt(int id);
+
+  /// O(1) copy sharing the whole body with this function (copy-on-write:
+  /// any mutation through the clone's accessors detaches just the touched
+  /// path). Statement ids are preserved, so transformation candidates
+  /// expressed as (stmt id, expr path) remain valid on the clone.
+  Function clone() const;
+
+  /// Path-copying clone: a clone() whose statement `stmt_id` is replaced
+  /// by `replacement` (null = delete). Only the root-to-statement spine is
+  /// copied; every other subtree is shared with this function. Throws
+  /// fact::Error if the id does not exist.
+  Function clone_with(int stmt_id, StmtPtr replacement) const;
+
+  /// Replaces the statement with id `stmt_id` by `replacement` (spliced
+  /// into the enclosing list; empty deletes), or, with `insert_only`,
+  /// inserts `replacement` immediately before it. Copies only the spine
+  /// from the root to the enclosing list (copy-on-write). Returns false if
+  /// the id is not found. ir::replace_stmt / ir::insert_before wrap this.
+  bool splice(int stmt_id, std::vector<StmtPtr> replacement,
+              bool insert_only);
+
+  /// Source-like rendering of the whole function.
+  std::string str() const;
+
+  /// Preorder walk over every statement in the body. The mutable overload
+  /// makes the whole tree uniquely owned first (copy-on-write barrier).
+  void for_each(const std::function<void(const Stmt&)>& fn) const;
+  void for_each(const std::function<void(Stmt&)>& fn);
+
+  /// Total number of statements.
+  size_t stmt_count() const;
+
+  /// Throws fact::Error if the function is malformed: use of an undeclared
+  /// array, store to an input-only name, empty loop body, etc.
+  void validate() const;
+
+ private:
+  std::string name_;
+  std::vector<std::string> params_;
+  std::vector<ArrayDecl> arrays_;
+  std::vector<std::string> outputs_;
+  StmtPtr body_;
+};
+
+}  // namespace fact::ir

@@ -1,0 +1,182 @@
+#include "obs/trace.hpp"
+
+#include <chrono>
+#include <cmath>
+#include <fstream>
+
+#include "util/error.hpp"
+#include "util/strfmt.hpp"
+
+namespace fact::obs {
+
+uint64_t SteadyClock::now_ns() const {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+int current_thread_id() {
+  static std::atomic<int> next{0};
+  thread_local const int id = next.fetch_add(1, std::memory_order_relaxed);
+  return id;
+}
+
+// ---- Tracer --------------------------------------------------------------
+
+Tracer::Tracer(const Clock* clock) : clock_(clock ? clock : &default_clock_) {
+  epoch_ns_ = clock_->now_ns();
+}
+
+void Tracer::complete(
+    std::string name, const char* cat, uint64_t start_ns, uint64_t end_ns,
+    std::vector<std::pair<std::string, std::string>> args_json) {
+  Event e;
+  e.name = std::move(name);
+  e.cat = cat;
+  e.phase = 'X';
+  e.ts_ns = start_ns >= epoch_ns_ ? start_ns - epoch_ns_ : 0;
+  e.dur_ns = end_ns >= start_ns ? end_ns - start_ns : 0;
+  e.tid = current_thread_id();
+  e.args = std::move(args_json);
+  std::lock_guard<std::mutex> lock(mu_);
+  events_.push_back(std::move(e));
+}
+
+void Tracer::instant(std::string name, const char* cat) {
+  Event e;
+  e.name = std::move(name);
+  e.cat = cat;
+  e.phase = 'i';
+  const uint64_t now = clock_->now_ns();
+  e.ts_ns = now >= epoch_ns_ ? now - epoch_ns_ : 0;
+  e.dur_ns = 0;
+  e.tid = current_thread_id();
+  std::lock_guard<std::mutex> lock(mu_);
+  events_.push_back(std::move(e));
+}
+
+size_t Tracer::event_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return events_.size();
+}
+
+void Tracer::clear() {
+  std::lock_guard<std::mutex> lock(mu_);
+  events_.clear();
+}
+
+namespace {
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      out += strfmt("\\u%04x", c);
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+/// Chrome trace timestamps are microseconds; keep nanosecond resolution
+/// with three decimals, trimmed of a trailing ".000" so whole-µs values
+/// (the ManualClock tests) render as plain integers.
+std::string render_us(uint64_t ns) {
+  std::string s = strfmt("%llu.%03llu",
+                         static_cast<unsigned long long>(ns / 1000),
+                         static_cast<unsigned long long>(ns % 1000));
+  if (s.size() >= 4 && s.compare(s.size() - 4, 4, ".000") == 0)
+    s.resize(s.size() - 4);
+  return s;
+}
+
+}  // namespace
+
+std::string Tracer::chrome_json() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::string out = "{\"traceEvents\":[";
+  bool first = true;
+  for (const Event& e : events_) {
+    if (!first) out += ",";
+    first = false;
+    out += "{\"name\":\"" + json_escape(e.name) + "\"";
+    out += ",\"cat\":\"" + json_escape(e.cat) + "\"";
+    out += strfmt(",\"ph\":\"%c\"", e.phase);
+    out += ",\"ts\":" + render_us(e.ts_ns);
+    if (e.phase == 'X') out += ",\"dur\":" + render_us(e.dur_ns);
+    if (e.phase == 'i') out += ",\"s\":\"t\"";
+    out += strfmt(",\"pid\":1,\"tid\":%d", e.tid);
+    if (!e.args.empty()) {
+      out += ",\"args\":{";
+      for (size_t i = 0; i < e.args.size(); ++i) {
+        if (i) out += ",";
+        out += "\"" + json_escape(e.args[i].first) + "\":" + e.args[i].second;
+      }
+      out += "}";
+    }
+    out += "}";
+  }
+  out += "],\"displayTimeUnit\":\"ms\"}";
+  return out;
+}
+
+void Tracer::write(const std::string& path) const {
+  std::ofstream out(path);
+  if (!out) throw Error("cannot write " + path);
+  out << chrome_json() << "\n";
+}
+
+// ---- global tracer -------------------------------------------------------
+
+namespace {
+std::atomic<Tracer*> g_tracer{nullptr};
+}  // namespace
+
+Tracer* tracer() { return g_tracer.load(std::memory_order_relaxed); }
+void set_tracer(Tracer* t) { g_tracer.store(t, std::memory_order_relaxed); }
+
+// ---- Span ----------------------------------------------------------------
+
+void Span::arg(const char* key, const std::string& value) {
+  if (!tracer_) return;
+  args_.emplace_back(key, "\"" + json_escape(value) + "\"");
+}
+
+void Span::arg(const char* key, const char* value) {
+  arg(key, std::string(value));
+}
+
+void Span::arg(const char* key, int64_t value) {
+  if (!tracer_) return;
+  args_.emplace_back(key, strfmt("%lld", static_cast<long long>(value)));
+}
+
+void Span::arg(const char* key, double value) {
+  if (!tracer_) return;
+  if (std::isfinite(value) && value == std::floor(value) &&
+      std::fabs(value) < 9.0e15) {
+    arg(key, static_cast<int64_t>(value));
+    return;
+  }
+  args_.emplace_back(key, strfmt("%.6g", value));
+}
+
+void Span::arg(const char* key, bool value) {
+  if (!tracer_) return;
+  args_.emplace_back(key, value ? "true" : "false");
+}
+
+void Span::finish() {
+  if (!tracer_) return;
+  Tracer* t = tracer_;
+  tracer_ = nullptr;
+  t->complete(name_, cat_, start_ns_, t->now_ns(), std::move(args_));
+}
+
+}  // namespace fact::obs

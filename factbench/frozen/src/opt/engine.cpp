@@ -1,0 +1,821 @@
+#include "opt/engine.hpp"
+
+#include <algorithm>
+#include <chrono>
+#include <cmath>
+#include <cstring>
+#include <typeinfo>
+#include <unordered_set>
+
+#include "ir/hash.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "sched/fragment_cache.hpp"
+#include "util/error.hpp"
+#include "util/parallel.hpp"
+#include "util/strfmt.hpp"
+
+namespace fact::opt {
+
+namespace {
+
+/// One member of the search population: a transformed variant plus the
+/// bookkeeping needed to keep exploring from it.
+struct Member {
+  ir::Function fn;
+  std::set<int> region;              // region ids incl. transform-created
+  std::vector<std::string> applied;  // how we got here
+  std::string via;                   // transform class of the last move
+  Evaluation eval;
+  uint64_t hash = 0;                 // ir::structural_hash(fn)
+};
+
+/// Process-wide search instrumentation (obs registry). Strictly
+/// write-only from the search path: counters are never read back to make
+/// decisions, so the determinism contract (jobs-invariance, factd ==
+/// factc) is untouched. Function-local statics resolve each metric once.
+struct SearchCounters {
+  obs::Counter& optimize_calls = obs::Registry::global().counter(
+      "fact_engine_optimize_total", "TransformEngine::optimize() calls");
+  obs::Counter& generations = obs::Registry::global().counter(
+      "fact_search_generations_total", "Outer search iterations completed");
+  obs::Counter& candidates = obs::Registry::global().counter(
+      "fact_search_candidates_total",
+      "Candidate transformations entering the gauntlet");
+  obs::Counter& duplicates = obs::Registry::global().counter(
+      "fact_search_duplicates_total",
+      "Candidates dropped by structural dedup");
+  obs::Counter& quarantined = obs::Registry::global().counter(
+      "fact_search_quarantined_total",
+      "Candidates quarantined (apply/verify/equivalence/evaluate)");
+  obs::Counter& nonequivalent = obs::Registry::global().counter(
+      "fact_search_nonequivalent_total",
+      "Candidates failing trace equivalence");
+  obs::Counter& accepted = obs::Registry::global().counter(
+      "fact_search_accepted_total",
+      "Candidates surviving every gate incl. evaluation");
+  obs::Counter& improvements = obs::Registry::global().counter(
+      "fact_search_improvements_total",
+      "Accepted candidates that improved the best score");
+  obs::Counter& eval_requests = obs::Registry::global().counter(
+      "fact_eval_requests_total",
+      "Candidate evaluations requested (cache hits + misses)");
+  obs::Counter& eval_cache_hits = obs::Registry::global().counter(
+      "fact_eval_cache_hits_total",
+      "Evaluation requests served from the memo cache");
+  obs::Counter& eval_cache_misses = obs::Registry::global().counter(
+      "fact_eval_cache_misses_total",
+      "Evaluation requests that ran the full pipeline");
+  obs::Histogram& selected_rank = obs::Registry::global().histogram(
+      "fact_search_selected_rank",
+      {0.5, 1.5, 2.5, 3.5, 5.5, 7.5, 11.5, 15.5, 23.5, 31.5},
+      "Rank of each member selected into In_set (0 = best)");
+  static SearchCounters& get() {
+    static SearchCounters c;
+    return c;
+  }
+};
+
+}  // namespace
+
+// ---- EvalCache ---------------------------------------------------------
+
+namespace {
+// Lock striping: caches at least this large are split into kEvalCacheShards
+// stripes. Below it a single shard keeps exact global LRU order — per-shard
+// caps of 0 or 1 entry would evict almost everything.
+constexpr size_t kEvalCacheShards = 16;
+constexpr size_t kShardingThreshold = 4096;
+
+// Raw cache traffic across every EvalCache instance in the process (the
+// per-run EngineResult counters remain the authoritative, jobs-invariant
+// attribution; these standing counters additionally see factd's shared
+// process-wide cache). Incremented outside the shard locks.
+obs::Counter& evalcache_lookups() {
+  static obs::Counter& c = obs::Registry::global().counter(
+      "fact_evalcache_lookups_total", "EvalCache lookup() calls");
+  return c;
+}
+obs::Counter& evalcache_hits() {
+  static obs::Counter& c = obs::Registry::global().counter(
+      "fact_evalcache_hits_total", "EvalCache lookups that found an entry");
+  return c;
+}
+obs::Counter& evalcache_insertions() {
+  static obs::Counter& c = obs::Registry::global().counter(
+      "fact_evalcache_insertions_total",
+      "EvalCache entries newly inserted (refreshes excluded)");
+  return c;
+}
+}  // namespace
+
+EvalCache::EvalCache(size_t capacity)
+    : capacity_(std::max<size_t>(1, capacity)),
+      shards_(capacity_ >= kShardingThreshold ? kEvalCacheShards : 1) {
+  // Spread the capacity across shards; the first capacity % n shards take
+  // the remainder so the caps always sum to exactly capacity_.
+  const size_t n = shards_.size();
+  for (size_t i = 0; i < n; ++i)
+    shards_[i].cap = capacity_ / n + (i < capacity_ % n ? 1 : 0);
+}
+
+size_t EvalCache::shard_index(const Key& k) const {
+  // KeyHash keeps small structural hashes' entropy in its low bits; run a
+  // splitmix64 finalizer so shard selection is uniform for any key shape
+  // (and decorrelated from the shard-local unordered_map's buckets).
+  uint64_t h = KeyHash{}(k);
+  h ^= h >> 30;
+  h *= 0xBF58476D1CE4E5B9ull;
+  h ^= h >> 27;
+  h *= 0x94D049BB133111EBull;
+  h ^= h >> 31;
+  return static_cast<size_t>(h % shards_.size());
+}
+
+EvalCache::Key EvalCache::make_key(uint64_t h, Objective o,
+                                   double baseline_len) {
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(baseline_len));
+  std::memcpy(&bits, &baseline_len, sizeof(bits));
+  return Key{h, static_cast<int>(o), bits};
+}
+
+size_t EvalCache::KeyHash::operator()(const Key& k) const {
+  uint64_t h = k.hash;
+  h ^= (k.baseline_bits + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2));
+  h ^= (static_cast<uint64_t>(k.objective) + 0x9E3779B97F4A7C15ull +
+        (h << 6) + (h >> 2));
+  return static_cast<size_t>(h);
+}
+
+std::optional<EvalCache::Entry> EvalCache::lookup(uint64_t structural_hash,
+                                                  Objective objective,
+                                                  double baseline_len) const {
+  const Key key = make_key(structural_hash, objective, baseline_len);
+  const Shard& s = shards_[shard_index(key)];
+  std::optional<Entry> out;
+  {
+    std::lock_guard<std::mutex> lock(s.mu);
+    const auto it = s.map.find(key);
+    if (it != s.map.end()) out = it->second.entry;
+  }
+  evalcache_lookups().inc();
+  if (out) evalcache_hits().inc();
+  return out;
+}
+
+void EvalCache::insert(uint64_t structural_hash, Objective objective,
+                       double baseline_len, Entry entry) {
+  const Key key = make_key(structural_hash, objective, baseline_len);
+  Shard& s = shards_[shard_index(key)];
+  bool inserted = false;
+  {
+    std::lock_guard<std::mutex> lock(s.mu);
+    const auto it = s.map.find(key);
+    if (it != s.map.end()) {
+      // First insertion wins; a re-insert just counts as a use.
+      s.lru.splice(s.lru.begin(), s.lru, it->second.lru);
+    } else {
+      s.lru.push_front(key);
+      s.map.emplace(key, Slot{std::move(entry), s.lru.begin()});
+      inserted = true;
+      while (s.map.size() > s.cap) {
+        s.map.erase(s.lru.back());
+        s.lru.pop_back();
+      }
+    }
+  }
+  if (inserted) evalcache_insertions().inc();
+}
+
+void EvalCache::touch(uint64_t structural_hash, Objective objective,
+                      double baseline_len) {
+  const Key key = make_key(structural_hash, objective, baseline_len);
+  Shard& s = shards_[shard_index(key)];
+  std::lock_guard<std::mutex> lock(s.mu);
+  const auto it = s.map.find(key);
+  if (it != s.map.end()) s.lru.splice(s.lru.begin(), s.lru, it->second.lru);
+}
+
+size_t EvalCache::size() const {
+  size_t n = 0;
+  for (const Shard& s : shards_) {
+    std::lock_guard<std::mutex> lock(s.mu);
+    n += s.map.size();
+  }
+  return n;
+}
+
+// ---- TransformEngine ---------------------------------------------------
+
+TransformEngine::TransformEngine(const hlslib::Library& lib,
+                                 const hlslib::Allocation& alloc,
+                                 const hlslib::FuSelection& sel,
+                                 const sched::SchedOptions& sched_opts,
+                                 const power::PowerOptions& power_opts,
+                                 const xform::TransformLibrary& xforms,
+                                 EngineOptions opts)
+    : lib_(lib),
+      alloc_(alloc),
+      sel_(sel),
+      sched_opts_(sched_opts),
+      power_opts_(power_opts),
+      xforms_(xforms),
+      opts_(opts) {}
+
+Evaluation TransformEngine::evaluate(const ir::Function& fn,
+                                     const sim::Trace& trace,
+                                     Objective objective,
+                                     double baseline_len) const {
+  return evaluate_impl(fn, trace, objective, baseline_len, nullptr);
+}
+
+Evaluation TransformEngine::evaluate_impl(
+    const ir::Function& fn, const sim::Trace& trace, Objective objective,
+    double baseline_len, sched::FragmentCache* fragments) const {
+  // Re-profile the candidate: transformed control structure means new
+  // branch sites. The interpreter is cheap relative to scheduling.
+  obs::Span sp_profile = obs::span("profile", "eval");
+  const sim::Profile profile = sim::profile_function(fn, trace);
+  sp_profile.finish();
+  obs::Span sp_sched = obs::span("schedule", "eval");
+  sched::SchedOptions sopts = sched_opts_;
+  sopts.fragment_cache = fragments;
+  sched::Scheduler scheduler(lib_, alloc_, sel_, sopts);
+  const sched::ScheduleResult sr = scheduler.schedule(fn, profile);
+  sp_sched.arg("fragment_hits", sr.fragment_hits);
+  sp_sched.finish();
+
+  // Full validation: the schedule must be structurally sound and legal
+  // under the allocation before its metrics are trusted.
+  if (opts_.validate == verify::Level::Full) {
+    verify::Report rep = verify::verify_stg(sr.stg, opts_.validate);
+    if (rep.ok())
+      rep = verify::verify_schedule(fn, sr.stg, lib_, alloc_, opts_.validate);
+    verify::check_or_throw(rep);
+  }
+
+  // One stationary solve serves both the throughput metric and the power
+  // model (the power estimate reuses pi instead of re-solving the chain).
+  obs::Span sp_est = obs::span("estimate", "eval");
+  const std::vector<double> pi =
+      stg::state_probabilities(sr.stg, sched_opts_.markov);
+  Evaluation ev;
+  ev.fragment_hits = sr.fragment_hits;
+  ev.fragment_misses = sr.fragment_misses;
+  ev.avg_len = stg::average_schedule_length(sr.stg, pi);
+  if (objective == Objective::Power) {
+    const power::PowerEstimate est = power::estimate_power_scaled(
+        sr.stg, lib_, baseline_len, power_opts_, &pi);
+    ev.power = est.power;
+    ev.vdd = est.vdd;
+    // Iso-throughput constraint (Section 2.2): the transformed design must
+    // not be slower than the base case; slower candidates would fake a
+    // power win simply by stretching the denominator.
+    ev.score = ev.avg_len <= baseline_len * 1.001 ? est.power : 1e30;
+  } else {
+    const power::PowerEstimate est =
+        power::estimate_power(sr.stg, lib_, power_opts_, &pi);
+    ev.power = est.power;
+    ev.vdd = est.vdd;
+    ev.score = ev.avg_len;
+  }
+  return ev;
+}
+
+EngineResult TransformEngine::optimize(const ir::Function& fn,
+                                       const sim::Trace& trace,
+                                       Objective objective,
+                                       const std::set<int>& region,
+                                       double baseline_len,
+                                       EvalCache* shared_cache) const {
+  Rng rng(opts_.seed);
+  const auto start_time = std::chrono::steady_clock::now();
+
+  SearchCounters& sc = SearchCounters::get();
+  sc.optimize_calls.inc();
+  obs::Span sp_opt = obs::span("engine.optimize", "opt");
+  sp_opt.arg("objective",
+             objective == Objective::Power ? "power" : "throughput");
+
+  EngineResult result;
+  result.best = fn.clone();
+
+  // Memoized evaluations: shared across calls when the caller provides a
+  // cache (run_fact does, one per flow; factd one per process), run-local
+  // otherwise.
+  EvalCache local_cache(opts_.cache_cap);
+  EvalCache& cache = shared_cache ? *shared_cache : local_cache;
+
+  // Region-scoped schedule memoization, one per run: candidates share the
+  // regions they did not mutate, so their schedules reuse each other's
+  // fragments. Never shared across runs — its entries assume this run's
+  // library/allocation/selection/clock.
+  sched::FragmentCache fragment_cache;
+
+  // The pool only parallelizes per-candidate work (apply/verify/
+  // equivalence/evaluate); neighborhood generation, the RNG, and every
+  // reduction over candidate outcomes stay on this thread, in submission
+  // order — which is what makes results independent of the jobs count.
+  // A caller-provided pool is borrowed (factd shares one across engines);
+  // otherwise a private pool of `jobs` threads lives for this call.
+  const int jobs =
+      opts_.jobs <= 0 ? WorkerPool::hardware_threads() : opts_.jobs;
+  std::optional<WorkerPool> own_pool;
+  if (!opts_.pool) own_pool.emplace(jobs);
+  WorkerPool& pool = opts_.pool ? *opts_.pool : *own_pool;
+
+  // Reads-before-def present in the *input* behavior are legal (registers
+  // read as 0); candidates may not enlarge the set.
+  const std::set<std::string> baseline_undef =
+      opts_.validate == verify::Level::Off ? std::set<std::string>{}
+                                           : verify::undefined_reads(fn);
+
+  auto out_of_budget = [&]() {
+    if (result.truncated) return true;
+    if (opts_.cancel && opts_.cancel->load(std::memory_order_relaxed)) {
+      result.truncated = true;
+      return true;
+    }
+    if (opts_.max_evaluations > 0 &&
+        result.evaluations >= opts_.max_evaluations) {
+      result.truncated = true;
+      return true;
+    }
+    if (opts_.deadline_ms > 0.0) {
+      const double elapsed_ms =
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - start_time)
+              .count();
+      if (elapsed_ms >= opts_.deadline_ms) {
+        result.truncated = true;
+        return true;
+      }
+    }
+    return false;
+  };
+
+  auto quarantine = [&](const char* pass, std::string failure_class,
+                        std::string message,
+                        const std::vector<std::string>& transforms) {
+    result.quarantined++;
+    sc.quarantined.inc();
+    result.quarantine_by_class[failure_class]++;
+    if (result.quarantine.size() < opts_.quarantine_log_cap) {
+      QuarantineRecord rec;
+      rec.pass = pass;
+      rec.failure_class = std::move(failure_class);
+      rec.message = std::move(message);
+      rec.transforms = transforms;
+      result.quarantine.push_back(std::move(rec));
+    }
+  };
+
+  // Transactional evaluation, compute side: any failure — allocation
+  // infeasibility, scheduler non-convergence, verifier rejection of the
+  // schedule, or an arbitrary exception — becomes a failure entry instead
+  // of aborting the search. Called concurrently from workers: evaluate()
+  // builds its own Scheduler and all engine context is read-only.
+  auto compute_entry = [&](const ir::Function& f) {
+    EvalCache::Entry e;
+    try {
+      e.eval = evaluate_impl(f, trace, objective, baseline_len,
+                             &fragment_cache);
+      e.ok = true;
+    } catch (const verify::VerifyError& ex) {
+      e.failure_class =
+          ex.report().ok() ? "verify" : ex.report().first_check();
+      e.message = ex.what();
+    } catch (const Error& ex) {
+      // e.g. a transform pushed the behavior outside the allocation's
+      // reach, or the scheduler could not converge under the clock.
+      e.failure_class = "schedule-error";
+      e.message = ex.what();
+    } catch (const std::exception& ex) {
+      e.failure_class = strfmt("exception:%s", typeid(ex).name());
+      e.message = ex.what();
+    }
+    return e;
+  };
+
+  // Transactional evaluation, accounting side (serial): counts the
+  // request, publishes fresh results to the cache, and quarantines
+  // failures. Returns false when the member must drop out.
+  auto consume_entry = [&](Member& m, const EvalCache::Entry& entry,
+                           bool hit) {
+    result.evaluations++;
+    sc.eval_requests.inc();
+    if (hit) {
+      result.cache_hits++;
+      sc.eval_cache_hits.inc();
+      cache.touch(m.hash, objective, baseline_len);
+    } else {
+      result.cache_misses++;
+      sc.eval_cache_misses.inc();
+      // Fragment traffic is attributed to the evaluations that actually
+      // ran the scheduler; memo hits skipped it entirely.
+      result.fragment_hits += entry.eval.fragment_hits;
+      result.fragment_misses += entry.eval.fragment_misses;
+      if (opts_.memoize) cache.insert(m.hash, objective, baseline_len, entry);
+    }
+    if (!entry.ok) {
+      quarantine("evaluate", entry.failure_class, entry.message, m.applied);
+      m.eval = Evaluation{};
+      m.eval.score = 1e30;
+      return false;
+    }
+    m.eval = entry.eval;
+    return true;
+  };
+
+  Member root;
+  root.fn = fn.clone();
+  root.region = region;
+  root.hash = ir::structural_hash(fn);
+  bool root_ok;
+  {
+    const auto hit = opts_.memoize
+                         ? cache.lookup(root.hash, objective, baseline_len)
+                         : std::nullopt;
+    root_ok = consume_entry(root, hit ? *hit : compute_entry(root.fn),
+                            hit.has_value());
+  }
+  result.best_eval = root.eval;
+
+  // Structural dedup across the whole run.
+  std::unordered_set<uint64_t> seen;
+  seen.insert(root.hash);
+
+  std::vector<Member> in_set;
+  in_set.push_back(std::move(root));
+
+  struct WorkItem {
+    size_t parent;  // index into in_set
+    xform::Candidate cand;
+  };
+
+  /// Outcome of the speculative (worker-side) part of one candidate's
+  /// gauntlet. The serial reduction replays these in submission order.
+  struct Outcome {
+    enum class Status { Survived, Duplicate, Quarantined, NonEquivalent };
+    Status status = Status::Duplicate;
+    ir::Function fn;            // transformed (valid past gate 1)
+    uint64_t hash = 0;          // valid when past_dedup
+    bool past_dedup = false;    // reached the dedup gate (post-verify)
+    const char* pass = "";      // quarantine pass when Quarantined
+    std::string failure_class;
+    std::string message;
+  };
+
+  int accepted = 0;  // candidates that survived every gate
+  double best_score = result.best_eval.score;
+  for (int outer = 0;
+       outer < opts_.max_outer_iters && !out_of_budget(); ++outer) {
+    const double k = opts_.k0 + opts_.k_step * outer;
+    const double score_before = best_score;
+
+    // Per-generation telemetry: funnel counts accumulate inline in the
+    // serial reductions; the pipeline counters diff the run totals.
+    GenerationTelemetry gen;
+    gen.outer = outer;
+    gen.k = k;
+    const int gen_ev0 = result.evaluations;
+    const int gen_ch0 = result.cache_hits;
+    const int gen_q0 = result.quarantined;
+    const int gen_ne0 = result.rejected_nonequivalent;
+    obs::Span sp_gen = obs::span("generation", "opt");
+    sp_gen.arg("outer", outer);
+    sp_gen.arg("k", k);
+
+    for (int move = 0; move < opts_.max_moves && !out_of_budget(); ++move) {
+      // Neighborhood generation (serial): every candidate transformation
+      // of every population member (statement 6 of Figure 6) goes into one
+      // RNG-ordered work list.
+      std::vector<WorkItem> work;
+      for (size_t gi = 0; gi < in_set.size(); ++gi) {
+        if (out_of_budget()) break;
+        std::vector<xform::Candidate> cands =
+            xforms_.find_all(in_set[gi].fn, in_set[gi].region);
+        // Deterministic shuffle so the evaluation budget samples the
+        // neighborhood uniformly instead of front-loading one transform.
+        for (size_t i = cands.size(); i > 1; --i)
+          std::swap(cands[i - 1],
+                    cands[static_cast<size_t>(rng.uniform_int(0, static_cast<int64_t>(i) - 1))]);
+        for (auto& c : cands)
+          work.push_back(WorkItem{gi, std::move(c)});
+      }
+
+      // The gauntlet (gates 1-3), in waves: workers speculatively apply,
+      // verify, hash, and equivalence-check candidates; the reduction then
+      // replays outcomes in submission order, so the dedup set, the
+      // quarantine counters/records, and the surviving behavior_set are
+      // exactly those of a jobs=1 run. Wave size is the number of
+      // survivors still wanted — independent of the jobs count — so even
+      // the set of speculatively processed candidates is deterministic.
+      std::vector<Member> behavior_set;
+      size_t next_item = 0;
+      while (next_item < work.size() &&
+             behavior_set.size() < opts_.max_neighbors_eval &&
+             !out_of_budget()) {
+        const size_t wave =
+            std::min(work.size() - next_item,
+                     opts_.max_neighbors_eval - behavior_set.size());
+        std::vector<Outcome> outcomes(wave);
+        pool.parallel_for(wave, [&](size_t w) {
+          const WorkItem& item = work[next_item + w];
+          const Member& g = in_set[item.parent];
+          Outcome& o = outcomes[w];
+          obs::Span sp_cand = obs::span("candidate", "opt");
+          sp_cand.arg("transform", item.cand.transform);
+
+          // Gate 1: the rewrite itself. A transform implementation may
+          // throw anything; the candidate is quarantined, never the run.
+          try {
+            o.fn = xforms_.apply(g.fn, item.cand);
+          } catch (const Error& e) {
+            o.status = Outcome::Status::Quarantined;
+            o.pass = "apply";
+            o.failure_class = "apply-error";
+            o.message = e.what();
+            return;
+          } catch (const std::exception& e) {
+            o.status = Outcome::Status::Quarantined;
+            o.pass = "apply";
+            o.failure_class = strfmt("exception:%s", typeid(e).name());
+            o.message = e.what();
+            return;
+          }
+
+          // Gate 2: deep IR invariants, before dedup so that even a
+          // corruption that leaves the structural hash unchanged (e.g. a
+          // duplicated statement id) is caught and accounted for.
+          if (opts_.validate != verify::Level::Off) {
+            const verify::Report rep = verify::verify_function(
+                o.fn, opts_.validate, &baseline_undef);
+            if (!rep.ok()) {
+              o.status = Outcome::Status::Quarantined;
+              o.pass = "verify";
+              o.failure_class = rep.first_check();
+              o.message = rep.str();
+              return;
+            }
+          }
+
+          o.hash = ir::structural_hash(o.fn);
+          o.past_dedup = true;
+          // Pre-filter against the dedup set, frozen during the wave:
+          // known duplicates skip the equivalence simulation. The
+          // authoritative dedup (which also catches duplicates *within*
+          // this wave) runs in the reduction below.
+          if (seen.count(o.hash)) {
+            o.status = Outcome::Status::Duplicate;
+            return;
+          }
+
+          // Gate 3: observable behavior must match the original.
+          if (opts_.verify_equivalence) {
+            bool equivalent = false;
+            try {
+              equivalent = sim::equivalent_on_trace(fn, o.fn, trace);
+            } catch (const std::exception& e) {
+              o.status = Outcome::Status::Quarantined;
+              o.pass = "equivalence";
+              o.failure_class = "simulation-error";
+              o.message = e.what();
+              return;
+            }
+            if (!equivalent) {
+              o.status = Outcome::Status::NonEquivalent;
+              o.message = item.cand.describe();
+              return;
+            }
+          }
+          o.status = Outcome::Status::Survived;
+        });
+
+        for (size_t w = 0; w < wave; ++w) {
+          if (behavior_set.size() >= opts_.max_neighbors_eval) break;
+          if (out_of_budget()) break;
+          Outcome& o = outcomes[w];
+          gen.candidates++;
+          sc.candidates.inc();
+          // Structural dedup, in submission order (mirrors the serial
+          // gate: candidates reaching it insert their hash whether or not
+          // they later fail equivalence).
+          if (o.past_dedup && !seen.insert(o.hash).second) {
+            gen.duplicates++;
+            sc.duplicates.inc();
+            continue;
+          }
+
+          const WorkItem& item = work[next_item + w];
+          const Member& g = in_set[item.parent];
+          std::vector<std::string> seq = g.applied;
+          seq.push_back(item.cand.describe());
+
+          switch (o.status) {
+            case Outcome::Status::Quarantined:
+              quarantine(o.pass, std::move(o.failure_class),
+                         std::move(o.message), seq);
+              break;
+            case Outcome::Status::Duplicate:
+              break;  // unreachable: the seen-insert above filtered it
+            case Outcome::Status::NonEquivalent:
+              result.rejected_nonequivalent++;
+              sc.nonequivalent.inc();
+              quarantine("equivalence", "nonequivalent", std::move(o.message),
+                         seq);
+              break;
+            case Outcome::Status::Survived: {
+              Member m;
+              // Region: keep the parent's ids plus any transform-created
+              // ones.
+              m.region = g.region;
+              if (!m.region.empty()) {
+                const std::set<int> parent_ids = g.fn.stmt_ids();
+                for (int id : o.fn.stmt_ids())
+                  if (!parent_ids.count(id)) m.region.insert(id);
+              }
+              m.fn = std::move(o.fn);
+              m.applied = std::move(seq);
+              m.via = item.cand.transform;
+              m.hash = o.hash;
+              behavior_set.push_back(std::move(m));
+              break;
+            }
+          }
+        }
+        next_item += wave;
+      }
+      if (behavior_set.empty()) break;
+
+      // Assess efficacy: reschedule + estimate (statements 8-10), one
+      // parallel wave over the surviving neighborhood against the frozen
+      // cache, reduced in submission order. Members whose evaluation fails
+      // are quarantined and drop out of the population.
+      std::vector<Member> evaluated;
+      evaluated.reserve(behavior_set.size());
+      if (opts_.reschedule_in_loop) {
+        const size_t n = behavior_set.size();
+        std::vector<EvalCache::Entry> entries(n);
+        std::vector<char> hits(n, 0);
+        pool.parallel_for(n, [&](size_t w) {
+          obs::Span sp_eval = obs::span("evaluate", "opt");
+          sp_eval.arg("transform", behavior_set[w].via);
+          const auto hit =
+              opts_.memoize
+                  ? cache.lookup(behavior_set[w].hash, objective, baseline_len)
+                  : std::nullopt;
+          sp_eval.arg("cache_hit", hit.has_value());
+          if (hit) {
+            entries[w] = std::move(*hit);
+            hits[w] = 1;
+          } else {
+            entries[w] = compute_entry(behavior_set[w].fn);
+          }
+        });
+        for (size_t w = 0; w < n; ++w) {
+          if (out_of_budget()) break;
+          Member& m = behavior_set[w];
+          if (!consume_entry(m, entries[w], hits[w] != 0)) continue;
+          accepted++;
+          gen.accepted++;
+          sc.accepted.inc();
+          result.telemetry.accepted_by_transform[m.via]++;
+          if (m.eval.score < best_score) {
+            // Attribute the improvement to the transform class of the move
+            // that produced the new best (skip the sentinel 1e30 scores a
+            // failed root leaves behind — the delta would be meaningless).
+            const double delta =
+                best_score < 1e29 ? best_score - m.eval.score : 0.0;
+            best_score = m.eval.score;
+            result.best = m.fn.clone();
+            result.best_eval = m.eval;
+            result.applied = m.applied;
+            gen.improvements++;
+            sc.improvements.inc();
+            result.telemetry.improvements_by_transform[m.via]++;
+            result.telemetry.improvement_by_transform[m.via] += delta;
+          }
+          evaluated.push_back(std::move(m));
+        }
+      } else {
+        for (Member& m : behavior_set) {
+          if (out_of_budget()) break;
+          // Ablation: schedule-blind search scores by static op count.
+          size_t ops = 0;
+          m.fn.for_each([&](const ir::Stmt& s) {
+            for (const auto* slot : s.expr_slots())
+              ops += (*slot)->tree_size();
+          });
+          m.eval.score = static_cast<double>(ops);
+          accepted++;
+          gen.accepted++;
+          sc.accepted.inc();
+          result.telemetry.accepted_by_transform[m.via]++;
+          if (m.eval.score < best_score) {
+            const double delta =
+                best_score < 1e29 ? best_score - m.eval.score : 0.0;
+            best_score = m.eval.score;
+            result.best = m.fn.clone();
+            result.best_eval = m.eval;
+            result.applied = m.applied;
+            gen.improvements++;
+            sc.improvements.inc();
+            result.telemetry.improvements_by_transform[m.via]++;
+            result.telemetry.improvement_by_transform[m.via] += delta;
+          }
+          evaluated.push_back(std::move(m));
+        }
+      }
+      behavior_set = std::move(evaluated);
+      if (behavior_set.empty()) break;
+
+      // Rank decreasing gain = increasing score; select a fixed-size
+      // subset with P(rank) ~ e^(-k * rank).
+      std::sort(behavior_set.begin(), behavior_set.end(),
+                [](const Member& a, const Member& b) {
+                  return a.eval.score < b.eval.score;
+                });
+      const size_t want = std::min(opts_.in_set_size, behavior_set.size());
+      std::vector<size_t> chosen;
+      std::vector<bool> taken(behavior_set.size(), false);
+      while (chosen.size() < want) {
+        double total = 0.0;
+        for (size_t r = 0; r < behavior_set.size(); ++r)
+          if (!taken[r]) total += std::exp(-k * static_cast<double>(r));
+        double x = rng.uniform() * total;
+        size_t pick = behavior_set.size();
+        for (size_t r = 0; r < behavior_set.size(); ++r) {
+          if (taken[r]) continue;
+          x -= std::exp(-k * static_cast<double>(r));
+          if (x <= 0.0) {
+            pick = r;
+            break;
+          }
+        }
+        if (pick == behavior_set.size()) {  // numerical tail: take best free
+          for (size_t r = 0; r < behavior_set.size(); ++r)
+            if (!taken[r]) {
+              pick = r;
+              break;
+            }
+        }
+        taken[pick] = true;
+        chosen.push_back(pick);
+        result.telemetry.selected_ranks[static_cast<int>(pick)]++;
+        sc.selected_rank.observe(static_cast<double>(pick));
+      }
+      std::vector<Member> next;
+      next.reserve(chosen.size());
+      for (size_t r : chosen) next.push_back(std::move(behavior_set[r]));
+      in_set = std::move(next);
+    }
+
+    result.score_trace.push_back(best_score);
+    gen.evaluations = result.evaluations - gen_ev0;
+    gen.cache_hits = result.cache_hits - gen_ch0;
+    gen.quarantined = result.quarantined - gen_q0;
+    gen.rejected_nonequivalent = result.rejected_nonequivalent - gen_ne0;
+    gen.best_score = best_score;
+    gen.acceptance_rate =
+        gen.candidates > 0
+            ? static_cast<double>(gen.accepted) / gen.candidates
+            : 0.0;
+    result.telemetry.generations.push_back(gen);
+    sc.generations.inc();
+    sp_gen.arg("candidates", gen.candidates);
+    sp_gen.arg("accepted", gen.accepted);
+    // Termination: a full generation without improvement (Section 4.2).
+    if (best_score >= score_before - 1e-9 && outer > 0) break;
+    if (in_set.empty()) break;
+  }
+
+  // If the schedule-blind ablation was used, the recorded eval lacks real
+  // metrics; evaluate the winner properly once. A winner that fails this
+  // final evaluation is abandoned in favor of the baseline.
+  if (!opts_.reschedule_in_loop && accepted > 0) {
+    try {
+      result.best_eval = evaluate(result.best, trace, objective, baseline_len);
+    } catch (const std::exception& e) {
+      quarantine("evaluate", "final-evaluation", e.what(), result.applied);
+      result.best = fn.clone();
+      result.applied.clear();
+      result.best_eval = Evaluation{};
+      result.best_eval.score = 1e30;
+      accepted = 0;
+    }
+  }
+
+  // Graceful degradation: when the whole neighborhood was quarantined or
+  // rejected, the engine falls back to the (already validated or at least
+  // unmodified) baseline design rather than failing the run.
+  result.degraded_to_baseline =
+      accepted == 0 && (result.quarantined > 0 || !root_ok);
+
+  sp_opt.arg("evaluations", result.evaluations);
+  sp_opt.arg("cache_hits", result.cache_hits);
+  return result;
+}
+
+}  // namespace fact::opt

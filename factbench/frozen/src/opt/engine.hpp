@@ -1,0 +1,327 @@
+#pragma once
+
+#include <atomic>
+#include <cstdint>
+#include <list>
+#include <map>
+#include <mutex>
+#include <optional>
+#include <set>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "power/power.hpp"
+#include "sched/scheduler.hpp"
+#include "sim/trace.hpp"
+#include "util/parallel.hpp"
+#include "util/rng.hpp"
+#include "verify/verify.hpp"
+#include "xform/transform.hpp"
+
+namespace fact::opt {
+
+enum class Objective { Throughput, Power };
+
+/// Parameters of the Apply_transforms search (Figure 6). The search keeps
+/// a population In_set, explores every candidate transformation of every
+/// member, evaluates candidates by rescheduling and estimating the
+/// objective, and selects the next population with probability
+/// proportional to e^(-k * rank), k growing linearly per outer iteration.
+struct EngineOptions {
+  int max_moves = 2;                 // MAX_MOVES (inner loop of Fig. 6)
+  size_t in_set_size = 4;            // |In_set| after selection
+  int max_outer_iters = 8;           // stop after this many generations
+  size_t max_neighbors_eval = 96;    // evaluation budget per move
+  double k0 = 0.4;                   // initial selection sharpness
+  double k_step = 0.4;               // k increment per outer iteration
+  uint64_t seed = 1;
+  bool reschedule_in_loop = true;    // ablation: schedule-guided selection
+  bool verify_equivalence = true;    // simulate candidates vs. the original
+
+  /// Invariant checking per candidate. Fast runs the structural IR checks
+  /// on every applied rewrite before it can enter the population; Full
+  /// additionally verifies every candidate's schedule (STG structure and
+  /// legality against the allocation) inside evaluate().
+  verify::Level validate = verify::Level::Fast;
+  /// Wall-clock budget for one optimize() call in milliseconds; when
+  /// exhausted the search stops and returns best-so-far with
+  /// EngineResult::truncated set. 0 = unlimited.
+  double deadline_ms = 0.0;
+  /// Evaluation-count budget (schedule+estimate invocations); same
+  /// best-so-far / truncated contract. 0 = unlimited.
+  int max_evaluations = 0;
+  /// At most this many structured quarantine records are kept (counters
+  /// always cover every quarantined candidate).
+  size_t quarantine_log_cap = 64;
+
+  /// Worker threads for candidate evaluation (apply/verify/equivalence/
+  /// schedule+estimate run concurrently; neighborhood generation and all
+  /// result reduction stay serial). 0 = hardware concurrency. The engine's
+  /// determinism contract: any jobs value produces byte-identical results
+  /// to jobs=1 (see DESIGN.md). Leave at 1 when the TransformLibrary is a
+  /// stateful wrapper (e.g. the FaultInjector) — find/apply are called from
+  /// worker threads when jobs > 1 and must be thread-safe.
+  int jobs = 1;
+
+  /// Evaluation memoization (ablation switch): when false the engine never
+  /// consults or fills the EvalCache and every request runs the full
+  /// profile+schedule+verify pipeline. Results are identical either way —
+  /// cached entries are exactly what recomputation would produce.
+  bool memoize = true;
+
+  /// Upper bound on EvalCache entries (LRU eviction past it); applies to
+  /// the engine's run-local cache and is the construction default for
+  /// caller-owned caches. Generous by default — one entry is a few hundred
+  /// bytes, so the cap mainly keeps a long-lived daemon from growing
+  /// without limit.
+  size_t cache_cap = 1 << 18;
+
+  /// Cooperative cancellation: when non-null and set, the search stops at
+  /// the next budget check and returns best-so-far with
+  /// EngineResult::truncated (same contract as an expired deadline). The
+  /// pointee must outlive the optimize() call; factd maps per-request
+  /// `cancel` onto it.
+  const std::atomic<bool>* cancel = nullptr;
+
+  /// Worker pool to evaluate candidates on. When null the engine spawns a
+  /// private pool of `jobs` threads per optimize() call; when set, the
+  /// pool is borrowed (not owned) and `jobs` is ignored — several engines
+  /// may share one pool (WorkerPool serializes waves and degrades
+  /// contended calls to inline execution, which never changes results).
+  WorkerPool* pool = nullptr;
+};
+
+/// Why and where a candidate was quarantined instead of evaluated.
+struct QuarantineRecord {
+  std::string pass;           // apply | verify | equivalence | evaluate
+  std::string failure_class;  // verifier check name or exception class
+  std::string message;        // diagnostic detail
+  std::vector<std::string> transforms;  // sequence ending at the failure
+};
+
+struct Evaluation {
+  double avg_len = 0.0;  // average schedule length, cycles
+  double power = 0.0;    // estimated power (scaled Vdd in Power mode)
+  double vdd = 5.0;
+  double score = 0.0;    // objective value; lower is better
+  /// Schedule-fragment cache traffic of the pipeline run that produced
+  /// this evaluation (zero when the evaluation ran without a fragment
+  /// cache, e.g. via the standalone evaluate()). Diagnostic only — the
+  /// metrics above are identical with or without fragment reuse.
+  int fragment_hits = 0;
+  int fragment_misses = 0;
+};
+
+/// Memoized candidate evaluations, keyed by (structural hash, objective,
+/// baseline_len). run_fact shares one cache across its per-block engine
+/// runs: blocks repeatedly re-derive overlapping variants (and every
+/// block's root is the previous block's winner), and a hit skips the full
+/// profile+schedule+verify pipeline. factd shares one process-wide cache
+/// across all sessions. Failed evaluations are memoized too, so a
+/// known-bad variant quarantines again without re-running the scheduler.
+///
+/// Bounded: at most `capacity` entries, evicting least-recently-used past
+/// it so a long-lived daemon cannot grow memory without limit. Recency is
+/// advanced only by insert() and touch() — both called from the engine's
+/// serial reduction step — never by lookup(), so lookups within one
+/// evaluation wave see a frozen cache and hit/miss counts are independent
+/// of `jobs`. Thread-safe throughout.
+///
+/// Lock striping: large caches split the key space into 16 shards by key
+/// hash, each with its own mutex, map, and LRU list, so concurrent
+/// lookups from evaluation workers (and from factd sessions sharing the
+/// process-wide cache) contend only when they land on the same shard.
+/// Capacity is divided across shards and eviction is per shard — an
+/// approximation of global LRU that keeps the total entry count within
+/// `capacity`. Small caches (below the striping threshold) keep a single
+/// shard, preserving exact global LRU order where per-shard caps would
+/// distort eviction.
+class EvalCache {
+ public:
+  struct Entry {
+    bool ok = false;
+    Evaluation eval;            // valid when ok
+    std::string failure_class;  // quarantine class when !ok
+    std::string message;        // diagnostic when !ok
+  };
+
+  /// Default capacity mirrors EngineOptions::cache_cap.
+  explicit EvalCache(size_t capacity = 1 << 18);
+
+  std::optional<Entry> lookup(uint64_t structural_hash, Objective objective,
+                              double baseline_len) const;
+  /// First insertion wins; re-inserting the same key only refreshes its
+  /// recency (the engine re-requests a key only when dedup already
+  /// collapsed it). Evicts the least-recently-used entry past capacity.
+  void insert(uint64_t structural_hash, Objective objective,
+              double baseline_len, Entry entry);
+  /// Marks a key most-recently-used (no-op when absent). The engine calls
+  /// this on every cache hit, from the serial reduction.
+  void touch(uint64_t structural_hash, Objective objective,
+             double baseline_len);
+  size_t size() const;
+  size_t capacity() const { return capacity_; }
+
+ private:
+  struct Key {
+    uint64_t hash;
+    int objective;
+    uint64_t baseline_bits;  // bit pattern of baseline_len (exact match)
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const;
+  };
+  static Key make_key(uint64_t h, Objective o, double baseline_len);
+
+  struct Slot {
+    Entry entry;
+    std::list<Key>::iterator lru;  // position in Shard::lru (front = MRU)
+  };
+
+  /// One lock stripe: independent mutex, map, and LRU list over a slice of
+  /// the key space. `cap` is this shard's share of the total capacity.
+  struct Shard {
+    mutable std::mutex mu;
+    std::unordered_map<Key, Slot, KeyHash> map;
+    std::list<Key> lru;  // front = most recently used
+    size_t cap = 0;
+  };
+
+  size_t shard_index(const Key& k) const;
+
+  const size_t capacity_;
+  std::vector<Shard> shards_;
+};
+
+/// One outer iteration (generation) of the Figure 6 search, as observed by
+/// the serial reduction. All fields are derived strictly from
+/// submission-order accounting, so they are byte-identical for any jobs
+/// count — safe to print in determinism-checked reports.
+struct GenerationTelemetry {
+  int outer = 0;           // generation index
+  double k = 0.0;          // selection sharpness this generation
+  int candidates = 0;      // work items that entered the gauntlet
+  int duplicates = 0;      // dropped by structural dedup
+  int quarantined = 0;     // failed apply/verify/equivalence/evaluate
+  int rejected_nonequivalent = 0;
+  int evaluations = 0;     // schedule+estimate requests
+  int cache_hits = 0;      // of those, served from the memo cache
+  int accepted = 0;        // survived every gate incl. evaluation
+  int improvements = 0;    // accepted candidates that improved the best
+  double best_score = 0.0;        // best-so-far after this generation
+  double acceptance_rate = 0.0;   // accepted / candidates (0 when none)
+};
+
+/// Search telemetry for one optimize() call: the per-generation funnel
+/// plus distributions that summarize *how* the search moved — which ranks
+/// the Boltzmann selection actually picked, and which transform classes
+/// produced accepted candidates and score improvements.
+struct SearchTelemetry {
+  std::vector<GenerationTelemetry> generations;
+  /// rank -> times a member of that rank was selected into In_set.
+  std::map<int, int> selected_ranks;
+  /// transform class -> accepted candidates whose *last* move was it.
+  std::map<std::string, int> accepted_by_transform;
+  /// transform class -> times it produced a new best score.
+  std::map<std::string, int> improvements_by_transform;
+  /// transform class -> summed score improvement (previous best minus new
+  /// best) attributed to the move that produced each new best.
+  std::map<std::string, double> improvement_by_transform;
+};
+
+struct EngineResult {
+  ir::Function best;
+  Evaluation best_eval;
+  std::vector<std::string> applied;      // winning transform sequence
+  std::vector<double> score_trace;       // best score after each generation
+  /// Evaluation *requests* (every candidate that reached the schedule+
+  /// estimate stage). Of these, cache_hits were served from the memo cache
+  /// without running the pipeline; cache_misses ran it for real.
+  /// evaluations == cache_hits + cache_misses always.
+  int evaluations = 0;
+  int cache_hits = 0;
+  int cache_misses = 0;
+  int rejected_nonequivalent = 0;        // candidates failing trace equivalence
+
+  /// Schedule-fragment cache traffic (src/sched/fragment_cache.hpp),
+  /// summed over the evaluations that actually ran the scheduler (memo
+  /// misses). A fragment hit reused a region's scheduled DFG from an
+  /// earlier candidate instead of re-running DFG build + list scheduling.
+  /// Unlike the EvalCache counters these are not asserted jobs-invariant:
+  /// with jobs > 1, workers racing to first-compute one fragment may each
+  /// count a miss where a serial run counts one miss + one hit. The
+  /// schedules — and therefore every result and metric — are identical
+  /// regardless (cached entries are pure functions of their keys).
+  int fragment_hits = 0;
+  int fragment_misses = 0;
+
+  /// Candidates removed by the transactional evaluation wrapper (failed
+  /// apply, verifier rejection, equivalence failure, or an exception while
+  /// scheduling/estimating). Counters cover every quarantined candidate;
+  /// `quarantine` keeps the first quarantine_log_cap structured records.
+  int quarantined = 0;
+  std::map<std::string, int> quarantine_by_class;
+  std::vector<QuarantineRecord> quarantine;
+  /// True when the deadline/evaluation budget expired and the result is
+  /// best-so-far rather than a converged search.
+  bool truncated = false;
+  /// True when not a single candidate survived the gauntlet: the engine
+  /// gracefully fell back to the untransformed baseline design.
+  bool degraded_to_baseline = false;
+
+  /// Per-generation funnel and selection/attribution distributions
+  /// (jobs-invariant; see SearchTelemetry).
+  SearchTelemetry telemetry;
+};
+
+/// The transformation-application engine of Section 4.2: population search
+/// over CDFG variants with interleaved scheduling (steps 3-7 of Figure 5).
+class TransformEngine {
+ public:
+  TransformEngine(const hlslib::Library& lib, const hlslib::Allocation& alloc,
+                  const hlslib::FuSelection& sel,
+                  const sched::SchedOptions& sched_opts,
+                  const power::PowerOptions& power_opts,
+                  const xform::TransformLibrary& xforms, EngineOptions opts);
+
+  /// Optimizes `fn` for `objective`, applying transforms only within
+  /// `region` (statement ids; empty = whole function). `baseline_len` is
+  /// the untransformed design's average schedule length, the reference for
+  /// iso-throughput Vdd scaling in Power mode. `cache` optionally shares
+  /// memoized evaluations across calls (run_fact passes one per flow);
+  /// when null a run-local cache is used. Results are identical for any
+  /// EngineOptions::jobs value: candidate work runs on worker threads but
+  /// is reduced strictly in the serial submission order.
+  EngineResult optimize(const ir::Function& fn, const sim::Trace& trace,
+                        Objective objective, const std::set<int>& region,
+                        double baseline_len, EvalCache* cache = nullptr) const;
+
+  /// Schedules and evaluates one function (used standalone by benches).
+  /// At EngineOptions::validate == Full, throws verify::VerifyError when
+  /// the produced schedule fails structural or legality checks.
+  Evaluation evaluate(const ir::Function& fn, const sim::Trace& trace,
+                      Objective objective, double baseline_len) const;
+
+ private:
+  /// evaluate() with an optional schedule-fragment cache. optimize() owns
+  /// one FragmentCache per run and routes every candidate evaluation
+  /// through it; the public evaluate() passes null (no cache).
+  Evaluation evaluate_impl(const ir::Function& fn, const sim::Trace& trace,
+                           Objective objective, double baseline_len,
+                           sched::FragmentCache* fragments) const;
+
+  // Hardware context is stored by value (callers pass temporaries); the
+  // transform library is a reference — it is not copyable and must outlive
+  // the engine.
+  hlslib::Library lib_;
+  hlslib::Allocation alloc_;
+  hlslib::FuSelection sel_;
+  sched::SchedOptions sched_opts_;
+  power::PowerOptions power_opts_;
+  const xform::TransformLibrary& xforms_;
+  EngineOptions opts_;
+};
+
+}  // namespace fact::opt

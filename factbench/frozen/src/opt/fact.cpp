@@ -1,0 +1,250 @@
+#include "opt/fact.hpp"
+
+#include "obs/trace.hpp"
+#include "util/strfmt.hpp"
+
+namespace fact::opt {
+
+FactResult run_fact(const ir::Function& fn, const hlslib::Library& lib,
+                    const hlslib::Allocation& alloc,
+                    const hlslib::FuSelection& sel,
+                    const sim::TraceConfig& trace_config,
+                    const xform::TransformLibrary& xforms,
+                    const FactOptions& opts, EvalCache* cache,
+                    const sim::Trace* pinned_trace) {
+  FactResult result;
+
+  // Step 0: typical input traces, generated once and reused everywhere —
+  // or pinned by the caller (factd sessions) to skip regeneration.
+  sim::TraceConfig tc = trace_config;
+  if (tc.executions == 0) tc.executions = opts.trace_executions;
+  sim::Trace generated;
+  {
+    obs::Span sp = obs::span("trace_gen", "fact");
+    sp.arg("pinned", pinned_trace != nullptr);
+    if (!pinned_trace) generated = sim::generate_trace(fn, tc, opts.seed);
+  }
+  const sim::Trace& trace = pinned_trace ? *pinned_trace : generated;
+  const sim::Profile profile = sim::profile_function(fn, trace);
+
+  // Step 1: schedule the input behavior — the "base case" every
+  // comparison (and the Vdd-scaling equation) refers to.
+  sched::Scheduler scheduler(lib, alloc, sel, opts.sched);
+  obs::Span sp_initial = obs::span("initial_schedule", "fact");
+  sched::ScheduleResult initial = scheduler.schedule(fn, profile);
+  sp_initial.finish();
+  {
+    const std::vector<double> pi =
+        stg::state_probabilities(initial.stg, opts.sched.markov);
+    result.initial_avg_len = stg::average_schedule_length(initial.stg, pi);
+    result.initial_power =
+        power::estimate_power(initial.stg, lib, opts.power, &pi);
+  }
+  result.log.push_back(strfmt("initial schedule: %zu states, avg length %.2f",
+                              initial.stg.num_states(),
+                              result.initial_avg_len));
+
+  // Step 2: partition the STG into hot blocks.
+  obs::Span sp_part = obs::span("partition", "fact");
+  std::vector<StgBlock> blocks =
+      partition_stg(initial.stg, opts.partition_threshold);
+  if (blocks.size() > opts.max_blocks) blocks.resize(opts.max_blocks);
+  sp_part.arg("blocks", blocks.size());
+  sp_part.finish();
+  result.log.push_back(strfmt("partitioned into %zu block(s)", blocks.size()));
+
+  // Steps 3-7 per block: transform with interleaved scheduling. One memo
+  // cache spans all blocks: they re-derive overlapping variants, and each
+  // block's root is the previous block's winner, so cross-block hits skip
+  // the profile+schedule+verify pipeline entirely.
+  TransformEngine engine(lib, alloc, sel, opts.sched, opts.power, xforms,
+                         opts.engine);
+  EvalCache local_cache;
+  EvalCache* shared = cache ? cache : &local_cache;
+  ir::Function current = fn.clone();
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    obs::Span sp_block = obs::span("block", "fact");
+    sp_block.arg("idx", b);
+    sp_block.arg("weight", blocks[b].weight);
+    sp_block.arg("stmts", blocks[b].stmt_ids.size());
+    EngineResult er = engine.optimize(current, trace, opts.objective,
+                                      blocks[b].stmt_ids,
+                                      result.initial_avg_len, shared);
+    result.block_telemetry.push_back(std::move(er.telemetry));
+    result.evaluations += er.evaluations;
+    result.cache_hits += er.cache_hits;
+    result.cache_misses += er.cache_misses;
+    result.fragment_hits += er.fragment_hits;
+    result.fragment_misses += er.fragment_misses;
+    result.quarantined += er.quarantined;
+    for (const auto& [cls, n] : er.quarantine_by_class)
+      result.quarantine_by_class[cls] += n;
+    if (er.degraded_to_baseline) result.blocks_degraded++;
+    if (er.truncated) result.truncated = true;
+    result.log.push_back(
+        strfmt("block %zu (weight %.3f, %zu stmts): %zu transform(s), "
+               "score %.4f after %d evaluations",
+               b, blocks[b].weight, blocks[b].stmt_ids.size(),
+               er.applied.size(), er.best_eval.score, er.evaluations));
+    if (er.quarantined > 0)
+      result.log.push_back(strfmt(
+          "block %zu: %d candidate(s) quarantined%s%s", b, er.quarantined,
+          er.degraded_to_baseline ? "; degraded to baseline" : "",
+          er.truncated ? "; budget exhausted (best-so-far)" : ""));
+    for (const auto& a : er.applied)
+      result.applied.push_back(strfmt("block%zu: %s", b, a.c_str()));
+    current = std::move(er.best);
+  }
+
+  // Final schedule + metrics of the winner.
+  obs::Span sp_final = obs::span("final_schedule", "fact");
+  const sim::Profile final_profile = sim::profile_function(current, trace);
+  result.schedule = scheduler.schedule(current, final_profile);
+  sp_final.finish();
+  {
+    const std::vector<double> pi =
+        stg::state_probabilities(result.schedule.stg, opts.sched.markov);
+    result.final_avg_len =
+        stg::average_schedule_length(result.schedule.stg, pi);
+    if (opts.objective == Objective::Power) {
+      result.final_power =
+          power::estimate_power_scaled(result.schedule.stg, lib,
+                                       result.initial_avg_len, opts.power, &pi);
+    } else {
+      result.final_power =
+          power::estimate_power(result.schedule.stg, lib, opts.power, &pi);
+    }
+  }
+  if (result.evaluations > 0)
+    result.log.push_back(strfmt(
+        "evaluation cache: %d hit(s) / %d request(s) across %zu block(s)",
+        result.cache_hits, result.evaluations, blocks.size()));
+  result.log.push_back(strfmt("final: avg length %.2f, power %.4f (Vdd %.2fV)",
+                              result.final_avg_len, result.final_power.power,
+                              result.final_power.vdd));
+  result.optimized = std::move(current);
+  return result;
+}
+
+std::string render_fact_report(const FactResult& r, Objective objective,
+                               bool quiet) {
+  std::string out = strfmt(
+      "%-7s avg length %10.2f cycles | throughput %8.3f (x1000/cyc) "
+      "| power %8.3f | %zu transform(s)\n",
+      "FACT", r.final_avg_len, 1000.0 / r.final_avg_len,
+      r.final_power.power, r.applied.size());
+  if (r.truncated)
+    out += "note: search budget exhausted; result is best-so-far\n";
+  if (!quiet && r.evaluations > 0)
+    out += strfmt("evaluations: %d (%d served from the memo cache)\n",
+                  r.evaluations, r.cache_hits);
+  if (!quiet && r.quarantined > 0) {
+    out += strfmt("quarantined %d candidate(s):", r.quarantined);
+    for (const auto& [cls, n] : r.quarantine_by_class)
+      out += strfmt(" %s=%d", cls.c_str(), n);
+    out += "\n";
+    if (r.blocks_degraded > 0)
+      out += strfmt("%d block(s) degraded to the baseline design\n",
+                    r.blocks_degraded);
+  }
+  if (!quiet) {
+    out += strfmt("\nbaseline (untransformed): %.2f cycles, %.3f power\n",
+                  r.initial_avg_len, r.initial_power.power);
+    if (objective == Objective::Power)
+      out += strfmt("scaled Vdd: %.2f V (iso-throughput with the baseline)\n",
+                    r.final_power.vdd);
+    out += "\ntransforms applied:\n";
+    for (const auto& t : r.applied) out += strfmt("  %s\n", t.c_str());
+    out += "\ntransformed behavior:\n" + r.optimized.str();
+  }
+  return out;
+}
+
+namespace {
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20)
+          out += strfmt("\\u%04x", c);
+        else
+          out += c;
+    }
+  }
+  return out;
+}
+
+std::string json_num(double v) { return strfmt("%.6g", v); }
+
+template <typename V, typename Render>
+std::string json_map(const std::map<std::string, V>& m, Render render) {
+  std::string out = "{";
+  bool first = true;
+  for (const auto& [k, v] : m) {
+    if (!first) out += ",";
+    first = false;
+    out += strfmt("\"%s\":%s", json_escape(k).c_str(), render(v).c_str());
+  }
+  return out + "}";
+}
+
+std::string telemetry_block_json(const SearchTelemetry& t) {
+  std::string out = "{\"generations\":[";
+  for (size_t i = 0; i < t.generations.size(); ++i) {
+    const GenerationTelemetry& g = t.generations[i];
+    if (i) out += ",";
+    out += strfmt(
+        "{\"outer\":%d,\"k\":%s,\"candidates\":%d,\"duplicates\":%d,"
+        "\"quarantined\":%d,\"nonequivalent\":%d,\"evaluations\":%d,"
+        "\"cache_hits\":%d,\"accepted\":%d,\"improvements\":%d,"
+        "\"best_score\":%s,\"acceptance_rate\":%s}",
+        g.outer, json_num(g.k).c_str(), g.candidates, g.duplicates,
+        g.quarantined, g.rejected_nonequivalent, g.evaluations, g.cache_hits,
+        g.accepted, g.improvements, json_num(g.best_score).c_str(),
+        json_num(g.acceptance_rate).c_str());
+  }
+  out += "],\"selected_ranks\":{";
+  bool first = true;
+  for (const auto& [rank, n] : t.selected_ranks) {
+    if (!first) out += ",";
+    first = false;
+    out += strfmt("\"%d\":%d", rank, n);
+  }
+  out += "},\"accepted_by_transform\":";
+  out += json_map(t.accepted_by_transform,
+                  [](int n) { return strfmt("%d", n); });
+  out += ",\"improvements_by_transform\":";
+  out += json_map(t.improvements_by_transform,
+                  [](int n) { return strfmt("%d", n); });
+  out += ",\"improvement_by_transform\":";
+  out += json_map(t.improvement_by_transform,
+                  [](double v) { return json_num(v); });
+  return out + "}";
+}
+
+}  // namespace
+
+std::string telemetry_json(const FactResult& r) {
+  std::string out = "{\"blocks\":[";
+  for (size_t b = 0; b < r.block_telemetry.size(); ++b) {
+    if (b) out += ",";
+    out += telemetry_block_json(r.block_telemetry[b]);
+  }
+  out += strfmt(
+      "],\"evaluations\":%d,\"cache_hits\":%d,\"cache_misses\":%d,"
+      "\"fragment_hits\":%d,\"fragment_misses\":%d,\"quarantined\":%d,"
+      "\"blocks_degraded\":%d,\"truncated\":%s}",
+      r.evaluations, r.cache_hits, r.cache_misses, r.fragment_hits,
+      r.fragment_misses, r.quarantined, r.blocks_degraded,
+      r.truncated ? "true" : "false");
+  return out;
+}
+
+}  // namespace fact::opt

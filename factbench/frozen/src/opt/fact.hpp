@@ -1,0 +1,97 @@
+#pragma once
+
+#include <string>
+#include <vector>
+
+#include "opt/engine.hpp"
+#include "opt/partition.hpp"
+
+namespace fact::opt {
+
+/// End-to-end configuration of the FACT flow (Figure 5).
+struct FactOptions {
+  sched::SchedOptions sched;
+  power::PowerOptions power;
+  EngineOptions engine;
+  Objective objective = Objective::Throughput;
+  double partition_threshold = 0.25;  // hot-edge cutoff (Section 4.1)
+  size_t max_blocks = 3;              // optimize at most this many blocks
+  uint64_t seed = 7;                  // trace-generation seed
+  size_t trace_executions = 24;
+};
+
+/// Everything FACT produces: the transformed behavior, its schedule, and
+/// before/after metrics.
+struct FactResult {
+  ir::Function optimized;
+  sched::ScheduleResult schedule;     // final schedule of `optimized`
+  double initial_avg_len = 0.0;       // M1 schedule length of the input
+  double final_avg_len = 0.0;
+  power::PowerEstimate initial_power; // at nominal Vdd
+  power::PowerEstimate final_power;   // Vdd-scaled in Power mode
+  std::vector<std::string> applied;   // transform sequence
+  std::vector<std::string> log;       // human-readable flow narration
+  /// Evaluation requests over all blocks; cache_hits of them were served
+  /// from the memo cache shared across the per-block engine runs (blocks
+  /// re-derive overlapping variants, and every block's root is the
+  /// previous block's winner), skipping profile+schedule+verify entirely.
+  int evaluations = 0;
+  int cache_hits = 0;
+  int cache_misses = 0;
+  /// Schedule-fragment cache traffic summed over the per-block engine
+  /// runs (see EngineResult::fragment_hits for semantics and the caveat
+  /// about jobs > 1 attribution).
+  int fragment_hits = 0;
+  int fragment_misses = 0;
+
+  // Robustness accounting aggregated over all per-block engine runs:
+  int quarantined = 0;                // candidates removed by any gate
+  std::map<std::string, int> quarantine_by_class;
+  int blocks_degraded = 0;            // blocks that fell back to baseline
+  bool truncated = false;             // some block hit the deadline budget
+
+  /// Search telemetry of each per-block engine run, in block order
+  /// (jobs-invariant; see SearchTelemetry). Rendered by telemetry_json().
+  std::vector<SearchTelemetry> block_telemetry;
+};
+
+/// Runs the full FACT flow on a behavior:
+///  1. schedule the input (M1 baseline / "base case"),
+///  2. profile with generated typical traces,
+///  3. partition the STG into hot blocks,
+///  4. per block, run the Apply_transforms search (throughput or power),
+///  5. reschedule and report.
+///
+/// `cache` optionally carries memoized candidate evaluations across calls
+/// (design-space exploration re-running the flow over seeds/allocations;
+/// factd shares one across all sessions); when null a flow-local cache
+/// still spans the per-block engine runs.
+///
+/// `trace` optionally supplies the typical-input trace instead of
+/// generating it: factd sessions pin the generated trace so follow-up
+/// requests skip regeneration. Passing the trace that
+/// sim::generate_trace(fn, trace_config, opts.seed) would produce is
+/// byte-equivalent to passing null.
+FactResult run_fact(const ir::Function& fn, const hlslib::Library& lib,
+                    const hlslib::Allocation& alloc,
+                    const hlslib::FuSelection& sel,
+                    const sim::TraceConfig& trace_config,
+                    const xform::TransformLibrary& xforms,
+                    const FactOptions& opts, EvalCache* cache = nullptr,
+                    const sim::Trace* trace = nullptr);
+
+/// Renders the FACT result exactly as `factc` prints it (the "FACT ..."
+/// summary line through the transformed behavior). factd returns this
+/// string in optimize responses; the end-to-end determinism test diffs it
+/// byte-for-byte against `factc` batch output.
+std::string render_fact_report(const FactResult& r, Objective objective,
+                               bool quiet);
+
+/// Renders the per-block search telemetry plus the flow-level cache
+/// counters as a stable JSON document (insertion-ordered keys, %.6g
+/// doubles). Deterministic for a given FactResult — safe to byte-diff
+/// across factc/factd and jobs counts. `factc --metrics-out` embeds it
+/// under the "search" key.
+std::string telemetry_json(const FactResult& r);
+
+}  // namespace fact::opt

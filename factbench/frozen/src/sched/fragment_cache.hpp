@@ -1,0 +1,115 @@
+#pragma once
+
+#include <cstdint>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <unordered_map>
+
+#include "obs/metrics.hpp"
+#include "sched/dfg.hpp"
+
+namespace fact::sched {
+
+/// Region-scoped schedule memoization. Candidates within one
+/// Apply_transforms run differ only inside the active block, so most of
+/// their control regions — straight-line segments, branch/loop condition
+/// evaluations, pipelined loop bodies — are byte-for-byte identical to the
+/// parent's. The Emitter keys each such fragment by ir::fragment_hash
+/// (structure *and* statement ids, since the scheduled DFG's annotations
+/// record ids) and reuses the scheduled DFG instead of re-running DFG
+/// construction and list scheduling.
+///
+/// What is cached is the *scheduled DFG*, not STG states: materialization
+/// into the STG depends on run-global state (wire numbering, transition
+/// stitching) and is cheap, while DFG build + (modulo) list scheduling is
+/// the scheduler's hot path. Fused concurrent-loop phases are never cached
+/// — their loops share one resource table, so a loop's schedule depends on
+/// its phase partners.
+///
+/// Determinism: an entry's value is a pure function of its key (the
+/// scheduler is deterministic and every input that isn't part of the key —
+/// library, allocation, FU selection, clock — is fixed for the cache's
+/// owner, one engine optimize() call). A hit therefore reproduces exactly
+/// what recomputation would, so results are byte-identical whatever the
+/// hit/miss interleaving; only the hit/miss *attribution* can shift when
+/// worker threads race to insert the same key (see ScheduleResult's
+/// counter docs).
+///
+/// Thread-safe; entries are immutable once inserted and handed out as
+/// shared_ptr so readers survive concurrent rehashes.
+class FragmentCache {
+ public:
+  struct Entry {
+    /// Scheduling succeeded. When false, `error` holds the fact::Error
+    /// message to rethrow so a cached failure is byte-identical to a
+    /// recomputed one.
+    bool ok = false;
+    std::string error;
+    /// The scheduled DFG (plain fragments; pipelined winners). May be
+    /// empty for a straight region with no operations.
+    Dfg dfg;
+    /// Pipelined-loop entries only: whether modulo scheduling found a
+    /// feasible initiation interval, and which. pipelined == false with
+    /// ok == true means "fall back to the sequential loop path".
+    bool pipelined = false;
+    int ii = 0;
+  };
+
+  explicit FragmentCache(size_t capacity = 1 << 16)
+      : capacity_(capacity) {}
+
+  /// nullptr on miss; the resident immutable entry on hit. Traffic is
+  /// mirrored into the process-wide metrics registry (write-only — the
+  /// counters never influence caching, so determinism is untouched).
+  std::shared_ptr<const Entry> lookup(uint64_t key) const {
+    std::shared_ptr<const Entry> hit;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const auto it = map_.find(key);
+      if (it != map_.end()) hit = it->second;
+    }
+    if (hit) hits_counter().inc();
+    else misses_counter().inc();
+    return hit;
+  }
+
+  /// First insertion wins (concurrent computes of one key produce
+  /// identical values, so whichever lands is correct); at capacity new
+  /// keys are simply not retained — the entry still serves its computing
+  /// caller. Returns the resident entry.
+  std::shared_ptr<const Entry> insert(uint64_t key,
+                                      std::shared_ptr<const Entry> entry) {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = map_.find(key);
+    if (it != map_.end()) return it->second;
+    if (map_.size() >= capacity_) return entry;
+    map_.emplace(key, entry);
+    return entry;
+  }
+
+  size_t size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return map_.size();
+  }
+
+ private:
+  static obs::Counter& hits_counter() {
+    static obs::Counter& c = obs::Registry::global().counter(
+        "fact_fragment_cache_hits_total",
+        "Region schedule fragments reused instead of rescheduled");
+    return c;
+  }
+  static obs::Counter& misses_counter() {
+    static obs::Counter& c = obs::Registry::global().counter(
+        "fact_fragment_cache_misses_total",
+        "Region schedule fragments computed (DFG build + list schedule)");
+    return c;
+  }
+
+  const size_t capacity_;
+  mutable std::mutex mu_;
+  std::unordered_map<uint64_t, std::shared_ptr<const Entry>> map_;
+};
+
+}  // namespace fact::sched

@@ -1,0 +1,906 @@
+#include "sched/scheduler.hpp"
+
+#include <algorithm>
+#include <cassert>
+#include <functional>
+#include <map>
+#include <numeric>
+#include <optional>
+#include <set>
+
+#include "ir/hash.hpp"
+#include "sched/dfg.hpp"
+#include "sched/fragment_cache.hpp"
+#include "util/error.hpp"
+#include "util/strfmt.hpp"
+
+namespace fact::sched {
+
+using ir::ExprPtr;
+using ir::Op;
+using ir::Stmt;
+using ir::StmtKind;
+
+namespace {
+
+/// Edge probabilities are clamped away from 0 and 1 so every control path
+/// stays represented in the Markov chain (a branch never observed in the
+/// profile still has hardware).
+double clamp_prob(double p) { return std::clamp(p, 0.01, 0.995); }
+
+/// Variables and arrays a loop touches; used for the concurrent-loop
+/// independence test.
+struct RwSets {
+  std::set<std::string> var_reads, var_writes, arr_reads, arr_writes;
+};
+
+void collect_expr(const ExprPtr& e, RwSets& rw) {
+  ir::for_each_node(e, [&](const ExprPtr& n) {
+    if (n->op() == Op::Var) rw.var_reads.insert(n->name());
+    if (n->op() == Op::ArrayRead) rw.arr_reads.insert(n->name());
+  });
+}
+
+RwSets collect_loop_rw(const Region& loop) {
+  RwSets rw;
+  collect_expr(loop.ctrl->cond, rw);
+  std::function<void(const Region&)> walk = [&](const Region& r) {
+    for (const Stmt* s : r.stmts) {
+      if (s->kind == StmtKind::Assign) {
+        rw.var_writes.insert(s->target);
+        collect_expr(s->value, rw);
+      } else if (s->kind == StmtKind::Store) {
+        rw.arr_writes.insert(s->target);
+        collect_expr(s->index, rw);
+        collect_expr(s->value, rw);
+      }
+    }
+    if (r.ctrl) collect_expr(r.ctrl->cond, rw);
+    for (const auto& c : r.children) walk(*c);
+  };
+  walk(*loop.children[0]);
+  return rw;
+}
+
+bool disjoint(const std::set<std::string>& a, const std::set<std::string>& b) {
+  for (const auto& x : a)
+    if (b.count(x)) return false;
+  return true;
+}
+
+bool loops_independent(const RwSets& a, const RwSets& b) {
+  return disjoint(a.var_writes, b.var_reads) &&
+         disjoint(a.var_writes, b.var_writes) &&
+         disjoint(b.var_writes, a.var_reads) &&
+         disjoint(a.arr_writes, b.arr_reads) &&
+         disjoint(a.arr_writes, b.arr_writes) &&
+         disjoint(b.arr_writes, a.arr_reads);
+}
+
+int lcm_int(int a, int b) { return a / std::gcd(a, b) * b; }
+
+/// Key folding for fragment-cache keys (same splitmix64-style mix as
+/// ir::hash so key quality matches).
+uint64_t key_mix(uint64_t seed, uint64_t v) {
+  v += 0x9E3779B97F4A7C15ull;
+  v = (v ^ (v >> 30)) * 0xBF58476D1CE4E5B9ull;
+  v = (v ^ (v >> 27)) * 0x94D049BB133111EBull;
+  v ^= v >> 31;
+  return seed * 0x100000001B3ull ^ v;
+}
+
+// Fragment kinds live in disjoint key spaces.
+constexpr uint64_t kTagStraight = 0x51A16u;
+constexpr uint64_t kTagCond = 0xC09Du;
+constexpr uint64_t kTagPipe = 0x919Eu;
+
+/// A pending transition into the next state to be created.
+struct Attach {
+  int state = -1;
+  double prob = 1.0;
+  std::string label;
+};
+
+class Emitter {
+ public:
+  Emitter(const hlslib::Library& lib, const hlslib::Allocation& alloc,
+          const hlslib::FuSelection& sel, const SchedOptions& opts,
+          const sim::Profile& profile)
+      : lib_(lib),
+        alloc_(alloc),
+        opts_(opts),
+        profile_(profile),
+        builder_(lib, alloc, sel, opts.vdd, opts.vt) {}
+
+  ScheduleResult run(const ir::Function& fn) {
+    fn_name_ = fn.name();
+    RegionPtr tree = build_region_tree(fn);
+    std::vector<Attach> outs = emit_seq(*tree, {});
+    if (opts_.max_states > 0 && stg_.num_states() > opts_.max_states)
+      throw Error(strfmt(
+          "schedule for '%s' exploded to %zu states (max_states %zu)",
+          fn_name_.c_str(), stg_.num_states(), opts_.max_states));
+    if (stg_.num_states() == 0) {
+      const int idle = stg_.add_state("idle");
+      stg_.add_edge(idle, idle, 1.0, "", /*exec_boundary=*/true);
+    } else {
+      for (const Attach& a : outs)
+        stg_.add_edge(a.state, 0, a.prob, a.label, /*exec_boundary=*/true);
+    }
+    stg_.set_entry(0);
+    stg_.validate();
+    ScheduleResult result;
+    result.stg = std::move(stg_);
+    result.loops = std::move(loops_);
+    result.rtl_exact = rtl_exact_;
+    result.fragment_hits = frag_hits_;
+    result.fragment_misses = frag_misses_;
+    return result;
+  }
+
+ private:
+  // ---- helpers ---------------------------------------------------------
+
+  void connect(const std::vector<Attach>& in, int state) {
+    for (const Attach& a : in) stg_.add_edge(a.state, state, a.prob, a.label);
+  }
+
+  /// Every op must have a nonzero allocation; diagnose infeasible
+  /// allocations up front instead of failing to schedule.
+  void check_feasible(const Dfg& dfg) const {
+    for (const auto& n : dfg.nodes) {
+      if (!n.array.empty() || n.fu.empty()) continue;
+      if (alloc_.count(n.fu) <= 0)
+        throw Error(strfmt(
+            "infeasible allocation for '%s': operation '%s' needs FU type "
+            "'%s' but none are allocated",
+            fn_name_.c_str(), n.label.c_str(), n.fu.c_str()));
+    }
+  }
+
+  /// Unique result-wire names for every node of a scheduled DFG (wires
+  /// are global across the whole STG so bindings can refer to them).
+  std::vector<std::string> assign_wires(const Dfg& dfg) {
+    std::vector<std::string> wires;
+    wires.reserve(dfg.nodes.size());
+    for (size_t i = 0; i < dfg.nodes.size(); ++i)
+      wires.push_back(strfmt("w%d", wire_counter_++));
+    return wires;
+  }
+
+  /// Builds the STG op annotation for one DFG node, resolving "%<node>"
+  /// operand placeholders to wire names.
+  stg::OpInstance make_instance(const Dfg& dfg,
+                                const std::vector<std::string>& wires,
+                                size_t node_idx, int iteration,
+                                int lag = 0) const {
+    const DfgNode& node = dfg.nodes[node_idx];
+    stg::OpInstance op;
+    op.fu_type = node.fu;
+    op.op = node.op;
+    op.stmt_id = node.stmt_id;
+    op.iteration = iteration;
+    op.label = node.label;
+    op.value_name = wires[node_idx];
+    op.def_var = node.def_var;
+    op.is_store = node.is_store;
+    op.array = node.array;
+    for (const auto& operand : node.operand_names) {
+      if (!operand.empty() && operand[0] == '%') {
+        op.operands.push_back(
+            wires[static_cast<size_t>(std::stoi(operand.substr(1)))]);
+      } else {
+        op.operands.push_back(operand);
+      }
+    }
+    for (int p : node.war_preds)
+      op.pre_readers.push_back(wires[static_cast<size_t>(p)]);
+    op.lag = lag;
+    return op;
+  }
+
+  /// Creates one STG state per control step of a scheduled plain DFG and
+  /// fills op and register-traffic annotations. Returns {first, last}.
+  std::pair<int, int> materialize(const Dfg& dfg) {
+    const int n = dfg.num_csteps();
+    assert(n > 0);
+    int first = -1, last = -1;
+    std::vector<int> ids;
+    for (int c = 0; c < n; ++c) {
+      const int s = stg_.add_state("");
+      if (first < 0) first = s;
+      if (last >= 0) stg_.add_edge(last, s, 1.0);
+      last = s;
+      ids.push_back(s);
+    }
+    const std::vector<std::string> wires = assign_wires(dfg);
+    for (size_t i = 0; i < dfg.nodes.size(); ++i) {
+      const DfgNode& node = dfg.nodes[i];
+      stg::State& st = stg_.state(ids[static_cast<size_t>(node.cstep)]);
+      st.ops.push_back(make_instance(dfg, wires, i, 0));
+      st.reg_reads += node.var_reads;
+      if (node.reg_write) st.reg_writes++;
+    }
+    if (dfg.cond_node >= 0) {
+      stg::State& st = stg_.state(ids[static_cast<size_t>(
+          dfg.nodes[static_cast<size_t>(dfg.cond_node)].avail_cstep())]);
+      st.cond_signal = wires[static_cast<size_t>(dfg.cond_node)];
+    }
+    return {first, last};
+  }
+
+  // ---- fragment cache ---------------------------------------------------
+
+  uint64_t straight_key(const std::vector<const Stmt*>& stmts) const {
+    uint64_t h = key_mix(kTagStraight, stmts.size());
+    for (const Stmt* s : stmts) h = key_mix(h, ir::fragment_hash(*s));
+    return h;
+  }
+
+  uint64_t cond_key(const ExprPtr& cond, int stmt_id) const {
+    uint64_t h = key_mix(kTagCond, static_cast<uint64_t>(cond->hash()));
+    return key_mix(h, static_cast<uint64_t>(static_cast<int64_t>(stmt_id)));
+  }
+
+  uint64_t pipe_key(const std::vector<const Stmt*>& body_stmts,
+                    const ExprPtr& cond, int stmt_id) const {
+    uint64_t h = key_mix(kTagPipe, body_stmts.size());
+    for (const Stmt* s : body_stmts) h = key_mix(h, ir::fragment_hash(*s));
+    h = key_mix(h, static_cast<uint64_t>(cond->hash()));
+    return key_mix(h, static_cast<uint64_t>(static_cast<int64_t>(stmt_id)));
+  }
+
+  /// Runs `build` (DFG construction + scheduling) through the fragment
+  /// cache: a hit returns the previously scheduled entry, a miss computes
+  /// and publishes it. fact::Error failures are cached too and rethrown
+  /// with the identical message, so a cached failure is indistinguishable
+  /// from a recomputed one. Exceptions other than fact::Error propagate
+  /// uncached.
+  template <typename BuildFn>
+  std::shared_ptr<const FragmentCache::Entry> fragment(uint64_t key,
+                                                       BuildFn&& build) {
+    FragmentCache* cache = opts_.fragment_cache;
+    if (cache) {
+      if (auto entry = cache->lookup(key)) {
+        frag_hits_++;
+        if (!entry->ok) throw Error(entry->error);
+        return entry;
+      }
+    }
+    auto fresh = std::make_shared<FragmentCache::Entry>();
+    try {
+      build(*fresh);
+      fresh->ok = true;
+    } catch (const Error& ex) {
+      fresh->error = ex.what();
+    }
+    std::shared_ptr<const FragmentCache::Entry> entry = fresh;
+    if (cache) {
+      frag_misses_++;
+      entry = cache->insert(key, std::move(fresh));
+    }
+    if (!entry->ok) throw Error(entry->error);
+    return entry;
+  }
+
+  /// Cached build + schedule of a branch/loop condition evaluation.
+  std::shared_ptr<const FragmentCache::Entry> cond_fragment(
+      const ExprPtr& cond, int stmt_id) {
+    return fragment(cond_key(cond, stmt_id), [&](FragmentCache::Entry& e) {
+      e.dfg = builder_.build({}, cond, stmt_id);
+      schedule_plain(e.dfg);
+    });
+  }
+
+  double branch_prob(int stmt_id) const {
+    return clamp_prob(profile_.branch_prob(stmt_id, 0.5));
+  }
+
+  /// Loop closing probabilities keep much more headroom than generic
+  /// branches: p encodes the expected iteration count (p/(1-p)), so
+  /// clamping at 0.995 would flatten every loop beyond ~200 iterations.
+  double loop_prob(int stmt_id) const {
+    return std::clamp(profile_.branch_prob(stmt_id, 0.5), 0.01, 0.99999);
+  }
+
+  /// Schedules a plain (non-modulo) DFG.
+  void schedule_plain(Dfg& dfg) const {
+    check_feasible(dfg);
+    ResourceTable table(lib_, alloc_, 0);
+    if (!list_schedule(dfg, table, opts_.clock_ns))
+      throw Error(strfmt("cannot schedule segment of '%s' under clock %.1fns",
+                         fn_name_.c_str(), opts_.clock_ns));
+  }
+
+  // ---- region emission --------------------------------------------------
+
+  std::vector<Attach> emit_seq(const Region& seq, std::vector<Attach> in) {
+    assert(seq.kind == Region::Kind::Seq);
+    size_t i = 0;
+    while (i < seq.children.size()) {
+      const Region& child = *seq.children[i];
+      if (child.kind == Region::Kind::Loop && opts_.fuse_loops) {
+        // Collect a maximal run of adjacent, independent, pipelineable
+        // loops for concurrent execution.
+        std::vector<const Region*> run{&child};
+        std::vector<RwSets> rw{collect_loop_rw(child)};
+        size_t j = i + 1;
+        while (j < seq.children.size() && run.size() < opts_.max_fused) {
+          const Region& next = *seq.children[j];
+          if (next.kind != Region::Kind::Loop) break;
+          if (!next.loop_body_is_straight() ||
+              !run.front()->loop_body_is_straight())
+            break;
+          RwSets next_rw = collect_loop_rw(next);
+          bool indep = true;
+          for (const RwSets& r : rw)
+            if (!loops_independent(r, next_rw)) { indep = false; break; }
+          if (!indep) break;
+          run.push_back(&next);
+          rw.push_back(std::move(next_rw));
+          ++j;
+        }
+        if (run.size() >= 2) {
+          std::vector<Attach> out;
+          if (emit_fused_run(run, in, &out)) {
+            in = std::move(out);
+            i = j;
+            continue;
+          }
+        }
+      }
+      in = emit_region(child, std::move(in));
+      ++i;
+    }
+    return in;
+  }
+
+  std::vector<Attach> emit_region(const Region& r, std::vector<Attach> in) {
+    switch (r.kind) {
+      case Region::Kind::Straight:
+        return emit_straight(r, std::move(in));
+      case Region::Kind::If:
+        return emit_if(r, std::move(in));
+      case Region::Kind::Loop:
+        return emit_loop(r, std::move(in));
+      case Region::Kind::Seq:
+        return emit_seq(r, std::move(in));
+    }
+    return in;
+  }
+
+  std::vector<Attach> emit_straight(const Region& r, std::vector<Attach> in) {
+    const auto entry =
+        fragment(straight_key(r.stmts), [&](FragmentCache::Entry& e) {
+          e.dfg = builder_.build(r.stmts);
+          if (!e.dfg.nodes.empty()) schedule_plain(e.dfg);
+        });
+    if (entry->dfg.nodes.empty()) return in;
+    auto [first, last] = materialize(entry->dfg);
+    connect(in, first);
+    return {{last, 1.0, ""}};
+  }
+
+  std::vector<Attach> emit_if(const Region& r, std::vector<Attach> in) {
+    const auto cond = cond_fragment(r.ctrl->cond, r.ctrl->id);
+    auto [cfirst, clast] = materialize(cond->dfg);
+    connect(in, cfirst);
+    const double p = branch_prob(r.ctrl->id);
+    std::vector<Attach> outs =
+        emit_seq(*r.children[0], {{clast, p, "T"}});
+    std::vector<Attach> else_outs =
+        emit_seq(*r.children[1], {{clast, 1.0 - p, "F"}});
+    outs.insert(outs.end(), else_outs.begin(), else_outs.end());
+    return outs;
+  }
+
+  std::vector<Attach> emit_loop(const Region& r, std::vector<Attach> in) {
+    const double p = loop_prob(r.ctrl->id);  // closing probability
+
+    if (opts_.pipeline_loops && r.loop_body_is_straight()) {
+      std::vector<Attach> out;
+      if (emit_pipelined_loop(r, p, in, &out)) return out;
+    }
+
+    // General path: test states, body, back edge.
+    const auto test = cond_fragment(r.ctrl->cond, r.ctrl->id);
+    auto [tfirst, tlast] = materialize(test->dfg);
+    connect(in, tfirst);
+    std::vector<Attach> body_out =
+        emit_seq(*r.children[0], {{tlast, p, "loop"}});
+    connect(body_out, tfirst);
+
+    LoopInfo info;
+    info.stmt_id = r.ctrl->id;
+    info.pipelined = false;
+    loops_.push_back(info);
+    return {{tlast, 1.0 - p, "exit"}};
+  }
+
+  /// Pipelined (implicitly unrolled) loop: modulo-schedule the body plus
+  /// the loop condition at the smallest feasible II and materialize the
+  /// full software pipeline:
+  ///   guard (while-test on entry values)
+  ///     -> prologue (iteration 0, linear; fills the pipe)
+  ///     -> kernel ring of II states (one iteration completes per
+  ///        traversal; overlapped iterations read last-traversal wires)
+  ///     -> epilogue drain on exit (ops past the check complete the
+  ///        in-flight iteration).
+  /// This structure is functionally exact for the RTL backend and only
+  /// adds entry/exit states that the steady state amortizes.
+  /// Returns false if pipelining is infeasible.
+  /// Derived per-op pipeline bookkeeping of a modulo-scheduled body:
+  /// lags (slot wraparounds along each op's dependence chain — how many
+  /// traversals behind the newest iteration it runs) and the drain debts
+  /// owed when the check fires the exit. O(nodes + dependence edges), so
+  /// cached pipelined fragments re-derive it from the stored DFG instead
+  /// of storing it.
+  struct PipeDerived {
+    int body_csteps = 0;
+    int cond_cstep = 0;
+    int check_slot = 0;
+    std::vector<int> lag;
+    std::vector<int> owed;
+    int max_owed = 0;
+  };
+
+  static PipeDerived derive_pipe(const Dfg& dfg, int ii) {
+    PipeDerived d;
+    d.body_csteps = dfg.num_csteps();
+    d.cond_cstep = dfg.nodes[static_cast<size_t>(dfg.cond_node)].avail_cstep();
+    d.check_slot = d.cond_cstep % ii;
+    d.lag.assign(dfg.nodes.size(), 0);
+    for (size_t i = 0; i < dfg.nodes.size(); ++i) {
+      const DfgNode& node = dfg.nodes[i];
+      for (int pidx : node.preds) {
+        const DfgNode& pred = dfg.nodes[static_cast<size_t>(pidx)];
+        const int wrap = pred.cstep % ii > node.cstep % ii ? 1 : 0;
+        d.lag[i] = std::max(d.lag[i], d.lag[static_cast<size_t>(pidx)] + wrap);
+      }
+    }
+    const int check_lag = d.lag[static_cast<size_t>(dfg.cond_node)];
+    d.owed.assign(dfg.nodes.size(), 0);
+    for (size_t i = 0; i < dfg.nodes.size(); ++i) {
+      const int extra = dfg.nodes[i].cstep % ii > d.check_slot ? 1 : 0;
+      d.owed[i] = std::max(0, d.lag[i] - check_lag + extra);
+      d.max_owed = std::max(d.max_owed, d.owed[i]);
+    }
+    return d;
+  }
+
+  /// Drain representability for relaxed anti-dependences: a reader
+  /// flushed in the drain still has a single shadow level available.
+  /// With the def having run in the truncated final traversal iff its
+  /// slot <= check slot, the reader's desired value must be the def's
+  /// most recent execution or one update older.
+  static bool drain_representable(const Dfg& dfg, int ii,
+                                  const PipeDerived& d) {
+    for (size_t i = 0; i < dfg.nodes.size(); ++i) {
+      const DfgNode& node = dfg.nodes[i];
+      if (!node.relax_war) continue;
+      for (int p : node.war_preds) {
+        const DfgNode& r = dfg.nodes[static_cast<size_t>(p)];
+        if (r.cstep < 0 || d.owed[static_cast<size_t>(p)] <= 0) continue;
+        const int ran = node.cstep % ii <= d.check_slot ? 0 : 1;
+        const int gap =
+            (d.lag[static_cast<size_t>(p)] + 1) - (d.lag[i] + ran);
+        if (gap < 0 || gap > 1) return false;
+      }
+    }
+    return true;
+  }
+
+  bool emit_pipelined_loop(const Region& r, double p,
+                           const std::vector<Attach>& in,
+                           std::vector<Attach>* out) {
+    const std::vector<const Stmt*> body_stmts =
+        r.children[0]->children.empty() ? std::vector<const Stmt*>{}
+                                        : r.children[0]->children[0]->stmts;
+    // The II search through the fragment cache: the winning modulo
+    // schedule — or the not-pipelineable verdict — is a pure function of
+    // the body + condition fragment.
+    const auto entry = fragment(
+        pipe_key(body_stmts, r.ctrl->cond, r.ctrl->id),
+        [&](FragmentCache::Entry& e) {
+          const Dfg base =
+              builder_.build(body_stmts, r.ctrl->cond, r.ctrl->id);
+          check_feasible(base);
+          const int res_ii = resource_min_ii(base, alloc_);
+          if (res_ii < 0) return;  // e.pipelined stays false
+          for (int ii = res_ii; ii <= opts_.max_ii; ++ii) {
+            Dfg dfg = base;
+            ResourceTable table(lib_, alloc_, ii);
+            if (!list_schedule(dfg, table, opts_.clock_ns, ii)) continue;
+            if (!recurrences_ok(dfg, ii)) continue;
+            if (!pipeline_lags_consistent(dfg, ii)) continue;
+            if (!drain_representable(dfg, ii, derive_pipe(dfg, ii)))
+              continue;  // try the next II
+            e.pipelined = true;
+            e.ii = ii;
+            e.dfg = std::move(dfg);
+            return;
+          }
+        });
+    if (!entry->pipelined) return false;
+
+    const Dfg& dfg = entry->dfg;
+    const int ii = entry->ii;
+    const PipeDerived derived = derive_pipe(dfg, ii);
+    const int body_csteps = derived.body_csteps;
+    const int cond_cstep = derived.cond_cstep;
+    const std::vector<int>& lag = derived.lag;
+    const std::vector<int>& owed = derived.owed;
+    const int max_owed = derived.max_owed;
+
+    {
+      const std::vector<std::string> wires = assign_wires(dfg);
+      const std::string cond_wire = wires[static_cast<size_t>(dfg.cond_node)];
+
+      // Guard: the while-test on entry values (separate evaluation).
+      const auto guard = cond_fragment(r.ctrl->cond, r.ctrl->id);
+      auto [gfirst, glast] = materialize(guard->dfg);
+      connect(in, gfirst);
+      std::vector<Attach> exits;
+      exits.push_back({glast, 1.0 - p, "exit"});
+
+      // Helper: add ops of one cstep to a state.
+      auto fill_state = [&](int state_id, int cstep) {
+        stg::State& st = stg_.state(state_id);
+        for (size_t i = 0; i < dfg.nodes.size(); ++i) {
+          const DfgNode& node = dfg.nodes[i];
+          if (node.cstep != cstep) continue;
+          st.ops.push_back(make_instance(dfg, wires, i, 0));
+          st.reg_reads += node.var_reads;
+          if (node.reg_write) st.reg_writes++;
+        }
+      };
+
+      // Prologue: iteration 0 executed linearly (fills wires).
+      std::vector<int> prologue;
+      for (int c = 0; c < body_csteps; ++c) {
+        const int s = stg_.add_state("");
+        fill_state(s, c);
+        if (!prologue.empty())
+          stg_.add_edge(prologue.back(), s, 1.0);
+        prologue.push_back(s);
+      }
+      stg_.add_edge(glast, prologue.front(), p, "loop");
+
+      // Kernel ring: every op once per traversal, at slot cstep % II.
+      const int ring_id = next_ring_id_++;
+      std::vector<int> ring;
+      for (int k = 0; k < ii; ++k) {
+        ring.push_back(stg_.add_state(""));
+        stg_.state(ring.back()).ring_id = ring_id;
+      }
+      for (size_t i = 0; i < dfg.nodes.size(); ++i) {
+        const DfgNode& node = dfg.nodes[i];
+        stg::State& st =
+            stg_.state(ring[static_cast<size_t>(node.cstep % ii)]);
+        st.ops.push_back(
+            make_instance(dfg, wires, i, node.cstep / ii, lag[i]));
+        st.reg_reads += node.var_reads;
+        if (node.reg_write) st.reg_writes++;
+      }
+
+      // Epilogue drain: when the check fires the exit, each op still owes
+      //   owed = lag - lag(check) + (slot > check_slot ? 1 : 0)
+      // executions to complete the in-flight iterations. The drain flushes
+      // them round by round in cstep order (resource-legal: each drain
+      // state re-uses one kernel cstep's op set).
+      std::vector<int> drain;
+      for (int round = 1; round <= max_owed; ++round) {
+        for (int c = 0; c < body_csteps; ++c) {
+          bool any = false;
+          for (size_t i = 0; i < dfg.nodes.size(); ++i)
+            if (owed[i] >= round && dfg.nodes[i].cstep == c) any = true;
+          if (!any) continue;
+          const int s = stg_.add_state("");
+          stg::State& st = stg_.state(s);
+          for (size_t i = 0; i < dfg.nodes.size(); ++i) {
+            const DfgNode& node = dfg.nodes[i];
+            if (owed[i] < round || node.cstep != c) continue;
+            st.ops.push_back(make_instance(dfg, wires, i, 0, lag[i]));
+            st.reg_reads += node.var_reads;
+            if (node.reg_write) st.reg_writes++;
+          }
+          if (!drain.empty()) stg_.add_edge(drain.back(), s, 1.0);
+          drain.push_back(s);
+        }
+      }
+      const auto exit_target = [&](int from, double prob,
+                                   const std::string& label) {
+        if (drain.empty()) {
+          exits.push_back({from, prob, label});
+        } else {
+          stg_.add_edge(from, drain.front(), prob, label);
+        }
+      };
+
+      // Prologue branch: the iteration-1 check was computed at its cstep;
+      // branch at the last prologue state on the stored wire. A prologue
+      // exit bypasses the drain — iteration 0's tail already ran linearly.
+      stg_.state(prologue.back()).cond_signal = cond_wire;
+      stg_.add_edge(prologue.back(), ring[0], p, "loop");
+      exits.push_back({prologue.back(), 1.0 - p, "exit"});
+
+      // Ring transitions with the per-traversal check.
+      const int check_state = ring[static_cast<size_t>(cond_cstep % ii)];
+      stg_.state(check_state).cond_signal = cond_wire;
+      for (int k = 0; k < ii; ++k) {
+        const int cur = ring[static_cast<size_t>(k)];
+        const int next = ring[static_cast<size_t>((k + 1) % ii)];
+        if (cur == check_state) {
+          stg_.add_edge(cur, next, p, "loop");
+          exit_target(cur, 1.0 - p, "exit");
+        } else {
+          stg_.add_edge(cur, next, 1.0);
+        }
+      }
+      if (!drain.empty()) exits.push_back({drain.back(), 1.0, ""});
+
+      *out = exits;
+
+      LoopInfo info;
+      info.stmt_id = r.ctrl->id;
+      info.pipelined = true;
+      info.ii = ii;
+      info.body_csteps = body_csteps;
+      loops_.push_back(info);
+      return true;
+    }
+  }
+
+  /// Concurrent-loop phases: execute the run's loops together, sharing
+  /// resources; when a loop exits, transition to the phase executing the
+  /// remaining subset. Returns false if no joint schedule fits.
+  bool emit_fused_run(const std::vector<const Region*>& run,
+                      const std::vector<Attach>& in,
+                      std::vector<Attach>* out) {
+    const size_t k = run.size();
+    std::vector<Dfg> base(k);
+    std::vector<double> close_p(k);
+    for (size_t i = 0; i < k; ++i) {
+      const Region& loop = *run[i];
+      const std::vector<const Stmt*> body_stmts =
+          loop.children[0]->children.empty()
+              ? std::vector<const Stmt*>{}
+              : loop.children[0]->children[0]->stmts;
+      base[i] = builder_.build(body_stmts, loop.ctrl->cond, loop.ctrl->id);
+      check_feasible(base[i]);
+      if (resource_min_ii(base[i], alloc_) < 0) return false;
+      close_p[i] = loop_prob(loop.ctrl->id);
+    }
+
+    struct PhaseSchedule {
+      std::vector<std::pair<size_t, int>> active;  // (run index, II)
+      std::vector<Dfg> dfgs;                       // indexed by run index
+      int hyperperiod = 0;
+    };
+
+    // Joint modulo scheduling with every II fixed; nullopt if infeasible.
+    auto joint = [&](const std::vector<std::pair<size_t, int>>& loop_iis)
+        -> std::optional<PhaseSchedule> {
+      int h = 1;
+      for (const auto& [i, ii] : loop_iis) h = lcm_int(h, ii);
+      if (h > opts_.max_hyperperiod) return std::nullopt;
+      PhaseSchedule ps;
+      ps.dfgs.assign(k, Dfg{});
+      ResourceTable table(lib_, alloc_, h);
+      for (const auto& [i, ii] : loop_iis) {
+        Dfg dfg = base[i];
+        // Fused phases are metrics-grade (rtl_exact = false); pipeline-lag
+        // consistency is not enforced here to preserve the paper's
+        // steady-state throughput shapes.
+        if (!list_schedule(dfg, table, opts_.clock_ns, ii) ||
+            !recurrences_ok(dfg, ii))
+          return std::nullopt;
+        ps.dfgs[i] = std::move(dfg);
+      }
+      ps.active = loop_iis;
+      ps.hyperperiod = h;
+      return ps;
+    };
+
+    // Admission policy (the Figure 2(b) behavior): loops are admitted in
+    // program order; a newcomer may slow itself down (larger II) but must
+    // not degrade already-admitted loops, otherwise it waits for a later
+    // phase.
+    auto admit = [&](unsigned mask) -> std::optional<PhaseSchedule> {
+      std::vector<std::pair<size_t, int>> active;
+      std::optional<PhaseSchedule> current;
+      for (size_t i = 0; i < k; ++i) {
+        if (!(mask & (1u << i))) continue;
+        const int solo = std::max(1, resource_min_ii(base[i], alloc_));
+        for (int ii = solo; ii <= opts_.max_hyperperiod; ++ii) {
+          auto cand = active;
+          cand.emplace_back(i, ii);
+          if (auto ps = joint(cand)) {
+            active = std::move(cand);
+            current = std::move(ps);
+            break;
+          }
+        }
+      }
+      return current;
+    };
+
+    const unsigned full = (1u << k) - 1u;
+    // Every loop must at least pipeline alone, or fusion degrades to the
+    // sequential path.
+    for (size_t i = 0; i < k; ++i)
+      if (!admit(1u << i)) return false;
+    if (!admit(full)) return false;
+
+    std::map<unsigned, int> phase_entry;
+    std::vector<Attach> exits;
+    std::map<size_t, std::pair<int, int>> first_sched;  // loop -> (ii, len)
+
+    // Expected total iterations per loop (geometric mean from the measured
+    // closing probability). Phases consume these in a fluid model: the
+    // loop whose remaining work rem_i * II_i is smallest finishes first
+    // (the node annotations of Figure 2(b)); its exit probability is set
+    // so the phase's expected length matches the fluid duration, while
+    // non-finishers survive the phase with high probability.
+    std::vector<double> initial_rem(k);
+    for (size_t i = 0; i < k; ++i)
+      initial_rem[i] =
+          std::max(0.5, close_p[i] / std::max(1e-6, 1.0 - close_p[i]));
+
+    // Creates the phase for the remaining-loop set `mask` (and transitively
+    // its successors); returns its entry state. `rem` is the per-loop
+    // remaining-iteration estimate at phase entry; memoized per mask (the
+    // dominant exit path fixes each phase's calibration).
+    std::function<int(unsigned, std::vector<double>)> generate =
+        [&](unsigned mask, std::vector<double> rem) -> int {
+      auto memo = phase_entry.find(mask);
+      if (memo != phase_entry.end()) return memo->second;
+      if (mask == 0) {
+        const int join = stg_.add_state("join");
+        phase_entry[0] = join;
+        exits.push_back({join, 1.0, ""});
+        return join;
+      }
+      auto ps = admit(mask);
+      if (!ps) throw Error("fused-loop phase unschedulable (unexpected)");
+
+      const int h = ps->hyperperiod;
+
+      // Fluid duration of this phase: cycles until the first active loop
+      // exhausts its remaining iterations. Waiting (non-admitted) loops
+      // make no progress.
+      double duration = 1e30;
+      size_t finisher = ps->active.front().first;
+      for (const auto& [i, ii] : ps->active) {
+        const double d = rem[i] * ii;
+        if (d < duration) {
+          duration = d;
+          finisher = i;
+        }
+      }
+      duration = std::max(duration, 1.0);
+
+      const int phase_ring_id = next_ring_id_++;
+      std::vector<int> ring;
+      for (int s = 0; s < h; ++s) {
+        ring.push_back(stg_.add_state(""));
+        stg_.state(ring.back()).ring_id = phase_ring_id;
+      }
+      phase_entry[mask] = ring[0];
+
+      // Remaining iterations at phase exit (for successor phases).
+      std::vector<double> rem_after = rem;
+      for (const auto& [i, ii] : ps->active)
+        rem_after[i] = std::max(0.5, rem[i] - duration / ii);
+
+      // Ops: loop i's op at cstep c executes in every slot == c mod II_i.
+      struct ExitCheck {
+        size_t loop;
+        double p;
+      };
+      std::map<int, std::vector<ExitCheck>> checks;  // slot -> exits
+      for (const auto& [i, ii] : ps->active) {
+        const Dfg& dfg = ps->dfgs[i];
+        first_sched.emplace(i, std::make_pair(ii, dfg.num_csteps()));
+        const std::vector<std::string> wires = assign_wires(dfg);
+        for (size_t ni = 0; ni < dfg.nodes.size(); ++ni) {
+          const DfgNode& node = dfg.nodes[ni];
+          const int base_slot = node.cstep % ii;
+          for (int s = base_slot; s < h; s += ii) {
+            stg::State& st = stg_.state(ring[static_cast<size_t>(s)]);
+            st.ops.push_back(make_instance(
+                dfg, wires, ni, node.cstep / ii + (s - base_slot) / ii));
+            st.reg_reads += node.var_reads;
+            if (node.reg_write) st.reg_writes++;
+          }
+        }
+        {
+          const int cc =
+              dfg.nodes[static_cast<size_t>(dfg.cond_node)].avail_cstep();
+          for (int s = cc % ii; s < h; s += ii) {
+            stg::State& st = stg_.state(ring[static_cast<size_t>(s)]);
+            if (!st.cond_signal.empty()) st.cond_signal += ",";
+            st.cond_signal += wires[static_cast<size_t>(dfg.cond_node)];
+          }
+        }
+        // Closing probability calibrated to the fluid phase: the finisher
+        // expects duration/II more iterations; survivors rarely exit here.
+        const double expect_iters = duration / ii;
+        const double p = i == finisher
+                             ? expect_iters / (expect_iters + 1.0)
+                             : std::min(0.9999, 1.0 - 1.0 / (16.0 * rem[i]));
+        const int cond_cstep =
+            dfg.nodes[static_cast<size_t>(dfg.cond_node)].avail_cstep();
+        for (int s = cond_cstep % ii; s < h; s += ii)
+          checks[s].push_back({i, p});
+      }
+
+      for (int s = 0; s < h; ++s) {
+        const int next = ring[static_cast<size_t>((s + 1) % h)];
+        double remaining = 1.0;
+        auto it = checks.find(s);
+        if (it != checks.end()) {
+          for (const ExitCheck& ec : it->second) {
+            const int target = generate(mask & ~(1u << ec.loop), rem_after);
+            stg_.add_edge(ring[static_cast<size_t>(s)], target,
+                          remaining * (1.0 - ec.p),
+                          strfmt("exitL%zu", ec.loop));
+            remaining *= ec.p;
+          }
+        }
+        stg_.add_edge(ring[static_cast<size_t>(s)], next, remaining,
+                      it != checks.end() ? "loop" : "");
+      }
+      return ring[0];
+    };
+
+    const int entry = generate(full, initial_rem);
+    connect(in, entry);
+    rtl_exact_ = false;  // fused phases are metrics-grade (see header)
+
+    for (size_t i = 0; i < k; ++i) {
+      LoopInfo info;
+      info.stmt_id = run[i]->ctrl->id;
+      info.pipelined = true;
+      auto fs = first_sched.find(i);
+      if (fs != first_sched.end()) {
+        info.ii = fs->second.first;
+        info.body_csteps = fs->second.second;
+      }
+      for (size_t j = 0; j < k; ++j)
+        if (j != i) info.fused_with.push_back(run[j]->ctrl->id);
+      loops_.push_back(info);
+    }
+
+    *out = exits;
+    return true;
+  }
+
+  const hlslib::Library& lib_;
+  const hlslib::Allocation& alloc_;
+  const SchedOptions& opts_;
+  const sim::Profile& profile_;
+  DfgBuilder builder_;
+  stg::Stg stg_;
+  std::vector<LoopInfo> loops_;
+  std::string fn_name_;
+  int wire_counter_ = 0;
+  int next_ring_id_ = 0;
+  bool rtl_exact_ = true;
+  int frag_hits_ = 0;
+  int frag_misses_ = 0;
+};
+
+}  // namespace
+
+Scheduler::Scheduler(const hlslib::Library& lib, const hlslib::Allocation& alloc,
+                     const hlslib::FuSelection& sel, SchedOptions opts)
+    : lib_(lib), alloc_(alloc), sel_(sel), opts_(opts) {}
+
+ScheduleResult Scheduler::schedule(const ir::Function& fn,
+                                   const sim::Profile& profile) const {
+  Emitter emitter(lib_, alloc_, sel_, opts_, profile);
+  return emitter.run(fn);
+}
+
+}  // namespace fact::sched

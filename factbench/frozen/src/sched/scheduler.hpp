@@ -1,0 +1,132 @@
+#pragma once
+
+#include <string>
+#include <vector>
+
+#include "hlslib/library.hpp"
+#include "ir/function.hpp"
+#include "sched/region.hpp"
+#include "sim/trace.hpp"
+#include "stg/stg.hpp"
+
+namespace fact::sched {
+
+class FragmentCache;
+
+/// Scheduler configuration. Defaults reproduce the paper's setup: 25ns
+/// clock, 5V supply, and all three integrated scheduling capabilities on
+/// (implicit loop unrolling via pipelining, and concurrent-loop
+/// parallelization). Turning capabilities off is used by the ablation
+/// experiments.
+struct SchedOptions {
+  double clock_ns = 25.0;
+  double vdd = 5.0;
+  double vt = 1.0;
+  bool pipeline_loops = true;  // overlap iterations of straight-body loops
+  bool fuse_loops = true;      // parallelize independent adjacent loops
+  int max_ii = 64;             // give up pipelining past this II
+  size_t max_fused = 4;        // at most this many loops fused at once
+  int max_hyperperiod = 64;    // fused-phase schedule table size cap
+  /// Pathological-schedule guard: abort (fact::Error) when emission
+  /// produces more states than this. Downstream STG analysis used to be
+  /// O(n^3) in the state count; the sparse stationary solver softens that,
+  /// but a runaway candidate (e.g. an over-unrolled loop) would still
+  /// drown the optimization loop. 0 = unlimited.
+  size_t max_states = 100000;
+  /// Stationary-distribution solver used by every downstream analysis of
+  /// this schedule's STG (throughput, power, partitioning). Lives here so
+  /// one knob steers the whole flow and benches can ablate dense vs
+  /// sparse.
+  stg::MarkovOptions markov;
+  /// Optional region-scoped schedule memoization, shared across schedule()
+  /// calls (the optimizer owns one per optimize() run). Borrowed, not
+  /// owned; must outlive every Scheduler constructed with these options.
+  /// nullptr disables fragment caching. FragmentCache is internally
+  /// synchronized, so this is compatible with schedule()'s thread-safety
+  /// contract.
+  FragmentCache* fragment_cache = nullptr;
+};
+
+/// What the scheduler decided for one loop (for reports and benches).
+struct LoopInfo {
+  int stmt_id = -1;
+  bool pipelined = false;
+  int ii = 0;           // initiation interval when pipelined
+  int body_csteps = 0;  // acyclic schedule length of one iteration
+  std::vector<int> fused_with;  // stmt ids of loops sharing a phase run
+};
+
+struct ScheduleResult {
+  stg::Stg stg;
+  std::vector<LoopInfo> loops;
+  /// True when the STG is cycle- and value-exact for the RTL backend.
+  /// Concurrent-loop (fused) phases are metrics-grade only: their rings
+  /// omit per-phase prologue/epilogue, so overlapped iterations read
+  /// stale wires around phase transitions. Schedule with
+  /// SchedOptions::fuse_loops = false to guarantee RTL-exact output.
+  bool rtl_exact = true;
+  /// Fragment-cache traffic of this schedule() call (both zero when
+  /// SchedOptions::fragment_cache is null). A hit skipped one region's
+  /// DFG build + list schedule (or a pipelined loop's whole II search).
+  /// The schedule itself is identical either way; under concurrent
+  /// schedule() calls only the hit/miss attribution of racing first
+  /// computes can vary, never the output.
+  int fragment_hits = 0;
+  int fragment_misses = 0;
+
+  const LoopInfo* loop_info(int stmt_id) const {
+    for (const auto& l : loops)
+      if (l.stmt_id == stmt_id) return &l;
+    return nullptr;
+  }
+};
+
+/// The CFI scheduler (the paper's Wavesched-style substrate, ref [13]).
+///
+/// Capabilities, matching Section 5's description:
+///  * resource-constrained list scheduling with operator chaining under
+///    the clock period, multi-cycling ops longer than one clock;
+///  * implicit loop unrolling / functional pipelining: loops whose body is
+///    one straight-line segment are modulo-scheduled at the smallest
+///    feasible initiation interval, overlapping iterations;
+///  * concurrent loop optimization: adjacent independent loops are fused
+///    into shared-resource phases; when one loop exits, the schedule
+///    transitions to a phase executing the survivors (the Figure 2(b)
+///    n0/n1/n2 structure), generated lazily per reachable loop subset.
+///
+/// The output STG annotates every state with the operations executed (with
+/// iteration tags, as in Figure 1(c)) and every edge with its probability,
+/// derived from the profile.
+class Scheduler {
+ public:
+  Scheduler(const hlslib::Library& lib, const hlslib::Allocation& alloc,
+            const hlslib::FuSelection& sel, SchedOptions opts = {});
+
+  /// Schedules the function. The profile supplies branch probabilities
+  /// (the paper's "simulate once, reuse"); it may be empty, in which case
+  /// branches default to probability 0.5.
+  ///
+  /// Thread-safety: const and safe to call concurrently on one instance.
+  /// All mutable scheduling state (resource tables, wave fronts, the STG
+  /// under construction) lives in call-local structures; the members below
+  /// are read-only after construction. The optimizer relies on this — with
+  /// EngineOptions::jobs > 1 its worker threads schedule candidates
+  /// through one shared engine-owned Scheduler (see DESIGN.md §"Parallel
+  /// candidate evaluation"). Keep it that way: any future cache or
+  /// scratch buffer added to this class must be call-local or
+  /// internally synchronized.
+  ScheduleResult schedule(const ir::Function& fn,
+                          const sim::Profile& profile) const;
+
+ private:
+  // Stored by value: callers routinely pass temporaries (e.g.
+  // FuSelection::defaults(lib)) and the scheduler may outlive them.
+  // Immutable after construction (the thread-safety contract of
+  // schedule() above).
+  hlslib::Library lib_;
+  hlslib::Allocation alloc_;
+  hlslib::FuSelection sel_;
+  SchedOptions opts_;
+};
+
+}  // namespace fact::sched

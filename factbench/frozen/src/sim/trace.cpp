@@ -1,0 +1,115 @@
+#include "sim/trace.hpp"
+
+#include <algorithm>
+#include <cmath>
+
+#include "obs/metrics.hpp"
+
+namespace fact::sim {
+
+namespace {
+
+int64_t clamp(int64_t v, int64_t lo, int64_t hi) {
+  return std::min(std::max(v, lo), hi);
+}
+
+class SpecSampler {
+ public:
+  SpecSampler(const InputSpec& spec, Rng& rng)
+      : spec_(spec), rng_(rng), filter_(spec.rho) {}
+
+  int64_t next() {
+    switch (spec_.kind) {
+      case InputSpec::Kind::Constant:
+        return spec_.constant;
+      case InputSpec::Kind::Uniform:
+        return rng_.uniform_int(spec_.lo, spec_.hi);
+      case InputSpec::Kind::Gaussian: {
+        const double v =
+            spec_.mean + spec_.stddev * filter_.step(rng_.gaussian());
+        return clamp(static_cast<int64_t>(std::llround(v)), spec_.lo, spec_.hi);
+      }
+    }
+    return 0;
+  }
+
+ private:
+  const InputSpec& spec_;
+  Rng& rng_;
+  Ar1Filter filter_;
+};
+
+const InputSpec& spec_or_default(const std::map<std::string, InputSpec>& m,
+                                 const std::string& name) {
+  static const InputSpec kDefault{InputSpec::Kind::Gaussian, 8.0, 4.0, 0.8,
+                                  0, 16, 0};
+  auto it = m.find(name);
+  return it == m.end() ? kDefault : it->second;
+}
+
+}  // namespace
+
+Trace generate_trace(const ir::Function& fn, const TraceConfig& config,
+                     uint64_t seed) {
+  static obs::Counter& traces = obs::Registry::global().counter(
+      "fact_sim_traces_generated_total", "Stimulus traces generated");
+  traces.inc();
+  Rng rng(seed);
+  Trace trace;
+  trace.reserve(config.executions);
+
+  // One persistent sampler per input so temporal correlation spans the
+  // whole trace, as in the paper's AR-filtered stimuli.
+  std::map<std::string, SpecSampler> param_samplers;
+  for (const auto& p : fn.params())
+    param_samplers.emplace(p,
+                           SpecSampler(spec_or_default(config.params, p), rng));
+  std::map<std::string, SpecSampler> array_samplers;
+  for (const auto& a : fn.arrays())
+    if (a.is_input)
+      array_samplers.emplace(
+          a.name, SpecSampler(spec_or_default(config.arrays, a.name), rng));
+
+  for (size_t e = 0; e < config.executions; ++e) {
+    Stimulus s;
+    for (const auto& p : fn.params()) s.params[p] = param_samplers.at(p).next();
+    for (const auto& a : fn.arrays()) {
+      if (!a.is_input) continue;
+      auto& mem = s.arrays[a.name];
+      mem.reserve(a.size);
+      auto& sampler = array_samplers.at(a.name);
+      for (size_t i = 0; i < a.size; ++i) mem.push_back(sampler.next());
+    }
+    trace.push_back(std::move(s));
+  }
+  return trace;
+}
+
+Profile profile_function(const ir::Function& fn, const Trace& trace) {
+  static obs::Counter& profiles = obs::Registry::global().counter(
+      "fact_sim_profiles_total", "Function profiling passes over a trace");
+  profiles.inc();
+  Interpreter interp(fn);
+  Profile profile;
+  for (const auto& stimulus : trace) {
+    RunStats stats;
+    interp.run(stimulus, &stats);
+    profile.stats.merge(stats);
+    profile.executions++;
+  }
+  return profile;
+}
+
+bool equivalent_on_trace(const ir::Function& a, const ir::Function& b,
+                         const Trace& trace) {
+  Interpreter ia(a);
+  Interpreter ib(b);
+  for (const auto& stimulus : trace) {
+    const Observation oa = ia.run(stimulus);
+    const Observation ob = ib.run(stimulus);
+    if (!(oa == ob)) return false;
+  }
+  return true;
+}
+
+}  // namespace fact::sim

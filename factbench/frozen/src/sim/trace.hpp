@@ -1,0 +1,73 @@
+#pragma once
+
+#include <map>
+#include <string>
+#include <vector>
+
+#include "sim/interp.hpp"
+#include "util/rng.hpp"
+
+namespace fact::sim {
+
+/// How to generate values for one input (scalar parameter or input array).
+/// The paper derives its power-estimation inputs from a zero-mean Gaussian
+/// sequence passed through an autoregressive filter (Section 5); Gaussian
+/// is therefore the default. Values are clamped into [lo, hi] so behaviors
+/// with data-dependent loop bounds stay in their intended operating range.
+struct InputSpec {
+  enum class Kind { Gaussian, Uniform, Constant } kind = Kind::Gaussian;
+  double mean = 0.0;
+  double stddev = 1.0;
+  double rho = 0.9;  // AR(1) temporal correlation (Gaussian only)
+  int64_t lo = -1'000'000;
+  int64_t hi = 1'000'000;
+  int64_t constant = 0;
+};
+
+/// Trace configuration: a spec per scalar parameter and per input array.
+/// Unspecified inputs default to a mild Gaussian.
+struct TraceConfig {
+  std::map<std::string, InputSpec> params;
+  std::map<std::string, InputSpec> arrays;
+  size_t executions = 32;  // number of stimuli in the trace
+};
+
+/// A "typical input trace": one Stimulus per execution of the behavior.
+using Trace = std::vector<Stimulus>;
+
+/// Generates a deterministic trace for `fn` from `config` and `seed`.
+Trace generate_trace(const ir::Function& fn, const TraceConfig& config,
+                     uint64_t seed);
+
+/// Profiling result: aggregated branch statistics over a full trace.
+struct Profile {
+  RunStats stats;
+  size_t executions = 0;
+
+  double branch_prob(int stmt_id, double fallback = 0.5) const {
+    return stats.branch_prob(stmt_id, fallback);
+  }
+  double expected_iterations(int stmt_id, double fallback = 1.0) const {
+    return stats.expected_iterations(stmt_id, fallback);
+  }
+  /// Average statements executed per execution (a coarse software cost).
+  double avg_steps() const {
+    return executions == 0
+               ? 0.0
+               : static_cast<double>(stats.steps) / static_cast<double>(executions);
+  }
+};
+
+/// Simulates the behavior over the whole trace and aggregates branch
+/// statistics. This is the paper's "simulation is done only once during an
+/// execution of the algorithm" step: the resulting probabilities are reused
+/// by the scheduler, the STG analysis and the power model.
+Profile profile_function(const ir::Function& fn, const Trace& trace);
+
+/// Runs both functions over the trace and returns true iff every execution
+/// produces identical observations. Used to check that transformations
+/// preserve functionality.
+bool equivalent_on_trace(const ir::Function& a, const ir::Function& b,
+                         const Trace& trace);
+
+}  // namespace fact::sim

@@ -1,0 +1,109 @@
+#pragma once
+
+#include <set>
+#include <string>
+#include <vector>
+
+#include "hlslib/library.hpp"
+#include "ir/function.hpp"
+#include "stg/stg.hpp"
+#include "util/error.hpp"
+
+namespace fact::verify {
+
+/// How much checking the optimization pipeline performs per candidate.
+///  * Off:  no checking beyond trace equivalence (legacy behavior).
+///  * Fast: linear-time structural IR checks — enough to catch every
+///    malformed rewrite before it reaches the scheduler.
+///  * Full: Fast plus schedule legality (per-state resource bounds vs. the
+///    allocation, wire dataflow consistency) on every evaluated candidate.
+enum class Level { Off, Fast, Full };
+
+/// Parses "off" / "fast" / "full"; throws fact::Error otherwise.
+Level level_from_string(const std::string& s);
+const char* to_string(Level level);
+
+/// One violated invariant. `check` is a stable machine-readable name
+/// (e.g. "ir.stmt-id-unique"); `detail` is the human diagnostic.
+struct Issue {
+  std::string check;
+  std::string detail;
+};
+
+struct Report {
+  std::vector<Issue> issues;
+
+  bool ok() const { return issues.empty(); }
+  /// Multi-line rendering of every issue ("<check>: <detail>").
+  std::string str() const;
+  /// The first issue's check name, or "" when ok.
+  std::string first_check() const {
+    return issues.empty() ? std::string() : issues.front().check;
+  }
+};
+
+/// Thrown by check_or_throw; carries the full report so callers (the
+/// transform engine's quarantine path) can classify the failure.
+class VerifyError : public Error {
+ public:
+  explicit VerifyError(Report r);
+  const Report& report() const { return report_; }
+
+ private:
+  Report report_;
+};
+
+void check_or_throw(const Report& r);
+
+/// Scalars that some execution path can read before any definition (and
+/// that are not parameters). Hardware reads such registers as 0, so this
+/// is legal — but a *transform* must never enlarge the set: a rewrite
+/// introducing a fresh read-before-def variable has fabricated a value.
+/// Computed by a must-define forward analysis over the IR.
+std::set<std::string> undefined_reads(const ir::Function& fn);
+
+/// Deep IR invariant checks, far beyond ir::Function::validate():
+///  * statement shape per kind (slots present/absent, non-null children);
+///  * statement-id uniqueness and assignment (no id < 0);
+///  * expression well-formedness (op arity, non-null args, named leaves);
+///  * array discipline (declared arrays, scalar/array namespace split,
+///    duplicate declarations, zero sizes, outputs are scalars);
+///  * guard exclusion: the two branches of an If must cover disjoint
+///    statement-id sets (an id aliased across branches corrupts profile
+///    keys and region mapping, and breaks guard mutual exclusion);
+///  * def-before-use, *differentially*: when `undef_allowed` is non-null,
+///    any read-before-def variable outside that set is an error (pass the
+///    baseline function's undefined_reads()); when null the check is
+///    skipped, since reading a never-written register as 0 is legal.
+Report verify_function(const ir::Function& fn, Level level = Level::Full,
+                       const std::set<std::string>* undef_allowed = nullptr);
+
+/// STG structural checks beyond Stg::validate():
+///  * edge endpoints in range, out-edge lists exactly consistent with the
+///    edge table (every edge indexed once, from-state matches);
+///  * probabilities within [0,1], per-state sums equal to 1;
+///  * entry in range, all states reachable, an execution boundary exists;
+///  * deterministic out-edges: a state with more than one successor must
+///    expose a steering signal (cond_signal), otherwise the controller
+///    cannot implement the transition.
+Report verify_stg(const stg::Stg& stg, Level level = Level::Full);
+
+/// Schedule legality of `stg` as a schedule of `fn` under `alloc`:
+///  * per-state resource bounds: per FU type, concurrent ops never exceed
+///    the allocation; per array, concurrent memory ops never exceed the
+///    single memory port;
+///  * every op's stmt_id refers to a statement of `fn`;
+///  * wire dataflow: every op has a result wire, no wire is driven twice
+///    within one state, every wire operand has a producer somewhere in
+///    the STG, and a chained consumer whose operand is produced only in
+///    its own (non-ring) state appears after the producer. (Pipelined
+///    prologue/ring/drain states and fused hyperperiod slots legally
+///    re-materialize one op — and its wire — in several states, and
+///    kernel rings read the previous traversal's wires, so cross-state
+///    definitions are not errors.)
+Report verify_schedule(const ir::Function& fn, const stg::Stg& stg,
+                       const hlslib::Library& lib,
+                       const hlslib::Allocation& alloc,
+                       Level level = Level::Full);
+
+}  // namespace fact::verify
