@@ -88,10 +88,13 @@ BaselineResult run_flamel(const ir::Function& fn, const hlslib::Library& lib,
   ir::Function current = fn.clone();
   std::vector<std::string> applied;
 
+  // The original is simulated once; each applied transform is checked
+  // against its observations.
+  const sim::Observations reference = sim::reference_observations(fn, trace);
   const xform::TransformLibrary lib_all = xform::TransformLibrary::standard();
   auto apply_checked = [&](const xform::Candidate& c) {
     ir::Function next = lib_all.apply(current, c);
-    if (!sim::equivalent_on_trace(fn, next, trace))
+    if (!sim::profile_if_equivalent(next, trace, reference))
       throw Error("flamel: transform broke equivalence: " + c.describe());
     applied.push_back(c.describe());
     current = std::move(next);

@@ -28,6 +28,10 @@ struct Member {
   std::string via;                   // transform class of the last move
   Evaluation eval;
   uint64_t hash = 0;                 // ir::structural_hash(fn)
+  /// fn's profile from the pass that checked its equivalence (the root's
+  /// from the reference pass), handed to evaluation and dropped there.
+  /// Empty when no equivalence check ran.
+  std::optional<sim::Profile> profile;
 };
 
 /// Process-wide search instrumentation (obs registry). Strictly
@@ -227,17 +231,23 @@ Evaluation TransformEngine::evaluate(const ir::Function& fn,
                                      const sim::Trace& trace,
                                      Objective objective,
                                      double baseline_len) const {
-  return evaluate_impl(fn, trace, objective, baseline_len, nullptr);
+  return evaluate_impl(fn, trace, objective, baseline_len, nullptr, nullptr);
 }
 
 Evaluation TransformEngine::evaluate_impl(
     const ir::Function& fn, const sim::Trace& trace, Objective objective,
-    double baseline_len, sched::FragmentCache* fragments) const {
-  // Re-profile the candidate: transformed control structure means new
-  // branch sites. The interpreter is cheap relative to scheduling.
-  obs::Span sp_profile = obs::span("profile", "eval");
-  const sim::Profile profile = sim::profile_function(fn, trace);
-  sp_profile.finish();
+    double baseline_len, sched::FragmentCache* fragments,
+    const sim::Profile* known_profile) const {
+  // The candidate's own profile (transformed control structure means new
+  // branch sites). Inside optimize() it comes from the pass that checked
+  // the candidate's equivalence; only without one is the trace simulated
+  // here.
+  std::optional<sim::Profile> own_profile;
+  if (!known_profile) {
+    obs::Span sp_profile = obs::span("profile", "eval");
+    own_profile = sim::profile_function(fn, trace);
+  }
+  const sim::Profile& profile = known_profile ? *known_profile : *own_profile;
   obs::Span sp_sched = obs::span("schedule", "eval");
   sched::SchedOptions sopts = sched_opts_;
   sopts.fragment_cache = fragments;
@@ -376,11 +386,12 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
   // schedule, or an arbitrary exception — becomes a failure entry instead
   // of aborting the search. Called concurrently from workers: evaluate()
   // builds its own Scheduler and all engine context is read-only.
-  auto compute_entry = [&](const ir::Function& f) {
+  auto compute_entry = [&](const Member& m) {
     EvalCache::Entry e;
     try {
-      e.eval = evaluate_impl(f, trace, objective, baseline_len,
-                             &fragment_cache);
+      e.eval = evaluate_impl(m.fn, trace, objective, baseline_len,
+                             &fragment_cache,
+                             m.profile ? &*m.profile : nullptr);
       e.ok = true;
     } catch (const verify::VerifyError& ex) {
       e.failure_class =
@@ -432,13 +443,33 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
   root.fn = fn.clone();
   root.region = region;
   root.hash = ir::structural_hash(fn);
+
+  // Gate 3 compares every candidate against the input behavior, so the
+  // input is simulated once, here: its observations become the reference
+  // and the same pass yields the root's profile. If the input itself
+  // aborts, the root's evaluation re-raises the error and every candidate
+  // is quarantined with it.
+  sim::Observations reference;
+  std::optional<std::string> reference_error;
+  if (opts_.verify_equivalence) {
+    obs::Span sp_ref = obs::span("reference", "opt");
+    try {
+      sim::Profile p;
+      reference = sim::reference_observations(fn, trace, &p);
+      root.profile = std::move(p);
+    } catch (const std::exception& e) {
+      reference_error = e.what();
+    }
+  }
+
   bool root_ok;
   {
     const auto hit = opts_.memoize
                          ? cache.lookup(root.hash, objective, baseline_len)
                          : std::nullopt;
-    root_ok = consume_entry(root, hit ? *hit : compute_entry(root.fn),
+    root_ok = consume_entry(root, hit ? *hit : compute_entry(root),
                             hit.has_value());
+    root.profile.reset();
   }
   result.best_eval = root.eval;
 
@@ -460,6 +491,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
     enum class Status { Survived, Duplicate, Quarantined, NonEquivalent };
     Status status = Status::Duplicate;
     ir::Function fn;            // transformed (valid past gate 1)
+    std::optional<sim::Profile> profile;  // from gate 3 when Survived
     uint64_t hash = 0;          // valid when past_dedup
     bool past_dedup = false;    // reached the dedup gate (post-verify)
     const char* pass = "";      // quarantine pass when Quarantined
@@ -572,11 +604,14 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
             return;
           }
 
-          // Gate 3: observable behavior must match the original.
+          // Gate 3: observable behavior must match the original. One
+          // interpreter pass checks it against the reference and profiles
+          // the candidate for evaluation.
           if (opts_.verify_equivalence) {
-            bool equivalent = false;
+            obs::Span sp_eq = obs::span("equivalence", "opt");
             try {
-              equivalent = sim::equivalent_on_trace(fn, o.fn, trace);
+              if (reference_error) throw Error(*reference_error);
+              o.profile = sim::profile_if_equivalent(o.fn, trace, reference);
             } catch (const std::exception& e) {
               o.status = Outcome::Status::Quarantined;
               o.pass = "equivalence";
@@ -584,7 +619,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
               o.message = e.what();
               return;
             }
-            if (!equivalent) {
+            if (!o.profile) {
               o.status = Outcome::Status::NonEquivalent;
               o.message = item.cand.describe();
               return;
@@ -637,6 +672,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
                   if (!parent_ids.count(id)) m.region.insert(id);
               }
               m.fn = std::move(o.fn);
+              m.profile = std::move(o.profile);
               m.applied = std::move(seq);
               m.via = item.cand.transform;
               m.hash = o.hash;
@@ -671,8 +707,9 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
             entries[w] = std::move(*hit);
             hits[w] = 1;
           } else {
-            entries[w] = compute_entry(behavior_set[w].fn);
+            entries[w] = compute_entry(behavior_set[w]);
           }
+          behavior_set[w].profile.reset();  // in_set must not keep it alive
         });
         for (size_t w = 0; w < n; ++w) {
           if (out_of_budget()) break;
@@ -709,6 +746,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
               ops += (*slot)->tree_size();
           });
           m.eval.score = static_cast<double>(ops);
+          m.profile.reset();  // scored without it
           accepted++;
           gen.accepted++;
           sc.accepted.inc();

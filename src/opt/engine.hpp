@@ -66,7 +66,7 @@ struct EngineOptions {
 
   /// Evaluation memoization (ablation switch): when false the engine never
   /// consults or fills the EvalCache and every request runs the full
-  /// profile+schedule+verify pipeline. Results are identical either way —
+  /// schedule+verify+estimate pipeline. Results are identical either way —
   /// cached entries are exactly what recomputation would produce.
   bool memoize = true;
 
@@ -117,7 +117,7 @@ struct Evaluation {
 /// baseline_len). run_fact shares one cache across its per-block engine
 /// runs: blocks repeatedly re-derive overlapping variants (and every
 /// block's root is the previous block's winner), and a hit skips the full
-/// profile+schedule+verify pipeline. factd shares one process-wide cache
+/// schedule+verify+estimate pipeline. factd shares one process-wide cache
 /// across all sessions. Failed evaluations are memoized too, so a
 /// known-bad variant quarantines again without re-running the scheduler.
 ///
@@ -305,12 +305,17 @@ class TransformEngine {
                       Objective objective, double baseline_len) const;
 
  private:
-  /// evaluate() with an optional schedule-fragment cache. optimize() owns
-  /// one FragmentCache per run and routes every candidate evaluation
-  /// through it; the public evaluate() passes null (no cache).
+  /// evaluate() with an optional schedule-fragment cache and an optional
+  /// known profile of `fn` over `trace`. optimize() owns one FragmentCache
+  /// per run and routes every candidate evaluation through it, passing the
+  /// profile from the candidate's equivalence pass (or the root's from the
+  /// reference pass). A null profile makes evaluate_impl simulate the trace
+  /// itself: the public evaluate(), and optimize() with
+  /// EngineOptions::verify_equivalence off.
   Evaluation evaluate_impl(const ir::Function& fn, const sim::Trace& trace,
                            Objective objective, double baseline_len,
-                           sched::FragmentCache* fragments) const;
+                           sched::FragmentCache* fragments,
+                           const sim::Profile* known_profile) const;
 
   // Hardware context is stored by value (callers pass temporaries); the
   // transform library is a reference — it is not copyable and must outlive

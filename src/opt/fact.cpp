@@ -56,7 +56,7 @@ FactResult run_fact(const ir::Function& fn, const hlslib::Library& lib,
   // Steps 3-7 per block: transform with interleaved scheduling. One memo
   // cache spans all blocks: they re-derive overlapping variants, and each
   // block's root is the previous block's winner, so cross-block hits skip
-  // the profile+schedule+verify pipeline entirely.
+  // the schedule+verify+estimate pipeline entirely.
   TransformEngine engine(lib, alloc, sel, opts.sched, opts.power, xforms,
                          opts.engine);
   EvalCache local_cache;

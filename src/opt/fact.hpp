@@ -34,7 +34,7 @@ struct FactResult {
   /// Evaluation requests over all blocks; cache_hits of them were served
   /// from the memo cache shared across the per-block engine runs (blocks
   /// re-derive overlapping variants, and every block's root is the
-  /// previous block's winner), skipping profile+schedule+verify entirely.
+  /// previous block's winner), skipping schedule+verify+estimate entirely.
   int evaluations = 0;
   int cache_hits = 0;
   int cache_misses = 0;

@@ -65,9 +65,9 @@ struct RunStats {
 /// Construction compiles the function once into a slot-indexed program:
 /// every scalar and array name is resolved to a dense register/memory
 /// index, so per-stimulus execution never touches a string. The optimizer
-/// interprets each candidate over a whole trace (profiling plus the
-/// equivalence check), which made string-keyed environment lookups the
-/// single largest cost of a FACT run. The compiled program snapshots the
+/// interprets each candidate over a whole trace (one pass that both checks
+/// equivalence and profiles, see sim::profile_if_equivalent), which made
+/// string-keyed environment lookups the single largest cost of a FACT run. The compiled program snapshots the
 /// function: the Function need not outlive the Interpreter.
 class Interpreter {
  public:

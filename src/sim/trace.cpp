@@ -85,23 +85,59 @@ Trace generate_trace(const ir::Function& fn, const TraceConfig& config,
   return trace;
 }
 
-Profile profile_function(const ir::Function& fn, const Trace& trace) {
-  static obs::Counter& profiles = obs::Registry::global().counter(
-      "fact_sim_profiles_total", "Function profiling passes over a trace");
-  profiles.inc();
+namespace {
+
+// Every whole-trace interpreter pass, whatever its purpose, and every
+// complete profile it produced.
+obs::Counter& trace_passes() {
+  static obs::Counter& c = obs::Registry::global().counter(
+      "fact_sim_trace_passes_total",
+      "Whole-trace interpreter passes (profiling, reference and equivalence)");
+  return c;
+}
+obs::Counter& profiles() {
+  static obs::Counter& c = obs::Registry::global().counter(
+      "fact_sim_profiles_total",
+      "Whole-trace profiles produced (incl. every gauntlet survivor's)");
+  return c;
+}
+
+/// One interpreter pass of `fn` over the trace: hands each execution's
+/// observation to `visit(index, observation)` and, when `profile` is
+/// non-null, aggregates branch statistics into it. Stops early, returning
+/// false, as soon as `visit` does.
+template <typename Visit>
+bool simulate_trace(const ir::Function& fn, const Trace& trace,
+                    Profile* profile, Visit&& visit) {
+  trace_passes().inc();
   Interpreter interp(fn);
-  Profile profile;
-  for (const auto& stimulus : trace) {
+  for (size_t i = 0; i < trace.size(); ++i) {
     RunStats stats;
-    interp.run(stimulus, &stats);
-    profile.stats.merge(stats);
-    profile.executions++;
+    Observation ob = interp.run(trace[i], profile ? &stats : nullptr);
+    if (!visit(i, std::move(ob))) return false;
+    if (profile) {
+      profile->stats.merge(stats);
+      profile->executions++;
+    }
   }
+  if (profile) profiles().inc();
+  return true;
+}
+
+}  // namespace
+
+Profile profile_function(const ir::Function& fn, const Trace& trace) {
+  Profile profile;
+  simulate_trace(fn, trace, &profile, [](size_t, Observation&&) {
+    return true;
+  });
   return profile;
 }
 
 bool equivalent_on_trace(const ir::Function& a, const ir::Function& b,
                          const Trace& trace) {
+  // Interleaved so that a mismatch stops both runs early; still two passes.
+  trace_passes().inc(2);
   Interpreter ia(a);
   Interpreter ib(b);
   for (const auto& stimulus : trace) {
@@ -110,6 +146,29 @@ bool equivalent_on_trace(const ir::Function& a, const ir::Function& b,
     if (!(oa == ob)) return false;
   }
   return true;
+}
+
+Observations reference_observations(const ir::Function& fn, const Trace& trace,
+                                    Profile* profile) {
+  Observations out;
+  out.reserve(trace.size());
+  simulate_trace(fn, trace, profile, [&](size_t, Observation&& ob) {
+    out.push_back(std::move(ob));
+    return true;
+  });
+  return out;
+}
+
+std::optional<Profile> profile_if_equivalent(const ir::Function& fn,
+                                             const Trace& trace,
+                                             const Observations& reference) {
+  Profile profile;
+  const bool equivalent =
+      simulate_trace(fn, trace, &profile, [&](size_t i, Observation&& ob) {
+        return i < reference.size() && ob == reference[i];
+      });
+  if (!equivalent) return std::nullopt;
+  return profile;
 }
 
 }  // namespace fact::sim

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,5 +70,26 @@ Profile profile_function(const ir::Function& fn, const Trace& trace);
 /// preserve functionality.
 bool equivalent_on_trace(const ir::Function& a, const ir::Function& b,
                          const Trace& trace);
+
+/// The observation of every execution of a trace, in trace order.
+using Observations = std::vector<Observation>;
+
+/// Simulates the behavior over the whole trace and records what each
+/// execution observes: the reference profile_if_equivalent() checks
+/// transformed behaviors against. The same pass profiles the behavior into
+/// `profile` when non-null (equal to profile_function(fn, trace)).
+Observations reference_observations(const ir::Function& fn, const Trace& trace,
+                                    Profile* profile = nullptr);
+
+/// One interpreter pass that both checks and profiles a transformed
+/// behavior: runs `fn` over the trace, comparing each execution's
+/// observation with `reference` (from reference_observations() of the
+/// original). Stops at the first mismatch and returns nullopt; otherwise
+/// returns the profile, equal to profile_function(fn, trace). Agrees with
+/// equivalent_on_trace(original, fn, trace) whenever the original runs the
+/// whole trace without aborting; an aborting `fn` throws just the same.
+std::optional<Profile> profile_if_equivalent(const ir::Function& fn,
+                                             const Trace& trace,
+                                             const Observations& reference);
 
 }  // namespace fact::sim

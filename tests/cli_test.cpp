@@ -151,8 +151,8 @@ TEST(Cli, TraceOutWritesChromeTraceJson) {
   // The flow's phase spans plus the engine's per-candidate spans.
   for (const char* want :
        {"trace_gen", "initial_schedule", "partition", "block",
-        "final_schedule", "engine.optimize", "generation", "candidate",
-        "evaluate", "schedule"})
+        "final_schedule", "engine.optimize", "reference", "generation",
+        "candidate", "equivalence", "evaluate", "schedule"})
     EXPECT_TRUE(names.count(want)) << "missing span " << want;
 }
 

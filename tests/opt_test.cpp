@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <thread>
 
 #include "lang/parser.hpp"
+#include "obs/metrics.hpp"
 #include "opt/baselines.hpp"
 #include "opt/fact.hpp"
 #include "opt/partition.hpp"
@@ -590,6 +593,136 @@ F(int n) {
   EXPECT_LE(r.final_power.vdd, 5.0);
   EXPECT_LE(r.final_power.power, r.initial_power.power * 1.0001);
 }
+
+// ---- gate 3: one interpreter pass per candidate --------------------------
+
+uint64_t trace_passes() {
+  return obs::Registry::global()
+      .counter("fact_sim_trace_passes_total")
+      .value();
+}
+
+// Gate 3 checks a candidate against the original's observations, recorded
+// once per optimize(), and profiles it in the same pass; evaluation reuses
+// that profile. So a run simulates each candidate that reaches gate 3 once,
+// plus one reference pass per block and run_fact's own two profiles (input
+// and winner). Worker-side speculation is jobs-invariant, so is the count.
+TEST(Gate3, OnePassPerCandidateAcrossJobs) {
+  const workloads::Workload w = workloads::by_name("SINTRAN");
+  const auto lib = hlslib::Library::dac98();
+  const auto sel = hlslib::FuSelection::defaults(lib);
+  const auto xforms = xform::TransformLibrary::standard();
+  auto run = [&](int jobs, uint64_t* passes) {
+    FactOptions opts;
+    opts.engine.jobs = jobs;
+    const uint64_t before = trace_passes();
+    FactResult r = run_fact(w.fn, lib, w.allocation, sel, w.trace, xforms, opts);
+    *passes = trace_passes() - before;
+    return r;
+  };
+  uint64_t p1 = 0, p4 = 0;
+  const FactResult r = run(1, &p1);
+  run(4, &p4);
+  EXPECT_EQ(p1, p4);
+
+  // Every evaluated candidate passed gate 3 once. Candidates that reached
+  // it and failed are rejected or quarantined; a duplicate may have reached
+  // it too (dedup within a wave runs after the workers).
+  uint64_t evaluated = 0, reached_at_most = 0;
+  for (const SearchTelemetry& block : r.block_telemetry)
+    for (const GenerationTelemetry& g : block.generations) {
+      evaluated += g.evaluations;
+      reached_at_most += g.evaluations + g.rejected_nonequivalent +
+                         g.quarantined + g.duplicates;
+    }
+  const uint64_t fixed = 2 + r.block_telemetry.size();
+  ASSERT_GT(evaluated, 100u);
+  EXPECT_GE(p1, evaluated + fixed);
+  EXPECT_LE(p1, reached_at_most + fixed);
+}
+
+/// Offers one candidate whose rewrite appends a loop that never exits.
+class SpinningLibrary : public xform::TransformLibrary {
+ public:
+  std::vector<xform::Candidate> find_all(
+      const ir::Function&, const std::set<int>&) const override {
+    xform::Candidate c;
+    c.transform = "spin";
+    return {c};
+  }
+  ir::Function apply(const ir::Function& fn,
+                     const xform::Candidate&) const override {
+    ir::Function g = fn.clone();
+    g.body()->stmts.push_back(ir::Stmt::while_stmt(
+        ir::Expr::constant(1), {ir::Stmt::assign("y", ir::Expr::var("y"))}));
+    g.renumber();
+    return g;
+  }
+};
+
+TEST(Gate3, AbortingCandidateIsQuarantinedAsSimulationError) {
+  Harness h;
+  const auto fn = parse("F(int x) { int y = x * 2; output y; }");
+  sim::TraceConfig tc;
+  tc.executions = 2;
+  const sim::Trace trace = sim::generate_trace(fn, tc, 5);
+  const SpinningLibrary xforms;
+  EngineOptions opts;
+  opts.jobs = 2;
+  TransformEngine engine(h.lib, h.alloc, h.sel, h.sched_opts, h.power_opts,
+                         xforms, opts);
+  const EngineResult r =
+      engine.optimize(fn, trace, Objective::Throughput, {}, 100.0);
+  EXPECT_EQ(r.quarantined, 1);
+  EXPECT_EQ(r.quarantine_by_class.at("simulation-error"), 1);
+  ASSERT_EQ(r.quarantine.size(), 1u);
+  EXPECT_EQ(r.quarantine[0].pass, "equivalence");
+  EXPECT_NE(r.quarantine[0].message.find("step limit"), std::string::npos)
+      << r.quarantine[0].message;
+  EXPECT_TRUE(r.degraded_to_baseline);
+  EXPECT_EQ(r.best.str(), fn.str());
+}
+
+// The ablations that skip the reference pass (verify_equivalence off) or
+// the memo cache (memoize off) take other simulation paths than the
+// default run, which JobsDeterminism covers. Their full reports are pinned
+// by golden files, one per workload with both ablations and objectives; a
+// change that moves them on purpose regenerates them.
+class AblationParity : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(AblationParity, ReportsMatchGolden) {
+  const workloads::Workload w = workloads::by_name(GetParam());
+  const auto lib = hlslib::Library::dac98();
+  const auto sel = hlslib::FuSelection::defaults(lib);
+  const auto xforms = xform::TransformLibrary::standard();
+  std::string got;
+  for (const bool verify_off : {true, false})
+    for (const Objective obj : {Objective::Throughput, Objective::Power}) {
+      FactOptions fo;
+      fo.objective = obj;
+      if (verify_off)
+        fo.engine.verify_equivalence = false;
+      else
+        fo.engine.memoize = false;
+      const FactResult r =
+          run_fact(w.fn, lib, w.allocation, sel, w.trace, xforms, fo);
+      got += std::string("== ") +
+             (verify_off ? "verify_equivalence=false" : "memoize=false") +
+             (obj == Objective::Power ? " power" : " throughput") + "\n";
+      got += render_fact_report(r, obj, false);
+    }
+  const std::string path = std::string(FACT_TEST_DATA_DIR) +
+                           "/ablation_reports/" + GetParam() + ".txt";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  std::stringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(got, want.str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Table2, AblationParity,
+                         ::testing::Values("GCD", "FIR", "TEST2", "SINTRAN",
+                                           "IGF", "PPS"));
 
 }  // namespace
 }  // namespace fact::opt

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "lang/parser.hpp"
+#include "program_gen.hpp"
 #include "sim/interp.hpp"
 #include "sim/trace.hpp"
 #include "util/error.hpp"
+#include "verify/fault_injector.hpp"
+#include "xform/transform.hpp"
 
 namespace fact::sim {
 namespace {
@@ -210,6 +213,106 @@ TEST(Equivalence, ComparesArrayState) {
   tc.executions = 4;
   const Trace trace = generate_trace(a, tc, 3);
   EXPECT_FALSE(equivalent_on_trace(a, b, trace));
+}
+
+// ---- one checked pass: profile_if_equivalent ------------------------------
+//
+// The optimizer checks a candidate and profiles it in one interpreter pass
+// against observations of the original recorded once. It must agree with
+// the two-call pair it replaces — equivalent_on_trace(original, candidate)
+// followed by profile_function(candidate) — on generated programs.
+
+void expect_same_profile(const Profile& got, const Profile& want) {
+  EXPECT_EQ(got.executions, want.executions);
+  EXPECT_EQ(got.stats.steps, want.stats.steps);
+  ASSERT_EQ(got.stats.branches.size(), want.stats.branches.size());
+  auto g = got.stats.branches.begin();
+  for (const auto& [id, w] : want.stats.branches) {
+    EXPECT_EQ(g->first, id);
+    EXPECT_EQ(g->second.taken, w.taken) << "stmt " << id;
+    EXPECT_EQ(g->second.total, w.total) << "stmt " << id;
+    ++g;
+  }
+}
+
+class CheckedPass : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CheckedPass, AgreesWithProfileAndEquivalencePair) {
+  const ir::Function fn = testgen::random_program(GetParam());
+  TraceConfig tc;
+  tc.executions = 8;
+  const Trace trace = generate_trace(fn, tc, GetParam() * 31 + 5);
+  Profile root;
+  const Observations reference = reference_observations(fn, trace, &root);
+  ASSERT_EQ(reference.size(), trace.size());
+  expect_same_profile(root, profile_function(fn, trace));
+
+  // Equivalent candidates: every rewrite the standard library offers.
+  const auto xlib = xform::TransformLibrary::standard();
+  const std::vector<xform::Candidate> cands = xlib.find_all(fn, {});
+  int equivalent = 0;
+  for (const auto& c : cands) {
+    const ir::Function next = xlib.apply(fn, c);
+    const std::optional<Profile> got =
+        profile_if_equivalent(next, trace, reference);
+    ASSERT_EQ(got.has_value(), equivalent_on_trace(fn, next, trace))
+        << c.describe();
+    if (!got) continue;
+    equivalent++;
+    expect_same_profile(*got, profile_function(next, trace));
+  }
+
+  // Mutated candidates: the injector's WrongSemantics corruption changes an
+  // array cell or adds an output, so every execution observes it.
+  verify::FaultInjectorOptions fo;
+  fo.rate = 1.0;
+  fo.seed = GetParam();
+  fo.classes = {verify::FaultClass::WrongSemantics};
+  const verify::FaultInjector injector(xlib, fo);
+  int rejected = 0;
+  for (size_t i = 0; i < cands.size() && i < 6; ++i) {
+    const ir::Function bad = injector.apply(fn, cands[i]);
+    const bool old_pair = equivalent_on_trace(fn, bad, trace);
+    EXPECT_EQ(profile_if_equivalent(bad, trace, reference).has_value(),
+              old_pair);
+    if (!old_pair) rejected++;
+  }
+  EXPECT_EQ(rejected, injector.injected_total());
+  if (!cands.empty()) {
+    EXPECT_GT(equivalent, 0);
+    EXPECT_GT(rejected, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Generated, CheckedPass,
+                         ::testing::Range<uint64_t>(1, 13));
+
+TEST(CheckedPass, StepLimitAbortThrowsLikeThePair) {
+  const ir::Function fn = testgen::random_program(3);
+  // The same program followed by a loop that never exits.
+  ir::Function spin = fn.clone();
+  spin.body()->stmts.push_back(ir::Stmt::while_stmt(
+      ir::Expr::constant(1),
+      {ir::Stmt::assign("v0", ir::Expr::var("v0"))}));
+  spin.renumber();
+  TraceConfig tc;
+  tc.executions = 1;
+  const Trace trace = generate_trace(fn, tc, 11);
+  const Observations reference = reference_observations(fn, trace);
+  EXPECT_THROW(equivalent_on_trace(fn, spin, trace), Error);
+  EXPECT_THROW(profile_function(spin, trace), Error);
+  EXPECT_THROW(profile_if_equivalent(spin, trace, reference), Error);
+}
+
+TEST(CheckedPass, ShortReferenceIsAMismatch) {
+  const ir::Function fn = parse("F(int x) { int y = x * 2; output y; }");
+  TraceConfig tc;
+  tc.executions = 4;
+  const Trace trace = generate_trace(fn, tc, 3);
+  Observations reference = reference_observations(fn, trace);
+  EXPECT_TRUE(profile_if_equivalent(fn, trace, reference).has_value());
+  reference.pop_back();
+  EXPECT_FALSE(profile_if_equivalent(fn, trace, reference).has_value());
 }
 
 }  // namespace

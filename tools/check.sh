@@ -51,7 +51,7 @@ if [ "$cmake_flag" = thread ]; then
   # counts; parallel_scaling's jobs>1 leg runs real worker threads.)
   TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \
     ctest --test-dir "$build_dir" --output-on-failure \
-      -R 'WorkerPool|JobsInvariant|JobsDeterminism|EvalCache|Engine\.EnginesSharing|Service\.|Server\.|FactdE2E|bench_smoke|Obs\.'
+      -R 'WorkerPool|JobsInvariant|JobsDeterminism|EvalCache|Gate3|Engine\.EnginesSharing|Service\.|Server\.|FactdE2E|bench_smoke|Obs\.'
 
   # Server integration under TSan: a sanitized factd on a unix socket,
   # hammered by concurrent factcli clients, must exit cleanly (TSan makes
