@@ -373,52 +373,62 @@ ResourceTable::ResourceTable(const hlslib::Library& lib,
                              const hlslib::Allocation& alloc, int hyperperiod)
     : alloc_(alloc), hyperperiod_(hyperperiod) {
   (void)lib;
-  if (hyperperiod_ > 0) rows_.resize(static_cast<size_t>(hyperperiod_));
+  if (hyperperiod_ > 0) rows_ = static_cast<size_t>(hyperperiod_);
 }
 
-std::vector<int> ResourceTable::slots_for(int cstep, int period) const {
+int ResourceTable::column(const DfgNode& n) {
+  // A memory op is bounded by its array's port, not the memory FU type.
+  const bool memory = !n.array.empty();
+  const std::string& name = memory ? n.array : n.fu;
+  if (name.empty()) return kFree;
+  for (size_t c = 0; c < columns_.size(); ++c)
+    if (columns_[c].memory == memory && columns_[c].name == name)
+      return static_cast<int>(c);
+  // New column: widen every row by one zero count.
+  const size_t old_width = columns_.size();
+  columns_.push_back({memory, name, memory ? mem_ports_ : alloc_.count(name)});
+  std::vector<int> widened(rows_ * columns_.size(), 0);
+  for (size_t r = 0; r < rows_; ++r)
+    std::copy_n(used_.begin() + static_cast<std::ptrdiff_t>(r * old_width),
+                old_width,
+                widened.begin() +
+                    static_cast<std::ptrdiff_t>(r * columns_.size()));
+  used_ = std::move(widened);
+  return static_cast<int>(old_width);
+}
+
+bool ResourceTable::can_place(int col, int cstep, int period) const {
+  if (col == kFree) return true;
+  const int capacity = columns_[static_cast<size_t>(col)].capacity;
+  if (capacity <= 0) return false;
+  const size_t width = columns_.size();
   if (hyperperiod_ <= 0) {
-    if (static_cast<size_t>(cstep) >= rows_.size())
-      rows_.resize(static_cast<size_t>(cstep) + 1);
-    return {cstep};
+    const size_t row = static_cast<size_t>(cstep);
+    return row >= rows_ || used_[row * width + static_cast<size_t>(col)] < capacity;
   }
-  std::vector<int> slots;
   if (period <= 0) period = hyperperiod_;
-  for (int s = cstep % period; s < hyperperiod_; s += period) slots.push_back(s);
-  return slots;
-}
-
-bool ResourceTable::row_can_take(const Row& row, const DfgNode& n) const {
-  if (!n.array.empty()) {
-    auto it = row.mem_used.find(n.array);
-    const int used = it == row.mem_used.end() ? 0 : it->second;
-    if (used >= mem_ports_) return false;
-    return true;
-  }
-  if (n.fu.empty()) return true;
-  auto it = row.fu_used.find(n.fu);
-  const int used = it == row.fu_used.end() ? 0 : it->second;
-  return used < alloc_.count(n.fu);
-}
-
-bool ResourceTable::can_place(const DfgNode& n, int cstep, int period) const {
-  if (n.fu.empty() && n.array.empty()) return true;
-  if (n.array.empty() && alloc_.count(n.fu) <= 0) return false;
-  for (int s : slots_for(cstep, period))
-    if (!row_can_take(rows_[static_cast<size_t>(s)], n)) return false;
+  for (int s = cstep % period; s < hyperperiod_; s += period)
+    if (used_[static_cast<size_t>(s) * width + static_cast<size_t>(col)] >=
+        capacity)
+      return false;
   return true;
 }
 
-void ResourceTable::place(const DfgNode& n, int cstep, int period) {
-  if (n.fu.empty() && n.array.empty()) return;
-  for (int s : slots_for(cstep, period)) {
-    Row& row = rows_[static_cast<size_t>(s)];
-    if (!n.array.empty()) {
-      row.mem_used[n.array]++;
-    } else {
-      row.fu_used[n.fu]++;
+void ResourceTable::place(int col, int cstep, int period) {
+  if (col == kFree) return;
+  const size_t width = columns_.size();
+  if (hyperperiod_ <= 0) {
+    const size_t row = static_cast<size_t>(cstep);
+    if (row >= rows_) {  // plain rows grow on demand
+      rows_ = row + 1;
+      used_.resize(rows_ * width, 0);
     }
+    used_[row * width + static_cast<size_t>(col)]++;
+    return;
   }
+  if (period <= 0) period = hyperperiod_;
+  for (int s = cstep % period; s < hyperperiod_; s += period)
+    used_[static_cast<size_t>(s) * width + static_cast<size_t>(col)]++;
 }
 
 // ---------------------------------------------------------------------------
@@ -451,6 +461,8 @@ bool list_schedule(Dfg& dfg, ResourceTable& table, double clock_ns, int period,
                    int max_csteps) {
   const size_t n = dfg.nodes.size();
   const std::vector<double> prio = compute_priorities(dfg);
+  std::vector<int> column(n);
+  for (size_t i = 0; i < n; ++i) column[i] = table.column(dfg.nodes[i]);
   std::vector<bool> done(n, false);
   size_t remaining = n;
 
@@ -485,6 +497,7 @@ bool list_schedule(Dfg& dfg, ResourceTable& table, double clock_ns, int period,
     }
 
     DfgNode& node = dfg.nodes[static_cast<size_t>(pick)];
+    const int col = column[static_cast<size_t>(pick)];
     // Multi-cycle operations occupy ceil(delay/clock) steps, start at a
     // cycle boundary, and cannot be chained into.
     node.span = std::max(1, static_cast<int>(std::ceil(node.delay_ns / clock_ns - 1e-9)));
@@ -512,7 +525,7 @@ bool list_schedule(Dfg& dfg, ResourceTable& table, double clock_ns, int period,
       if (node.span == 1 && start + node.delay_ns > clock_ns + 1e-9) continue;
       bool fits = true;
       for (int k = 0; k < node.span; ++k)
-        if (!table.can_place(node, cstep + k, period)) { fits = false; break; }
+        if (!table.can_place(col, cstep + k, period)) { fits = false; break; }
       if (!fits) {
         // With a modulo table all steps >= earliest repeat the same slots;
         // if a full period of steps fails, the op can never be placed.
@@ -521,7 +534,7 @@ bool list_schedule(Dfg& dfg, ResourceTable& table, double clock_ns, int period,
           return false;
         continue;
       }
-      for (int k = 0; k < node.span; ++k) table.place(node, cstep + k, period);
+      for (int k = 0; k < node.span; ++k) table.place(col, cstep + k, period);
       node.cstep = cstep;
       node.start_ns = start;
       node.end_ns = node.span == 1 ? start + node.delay_ns

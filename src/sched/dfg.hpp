@@ -102,26 +102,44 @@ class DfgBuilder {
 /// control step has its own row; in modulo mode rows wrap at `hyperperiod`
 /// and an op with initiation interval `period` occupies every matching
 /// slot (used when independent loops share resources at different rates).
+///
+/// A row is a flat array of use counts, one per resource column: an FU
+/// type (capacity = its allocation, possibly 0) or an array's memory port.
+/// Columns are interned by name on first sight, so list_schedule resolves
+/// each node once and every per-cstep check is an index, not a lookup.
 class ResourceTable {
  public:
   ResourceTable(const hlslib::Library& lib, const hlslib::Allocation& alloc,
                 int hyperperiod = 0);
 
-  bool can_place(const DfgNode& n, int cstep, int period = 0) const;
-  void place(const DfgNode& n, int cstep, int period = 0);
+  /// Column of the resource `n` occupies, or kFree when it needs none
+  /// (register copies, glue logic, controller-resident compares).
+  static constexpr int kFree = -1;
+  int column(const DfgNode& n);
+
+  bool can_place(int col, int cstep, int period = 0) const;
+  void place(int col, int cstep, int period = 0);
+
+  bool can_place(const DfgNode& n, int cstep, int period = 0) {
+    return can_place(column(n), cstep, period);
+  }
+  void place(const DfgNode& n, int cstep, int period = 0) {
+    place(column(n), cstep, period);
+  }
 
  private:
-  struct Row {
-    std::map<std::string, int> fu_used;
-    std::map<std::string, int> mem_used;
+  struct Column {
+    bool memory = false;  // an array's port rather than an FU type
+    std::string name;
+    int capacity = 0;
   };
-  std::vector<int> slots_for(int cstep, int period) const;
-  bool row_can_take(const Row& row, const DfgNode& n) const;
 
   const hlslib::Allocation& alloc_;
   int hyperperiod_;
-  mutable std::vector<Row> rows_;
   int mem_ports_ = 1;  // ports per array memory
+  std::vector<Column> columns_;
+  size_t rows_ = 0;
+  std::vector<int> used_;  // rows_ x columns_.size(), row-major
 };
 
 /// Resource-constrained list scheduling with operator chaining under the

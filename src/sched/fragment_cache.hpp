@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -14,18 +15,23 @@ namespace fact::sched {
 /// Region-scoped schedule memoization. Candidates within one
 /// Apply_transforms run differ only inside the active block, so most of
 /// their control regions — straight-line segments, branch/loop condition
-/// evaluations, pipelined loop bodies — are byte-for-byte identical to the
-/// parent's. The Emitter keys each such fragment by ir::fragment_hash
-/// (structure *and* statement ids, since the scheduled DFG's annotations
-/// record ids) and reuses the scheduled DFG instead of re-running DFG
-/// construction and list scheduling.
+/// evaluations, pipelined loop bodies, fused concurrent-loop runs — are
+/// byte-for-byte identical to the parent's. The Emitter keys each such
+/// fragment by ir::fragment_hash (structure *and* statement ids, since the
+/// scheduled DFG's annotations record ids) and reuses the scheduled DFG
+/// instead of re-running DFG build and list scheduling.
 ///
 /// What is cached is the *scheduled DFG*, not STG states: materialization
 /// into the STG depends on run-global state (wire numbering, transition
 /// stitching) and is cheap, while DFG build + (modulo) list scheduling is
-/// the scheduler's hot path. Fused concurrent-loop phases are never cached
-/// — their loops share one resource table, so a loop's schedule depends on
-/// its phase partners.
+/// the scheduler's hot path. A fused run's loops share one resource table,
+/// so a loop's schedule depends on its phase partners: a fused entry is
+/// keyed by the ordered partner set (every loop's pipelined-loop key:
+/// body fragment hashes, condition hash, statement id) and holds the
+/// admitted joint schedule of every phase. The loops' closing
+/// probabilities, the fluid model derived from them and the phase STG
+/// stay outside the entry — they come from the candidate's profile, which
+/// the key does not cover.
 ///
 /// Determinism: an entry's value is a pure function of its key (the
 /// scheduler is deterministic and every input that isn't part of the key —
@@ -41,6 +47,16 @@ namespace fact::sched {
 class FragmentCache {
  public:
   struct Entry {
+    /// One phase of a fused run: the loops executing together, in
+    /// admission order with their IIs, their DFGs scheduled into one
+    /// modulo table, and its hyperperiod. No active loop means admission
+    /// failed.
+    struct FusedPhase {
+      std::vector<std::pair<size_t, int>> active;  // (run position, II)
+      std::vector<Dfg> dfgs;                       // parallel to active
+      int hyperperiod = 0;
+    };
+
     /// Scheduling succeeded. When false, `error` holds the fact::Error
     /// message to rethrow so a cached failure is byte-identical to a
     /// recomputed one.
@@ -54,6 +70,10 @@ class FragmentCache {
     /// ok == true means "fall back to the sequential loop path".
     bool pipelined = false;
     int ii = 0;
+    /// Fused-run entries only: the phase of every remaining-loop set
+    /// (bitmask over run positions) reachable from the full run. Empty
+    /// means the run is not fusable: emit its loops one by one.
+    std::map<unsigned, FusedPhase> phases;
   };
 
   explicit FragmentCache(size_t capacity = 1 << 16)

@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <numeric>
-#include <optional>
 #include <set>
 
 #include "ir/hash.hpp"
@@ -93,6 +92,14 @@ uint64_t key_mix(uint64_t seed, uint64_t v) {
 constexpr uint64_t kTagStraight = 0x51A16u;
 constexpr uint64_t kTagCond = 0xC09Du;
 constexpr uint64_t kTagPipe = 0x919Eu;
+constexpr uint64_t kTagFused = 0xF05Eu;
+
+/// Statements of a straight-bodied loop's body segment (empty body: none).
+const std::vector<const Stmt*>& loop_body_stmts(const Region& loop) {
+  static const std::vector<const Stmt*> kNone;
+  const Region& body = *loop.children[0];
+  return body.children.empty() ? kNone : body.children[0]->stmts;
+}
 
 /// A pending transition into the next state to be created.
 struct Attach {
@@ -248,6 +255,18 @@ class Emitter {
     for (const Stmt* s : body_stmts) h = key_mix(h, ir::fragment_hash(*s));
     h = key_mix(h, static_cast<uint64_t>(cond->hash()));
     return key_mix(h, static_cast<uint64_t>(static_cast<int64_t>(stmt_id)));
+  }
+
+  /// A fused run's key: the ordered partner set, each loop by its
+  /// pipelined-loop key (body fragments, condition, statement id). A loop's
+  /// schedule in a phase depends on its partners and on admission order,
+  /// so both are in the key.
+  uint64_t fused_key(const std::vector<const Region*>& run) const {
+    uint64_t h = key_mix(kTagFused, run.size());
+    for (const Region* loop : run)
+      h = key_mix(h, pipe_key(loop_body_stmts(*loop), loop->ctrl->cond,
+                              loop->ctrl->id));
+    return h;
   }
 
   /// Runs `build` (DFG construction + scheduling) through the fragment
@@ -493,9 +512,7 @@ class Emitter {
   bool emit_pipelined_loop(const Region& r, double p,
                            const std::vector<Attach>& in,
                            std::vector<Attach>* out) {
-    const std::vector<const Stmt*> body_stmts =
-        r.children[0]->children.empty() ? std::vector<const Stmt*>{}
-                                        : r.children[0]->children[0]->stmts;
+    const std::vector<const Stmt*>& body_stmts = loop_body_stmts(r);
     // The II search through the fragment cache: the winning modulo
     // schedule — or the not-pipelineable verdict — is a pure function of
     // the body + condition fragment.
@@ -651,90 +668,118 @@ class Emitter {
     }
   }
 
+  using FusedPhase = FragmentCache::Entry::FusedPhase;
+
+  /// Joint modulo scheduling of the phase's loops with every II fixed,
+  /// sharing one resource table; false if infeasible.
+  bool schedule_phase(const std::vector<Dfg>& base,
+                      const std::vector<std::pair<size_t, int>>& loop_iis,
+                      FusedPhase* phase) const {
+    int h = 1;
+    for (const auto& [i, ii] : loop_iis) h = lcm_int(h, ii);
+    if (h > opts_.max_hyperperiod) return false;
+    ResourceTable table(lib_, alloc_, h);
+    std::vector<Dfg> dfgs;
+    dfgs.reserve(loop_iis.size());
+    for (const auto& [i, ii] : loop_iis) {
+      Dfg dfg = base[i];
+      // Fused phases are metrics-grade (rtl_exact = false); pipeline-lag
+      // consistency is not enforced here to preserve the paper's
+      // steady-state throughput shapes.
+      if (!list_schedule(dfg, table, opts_.clock_ns, ii) ||
+          !recurrences_ok(dfg, ii))
+        return false;
+      dfgs.push_back(std::move(dfg));
+    }
+    phase->active = loop_iis;
+    phase->dfgs = std::move(dfgs);
+    phase->hyperperiod = h;
+    return true;
+  }
+
+  /// Admission policy (the Figure 2(b) behavior) for the remaining-loop
+  /// set `mask`: loops are admitted in program order; a newcomer may slow
+  /// itself down (larger II) but must not degrade already-admitted loops,
+  /// otherwise it waits for a later phase. An empty `active` list means no
+  /// loop could be admitted.
+  FusedPhase admit(const std::vector<Dfg>& base, unsigned mask) const {
+    FusedPhase current;
+    for (size_t i = 0; i < base.size(); ++i) {
+      if (!(mask & (1u << i))) continue;
+      const int solo = std::max(1, resource_min_ii(base[i], alloc_));
+      for (int ii = solo; ii <= opts_.max_hyperperiod; ++ii) {
+        auto cand = current.active;
+        cand.emplace_back(i, ii);
+        if (schedule_phase(base, cand, &current)) break;
+      }
+    }
+    return current;
+  }
+
+  /// The fused run's schedule-side work, a pure function of its loops (the
+  /// fragment-cache value): the admitted joint schedule of every
+  /// remaining-loop set reachable from the full run, or no phases at all
+  /// when the run is not fusable. Probabilities stay out: they come from
+  /// the profile and are applied at emission.
+  void admit_fused_run(const std::vector<const Region*>& run,
+                       FragmentCache::Entry& e) const {
+    const size_t k = run.size();
+    std::vector<Dfg> base(k);
+    for (size_t i = 0; i < k; ++i) {
+      const Region& loop = *run[i];
+      base[i] = builder_.build(loop_body_stmts(loop), loop.ctrl->cond,
+                               loop.ctrl->id);
+      check_feasible(base[i]);
+      if (resource_min_ii(base[i], alloc_) < 0) return;
+    }
+    auto phase = [&](unsigned mask) -> const FusedPhase& {
+      auto it = e.phases.find(mask);
+      if (it == e.phases.end())
+        it = e.phases.emplace(mask, admit(base, mask)).first;
+      return it->second;
+    };
+    // Every loop must at least pipeline alone, or fusion degrades to the
+    // sequential path.
+    const unsigned full = (1u << k) - 1u;
+    bool fusable = true;
+    for (size_t i = 0; i < k && fusable; ++i)
+      fusable = !phase(1u << i).active.empty();
+    if (!fusable || phase(full).active.empty()) {
+      e.phases.clear();
+      return;
+    }
+    // Phases reachable from the full run: an active loop's exit leaves
+    // the others.
+    std::vector<unsigned> work{full};
+    std::set<unsigned> seen{full};
+    while (!work.empty()) {
+      const unsigned mask = work.back();
+      work.pop_back();
+      for (const auto& [i, ii] : phase(mask).active) {
+        const unsigned rest = mask & ~(1u << i);
+        if (rest != 0 && seen.insert(rest).second) work.push_back(rest);
+      }
+    }
+  }
+
+  /// Emission state of one fused run.
+  struct FusedEmission {
+    const std::map<unsigned, FusedPhase>* phases = nullptr;
+    std::map<unsigned, int> phase_entry;  // remaining-loop set -> state
+    std::vector<Attach> exits;
+    std::map<size_t, std::pair<int, int>> first_sched;  // loop -> (ii, len)
+  };
+
   /// Concurrent-loop phases: execute the run's loops together, sharing
   /// resources; when a loop exits, transition to the phase executing the
   /// remaining subset. Returns false if no joint schedule fits.
   bool emit_fused_run(const std::vector<const Region*>& run,
                       const std::vector<Attach>& in,
                       std::vector<Attach>* out) {
-    const size_t k = run.size();
-    std::vector<Dfg> base(k);
-    std::vector<double> close_p(k);
-    for (size_t i = 0; i < k; ++i) {
-      const Region& loop = *run[i];
-      const std::vector<const Stmt*> body_stmts =
-          loop.children[0]->children.empty()
-              ? std::vector<const Stmt*>{}
-              : loop.children[0]->children[0]->stmts;
-      base[i] = builder_.build(body_stmts, loop.ctrl->cond, loop.ctrl->id);
-      check_feasible(base[i]);
-      if (resource_min_ii(base[i], alloc_) < 0) return false;
-      close_p[i] = loop_prob(loop.ctrl->id);
-    }
-
-    struct PhaseSchedule {
-      std::vector<std::pair<size_t, int>> active;  // (run index, II)
-      std::vector<Dfg> dfgs;                       // indexed by run index
-      int hyperperiod = 0;
-    };
-
-    // Joint modulo scheduling with every II fixed; nullopt if infeasible.
-    auto joint = [&](const std::vector<std::pair<size_t, int>>& loop_iis)
-        -> std::optional<PhaseSchedule> {
-      int h = 1;
-      for (const auto& [i, ii] : loop_iis) h = lcm_int(h, ii);
-      if (h > opts_.max_hyperperiod) return std::nullopt;
-      PhaseSchedule ps;
-      ps.dfgs.assign(k, Dfg{});
-      ResourceTable table(lib_, alloc_, h);
-      for (const auto& [i, ii] : loop_iis) {
-        Dfg dfg = base[i];
-        // Fused phases are metrics-grade (rtl_exact = false); pipeline-lag
-        // consistency is not enforced here to preserve the paper's
-        // steady-state throughput shapes.
-        if (!list_schedule(dfg, table, opts_.clock_ns, ii) ||
-            !recurrences_ok(dfg, ii))
-          return std::nullopt;
-        ps.dfgs[i] = std::move(dfg);
-      }
-      ps.active = loop_iis;
-      ps.hyperperiod = h;
-      return ps;
-    };
-
-    // Admission policy (the Figure 2(b) behavior): loops are admitted in
-    // program order; a newcomer may slow itself down (larger II) but must
-    // not degrade already-admitted loops, otherwise it waits for a later
-    // phase.
-    auto admit = [&](unsigned mask) -> std::optional<PhaseSchedule> {
-      std::vector<std::pair<size_t, int>> active;
-      std::optional<PhaseSchedule> current;
-      for (size_t i = 0; i < k; ++i) {
-        if (!(mask & (1u << i))) continue;
-        const int solo = std::max(1, resource_min_ii(base[i], alloc_));
-        for (int ii = solo; ii <= opts_.max_hyperperiod; ++ii) {
-          auto cand = active;
-          cand.emplace_back(i, ii);
-          if (auto ps = joint(cand)) {
-            active = std::move(cand);
-            current = std::move(ps);
-            break;
-          }
-        }
-      }
-      return current;
-    };
-
-    const unsigned full = (1u << k) - 1u;
-    // Every loop must at least pipeline alone, or fusion degrades to the
-    // sequential path.
-    for (size_t i = 0; i < k; ++i)
-      if (!admit(1u << i)) return false;
-    if (!admit(full)) return false;
-
-    std::map<unsigned, int> phase_entry;
-    std::vector<Attach> exits;
-    std::map<size_t, std::pair<int, int>> first_sched;  // loop -> (ii, len)
+    const auto entry = fragment(
+        fused_key(run),
+        [&](FragmentCache::Entry& e) { admit_fused_run(run, e); });
+    if (entry->phases.empty()) return false;
 
     // Expected total iterations per loop (geometric mean from the measured
     // closing probability). Phases consume these in a fluid model: the
@@ -742,128 +787,26 @@ class Emitter {
     // (the node annotations of Figure 2(b)); its exit probability is set
     // so the phase's expected length matches the fluid duration, while
     // non-finishers survive the phase with high probability.
+    const size_t k = run.size();
     std::vector<double> initial_rem(k);
-    for (size_t i = 0; i < k; ++i)
+    for (size_t i = 0; i < k; ++i) {
+      const double close_p = loop_prob(run[i]->ctrl->id);
       initial_rem[i] =
-          std::max(0.5, close_p[i] / std::max(1e-6, 1.0 - close_p[i]));
+          std::max(0.5, close_p / std::max(1e-6, 1.0 - close_p));
+    }
 
-    // Creates the phase for the remaining-loop set `mask` (and transitively
-    // its successors); returns its entry state. `rem` is the per-loop
-    // remaining-iteration estimate at phase entry; memoized per mask (the
-    // dominant exit path fixes each phase's calibration).
-    std::function<int(unsigned, std::vector<double>)> generate =
-        [&](unsigned mask, std::vector<double> rem) -> int {
-      auto memo = phase_entry.find(mask);
-      if (memo != phase_entry.end()) return memo->second;
-      if (mask == 0) {
-        const int join = stg_.add_state("join");
-        phase_entry[0] = join;
-        exits.push_back({join, 1.0, ""});
-        return join;
-      }
-      auto ps = admit(mask);
-      if (!ps) throw Error("fused-loop phase unschedulable (unexpected)");
-
-      const int h = ps->hyperperiod;
-
-      // Fluid duration of this phase: cycles until the first active loop
-      // exhausts its remaining iterations. Waiting (non-admitted) loops
-      // make no progress.
-      double duration = 1e30;
-      size_t finisher = ps->active.front().first;
-      for (const auto& [i, ii] : ps->active) {
-        const double d = rem[i] * ii;
-        if (d < duration) {
-          duration = d;
-          finisher = i;
-        }
-      }
-      duration = std::max(duration, 1.0);
-
-      const int phase_ring_id = next_ring_id_++;
-      std::vector<int> ring;
-      for (int s = 0; s < h; ++s) {
-        ring.push_back(stg_.add_state(""));
-        stg_.state(ring.back()).ring_id = phase_ring_id;
-      }
-      phase_entry[mask] = ring[0];
-
-      // Remaining iterations at phase exit (for successor phases).
-      std::vector<double> rem_after = rem;
-      for (const auto& [i, ii] : ps->active)
-        rem_after[i] = std::max(0.5, rem[i] - duration / ii);
-
-      // Ops: loop i's op at cstep c executes in every slot == c mod II_i.
-      struct ExitCheck {
-        size_t loop;
-        double p;
-      };
-      std::map<int, std::vector<ExitCheck>> checks;  // slot -> exits
-      for (const auto& [i, ii] : ps->active) {
-        const Dfg& dfg = ps->dfgs[i];
-        first_sched.emplace(i, std::make_pair(ii, dfg.num_csteps()));
-        const std::vector<std::string> wires = assign_wires(dfg);
-        for (size_t ni = 0; ni < dfg.nodes.size(); ++ni) {
-          const DfgNode& node = dfg.nodes[ni];
-          const int base_slot = node.cstep % ii;
-          for (int s = base_slot; s < h; s += ii) {
-            stg::State& st = stg_.state(ring[static_cast<size_t>(s)]);
-            st.ops.push_back(make_instance(
-                dfg, wires, ni, node.cstep / ii + (s - base_slot) / ii));
-            st.reg_reads += node.var_reads;
-            if (node.reg_write) st.reg_writes++;
-          }
-        }
-        {
-          const int cc =
-              dfg.nodes[static_cast<size_t>(dfg.cond_node)].avail_cstep();
-          for (int s = cc % ii; s < h; s += ii) {
-            stg::State& st = stg_.state(ring[static_cast<size_t>(s)]);
-            if (!st.cond_signal.empty()) st.cond_signal += ",";
-            st.cond_signal += wires[static_cast<size_t>(dfg.cond_node)];
-          }
-        }
-        // Closing probability calibrated to the fluid phase: the finisher
-        // expects duration/II more iterations; survivors rarely exit here.
-        const double expect_iters = duration / ii;
-        const double p = i == finisher
-                             ? expect_iters / (expect_iters + 1.0)
-                             : std::min(0.9999, 1.0 - 1.0 / (16.0 * rem[i]));
-        const int cond_cstep =
-            dfg.nodes[static_cast<size_t>(dfg.cond_node)].avail_cstep();
-        for (int s = cond_cstep % ii; s < h; s += ii)
-          checks[s].push_back({i, p});
-      }
-
-      for (int s = 0; s < h; ++s) {
-        const int next = ring[static_cast<size_t>((s + 1) % h)];
-        double remaining = 1.0;
-        auto it = checks.find(s);
-        if (it != checks.end()) {
-          for (const ExitCheck& ec : it->second) {
-            const int target = generate(mask & ~(1u << ec.loop), rem_after);
-            stg_.add_edge(ring[static_cast<size_t>(s)], target,
-                          remaining * (1.0 - ec.p),
-                          strfmt("exitL%zu", ec.loop));
-            remaining *= ec.p;
-          }
-        }
-        stg_.add_edge(ring[static_cast<size_t>(s)], next, remaining,
-                      it != checks.end() ? "loop" : "");
-      }
-      return ring[0];
-    };
-
-    const int entry = generate(full, initial_rem);
-    connect(in, entry);
+    FusedEmission fe;
+    fe.phases = &entry->phases;
+    const int entry_state = emit_phase(fe, (1u << k) - 1u, initial_rem);
+    connect(in, entry_state);
     rtl_exact_ = false;  // fused phases are metrics-grade (see header)
 
     for (size_t i = 0; i < k; ++i) {
       LoopInfo info;
       info.stmt_id = run[i]->ctrl->id;
       info.pipelined = true;
-      auto fs = first_sched.find(i);
-      if (fs != first_sched.end()) {
+      auto fs = fe.first_sched.find(i);
+      if (fs != fe.first_sched.end()) {
         info.ii = fs->second.first;
         info.body_csteps = fs->second.second;
       }
@@ -872,8 +815,113 @@ class Emitter {
       loops_.push_back(info);
     }
 
-    *out = exits;
+    *out = std::move(fe.exits);
     return true;
+  }
+
+  /// Creates the phase for the remaining-loop set `mask` (and transitively
+  /// its successors); returns its entry state. `rem` is the per-loop
+  /// remaining-iteration estimate at phase entry; memoized per mask (the
+  /// dominant exit path fixes each phase's calibration).
+  int emit_phase(FusedEmission& fe, unsigned mask,
+                 const std::vector<double>& rem) {
+    auto memo = fe.phase_entry.find(mask);
+    if (memo != fe.phase_entry.end()) return memo->second;
+    if (mask == 0) {
+      const int join = stg_.add_state("join");
+      fe.phase_entry[0] = join;
+      fe.exits.push_back({join, 1.0, ""});
+      return join;
+    }
+    const auto found = fe.phases->find(mask);
+    if (found == fe.phases->end() || found->second.active.empty())
+      throw Error("fused-loop phase unschedulable (unexpected)");
+    const FusedPhase& ps = found->second;
+    const int h = ps.hyperperiod;
+
+    // Fluid duration of this phase: cycles until the first active loop
+    // exhausts its remaining iterations. Waiting (non-admitted) loops
+    // make no progress.
+    double duration = 1e30;
+    size_t finisher = ps.active.front().first;
+    for (const auto& [i, ii] : ps.active) {
+      const double d = rem[i] * ii;
+      if (d < duration) {
+        duration = d;
+        finisher = i;
+      }
+    }
+    duration = std::max(duration, 1.0);
+
+    const int phase_ring_id = next_ring_id_++;
+    std::vector<int> ring;
+    for (int s = 0; s < h; ++s) {
+      ring.push_back(stg_.add_state(""));
+      stg_.state(ring.back()).ring_id = phase_ring_id;
+    }
+    fe.phase_entry[mask] = ring[0];
+
+    // Remaining iterations at phase exit (for successor phases).
+    std::vector<double> rem_after = rem;
+    for (const auto& [i, ii] : ps.active)
+      rem_after[i] = std::max(0.5, rem[i] - duration / ii);
+
+    // Ops: loop i's op at cstep c executes in every slot == c mod II_i.
+    struct ExitCheck {
+      size_t loop;
+      double p;
+    };
+    std::map<int, std::vector<ExitCheck>> checks;  // slot -> exits
+    for (size_t a = 0; a < ps.active.size(); ++a) {
+      const auto [i, ii] = ps.active[a];
+      const Dfg& dfg = ps.dfgs[a];
+      fe.first_sched.emplace(i, std::make_pair(ii, dfg.num_csteps()));
+      const std::vector<std::string> wires = assign_wires(dfg);
+      for (size_t ni = 0; ni < dfg.nodes.size(); ++ni) {
+        const DfgNode& node = dfg.nodes[ni];
+        const int base_slot = node.cstep % ii;
+        for (int s = base_slot; s < h; s += ii) {
+          stg::State& st = stg_.state(ring[static_cast<size_t>(s)]);
+          st.ops.push_back(make_instance(
+              dfg, wires, ni, node.cstep / ii + (s - base_slot) / ii));
+          st.reg_reads += node.var_reads;
+          if (node.reg_write) st.reg_writes++;
+        }
+      }
+      const int cond_cstep =
+          dfg.nodes[static_cast<size_t>(dfg.cond_node)].avail_cstep();
+      for (int s = cond_cstep % ii; s < h; s += ii) {
+        stg::State& st = stg_.state(ring[static_cast<size_t>(s)]);
+        if (!st.cond_signal.empty()) st.cond_signal += ",";
+        st.cond_signal += wires[static_cast<size_t>(dfg.cond_node)];
+      }
+      // Closing probability calibrated to the fluid phase: the finisher
+      // expects duration/II more iterations; survivors rarely exit here.
+      const double expect_iters = duration / ii;
+      const double p = i == finisher
+                           ? expect_iters / (expect_iters + 1.0)
+                           : std::min(0.9999, 1.0 - 1.0 / (16.0 * rem[i]));
+      for (int s = cond_cstep % ii; s < h; s += ii)
+        checks[s].push_back({i, p});
+    }
+
+    for (int s = 0; s < h; ++s) {
+      const int next = ring[static_cast<size_t>((s + 1) % h)];
+      double remaining = 1.0;
+      auto it = checks.find(s);
+      if (it != checks.end()) {
+        for (const ExitCheck& ec : it->second) {
+          const int target = emit_phase(fe, mask & ~(1u << ec.loop), rem_after);
+          stg_.add_edge(ring[static_cast<size_t>(s)], target,
+                        remaining * (1.0 - ec.p),
+                        strfmt("exitL%zu", ec.loop));
+          remaining *= ec.p;
+        }
+      }
+      stg_.add_edge(ring[static_cast<size_t>(s)], next, remaining,
+                    it != checks.end() ? "loop" : "");
+    }
+    return ring[0];
   }
 
   const hlslib::Library& lib_;
@@ -895,7 +943,12 @@ class Emitter {
 
 Scheduler::Scheduler(const hlslib::Library& lib, const hlslib::Allocation& alloc,
                      const hlslib::FuSelection& sel, SchedOptions opts)
-    : lib_(lib), alloc_(alloc), sel_(sel), opts_(opts) {}
+    : lib_(lib), alloc_(alloc), sel_(sel), opts_(opts) {
+  // Fused phases are identified by 32-bit loop masks.
+  if (opts_.max_fused > SchedOptions::kMaxFused)
+    throw Error(strfmt("max_fused %zu exceeds the limit of %zu loops",
+                       opts_.max_fused, SchedOptions::kMaxFused));
+}
 
 ScheduleResult Scheduler::schedule(const ir::Function& fn,
                                    const sim::Profile& profile) const {

@@ -26,6 +26,9 @@ struct SchedOptions {
   bool fuse_loops = true;      // parallelize independent adjacent loops
   int max_ii = 64;             // give up pipelining past this II
   size_t max_fused = 4;        // at most this many loops fused at once
+  /// Upper bound on max_fused (phases are 32-bit loop masks); the
+  /// Scheduler constructor rejects larger values with fact::Error.
+  static constexpr size_t kMaxFused = 31;
   int max_hyperperiod = 64;    // fused-phase schedule table size cap
   /// Pathological-schedule guard: abort (fact::Error) when emission
   /// produces more states than this. Downstream STG analysis used to be
@@ -67,7 +70,9 @@ struct ScheduleResult {
   bool rtl_exact = true;
   /// Fragment-cache traffic of this schedule() call (both zero when
   /// SchedOptions::fragment_cache is null). A hit skipped one region's
-  /// DFG build + list schedule (or a pipelined loop's whole II search).
+  /// DFG build + list schedule, a pipelined loop's whole II search, or a
+  /// fused concurrent-loop run's admission of every phase (keyed by the
+  /// run's ordered partner set).
   /// The schedule itself is identical either way; under concurrent
   /// schedule() calls only the hit/miss attribution of racing first
   /// computes can vary, never the output.

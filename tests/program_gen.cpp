@@ -32,7 +32,9 @@ class Generator {
       fn.add_array({"ascratch", 8, false});
       arrays_.push_back("ascratch");
     }
-    fn.set_body(Stmt::block(gen_block(opts_.max_depth)));
+    std::vector<StmtPtr> body = gen_block(opts_.max_depth);
+    if (opts_.concurrent_loops) append_concurrent_loops(fn, body);
+    fn.set_body(Stmt::block(std::move(body)));
     // Observe a couple of scalars (plus all arrays, via the equivalence
     // checker's array comparison).
     fn.add_output("v0");
@@ -82,6 +84,48 @@ class Generator {
                             gen_expr(depth - 1));
       default:
         return Expr::binary(Op::Add, gen_expr(depth - 1), gen_expr(depth - 1));
+    }
+  }
+
+  /// Appends adjacent independent loops: every counter and private
+  /// scalar is initialized up front (an init between two loops would split
+  /// the run), and loop k writes only f<k>, af<k>[] and its counter. Loop
+  /// bodies read anything else, so their operand mix stays random.
+  void append_concurrent_loops(ir::Function& fn, std::vector<StmtPtr>& out) {
+    const int loops = irand(2, 4);
+    for (int k = 0; k < loops; ++k) {
+      out.push_back(Stmt::assign("f" + std::to_string(k),
+                                 Expr::constant(irand(-4, 4))));
+      out.push_back(Stmt::assign("cf" + std::to_string(k), Expr::constant(0)));
+    }
+    for (int k = 0; k < loops; ++k) {
+      const std::string scalar = "f" + std::to_string(k);
+      const std::string array = "af" + std::to_string(k);
+      const std::string counter = "cf" + std::to_string(k);
+      fn.add_array({array, 8, false});
+      fn.add_output(scalar);
+      names_.push_back(scalar);
+      names_.push_back(counter);
+      std::vector<StmtPtr> body;
+      const int n = irand(1, opts_.max_stmts);
+      for (int i = 0; i < n; ++i) {
+        if (irand(0, 2) == 0) {
+          body.push_back(Stmt::store(array, gen_expr(1),
+                                     gen_expr(opts_.max_expr_depth)));
+        } else {
+          body.push_back(
+              Stmt::assign(scalar, gen_expr(opts_.max_expr_depth)));
+        }
+      }
+      body.push_back(Stmt::assign(
+          counter,
+          Expr::binary(Op::Add, Expr::var(counter), Expr::constant(1))));
+      // The next loop must not read this one's variables.
+      names_.resize(names_.size() - 2);
+      out.push_back(Stmt::while_stmt(
+          Expr::binary(Op::Lt, Expr::var(counter),
+                       Expr::constant(irand(1, opts_.max_loop_trip))),
+          std::move(body)));
     }
   }
 

@@ -14,6 +14,10 @@ struct GenOptions {
   int scalar_pool = 5;     // candidate variable names v0..v{n-1}
   int max_loop_trip = 6;   // counted loops only (guaranteed termination)
   bool with_arrays = true;
+  /// Ends the body with a run of 2-4 adjacent counted loops that are
+  /// mutually independent (each writes only its own scalar and array) and
+  /// straight-bodied, so the scheduler fuses them into concurrent phases.
+  bool concurrent_loops = false;
 };
 
 /// Generates a random, valid, terminating behavior: counted loops,

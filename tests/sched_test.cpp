@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "lang/parser.hpp"
+#include "program_gen.hpp"
 #include "sched/dfg.hpp"
+#include "sched/fragment_cache.hpp"
 #include "sched/region.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/trace.hpp"
 #include "util/error.hpp"
+#include "workloads/workloads.hpp"
 
 namespace fact::sched {
 namespace {
@@ -214,6 +219,117 @@ TEST(Dfg, ResourceMinIiMatchesCounts) {
   EXPECT_GE(ii, 2);  // 4 adds on 2 adders (chain is left-leaning: a+1 first)
 }
 
+// ---- resource table ---------------------------------------------------
+
+DfgNode fu_node(const std::string& fu) {
+  DfgNode n;
+  n.op = ir::Op::Add;
+  n.fu = fu;
+  return n;
+}
+
+DfgNode mem_node(const std::string& array, bool store = false) {
+  DfgNode n;
+  n.op = ir::Op::ArrayRead;
+  n.fu = "mem1";
+  n.array = array;
+  n.is_store = store;
+  return n;
+}
+
+TEST(ResourceTable, MixedPeriodsCollideOnlyOnMatchingResidues) {
+  Harness s;
+  s.alloc.counts["a1"] = 2;
+  const DfgNode add = fu_node("a1");
+  // Hyperperiod 6 shared by an II-2 and an II-3 loop: an II-2 op at cstep
+  // c holds slots {c%2, c%2+2, c%2+4}, an II-3 op {c%3, c%3+3}.
+  ResourceTable t(s.lib, s.alloc, 6);
+  t.place(add, 0, 2);  // slots 0, 2, 4
+  t.place(add, 0, 3);  // slots 0, 3 -> slot 0 now full
+  EXPECT_FALSE(t.can_place(add, 0, 6));
+  EXPECT_FALSE(t.can_place(add, 6, 6));  // same residue, later cstep
+  EXPECT_TRUE(t.can_place(add, 2, 6));
+  EXPECT_TRUE(t.can_place(add, 3, 6));
+  EXPECT_FALSE(t.can_place(add, 0, 2));  // slot 0
+  EXPECT_FALSE(t.can_place(add, 3, 3));  // residue 0 again: slot 0
+  EXPECT_TRUE(t.can_place(add, 1, 3));   // slots 1, 4
+  EXPECT_TRUE(t.can_place(add, 1, 2));   // slots 1, 3, 5
+  // Period 0 in modulo mode is the hyperperiod: one slot, cstep % 6.
+  EXPECT_TRUE(t.can_place(add, 7, 0));
+  EXPECT_FALSE(t.can_place(add, 12, 0));
+  t.place(add, 3, 6);  // slot 3 -> full
+  EXPECT_FALSE(t.can_place(add, 1, 2));  // slot 3 now blocks residue 1
+  EXPECT_TRUE(t.can_place(add, 1, 3));   // slots 1, 4 still free
+  t.place(add, 1, 3);                    // slots 1, 4 -> slot 4 full
+  EXPECT_FALSE(t.can_place(add, 2, 2));  // slots 0, 2, 4
+  EXPECT_TRUE(t.can_place(add, 5, 6));
+}
+
+TEST(ResourceTable, OnePortPerArrayCountedPerArray) {
+  Harness s;
+  ResourceTable t(s.lib, s.alloc, 0);
+  const DfgNode rx = mem_node("x");
+  const DfgNode ry = mem_node("y");
+  const DfgNode wx = mem_node("x", /*store=*/true);
+  // Memory ops are bounded by ports, not by the memory FU's allocation
+  // (mem1 is not allocated in the harness).
+  ASSERT_EQ(s.alloc.count("mem1"), 0);
+  EXPECT_TRUE(t.can_place(rx, 0));
+  t.place(rx, 0);
+  EXPECT_FALSE(t.can_place(rx, 0));
+  EXPECT_FALSE(t.can_place(wx, 0));  // a store uses the same port
+  EXPECT_TRUE(t.can_place(ry, 0));   // another array has its own port
+  t.place(ry, 0);
+  EXPECT_FALSE(t.can_place(ry, 0));
+  EXPECT_TRUE(t.can_place(wx, 1));
+  // Memory ports do not consume datapath FUs.
+  EXPECT_TRUE(t.can_place(fu_node("a1"), 0));
+  // Modulo mode: the port repeats every period.
+  ResourceTable m(s.lib, s.alloc, 4);
+  m.place(wx, 1, 2);  // slots 1, 3
+  EXPECT_FALSE(m.can_place(rx, 3, 4));
+  EXPECT_TRUE(m.can_place(rx, 2, 4));
+  EXPECT_TRUE(m.can_place(ry, 3, 4));
+}
+
+TEST(ResourceTable, PlainRowsGrowOnDemand) {
+  Harness s;
+  s.alloc.counts["a1"] = 1;
+  ResourceTable t(s.lib, s.alloc, 0);
+  const DfgNode add = fu_node("a1");
+  EXPECT_TRUE(t.can_place(add, 1000));
+  t.place(add, 1000);
+  EXPECT_FALSE(t.can_place(add, 1000));
+  EXPECT_TRUE(t.can_place(add, 999));
+  EXPECT_TRUE(t.can_place(add, 5000));
+  t.place(add, 3);  // a lower row after the table grew
+  EXPECT_FALSE(t.can_place(add, 3));
+  EXPECT_FALSE(t.can_place(add, 1000));
+  // Plain rows are per cstep: a period does not wrap them.
+  EXPECT_FALSE(t.can_place(add, 1000, 4));
+  EXPECT_TRUE(t.can_place(add, 1004, 4));
+}
+
+TEST(ResourceTable, UnallocatedFuIsNeverPlaceable) {
+  Harness s;
+  s.alloc.counts["mt1"] = 0;
+  const DfgNode mul = fu_node("mt1");
+  const DfgNode shl = fu_node("s1_missing");  // no such allocation entry
+  ResourceTable plain(s.lib, s.alloc, 0);
+  ResourceTable modulo(s.lib, s.alloc, 4);
+  for (int c = 0; c < 8; ++c) {
+    EXPECT_FALSE(plain.can_place(mul, c));
+    EXPECT_FALSE(plain.can_place(shl, c));
+    EXPECT_FALSE(modulo.can_place(mul, c, 2));
+    EXPECT_FALSE(modulo.can_place(shl, c, 4));
+  }
+  // Nodes that need no resource (register copies, glue) always fit.
+  DfgNode copy;
+  for (int k = 0; k < 4; ++k) plain.place(copy, 0);
+  EXPECT_TRUE(plain.can_place(copy, 0));
+  EXPECT_TRUE(modulo.can_place(copy, 0, 1));
+}
+
 // ---- full scheduling --------------------------------------------------
 
 TEST(Scheduler, StraightLineProducesLinearStg) {
@@ -346,10 +462,7 @@ TEST(Scheduler, ShortClockMultiCyclesOps) {
   EXPECT_NEAR(stg::average_schedule_length(r.stg), 2.0, 1e-9);
 }
 
-TEST(Scheduler, IndependentLoopsFuse) {
-  Harness s;
-  s.alloc.counts["i1"] = 2;  // one incrementer per loop counter
-  const auto fn = parse(R"(
+constexpr const char* kIndependentLoops = R"(
 F(int n) {
   input int x[32];
   input int z[32];
@@ -360,7 +473,12 @@ F(int n) {
   while (i < 20) { x1[i] = x[i] + 1; i = i + 1; }
   while (j < 30) { z1[j] = z[j] + 2; j = j + 1; }
 }
-)");
+)";
+
+TEST(Scheduler, IndependentLoopsFuse) {
+  Harness s;
+  s.alloc.counts["i1"] = 2;  // one incrementer per loop counter
+  const auto fn = parse(kIndependentLoops);
   const ScheduleResult r = s.schedule(fn);
   ASSERT_EQ(r.loops.size(), 2u);
   EXPECT_FALSE(r.loops[0].fused_with.empty());
@@ -431,10 +549,7 @@ TEST(Scheduler, StgAnnotationsCoverOpsAndRegisters) {
   EXPECT_EQ(writes, 1);
 }
 
-TEST(Scheduler, WaitingLoopDoesNotDegradeAdmittedOnes) {
-  Harness s;
-  s.alloc.counts["a1"] = 1;  // one adder: the two adder loops cannot share
-  const auto fn = parse(R"(
+constexpr const char* kWaitingLoop = R"(
 F(int n) {
   int i = 0;
   int j = 0;
@@ -443,7 +558,12 @@ F(int n) {
   while (i < 20) { a = a + 2; i = i + 1; }
   while (j < 20) { b = b + 3; j = j + 1; }
 }
-)");
+)";
+
+TEST(Scheduler, WaitingLoopDoesNotDegradeAdmittedOnes) {
+  Harness s;
+  s.alloc.counts["a1"] = 1;  // one adder: the two adder loops cannot share
+  const auto fn = parse(kWaitingLoop);
   const ScheduleResult r = s.schedule(fn);
   ASSERT_EQ(r.loops.size(), 2u);
   // First loop admitted at II=1; second waits (phases), still II=1 when
@@ -452,6 +572,165 @@ F(int n) {
   EXPECT_EQ(r.loops[1].ii, 1);
   // Sequential-ish length: about 40 cycles, not 20.
   EXPECT_GT(stg::average_schedule_length(r.stg), 35.0);
+}
+
+TEST(Scheduler, MaxFusedAbove31Rejected) {
+  Harness s;
+  s.opts.max_fused = 32;  // phase masks are 32-bit: 1u << 32 is undefined
+  EXPECT_THROW(Scheduler(s.lib, s.alloc, s.sel, s.opts), Error);
+  s.opts.max_fused = 31;
+  EXPECT_NO_THROW(Scheduler(s.lib, s.alloc, s.sel, s.opts));
+}
+
+// ---- fused runs in the fragment cache ---------------------------------
+
+/// One function to schedule with its allocation and profile.
+struct FusedCase {
+  std::string name;
+  ir::Function fn;
+  hlslib::Allocation alloc;
+  sim::Profile profile;
+};
+
+FusedCase make_case(std::string name, ir::Function fn,
+                    hlslib::Allocation alloc, const sim::TraceConfig& tc) {
+  const sim::Trace trace = sim::generate_trace(fn, tc, 7);
+  sim::Profile profile = sim::profile_function(fn, trace);
+  return {std::move(name), std::move(fn), std::move(alloc),
+          std::move(profile)};
+}
+
+ScheduleResult schedule_case(const FusedCase& c, FragmentCache* cache) {
+  Harness h;
+  h.opts.fragment_cache = cache;
+  return Scheduler(h.lib, c.alloc, h.sel, h.opts).schedule(c.fn, c.profile);
+}
+
+bool has_fused_loop(const ScheduleResult& r) {
+  for (const auto& l : r.loops)
+    if (!l.fused_with.empty()) return true;
+  return false;
+}
+
+void expect_same_schedule(const ScheduleResult& want, const ScheduleResult& got,
+                          const std::string& what) {
+  EXPECT_EQ(want.stg.dot(), got.stg.dot()) << what;
+  EXPECT_EQ(want.rtl_exact, got.rtl_exact) << what;
+  ASSERT_EQ(want.loops.size(), got.loops.size()) << what;
+  for (size_t i = 0; i < want.loops.size(); ++i) {
+    EXPECT_EQ(want.loops[i].stmt_id, got.loops[i].stmt_id) << what;
+    EXPECT_EQ(want.loops[i].pipelined, got.loops[i].pipelined) << what;
+    EXPECT_EQ(want.loops[i].ii, got.loops[i].ii) << what;
+    EXPECT_EQ(want.loops[i].body_csteps, got.loops[i].body_csteps) << what;
+    EXPECT_EQ(want.loops[i].fused_with, got.loops[i].fused_with) << what;
+  }
+}
+
+/// Functions whose schedules fuse concurrent loops: the paper's TEST2 and
+/// FIR, the fusion fixtures above, and generated programs with adjacent
+/// independent loops.
+std::vector<FusedCase> fused_cases() {
+  std::vector<FusedCase> cases;
+  for (const char* name : {"TEST2", "FIR"}) {
+    workloads::Workload w = workloads::by_name(name);
+    cases.push_back(
+        make_case(name, std::move(w.fn), std::move(w.allocation), w.trace));
+  }
+  Harness h;
+  hlslib::Allocation two_incr = h.alloc;
+  two_incr.counts["i1"] = 2;
+  cases.push_back(make_case("IndependentLoopsFuse", parse(kIndependentLoops),
+                            two_incr, {}));
+  hlslib::Allocation one_adder = h.alloc;
+  one_adder.counts["a1"] = 1;
+  cases.push_back(make_case("WaitingLoopDoesNotDegradeAdmittedOnes",
+                            parse(kWaitingLoop), one_adder, {}));
+
+  hlslib::Allocation generous;
+  for (const auto& t : h.lib.types()) generous.counts[t.name] = 2;
+  sim::TraceConfig tc;
+  tc.executions = 6;
+  testgen::GenOptions gen;
+  gen.concurrent_loops = true;
+  int generated = 0;
+  for (uint64_t seed = 1; seed < 200 && generated < 24; ++seed) {
+    FusedCase c = make_case("seed " + std::to_string(seed),
+                            testgen::random_program(seed, gen), generous, tc);
+    try {
+      if (!has_fused_loop(schedule_case(c, nullptr))) continue;
+    } catch (const Error&) {
+      continue;
+    }
+    cases.push_back(std::move(c));
+    generated++;
+  }
+  EXPECT_GE(generated, 20);
+  return cases;
+}
+
+TEST(FusedFragment, CacheInvisible) {
+  int fused = 0;
+  for (const FusedCase& c : fused_cases()) {
+    const ScheduleResult uncached = schedule_case(c, nullptr);
+    FragmentCache cache;
+    const ScheduleResult cold = schedule_case(c, &cache);
+    const ScheduleResult warm = schedule_case(c, &cache);
+    expect_same_schedule(uncached, cold, c.name + " (cold cache)");
+    expect_same_schedule(uncached, warm, c.name + " (warm cache)");
+    EXPECT_EQ(warm.fragment_misses, 0) << c.name;
+    EXPECT_EQ(warm.fragment_hits, cold.fragment_hits + cold.fragment_misses)
+        << c.name;
+    if (has_fused_loop(uncached)) fused++;
+  }
+  EXPECT_GE(fused, 23);  // TEST2, both fixtures and every generated program
+}
+
+TEST(FusedFragment, PartnerSetIsPartOfTheKey) {
+  Harness h;
+  h.alloc.counts["a1"] = 1;
+  const FusedCase original =
+      make_case("original", parse(kWaitingLoop), h.alloc, {});
+  // Same statement ids and the same first loop; only its partner differs.
+  std::string src = kWaitingLoop;
+  src.replace(src.find("b + 3"), 5, "b - 3");
+  const FusedCase changed = make_case("changed", parse(src), h.alloc, {});
+
+  FragmentCache cache;
+  ASSERT_TRUE(has_fused_loop(schedule_case(original, &cache)));
+  const ScheduleResult r = schedule_case(changed, &cache);
+  // The straight prologue hits; the fused run does not, although its
+  // first loop is unchanged.
+  EXPECT_EQ(r.fragment_misses, 1);
+  EXPECT_GE(r.fragment_hits, 1);
+  expect_same_schedule(schedule_case(changed, nullptr), r, "changed partner");
+}
+
+TEST(FusedFragment, SharedCacheAcrossThreads) {
+  workloads::Workload w = workloads::make_test2();
+  const FusedCase c = make_case("TEST2", std::move(w.fn),
+                                std::move(w.allocation), w.trace);
+  const std::string want = schedule_case(c, nullptr).stg.dot();
+  ASSERT_TRUE(has_fused_loop(schedule_case(c, nullptr)));
+
+  Harness h;
+  FragmentCache cache;
+  h.opts.fragment_cache = &cache;
+  const Scheduler shared(h.lib, c.alloc, h.sel, h.opts);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<std::vector<std::string>> dots(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r)
+        dots[static_cast<size_t>(t)].push_back(
+            shared.schedule(c.fn, c.profile).stg.dot());
+    });
+  for (auto& th : threads) th.join();
+  for (const auto& per_thread : dots) {
+    ASSERT_EQ(per_thread.size(), static_cast<size_t>(kRounds));
+    for (const auto& dot : per_thread) EXPECT_EQ(dot, want);
+  }
 }
 
 }  // namespace
