@@ -5,13 +5,9 @@
 // workload, and deterministic seeds, so two runs print identical tables.
 
 #include <cstdio>
-#include <fstream>
-#include <string>
-#include <vector>
 
 #include "opt/baselines.hpp"
 #include "opt/fact.hpp"
-#include "util/error.hpp"
 #include "workloads/workloads.hpp"
 
 namespace fact::bench {
@@ -76,86 +72,6 @@ inline MethodRun run_fact(const Env& env, const workloads::Workload& w,
 
 /// Throughput in the paper's Table 2 unit: cycles^-1 x 1000.
 inline double throughput_k(double avg_len) { return 1000.0 / avg_len; }
-
-/// Minimal JSON emitter for machine-readable bench results (BENCH_*.json):
-/// an append-only builder with begin/end pairs for objects and arrays and
-/// comma bookkeeping per nesting level. Just enough for flat metric
-/// records — no escaping beyond quotes/backslashes, numbers via %.6g.
-class Json {
- public:
-  Json& begin_object() { return open('{'); }
-  Json& end_object() { return close('}'); }
-  Json& begin_array() { return open('['); }
-  Json& end_array() { return close(']'); }
-
-  Json& key(const std::string& k) {
-    comma();
-    out_ += quote(k) + ":";
-    pending_value_ = true;
-    return *this;
-  }
-
-  Json& value(const std::string& v) { return raw(quote(v)); }
-  Json& value(const char* v) { return raw(quote(v)); }
-  Json& value(double v) {
-    char buf[32];
-    snprintf(buf, sizeof buf, "%.6g", v);
-    return raw(buf);
-  }
-  Json& value(int64_t v) { return raw(std::to_string(v)); }
-  Json& value(int v) { return raw(std::to_string(v)); }
-  Json& value(size_t v) { return raw(std::to_string(v)); }
-  Json& value(bool v) { return raw(v ? "true" : "false"); }
-
-  const std::string& str() const { return out_; }
-
-  void write(const std::string& path) const {
-    std::ofstream out(path);
-    if (!out) throw Error("cannot write " + path);
-    out << out_ << "\n";
-  }
-
- private:
-  static std::string quote(const std::string& s) {
-    std::string q = "\"";
-    for (char c : s) {
-      if (c == '"' || c == '\\') q += '\\';
-      q += c;
-    }
-    return q + "\"";
-  }
-
-  void comma() {
-    if (!first_.empty() && !first_.back())
-      out_ += ",";
-    if (!first_.empty()) first_.back() = false;
-  }
-
-  Json& raw(const std::string& text) {
-    if (!pending_value_) comma();
-    pending_value_ = false;
-    out_ += text;
-    return *this;
-  }
-
-  Json& open(char c) {
-    if (!pending_value_) comma();
-    pending_value_ = false;
-    out_ += c;
-    first_.push_back(true);
-    return *this;
-  }
-
-  Json& close(char c) {
-    first_.pop_back();
-    out_ += c;
-    return *this;
-  }
-
-  std::string out_;
-  std::vector<bool> first_;
-  bool pending_value_ = false;
-};
 
 inline void rule(char c = '-', int n = 78) {
   for (int i = 0; i < n; ++i) std::putchar(c);

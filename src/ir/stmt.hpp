@@ -94,8 +94,7 @@ void detach_deep(StmtPtr& s);
 /// in serial runs, approximate under concurrency). `clones` counts O(1)
 /// shared Function::clone() calls; `node_copies` counts Stmt nodes that
 /// detach() actually copied. The difference against a full deep copy per
-/// clone is the work the COW layer saved (bench/incremental_eval reports
-/// it as bytes).
+/// clone is the work the COW layer saved.
 namespace cow {
 uint64_t clones();
 uint64_t node_copies();

@@ -84,57 +84,8 @@ struct SearchCounters {
 
 // ---- EvalCache ---------------------------------------------------------
 
-namespace {
-// Lock striping: caches at least this large are split into kEvalCacheShards
-// stripes. Below it a single shard keeps exact global LRU order — per-shard
-// caps of 0 or 1 entry would evict almost everything.
-constexpr size_t kEvalCacheShards = 16;
-constexpr size_t kShardingThreshold = 4096;
-
-// Raw cache traffic across every EvalCache instance in the process (the
-// per-run EngineResult counters remain the authoritative, jobs-invariant
-// attribution; these standing counters additionally see factd's shared
-// process-wide cache). Incremented outside the shard locks.
-obs::Counter& evalcache_lookups() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      "fact_evalcache_lookups_total", "EvalCache lookup() calls");
-  return c;
-}
-obs::Counter& evalcache_hits() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      "fact_evalcache_hits_total", "EvalCache lookups that found an entry");
-  return c;
-}
-obs::Counter& evalcache_insertions() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      "fact_evalcache_insertions_total",
-      "EvalCache entries newly inserted (refreshes excluded)");
-  return c;
-}
-}  // namespace
-
 EvalCache::EvalCache(size_t capacity)
-    : capacity_(std::max<size_t>(1, capacity)),
-      shards_(capacity_ >= kShardingThreshold ? kEvalCacheShards : 1) {
-  // Spread the capacity across shards; the first capacity % n shards take
-  // the remainder so the caps always sum to exactly capacity_.
-  const size_t n = shards_.size();
-  for (size_t i = 0; i < n; ++i)
-    shards_[i].cap = capacity_ / n + (i < capacity_ % n ? 1 : 0);
-}
-
-size_t EvalCache::shard_index(const Key& k) const {
-  // KeyHash keeps small structural hashes' entropy in its low bits; run a
-  // splitmix64 finalizer so shard selection is uniform for any key shape
-  // (and decorrelated from the shard-local unordered_map's buckets).
-  uint64_t h = KeyHash{}(k);
-  h ^= h >> 30;
-  h *= 0xBF58476D1CE4E5B9ull;
-  h ^= h >> 27;
-  h *= 0x94D049BB133111EBull;
-  h ^= h >> 31;
-  return static_cast<size_t>(h % shards_.size());
-}
+    : capacity_(std::max<size_t>(1, capacity)) {}
 
 EvalCache::Key EvalCache::make_key(uint64_t h, Objective o,
                                    double baseline_len) {
@@ -156,58 +107,41 @@ std::optional<EvalCache::Entry> EvalCache::lookup(uint64_t structural_hash,
                                                   Objective objective,
                                                   double baseline_len) const {
   const Key key = make_key(structural_hash, objective, baseline_len);
-  const Shard& s = shards_[shard_index(key)];
-  std::optional<Entry> out;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    const auto it = s.map.find(key);
-    if (it != s.map.end()) out = it->second.entry;
-  }
-  evalcache_lookups().inc();
-  if (out) evalcache_hits().inc();
-  return out;
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = map_.find(key);
+  if (it == map_.end()) return std::nullopt;
+  return it->second.entry;
 }
 
 void EvalCache::insert(uint64_t structural_hash, Objective objective,
                        double baseline_len, Entry entry) {
   const Key key = make_key(structural_hash, objective, baseline_len);
-  Shard& s = shards_[shard_index(key)];
-  bool inserted = false;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    const auto it = s.map.find(key);
-    if (it != s.map.end()) {
-      // First insertion wins; a re-insert just counts as a use.
-      s.lru.splice(s.lru.begin(), s.lru, it->second.lru);
-    } else {
-      s.lru.push_front(key);
-      s.map.emplace(key, Slot{std::move(entry), s.lru.begin()});
-      inserted = true;
-      while (s.map.size() > s.cap) {
-        s.map.erase(s.lru.back());
-        s.lru.pop_back();
-      }
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = map_.find(key);
+  if (it != map_.end()) {
+    // First insertion wins; a re-insert just counts as a use.
+    lru_.splice(lru_.begin(), lru_, it->second.lru);
+    return;
   }
-  if (inserted) evalcache_insertions().inc();
+  lru_.push_front(key);
+  map_.emplace(key, Slot{std::move(entry), lru_.begin()});
+  while (map_.size() > capacity_) {
+    map_.erase(lru_.back());
+    lru_.pop_back();
+  }
 }
 
 void EvalCache::touch(uint64_t structural_hash, Objective objective,
                       double baseline_len) {
   const Key key = make_key(structural_hash, objective, baseline_len);
-  Shard& s = shards_[shard_index(key)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  const auto it = s.map.find(key);
-  if (it != s.map.end()) s.lru.splice(s.lru.begin(), s.lru, it->second.lru);
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = map_.find(key);
+  if (it != map_.end()) lru_.splice(lru_.begin(), lru_, it->second.lru);
 }
 
 size_t EvalCache::size() const {
-  size_t n = 0;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    n += s.map.size();
-  }
-  return n;
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.size();
 }
 
 // ---- TransformEngine ---------------------------------------------------
@@ -253,7 +187,6 @@ Evaluation TransformEngine::evaluate_impl(
   sopts.fragment_cache = fragments;
   sched::Scheduler scheduler(lib_, alloc_, sel_, sopts);
   const sched::ScheduleResult sr = scheduler.schedule(fn, profile);
-  sp_sched.arg("fragment_hits", sr.fragment_hits);
   sp_sched.finish();
 
   // Full validation: the schedule must be structurally sound and legal
@@ -268,11 +201,8 @@ Evaluation TransformEngine::evaluate_impl(
   // One stationary solve serves both the throughput metric and the power
   // model (the power estimate reuses pi instead of re-solving the chain).
   obs::Span sp_est = obs::span("estimate", "eval");
-  const std::vector<double> pi =
-      stg::state_probabilities(sr.stg, sched_opts_.markov);
+  const std::vector<double> pi = stg::state_probabilities(sr.stg);
   Evaluation ev;
-  ev.fragment_hits = sr.fragment_hits;
-  ev.fragment_misses = sr.fragment_misses;
   ev.avg_len = stg::average_schedule_length(sr.stg, pi);
   if (objective == Objective::Power) {
     const power::PowerEstimate est = power::estimate_power_scaled(
@@ -423,10 +353,6 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
     } else {
       result.cache_misses++;
       sc.eval_cache_misses.inc();
-      // Fragment traffic is attributed to the evaluations that actually
-      // ran the scheduler; memo hits skipped it entirely.
-      result.fragment_hits += entry.eval.fragment_hits;
-      result.fragment_misses += entry.eval.fragment_misses;
       if (opts_.memoize) cache.insert(m.hash, objective, baseline_len, entry);
     }
     if (!entry.ok) {

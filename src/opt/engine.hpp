@@ -105,12 +105,6 @@ struct Evaluation {
   double power = 0.0;    // estimated power (scaled Vdd in Power mode)
   double vdd = 5.0;
   double score = 0.0;    // objective value; lower is better
-  /// Schedule-fragment cache traffic of the pipeline run that produced
-  /// this evaluation (zero when the evaluation ran without a fragment
-  /// cache, e.g. via the standalone evaluate()). Diagnostic only — the
-  /// metrics above are identical with or without fragment reuse.
-  int fragment_hits = 0;
-  int fragment_misses = 0;
 };
 
 /// Memoized candidate evaluations, keyed by (structural hash, objective,
@@ -126,17 +120,10 @@ struct Evaluation {
 /// advanced only by insert() and touch() — both called from the engine's
 /// serial reduction step — never by lookup(), so lookups within one
 /// evaluation wave see a frozen cache and hit/miss counts are independent
-/// of `jobs`. Thread-safe throughout.
-///
-/// Lock striping: large caches split the key space into 16 shards by key
-/// hash, each with its own mutex, map, and LRU list, so concurrent
-/// lookups from evaluation workers (and from factd sessions sharing the
-/// process-wide cache) contend only when they land on the same shard.
-/// Capacity is divided across shards and eviction is per shard — an
-/// approximation of global LRU that keeps the total entry count within
-/// `capacity`. Small caches (below the striping threshold) keep a single
-/// shard, preserving exact global LRU order where per-shard caps would
-/// distort eviction.
+/// of `jobs`. Thread-safe throughout: one mutex guards one map and one
+/// exact LRU list. Traffic is accounted by the engine's
+/// fact_eval_{requests,cache_hits,cache_misses}_total registry counters,
+/// not here.
 class EvalCache {
  public:
   struct Entry {
@@ -177,22 +164,13 @@ class EvalCache {
 
   struct Slot {
     Entry entry;
-    std::list<Key>::iterator lru;  // position in Shard::lru (front = MRU)
+    std::list<Key>::iterator lru;  // position in lru_ (front = MRU)
   };
-
-  /// One lock stripe: independent mutex, map, and LRU list over a slice of
-  /// the key space. `cap` is this shard's share of the total capacity.
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<Key, Slot, KeyHash> map;
-    std::list<Key> lru;  // front = most recently used
-    size_t cap = 0;
-  };
-
-  size_t shard_index(const Key& k) const;
 
   const size_t capacity_;
-  std::vector<Shard> shards_;
+  mutable std::mutex mu_;
+  std::unordered_map<Key, Slot, KeyHash> map_;
+  std::list<Key> lru_;  // front = most recently used
 };
 
 /// One outer iteration (generation) of the Figure 6 search, as observed by
@@ -244,18 +222,6 @@ struct EngineResult {
   int cache_hits = 0;
   int cache_misses = 0;
   int rejected_nonequivalent = 0;        // candidates failing trace equivalence
-
-  /// Schedule-fragment cache traffic (src/sched/fragment_cache.hpp),
-  /// summed over the evaluations that actually ran the scheduler (memo
-  /// misses). A fragment hit reused a region's scheduled DFG from an
-  /// earlier candidate instead of re-running DFG build + list scheduling.
-  /// Unlike the EvalCache counters these are not asserted jobs-invariant:
-  /// with jobs > 1, workers racing to first-compute one fragment may each
-  /// count a miss where a serial run counts one miss + one hit. The
-  /// schedules — and therefore every result and metric — are identical
-  /// regardless (cached entries are pure functions of their keys).
-  int fragment_hits = 0;
-  int fragment_misses = 0;
 
   /// Candidates removed by the transactional evaluation wrapper (failed
   /// apply, verifier rejection, equivalence failure, or an exception while

@@ -34,8 +34,7 @@ FactResult run_fact(const ir::Function& fn, const hlslib::Library& lib,
   sched::ScheduleResult initial = scheduler.schedule(fn, profile);
   sp_initial.finish();
   {
-    const std::vector<double> pi =
-        stg::state_probabilities(initial.stg, opts.sched.markov);
+    const std::vector<double> pi = stg::state_probabilities(initial.stg);
     result.initial_avg_len = stg::average_schedule_length(initial.stg, pi);
     result.initial_power =
         power::estimate_power(initial.stg, lib, opts.power, &pi);
@@ -74,8 +73,6 @@ FactResult run_fact(const ir::Function& fn, const hlslib::Library& lib,
     result.evaluations += er.evaluations;
     result.cache_hits += er.cache_hits;
     result.cache_misses += er.cache_misses;
-    result.fragment_hits += er.fragment_hits;
-    result.fragment_misses += er.fragment_misses;
     result.quarantined += er.quarantined;
     for (const auto& [cls, n] : er.quarantine_by_class)
       result.quarantine_by_class[cls] += n;
@@ -103,7 +100,7 @@ FactResult run_fact(const ir::Function& fn, const hlslib::Library& lib,
   sp_final.finish();
   {
     const std::vector<double> pi =
-        stg::state_probabilities(result.schedule.stg, opts.sched.markov);
+        stg::state_probabilities(result.schedule.stg);
     result.final_avg_len =
         stg::average_schedule_length(result.schedule.stg, pi);
     if (opts.objective == Objective::Power) {
@@ -239,11 +236,9 @@ std::string telemetry_json(const FactResult& r) {
   }
   out += strfmt(
       "],\"evaluations\":%d,\"cache_hits\":%d,\"cache_misses\":%d,"
-      "\"fragment_hits\":%d,\"fragment_misses\":%d,\"quarantined\":%d,"
-      "\"blocks_degraded\":%d,\"truncated\":%s}",
-      r.evaluations, r.cache_hits, r.cache_misses, r.fragment_hits,
-      r.fragment_misses, r.quarantined, r.blocks_degraded,
-      r.truncated ? "true" : "false");
+      "\"quarantined\":%d,\"blocks_degraded\":%d,\"truncated\":%s}",
+      r.evaluations, r.cache_hits, r.cache_misses, r.quarantined,
+      r.blocks_degraded, r.truncated ? "true" : "false");
   return out;
 }
 

@@ -38,11 +38,6 @@ struct FactResult {
   int evaluations = 0;
   int cache_hits = 0;
   int cache_misses = 0;
-  /// Schedule-fragment cache traffic summed over the per-block engine
-  /// runs (see EngineResult::fragment_hits for semantics and the caveat
-  /// about jobs > 1 attribution).
-  int fragment_hits = 0;
-  int fragment_misses = 0;
 
   // Robustness accounting aggregated over all per-block engine runs:
   int quarantined = 0;                // candidates removed by any gate

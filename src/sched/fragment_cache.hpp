@@ -38,9 +38,13 @@ namespace fact::sched {
 /// library, allocation, FU selection, clock — is fixed for the cache's
 /// owner, one engine optimize() call). A hit therefore reproduces exactly
 /// what recomputation would, so results are byte-identical whatever the
-/// hit/miss interleaving; only the hit/miss *attribution* can shift when
-/// worker threads race to insert the same key (see ScheduleResult's
-/// counter docs).
+/// hit/miss interleaving.
+///
+/// Traffic is counted in one place only: the registry's
+/// fact_fragment_cache_{hits,misses}_total. Those counts are diagnostic
+/// and not jobs-invariant — worker threads racing to first-compute one
+/// key may each count a miss where a serial run counts a miss and a hit —
+/// so no report or result carries them.
 ///
 /// Thread-safe; entries are immutable once inserted and handed out as
 /// shared_ptr so readers survive concurrent rehashes.
@@ -79,9 +83,9 @@ class FragmentCache {
   explicit FragmentCache(size_t capacity = 1 << 16)
       : capacity_(capacity) {}
 
-  /// nullptr on miss; the resident immutable entry on hit. Traffic is
-  /// mirrored into the process-wide metrics registry (write-only — the
-  /// counters never influence caching, so determinism is untouched).
+  /// nullptr on miss; the resident immutable entry on hit. Counted in the
+  /// process-wide metrics registry (write-only — the counters never
+  /// influence caching, so determinism is untouched).
   std::shared_ptr<const Entry> lookup(uint64_t key) const {
     std::shared_ptr<const Entry> hit;
     {

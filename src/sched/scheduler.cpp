@@ -140,8 +140,6 @@ class Emitter {
     result.stg = std::move(stg_);
     result.loops = std::move(loops_);
     result.rtl_exact = rtl_exact_;
-    result.fragment_hits = frag_hits_;
-    result.fragment_misses = frag_misses_;
     return result;
   }
 
@@ -281,7 +279,6 @@ class Emitter {
     FragmentCache* cache = opts_.fragment_cache;
     if (cache) {
       if (auto entry = cache->lookup(key)) {
-        frag_hits_++;
         if (!entry->ok) throw Error(entry->error);
         return entry;
       }
@@ -294,10 +291,7 @@ class Emitter {
       fresh->error = ex.what();
     }
     std::shared_ptr<const FragmentCache::Entry> entry = fresh;
-    if (cache) {
-      frag_misses_++;
-      entry = cache->insert(key, std::move(fresh));
-    }
+    if (cache) entry = cache->insert(key, std::move(fresh));
     if (!entry->ok) throw Error(entry->error);
     return entry;
   }
@@ -935,8 +929,6 @@ class Emitter {
   int wire_counter_ = 0;
   int next_ring_id_ = 0;
   bool rtl_exact_ = true;
-  int frag_hits_ = 0;
-  int frag_misses_ = 0;
 };
 
 }  // namespace

@@ -36,11 +36,6 @@ struct SchedOptions {
   /// but a runaway candidate (e.g. an over-unrolled loop) would still
   /// drown the optimization loop. 0 = unlimited.
   size_t max_states = 100000;
-  /// Stationary-distribution solver used by every downstream analysis of
-  /// this schedule's STG (throughput, power, partitioning). Lives here so
-  /// one knob steers the whole flow and benches can ablate dense vs
-  /// sparse.
-  stg::MarkovOptions markov;
   /// Optional region-scoped schedule memoization, shared across schedule()
   /// calls (the optimizer owns one per optimize() run). Borrowed, not
   /// owned; must outlive every Scheduler constructed with these options.
@@ -59,6 +54,9 @@ struct LoopInfo {
   std::vector<int> fused_with;  // stmt ids of loops sharing a phase run
 };
 
+/// What schedule() produces: the STG and the per-loop decisions behind
+/// it. Identical with or without SchedOptions::fragment_cache; the cache's
+/// traffic is counted only in the registry (see FragmentCache).
 struct ScheduleResult {
   stg::Stg stg;
   std::vector<LoopInfo> loops;
@@ -68,16 +66,6 @@ struct ScheduleResult {
   /// stale wires around phase transitions. Schedule with
   /// SchedOptions::fuse_loops = false to guarantee RTL-exact output.
   bool rtl_exact = true;
-  /// Fragment-cache traffic of this schedule() call (both zero when
-  /// SchedOptions::fragment_cache is null). A hit skipped one region's
-  /// DFG build + list schedule, a pipelined loop's whole II search, or a
-  /// fused concurrent-loop run's admission of every phase (keyed by the
-  /// run's ordered partner set).
-  /// The schedule itself is identical either way; under concurrent
-  /// schedule() calls only the hit/miss attribution of racing first
-  /// computes can vary, never the output.
-  int fragment_hits = 0;
-  int fragment_misses = 0;
 
   const LoopInfo* loop_info(int stmt_id) const {
     for (const auto& l : loops)

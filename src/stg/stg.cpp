@@ -126,39 +126,32 @@ std::string Stg::dot(const std::string& graph_name) const {
 
 namespace {
 
-/// Dense direct solve of pi P = pi, sum pi = 1: build A = P^T - I (n x n),
-/// replace the last row with all-ones (normalization), Gaussian
-/// elimination with partial pivoting. Exact, O(n^3).
-std::vector<double> dense_probabilities(const Stg& stg) {
-  const size_t n = stg.num_states();
-  std::vector<std::vector<double>> a(n, std::vector<double>(n + 1, 0.0));
-  for (const Edge& e : stg.edges())
-    a[static_cast<size_t>(e.to)][static_cast<size_t>(e.from)] += e.prob;
-  for (size_t i = 0; i < n; ++i) a[i][i] -= 1.0;
-  for (size_t j = 0; j < n; ++j) a[n - 1][j] = 1.0;
-  a[n - 1][n] = 1.0;
+// The solver policy of state_probabilities (see stg.hpp).
+constexpr size_t kDenseCutoff = 48;   // largest chain solved densely
+constexpr double kTolerance = 1e-12;  // Gauss-Seidel L1 convergence bound
+constexpr int kMaxSweeps = 512;       // Gauss-Seidel sweeps before dense
 
-  for (size_t col = 0; col < n; ++col) {
-    size_t pivot = col;
-    for (size_t r = col + 1; r < n; ++r)
-      if (std::fabs(a[r][col]) > std::fabs(a[pivot][col])) pivot = r;
-    if (std::fabs(a[pivot][col]) < 1e-14)
-      throw Error("state_probabilities: singular chain (STG not ergodic)");
-    std::swap(a[col], a[pivot]);
-    for (size_t r = 0; r < n; ++r) {
-      if (r == col) continue;
-      const double f = a[r][col] / a[col][col];
-      if (f == 0.0) continue;
-      for (size_t c = col; c <= n; ++c) a[r][c] -= f * a[col][c];
-    }
+constexpr const char* kSingular =
+    "state_probabilities: singular chain (STG not ergodic)";
+
+/// Registry-backed solver accounting. Write-only: never read on the solve
+/// path.
+struct MarkovCounters {
+  obs::Counter& solves = obs::Registry::global().counter(
+      "fact_markov_solves_total", "Stationary-distribution solves");
+  obs::Counter& sparse = obs::Registry::global().counter(
+      "fact_markov_sparse_solves_total",
+      "Solves served by sparse Gauss-Seidel");
+  obs::Counter& sweeps = obs::Registry::global().counter(
+      "fact_markov_sweeps_total", "Gauss-Seidel sweeps performed");
+  obs::Counter& fallbacks = obs::Registry::global().counter(
+      "fact_markov_dense_fallbacks_total",
+      "Sparse solves that diverged and fell back to dense");
+  static MarkovCounters& get() {
+    static MarkovCounters c;
+    return c;
   }
-  std::vector<double> pi(n);
-  for (size_t i = 0; i < n; ++i) {
-    pi[i] = a[i][n] / a[i][i];
-    if (pi[i] < 0.0 && pi[i] > -1e-9) pi[i] = 0.0;
-  }
-  return pi;
-}
+};
 
 /// True when the chain has exactly one closed communicating class — the
 /// condition under which pi P = pi, sum pi = 1 has a unique solution (the
@@ -238,6 +231,41 @@ bool has_unique_closed_class(const Stg& stg) {
   return num_closed == 1;
 }
 
+}  // namespace
+
+/// Dense direct solve of pi P = pi, sum pi = 1: build A = P^T - I (n x n),
+/// replace the last row with all-ones (normalization), Gaussian
+/// elimination with partial pivoting. Exact, O(n^3).
+std::vector<double> dense_probabilities(const Stg& stg) {
+  const size_t n = stg.num_states();
+  std::vector<std::vector<double>> a(n, std::vector<double>(n + 1, 0.0));
+  for (const Edge& e : stg.edges())
+    a[static_cast<size_t>(e.to)][static_cast<size_t>(e.from)] += e.prob;
+  for (size_t i = 0; i < n; ++i) a[i][i] -= 1.0;
+  for (size_t j = 0; j < n; ++j) a[n - 1][j] = 1.0;
+  a[n - 1][n] = 1.0;
+
+  for (size_t col = 0; col < n; ++col) {
+    size_t pivot = col;
+    for (size_t r = col + 1; r < n; ++r)
+      if (std::fabs(a[r][col]) > std::fabs(a[pivot][col])) pivot = r;
+    if (std::fabs(a[pivot][col]) < 1e-14) throw Error(kSingular);
+    std::swap(a[col], a[pivot]);
+    for (size_t r = 0; r < n; ++r) {
+      if (r == col) continue;
+      const double f = a[r][col] / a[col][col];
+      if (f == 0.0) continue;
+      for (size_t c = col; c <= n; ++c) a[r][c] -= f * a[col][c];
+    }
+  }
+  std::vector<double> pi(n);
+  for (size_t i = 0; i < n; ++i) {
+    pi[i] = a[i][n] / a[i][i];
+    if (pi[i] < 0.0 && pi[i] > -1e-9) pi[i] = 0.0;
+  }
+  return pi;
+}
+
 /// Sparse Gauss-Seidel solve over the incoming-edge CSR adjacency.
 /// Update rule per state j, sweeping in state-index order with immediate
 /// reuse of updated values:
@@ -247,11 +275,13 @@ bool has_unique_closed_class(const Stg& stg) {
 /// scheduler in control-flow order, so forward probability mass propagates
 /// through an entire chain in a single sweep and each loop back-edge costs
 /// roughly one extra sweep — typical STGs converge in a handful of sweeps.
-/// Returns an empty vector when the sweep cap is exceeded (caller falls
-/// back to the dense solver).
-std::vector<double> sparse_probabilities(const Stg& stg,
-                                         const MarkovOptions& opts,
-                                         MarkovStats* stats) {
+/// Returns an empty vector when the sweep cap is exceeded (the policy
+/// falls back to the dense solver).
+std::vector<double> sparse_probabilities(const Stg& stg) {
+  // Gauss-Seidel cannot observe non-ergodicity as a vanishing pivot, so
+  // check the structural condition explicitly and keep the error contract
+  // identical to the dense solver's.
+  if (!has_unique_closed_class(stg)) throw Error(kSingular);
   const size_t n = stg.num_states();
 
   // CSR incoming adjacency: for each state j, the (source, prob) pairs of
@@ -283,10 +313,12 @@ std::vector<double> sparse_probabilities(const Stg& stg,
     }
   }
 
+  obs::Counter& sweeps = MarkovCounters::get().sweeps;
   std::vector<double> pi(n, 1.0 / static_cast<double>(n));
   std::vector<double> prev(n);
-  for (int sweep = 0; sweep < opts.max_sweeps; ++sweep) {
+  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
     prev = pi;
+    sweeps.inc();
     for (size_t j = 0; j < n; ++j) {
       double acc = 0.0;
       for (size_t k = row[j]; k < row[j + 1]; ++k)
@@ -304,8 +336,7 @@ std::vector<double> sparse_probabilities(const Stg& stg,
     for (double& v : pi) v *= inv;
     double dist = 0.0;
     for (size_t j = 0; j < n; ++j) dist += std::fabs(pi[j] - prev[j]);
-    if (stats) stats->sweeps = sweep + 1;
-    if (dist < opts.tolerance) {
+    if (dist < kTolerance) {
       for (double& v : pi)
         if (v < 0.0 && v > -1e-9) v = 0.0;
       return pi;
@@ -314,63 +345,15 @@ std::vector<double> sparse_probabilities(const Stg& stg,
   return {};
 }
 
-}  // namespace
-
 std::vector<double> state_probabilities(const Stg& stg) {
-  return state_probabilities(stg, MarkovOptions{});
-}
-
-namespace {
-
-/// Registry-backed solver accounting (absorbs the per-call MarkovStats
-/// into standing, process-wide instrumentation). Write-only: never read
-/// on the solve path.
-struct MarkovCounters {
-  obs::Counter& solves = obs::Registry::global().counter(
-      "fact_markov_solves_total", "Stationary-distribution solves");
-  obs::Counter& sparse = obs::Registry::global().counter(
-      "fact_markov_sparse_solves_total",
-      "Solves served by sparse Gauss-Seidel");
-  obs::Counter& sweeps = obs::Registry::global().counter(
-      "fact_markov_sweeps_total", "Gauss-Seidel sweeps performed");
-  obs::Counter& fallbacks = obs::Registry::global().counter(
-      "fact_markov_dense_fallbacks_total",
-      "Sparse solves that diverged and fell back to dense");
-  static MarkovCounters& get() {
-    static MarkovCounters c;
-    return c;
-  }
-};
-
-}  // namespace
-
-std::vector<double> state_probabilities(const Stg& stg,
-                                        const MarkovOptions& opts,
-                                        MarkovStats* stats) {
-  if (stats) *stats = MarkovStats{};
   MarkovCounters& mc = MarkovCounters::get();
   mc.solves.inc();
-  const size_t n = stg.num_states();
-  const bool dense = opts.solver == MarkovSolver::Dense ||
-                     (opts.solver == MarkovSolver::Auto &&
-                      n <= opts.dense_cutoff);
-  if (dense) return dense_probabilities(stg);
-
-  // The sparse path cannot observe non-ergodicity as a vanishing pivot,
-  // so check the structural condition explicitly and keep the error
-  // contract identical to the dense solver's.
-  if (!has_unique_closed_class(stg))
-    throw Error("state_probabilities: singular chain (STG not ergodic)");
-  MarkovStats local;
-  MarkovStats* st = stats ? stats : &local;
-  std::vector<double> pi = sparse_probabilities(stg, opts, st);
-  mc.sweeps.inc(static_cast<uint64_t>(st->sweeps));
+  if (stg.num_states() <= kDenseCutoff) return dense_probabilities(stg);
+  std::vector<double> pi = sparse_probabilities(stg);
   if (pi.empty()) {
-    st->fell_back = true;
     mc.fallbacks.inc();
     return dense_probabilities(stg);
   }
-  st->used_sparse = true;
   mc.sparse.inc();
   return pi;
 }

@@ -100,50 +100,32 @@ class Stg {
   int entry_ = 0;
 };
 
-/// Stationary-distribution solver selection. The STG's transition matrix
-/// is extremely sparse (branch factor <= 2 for almost every state), so the
-/// sparse Gauss-Seidel solver wins asymptotically; the dense direct solver
-/// stays exact and faster for small chains.
-enum class MarkovSolver {
-  Auto,    // dense at or below MarkovOptions::dense_cutoff states
-  Dense,   // always Gaussian elimination (O(n^3), exact)
-  Sparse,  // always Gauss-Seidel over CSR adjacency (dense on divergence)
-};
-
-struct MarkovOptions {
-  MarkovSolver solver = MarkovSolver::Auto;
-  /// Auto: chains with at most this many states use the dense solver
-  /// (below this size the O(n^3) direct solve beats sweep overhead and is
-  /// exact to machine precision).
-  size_t dense_cutoff = 48;
-  /// Sparse: converged when the L1 distance between consecutive
-  /// normalized sweeps drops below this.
-  double tolerance = 1e-12;
-  /// Sparse: fall back to the dense solver after this many sweeps.
-  int max_sweeps = 512;
-};
-
-/// Observability for benches ablating dense vs sparse.
-struct MarkovStats {
-  bool used_sparse = false;  // the returned pi came from Gauss-Seidel
-  int sweeps = 0;            // Gauss-Seidel sweeps performed
-  bool fell_back = false;    // sparse did not converge; dense solved it
-};
-
 /// Steady-state probability of every state (the method of ref [10] of the
 /// paper): solves pi = pi * P with sum(pi) = 1. States that are transient
 /// in the stationary distribution get probability 0. Throws fact::Error
 /// when the chain has no unique stationary distribution (more or fewer
 /// than one closed communicating class), whichever solver runs.
 ///
-/// The default overload uses MarkovSolver::Auto: a dense direct solve for
-/// small chains and sparse Gauss-Seidel over the incoming-edge CSR
-/// adjacency above MarkovOptions::dense_cutoff. Both paths iterate states
-/// in index order, so the result is deterministic for a given Stg.
+/// One fixed policy picks the solver. The STG's transition matrix is
+/// extremely sparse (branch factor <= 2 for almost every state), so sparse
+/// Gauss-Seidel wins asymptotically, while the dense direct solve is exact
+/// and cheaper for small chains: chains of at most 48 states are solved
+/// densely; larger ones by Gauss-Seidel, falling back to the dense solve
+/// when it has not converged after 512 sweeps. Both paths iterate states
+/// in index order, so the result is deterministic for a given Stg. Every
+/// solve is counted in the fact_markov_* registry counters.
 std::vector<double> state_probabilities(const Stg& stg);
-std::vector<double> state_probabilities(const Stg& stg,
-                                        const MarkovOptions& opts,
-                                        MarkovStats* stats = nullptr);
+
+/// The two solvers behind state_probabilities, exposed so tests can
+/// compare them. Same error contract as state_probabilities.
+///
+/// Dense: A = P^T - I with the last row replaced by the normalization,
+/// Gaussian elimination with partial pivoting. Exact, O(n^3).
+std::vector<double> dense_probabilities(const Stg& stg);
+/// Sparse: Gauss-Seidel over the incoming-edge CSR adjacency, converged
+/// when the L1 distance between consecutive normalized sweeps drops below
+/// 1e-12. Empty when it has not converged within 512 sweeps.
+std::vector<double> sparse_probabilities(const Stg& stg);
 
 /// Average schedule length in cycles: the expected number of cycles to
 /// complete one execution of the behavior. Computed as

@@ -260,6 +260,10 @@ TEST_P(JobsDeterminism, RunFactIdenticalAcrossJobs) {
   EXPECT_EQ(r1.truncated, r4.truncated);
   EXPECT_DOUBLE_EQ(r1.final_avg_len, r4.final_avg_len);
   EXPECT_DOUBLE_EQ(r1.final_power.power, r4.final_power.power);
+  // Everything factc prints and --metrics-out's "search" key.
+  EXPECT_EQ(telemetry_json(r1), telemetry_json(r4));
+  EXPECT_EQ(render_fact_report(r1, Objective::Throughput, false),
+            render_fact_report(r4, Objective::Throughput, false));
 }
 
 INSTANTIATE_TEST_SUITE_P(Table2, JobsDeterminism,
@@ -300,10 +304,9 @@ TEST(EvalCache, FirstInsertWinsAndKeysDiscriminate) {
   EXPECT_EQ(miss->failure_class, "sched");
 }
 
-TEST(EvalCache, ShardedLargeCacheServesEveryKeyAndHonorsCap) {
-  // Above the lock-striping threshold the cache runs 16 shards. Every
-  // inserted key must still be served, and total size must never exceed
-  // the configured capacity even though eviction is per shard.
+TEST(EvalCache, LargeCacheServesEveryKeyAndHonorsCap) {
+  // Every inserted key must be served, and an overfilled cache must hold
+  // exactly its capacity: the most recent keys.
   const size_t cap = 1 << 12;
   EvalCache cache(cap);
   EXPECT_EQ(cache.capacity(), cap);
@@ -321,39 +324,40 @@ TEST(EvalCache, ShardedLargeCacheServesEveryKeyAndHonorsCap) {
   }
   EXPECT_FALSE(cache.lookup(1000, Objective::Throughput, 10.0).has_value());
 
-  // Overfill by 3x: per-shard LRU keeps the total within the cap (the
-  // shard caps sum to exactly the capacity) without collapsing to a
-  // near-empty cache.
+  // Overfill by 3x: LRU eviction keeps exactly the last `cap` keys.
   for (uint64_t h = 1000; h < 3 * cap; ++h) {
     EvalCache::Entry e;
     e.ok = true;
     cache.insert(h, Objective::Throughput, 10.0, e);
   }
-  EXPECT_LE(cache.size(), cap);
-  EXPECT_GE(cache.size(), cap / 2);
+  EXPECT_EQ(cache.size(), cap);
+  EXPECT_FALSE(cache.lookup(2 * cap - 1, Objective::Throughput, 10.0).has_value());
+  EXPECT_TRUE(cache.lookup(2 * cap, Objective::Throughput, 10.0).has_value());
+  EXPECT_TRUE(cache.lookup(3 * cap - 1, Objective::Throughput, 10.0).has_value());
 }
 
 TEST(EvalCache, SharedCacheServesRepeatFlows) {
-  const workloads::Workload w = workloads::by_name("GCD");
   const auto lib = hlslib::Library::dac98();
   const auto sel = hlslib::FuSelection::defaults(lib);
   const auto xforms = xform::TransformLibrary::standard();
   FactOptions opts;
 
-  EvalCache cache;
-  const FactResult cold =
-      run_fact(w.fn, lib, w.allocation, sel, w.trace, xforms, opts, &cache);
-  EXPECT_GT(cache.size(), 0u);
-  const FactResult warm =
-      run_fact(w.fn, lib, w.allocation, sel, w.trace, xforms, opts, &cache);
+  for (const auto& w : workloads::table2_benchmarks()) {
+    EvalCache cache;
+    const FactResult cold =
+        run_fact(w.fn, lib, w.allocation, sel, w.trace, xforms, opts, &cache);
+    EXPECT_GT(cache.size(), 0u) << w.name;
+    const FactResult warm =
+        run_fact(w.fn, lib, w.allocation, sel, w.trace, xforms, opts, &cache);
 
-  // The repeat flow is served entirely from the memo cache and still
-  // reproduces the cold result exactly.
-  EXPECT_EQ(warm.cache_hits, warm.evaluations);
-  EXPECT_EQ(warm.cache_misses, 0);
-  EXPECT_EQ(warm.optimized.str(), cold.optimized.str());
-  EXPECT_EQ(warm.applied, cold.applied);
-  EXPECT_EQ(warm.quarantined, cold.quarantined);
+    // The repeat flow is served entirely from the memo cache and still
+    // reproduces the cold result exactly.
+    EXPECT_EQ(warm.cache_hits, warm.evaluations) << w.name;
+    EXPECT_EQ(warm.cache_misses, 0) << w.name;
+    EXPECT_EQ(warm.optimized.str(), cold.optimized.str()) << w.name;
+    EXPECT_EQ(warm.applied, cold.applied) << w.name;
+    EXPECT_EQ(warm.quarantined, cold.quarantined) << w.name;
+  }
 }
 
 TEST(EvalCache, LruEvictionHonorsCapAndRecency) {
@@ -431,22 +435,24 @@ TEST(EvalCache, EngineRespectsCacheCapOption) {
 }
 
 TEST(EvalCache, MemoizeOffIsPureAblation) {
-  const workloads::Workload w = workloads::by_name("GCD");
   const auto lib = hlslib::Library::dac98();
   const auto sel = hlslib::FuSelection::defaults(lib);
   const auto xforms = xform::TransformLibrary::standard();
   FactOptions on;
   FactOptions off;
   off.engine.memoize = false;
-  const FactResult a =
-      run_fact(w.fn, lib, w.allocation, sel, w.trace, xforms, on);
-  const FactResult b =
-      run_fact(w.fn, lib, w.allocation, sel, w.trace, xforms, off);
-  EXPECT_EQ(b.cache_hits, 0);
-  EXPECT_EQ(b.cache_misses, b.evaluations);
-  EXPECT_EQ(a.optimized.str(), b.optimized.str());
-  EXPECT_EQ(a.applied, b.applied);
-  EXPECT_EQ(a.evaluations, b.evaluations);
+  for (const auto& w : workloads::table2_benchmarks()) {
+    const FactResult a =
+        run_fact(w.fn, lib, w.allocation, sel, w.trace, xforms, on);
+    const FactResult b =
+        run_fact(w.fn, lib, w.allocation, sel, w.trace, xforms, off);
+    EXPECT_EQ(b.cache_hits, 0) << w.name;
+    EXPECT_EQ(b.cache_misses, b.evaluations) << w.name;
+    EXPECT_EQ(a.optimized.str(), b.optimized.str()) << w.name;
+    EXPECT_EQ(a.applied, b.applied) << w.name;
+    EXPECT_EQ(a.evaluations, b.evaluations) << w.name;
+    EXPECT_EQ(a.quarantined, b.quarantined) << w.name;
+  }
 }
 
 TEST(Engine, EnginesSharingOneWorkerPoolMatchPrivatePools) {

@@ -9,6 +9,7 @@
 #include "sched/region.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/trace.hpp"
+#include "test_util.hpp"
 #include "util/error.hpp"
 #include "workloads/workloads.hpp"
 
@@ -606,6 +607,13 @@ ScheduleResult schedule_case(const FusedCase& c, FragmentCache* cache) {
   return Scheduler(h.lib, c.alloc, h.sel, h.opts).schedule(c.fn, c.profile);
 }
 
+/// Fragment-cache traffic since construction, read from the registry (the
+/// only place the cache counts it).
+struct FragmentTraffic {
+  CounterDelta hits{"fact_fragment_cache_hits_total"};
+  CounterDelta misses{"fact_fragment_cache_misses_total"};
+};
+
 bool has_fused_loop(const ScheduleResult& r) {
   for (const auto& l : r.loops)
     if (!l.fused_with.empty()) return true;
@@ -673,13 +681,15 @@ TEST(FusedFragment, CacheInvisible) {
   for (const FusedCase& c : fused_cases()) {
     const ScheduleResult uncached = schedule_case(c, nullptr);
     FragmentCache cache;
+    const FragmentTraffic cold_traffic;
     const ScheduleResult cold = schedule_case(c, &cache);
+    const uint64_t cold_lookups = cold_traffic.hits() + cold_traffic.misses();
+    const FragmentTraffic warm_traffic;
     const ScheduleResult warm = schedule_case(c, &cache);
     expect_same_schedule(uncached, cold, c.name + " (cold cache)");
     expect_same_schedule(uncached, warm, c.name + " (warm cache)");
-    EXPECT_EQ(warm.fragment_misses, 0) << c.name;
-    EXPECT_EQ(warm.fragment_hits, cold.fragment_hits + cold.fragment_misses)
-        << c.name;
+    EXPECT_EQ(warm_traffic.misses(), 0u) << c.name;
+    EXPECT_EQ(warm_traffic.hits(), cold_lookups) << c.name;
     if (has_fused_loop(uncached)) fused++;
   }
   EXPECT_GE(fused, 23);  // TEST2, both fixtures and every generated program
@@ -697,11 +707,12 @@ TEST(FusedFragment, PartnerSetIsPartOfTheKey) {
 
   FragmentCache cache;
   ASSERT_TRUE(has_fused_loop(schedule_case(original, &cache)));
+  const FragmentTraffic traffic;
   const ScheduleResult r = schedule_case(changed, &cache);
   // The straight prologue hits; the fused run does not, although its
   // first loop is unchanged.
-  EXPECT_EQ(r.fragment_misses, 1);
-  EXPECT_GE(r.fragment_hits, 1);
+  EXPECT_EQ(traffic.misses(), 1u);
+  EXPECT_GE(traffic.hits(), 1u);
   expect_same_schedule(schedule_case(changed, nullptr), r, "changed partner");
 }
 

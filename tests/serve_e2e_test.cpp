@@ -190,10 +190,10 @@ TEST_F(FactdE2E, WarmSessionServesFromCacheAndSpeedsUp) {
             cold_resp.get_double("avg_len"));
   EXPECT_EQ(warm_resp.get_string("report"), cold_resp.get_string("report"));
   // The speedup is the point of the cache; 2x is far below the measured
-  // margin (bench/service_throughput records the real number), so this
-  // stays robust on a loaded CI machine. Sanitizer instrumentation skews
-  // the cached/uncached ratio unpredictably, so the sanitized suites
-  // (tools/check.sh) keep only the functional assertions above.
+  // margin, so this stays robust on a loaded CI machine. Sanitizer
+  // instrumentation skews the cached/uncached ratio unpredictably, so the
+  // sanitized suites (tools/check.sh) keep only the functional assertions
+  // above.
 #if !FACT_E2E_SANITIZED
   EXPECT_LT(warm_resp.get_double("wall_ms"),
             cold_resp.get_double("wall_ms") / 2.0 + 50.0);

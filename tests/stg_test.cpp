@@ -4,8 +4,13 @@
 #include <map>
 #include <random>
 
+#include "opt/fact.hpp"
+#include "sched/scheduler.hpp"
+#include "sim/trace.hpp"
 #include "stg/stg.hpp"
+#include "test_util.hpp"
 #include "util/error.hpp"
+#include "workloads/workloads.hpp"
 
 namespace fact::stg {
 namespace {
@@ -155,24 +160,44 @@ Stg random_ergodic(size_t n, uint64_t seed) {
   return stg;
 }
 
+/// The initial STG of each Table 2 workload: its input behavior scheduled
+/// under its allocation and profiled over the trace run_fact generates.
+std::vector<std::pair<std::string, Stg>> table2_initial_stgs() {
+  const auto lib = hlslib::Library::dac98();
+  const auto sel = hlslib::FuSelection::defaults(lib);
+  const opt::FactOptions defaults;
+  std::vector<std::pair<std::string, Stg>> out;
+  for (const auto& w : workloads::table2_benchmarks()) {
+    sim::TraceConfig tc = w.trace;
+    if (tc.executions == 0) tc.executions = defaults.trace_executions;
+    const sim::Trace trace = sim::generate_trace(w.fn, tc, defaults.seed);
+    const sched::Scheduler scheduler(lib, w.allocation, sel, defaults.sched);
+    out.emplace_back(
+        w.name,
+        scheduler.schedule(w.fn, sim::profile_function(w.fn, trace)).stg);
+  }
+  return out;
+}
+
 TEST(Markov, SparseMatchesDenseOnRandomErgodicChains) {
-  // 64 states is above the Auto dense cutoff — the production sparse path.
-  for (uint64_t seed : {11u, 42u, 271u, 828u}) {
-    const Stg stg = random_ergodic(64, seed);
+  // 64 states is above the dense cutoff — the production sparse path. The
+  // Table 2 workloads' initial STGs are real scheduler output.
+  std::vector<std::pair<std::string, Stg>> chains;
+  for (uint64_t seed : {11u, 42u, 271u, 828u})
+    chains.emplace_back("seed " + std::to_string(seed),
+                        random_ergodic(64, seed));
+  const auto table2 = table2_initial_stgs();
+  ASSERT_EQ(table2.size(), 6u);
+  chains.insert(chains.end(), table2.begin(), table2.end());
+  for (const auto& [name, stg] : chains) {
     stg.validate();
-    MarkovOptions dense;
-    dense.solver = MarkovSolver::Dense;
-    MarkovOptions sparse;
-    sparse.solver = MarkovSolver::Sparse;
-    MarkovStats stats;
-    const auto pd = state_probabilities(stg, dense);
-    const auto ps = state_probabilities(stg, sparse, &stats);
-    ASSERT_EQ(pd.size(), ps.size());
+    const CounterDelta sweeps("fact_markov_sweeps_total");
+    const auto pd = dense_probabilities(stg);
+    const auto ps = sparse_probabilities(stg);
+    EXPECT_GT(sweeps(), 0u) << name;
+    ASSERT_EQ(pd.size(), ps.size()) << name;  // sparse converged
     for (size_t i = 0; i < pd.size(); ++i)
-      EXPECT_NEAR(pd[i], ps[i], 1e-9) << "seed " << seed << " state " << i;
-    EXPECT_TRUE(stats.used_sparse) << seed;
-    EXPECT_FALSE(stats.fell_back) << seed;
-    EXPECT_GT(stats.sweeps, 0) << seed;
+      EXPECT_NEAR(pd[i], ps[i], 1e-9) << name << " state " << i;
   }
 }
 
@@ -188,11 +213,9 @@ TEST(Markov, SingularChainThrowsWhicheverSolver) {
   stg.add_edge(s1, s1, 1.0, "", true);
   stg.add_edge(s2, s2, 1.0, "", true);
   stg.set_entry(s0);
-  for (auto solver : {MarkovSolver::Dense, MarkovSolver::Sparse}) {
-    MarkovOptions opts;
-    opts.solver = solver;
+  for (auto solve : {dense_probabilities, sparse_probabilities}) {
     try {
-      state_probabilities(stg, opts);
+      solve(stg);
       FAIL() << "expected singular-chain error";
     } catch (const Error& e) {
       EXPECT_STREQ(e.what(),
@@ -202,37 +225,66 @@ TEST(Markov, SingularChainThrowsWhicheverSolver) {
 }
 
 TEST(Markov, AutoRespectsDenseCutoff) {
-  const Stg big = random_ergodic(64, 7);
-  MarkovOptions opts;  // Auto, default cutoff 48
-  MarkovStats stats;
-  state_probabilities(big, opts, &stats);
-  EXPECT_TRUE(stats.used_sparse);
+  // Chains of at most 48 states are solved densely, larger ones sparsely.
+  for (size_t n : {8u, 48u, 49u, 64u}) {
+    const Stg stg = random_ergodic(n, 7);
+    const CounterDelta solves("fact_markov_solves_total");
+    const CounterDelta sparse("fact_markov_sparse_solves_total");
+    const CounterDelta sweeps("fact_markov_sweeps_total");
+    const auto pi = state_probabilities(stg);
+    EXPECT_EQ(solves(), 1u) << n;
+    EXPECT_EQ(sparse(), n > 48 ? 1u : 0u) << n;
+    EXPECT_EQ(sweeps() > 0, n > 48) << n;
+    EXPECT_EQ(pi, n > 48 ? sparse_probabilities(stg) : dense_probabilities(stg))
+        << n;
+  }
+}
 
-  stats = MarkovStats{};
-  opts.dense_cutoff = 128;  // raise the cutoff past the chain size
-  state_probabilities(big, opts, &stats);
-  EXPECT_FALSE(stats.used_sparse);
-
-  stats = MarkovStats{};
-  opts = MarkovOptions{};
-  const Stg small = random_ergodic(8, 7);
-  state_probabilities(small, opts, &stats);
-  EXPECT_FALSE(stats.used_sparse);
+/// Two rings of 30 and 40 states joined by rare transitions: a nearly
+/// decomposable chain whose between-ring mass Gauss-Seidel moves only a
+/// little per sweep, so it cannot converge within the sweep cap.
+Stg weakly_coupled_rings() {
+  constexpr int kA = 30, kB = 40;
+  constexpr double kLeak = 1e-3;
+  Stg stg;
+  for (int i = 0; i < kA + kB; ++i) stg.add_state("");
+  for (int i = 0; i < kA; ++i) {
+    const int next = (i + 1) % kA;
+    if (i == 0) {
+      stg.add_edge(i, next, 1.0 - kLeak);
+      stg.add_edge(i, kA, kLeak);
+    } else {
+      stg.add_edge(i, next, 1.0, "", /*exec_boundary=*/next == 0);
+    }
+  }
+  for (int j = 0; j < kB; ++j) {
+    const int next = kA + (j + 1) % kB;
+    if (j == 0) {
+      stg.add_edge(kA, next, 1.0 - 2 * kLeak);
+      stg.add_edge(kA, 0, 2 * kLeak);
+    } else {
+      stg.add_edge(kA + j, next, 1.0);
+    }
+  }
+  stg.set_entry(0);
+  return stg;
 }
 
 TEST(Markov, SparseFallsBackToDenseWhenSweepsExhausted) {
-  const Stg stg = random_ergodic(64, 3);
-  MarkovOptions opts;
-  opts.solver = MarkovSolver::Sparse;
-  opts.max_sweeps = 1;  // cannot converge in one Gauss-Seidel sweep
-  MarkovStats stats;
-  const auto pi = state_probabilities(stg, opts, &stats);
-  EXPECT_TRUE(stats.fell_back);
-  EXPECT_FALSE(stats.used_sparse);
+  const Stg stg = weakly_coupled_rings();
+  stg.validate();
+  const CounterDelta sweeps("fact_markov_sweeps_total");
+  EXPECT_TRUE(sparse_probabilities(stg).empty());
+  EXPECT_EQ(sweeps(), 512u);
+
+  const CounterDelta sparse("fact_markov_sparse_solves_total");
+  const CounterDelta fallbacks("fact_markov_dense_fallbacks_total");
+  const auto pi = state_probabilities(stg);
+  EXPECT_EQ(fallbacks(), 1u);
+  EXPECT_EQ(sparse(), 0u);
   // The fallback result is the dense solution itself.
-  MarkovOptions dense;
-  dense.solver = MarkovSolver::Dense;
-  const auto pd = state_probabilities(stg, dense);
+  const auto pd = dense_probabilities(stg);
+  ASSERT_EQ(pd.size(), pi.size());
   for (size_t i = 0; i < pd.size(); ++i) EXPECT_DOUBLE_EQ(pd[i], pi[i]);
 }
 

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "ir/stmt.hpp"
+#include "obs/metrics.hpp"
 
 namespace fact {
 
@@ -16,5 +18,19 @@ std::vector<ir::StmtPtr> make_vector(T&&... stmts) {
   (v.push_back(std::forward<T>(stmts)), ...);
   return v;
 }
+
+/// How much the process-wide registry counter `name` grew since this
+/// object was constructed.
+class CounterDelta {
+ public:
+  explicit CounterDelta(const char* name)
+      : counter_(obs::Registry::global().counter(name)),
+        start_(counter_.value()) {}
+  uint64_t operator()() const { return counter_.value() - start_; }
+
+ private:
+  obs::Counter& counter_;
+  uint64_t start_;
+};
 
 }  // namespace fact

@@ -47,11 +47,9 @@ if [ "$cmake_flag" = thread ]; then
   # Focused multi-threaded pass: the tests that run the engine, the worker
   # pool, the shared schedule-fragment cache, and the factd service/server
   # with real thread contention, with races promoted to hard failures.
-  # (bench_smoke covers the tracked benches end-to-end at tiny trace
-  # counts; parallel_scaling's jobs>1 leg runs real worker threads.)
   TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \
     ctest --test-dir "$build_dir" --output-on-failure \
-      -R 'WorkerPool|JobsInvariant|JobsDeterminism|EvalCache|FusedFragment|Gate3|Engine\.EnginesSharing|Service\.|Server\.|FactdE2E|bench_smoke|Obs\.'
+      -R 'WorkerPool|JobsInvariant|JobsDeterminism|EvalCache|FusedFragment|Gate3|Engine\.EnginesSharing|Service\.|Server\.|FactdE2E|Obs\.'
 
   # Server integration under TSan: a sanitized factd on a unix socket,
   # hammered by concurrent factcli clients, must exit cleanly (TSan makes
