@@ -1,9 +1,9 @@
 #include "sched/dfg.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <set>
+#include <string_view>
+#include <unordered_map>
 
 #include "util/error.hpp"
 #include "util/strfmt.hpp"
@@ -24,6 +24,9 @@ namespace {
 // (they retime at the cycle boundary).
 constexpr double kGlueDelayNs = 1.0;
 
+// Ports per array memory, for the resource table and the resource-bound II.
+constexpr int kMemPorts = 1;
+
 bool is_const_one(const ExprPtr& e) {
   return e->op() == Op::Const && e->value() == 1;
 }
@@ -38,65 +41,151 @@ int Dfg::num_csteps() const {
 }
 
 struct DfgBuilder::BuildState {
-  // Per-variable dataflow within the segment.
-  std::map<std::string, int> last_def;
-  std::map<std::string, std::vector<int>> reads_of_current;
+  // Per-variable dataflow within the segment, one slot per variable name.
+  // Names are interned on first sight; the keys view strings owned by the
+  // statements and expressions being built, which outlive the build.
+  struct Var {
+    int last_def = -1;
+    int defs = 0;  // in-segment definitions
+    std::vector<int> reads_of_current;
+    std::vector<int> livein_reads;
+    std::vector<int> cached;  // value-cache entries whose expression reads it
+  };
   // Per-array memory ordering.
-  std::map<std::string, int> last_store;
-  std::map<std::string, std::vector<int>> reads_since_store;
+  struct Array {
+    int last_store = -1;
+    std::vector<int> reads_since_store;
+    std::vector<int> cached;  // value-cache entries whose expression reads it
+  };
+  std::unordered_map<std::string_view, int> var_ids;
+  std::vector<Var> vars;
+  std::unordered_map<std::string_view, int> array_ids;
+  std::vector<Array> arrays;
+
   // Value numbering: identical subexpressions over unchanged inputs bind
   // to one node (so e.g. a condition referenced by several selects costs
-  // one comparator). Entries are invalidated when an input is redefined.
-  std::vector<std::pair<ir::ExprPtr, int>> value_cache;
+  // one comparator). Entries are chained per Expr::hash() bucket and
+  // killed when an input is redefined; at most one live entry matches any
+  // expression, since an entry is only added after a miss.
+  struct Cached {
+    ExprPtr expr;
+    int node;
+    int next;  // next entry in the same hash bucket, or -1
+    bool live;
+  };
+  std::vector<Cached> cache;
+  std::unordered_map<size_t, int> bucket_head;
 
-  void invalidate_var(const std::string& var) {
-    std::erase_if(value_cache, [&](const auto& entry) {
-      bool uses = false;
-      for_each_node(entry.first, [&](const ir::ExprPtr& n) {
-        if (n->op() == Op::Var && n->name() == var) uses = true;
-      });
-      return uses;
-    });
+  Var& var(const std::string& name) {
+    const auto [it, fresh] =
+        var_ids.try_emplace(name, static_cast<int>(vars.size()));
+    if (fresh) vars.emplace_back();
+    return vars[static_cast<size_t>(it->second)];
   }
-  void invalidate_array(const std::string& array) {
-    std::erase_if(value_cache, [&](const auto& entry) {
-      bool uses = false;
-      for_each_node(entry.first, [&](const ir::ExprPtr& n) {
-        if (n->op() == Op::ArrayRead && n->name() == array) uses = true;
-      });
-      return uses;
-    });
+  Array& array(const std::string& name) {
+    const auto [it, fresh] =
+        array_ids.try_emplace(name, static_cast<int>(arrays.size()));
+    if (fresh) arrays.emplace_back();
+    return arrays[static_cast<size_t>(it->second)];
+  }
+
+  int lookup(const ExprPtr& e) const {
+    const auto head = bucket_head.find(e->hash());
+    if (head == bucket_head.end()) return -1;
+    for (int k = head->second; k >= 0; k = cache[static_cast<size_t>(k)].next) {
+      const Cached& c = cache[static_cast<size_t>(k)];
+      if (c.live && Expr::equal(c.expr, e)) return c.node;
+    }
+    return -1;
+  }
+
+  void remember(const ExprPtr& e, int node) {
+    const int k = static_cast<int>(cache.size());
+    int& head = bucket_head.try_emplace(e->hash(), -1).first->second;
+    cache.push_back({e, node, head, true});
+    head = k;
+    // Register the entry with every variable and array its expression
+    // reads, so a redefinition kills exactly the entries that use it.
+    auto note = [k](std::vector<int>& users) {
+      if (users.empty() || users.back() != k) users.push_back(k);
+    };
+    auto walk = [&](const auto& self, const Expr& x) -> void {
+      if (x.op() == Op::Var) note(var(x.name()).cached);
+      if (x.op() == Op::ArrayRead) note(array(x.name()).cached);
+      for (const ExprPtr& a : x.args()) self(self, *a);
+    };
+    walk(walk, *e);
+  }
+
+  void invalidate(std::vector<int>& users) {
+    for (int k : users) cache[static_cast<size_t>(k)].live = false;
+    users.clear();
   }
 };
 
 DfgBuilder::DfgBuilder(const hlslib::Library& lib,
                        const hlslib::Allocation& alloc,
-                       const hlslib::FuSelection& sel, double vdd, double vt)
-    : lib_(lib), alloc_(alloc), sel_(sel), scale_(hlslib::delay_scale(vdd, vt)) {}
+                       const hlslib::FuSelection& sel, double vdd, double vt) {
+  const double scale = hlslib::delay_scale(vdd, vt);
+  glue_.delay_ns = kGlueDelayNs * scale;
+  // A bound type's delay, looked up by name like every binding.
+  auto resolve = [&](const std::string& name) {
+    if (name.empty()) return glue_;
+    Binding b;
+    b.fu = name;
+    if (const hlslib::FuType* t = lib.find(name))
+      b.delay_ns = t->delay_ns * scale;
+    else
+      b.error = "unknown functional unit type '" + name + "'";
+    return b;
+  };
+  const hlslib::FuType* mem = lib.first_of(FuClass::Memory);
+  if (mem) {
+    memory_ = {mem->name, mem->delay_ns * scale, ""};
+  } else {
+    memory_.error = "library has no memory component";
+  }
+  if (const hlslib::FuType* inc = lib.first_of(FuClass::Incrementer))
+    if (alloc.count(inc->name) > 0) incrementer_ = resolve(inc->name);
 
-std::string DfgBuilder::bind_fu(const ExprPtr& e,
-                                const std::string* self_var) const {
+  by_op_.resize(static_cast<size_t>(Op::Select) + 1);
+  for (size_t i = 0; i < by_op_.size(); ++i) {
+    const Op op = static_cast<Op>(i);
+    Binding& b = by_op_[i];
+    if (op == Op::ArrayRead) {
+      b = mem ? resolve(mem->name) : memory_;
+      continue;
+    }
+    const FuClass cls = hlslib::op_fu_class(op);
+    if (cls == FuClass::None) {
+      b = glue_;
+      continue;
+    }
+    const auto it = sel.choice.find(op);
+    if (it != sel.choice.end()) {
+      b = resolve(it->second);
+    } else if (const hlslib::FuType* t = lib.first_of(cls)) {
+      b = resolve(t->name);
+    } else {
+      b.error = strfmt("no functional unit for operation '%s'", op_token(op));
+    }
+  }
+}
+
+const DfgBuilder::Binding& DfgBuilder::bind_fu(
+    const ExprPtr& e, const std::string* self_var) const {
   const Op op = e->op();
   // Incrementer special case: a self-increment `i = i + 1` binds to an
   // incrementer when one is allocated (Table 1 binds "++1" to incr1 while
   // "a + 7" uses the adder). A data add that merely has a constant-1
   // operand stays on the adder so counters keep their incrementers.
-  if (self_var && op == Op::Add) {
+  if (self_var && op == Op::Add && !incrementer_.fu.empty()) {
     const bool self_incr =
         (is_const_one(e->arg(1)) && e->arg(0)->op() == Op::Var &&
          e->arg(0)->name() == *self_var) ||
         (is_const_one(e->arg(0)) && e->arg(1)->op() == Op::Var &&
          e->arg(1)->name() == *self_var);
-    if (self_incr) {
-      if (const hlslib::FuType* inc = lib_.first_of(FuClass::Incrementer)) {
-        if (alloc_.count(inc->name) > 0) return inc->name;
-      }
-    }
-  }
-  if (op == Op::ArrayRead) {
-    const hlslib::FuType* mem = lib_.first_of(FuClass::Memory);
-    if (!mem) throw Error("library has no memory component");
-    return mem->name;
+    if (self_incr) return incrementer_;
   }
   // Comparisons of a variable against a constant are FSM-counter
   // comparisons resolved in the controller, not the datapath: Table 3
@@ -109,24 +198,31 @@ std::string DfgBuilder::bind_fu(const ExprPtr& e,
     const bool has_const =
         e->arg(0)->op() == Op::Const || e->arg(1)->op() == Op::Const;
     if (has_const && counter_operand(e->arg(0)) && counter_operand(e->arg(1)))
-      return "";
+      return glue_;
   }
-  const FuClass cls = hlslib::op_fu_class(op);
-  if (cls == FuClass::None) return "";
-  auto it = sel_.choice.find(op);
-  if (it != sel_.choice.end()) return it->second;
-  const hlslib::FuType* t = lib_.first_of(cls);
-  if (!t)
-    throw Error(strfmt("no functional unit for operation '%s'", op_token(op)));
-  return t->name;
+  const Binding& b = by_op_[static_cast<size_t>(op)];
+  if (!b.error.empty()) throw Error(b.error);
+  return b;
 }
 
-double DfgBuilder::op_delay(Op op) const {
-  const FuClass cls = hlslib::op_fu_class(op);
-  if (cls == FuClass::None) return kGlueDelayNs * scale_;
-  const hlslib::FuType* t = lib_.first_of(cls);
-  return (t ? t->delay_ns : kGlueDelayNs) * scale_;
+const DfgBuilder::Binding& DfgBuilder::memory() const {
+  if (!memory_.error.empty()) throw Error(memory_.error);
+  return memory_;
 }
+
+namespace {
+
+DfgOperand node_operand(int node) {
+  return {DfgOperand::Kind::Node, node, {}};
+}
+DfgOperand reg_operand(const std::string& name) {
+  return {DfgOperand::Kind::Reg, -1, name};
+}
+DfgOperand literal_operand(int64_t value) {
+  return {DfgOperand::Kind::Literal, -1, std::to_string(value)};
+}
+
+}  // namespace
 
 int DfgBuilder::add_expr(Dfg& dfg, BuildState& bs, const ExprPtr& e,
                          int stmt_id, const std::string* self_var) const {
@@ -139,60 +235,56 @@ int DfgBuilder::add_expr(Dfg& dfg, BuildState& bs, const ExprPtr& e,
       break;
   }
 
-  for (const auto& [cached_expr, cached_id] : bs.value_cache)
-    if (Expr::equal(cached_expr, e)) return cached_id;
+  if (const int hit = bs.lookup(e); hit >= 0) return hit;
 
   DfgNode node;
   node.op = e->op();
   node.stmt_id = stmt_id;
-  node.fu = bind_fu(e, self_var);
+  const Binding& fu = bind_fu(e, self_var);
+  node.fu = fu.fu;
+  node.delay_ns = fu.delay_ns;
   if (e->op() == Op::ArrayRead) {
     node.array = e->name();
     node.label = e->name() + "[]";
   } else {
     node.label = op_token(e->op());
   }
-  if (!node.fu.empty()) {
-    node.delay_ns = lib_.get(node.fu).delay_ns * scale_;
-  } else {
-    node.delay_ns = kGlueDelayNs * scale_;
-  }
 
   // First build all child subtrees; variable reads are registered against
   // this node's id only after it is known (sibling subtrees may create
   // nodes in between).
-  std::vector<std::string> var_operands;
+  node.operands.reserve(e->num_args());
   for (const auto& arg : e->args()) {
     const int child = add_expr(dfg, bs, arg, stmt_id);
     if (child >= 0) {
       node.preds.push_back(child);
-      node.operand_names.push_back("%" + std::to_string(child));
+      node.operands.push_back(node_operand(child));
     } else if (child == -1) {
-      node.operand_names.push_back(std::to_string(arg->value()));
+      node.operands.push_back(literal_operand(arg->value()));
     } else if (child == -2) {
-      node.operand_names.push_back(arg->name());
+      node.operands.push_back(reg_operand(arg->name()));
       // Variable operand: register read; depends on the segment-local
       // definition if one exists.
       node.var_reads++;
-      const std::string& v = arg->name();
-      auto def = bs.last_def.find(v);
-      if (def != bs.last_def.end()) node.preds.push_back(def->second);
-      var_operands.push_back(v);
+      const int def = bs.var(arg->name()).last_def;
+      if (def >= 0) node.preds.push_back(def);
     }
   }
 
   const int id = static_cast<int>(dfg.nodes.size());
-  for (const auto& v : var_operands) {
-    if (!bs.last_def.count(v)) dfg.livein_reads[v].push_back(id);
-    bs.reads_of_current[v].push_back(id);
+  for (const auto& arg : e->args()) {
+    if (arg->op() != Op::Var) continue;
+    BuildState::Var& v = bs.var(arg->name());
+    if (v.last_def < 0) v.livein_reads.push_back(id);
+    v.reads_of_current.push_back(id);
   }
   if (e->op() == Op::ArrayRead) {
-    auto st = bs.last_store.find(node.array);
-    if (st != bs.last_store.end()) node.preds.push_back(st->second);
-    bs.reads_since_store[node.array].push_back(id);
+    BuildState::Array& a = bs.array(e->name());
+    if (a.last_store >= 0) node.preds.push_back(a.last_store);
+    a.reads_since_store.push_back(id);
   }
   dfg.nodes.push_back(std::move(node));
-  bs.value_cache.emplace_back(e, id);
+  bs.remember(e, id);
   return id;
 }
 
@@ -200,6 +292,22 @@ Dfg DfgBuilder::build(const std::vector<const Stmt*>& stmts,
                       const ExprPtr& cond, int cond_stmt_id) const {
   Dfg dfg;
   BuildState bs;
+
+  // A register read by `self` (a copy, store or check node) of variable
+  // `name`: depends on the segment-local definition if one exists.
+  auto read_var = [&](DfgNode& self, const std::string& name,
+                      bool note_reader) {
+    self.var_reads++;
+    self.operands.push_back(reg_operand(name));
+    BuildState::Var& v = bs.var(name);
+    const int id = static_cast<int>(dfg.nodes.size());
+    if (v.last_def >= 0) {
+      self.preds.push_back(v.last_def);
+    } else {
+      v.livein_reads.push_back(id);
+    }
+    if (note_reader) v.reads_of_current.push_back(id);
+  };
 
   auto define_var = [&](const std::string& var, int value_node,
                         const ExprPtr& value_expr, int stmt_id,
@@ -213,19 +321,9 @@ Dfg DfgBuilder::build(const std::vector<const Stmt*>& stmts,
       copy.delay_ns = 0.0;
       copy.label = "cp";
       if (value_expr->op() == Op::Var) {
-        copy.var_reads = 1;
-        const std::string& v = value_expr->name();
-        copy.operand_names.push_back(v);
-        auto def = bs.last_def.find(v);
-        const int self = static_cast<int>(dfg.nodes.size());
-        if (def != bs.last_def.end()) {
-          copy.preds.push_back(def->second);
-        } else {
-          dfg.livein_reads[v].push_back(self);
-        }
-        bs.reads_of_current[v].push_back(self);
+        read_var(copy, value_expr->name(), /*note_reader=*/true);
       } else {
-        copy.operand_names.push_back(std::to_string(value_expr->value()));
+        copy.operands.push_back(literal_operand(value_expr->value()));
       }
       root = static_cast<int>(dfg.nodes.size());
       dfg.nodes.push_back(std::move(copy));
@@ -242,7 +340,7 @@ Dfg DfgBuilder::build(const std::vector<const Stmt*>& stmts,
       copy.delay_ns = 0.0;
       copy.label = "cp";
       copy.preds.push_back(root);
-      copy.operand_names.push_back("%" + std::to_string(root));
+      copy.operands.push_back(node_operand(root));
       root = static_cast<int>(dfg.nodes.size());
       dfg.nodes.push_back(std::move(copy));
     }
@@ -252,14 +350,14 @@ Dfg DfgBuilder::build(const std::vector<const Stmt*>& stmts,
     n.label = var + "=" + n.label;
     // Anti-dependencies: earlier reads of the variable's previous value
     // must not be scheduled after this definition.
-    for (int r : bs.reads_of_current[var])
+    BuildState::Var& v = bs.var(var);
+    for (int r : v.reads_of_current)
       if (r != root) n.war_preds.push_back(r);
-    auto prev = bs.last_def.find(var);
-    if (prev != bs.last_def.end()) n.war_preds.push_back(prev->second);
-    bs.reads_of_current[var].clear();
-    bs.last_def[var] = root;
-    dfg.final_def[var] = root;
-    bs.invalidate_var(var);
+    if (v.last_def >= 0) n.war_preds.push_back(v.last_def);
+    v.reads_of_current.clear();
+    v.last_def = root;
+    v.defs++;
+    bs.invalidate(v.cached);
   };
 
   for (const Stmt* s : stmts) {
@@ -278,44 +376,34 @@ Dfg DfgBuilder::build(const std::vector<const Stmt*>& stmts,
         st.is_store = true;
         st.stmt_id = s->id;
         st.array = s->target;
-        const hlslib::FuType* mem = lib_.first_of(FuClass::Memory);
-        if (!mem) throw Error("library has no memory component");
-        st.fu = mem->name;
-        st.delay_ns = mem->delay_ns * scale_;
+        const Binding& mem = memory();
+        st.fu = mem.fu;
+        st.delay_ns = mem.delay_ns;
         st.label = s->target + "[]=";
+        st.operands.reserve(2);
         auto hook_operand = [&](int node_id, const ExprPtr& expr) {
           if (node_id >= 0) {
             st.preds.push_back(node_id);
-            st.operand_names.push_back("%" + std::to_string(node_id));
+            st.operands.push_back(node_operand(node_id));
           } else if (expr->op() == Op::Var) {
-            st.var_reads++;
-            const std::string& v = expr->name();
-            st.operand_names.push_back(v);
-            auto def = bs.last_def.find(v);
-            const int self = static_cast<int>(dfg.nodes.size());
-            if (def != bs.last_def.end()) {
-              st.preds.push_back(def->second);
-            } else {
-              dfg.livein_reads[v].push_back(self);
-            }
-            bs.reads_of_current[v].push_back(self);
+            read_var(st, expr->name(), /*note_reader=*/true);
           } else {
-            st.operand_names.push_back(std::to_string(expr->value()));
+            st.operands.push_back(literal_operand(expr->value()));
           }
         };
         hook_operand(idx, s->index);
         hook_operand(val, s->value);
         // Memory ordering: after the previous store and all reads since.
-        auto prev = bs.last_store.find(s->target);
-        if (prev != bs.last_store.end())
-          st.mem_war_preds.push_back(prev->second);
-        for (int r : bs.reads_since_store[s->target])
-          st.mem_war_preds.push_back(r);
+        BuildState::Array& a = bs.array(s->target);
+        if (a.last_store >= 0) st.mem_war_preds.push_back(a.last_store);
+        st.mem_war_preds.insert(st.mem_war_preds.end(),
+                                a.reads_since_store.begin(),
+                                a.reads_since_store.end());
         const int id = static_cast<int>(dfg.nodes.size());
         dfg.nodes.push_back(std::move(st));
-        bs.last_store[s->target] = id;
-        bs.reads_since_store[s->target].clear();
-        bs.invalidate_array(s->target);
+        a.last_store = id;
+        a.reads_since_store.clear();
+        bs.invalidate(a.cached);
         break;
       }
       default:
@@ -325,13 +413,8 @@ Dfg DfgBuilder::build(const std::vector<const Stmt*>& stmts,
 
   // Anti-dependences on multi-definition variables must keep their order
   // even under modulo scheduling (see DfgNode::relax_war).
-  {
-    std::map<std::string, int> def_count;
-    for (const auto& n : dfg.nodes)
-      if (n.reg_write) def_count[n.def_var]++;
-    for (auto& n : dfg.nodes)
-      if (n.reg_write && def_count[n.def_var] == 1) n.relax_war = true;
-  }
+  for (const BuildState::Var& v : bs.vars)
+    if (v.defs == 1) dfg.nodes[static_cast<size_t>(v.last_def)].relax_war = true;
 
   if (cond) {
     int c = add_expr(dfg, bs, cond, cond_stmt_id);
@@ -344,24 +427,19 @@ Dfg DfgBuilder::build(const std::vector<const Stmt*>& stmts,
       chk.delay_ns = 0.0;
       chk.label = "chk";
       if (cond->op() == Op::Var) {
-        chk.var_reads = 1;
-        const std::string& v = cond->name();
-        chk.operand_names.push_back(v);
-        auto def = bs.last_def.find(v);
-        const int self = static_cast<int>(dfg.nodes.size());
-        if (def != bs.last_def.end()) {
-          chk.preds.push_back(def->second);
-        } else {
-          dfg.livein_reads[v].push_back(self);
-        }
+        read_var(chk, cond->name(), /*note_reader=*/false);
       } else {
-        chk.operand_names.push_back(std::to_string(cond->value()));
+        chk.operands.push_back(literal_operand(cond->value()));
       }
       c = static_cast<int>(dfg.nodes.size());
       dfg.nodes.push_back(std::move(chk));
     }
     dfg.cond_node = c;
   }
+
+  for (BuildState::Var& v : bs.vars)
+    if (v.last_def >= 0 && !v.livein_reads.empty())
+      dfg.carried.push_back({v.last_def, std::move(v.livein_reads)});
   return dfg;
 }
 
@@ -369,10 +447,8 @@ Dfg DfgBuilder::build(const std::vector<const Stmt*>& stmts,
 // ResourceTable
 // ---------------------------------------------------------------------------
 
-ResourceTable::ResourceTable(const hlslib::Library& lib,
-                             const hlslib::Allocation& alloc, int hyperperiod)
+ResourceTable::ResourceTable(const hlslib::Allocation& alloc, int hyperperiod)
     : alloc_(alloc), hyperperiod_(hyperperiod) {
-  (void)lib;
   if (hyperperiod_ > 0) rows_ = static_cast<size_t>(hyperperiod_);
 }
 
@@ -386,7 +462,7 @@ int ResourceTable::column(const DfgNode& n) {
       return static_cast<int>(c);
   // New column: widen every row by one zero count.
   const size_t old_width = columns_.size();
-  columns_.push_back({memory, name, memory ? mem_ports_ : alloc_.count(name)});
+  columns_.push_back({memory, name, memory ? kMemPorts : alloc_.count(name)});
   std::vector<int> widened(rows_ * columns_.size(), 0);
   for (size_t r = 0; r < rows_; ++r)
     std::copy_n(used_.begin() + static_cast<std::ptrdiff_t>(r * old_width),
@@ -435,69 +511,119 @@ void ResourceTable::place(int col, int cstep, int period) {
 // List scheduling
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Longest downstream delay (ns) from each node, the classic list-scheduling
-/// priority.
-std::vector<double> compute_priorities(const Dfg& dfg) {
+DfgDeps::DfgDeps(const Dfg& dfg) {
   const size_t n = dfg.nodes.size();
-  std::vector<double> prio(n, 0.0);
-  // Nodes are created in topological order (children before parents), so a
-  // reverse sweep propagates from consumers to producers.
-  std::vector<std::vector<int>> succs(n);
-  for (size_t i = 0; i < n; ++i)
-    for (int p : dfg.nodes[i].preds) succs[static_cast<size_t>(p)].push_back(static_cast<int>(i));
-  for (size_t ii = n; ii-- > 0;) {
-    double best = 0.0;
-    for (int s : succs[ii]) best = std::max(best, prio[static_cast<size_t>(s)]);
-    prio[ii] = best + dfg.nodes[ii].delay_ns;
+  num_preds.assign(n, 0);
+  num_war_preds.assign(n, 0);
+  succ_begin.assign(n + 1, 0);
+  war_begin.assign(n + 1, 0);
+  // Counting pass, then fill: successors of each node in index order.
+  for (size_t i = 0; i < n; ++i) {
+    const DfgNode& node = dfg.nodes[i];
+    num_preds[i] = static_cast<int>(node.preds.size() +
+                                    node.mem_war_preds.size());
+    num_war_preds[i] = static_cast<int>(node.war_preds.size());
+    for (int p : node.preds) succ_begin[static_cast<size_t>(p) + 1]++;
+    for (int p : node.mem_war_preds) succ_begin[static_cast<size_t>(p) + 1]++;
+    for (int p : node.war_preds) war_begin[static_cast<size_t>(p) + 1]++;
   }
-  return prio;
-}
+  for (size_t i = 0; i < n; ++i) {
+    succ_begin[i + 1] += succ_begin[i];
+    war_begin[i + 1] += war_begin[i];
+  }
+  succs.resize(static_cast<size_t>(succ_begin[n]));
+  war_succs.resize(static_cast<size_t>(war_begin[n]));
+  std::vector<int> fill(succ_begin.begin(), succ_begin.end() - 1);
+  std::vector<int> war_fill(war_begin.begin(), war_begin.end() - 1);
+  for (size_t i = 0; i < n; ++i) {
+    const DfgNode& node = dfg.nodes[i];
+    const int self = static_cast<int>(i);
+    for (int p : node.preds) succs[static_cast<size_t>(fill[static_cast<size_t>(p)]++)] = self;
+    for (int p : node.mem_war_preds)
+      succs[static_cast<size_t>(fill[static_cast<size_t>(p)]++)] = self;
+    for (int p : node.war_preds)
+      war_succs[static_cast<size_t>(war_fill[static_cast<size_t>(p)]++)] = self;
+  }
 
-}  // namespace
+  resource.assign(n, -1);
+  for (size_t i = 0; i < n; ++i) {
+    const DfgNode& node = dfg.nodes[i];
+    // Same identity as ResourceTable::column: an array's port, else the FU.
+    const bool memory = !node.array.empty();
+    const std::string& name = memory ? node.array : node.fu;
+    if (name.empty()) continue;
+    for (size_t r = 0; r < resource_nodes.size() && resource[i] < 0; ++r) {
+      const DfgNode& first = dfg.nodes[static_cast<size_t>(resource_nodes[r])];
+      if (first.array.empty() != memory &&
+          (memory ? first.array : first.fu) == name)
+        resource[i] = static_cast<int>(r);
+    }
+    if (resource[i] < 0) {
+      resource[i] = static_cast<int>(resource_nodes.size());
+      resource_nodes.push_back(static_cast<int>(i));
+    }
+  }
+
+  // Priorities over data edges only. Nodes are created in topological
+  // order (children before parents), so a reverse sweep propagates from
+  // consumers to producers.
+  // prio[i] collects the maximum over i's successors before i's turn.
+  prio.assign(n, 0.0);
+  for (size_t i = n; i-- > 0;) {
+    prio[i] += dfg.nodes[i].delay_ns;
+    for (int p : dfg.nodes[i].preds) {
+      double& best = prio[static_cast<size_t>(p)];
+      best = std::max(best, prio[i]);
+    }
+  }
+}
 
 bool list_schedule(Dfg& dfg, ResourceTable& table, double clock_ns, int period,
                    int max_csteps) {
+  return list_schedule(dfg, DfgDeps(dfg), table, clock_ns, period, max_csteps);
+}
+
+bool list_schedule(Dfg& dfg, const DfgDeps& deps, ResourceTable& table,
+                   double clock_ns, int period, int max_csteps) {
   const size_t n = dfg.nodes.size();
-  const std::vector<double> prio = compute_priorities(dfg);
-  std::vector<int> column(n);
-  for (size_t i = 0; i < n; ++i) column[i] = table.column(dfg.nodes[i]);
-  std::vector<bool> done(n, false);
-  size_t remaining = n;
+  // Modulo scheduling relaxes the anti/output edges of single-definition
+  // variables (see DfgNode::relax_war).
+  auto honors_war = [&](size_t i) {
+    return period == 0 || !dfg.nodes[i].relax_war;
+  };
+  std::vector<int> column(deps.resource_nodes.size());
+  for (size_t r = 0; r < column.size(); ++r)
+    column[r] = table.column(
+        dfg.nodes[static_cast<size_t>(deps.resource_nodes[r])]);
+  std::vector<int> pending(n);  // unscheduled ordering predecessors
+  std::vector<int> ready;       // max-heap: highest priority, lowest index
+  ready.reserve(n);
+  const auto lower = [&](int a, int b) {
+    const double pa = deps.prio[static_cast<size_t>(a)];
+    const double pb = deps.prio[static_cast<size_t>(b)];
+    return pa < pb || (pa == pb && a > b);
+  };
+  for (size_t i = 0; i < n; ++i) {
+    pending[i] = deps.num_preds[i] + (honors_war(i) ? deps.num_war_preds[i] : 0);
+    if (pending[i] == 0) ready.push_back(static_cast<int>(i));
+  }
+  std::make_heap(ready.begin(), ready.end(), lower);
 
-  std::vector<int> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = static_cast<int>(i);
-
-  while (remaining > 0) {
-    // Pick the highest-priority ready node (all preds and war-preds done).
-    int pick = -1;
-    for (int i : order) {
-      if (done[static_cast<size_t>(i)]) continue;
-      const DfgNode& node = dfg.nodes[static_cast<size_t>(i)];
-      bool ready = true;
-      for (int p : node.preds)
-        if (!done[static_cast<size_t>(p)]) { ready = false; break; }
-      if (ready)
-        for (int p : node.mem_war_preds)
-          if (!done[static_cast<size_t>(p)]) { ready = false; break; }
-      if (ready && (period == 0 || !node.relax_war))
-        for (int p : node.war_preds)
-          if (!done[static_cast<size_t>(p)]) { ready = false; break; }
-      if (!ready) continue;
-      if (pick < 0 || prio[static_cast<size_t>(i)] > prio[static_cast<size_t>(pick)])
-        pick = i;
-    }
-    if (pick < 0) {
+  for (size_t placed_count = 0; placed_count < n; ++placed_count) {
+    if (ready.empty()) {
       std::string stuck;
-      for (int i : order)
-        if (!done[static_cast<size_t>(i)])
-          stuck += dfg.nodes[static_cast<size_t>(i)].label + " ";
+      for (size_t i = 0; i < n; ++i)
+        if (pending[i] > 0) stuck += dfg.nodes[i].label + " ";
       throw Error("list_schedule: dependence cycle among: " + stuck);
     }
+    std::pop_heap(ready.begin(), ready.end(), lower);
+    const int pick = ready.back();
+    ready.pop_back();
 
     DfgNode& node = dfg.nodes[static_cast<size_t>(pick)];
-    const int col = column[static_cast<size_t>(pick)];
+    const int res = deps.resource[static_cast<size_t>(pick)];
+    const int col =
+        res < 0 ? ResourceTable::kFree : column[static_cast<size_t>(res)];
     // Multi-cycle operations occupy ceil(delay/clock) steps, start at a
     // cycle boundary, and cannot be chained into.
     node.span = std::max(1, static_cast<int>(std::ceil(node.delay_ns / clock_ns - 1e-9)));
@@ -508,7 +634,7 @@ bool list_schedule(Dfg& dfg, ResourceTable& table, double clock_ns, int period,
       earliest = std::max(earliest, dfg.nodes[static_cast<size_t>(p)].avail_cstep());
     for (int p : node.mem_war_preds)
       earliest = std::max(earliest, dfg.nodes[static_cast<size_t>(p)].cstep);
-    if (period == 0 || !node.relax_war)
+    if (honors_war(static_cast<size_t>(pick)))
       for (int p : node.war_preds)
         earliest = std::max(earliest, dfg.nodes[static_cast<size_t>(p)].cstep);
 
@@ -543,18 +669,29 @@ bool list_schedule(Dfg& dfg, ResourceTable& table, double clock_ns, int period,
       break;
     }
     if (!placed) return false;
-    done[static_cast<size_t>(pick)] = true;
-    remaining--;
+
+    // Release the successors whose last ordering predecessor this was.
+    auto release = [&](int s) {
+      if (--pending[static_cast<size_t>(s)] == 0) {
+        ready.push_back(s);
+        std::push_heap(ready.begin(), ready.end(), lower);
+      }
+    };
+    const size_t p = static_cast<size_t>(pick);
+    for (int k = deps.succ_begin[p]; k < deps.succ_begin[p + 1]; ++k)
+      release(deps.succs[static_cast<size_t>(k)]);
+    for (int k = deps.war_begin[p]; k < deps.war_begin[p + 1]; ++k) {
+      const int s = deps.war_succs[static_cast<size_t>(k)];
+      if (honors_war(static_cast<size_t>(s))) release(s);
+    }
   }
   return true;
 }
 
 bool recurrences_ok(const Dfg& dfg, int ii) {
-  for (const auto& [var, def_node] : dfg.final_def) {
-    auto reads = dfg.livein_reads.find(var);
-    if (reads == dfg.livein_reads.end()) continue;
-    const int def_cstep = dfg.nodes[static_cast<size_t>(def_node)].cstep;
-    for (int r : reads->second) {
+  for (const Dfg::Carried& c : dfg.carried) {
+    const int def_cstep = dfg.nodes[static_cast<size_t>(c.def)].cstep;
+    for (int r : c.livein_reads) {
       const int read_cstep = dfg.nodes[static_cast<size_t>(r)].cstep;
       if (def_cstep > read_cstep + ii - 1) return false;
     }
@@ -617,25 +754,34 @@ bool pipeline_lags_consistent(const Dfg& dfg, int ii) {
   return true;
 }
 
-int resource_min_ii(const Dfg& dfg, const hlslib::Allocation& alloc,
-                    int mem_ports) {
-  std::map<std::string, int> fu_uses;
-  std::map<std::string, int> mem_uses;
+int resource_min_ii(const Dfg& dfg, const hlslib::Allocation& alloc) {
+  // Uses per FU type and per array, in first-use order (a DFG names a
+  // handful of each, so a linear scan beats a map).
+  struct Uses {
+    const std::string* name;
+    bool memory;
+    int count;
+  };
+  std::vector<Uses> uses;
   for (const auto& n : dfg.nodes) {
-    if (!n.array.empty()) {
-      mem_uses[n.array]++;
-    } else if (!n.fu.empty()) {
-      fu_uses[n.fu]++;
+    const bool memory = !n.array.empty();
+    const std::string& name = memory ? n.array : n.fu;
+    if (name.empty()) continue;
+    auto it = std::find_if(uses.begin(), uses.end(), [&](const Uses& u) {
+      return u.memory == memory && *u.name == name;
+    });
+    if (it == uses.end()) {
+      uses.push_back({&name, memory, 1});
+    } else {
+      it->count++;
     }
   }
   int ii = 1;
-  for (const auto& [fu, uses] : fu_uses) {
-    const int avail = alloc.count(fu);
+  for (const Uses& u : uses) {
+    const int avail = u.memory ? kMemPorts : alloc.count(*u.name);
     if (avail <= 0) return -1;  // infeasible
-    ii = std::max(ii, (uses + avail - 1) / avail);
+    ii = std::max(ii, (u.count + avail - 1) / avail);
   }
-  for (const auto& [arr, uses] : mem_uses)
-    ii = std::max(ii, (uses + mem_ports - 1) / mem_ports);
   return ii;
 }
 

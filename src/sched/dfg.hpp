@@ -1,6 +1,6 @@
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -8,6 +8,18 @@
 #include "ir/stmt.hpp"
 
 namespace fact::sched {
+
+/// One operand of a DfgNode, resolved when the DFG is built.
+struct DfgOperand {
+  enum class Kind : uint8_t {
+    Node,     // another node's value: its result wire at emission
+    Reg,      // a register (variable) read
+    Literal,  // a wired constant
+  };
+  Kind kind = Kind::Literal;
+  int node = -1;     // Kind::Node: the producing node's index
+  std::string text;  // Kind::Reg: register name; Kind::Literal: decimal value
+};
 
 /// One operation node of a segment's data-flow graph. Constants and plain
 /// variable reads are leaves folded into their consumers; every node here
@@ -24,10 +36,10 @@ struct DfgNode {
   int var_reads = 0;        // register reads issued by this node
   bool reg_write = false;   // assignment root: writes a register
   std::string def_var;      // variable defined (assignment roots)
-  /// Operand tokens in op order: a decimal literal, a variable/register
-  /// name, or "%<node>" referencing another node's value (resolved to a
-  /// wire name when the schedule is materialized into STG states).
-  std::vector<std::string> operand_names;
+  /// Operands in op order. A Node operand names the producer by index;
+  /// emission turns it into that node's result wire, numbered from the
+  /// emission's wire base.
+  std::vector<DfgOperand> operands;
 
   std::vector<int> preds;      // data dependencies (chaining applies)
   /// Scalar anti/output dependencies (cstep >= pred's cstep). Honored in
@@ -56,11 +68,14 @@ struct DfgNode {
 struct Dfg {
   std::vector<DfgNode> nodes;
 
-  /// Reads of each variable's live-in value (no in-segment def yet when
-  /// the read was issued). Used for loop-carried recurrence checks.
-  std::map<std::string, std::vector<int>> livein_reads;
-  /// Final in-segment definition of each variable.
-  std::map<std::string, int> final_def;
+  /// A variable both defined in the segment and read before any
+  /// in-segment definition: its final definition and the reads of its
+  /// live-in value. Used for loop-carried recurrence checks.
+  struct Carried {
+    int def = -1;
+    std::vector<int> livein_reads;
+  };
+  std::vector<Carried> carried;
   /// Node computing the appended condition expression, or -1.
   int cond_node = -1;
 
@@ -81,21 +96,25 @@ class DfgBuilder {
   Dfg build(const std::vector<const ir::Stmt*>& stmts,
             const ir::ExprPtr& cond = nullptr, int cond_stmt_id = -1) const;
 
-  /// Delay of a single op kind under the current voltage (exposed so the
-  /// scheduler can sanity-check the clock constraint).
-  double op_delay(ir::Op op) const;
-
  private:
   struct BuildState;
+  /// An FU binding resolved once per builder: the type and its scaled
+  /// delay, or the fact::Error message to throw when an op needs it.
+  struct Binding {
+    std::string fu;  // empty: no datapath FU (glue logic)
+    double delay_ns = 0.0;
+    std::string error;
+  };
   int add_expr(Dfg& dfg, BuildState& bs, const ir::ExprPtr& e, int stmt_id,
                const std::string* self_var = nullptr) const;
-  std::string bind_fu(const ir::ExprPtr& e,
-                      const std::string* self_var) const;
+  const Binding& bind_fu(const ir::ExprPtr& e,
+                         const std::string* self_var) const;
+  const Binding& memory() const;
 
-  const hlslib::Library& lib_;
-  const hlslib::Allocation& alloc_;
-  const hlslib::FuSelection& sel_;
-  double scale_;
+  std::vector<Binding> by_op_;  // default binding per ir::Op
+  Binding glue_;
+  Binding memory_;
+  Binding incrementer_;  // fu empty when none is allocated
 };
 
 /// Per-cycle resource bookkeeping. In plain mode (hyperperiod 0) each
@@ -106,11 +125,11 @@ class DfgBuilder {
 /// A row is a flat array of use counts, one per resource column: an FU
 /// type (capacity = its allocation, possibly 0) or an array's memory port.
 /// Columns are interned by name on first sight, so list_schedule resolves
-/// each node once and every per-cstep check is an index, not a lookup.
+/// each distinct resource once and every per-cstep check is an index, not
+/// a lookup.
 class ResourceTable {
  public:
-  ResourceTable(const hlslib::Library& lib, const hlslib::Allocation& alloc,
-                int hyperperiod = 0);
+  explicit ResourceTable(const hlslib::Allocation& alloc, int hyperperiod = 0);
 
   /// Column of the resource `n` occupies, or kFree when it needs none
   /// (register copies, glue logic, controller-resident compares).
@@ -136,17 +155,47 @@ class ResourceTable {
 
   const hlslib::Allocation& alloc_;
   int hyperperiod_;
-  int mem_ports_ = 1;  // ports per array memory
   std::vector<Column> columns_;
   size_t rows_ = 0;
   std::vector<int> used_;  // rows_ x columns_.size(), row-major
 };
 
+/// The dependence lists list_schedule walks, built once per DFG and
+/// shared by every schedule of it (each II of the pipelining search, each
+/// fused-phase admission attempt). Successor lists are flat (CSR) arrays
+/// with one entry per dependence edge, duplicates included, so counting
+/// down a node's unscheduled predecessors stays exact.
+struct DfgDeps {
+  explicit DfgDeps(const Dfg& dfg);
+
+  /// Longest downstream delay (ns) from each node over data edges, the
+  /// classic list-scheduling priority.
+  std::vector<double> prio;
+  /// Successors along data and memory-ordering edges of node i:
+  /// succs[succ_begin[i] .. succ_begin[i+1]).
+  std::vector<int> succ_begin, succs;
+  /// Successors along scalar anti/output edges (DfgNode::war_preds).
+  std::vector<int> war_begin, war_succs;
+  /// Per node: data + memory-ordering predecessors, and anti/output ones.
+  std::vector<int> num_preds, num_war_preds;
+  /// The resource (FU type or array port) each node occupies, as an index
+  /// into `resource_nodes`, or -1 for none; `resource_nodes` holds the
+  /// first node using each distinct resource. list_schedule resolves one
+  /// table column per resource instead of one per node.
+  std::vector<int> resource, resource_nodes;
+};
+
 /// Resource-constrained list scheduling with operator chaining under the
-/// clock period. In modulo mode (`period` > 0) resources are reserved
-/// modulo the period in `table` (which may be shared across loops being
-/// fused). Returns false if some op can never be placed (e.g. allocation
-/// count 0 for a needed FU, or delay exceeding the clock).
+/// clock period. Each step places the ready node (every ordering
+/// predecessor placed) of highest priority, lowest index first on ties.
+/// In modulo mode (`period` > 0) resources are reserved modulo the period
+/// in `table` (which may be shared across loops being fused). Returns
+/// false if some op can never be placed (e.g. allocation count 0 for a
+/// needed FU, or delay exceeding the clock). `deps` must be built from a
+/// DFG with the same nodes and edges as `dfg`.
+bool list_schedule(Dfg& dfg, const DfgDeps& deps, ResourceTable& table,
+                   double clock_ns, int period = 0, int max_csteps = 100000);
+/// As above, building the dependence lists for this one call.
 bool list_schedule(Dfg& dfg, ResourceTable& table, double clock_ns,
                    int period = 0, int max_csteps = 100000);
 
@@ -168,8 +217,8 @@ bool recurrences_ok(const Dfg& dfg, int ii);
 bool pipeline_lags_consistent(const Dfg& dfg, int ii);
 
 /// Minimum II due to resources alone: max over FU types and memories of
-/// ceil(uses / available).
-int resource_min_ii(const Dfg& dfg, const hlslib::Allocation& alloc,
-                    int mem_ports = 1);
+/// ceil(uses / available), with the resource table's ports per array; -1
+/// when some FU type the DFG needs is not allocated.
+int resource_min_ii(const Dfg& dfg, const hlslib::Allocation& alloc);
 
 }  // namespace fact::sched

@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
+#include <charconv>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
+#include <span>
+#include <string_view>
 
 #include "ir/hash.hpp"
+#include "obs/trace.hpp"
 #include "sched/dfg.hpp"
 #include "sched/fragment_cache.hpp"
 #include "util/error.hpp"
@@ -28,42 +32,52 @@ namespace {
 double clamp_prob(double p) { return std::clamp(p, 0.01, 0.995); }
 
 /// Variables and arrays a loop touches; used for the concurrent-loop
-/// independence test.
+/// independence test. Each list is sorted and duplicate-free; the names
+/// view strings of the function being scheduled.
 struct RwSets {
-  std::set<std::string> var_reads, var_writes, arr_reads, arr_writes;
+  std::vector<std::string_view> var_reads, var_writes, arr_reads, arr_writes;
 };
 
-void collect_expr(const ExprPtr& e, RwSets& rw) {
-  ir::for_each_node(e, [&](const ExprPtr& n) {
-    if (n->op() == Op::Var) rw.var_reads.insert(n->name());
-    if (n->op() == Op::ArrayRead) rw.arr_reads.insert(n->name());
-  });
+void collect_expr(const ir::Expr& e, RwSets& rw) {
+  if (e.op() == Op::Var) rw.var_reads.push_back(e.name());
+  if (e.op() == Op::ArrayRead) rw.arr_reads.push_back(e.name());
+  for (const ExprPtr& a : e.args()) collect_expr(*a, rw);
+}
+
+void collect_region_rw(const Region& r, RwSets& rw) {
+  for (const Stmt* s : r.stmts) {
+    if (s->kind == StmtKind::Assign) {
+      rw.var_writes.push_back(s->target);
+      collect_expr(*s->value, rw);
+    } else if (s->kind == StmtKind::Store) {
+      rw.arr_writes.push_back(s->target);
+      collect_expr(*s->index, rw);
+      collect_expr(*s->value, rw);
+    }
+  }
+  if (r.ctrl) collect_expr(*r.ctrl->cond, rw);
+  for (const auto& c : r.children) collect_region_rw(*c, rw);
 }
 
 RwSets collect_loop_rw(const Region& loop) {
   RwSets rw;
-  collect_expr(loop.ctrl->cond, rw);
-  std::function<void(const Region&)> walk = [&](const Region& r) {
-    for (const Stmt* s : r.stmts) {
-      if (s->kind == StmtKind::Assign) {
-        rw.var_writes.insert(s->target);
-        collect_expr(s->value, rw);
-      } else if (s->kind == StmtKind::Store) {
-        rw.arr_writes.insert(s->target);
-        collect_expr(s->index, rw);
-        collect_expr(s->value, rw);
-      }
-    }
-    if (r.ctrl) collect_expr(r.ctrl->cond, rw);
-    for (const auto& c : r.children) walk(*c);
-  };
-  walk(*loop.children[0]);
+  collect_expr(*loop.ctrl->cond, rw);
+  collect_region_rw(*loop.children[0], rw);
+  for (auto* names :
+       {&rw.var_reads, &rw.var_writes, &rw.arr_reads, &rw.arr_writes}) {
+    std::sort(names->begin(), names->end());
+    names->erase(std::unique(names->begin(), names->end()), names->end());
+  }
   return rw;
 }
 
-bool disjoint(const std::set<std::string>& a, const std::set<std::string>& b) {
-  for (const auto& x : a)
-    if (b.count(x)) return false;
+bool disjoint(const std::vector<std::string_view>& a,
+              const std::vector<std::string_view>& b) {
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) return false;
+    if (a[i] < b[j]) ++i; else ++j;
+  }
   return true;
 }
 
@@ -101,6 +115,48 @@ const std::vector<const Stmt*>& loop_body_stmts(const Region& loop) {
   return body.children.empty() ? kNone : body.children[0]->stmts;
 }
 
+/// Name of result wire number `n`: "w<n>".
+std::string wire_name(int n) {
+  char buf[16];
+  buf[0] = 'w';
+  const char* end = std::to_chars(buf + 1, buf + sizeof buf, n).ptr;
+  return std::string(buf, static_cast<size_t>(end - buf));
+}
+
+/// Nodes of a scheduled DFG grouped by an integer key in [0, count) —
+/// first cstep, or kernel-ring slot — in index order within each group,
+/// so a state's ops come out in the order a scan over all nodes would
+/// produce them. Reusable: assign() keeps the buffers' capacity.
+class NodeBuckets {
+ public:
+  template <typename Key>
+  void assign(const Dfg& dfg, int count, Key key) {
+    begin_.assign(static_cast<size_t>(count) + 1, 0);
+    for (const DfgNode& node : dfg.nodes)
+      begin_[static_cast<size_t>(key(node)) + 1]++;
+    for (size_t k = 1; k < begin_.size(); ++k) begin_[k] += begin_[k - 1];
+    fill_.assign(begin_.begin(), begin_.end() - 1);
+    order_.resize(dfg.nodes.size());
+    for (size_t i = 0; i < dfg.nodes.size(); ++i)
+      order_[static_cast<size_t>(fill_[static_cast<size_t>(key(dfg.nodes[i]))]++)] =
+          static_cast<int>(i);
+  }
+
+  /// The nodes of group k.
+  std::span<const int> operator[](int k) const {
+    const size_t b = static_cast<size_t>(begin_[static_cast<size_t>(k)]);
+    const size_t e = static_cast<size_t>(begin_[static_cast<size_t>(k) + 1]);
+    return {order_.data() + b, e - b};
+  }
+
+ private:
+  std::vector<int> begin_;
+  std::vector<int> order_;
+  std::vector<int> fill_;
+};
+
+int node_cstep(const DfgNode& node) { return node.cstep; }
+
 /// A pending transition into the next state to be created.
 struct Attach {
   int state = -1;
@@ -115,9 +171,9 @@ class Emitter {
           const sim::Profile& profile)
       : lib_(lib),
         alloc_(alloc),
+        sel_(sel),
         opts_(opts),
-        profile_(profile),
-        builder_(lib, alloc, sel, opts.vdd, opts.vt) {}
+        profile_(profile) {}
 
   ScheduleResult run(const ir::Function& fn) {
     fn_name_ = fn.name();
@@ -163,45 +219,41 @@ class Emitter {
     }
   }
 
-  /// Unique result-wire names for every node of a scheduled DFG (wires
-  /// are global across the whole STG so bindings can refer to them).
-  std::vector<std::string> assign_wires(const Dfg& dfg) {
-    std::vector<std::string> wires;
-    wires.reserve(dfg.nodes.size());
-    for (size_t i = 0; i < dfg.nodes.size(); ++i)
-      wires.push_back(strfmt("w%d", wire_counter_++));
-    return wires;
+  /// Reserves one result wire per node of a scheduled DFG (wires are
+  /// global across the whole STG so bindings can refer to them); node i
+  /// drives wire number base + i. Returns the base.
+  int assign_wires(const Dfg& dfg) {
+    const int base = wire_counter_;
+    wire_counter_ += static_cast<int>(dfg.nodes.size());
+    return base;
   }
 
-  /// Builds the STG op annotation for one DFG node, resolving "%<node>"
-  /// operand placeholders to wire names.
-  stg::OpInstance make_instance(const Dfg& dfg,
-                                const std::vector<std::string>& wires,
-                                size_t node_idx, int iteration,
-                                int lag = 0) const {
+  /// Appends the STG op of node `node_idx` to `st`, resolving node
+  /// operands and pre-readers to wire names from `wire_base`, and counts
+  /// the node's register traffic.
+  static void add_op(stg::State& st, const Dfg& dfg, int wire_base,
+                     size_t node_idx, int iteration, int lag = 0) {
     const DfgNode& node = dfg.nodes[node_idx];
-    stg::OpInstance op;
+    stg::OpInstance& op = st.ops.emplace_back();
     op.fu_type = node.fu;
     op.op = node.op;
     op.stmt_id = node.stmt_id;
     op.iteration = iteration;
     op.label = node.label;
-    op.value_name = wires[node_idx];
+    op.value_name = wire_name(wire_base + static_cast<int>(node_idx));
     op.def_var = node.def_var;
     op.is_store = node.is_store;
     op.array = node.array;
-    for (const auto& operand : node.operand_names) {
-      if (!operand.empty() && operand[0] == '%') {
-        op.operands.push_back(
-            wires[static_cast<size_t>(std::stoi(operand.substr(1)))]);
-      } else {
-        op.operands.push_back(operand);
-      }
-    }
-    for (int p : node.war_preds)
-      op.pre_readers.push_back(wires[static_cast<size_t>(p)]);
+    op.operands.reserve(node.operands.size());
+    for (const DfgOperand& operand : node.operands)
+      op.operands.push_back(operand.kind == DfgOperand::Kind::Node
+                                ? wire_name(wire_base + operand.node)
+                                : operand.text);
+    op.pre_readers.reserve(node.war_preds.size());
+    for (int p : node.war_preds) op.pre_readers.push_back(wire_name(wire_base + p));
     op.lag = lag;
-    return op;
+    st.reg_reads += node.var_reads;
+    if (node.reg_write) st.reg_writes++;
   }
 
   /// Creates one STG state per control step of a scheduled plain DFG and
@@ -209,29 +261,22 @@ class Emitter {
   std::pair<int, int> materialize(const Dfg& dfg) {
     const int n = dfg.num_csteps();
     assert(n > 0);
-    int first = -1, last = -1;
-    std::vector<int> ids;
+    by_cstep_.assign(dfg, n, node_cstep);
+    const int wires = assign_wires(dfg);
+    const int first = static_cast<int>(stg_.num_states());
     for (int c = 0; c < n; ++c) {
       const int s = stg_.add_state("");
-      if (first < 0) first = s;
-      if (last >= 0) stg_.add_edge(last, s, 1.0);
-      last = s;
-      ids.push_back(s);
-    }
-    const std::vector<std::string> wires = assign_wires(dfg);
-    for (size_t i = 0; i < dfg.nodes.size(); ++i) {
-      const DfgNode& node = dfg.nodes[i];
-      stg::State& st = stg_.state(ids[static_cast<size_t>(node.cstep)]);
-      st.ops.push_back(make_instance(dfg, wires, i, 0));
-      st.reg_reads += node.var_reads;
-      if (node.reg_write) st.reg_writes++;
+      if (c > 0) stg_.add_edge(s - 1, s, 1.0);
+      stg::State& st = stg_.state(s);
+      st.ops.reserve(by_cstep_[c].size());
+      for (int i : by_cstep_[c]) add_op(st, dfg, wires, static_cast<size_t>(i), 0);
     }
     if (dfg.cond_node >= 0) {
-      stg::State& st = stg_.state(ids[static_cast<size_t>(
-          dfg.nodes[static_cast<size_t>(dfg.cond_node)].avail_cstep())]);
-      st.cond_signal = wires[static_cast<size_t>(dfg.cond_node)];
+      const int cstep =
+          dfg.nodes[static_cast<size_t>(dfg.cond_node)].avail_cstep();
+      stg_.state(first + cstep).cond_signal = wire_name(wires + dfg.cond_node);
     }
-    return {first, last};
+    return {first, first + n - 1};
   }
 
   // ---- fragment cache ---------------------------------------------------
@@ -300,7 +345,7 @@ class Emitter {
   std::shared_ptr<const FragmentCache::Entry> cond_fragment(
       const ExprPtr& cond, int stmt_id) {
     return fragment(cond_key(cond, stmt_id), [&](FragmentCache::Entry& e) {
-      e.dfg = builder_.build({}, cond, stmt_id);
+      e.dfg = build_dfg({}, cond, stmt_id);
       schedule_plain(e.dfg);
     });
   }
@@ -316,10 +361,21 @@ class Emitter {
     return std::clamp(profile_.branch_prob(stmt_id, 0.5), 0.01, 0.99999);
   }
 
+  /// DfgBuilder::build under the `dfg_build` span. The builder resolves
+  /// its FU bindings on construction, so it is made on the first fragment
+  /// miss: a schedule whose fragments all hit never needs one.
+  Dfg build_dfg(const std::vector<const Stmt*>& stmts,
+                const ExprPtr& cond = nullptr, int cond_stmt_id = -1) {
+    obs::Span sp = obs::span("dfg_build", "sched");
+    if (!builder_) builder_.emplace(lib_, alloc_, sel_, opts_.vdd, opts_.vt);
+    return builder_->build(stmts, cond, cond_stmt_id);
+  }
+
   /// Schedules a plain (non-modulo) DFG.
   void schedule_plain(Dfg& dfg) const {
     check_feasible(dfg);
-    ResourceTable table(lib_, alloc_, 0);
+    obs::Span sp = obs::span("list_schedule", "sched");
+    ResourceTable table(alloc_, 0);
     if (!list_schedule(dfg, table, opts_.clock_ns))
       throw Error(strfmt("cannot schedule segment of '%s' under clock %.1fns",
                          fn_name_.c_str(), opts_.clock_ns));
@@ -336,7 +392,7 @@ class Emitter {
         // Collect a maximal run of adjacent, independent, pipelineable
         // loops for concurrent execution.
         std::vector<const Region*> run{&child};
-        std::vector<RwSets> rw{collect_loop_rw(child)};
+        std::vector<RwSets> rw;  // of each loop in `run`, once needed
         size_t j = i + 1;
         while (j < seq.children.size() && run.size() < opts_.max_fused) {
           const Region& next = *seq.children[j];
@@ -344,6 +400,7 @@ class Emitter {
           if (!next.loop_body_is_straight() ||
               !run.front()->loop_body_is_straight())
             break;
+          if (rw.empty()) rw.push_back(collect_loop_rw(child));
           RwSets next_rw = collect_loop_rw(next);
           bool indep = true;
           for (const RwSets& r : rw)
@@ -385,7 +442,7 @@ class Emitter {
   std::vector<Attach> emit_straight(const Region& r, std::vector<Attach> in) {
     const auto entry =
         fragment(straight_key(r.stmts), [&](FragmentCache::Entry& e) {
-          e.dfg = builder_.build(r.stmts);
+          e.dfg = build_dfg(r.stmts);
           if (!e.dfg.nodes.empty()) schedule_plain(e.dfg);
         });
     if (entry->dfg.nodes.empty()) return in;
@@ -430,18 +487,6 @@ class Emitter {
     return {{tlast, 1.0 - p, "exit"}};
   }
 
-  /// Pipelined (implicitly unrolled) loop: modulo-schedule the body plus
-  /// the loop condition at the smallest feasible II and materialize the
-  /// full software pipeline:
-  ///   guard (while-test on entry values)
-  ///     -> prologue (iteration 0, linear; fills the pipe)
-  ///     -> kernel ring of II states (one iteration completes per
-  ///        traversal; overlapped iterations read last-traversal wires)
-  ///     -> epilogue drain on exit (ops past the check complete the
-  ///        in-flight iteration).
-  /// This structure is functionally exact for the RTL backend and only
-  /// adds entry/exit states that the steady state amortizes.
-  /// Returns false if pipelining is infeasible.
   /// Derived per-op pipeline bookkeeping of a modulo-scheduled body:
   /// lags (slot wraparounds along each op's dependence chain — how many
   /// traversals behind the newest iteration it runs) and the drain debts
@@ -503,6 +548,18 @@ class Emitter {
     return true;
   }
 
+  /// Pipelined (implicitly unrolled) loop: modulo-schedule the body plus
+  /// the loop condition at the smallest feasible II and materialize the
+  /// full software pipeline:
+  ///   guard (while-test on entry values)
+  ///     -> prologue (iteration 0, linear; fills the pipe)
+  ///     -> kernel ring of II states (one iteration completes per
+  ///        traversal; overlapped iterations read last-traversal wires)
+  ///     -> epilogue drain on exit (ops past the check complete the
+  ///        in-flight iteration).
+  /// This structure is functionally exact for the RTL backend and only
+  /// adds entry/exit states that the steady state amortizes.
+  /// Returns false if pipelining is infeasible.
   bool emit_pipelined_loop(const Region& r, double p,
                            const std::vector<Attach>& in,
                            std::vector<Attach>* out) {
@@ -513,15 +570,17 @@ class Emitter {
     const auto entry = fragment(
         pipe_key(body_stmts, r.ctrl->cond, r.ctrl->id),
         [&](FragmentCache::Entry& e) {
-          const Dfg base =
-              builder_.build(body_stmts, r.ctrl->cond, r.ctrl->id);
-          check_feasible(base);
-          const int res_ii = resource_min_ii(base, alloc_);
+          Dfg dfg = build_dfg(body_stmts, r.ctrl->cond, r.ctrl->id);
+          check_feasible(dfg);
+          const int res_ii = resource_min_ii(dfg, alloc_);
           if (res_ii < 0) return;  // e.pipelined stays false
+          obs::Span sp = obs::span("list_schedule", "sched");
+          // Every attempt reschedules the same DFG in place: a successful
+          // list_schedule rewrites every node's placement.
+          const DfgDeps deps(dfg);
           for (int ii = res_ii; ii <= opts_.max_ii; ++ii) {
-            Dfg dfg = base;
-            ResourceTable table(lib_, alloc_, ii);
-            if (!list_schedule(dfg, table, opts_.clock_ns, ii)) continue;
+            ResourceTable table(alloc_, ii);
+            if (!list_schedule(dfg, deps, table, opts_.clock_ns, ii)) continue;
             if (!recurrences_ok(dfg, ii)) continue;
             if (!pipeline_lags_consistent(dfg, ii)) continue;
             if (!drain_representable(dfg, ii, derive_pipe(dfg, ii)))
@@ -538,155 +597,149 @@ class Emitter {
     const int ii = entry->ii;
     const PipeDerived derived = derive_pipe(dfg, ii);
     const int body_csteps = derived.body_csteps;
-    const int cond_cstep = derived.cond_cstep;
     const std::vector<int>& lag = derived.lag;
     const std::vector<int>& owed = derived.owed;
-    const int max_owed = derived.max_owed;
 
-    {
-      const std::vector<std::string> wires = assign_wires(dfg);
-      const std::string cond_wire = wires[static_cast<size_t>(dfg.cond_node)];
+    const int wires = assign_wires(dfg);
+    const std::string cond_wire = wire_name(wires + dfg.cond_node);
 
-      // Guard: the while-test on entry values (separate evaluation).
-      const auto guard = cond_fragment(r.ctrl->cond, r.ctrl->id);
-      auto [gfirst, glast] = materialize(guard->dfg);
-      connect(in, gfirst);
-      std::vector<Attach> exits;
-      exits.push_back({glast, 1.0 - p, "exit"});
+    // Guard: the while-test on entry values (separate evaluation).
+    const auto guard = cond_fragment(r.ctrl->cond, r.ctrl->id);
+    auto [gfirst, glast] = materialize(guard->dfg);
+    connect(in, gfirst);
+    std::vector<Attach> exits;
+    exits.push_back({glast, 1.0 - p, "exit"});
 
-      // Helper: add ops of one cstep to a state.
-      auto fill_state = [&](int state_id, int cstep) {
-        stg::State& st = stg_.state(state_id);
-        for (size_t i = 0; i < dfg.nodes.size(); ++i) {
-          const DfgNode& node = dfg.nodes[i];
-          if (node.cstep != cstep) continue;
-          st.ops.push_back(make_instance(dfg, wires, i, 0));
-          st.reg_reads += node.var_reads;
-          if (node.reg_write) st.reg_writes++;
-        }
-      };
+    by_cstep_.assign(dfg, body_csteps, node_cstep);
 
-      // Prologue: iteration 0 executed linearly (fills wires).
-      std::vector<int> prologue;
-      for (int c = 0; c < body_csteps; ++c) {
-        const int s = stg_.add_state("");
-        fill_state(s, c);
-        if (!prologue.empty())
-          stg_.add_edge(prologue.back(), s, 1.0);
-        prologue.push_back(s);
-      }
-      stg_.add_edge(glast, prologue.front(), p, "loop");
-
-      // Kernel ring: every op once per traversal, at slot cstep % II.
-      const int ring_id = next_ring_id_++;
-      std::vector<int> ring;
-      for (int k = 0; k < ii; ++k) {
-        ring.push_back(stg_.add_state(""));
-        stg_.state(ring.back()).ring_id = ring_id;
-      }
-      for (size_t i = 0; i < dfg.nodes.size(); ++i) {
-        const DfgNode& node = dfg.nodes[i];
-        stg::State& st =
-            stg_.state(ring[static_cast<size_t>(node.cstep % ii)]);
-        st.ops.push_back(
-            make_instance(dfg, wires, i, node.cstep / ii, lag[i]));
-        st.reg_reads += node.var_reads;
-        if (node.reg_write) st.reg_writes++;
-      }
-
-      // Epilogue drain: when the check fires the exit, each op still owes
-      //   owed = lag - lag(check) + (slot > check_slot ? 1 : 0)
-      // executions to complete the in-flight iterations. The drain flushes
-      // them round by round in cstep order (resource-legal: each drain
-      // state re-uses one kernel cstep's op set).
-      std::vector<int> drain;
-      for (int round = 1; round <= max_owed; ++round) {
-        for (int c = 0; c < body_csteps; ++c) {
-          bool any = false;
-          for (size_t i = 0; i < dfg.nodes.size(); ++i)
-            if (owed[i] >= round && dfg.nodes[i].cstep == c) any = true;
-          if (!any) continue;
-          const int s = stg_.add_state("");
-          stg::State& st = stg_.state(s);
-          for (size_t i = 0; i < dfg.nodes.size(); ++i) {
-            const DfgNode& node = dfg.nodes[i];
-            if (owed[i] < round || node.cstep != c) continue;
-            st.ops.push_back(make_instance(dfg, wires, i, 0, lag[i]));
-            st.reg_reads += node.var_reads;
-            if (node.reg_write) st.reg_writes++;
-          }
-          if (!drain.empty()) stg_.add_edge(drain.back(), s, 1.0);
-          drain.push_back(s);
-        }
-      }
-      const auto exit_target = [&](int from, double prob,
-                                   const std::string& label) {
-        if (drain.empty()) {
-          exits.push_back({from, prob, label});
-        } else {
-          stg_.add_edge(from, drain.front(), prob, label);
-        }
-      };
-
-      // Prologue branch: the iteration-1 check was computed at its cstep;
-      // branch at the last prologue state on the stored wire. A prologue
-      // exit bypasses the drain — iteration 0's tail already ran linearly.
-      stg_.state(prologue.back()).cond_signal = cond_wire;
-      stg_.add_edge(prologue.back(), ring[0], p, "loop");
-      exits.push_back({prologue.back(), 1.0 - p, "exit"});
-
-      // Ring transitions with the per-traversal check.
-      const int check_state = ring[static_cast<size_t>(cond_cstep % ii)];
-      stg_.state(check_state).cond_signal = cond_wire;
-      for (int k = 0; k < ii; ++k) {
-        const int cur = ring[static_cast<size_t>(k)];
-        const int next = ring[static_cast<size_t>((k + 1) % ii)];
-        if (cur == check_state) {
-          stg_.add_edge(cur, next, p, "loop");
-          exit_target(cur, 1.0 - p, "exit");
-        } else {
-          stg_.add_edge(cur, next, 1.0);
-        }
-      }
-      if (!drain.empty()) exits.push_back({drain.back(), 1.0, ""});
-
-      *out = exits;
-
-      LoopInfo info;
-      info.stmt_id = r.ctrl->id;
-      info.pipelined = true;
-      info.ii = ii;
-      info.body_csteps = body_csteps;
-      loops_.push_back(info);
-      return true;
+    // Prologue: iteration 0 executed linearly (fills wires).
+    const int prologue_first = static_cast<int>(stg_.num_states());
+    for (int c = 0; c < body_csteps; ++c) {
+      const int s = stg_.add_state("");
+      if (c > 0) stg_.add_edge(s - 1, s, 1.0);
+      stg::State& st = stg_.state(s);
+      st.ops.reserve(by_cstep_[c].size());
+      for (int i : by_cstep_[c]) add_op(st, dfg, wires, static_cast<size_t>(i), 0);
     }
+    const int prologue_last = prologue_first + body_csteps - 1;
+    stg_.add_edge(glast, prologue_first, p, "loop");
+
+    // Kernel ring: every op once per traversal, at slot cstep % II.
+    const int ring_id = next_ring_id_++;
+    const int ring0 = static_cast<int>(stg_.num_states());
+    by_slot_.assign(dfg, ii,
+                    [ii](const DfgNode& node) { return node.cstep % ii; });
+    for (int k = 0; k < ii; ++k) {
+      stg::State& st = stg_.state(stg_.add_state(""));
+      st.ring_id = ring_id;
+      st.ops.reserve(by_slot_[k].size());
+      for (int i : by_slot_[k]) {
+        const size_t idx = static_cast<size_t>(i);
+        add_op(st, dfg, wires, idx, dfg.nodes[idx].cstep / ii, lag[idx]);
+      }
+    }
+
+    // Epilogue drain: when the check fires the exit, each op still owes
+    //   owed = lag - lag(check) + (slot > check_slot ? 1 : 0)
+    // executions to complete the in-flight iterations. The drain flushes
+    // them round by round in cstep order (resource-legal: each drain
+    // state re-uses one kernel cstep's op set).
+    int drain_first = -1, drain_last = -1;
+    for (int round = 1; round <= derived.max_owed; ++round) {
+      for (int c = 0; c < body_csteps; ++c) {
+        size_t count = 0;
+        for (int i : by_cstep_[c])
+          if (owed[static_cast<size_t>(i)] >= round) count++;
+        if (count == 0) continue;
+        const int s = stg_.add_state("");
+        stg::State& st = stg_.state(s);
+        st.ops.reserve(count);
+        for (int i : by_cstep_[c]) {
+          const size_t idx = static_cast<size_t>(i);
+          if (owed[idx] >= round) add_op(st, dfg, wires, idx, 0, lag[idx]);
+        }
+        if (drain_last >= 0) stg_.add_edge(drain_last, s, 1.0);
+        if (drain_first < 0) drain_first = s;
+        drain_last = s;
+      }
+    }
+    const auto exit_target = [&](int from, double prob,
+                                 const std::string& label) {
+      if (drain_first < 0) {
+        exits.push_back({from, prob, label});
+      } else {
+        stg_.add_edge(from, drain_first, prob, label);
+      }
+    };
+
+    // Prologue branch: the iteration-1 check was computed at its cstep;
+    // branch at the last prologue state on the stored wire. A prologue
+    // exit bypasses the drain — iteration 0's tail already ran linearly.
+    stg_.state(prologue_last).cond_signal = cond_wire;
+    stg_.add_edge(prologue_last, ring0, p, "loop");
+    exits.push_back({prologue_last, 1.0 - p, "exit"});
+
+    // Ring transitions with the per-traversal check.
+    const int check_state = ring0 + derived.cond_cstep % ii;
+    stg_.state(check_state).cond_signal = cond_wire;
+    for (int k = 0; k < ii; ++k) {
+      const int cur = ring0 + k;
+      const int next = ring0 + (k + 1) % ii;
+      if (cur == check_state) {
+        stg_.add_edge(cur, next, p, "loop");
+        exit_target(cur, 1.0 - p, "exit");
+      } else {
+        stg_.add_edge(cur, next, 1.0);
+      }
+    }
+    if (drain_last >= 0) exits.push_back({drain_last, 1.0, ""});
+
+    *out = std::move(exits);
+
+    LoopInfo info;
+    info.stmt_id = r.ctrl->id;
+    info.pipelined = true;
+    info.ii = ii;
+    info.body_csteps = body_csteps;
+    loops_.push_back(info);
+    return true;
   }
 
   using FusedPhase = FragmentCache::Entry::FusedPhase;
 
+  /// The loops of a fused run during admission: each loop's DFG as
+  /// built, its dependence lists and resource-bound II (computed once per
+  /// run), and a working copy that every admission attempt reschedules in
+  /// place.
+  struct FusedLoops {
+    std::vector<Dfg> base;
+    std::vector<DfgDeps> deps;
+    std::vector<int> solo_ii;
+    std::vector<Dfg> work;
+  };
+
   /// Joint modulo scheduling of the phase's loops with every II fixed,
   /// sharing one resource table; false if infeasible.
-  bool schedule_phase(const std::vector<Dfg>& base,
+  bool schedule_phase(FusedLoops& loops,
                       const std::vector<std::pair<size_t, int>>& loop_iis,
                       FusedPhase* phase) const {
     int h = 1;
     for (const auto& [i, ii] : loop_iis) h = lcm_int(h, ii);
     if (h > opts_.max_hyperperiod) return false;
-    ResourceTable table(lib_, alloc_, h);
-    std::vector<Dfg> dfgs;
-    dfgs.reserve(loop_iis.size());
+    ResourceTable table(alloc_, h);
     for (const auto& [i, ii] : loop_iis) {
-      Dfg dfg = base[i];
       // Fused phases are metrics-grade (rtl_exact = false); pipeline-lag
       // consistency is not enforced here to preserve the paper's
       // steady-state throughput shapes.
-      if (!list_schedule(dfg, table, opts_.clock_ns, ii) ||
+      Dfg& dfg = loops.work[i];
+      if (!list_schedule(dfg, loops.deps[i], table, opts_.clock_ns, ii) ||
           !recurrences_ok(dfg, ii))
         return false;
-      dfgs.push_back(std::move(dfg));
     }
     phase->active = loop_iis;
-    phase->dfgs = std::move(dfgs);
+    phase->dfgs.clear();
+    phase->dfgs.reserve(loop_iis.size());
+    for (const auto& [i, ii] : loop_iis) phase->dfgs.push_back(loops.work[i]);
     phase->hyperperiod = h;
     return true;
   }
@@ -696,15 +749,14 @@ class Emitter {
   /// itself down (larger II) but must not degrade already-admitted loops,
   /// otherwise it waits for a later phase. An empty `active` list means no
   /// loop could be admitted.
-  FusedPhase admit(const std::vector<Dfg>& base, unsigned mask) const {
+  FusedPhase admit(FusedLoops& loops, unsigned mask) const {
     FusedPhase current;
-    for (size_t i = 0; i < base.size(); ++i) {
+    for (size_t i = 0; i < loops.base.size(); ++i) {
       if (!(mask & (1u << i))) continue;
-      const int solo = std::max(1, resource_min_ii(base[i], alloc_));
-      for (int ii = solo; ii <= opts_.max_hyperperiod; ++ii) {
+      for (int ii = loops.solo_ii[i]; ii <= opts_.max_hyperperiod; ++ii) {
         auto cand = current.active;
         cand.emplace_back(i, ii);
-        if (schedule_phase(base, cand, &current)) break;
+        if (schedule_phase(loops, cand, &current)) break;
       }
     }
     return current;
@@ -716,20 +768,27 @@ class Emitter {
   /// when the run is not fusable. Probabilities stay out: they come from
   /// the profile and are applied at emission.
   void admit_fused_run(const std::vector<const Region*>& run,
-                       FragmentCache::Entry& e) const {
+                       FragmentCache::Entry& e) {
     const size_t k = run.size();
-    std::vector<Dfg> base(k);
+    FusedLoops loops;
+    loops.base.reserve(k);
     for (size_t i = 0; i < k; ++i) {
       const Region& loop = *run[i];
-      base[i] = builder_.build(loop_body_stmts(loop), loop.ctrl->cond,
-                               loop.ctrl->id);
-      check_feasible(base[i]);
-      if (resource_min_ii(base[i], alloc_) < 0) return;
+      loops.base.push_back(
+          build_dfg(loop_body_stmts(loop), loop.ctrl->cond, loop.ctrl->id));
+      check_feasible(loops.base[i]);
+      const int res_ii = resource_min_ii(loops.base[i], alloc_);
+      if (res_ii < 0) return;
+      loops.solo_ii.push_back(std::max(1, res_ii));
     }
+    obs::Span sp = obs::span("list_schedule", "sched");
+    loops.deps.reserve(k);
+    for (const Dfg& dfg : loops.base) loops.deps.emplace_back(dfg);
+    loops.work = loops.base;
     auto phase = [&](unsigned mask) -> const FusedPhase& {
       auto it = e.phases.find(mask);
       if (it == e.phases.end())
-        it = e.phases.emplace(mask, admit(base, mask)).first;
+        it = e.phases.emplace(mask, admit(loops, mask)).first;
       return it->second;
     };
     // Every loop must at least pipeline alone, or fusion degrades to the
@@ -849,9 +908,18 @@ class Emitter {
 
     const int phase_ring_id = next_ring_id_++;
     std::vector<int> ring;
+    std::vector<size_t> ops_per_slot(static_cast<size_t>(h), 0);
+    for (size_t a = 0; a < ps.active.size(); ++a) {
+      const int ii = ps.active[a].second;
+      for (const DfgNode& node : ps.dfgs[a].nodes)
+        for (int s = node.cstep % ii; s < h; s += ii)
+          ops_per_slot[static_cast<size_t>(s)]++;
+    }
     for (int s = 0; s < h; ++s) {
       ring.push_back(stg_.add_state(""));
-      stg_.state(ring.back()).ring_id = phase_ring_id;
+      stg::State& st = stg_.state(ring.back());
+      st.ring_id = phase_ring_id;
+      st.ops.reserve(ops_per_slot[static_cast<size_t>(s)]);
     }
     fe.phase_entry[mask] = ring[0];
 
@@ -870,24 +938,21 @@ class Emitter {
       const auto [i, ii] = ps.active[a];
       const Dfg& dfg = ps.dfgs[a];
       fe.first_sched.emplace(i, std::make_pair(ii, dfg.num_csteps()));
-      const std::vector<std::string> wires = assign_wires(dfg);
+      const int wires = assign_wires(dfg);
       for (size_t ni = 0; ni < dfg.nodes.size(); ++ni) {
         const DfgNode& node = dfg.nodes[ni];
         const int base_slot = node.cstep % ii;
-        for (int s = base_slot; s < h; s += ii) {
-          stg::State& st = stg_.state(ring[static_cast<size_t>(s)]);
-          st.ops.push_back(make_instance(
-              dfg, wires, ni, node.cstep / ii + (s - base_slot) / ii));
-          st.reg_reads += node.var_reads;
-          if (node.reg_write) st.reg_writes++;
-        }
+        for (int s = base_slot; s < h; s += ii)
+          add_op(stg_.state(ring[static_cast<size_t>(s)]), dfg, wires, ni,
+                 node.cstep / ii + (s - base_slot) / ii);
       }
       const int cond_cstep =
           dfg.nodes[static_cast<size_t>(dfg.cond_node)].avail_cstep();
+      const std::string cond_wire = wire_name(wires + dfg.cond_node);
       for (int s = cond_cstep % ii; s < h; s += ii) {
         stg::State& st = stg_.state(ring[static_cast<size_t>(s)]);
         if (!st.cond_signal.empty()) st.cond_signal += ",";
-        st.cond_signal += wires[static_cast<size_t>(dfg.cond_node)];
+        st.cond_signal += cond_wire;
       }
       // Closing probability calibrated to the fluid phase: the finisher
       // expects duration/II more iterations; survivors rarely exit here.
@@ -920,15 +985,20 @@ class Emitter {
 
   const hlslib::Library& lib_;
   const hlslib::Allocation& alloc_;
+  const hlslib::FuSelection& sel_;
   const SchedOptions& opts_;
   const sim::Profile& profile_;
-  DfgBuilder builder_;
+  std::optional<DfgBuilder> builder_;
   stg::Stg stg_;
   std::vector<LoopInfo> loops_;
   std::string fn_name_;
   int wire_counter_ = 0;
   int next_ring_id_ = 0;
   bool rtl_exact_ = true;
+  // Scratch for grouping a DFG's nodes at emission (materialize and the
+  // pipelined prologue/drain use the cstep buckets, the ring its slots).
+  NodeBuckets by_cstep_;
+  NodeBuckets by_slot_;
 };
 
 }  // namespace
@@ -944,6 +1014,9 @@ Scheduler::Scheduler(const hlslib::Library& lib, const hlslib::Allocation& alloc
 
 ScheduleResult Scheduler::schedule(const ir::Function& fn,
                                    const sim::Profile& profile) const {
+  // Everything but fragment-cache misses is emission; the misses' DFG
+  // construction and list scheduling nest inside as their own spans.
+  obs::Span sp = obs::span("emit", "sched");
   Emitter emitter(lib_, alloc_, sel_, opts_, profile);
   return emitter.run(fn);
 }

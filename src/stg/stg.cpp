@@ -1,5 +1,6 @@
 #include "stg/stg.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <queue>
 
@@ -11,9 +12,16 @@
 namespace fact::stg {
 
 int Stg::add_state(const std::string& name) {
-  State s;
-  s.name = name.empty() ? strfmt("S%zu", states_.size()) : name;
-  states_.push_back(std::move(s));
+  State& s = states_.emplace_back();
+  if (name.empty()) {
+    char buf[24];
+    buf[0] = 'S';
+    const char* end =
+        std::to_chars(buf + 1, buf + sizeof buf, states_.size() - 1).ptr;
+    s.name.assign(buf, static_cast<size_t>(end - buf));
+  } else {
+    s.name = name;
+  }
   return static_cast<int>(states_.size()) - 1;
 }
 
@@ -28,7 +36,7 @@ int Stg::add_edge(int from, int to, double prob, const std::string& cond_label,
   e.prob = prob;
   e.cond_label = cond_label;
   e.exec_boundary = exec_boundary;
-  edges_.push_back(e);
+  edges_.push_back(std::move(e));
   const int idx = static_cast<int>(edges_.size()) - 1;
   states_[static_cast<size_t>(from)].out_edges.push_back(idx);
   return idx;

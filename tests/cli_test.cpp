@@ -148,11 +148,13 @@ TEST(Cli, TraceOutWritesChromeTraceJson) {
     EXPECT_EQ(e.get_int("pid"), 1);
     names.insert(e.get_string("name"));
   }
-  // The flow's phase spans plus the engine's per-candidate spans.
+  // The flow's phase spans, the engine's per-candidate spans, and the
+  // scheduler's phases inside `schedule`.
   for (const char* want :
        {"trace_gen", "initial_schedule", "partition", "block",
         "final_schedule", "engine.optimize", "reference", "generation",
-        "candidate", "equivalence", "evaluate", "schedule"})
+        "candidate", "equivalence", "evaluate", "schedule", "emit",
+        "dfg_build", "list_schedule"})
     EXPECT_TRUE(names.count(want)) << "missing span " << want;
 }
 

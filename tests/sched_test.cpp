@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <thread>
 
 #include "lang/parser.hpp"
@@ -156,7 +157,7 @@ TEST(Dfg, ChainingRespectsClockPeriod) {
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
   const RegionPtr tree = build_region_tree(fn);
   Dfg dfg = b.build(tree->children[0]->stmts);
-  ResourceTable table(s.lib, s.alloc, 0);
+  ResourceTable table(s.alloc, 0);
   ASSERT_TRUE(list_schedule(dfg, table, 25.0));
   EXPECT_EQ(dfg.num_csteps(), 2);
 }
@@ -169,7 +170,7 @@ TEST(Dfg, ResourceConstraintSerializes) {
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
   const RegionPtr tree = build_region_tree(fn);
   Dfg dfg = b.build(tree->children[0]->stmts);
-  ResourceTable table(s.lib, s.alloc, 0);
+  ResourceTable table(s.alloc, 0);
   ASSERT_TRUE(list_schedule(dfg, table, 25.0));
   EXPECT_EQ(dfg.num_csteps(), 2);
 }
@@ -181,7 +182,7 @@ TEST(Dfg, MultiCycleOperations) {
   DfgBuilder b(s.lib, s.alloc, s.sel, 4.0, 1.0);
   const RegionPtr tree = build_region_tree(fn);
   Dfg dfg = b.build(tree->children[0]->stmts);
-  ResourceTable table(s.lib, s.alloc, 0);
+  ResourceTable table(s.alloc, 0);
   ASSERT_TRUE(list_schedule(dfg, table, 25.0));
   EXPECT_EQ(dfg.nodes[0].span, 2);
   EXPECT_EQ(dfg.num_csteps(), 2);
@@ -199,7 +200,7 @@ F(int i) {
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
   const RegionPtr tree = build_region_tree(fn);
   Dfg dfg = b.build(tree->children[0]->stmts);
-  ResourceTable table(s.lib, s.alloc, 0);
+  ResourceTable table(s.alloc, 0);
   ASSERT_TRUE(list_schedule(dfg, table, 25.0));
   // Two reads of x cannot share a cycle on a single-ported memory.
   int c0 = -1, c1 = -1;
@@ -244,7 +245,7 @@ TEST(ResourceTable, MixedPeriodsCollideOnlyOnMatchingResidues) {
   const DfgNode add = fu_node("a1");
   // Hyperperiod 6 shared by an II-2 and an II-3 loop: an II-2 op at cstep
   // c holds slots {c%2, c%2+2, c%2+4}, an II-3 op {c%3, c%3+3}.
-  ResourceTable t(s.lib, s.alloc, 6);
+  ResourceTable t(s.alloc, 6);
   t.place(add, 0, 2);  // slots 0, 2, 4
   t.place(add, 0, 3);  // slots 0, 3 -> slot 0 now full
   EXPECT_FALSE(t.can_place(add, 0, 6));
@@ -268,7 +269,7 @@ TEST(ResourceTable, MixedPeriodsCollideOnlyOnMatchingResidues) {
 
 TEST(ResourceTable, OnePortPerArrayCountedPerArray) {
   Harness s;
-  ResourceTable t(s.lib, s.alloc, 0);
+  ResourceTable t(s.alloc, 0);
   const DfgNode rx = mem_node("x");
   const DfgNode ry = mem_node("y");
   const DfgNode wx = mem_node("x", /*store=*/true);
@@ -286,7 +287,7 @@ TEST(ResourceTable, OnePortPerArrayCountedPerArray) {
   // Memory ports do not consume datapath FUs.
   EXPECT_TRUE(t.can_place(fu_node("a1"), 0));
   // Modulo mode: the port repeats every period.
-  ResourceTable m(s.lib, s.alloc, 4);
+  ResourceTable m(s.alloc, 4);
   m.place(wx, 1, 2);  // slots 1, 3
   EXPECT_FALSE(m.can_place(rx, 3, 4));
   EXPECT_TRUE(m.can_place(rx, 2, 4));
@@ -296,7 +297,7 @@ TEST(ResourceTable, OnePortPerArrayCountedPerArray) {
 TEST(ResourceTable, PlainRowsGrowOnDemand) {
   Harness s;
   s.alloc.counts["a1"] = 1;
-  ResourceTable t(s.lib, s.alloc, 0);
+  ResourceTable t(s.alloc, 0);
   const DfgNode add = fu_node("a1");
   EXPECT_TRUE(t.can_place(add, 1000));
   t.place(add, 1000);
@@ -316,8 +317,8 @@ TEST(ResourceTable, UnallocatedFuIsNeverPlaceable) {
   s.alloc.counts["mt1"] = 0;
   const DfgNode mul = fu_node("mt1");
   const DfgNode shl = fu_node("s1_missing");  // no such allocation entry
-  ResourceTable plain(s.lib, s.alloc, 0);
-  ResourceTable modulo(s.lib, s.alloc, 4);
+  ResourceTable plain(s.alloc, 0);
+  ResourceTable modulo(s.alloc, 4);
   for (int c = 0; c < 8; ++c) {
     EXPECT_FALSE(plain.can_place(mul, c));
     EXPECT_FALSE(plain.can_place(shl, c));
@@ -329,6 +330,177 @@ TEST(ResourceTable, UnallocatedFuIsNeverPlaceable) {
   for (int k = 0; k < 4; ++k) plain.place(copy, 0);
   EXPECT_TRUE(plain.can_place(copy, 0));
   EXPECT_TRUE(modulo.can_place(copy, 0, 1));
+}
+
+// ---- list_schedule against the quadratic picker -----------------------
+
+/// The list scheduler as it was before the ready list, kept as the oracle:
+/// every step rescans all nodes for the ready one of highest priority
+/// (lowest index on ties), and priorities are rebuilt per call.
+std::vector<double> reference_priorities(const Dfg& dfg) {
+  const size_t n = dfg.nodes.size();
+  std::vector<double> prio(n, 0.0);
+  std::vector<std::vector<int>> succs(n);
+  for (size_t i = 0; i < n; ++i)
+    for (int p : dfg.nodes[i].preds)
+      succs[static_cast<size_t>(p)].push_back(static_cast<int>(i));
+  for (size_t ii = n; ii-- > 0;) {
+    double best = 0.0;
+    for (int s : succs[ii]) best = std::max(best, prio[static_cast<size_t>(s)]);
+    prio[ii] = best + dfg.nodes[ii].delay_ns;
+  }
+  return prio;
+}
+
+bool reference_list_schedule(Dfg& dfg, ResourceTable& table, double clock_ns,
+                             int period) {
+  const size_t n = dfg.nodes.size();
+  const std::vector<double> prio = reference_priorities(dfg);
+  std::vector<int> column(n);
+  for (size_t i = 0; i < n; ++i) column[i] = table.column(dfg.nodes[i]);
+  std::vector<bool> done(n, false);
+  for (size_t remaining = n; remaining > 0; --remaining) {
+    int pick = -1;
+    for (size_t i = 0; i < n; ++i) {
+      if (done[i]) continue;
+      const DfgNode& node = dfg.nodes[i];
+      bool ready = true;
+      for (int p : node.preds) ready = ready && done[static_cast<size_t>(p)];
+      for (int p : node.mem_war_preds)
+        ready = ready && done[static_cast<size_t>(p)];
+      if (period == 0 || !node.relax_war)
+        for (int p : node.war_preds) ready = ready && done[static_cast<size_t>(p)];
+      if (ready && (pick < 0 || prio[i] > prio[static_cast<size_t>(pick)]))
+        pick = static_cast<int>(i);
+    }
+    if (pick < 0) throw Error("reference_list_schedule: dependence cycle");
+
+    DfgNode& node = dfg.nodes[static_cast<size_t>(pick)];
+    const int col = column[static_cast<size_t>(pick)];
+    node.span = std::max(
+        1, static_cast<int>(std::ceil(node.delay_ns / clock_ns - 1e-9)));
+    if (period > 0 && node.span > period) return false;
+    int earliest = 0;
+    for (int p : node.preds)
+      earliest = std::max(earliest, dfg.nodes[static_cast<size_t>(p)].avail_cstep());
+    for (int p : node.mem_war_preds)
+      earliest = std::max(earliest, dfg.nodes[static_cast<size_t>(p)].cstep);
+    if (period == 0 || !node.relax_war)
+      for (int p : node.war_preds)
+        earliest = std::max(earliest, dfg.nodes[static_cast<size_t>(p)].cstep);
+    bool placed = false;
+    for (int cstep = earliest; cstep < earliest + 100000; ++cstep) {
+      double start = 0.0;
+      for (int p : node.preds) {
+        const DfgNode& pd = dfg.nodes[static_cast<size_t>(p)];
+        if (pd.avail_cstep() == cstep) start = std::max(start, pd.end_ns);
+      }
+      if (node.span > 1 && start > 0.0) continue;
+      if (node.span == 1 && start + node.delay_ns > clock_ns + 1e-9) continue;
+      bool fits = true;
+      for (int k = 0; k < node.span; ++k)
+        if (!table.can_place(col, cstep + k, period)) fits = false;
+      if (!fits) {
+        if (period > 0 && cstep - earliest >= std::max(period, 1) &&
+            start == 0.0)
+          return false;
+        continue;
+      }
+      for (int k = 0; k < node.span; ++k) table.place(col, cstep + k, period);
+      node.cstep = cstep;
+      node.start_ns = start;
+      node.end_ns = node.span == 1 ? start + node.delay_ns
+                                   : node.delay_ns - (node.span - 1) * clock_ns;
+      placed = true;
+      break;
+    }
+    if (!placed) return false;
+    done[static_cast<size_t>(pick)] = true;
+  }
+  return true;
+}
+
+/// Every segment DFG the scheduler builds for a region tree: straight
+/// segments, branch and loop conditions, and the body-plus-condition DFG
+/// of every straight-bodied loop. Segments whose operations have no FU in
+/// the library are skipped.
+void collect_segments(const Region& r, const DfgBuilder& b,
+                      std::vector<Dfg>* out) {
+  auto add = [&](const std::vector<const ir::Stmt*>& stmts,
+                 const ir::ExprPtr& cond, int id) {
+    try {
+      out->push_back(b.build(stmts, cond, id));
+    } catch (const Error&) {
+    }
+  };
+  if (r.kind == Region::Kind::Straight) add(r.stmts, nullptr, -1);
+  if (r.kind == Region::Kind::If || r.kind == Region::Kind::Loop)
+    add({}, r.ctrl->cond, r.ctrl->id);
+  if (r.kind == Region::Kind::Loop && r.loop_body_is_straight()) {
+    const Region& body = *r.children[0];
+    if (!body.children.empty())
+      add(body.children[0]->stmts, r.ctrl->cond, r.ctrl->id);
+  }
+  for (const auto& c : r.children) collect_segments(*c, b, out);
+}
+
+// The ready-list scheduler against the quadratic picker on every segment
+// DFG of generated programs, plain and at modulo periods 1-4, with short
+// and multi-cycle delays. One DfgDeps serves all five schedules of a DFG
+// and one working copy is rescheduled in place, as the II search does.
+TEST(ListSchedule, MatchesQuadraticPicker) {
+  const hlslib::Library lib = hlslib::Library::dac98();
+  const hlslib::FuSelection sel = hlslib::FuSelection::defaults(lib);
+  int compared = 0, modulo_feasible = 0, multi_cycle = 0;
+  for (const bool concurrent : {false, true}) {
+    testgen::GenOptions gen;
+    gen.concurrent_loops = concurrent;
+    for (uint64_t seed = 1; seed <= 30; ++seed) {
+      hlslib::Allocation alloc;
+      for (const auto& t : lib.types())
+        alloc.counts[t.name] = 1 + static_cast<int>(seed % 2);
+      const ir::Function fn = testgen::random_program(seed, gen);
+      const RegionPtr tree = build_region_tree(fn);
+      for (const double vdd : {5.0, 3.3}) {
+        const DfgBuilder builder(lib, alloc, sel, vdd, 1.0);
+        std::vector<Dfg> segments;
+        collect_segments(*tree, builder, &segments);
+        for (const Dfg& dfg : segments) {
+          const DfgDeps deps(dfg);
+          Dfg got = dfg;
+          for (int period = 0; period <= 4; ++period) {
+            const std::string what = "seed " + std::to_string(seed) +
+                                     (concurrent ? " concurrent" : "") +
+                                     " vdd " + std::to_string(vdd) +
+                                     " period " + std::to_string(period);
+            Dfg want = dfg;
+            ResourceTable want_table(alloc, period);
+            ResourceTable got_table(alloc, period);
+            const bool want_ok =
+                reference_list_schedule(want, want_table, 25.0, period);
+            const bool got_ok =
+                list_schedule(got, deps, got_table, 25.0, period);
+            ASSERT_EQ(want_ok, got_ok) << what;
+            if (!want_ok) continue;
+            compared++;
+            if (period > 0) modulo_feasible++;
+            for (size_t i = 0; i < dfg.nodes.size(); ++i) {
+              const DfgNode& w = want.nodes[i];
+              const DfgNode& g = got.nodes[i];
+              EXPECT_EQ(w.cstep, g.cstep) << what << " node " << i;
+              EXPECT_EQ(w.span, g.span) << what << " node " << i;
+              EXPECT_EQ(w.start_ns, g.start_ns) << what << " node " << i;
+              EXPECT_EQ(w.end_ns, g.end_ns) << what << " node " << i;
+              if (w.span > 1) multi_cycle++;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000);
+  EXPECT_GT(modulo_feasible, 500);
+  EXPECT_GT(multi_cycle, 100);
 }
 
 // ---- full scheduling --------------------------------------------------

@@ -94,8 +94,10 @@ if [ "$cmake_flag" = thread ]; then
     --trace-out "$trace_json" >/dev/null
   grep -q '^{"traceEvents":\[{' "$trace_json" \
     || { echo "check.sh: factc --trace-out produced malformed trace JSON" >&2; exit 1; }
-  grep -q '"name":"engine.optimize"' "$trace_json" \
-    || { echo "check.sh: trace JSON is missing the engine.optimize span" >&2; exit 1; }
+  for span in engine.optimize dfg_build emit; do
+    grep -q "\"name\":\"$span\"" "$trace_json" \
+      || { echo "check.sh: trace JSON is missing the $span span" >&2; exit 1; }
+  done
   rm -f "$trace_json"
 fi
 
