@@ -9,15 +9,6 @@
 
 namespace fact::obs {
 
-// ---- Counter -------------------------------------------------------------
-
-size_t Counter::stripe_index() {
-  static std::atomic<size_t> next{0};
-  thread_local const size_t idx =
-      next.fetch_add(1, std::memory_order_relaxed) % kStripes;
-  return idx;
-}
-
 // ---- Histogram -----------------------------------------------------------
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -14,9 +13,8 @@ namespace fact::obs {
 /// Process-wide metrics for the optimizer, scheduler, caches and factd.
 ///
 /// Design constraints, in order:
-///  * hot-path cost: Counter::inc() is one relaxed fetch_add on a
-///    cache-line-padded stripe private to (a hash of) the calling thread —
-///    ~20 ns even when every WorkerPool worker hammers the same counter;
+///  * hot-path cost: Counter::inc() is one relaxed fetch_add on one
+///    atomic word;
 ///  * thread safety: all mutation is on std::atomic (TSan-clean); the
 ///    registry mutex guards registration and snapshotting only, never an
 ///    increment;
@@ -25,36 +23,20 @@ namespace fact::obs {
 ///    instrumentation cannot perturb the byte-identical determinism
 ///    contracts (`--jobs N` == `--jobs 1`, factd == factc).
 ///
-/// Values are exact in any serial or properly joined concurrent run:
-/// stripes are summed on read, and a read that is not concurrent with
-/// writers sees every prior increment (the WorkerPool joins its waves, so
-/// the engine's serial reduction always reads settled counts).
+/// Values are exact in any serial or properly joined concurrent run: a
+/// read that is not concurrent with writers sees every prior increment
+/// (the WorkerPool joins its waves, so the engine's serial reduction
+/// always reads settled counts).
 
-/// Monotonic event count. Striped to keep concurrent increments from
-/// bouncing one cache line between cores.
+/// Monotonic event count.
 class Counter {
  public:
-  void inc(uint64_t n = 1) {
-    cells_[stripe_index()].v.fetch_add(n, std::memory_order_relaxed);
-  }
-  uint64_t value() const {
-    uint64_t total = 0;
-    for (const auto& c : cells_) total += c.v.load(std::memory_order_relaxed);
-    return total;
-  }
-  void reset() {
-    for (auto& c : cells_) c.v.store(0, std::memory_order_relaxed);
-  }
+  void inc(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
-  static constexpr size_t kStripes = 16;
-  struct alignas(64) Cell {
-    std::atomic<uint64_t> v{0};
-  };
-  /// Round-robin stripe assignment, cached per thread: uniform across any
-  /// number of threads, no hashing on the hot path.
-  static size_t stripe_index();
-  std::array<Cell, kStripes> cells_;
+  std::atomic<uint64_t> v_{0};
 };
 
 /// A value that can go up and down (queue depth, cache occupancy).

@@ -24,8 +24,9 @@ BaselineResult schedule_and_measure(ir::Function fn,
   const sim::Profile profile = sim::profile_function(fn, trace);
   sched::Scheduler scheduler(lib, alloc, sel, sched_opts);
   r.schedule = scheduler.schedule(fn, profile);
-  r.avg_len = stg::average_schedule_length(r.schedule.stg);
-  r.power_nominal = power::estimate_power(r.schedule.stg, lib, power_opts);
+  r.power_nominal = measure_design(r.schedule.stg, lib, power_opts,
+                                   Objective::Throughput);
+  r.avg_len = r.power_nominal.avg_schedule_length;
   r.fn = std::move(fn);
   return r;
 }

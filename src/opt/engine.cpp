@@ -30,7 +30,7 @@ struct Member {
   uint64_t hash = 0;                 // ir::structural_hash(fn)
   /// fn's profile from the pass that checked its equivalence (the root's
   /// from the reference pass), handed to evaluation and dropped there.
-  /// Empty when no equivalence check ran.
+  /// Empty for a root whose reference pass aborted.
   std::optional<sim::Profile> profile;
 };
 
@@ -144,6 +144,24 @@ size_t EvalCache::size() const {
   return map_.size();
 }
 
+// ---- measurement -------------------------------------------------------
+
+power::PowerEstimate measure_design(const stg::Stg& stg,
+                                    const hlslib::Library& lib,
+                                    const power::PowerOptions& opts,
+                                    Objective objective, double baseline_len,
+                                    const std::vector<double>* pi) {
+  obs::Span sp = obs::span("estimate", "eval");
+  std::vector<double> solved;
+  if (!pi) {
+    solved = stg::state_probabilities(stg);
+    pi = &solved;
+  }
+  return objective == Objective::Power
+             ? power::estimate_power_scaled(stg, lib, baseline_len, opts, pi)
+             : power::estimate_power(stg, lib, opts, pi);
+}
+
 // ---- TransformEngine ---------------------------------------------------
 
 TransformEngine::TransformEngine(const hlslib::Library& lib,
@@ -165,12 +183,13 @@ Evaluation TransformEngine::evaluate(const ir::Function& fn,
                                      const sim::Trace& trace,
                                      Objective objective,
                                      double baseline_len) const {
-  return evaluate_impl(fn, trace, objective, baseline_len, nullptr, nullptr);
+  const sched::Scheduler scheduler(lib_, alloc_, sel_, sched_opts_);
+  return evaluate_impl(scheduler, fn, trace, objective, baseline_len, nullptr);
 }
 
 Evaluation TransformEngine::evaluate_impl(
-    const ir::Function& fn, const sim::Trace& trace, Objective objective,
-    double baseline_len, sched::FragmentCache* fragments,
+    const sched::Scheduler& scheduler, const ir::Function& fn,
+    const sim::Trace& trace, Objective objective, double baseline_len,
     const sim::Profile* known_profile) const {
   // The candidate's own profile (transformed control structure means new
   // branch sites). Inside optimize() it comes from the pass that checked
@@ -183,9 +202,6 @@ Evaluation TransformEngine::evaluate_impl(
   }
   const sim::Profile& profile = known_profile ? *known_profile : *own_profile;
   obs::Span sp_sched = obs::span("schedule", "eval");
-  sched::SchedOptions sopts = sched_opts_;
-  sopts.fragment_cache = fragments;
-  sched::Scheduler scheduler(lib_, alloc_, sel_, sopts);
   const sched::ScheduleResult sr = scheduler.schedule(fn, profile);
   sp_sched.finish();
 
@@ -198,28 +214,19 @@ Evaluation TransformEngine::evaluate_impl(
     verify::check_or_throw(rep);
   }
 
-  // One stationary solve serves both the throughput metric and the power
-  // model (the power estimate reuses pi instead of re-solving the chain).
-  obs::Span sp_est = obs::span("estimate", "eval");
-  const std::vector<double> pi = stg::state_probabilities(sr.stg);
+  const power::PowerEstimate est =
+      measure_design(sr.stg, lib_, power_opts_, objective, baseline_len);
   Evaluation ev;
-  ev.avg_len = stg::average_schedule_length(sr.stg, pi);
-  if (objective == Objective::Power) {
-    const power::PowerEstimate est = power::estimate_power_scaled(
-        sr.stg, lib_, baseline_len, power_opts_, &pi);
-    ev.power = est.power;
-    ev.vdd = est.vdd;
-    // Iso-throughput constraint (Section 2.2): the transformed design must
-    // not be slower than the base case; slower candidates would fake a
-    // power win simply by stretching the denominator.
+  ev.avg_len = est.avg_schedule_length;
+  ev.power = est.power;
+  ev.vdd = est.vdd;
+  // Iso-throughput constraint (Section 2.2): in Power mode the transformed
+  // design must not be slower than the base case; slower candidates would
+  // fake a power win simply by stretching the denominator.
+  if (objective == Objective::Power)
     ev.score = ev.avg_len <= baseline_len * 1.001 ? est.power : 1e30;
-  } else {
-    const power::PowerEstimate est =
-        power::estimate_power(sr.stg, lib_, power_opts_, &pi);
-    ev.power = est.power;
-    ev.vdd = est.vdd;
+  else
     ev.score = ev.avg_len;
-  }
   return ev;
 }
 
@@ -244,14 +251,18 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
   // Memoized evaluations: shared across calls when the caller provides a
   // cache (run_fact does, one per flow; factd one per process), run-local
   // otherwise.
-  EvalCache local_cache(opts_.cache_cap);
+  EvalCache local_cache;
   EvalCache& cache = shared_cache ? *shared_cache : local_cache;
 
   // Region-scoped schedule memoization, one per run: candidates share the
   // regions they did not mutate, so their schedules reuse each other's
   // fragments. Never shared across runs — its entries assume this run's
-  // library/allocation/selection/clock.
+  // library/allocation/selection/clock. One Scheduler over it serves every
+  // worker: schedule() is const and keeps all mutable state call-local.
   sched::FragmentCache fragment_cache;
+  sched::SchedOptions sched_opts = sched_opts_;
+  sched_opts.fragment_cache = &fragment_cache;
+  const sched::Scheduler scheduler(lib_, alloc_, sel_, sched_opts);
 
   // The pool only parallelizes per-candidate work (apply/verify/
   // equivalence/evaluate); neighborhood generation, the RNG, and every
@@ -314,13 +325,12 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
   // Transactional evaluation, compute side: any failure — allocation
   // infeasibility, scheduler non-convergence, verifier rejection of the
   // schedule, or an arbitrary exception — becomes a failure entry instead
-  // of aborting the search. Called concurrently from workers: evaluate()
-  // builds its own Scheduler and all engine context is read-only.
+  // of aborting the search. Called concurrently from workers, which share
+  // the run's Scheduler; all engine context is read-only.
   auto compute_entry = [&](const Member& m) {
     EvalCache::Entry e;
     try {
-      e.eval = evaluate_impl(m.fn, trace, objective, baseline_len,
-                             &fragment_cache,
+      e.eval = evaluate_impl(scheduler, m.fn, trace, objective, baseline_len,
                              m.profile ? &*m.profile : nullptr);
       e.ok = true;
     } catch (const verify::VerifyError& ex) {
@@ -353,7 +363,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
     } else {
       result.cache_misses++;
       sc.eval_cache_misses.inc();
-      if (opts_.memoize) cache.insert(m.hash, objective, baseline_len, entry);
+      cache.insert(m.hash, objective, baseline_len, entry);
     }
     if (!entry.ok) {
       quarantine("evaluate", entry.failure_class, entry.message, m.applied);
@@ -377,7 +387,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
   // is quarantined with it.
   sim::Observations reference;
   std::optional<std::string> reference_error;
-  if (opts_.verify_equivalence) {
+  {
     obs::Span sp_ref = obs::span("reference", "opt");
     try {
       sim::Profile p;
@@ -390,9 +400,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
 
   bool root_ok;
   {
-    const auto hit = opts_.memoize
-                         ? cache.lookup(root.hash, objective, baseline_len)
-                         : std::nullopt;
+    const auto hit = cache.lookup(root.hash, objective, baseline_len);
     root_ok = consume_entry(root, hit ? *hit : compute_entry(root),
                             hit.has_value());
     root.profile.reset();
@@ -533,7 +541,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
           // Gate 3: observable behavior must match the original. One
           // interpreter pass checks it against the reference and profiles
           // the candidate for evaluation.
-          if (opts_.verify_equivalence) {
+          {
             obs::Span sp_eq = obs::span("equivalence", "opt");
             try {
               if (reference_error) throw Error(*reference_error);
@@ -545,11 +553,11 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
               o.message = e.what();
               return;
             }
-            if (!o.profile) {
-              o.status = Outcome::Status::NonEquivalent;
-              o.message = item.cand.describe();
-              return;
-            }
+          }
+          if (!o.profile) {
+            o.status = Outcome::Status::NonEquivalent;
+            o.message = item.cand.describe();
+            return;
           }
           o.status = Outcome::Status::Survived;
         });
@@ -617,6 +625,29 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
       // are quarantined and drop out of the population.
       std::vector<Member> evaluated;
       evaluated.reserve(behavior_set.size());
+      // Admits an evaluated member into the next population and tracks
+      // the best design, attributing an improvement to the transform class
+      // of the move that produced it (the sentinel 1e30 score a failed
+      // root leaves behind gets no delta — it would be meaningless).
+      auto accept = [&](Member& m) {
+        accepted++;
+        gen.accepted++;
+        sc.accepted.inc();
+        result.telemetry.accepted_by_transform[m.via]++;
+        if (m.eval.score < best_score) {
+          const double delta =
+              best_score < 1e29 ? best_score - m.eval.score : 0.0;
+          best_score = m.eval.score;
+          result.best = m.fn.clone();
+          result.best_eval = m.eval;
+          result.applied = m.applied;
+          gen.improvements++;
+          sc.improvements.inc();
+          result.telemetry.improvements_by_transform[m.via]++;
+          result.telemetry.improvement_by_transform[m.via] += delta;
+        }
+        evaluated.push_back(std::move(m));
+      };
       if (opts_.reschedule_in_loop) {
         const size_t n = behavior_set.size();
         std::vector<EvalCache::Entry> entries(n);
@@ -625,9 +656,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
           obs::Span sp_eval = obs::span("evaluate", "opt");
           sp_eval.arg("transform", behavior_set[w].via);
           const auto hit =
-              opts_.memoize
-                  ? cache.lookup(behavior_set[w].hash, objective, baseline_len)
-                  : std::nullopt;
+              cache.lookup(behavior_set[w].hash, objective, baseline_len);
           sp_eval.arg("cache_hit", hit.has_value());
           if (hit) {
             entries[w] = std::move(*hit);
@@ -640,27 +669,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
         for (size_t w = 0; w < n; ++w) {
           if (out_of_budget()) break;
           Member& m = behavior_set[w];
-          if (!consume_entry(m, entries[w], hits[w] != 0)) continue;
-          accepted++;
-          gen.accepted++;
-          sc.accepted.inc();
-          result.telemetry.accepted_by_transform[m.via]++;
-          if (m.eval.score < best_score) {
-            // Attribute the improvement to the transform class of the move
-            // that produced the new best (skip the sentinel 1e30 scores a
-            // failed root leaves behind — the delta would be meaningless).
-            const double delta =
-                best_score < 1e29 ? best_score - m.eval.score : 0.0;
-            best_score = m.eval.score;
-            result.best = m.fn.clone();
-            result.best_eval = m.eval;
-            result.applied = m.applied;
-            gen.improvements++;
-            sc.improvements.inc();
-            result.telemetry.improvements_by_transform[m.via]++;
-            result.telemetry.improvement_by_transform[m.via] += delta;
-          }
-          evaluated.push_back(std::move(m));
+          if (consume_entry(m, entries[w], hits[w] != 0)) accept(m);
         }
       } else {
         for (Member& m : behavior_set) {
@@ -673,23 +682,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
           });
           m.eval.score = static_cast<double>(ops);
           m.profile.reset();  // scored without it
-          accepted++;
-          gen.accepted++;
-          sc.accepted.inc();
-          result.telemetry.accepted_by_transform[m.via]++;
-          if (m.eval.score < best_score) {
-            const double delta =
-                best_score < 1e29 ? best_score - m.eval.score : 0.0;
-            best_score = m.eval.score;
-            result.best = m.fn.clone();
-            result.best_eval = m.eval;
-            result.applied = m.applied;
-            gen.improvements++;
-            sc.improvements.inc();
-            result.telemetry.improvements_by_transform[m.via]++;
-            result.telemetry.improvement_by_transform[m.via] += delta;
-          }
-          evaluated.push_back(std::move(m));
+          accept(m);
         }
       }
       behavior_set = std::move(evaluated);
@@ -760,7 +753,8 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
   // final evaluation is abandoned in favor of the baseline.
   if (!opts_.reschedule_in_loop && accepted > 0) {
     try {
-      result.best_eval = evaluate(result.best, trace, objective, baseline_len);
+      result.best_eval = evaluate_impl(scheduler, result.best, trace,
+                                       objective, baseline_len, nullptr);
     } catch (const std::exception& e) {
       quarantine("evaluate", "final-evaluation", e.what(), result.applied);
       result.best = fn.clone();

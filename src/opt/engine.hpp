@@ -37,7 +37,6 @@ struct EngineOptions {
   double k_step = 0.4;               // k increment per outer iteration
   uint64_t seed = 1;
   bool reschedule_in_loop = true;    // ablation: schedule-guided selection
-  bool verify_equivalence = true;    // simulate candidates vs. the original
 
   /// Invariant checking per candidate. Fast runs the structural IR checks
   /// on every applied rewrite before it can enter the population; Full
@@ -63,19 +62,6 @@ struct EngineOptions {
   /// stateful wrapper (e.g. the FaultInjector) — find/apply are called from
   /// worker threads when jobs > 1 and must be thread-safe.
   int jobs = 1;
-
-  /// Evaluation memoization (ablation switch): when false the engine never
-  /// consults or fills the EvalCache and every request runs the full
-  /// schedule+verify+estimate pipeline. Results are identical either way —
-  /// cached entries are exactly what recomputation would produce.
-  bool memoize = true;
-
-  /// Upper bound on EvalCache entries (LRU eviction past it); applies to
-  /// the engine's run-local cache and is the construction default for
-  /// caller-owned caches. Generous by default — one entry is a few hundred
-  /// bytes, so the cap mainly keeps a long-lived daemon from growing
-  /// without limit.
-  size_t cache_cap = 1 << 18;
 
   /// Cooperative cancellation: when non-null and set, the search stops at
   /// the next budget check and returns best-so-far with
@@ -107,6 +93,20 @@ struct Evaluation {
   double score = 0.0;    // objective value; lower is better
 };
 
+/// Measures a scheduled design the one way every flow does (Section 2.2):
+/// solves the STG's Markov chain once and estimates power from that
+/// solution; the estimate's avg_schedule_length is the design's average
+/// schedule length. Power mode scales the supply to iso-throughput with
+/// `baseline_len`; Throughput mode reports power at nominal Vdd and
+/// ignores `baseline_len`. `pi` optionally supplies the solution when the
+/// caller needs it too (run_fact partitions the initial design with it).
+power::PowerEstimate measure_design(const stg::Stg& stg,
+                                    const hlslib::Library& lib,
+                                    const power::PowerOptions& opts,
+                                    Objective objective,
+                                    double baseline_len = 0.0,
+                                    const std::vector<double>* pi = nullptr);
+
 /// Memoized candidate evaluations, keyed by (structural hash, objective,
 /// baseline_len). run_fact shares one cache across its per-block engine
 /// runs: blocks repeatedly re-derive overlapping variants (and every
@@ -133,7 +133,8 @@ class EvalCache {
     std::string message;        // diagnostic when !ok
   };
 
-  /// Default capacity mirrors EngineOptions::cache_cap.
+  /// Generous by default — one entry is a few hundred bytes, so the cap
+  /// mainly keeps a long-lived daemon from growing without limit.
   explicit EvalCache(size_t capacity = 1 << 18);
 
   std::optional<Entry> lookup(uint64_t structural_hash, Objective objective,
@@ -271,16 +272,15 @@ class TransformEngine {
                       Objective objective, double baseline_len) const;
 
  private:
-  /// evaluate() with an optional schedule-fragment cache and an optional
-  /// known profile of `fn` over `trace`. optimize() owns one FragmentCache
-  /// per run and routes every candidate evaluation through it, passing the
-  /// profile from the candidate's equivalence pass (or the root's from the
-  /// reference pass). A null profile makes evaluate_impl simulate the trace
-  /// itself: the public evaluate(), and optimize() with
-  /// EngineOptions::verify_equivalence off.
-  Evaluation evaluate_impl(const ir::Function& fn, const sim::Trace& trace,
+  /// evaluate() through a given Scheduler, with an optional known profile
+  /// of `fn` over `trace`. optimize() builds one Scheduler per run, over
+  /// the run's FragmentCache, and shares it across its workers; it passes
+  /// the profile from the candidate's equivalence pass (or the root's
+  /// from the reference pass). A null profile makes evaluate_impl simulate
+  /// the trace itself.
+  Evaluation evaluate_impl(const sched::Scheduler& scheduler,
+                           const ir::Function& fn, const sim::Trace& trace,
                            Objective objective, double baseline_len,
-                           sched::FragmentCache* fragments,
                            const sim::Profile* known_profile) const;
 
   // Hardware context is stored by value (callers pass temporaries); the

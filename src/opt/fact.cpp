@@ -33,12 +33,12 @@ FactResult run_fact(const ir::Function& fn, const hlslib::Library& lib,
   obs::Span sp_initial = obs::span("initial_schedule", "fact");
   sched::ScheduleResult initial = scheduler.schedule(fn, profile);
   sp_initial.finish();
-  {
-    const std::vector<double> pi = stg::state_probabilities(initial.stg);
-    result.initial_avg_len = stg::average_schedule_length(initial.stg, pi);
-    result.initial_power =
-        power::estimate_power(initial.stg, lib, opts.power, &pi);
-  }
+  // One stationary solve serves the initial measurement and the partition.
+  const std::vector<double> initial_pi = stg::state_probabilities(initial.stg);
+  result.initial_power =
+      measure_design(initial.stg, lib, opts.power, Objective::Throughput,
+                     0.0, &initial_pi);
+  result.initial_avg_len = result.initial_power.avg_schedule_length;
   result.log.push_back(strfmt("initial schedule: %zu states, avg length %.2f",
                               initial.stg.num_states(),
                               result.initial_avg_len));
@@ -46,7 +46,7 @@ FactResult run_fact(const ir::Function& fn, const hlslib::Library& lib,
   // Step 2: partition the STG into hot blocks.
   obs::Span sp_part = obs::span("partition", "fact");
   std::vector<StgBlock> blocks =
-      partition_stg(initial.stg, opts.partition_threshold);
+      partition_stg(initial.stg, opts.partition_threshold, &initial_pi);
   if (blocks.size() > opts.max_blocks) blocks.resize(opts.max_blocks);
   sp_part.arg("blocks", blocks.size());
   sp_part.finish();
@@ -98,20 +98,9 @@ FactResult run_fact(const ir::Function& fn, const hlslib::Library& lib,
   const sim::Profile final_profile = sim::profile_function(current, trace);
   result.schedule = scheduler.schedule(current, final_profile);
   sp_final.finish();
-  {
-    const std::vector<double> pi =
-        stg::state_probabilities(result.schedule.stg);
-    result.final_avg_len =
-        stg::average_schedule_length(result.schedule.stg, pi);
-    if (opts.objective == Objective::Power) {
-      result.final_power =
-          power::estimate_power_scaled(result.schedule.stg, lib,
-                                       result.initial_avg_len, opts.power, &pi);
-    } else {
-      result.final_power =
-          power::estimate_power(result.schedule.stg, lib, opts.power, &pi);
-    }
-  }
+  result.final_power = measure_design(result.schedule.stg, lib, opts.power,
+                                      opts.objective, result.initial_avg_len);
+  result.final_avg_len = result.final_power.avg_schedule_length;
   if (result.evaluations > 0)
     result.log.push_back(strfmt(
         "evaluation cache: %d hit(s) / %d request(s) across %zu block(s)",

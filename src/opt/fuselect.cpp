@@ -1,5 +1,6 @@
 #include "opt/fuselect.hpp"
 
+#include "opt/engine.hpp"
 #include "util/error.hpp"
 #include "util/strfmt.hpp"
 
@@ -20,25 +21,20 @@ hlslib::Allocation transfer(const hlslib::Allocation& alloc,
   return out;
 }
 
-struct Metrics {
-  double len = 0.0;
-  double power = 0.0;
-};
-
-Metrics measure(const ir::Function& fn, const hlslib::Library& lib,
-                const hlslib::Allocation& alloc,
-                const hlslib::FuSelection& sel, const sim::Trace& trace,
-                const sched::SchedOptions& sched_opts,
-                const power::PowerOptions& power_opts, double baseline_len) {
-  const sim::Profile profile = sim::profile_function(fn, trace);
-  sched::Scheduler scheduler(lib, alloc, sel, sched_opts);
+/// Schedules `fn` under one allocation and selection and measures it at
+/// iso-throughput with `baseline_len`.
+power::PowerEstimate measure(const ir::Function& fn,
+                             const sim::Profile& profile,
+                             const hlslib::Library& lib,
+                             const hlslib::Allocation& alloc,
+                             const hlslib::FuSelection& sel,
+                             const sched::SchedOptions& sched_opts,
+                             const power::PowerOptions& power_opts,
+                             double baseline_len) {
+  const sched::Scheduler scheduler(lib, alloc, sel, sched_opts);
   const sched::ScheduleResult sr = scheduler.schedule(fn, profile);
-  Metrics m;
-  m.len = stg::average_schedule_length(sr.stg);
-  m.power =
-      power::estimate_power_scaled(sr.stg, lib, baseline_len, power_opts)
-          .power;
-  return m;
+  return measure_design(sr.stg, lib, power_opts, Objective::Power,
+                        baseline_len);
 }
 
 }  // namespace
@@ -51,14 +47,16 @@ FuSelectResult explore_fu_selection(const ir::Function& fn,
                                     const sched::SchedOptions& sched_opts,
                                     const power::PowerOptions& power_opts,
                                     double baseline_len) {
+  // The behavior never changes, so neither does its profile.
+  const sim::Profile profile = sim::profile_function(fn, trace);
   FuSelectResult best;
   best.selection = initial;
   best.allocation = alloc;
   {
-    const Metrics m = measure(fn, lib, alloc, initial, trace, sched_opts,
-                              power_opts, baseline_len);
+    const power::PowerEstimate m = measure(
+        fn, profile, lib, alloc, initial, sched_opts, power_opts, baseline_len);
     best.power = m.power;
-    best.avg_len = m.len;
+    best.avg_len = m.avg_schedule_length;
   }
 
   // Greedy: one op kind at a time, try every alternative of its class.
@@ -78,20 +76,20 @@ FuSelectResult explore_fu_selection(const ir::Function& fn,
         cand_sel.choice[op] = alt->name;
         const hlslib::Allocation cand_alloc =
             transfer(best.allocation, current_type, alt->name);
-        Metrics m;
+        power::PowerEstimate m;
         try {
-          m = measure(fn, lib, cand_alloc, cand_sel, trace, sched_opts,
+          m = measure(fn, profile, lib, cand_alloc, cand_sel, sched_opts,
                       power_opts, baseline_len);
         } catch (const Error&) {
           continue;  // unschedulable with this unit (e.g. delay too long)
         }
         // Iso-throughput constraint plus strict power improvement.
-        if (m.len > baseline_len * 1.001) continue;
+        if (m.avg_schedule_length > baseline_len * 1.001) continue;
         if (m.power >= best.power - 1e-9) continue;
         best.selection = cand_sel;
         best.allocation = cand_alloc;
         best.power = m.power;
-        best.avg_len = m.len;
+        best.avg_len = m.avg_schedule_length;
         best.log.push_back(strfmt("%s: %s -> %s (power %.4f)",
                                   ir::op_token(op), current_type.c_str(),
                                   alt->name.c_str(), m.power));

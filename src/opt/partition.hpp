@@ -21,8 +21,11 @@ struct StgBlock {
 /// transitions by relative frequency pi[src] * prob, keep those whose
 /// frequency is at least `threshold` times the maximum, and grow/fuse
 /// blocks over the kept edges in decreasing frequency order. Blocks are
-/// returned sorted by decreasing weight.
+/// returned sorted by decreasing weight. `pi` optionally supplies the
+/// STG's stationary distribution when the caller already solved it;
+/// nullptr solves the chain here.
 std::vector<StgBlock> partition_stg(const stg::Stg& stg,
-                                    double threshold = 0.25);
+                                    double threshold = 0.25,
+                                    const std::vector<double>* pi = nullptr);
 
 }  // namespace fact::opt

@@ -92,6 +92,18 @@ bool loops_independent(const RwSets& a, const RwSets& b) {
 
 int lcm_int(int a, int b) { return a / std::gcd(a, b) * b; }
 
+// The fixed scheduling policy (the paper's setup).
+constexpr double kVdd = 5.0;        // supply the FU delays are scaled for
+constexpr double kVt = 1.0;         // threshold voltage
+constexpr int kMaxIi = 64;          // give up pipelining past this II
+constexpr int kMaxHyperperiod = 64; // fused-phase schedule table size cap
+constexpr size_t kMaxFused = 4;     // at most this many loops fused at once
+static_assert(kMaxFused <= 31, "fused phases are 32-bit loop masks");
+/// Pathological-schedule guard: emission producing more states than this
+/// throws fact::Error. A runaway candidate (e.g. an over-unrolled loop)
+/// would otherwise drown the optimization loop in STG analysis.
+constexpr size_t kMaxStates = 100000;
+
 /// Key folding for fragment-cache keys (same splitmix64-style mix as
 /// ir::hash so key quality matches).
 uint64_t key_mix(uint64_t seed, uint64_t v) {
@@ -179,10 +191,10 @@ class Emitter {
     fn_name_ = fn.name();
     RegionPtr tree = build_region_tree(fn);
     std::vector<Attach> outs = emit_seq(*tree, {});
-    if (opts_.max_states > 0 && stg_.num_states() > opts_.max_states)
+    if (stg_.num_states() > kMaxStates)
       throw Error(strfmt(
           "schedule for '%s' exploded to %zu states (max_states %zu)",
-          fn_name_.c_str(), stg_.num_states(), opts_.max_states));
+          fn_name_.c_str(), stg_.num_states(), kMaxStates));
     if (stg_.num_states() == 0) {
       const int idle = stg_.add_state("idle");
       stg_.add_edge(idle, idle, 1.0, "", /*exec_boundary=*/true);
@@ -367,7 +379,7 @@ class Emitter {
   Dfg build_dfg(const std::vector<const Stmt*>& stmts,
                 const ExprPtr& cond = nullptr, int cond_stmt_id = -1) {
     obs::Span sp = obs::span("dfg_build", "sched");
-    if (!builder_) builder_.emplace(lib_, alloc_, sel_, opts_.vdd, opts_.vt);
+    if (!builder_) builder_.emplace(lib_, alloc_, sel_, kVdd, kVt);
     return builder_->build(stmts, cond, cond_stmt_id);
   }
 
@@ -394,7 +406,7 @@ class Emitter {
         std::vector<const Region*> run{&child};
         std::vector<RwSets> rw;  // of each loop in `run`, once needed
         size_t j = i + 1;
-        while (j < seq.children.size() && run.size() < opts_.max_fused) {
+        while (j < seq.children.size() && run.size() < kMaxFused) {
           const Region& next = *seq.children[j];
           if (next.kind != Region::Kind::Loop) break;
           if (!next.loop_body_is_straight() ||
@@ -467,7 +479,7 @@ class Emitter {
   std::vector<Attach> emit_loop(const Region& r, std::vector<Attach> in) {
     const double p = loop_prob(r.ctrl->id);  // closing probability
 
-    if (opts_.pipeline_loops && r.loop_body_is_straight()) {
+    if (r.loop_body_is_straight()) {
       std::vector<Attach> out;
       if (emit_pipelined_loop(r, p, in, &out)) return out;
     }
@@ -578,7 +590,7 @@ class Emitter {
           // Every attempt reschedules the same DFG in place: a successful
           // list_schedule rewrites every node's placement.
           const DfgDeps deps(dfg);
-          for (int ii = res_ii; ii <= opts_.max_ii; ++ii) {
+          for (int ii = res_ii; ii <= kMaxIi; ++ii) {
             ResourceTable table(alloc_, ii);
             if (!list_schedule(dfg, deps, table, opts_.clock_ns, ii)) continue;
             if (!recurrences_ok(dfg, ii)) continue;
@@ -725,7 +737,7 @@ class Emitter {
                       FusedPhase* phase) const {
     int h = 1;
     for (const auto& [i, ii] : loop_iis) h = lcm_int(h, ii);
-    if (h > opts_.max_hyperperiod) return false;
+    if (h > kMaxHyperperiod) return false;
     ResourceTable table(alloc_, h);
     for (const auto& [i, ii] : loop_iis) {
       // Fused phases are metrics-grade (rtl_exact = false); pipeline-lag
@@ -753,7 +765,7 @@ class Emitter {
     FusedPhase current;
     for (size_t i = 0; i < loops.base.size(); ++i) {
       if (!(mask & (1u << i))) continue;
-      for (int ii = loops.solo_ii[i]; ii <= opts_.max_hyperperiod; ++ii) {
+      for (int ii = loops.solo_ii[i]; ii <= kMaxHyperperiod; ++ii) {
         auto cand = current.active;
         cand.emplace_back(i, ii);
         if (schedule_phase(loops, cand, &current)) break;
@@ -1005,12 +1017,7 @@ class Emitter {
 
 Scheduler::Scheduler(const hlslib::Library& lib, const hlslib::Allocation& alloc,
                      const hlslib::FuSelection& sel, SchedOptions opts)
-    : lib_(lib), alloc_(alloc), sel_(sel), opts_(opts) {
-  // Fused phases are identified by 32-bit loop masks.
-  if (opts_.max_fused > SchedOptions::kMaxFused)
-    throw Error(strfmt("max_fused %zu exceeds the limit of %zu loops",
-                       opts_.max_fused, SchedOptions::kMaxFused));
-}
+    : lib_(lib), alloc_(alloc), sel_(sel), opts_(opts) {}
 
 ScheduleResult Scheduler::schedule(const ir::Function& fn,
                                    const sim::Profile& profile) const {

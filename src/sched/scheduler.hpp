@@ -14,28 +14,13 @@ namespace fact::sched {
 class FragmentCache;
 
 /// Scheduler configuration. Defaults reproduce the paper's setup: 25ns
-/// clock, 5V supply, and all three integrated scheduling capabilities on
-/// (implicit loop unrolling via pipelining, and concurrent-loop
-/// parallelization). Turning capabilities off is used by the ablation
-/// experiments.
+/// clock with concurrent-loop parallelization on. The rest of the policy
+/// is fixed in scheduler.cpp: 5V supply, loop pipelining up to II 64,
+/// at most 4 loops fused at once within a 64-step hyperperiod, and the
+/// state-explosion guard.
 struct SchedOptions {
   double clock_ns = 25.0;
-  double vdd = 5.0;
-  double vt = 1.0;
-  bool pipeline_loops = true;  // overlap iterations of straight-body loops
-  bool fuse_loops = true;      // parallelize independent adjacent loops
-  int max_ii = 64;             // give up pipelining past this II
-  size_t max_fused = 4;        // at most this many loops fused at once
-  /// Upper bound on max_fused (phases are 32-bit loop masks); the
-  /// Scheduler constructor rejects larger values with fact::Error.
-  static constexpr size_t kMaxFused = 31;
-  int max_hyperperiod = 64;    // fused-phase schedule table size cap
-  /// Pathological-schedule guard: abort (fact::Error) when emission
-  /// produces more states than this. Downstream STG analysis used to be
-  /// O(n^3) in the state count; the sparse stationary solver softens that,
-  /// but a runaway candidate (e.g. an over-unrolled loop) would still
-  /// drown the optimization loop. 0 = unlimited.
-  size_t max_states = 100000;
+  bool fuse_loops = true;  // parallelize independent adjacent loops
   /// Optional region-scoped schedule memoization, shared across schedule()
   /// calls (the optimizer owns one per optimize() run). Borrowed, not
   /// owned; must outlive every Scheduler constructed with these options.
@@ -104,10 +89,10 @@ class Scheduler {
   /// under construction) lives in call-local structures; the members below
   /// are read-only after construction. The optimizer relies on this — with
   /// EngineOptions::jobs > 1 its worker threads schedule candidates
-  /// through one shared engine-owned Scheduler (see DESIGN.md §"Parallel
-  /// candidate evaluation"). Keep it that way: any future cache or
-  /// scratch buffer added to this class must be call-local or
-  /// internally synchronized.
+  /// through the one Scheduler each optimize() call builds (see
+  /// DESIGN.md §"Parallel candidate evaluation"). Keep it that way: any
+  /// future cache or scratch buffer added to this class must be
+  /// call-local or internally synchronized.
   ScheduleResult schedule(const ir::Function& fn,
                           const sim::Profile& profile) const;
 

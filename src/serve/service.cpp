@@ -382,6 +382,7 @@ Json Service::execute_optimize(const Json& req, JobState& job) {
 
   opt::FactOptions fo;
   fo.sched.clock_ns = req.get_double("clock", fo.sched.clock_ns);
+  fo.power.clock_ns = fo.sched.clock_ns;
   fo.sched.fuse_loops = !req.get_bool("no_fuse", false);
   fo.seed = static_cast<uint64_t>(req.get_int("seed", 7));
   const std::string objective = req.get_string("objective", "throughput");
@@ -395,7 +396,6 @@ Json Service::execute_optimize(const Json& req, JobState& job) {
   const double deadline = req.get_double("deadline_ms", 0.0);
   if (deadline < 0.0) throw Error("deadline_ms must be >= 0");
   fo.engine.deadline_ms = deadline;
-  fo.engine.memoize = req.get_bool("memoize", true);
   fo.engine.cancel = job.cancel_flag();
   const int jobs = static_cast<int>(req.get_int("jobs", 0));
   if (jobs > 0) {
@@ -450,7 +450,8 @@ Json Service::execute_schedule(const Json& req) {
   sched::SchedOptions so;
   so.clock_ns = req.get_double("clock", so.clock_ns);
   so.fuse_loops = !req.get_bool("no_fuse", false);
-  const power::PowerOptions po;
+  power::PowerOptions po;
+  po.clock_ns = so.clock_ns;
   const uint64_t seed = static_cast<uint64_t>(req.get_int("seed", 7));
   const opt::BaselineResult r = opt::run_m1(
       ses->fn, lib_, ses->alloc, sel_, ses->trace_config, so, po, seed);

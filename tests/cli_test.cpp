@@ -44,6 +44,24 @@ TEST(Cli, PowerObjectiveReportsVdd) {
   EXPECT_NE(r.output.find("scaled Vdd"), std::string::npos);
 }
 
+// Power is energy per unit time, so the power model must run on the
+// scheduler's clock. GCD's M1 schedule takes the same 39.88 cycles at 25
+// and 50 ns, so doubling the clock halves its power.
+TEST(Cli, ClockFeedsThePowerModel) {
+  const CliResult fast = run_cli("--benchmark GCD --method m1 --clock 25");
+  const CliResult slow = run_cli("--benchmark GCD --method m1 --clock 50");
+  EXPECT_EQ(fast.exit_code, 0) << fast.output;
+  EXPECT_EQ(slow.exit_code, 0) << slow.output;
+  EXPECT_NE(fast.output.find("avg length      39.88 cycles"), std::string::npos)
+      << fast.output;
+  EXPECT_NE(slow.output.find("avg length      39.88 cycles"), std::string::npos)
+      << slow.output;
+  EXPECT_NE(fast.output.find("power    2.548"), std::string::npos)
+      << fast.output;
+  EXPECT_NE(slow.output.find("power    1.274"), std::string::npos)
+      << slow.output;
+}
+
 TEST(Cli, SourceFileFlow) {
   const std::string path = ::testing::TempDir() + "cli_test_src.fact";
   {

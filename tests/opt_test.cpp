@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <thread>
 
 #include "lang/parser.hpp"
@@ -414,47 +412,6 @@ TEST(EvalCache, CapOneStillServesTheCurrentKey) {
   EXPECT_FALSE(cache.lookup(4, Objective::Power, 2.0).has_value());
 }
 
-TEST(EvalCache, EngineRespectsCacheCapOption) {
-  const workloads::Workload w = workloads::by_name("GCD");
-  const auto lib = hlslib::Library::dac98();
-  const auto sel = hlslib::FuSelection::defaults(lib);
-  const auto xforms = xform::TransformLibrary::standard();
-  FactOptions unbounded;
-  FactOptions tiny;
-  tiny.engine.cache_cap = 8;
-  const FactResult a =
-      run_fact(w.fn, lib, w.allocation, sel, w.trace, xforms, unbounded);
-  const FactResult b =
-      run_fact(w.fn, lib, w.allocation, sel, w.trace, xforms, tiny);
-  // A bounded cache can only change how much is recomputed, never the
-  // search outcome.
-  EXPECT_EQ(a.optimized.str(), b.optimized.str());
-  EXPECT_EQ(a.applied, b.applied);
-  EXPECT_EQ(a.evaluations, b.evaluations);
-  EXPECT_LE(b.cache_hits, a.cache_hits);
-}
-
-TEST(EvalCache, MemoizeOffIsPureAblation) {
-  const auto lib = hlslib::Library::dac98();
-  const auto sel = hlslib::FuSelection::defaults(lib);
-  const auto xforms = xform::TransformLibrary::standard();
-  FactOptions on;
-  FactOptions off;
-  off.engine.memoize = false;
-  for (const auto& w : workloads::table2_benchmarks()) {
-    const FactResult a =
-        run_fact(w.fn, lib, w.allocation, sel, w.trace, xforms, on);
-    const FactResult b =
-        run_fact(w.fn, lib, w.allocation, sel, w.trace, xforms, off);
-    EXPECT_EQ(b.cache_hits, 0) << w.name;
-    EXPECT_EQ(b.cache_misses, b.evaluations) << w.name;
-    EXPECT_EQ(a.optimized.str(), b.optimized.str()) << w.name;
-    EXPECT_EQ(a.applied, b.applied) << w.name;
-    EXPECT_EQ(a.evaluations, b.evaluations) << w.name;
-    EXPECT_EQ(a.quarantined, b.quarantined) << w.name;
-  }
-}
-
 TEST(Engine, EnginesSharingOneWorkerPoolMatchPrivatePools) {
   // The factd service points every engine at one process-wide pool via
   // EngineOptions::pool. Two concurrent optimizations sharing that pool
@@ -688,47 +645,6 @@ TEST(Gate3, AbortingCandidateIsQuarantinedAsSimulationError) {
   EXPECT_TRUE(r.degraded_to_baseline);
   EXPECT_EQ(r.best.str(), fn.str());
 }
-
-// The ablations that skip the reference pass (verify_equivalence off) or
-// the memo cache (memoize off) take other simulation paths than the
-// default run, which JobsDeterminism covers. Their full reports are pinned
-// by golden files, one per workload with both ablations and objectives; a
-// change that moves them on purpose regenerates them.
-class AblationParity : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(AblationParity, ReportsMatchGolden) {
-  const workloads::Workload w = workloads::by_name(GetParam());
-  const auto lib = hlslib::Library::dac98();
-  const auto sel = hlslib::FuSelection::defaults(lib);
-  const auto xforms = xform::TransformLibrary::standard();
-  std::string got;
-  for (const bool verify_off : {true, false})
-    for (const Objective obj : {Objective::Throughput, Objective::Power}) {
-      FactOptions fo;
-      fo.objective = obj;
-      if (verify_off)
-        fo.engine.verify_equivalence = false;
-      else
-        fo.engine.memoize = false;
-      const FactResult r =
-          run_fact(w.fn, lib, w.allocation, sel, w.trace, xforms, fo);
-      got += std::string("== ") +
-             (verify_off ? "verify_equivalence=false" : "memoize=false") +
-             (obj == Objective::Power ? " power" : " throughput") + "\n";
-      got += render_fact_report(r, obj, false);
-    }
-  const std::string path = std::string(FACT_TEST_DATA_DIR) +
-                           "/ablation_reports/" + GetParam() + ".txt";
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path;
-  std::stringstream want;
-  want << in.rdbuf();
-  EXPECT_EQ(got, want.str());
-}
-
-INSTANTIATE_TEST_SUITE_P(Table2, AblationParity,
-                         ::testing::Values("GCD", "FIR", "TEST2", "SINTRAN",
-                                           "IGF", "PPS"));
 
 }  // namespace
 }  // namespace fact::opt

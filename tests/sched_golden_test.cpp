@@ -14,10 +14,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <thread>
 
 #include "opt/fact.hpp"
 #include "program_gen.hpp"
+#include "sched/fragment_cache.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/trace.hpp"
 #include "util/error.hpp"
@@ -65,19 +68,71 @@ std::string render(const ScheduleResult& r) {
   return out;
 }
 
-/// Schedules `fn` under its profile on `trace`; a scheduling failure is
-/// part of the pinned output too.
-std::string schedule_and_render(const ir::Function& fn,
-                                const hlslib::Allocation& alloc,
-                                const sim::Trace& trace) {
-  const hlslib::Library lib = hlslib::Library::dac98();
-  const sim::Profile profile = sim::profile_function(fn, trace);
+/// Schedules `fn` under `profile` and renders the result; a scheduling
+/// failure is part of the pinned output too.
+std::string render_schedule(const Scheduler& s, const ir::Function& fn,
+                            const sim::Profile& profile) {
   try {
-    const Scheduler s(lib, alloc, hlslib::FuSelection::defaults(lib));
     return render(s.schedule(fn, profile));
   } catch (const Error& e) {
     return std::string("error: ") + e.what() + "\n";
   }
+}
+
+/// One pinned program: a behavior, its allocation and its trace.
+struct GoldenCase {
+  std::string name;
+  ir::Function fn;
+  hlslib::Allocation alloc;
+  sim::Trace trace;
+};
+
+/// Schedules a case from scratch (no fragment cache) and renders it.
+std::string schedule_and_render(const GoldenCase& c) {
+  const hlslib::Library lib = hlslib::Library::dac98();
+  const Scheduler s(lib, c.alloc, hlslib::FuSelection::defaults(lib));
+  return render_schedule(s, c.fn, sim::profile_function(c.fn, c.trace));
+}
+
+/// The six Table 2 workloads under the flow's trace seed and length.
+std::vector<GoldenCase> table2_cases() {
+  const opt::FactOptions fo;
+  std::vector<GoldenCase> cases;
+  for (const char* name : {"GCD", "FIR", "TEST2", "SINTRAN", "IGF", "PPS"}) {
+    workloads::Workload w = workloads::by_name(name);
+    sim::TraceConfig tc = w.trace;
+    if (tc.executions == 0) tc.executions = fo.trace_executions;
+    sim::Trace trace = sim::generate_trace(w.fn, tc, fo.seed);
+    cases.push_back({std::string("table2_") + name, std::move(w.fn),
+                     std::move(w.allocation), std::move(trace)});
+  }
+  return cases;
+}
+
+/// 24 generated programs, plain and with concurrent loops. Allocations
+/// alternate one and two instances of every FU type, so both tight and
+/// roomy resource tables are pinned.
+std::vector<GoldenCase> generated_cases() {
+  const hlslib::Library lib = hlslib::Library::dac98();
+  sim::TraceConfig tc;
+  tc.executions = 6;
+  std::vector<GoldenCase> cases;
+  for (const bool concurrent : {false, true}) {
+    testgen::GenOptions gen;
+    gen.concurrent_loops = concurrent;
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+      hlslib::Allocation alloc;
+      for (const auto& t : lib.types())
+        alloc.counts[t.name] = 1 + static_cast<int>(seed % 2);
+      ir::Function fn = testgen::random_program(seed, gen);
+      sim::Trace trace = sim::generate_trace(fn, tc, 7);
+      cases.push_back({strfmt("gen_%s_s%02d",
+                              concurrent ? "concurrent" : "plain",
+                              static_cast<int>(seed)),
+                       std::move(fn), std::move(alloc), std::move(trace)});
+    }
+  }
+  return cases;
 }
 
 void expect_golden(const std::string& name, const std::string& got) {
@@ -97,36 +152,58 @@ void expect_golden(const std::string& name, const std::string& got) {
 }
 
 TEST(SchedGolden, Table2Workloads) {
-  const opt::FactOptions fo;  // the flow's trace seed and length
-  for (const char* name : {"GCD", "FIR", "TEST2", "SINTRAN", "IGF", "PPS"}) {
-    const workloads::Workload w = workloads::by_name(name);
-    sim::TraceConfig tc = w.trace;
-    if (tc.executions == 0) tc.executions = fo.trace_executions;
-    const sim::Trace trace = sim::generate_trace(w.fn, tc, fo.seed);
-    expect_golden(std::string("table2_") + name,
-                  schedule_and_render(w.fn, w.allocation, trace));
-  }
+  for (const GoldenCase& c : table2_cases())
+    expect_golden(c.name, schedule_and_render(c));
 }
 
 TEST(SchedGolden, GeneratedPrograms) {
+  for (const GoldenCase& c : generated_cases())
+    expect_golden(c.name, schedule_and_render(c));
+}
+
+// The contract the optimizer relies on: its worker threads share one
+// Scheduler over one FragmentCache, and every schedule must equal a
+// serial, cache-free one. A cache assumes one allocation, so each
+// allocation of the pinned programs gets its own Scheduler and cache;
+// 4 threads schedule all of that allocation's programs, each starting at
+// a different one so that threads race on first computes.
+TEST(SharedScheduler, ThreadsMatchSerialOnGoldenPrograms) {
   const hlslib::Library lib = hlslib::Library::dac98();
-  sim::TraceConfig tc;
-  tc.executions = 6;
-  for (const bool concurrent : {false, true}) {
-    testgen::GenOptions gen;
-    gen.concurrent_loops = concurrent;
-    for (uint64_t seed = 1; seed <= 12; ++seed) {
-      // Alternate one and two instances of every FU type, so both tight
-      // and roomy resource tables are pinned.
-      hlslib::Allocation alloc;
-      for (const auto& t : lib.types())
-        alloc.counts[t.name] = 1 + static_cast<int>(seed % 2);
-      const ir::Function fn = testgen::random_program(seed, gen);
-      const sim::Trace trace = sim::generate_trace(fn, tc, 7);
-      expect_golden(strfmt("gen_%s_s%02d", concurrent ? "concurrent" : "plain",
-                           static_cast<int>(seed)),
-                    schedule_and_render(fn, alloc, trace));
+  const hlslib::FuSelection sel = hlslib::FuSelection::defaults(lib);
+  std::vector<GoldenCase> cases = table2_cases();
+  for (GoldenCase& c : generated_cases()) cases.push_back(std::move(c));
+
+  std::map<std::map<std::string, int>, std::vector<const GoldenCase*>> groups;
+  for (const GoldenCase& c : cases) groups[c.alloc.counts].push_back(&c);
+  for (const auto& [counts, group] : groups) {
+    std::vector<sim::Profile> profiles;
+    std::vector<std::string> want;
+    for (const GoldenCase* c : group) {
+      profiles.push_back(sim::profile_function(c->fn, c->trace));
+      want.push_back(schedule_and_render(*c));
     }
+    FragmentCache cache;
+    SchedOptions opts;
+    opts.fragment_cache = &cache;
+    const Scheduler shared(lib, group.front()->alloc, sel, opts);
+
+    constexpr size_t kThreads = 4;
+    const size_t n = group.size();
+    std::vector<std::vector<std::string>> got(
+        kThreads, std::vector<std::string>(n));
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        for (size_t k = 0; k < n; ++k) {
+          const size_t i = (t + k) % n;
+          got[t][i] = render_schedule(shared, group[i]->fn, profiles[i]);
+        }
+      });
+    for (std::thread& th : threads) th.join();
+    for (size_t t = 0; t < kThreads; ++t)
+      for (size_t i = 0; i < n; ++i)
+        EXPECT_EQ(got[t][i], want[i])
+            << group[i]->name << " on thread " << t;
   }
 }
 

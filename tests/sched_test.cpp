@@ -696,16 +696,6 @@ F(int n) {
   for (const auto& l : r.loops) EXPECT_TRUE(l.fused_with.empty());
 }
 
-TEST(Scheduler, PipeliningDisabledByOption) {
-  Harness s;
-  s.opts.pipeline_loops = false;
-  s.opts.fuse_loops = false;
-  const auto fn = parse("F(int n) { int i = 0; while (i < n) { i = i + 1; } }");
-  const ScheduleResult r = s.schedule(fn);
-  ASSERT_EQ(r.loops.size(), 1u);
-  EXPECT_FALSE(r.loops[0].pipelined);
-}
-
 TEST(Scheduler, StgAnnotationsCoverOpsAndRegisters) {
   Harness s;
   const auto fn = parse("F(int a, int b) { int x = a + b; output x; }");
@@ -745,14 +735,6 @@ TEST(Scheduler, WaitingLoopDoesNotDegradeAdmittedOnes) {
   EXPECT_EQ(r.loops[1].ii, 1);
   // Sequential-ish length: about 40 cycles, not 20.
   EXPECT_GT(stg::average_schedule_length(r.stg), 35.0);
-}
-
-TEST(Scheduler, MaxFusedAbove31Rejected) {
-  Harness s;
-  s.opts.max_fused = 32;  // phase masks are 32-bit: 1u << 32 is undefined
-  EXPECT_THROW(Scheduler(s.lib, s.alloc, s.sel, s.opts), Error);
-  s.opts.max_fused = 31;
-  EXPECT_NO_THROW(Scheduler(s.lib, s.alloc, s.sel, s.opts));
 }
 
 // ---- fused runs in the fragment cache ---------------------------------

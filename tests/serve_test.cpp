@@ -167,6 +167,16 @@ TEST(Service, RunsOptimizeScheduleAndProfile) {
   ASSERT_TRUE(r2.get_bool("ok")) << r2.dump();
   EXPECT_EQ(r2.get_string("method"), "m1");
   EXPECT_GT(r2.get_double("avg_len"), 0.0);
+  const double len_25ns = r2.get_double("avg_len");
+  const double power_25ns = r2.get_double("power");
+
+  // The power model runs on the request's clock: GCD's M1 schedule keeps
+  // its cycle count at 50 ns, so its power halves.
+  sch.set("clock", 50.0);
+  const Json& r2_slow = svc.submit(sch).wait();
+  ASSERT_TRUE(r2_slow.get_bool("ok")) << r2_slow.dump();
+  EXPECT_DOUBLE_EQ(r2_slow.get_double("avg_len"), len_25ns);
+  EXPECT_NEAR(r2_slow.get_double("power"), power_25ns / 2, 1e-12 * power_25ns);
 
   Json prof = Json::object();
   prof.set("type", "profile");
@@ -177,7 +187,7 @@ TEST(Service, RunsOptimizeScheduleAndProfile) {
   EXPECT_GT(r3.get_double("avg_steps"), 0.0);
 
   const fact::serve::StatsSnapshot s = svc.stats();
-  EXPECT_EQ(s.completed, 3u);
+  EXPECT_EQ(s.completed, 4u);
   EXPECT_EQ(s.failed, 0u);
   EXPECT_GT(s.evaluations, 0u);
 }

@@ -7,7 +7,8 @@
 //   --objective throughput|power   optimization goal (default throughput)
 //   --method fact|flamel|m1|all    which method(s) to run (default fact)
 //   --alloc a1=2,sb1=1,...         allocation constraint (default: 2 of each)
-//   --clock <ns>                   clock period (default 25)
+//   --clock <ns>                   clock period for scheduling and power
+//                                  (default 25)
 //   --seed <n>                     trace seed (default 7)
 //   --validate off|fast|full       per-candidate invariant checking (fast)
 //   --deadline-ms <n>              per-block search budget; best-so-far
@@ -196,7 +197,8 @@ int main(int argc, char** argv) {
     sched::SchedOptions so;
     so.clock_ns = args.clock_ns;
     so.fuse_loops = !args.no_fuse;
-    const power::PowerOptions po;
+    power::PowerOptions po;
+    po.clock_ns = args.clock_ns;  // power divides energy by run time
 
     if (!args.emit_cdfg.empty())
       write_file(args.emit_cdfg, cdfg::Cdfg::from_function(fn).dot(fn.name()));

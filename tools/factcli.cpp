@@ -61,7 +61,7 @@ struct Args {
        has_jobs = false;
   double clock_ns = 0.0, deadline_ms = 0.0;
   long seed = 0, jobs = 0;
-  bool no_fuse = false, quiet = false, no_memoize = false;
+  bool no_fuse = false, quiet = false;
 };
 
 [[noreturn]] void usage(const char* msg = nullptr) {
@@ -73,8 +73,8 @@ struct Args {
           "  [--type optimize|schedule|profile] --benchmark <NAME> | --source <f>\n"
           "  [--session <name>] [--objective throughput|power] [--alloc <spec>]\n"
           "  [--clock <ns>] [--seed <n>] [--validate off|fast|full]\n"
-          "  [--deadline-ms <n>] [--jobs <n>] [--no-fuse] [--no-memoize]\n"
-          "  [--quiet] [--report]\n");
+          "  [--deadline-ms <n>] [--jobs <n>] [--no-fuse] [--quiet]\n"
+          "  [--report]\n");
   exit(2);
 }
 
@@ -130,7 +130,6 @@ Args parse_args(int argc, char** argv) {
     else if (arg == "--deadline-ms") { a.deadline_ms = parse_double(next(), arg); a.has_deadline = true; }
     else if (arg == "--jobs") { a.jobs = static_cast<long>(parse_double(next(), arg)); a.has_jobs = true; }
     else if (arg == "--no-fuse") a.no_fuse = true;
-    else if (arg == "--no-memoize") a.no_memoize = true;
     else if (arg == "--quiet") a.quiet = true;
     else if (arg == "--help" || arg == "-h") usage();
     else usage(("unknown option " + arg).c_str());
@@ -165,7 +164,6 @@ std::string build_request(const Args& a) {
   if (a.has_deadline) req.set("deadline_ms", a.deadline_ms);
   if (a.has_jobs) req.set("jobs", static_cast<int64_t>(a.jobs));
   if (a.no_fuse) req.set("no_fuse", true);
-  if (a.no_memoize) req.set("memoize", false);
   if (a.quiet) req.set("quiet", true);
   return req.dump();
 }
