@@ -54,7 +54,7 @@ int main() {
     printf("S%-2zu  pi=%.3f  ops:", s, pi[s]);
     if (st.ops.empty()) printf(" (none)");
     for (const auto& op : st.ops) {
-      printf(" %s", op.label.c_str());
+      printf(" %s", op.label().c_str());
       if (op.iteration != 0) printf("_%d", op.iteration);
     }
     printf("\n");

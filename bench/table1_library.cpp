@@ -44,7 +44,8 @@ int main() {
   printf("%-10s %-14s %10s %8s %8s\n", "FU type", "class", "E/Vdd^2", "delay",
          "area");
   bench::rule();
-  for (const auto& t : hlslib::Library::dac98().types())
+  const hlslib::Library dac98 = hlslib::Library::dac98();
+  for (const auto& t : dac98.types())
     printf("%-10s %-14s %10.1f %8.0f %8.1f\n", t.name.c_str(),
            cls_name(t.cls), t.energy_coeff, t.delay_ns, t.area);
   printf(

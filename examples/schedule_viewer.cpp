@@ -79,8 +79,8 @@ int main(int argc, char** argv) {
     printf("  S%-3zu pi=%.3f reg(r/w)=%d/%d\n", s, pi[s], st.reg_reads,
            st.reg_writes);
     for (const auto& op : st.ops)
-      printf("        %-12s on %-6s (iteration +%d)\n", op.label.c_str(),
-             op.fu_type.empty() ? "<ctrl>" : op.fu_type.c_str(),
+      printf("        %-12s on %-6s (iteration +%d)\n", op.label().c_str(),
+             op.fu_type.empty() ? "<ctrl>" : std::string(op.fu_type).c_str(),
              op.iteration);
   }
 

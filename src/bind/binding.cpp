@@ -9,24 +9,6 @@
 
 namespace fact::bind {
 
-namespace {
-
-bool is_identifier(const std::string& token) {
-  return !token.empty() &&
-         !(token[0] == '-' || (token[0] >= '0' && token[0] <= '9'));
-}
-
-/// Scheduler-generated wire names are "w<digits>"; anything else that
-/// looks like an identifier is an IR variable (register).
-bool is_wire(const std::string& token) {
-  if (token.size() < 2 || token[0] != 'w') return false;
-  for (size_t i = 1; i < token.size(); ++i)
-    if (token[i] < '0' || token[i] > '9') return false;
-  return true;
-}
-
-}  // namespace
-
 double Binding::area(const hlslib::Library& lib) const {
   double a = 0.0;
   for (const auto& [type, n] : fu_instances_used) {
@@ -79,23 +61,26 @@ Binding bind_datapath(const stg::Stg& stg, const hlslib::Library& lib,
     for (size_t oi = 0; oi < st.ops.size(); ++oi) {
       const stg::OpInstance& op = st.ops[oi];
       if (op.fu_type.empty()) continue;  // controller glue / copies
-      const hlslib::FuType& type = lib.get(op.fu_type);
-      int limit = alloc.count(op.fu_type);
+      const std::string fu(op.fu_type);
+      const hlslib::FuType& type = lib.get(fu);
+      int limit = alloc.count(fu);
       if (type.cls == hlslib::FuClass::Memory) limit = 1;  // port per array
       if (limit <= 0)
-        throw Error("binding: no allocation for FU type '" + op.fu_type + "'");
+        throw Error("binding: no allocation for FU type '" + fu + "'");
+      // Memories count per array (one memory per array).
+      const std::string count_key =
+          type.cls == hlslib::FuClass::Memory
+              ? fu + ":" + std::string(op.array)
+              : fu;
 
-      auto& instances = instance_port0[op.fu_type];
+      auto& instances = instance_port0[fu];
       if (instances.empty()) instances.resize(static_cast<size_t>(limit));
-      auto& used = used_this_state[op.fu_type +
-                                   (type.cls == hlslib::FuClass::Memory
-                                        ? ":" + op.array
-                                        : "")];
+      auto& used = used_this_state[count_key];
 
       // Prefer a free instance already fed by our first operand.
       int chosen = -1;
       const std::string first_src =
-          op.operands.empty() ? std::string() : op.operands[0];
+          op.operands.empty() ? std::string() : op.operands[0].str();
       for (int k = 0; k < limit; ++k) {
         if (used.count(k)) continue;
         if (instances[static_cast<size_t>(k)] == first_src &&
@@ -115,7 +100,7 @@ Binding bind_datapath(const stg::Stg& stg, const hlslib::Library& lib,
       if (chosen < 0)
         throw Error(strfmt(
             "binding: state %zu uses more '%s' instances than allocated",
-            s, op.fu_type.c_str()));
+            s, fu.c_str()));
       used.insert(chosen);
       if (!first_src.empty())
         instances[static_cast<size_t>(chosen)] = first_src;
@@ -123,21 +108,18 @@ Binding bind_datapath(const stg::Stg& stg, const hlslib::Library& lib,
       BoundOp b;
       b.state = static_cast<int>(s);
       b.op_index = static_cast<int>(oi);
-      b.fu_type = op.fu_type;
+      b.fu_type = fu;
       b.fu_instance = chosen;
       binding.ops.push_back(b);
 
-      auto& ports = port_sources[op.fu_type];
+      auto& ports = port_sources[fu];
       if (ports.size() <= static_cast<size_t>(chosen))
         ports.resize(static_cast<size_t>(chosen) + 1);
       auto& slots = ports[static_cast<size_t>(chosen)];
       if (slots.size() < op.operands.size()) slots.resize(op.operands.size());
       for (size_t p = 0; p < op.operands.size(); ++p)
-        slots[p].insert(op.operands[p]);
+        slots[p].insert(op.operands[p].str());
 
-      const std::string count_key =
-          type.cls == hlslib::FuClass::Memory ? op.fu_type + ":" + op.array
-                                              : op.fu_type;
       const int prev = binding.fu_instances_used[count_key];
       binding.fu_instances_used[count_key] = std::max(prev, chosen + 1);
     }
@@ -155,15 +137,15 @@ Binding bind_datapath(const stg::Stg& stg, const hlslib::Library& lib,
   std::map<std::string, Life> lives;
   for (size_t s = 0; s < stg.num_states(); ++s) {
     for (const auto& op : stg.state(static_cast<int>(s)).ops) {
-      auto touch = [&](const std::string& v) {
-        Life& l = lives[v];
+      auto touch = [&](std::string_view v) {
+        Life& l = lives[std::string(v)];
         l.var = v;
         l.lo = std::min(l.lo, static_cast<int>(s));
         l.hi = std::max(l.hi, static_cast<int>(s));
       };
       if (!op.def_var.empty()) touch(op.def_var);
-      for (const auto& operand : op.operands)
-        if (is_identifier(operand) && !is_wire(operand)) touch(operand);
+      for (const stg::Operand& operand : op.operands)
+        if (operand.kind() == stg::Operand::Kind::Reg) touch(operand.reg());
     }
   }
   std::vector<Life> sorted;

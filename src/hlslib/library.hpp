@@ -3,6 +3,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/expr.hpp"
@@ -75,9 +76,10 @@ class Library {
 /// Allocation constraint: how many instances of each FU type are available,
 /// e.g. Table 3's row "GCD: 2 sb1, 1 cp1, 1 e1".
 struct Allocation {
-  std::map<std::string, int> counts;  // FU type name -> instances
+  // FU type name -> instances
+  std::map<std::string, int, std::less<>> counts;
 
-  int count(const std::string& fu_name) const {
+  int count(std::string_view fu_name) const {
     auto it = counts.find(fu_name);
     return it == counts.end() ? 0 : it->second;
   }

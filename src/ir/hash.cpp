@@ -28,16 +28,17 @@ uint64_t mix(uint64_t seed, const std::string& s) {
 uint64_t structural_hash(const Stmt& s) {
   uint64_t h = mix(0x57A7u, static_cast<uint64_t>(s.kind));
   h = mix(h, s.target);
-  // expr_slots() returns only the populated slots, but in a kind-dependent
-  // fixed order, so together with `kind` the sequence is unambiguous.
-  for (const auto* slot : s.expr_slots())
-    h = mix(h, static_cast<uint64_t>((*slot)->hash()));
-  for (const auto* list : s.child_lists()) {
+  // Only the populated slots are visited, but in a kind-dependent fixed
+  // order, so together with `kind` the sequence is unambiguous.
+  s.for_each_expr_slot([&](const ExprPtr& slot) {
+    h = mix(h, static_cast<uint64_t>(slot->hash()));
+  });
+  s.for_each_child_list([&](const std::vector<StmtPtr>& list) {
     // Length marker separates adjacent lists (then/else, etc.) so moving a
     // statement across the boundary changes the hash.
-    h = mix(h, 0xC0FFEEu + list->size());
-    for (const auto& c : *list) h = mix(h, structural_hash(*c));
-  }
+    h = mix(h, 0xC0FFEEu + list.size());
+    for (const auto& c : list) h = mix(h, structural_hash(*c));
+  });
   return h;
 }
 
@@ -45,12 +46,13 @@ uint64_t fragment_hash(const Stmt& s) {
   uint64_t h = mix(0xF4A6u, static_cast<uint64_t>(s.kind));
   h = mix(h, static_cast<uint64_t>(static_cast<int64_t>(s.id)));
   h = mix(h, s.target);
-  for (const auto* slot : s.expr_slots())
-    h = mix(h, static_cast<uint64_t>((*slot)->hash()));
-  for (const auto* list : s.child_lists()) {
-    h = mix(h, 0xC0FFEEu + list->size());
-    for (const auto& c : *list) h = mix(h, fragment_hash(*c));
-  }
+  s.for_each_expr_slot([&](const ExprPtr& slot) {
+    h = mix(h, static_cast<uint64_t>(slot->hash()));
+  });
+  s.for_each_child_list([&](const std::vector<StmtPtr>& list) {
+    h = mix(h, 0xC0FFEEu + list.size());
+    for (const auto& c : list) h = mix(h, fragment_hash(*c));
+  });
   return h;
 }
 

@@ -71,9 +71,7 @@ StmtPtr Stmt::clone() const {
 
 std::vector<const ExprPtr*> Stmt::expr_slots() const {
   std::vector<const ExprPtr*> out;
-  if (cond) out.push_back(&cond);
-  if (index) out.push_back(&index);
-  if (value) out.push_back(&value);
+  for_each_expr_slot([&](const ExprPtr& slot) { out.push_back(&slot); });
   return out;
 }
 
@@ -86,16 +84,10 @@ std::vector<ExprPtr*> Stmt::expr_slots() {
 }
 
 std::vector<const std::vector<StmtPtr>*> Stmt::child_lists() const {
-  switch (kind) {
-    case StmtKind::If:
-      return {&then_stmts, &else_stmts};
-    case StmtKind::While:
-      return {&then_stmts};
-    case StmtKind::Block:
-      return {&stmts};
-    default:
-      return {};
-  }
+  std::vector<const std::vector<StmtPtr>*> out;
+  for_each_child_list(
+      [&](const std::vector<StmtPtr>& list) { out.push_back(&list); });
+  return out;
 }
 
 std::vector<std::vector<StmtPtr>*> Stmt::child_lists() {

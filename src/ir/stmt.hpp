@@ -70,6 +70,33 @@ struct Stmt {
   std::vector<const std::vector<StmtPtr>*> child_lists() const;
   std::vector<std::vector<StmtPtr>*> child_lists();
 
+  /// Calls `f` on each populated expression slot, in expr_slots() order,
+  /// without building the list (hashing visits every statement).
+  template <typename F>
+  void for_each_expr_slot(F&& f) const {
+    if (cond) f(cond);
+    if (index) f(index);
+    if (value) f(value);
+  }
+  /// Calls `f` on each child statement list, in child_lists() order.
+  template <typename F>
+  void for_each_child_list(F&& f) const {
+    switch (kind) {
+      case StmtKind::If:
+        f(then_stmts);
+        f(else_stmts);
+        break;
+      case StmtKind::While:
+        f(then_stmts);
+        break;
+      case StmtKind::Block:
+        f(stmts);
+        break;
+      default:
+        break;
+    }
+  }
+
   /// Pretty-prints with the given indent depth.
   std::string str(int indent = 0) const;
 };

@@ -1,6 +1,8 @@
 #include "power/power.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <string_view>
 
 #include "util/strfmt.hpp"
 
@@ -20,17 +22,33 @@ PowerEstimate accumulate(const stg::Stg& stg, const hlslib::Library& lib,
       pi_in ? *pi_in : stg::state_probabilities(stg);
   est.avg_schedule_length = stg::average_schedule_length(stg, pi);
 
+  // Per-cycle expected ops by FU type. A design binds a handful of types,
+  // so a linear scan finds an op's row; each row still sums its ops in
+  // state order, and the rows are folded in name order below, so every
+  // sum is the one a name-keyed map gives.
+  struct Rate {
+    std::string_view fu;
+    double rate;
+  };
+  std::vector<Rate> op_rate;
   double reg_rate = 0.0;
-  std::map<std::string, double> op_rate;  // per-cycle expected ops by type
   for (size_t s = 0; s < stg.num_states(); ++s) {
     const stg::State& st = stg.state(static_cast<int>(s));
-    for (const auto& op : st.ops)
-      if (!op.fu_type.empty()) op_rate[op.fu_type] += pi[s];
+    for (const auto& op : st.ops) {
+      if (op.fu_type.empty()) continue;
+      auto row = std::find_if(op_rate.begin(), op_rate.end(),
+                              [&](const Rate& r) { return r.fu == op.fu_type; });
+      if (row == op_rate.end()) row = op_rate.insert(row, {op.fu_type, 0.0});
+      row->rate += pi[s];
+    }
     reg_rate += pi[s] * (st.reg_reads + st.reg_writes);
   }
+  std::sort(op_rate.begin(), op_rate.end(),
+            [](const Rate& a, const Rate& b) { return a.fu < b.fu; });
 
   double total = 0.0;
-  for (const auto& [fu, rate] : op_rate) {
+  for (const auto& [fu_view, rate] : op_rate) {
+    const std::string fu(fu_view);
     const double n_ops = rate * est.avg_schedule_length;
     est.ops_per_exec[fu] = n_ops;
     const hlslib::FuType& t = lib.get(fu);

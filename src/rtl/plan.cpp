@@ -8,49 +8,25 @@
 
 namespace fact::rtl {
 
-namespace {
-
-bool is_number(const std::string& t) {
-  if (t.empty()) return false;
-  size_t i = t[0] == '-' ? 1 : 0;
-  if (i >= t.size()) return false;
-  for (; i < t.size(); ++i)
-    if (t[i] < '0' || t[i] > '9') return false;
-  return true;
-}
-
-bool is_wire_name(const std::string& t) {
-  if (t.size() < 2 || t[0] != 'w') return false;
-  for (size_t i = 1; i < t.size(); ++i)
-    if (t[i] < '0' || t[i] > '9') return false;
-  return true;
-}
-
-}  // namespace
-
 RtlPlan build_rtl_plan(const ir::Function& fn, const stg::Stg& stg) {
   RtlPlan plan;
   plan.entry = stg.entry();
   plan.states.resize(stg.num_states());
 
-  // Inventory and emission positions.
-  std::map<std::string, long> position;
+  plan.owners = stg.owners();
+
+  // Inventory.
   std::set<std::string> defined_vars;
-  {
-    long pos = 0;
-    for (size_t s = 0; s < stg.num_states(); ++s) {
-      for (const auto& op : stg.state(static_cast<int>(s)).ops) {
-        if (position.find(op.value_name) == position.end())
-          position[op.value_name] = pos++;
-        if (is_wire_name(op.value_name)) plan.wires.insert(op.value_name);
-        if (!op.def_var.empty()) {
-          plan.vars.insert(op.def_var);
-          defined_vars.insert(op.def_var);
-        }
-        for (const auto& operand : op.operands)
-          if (!is_number(operand) && !is_wire_name(operand))
-            plan.vars.insert(operand);
+  for (size_t s = 0; s < stg.num_states(); ++s) {
+    for (const auto& op : stg.state(static_cast<int>(s)).ops) {
+      if (op.wire >= 0) plan.wires.insert(stg::wire_name(op.wire));
+      if (!op.def_var.empty()) {
+        plan.vars.emplace(op.def_var);
+        defined_vars.emplace(op.def_var);
       }
+      for (const stg::Operand& operand : op.operands)
+        if (operand.kind() == stg::Operand::Kind::Reg)
+          plan.vars.emplace(operand.reg());
     }
   }
   for (const auto& p : fn.params()) {
@@ -69,24 +45,24 @@ RtlPlan build_rtl_plan(const ir::Function& fn, const stg::Stg& stg) {
   // (reads the shadow).
   //
   // reader wire -> the defining op wires whose pre-update value it needs.
-  std::map<std::string, std::set<std::string>> linked_defs;
+  std::map<int, std::set<int>> linked_defs;
   // def occurrences per variable: (state, index, wire, pipeline lag).
   struct DefSite {
     int state;
     int idx;
-    std::string wire;
+    int wire;
     int lag;
   };
-  std::map<std::string, std::vector<DefSite>> def_sites;
+  std::map<std::string_view, std::vector<DefSite>> def_sites;
   for (size_t s = 0; s < stg.num_states(); ++s) {
     const auto& ops = stg.state(static_cast<int>(s)).ops;
     for (size_t oi = 0; oi < ops.size(); ++oi) {
       const auto& op = ops[oi];
       if (op.def_var.empty()) continue;
       def_sites[op.def_var].push_back(
-          {static_cast<int>(s), static_cast<int>(oi), op.value_name, op.lag});
-      for (const auto& reader : op.pre_readers)
-        linked_defs[reader].insert(op.value_name);
+          {static_cast<int>(s), static_cast<int>(oi), op.wire, op.lag});
+      for (const int reader : op.pre_readers)
+        linked_defs[reader].insert(op.wire);
     }
   }
   // State-to-state reachability (over transitions), used to recognize
@@ -124,8 +100,8 @@ RtlPlan build_rtl_plan(const ir::Function& fn, const stg::Stg& stg) {
   //  * Otherwise the nearest preceding update (earlier ring state first,
   //    then earlier linear states such as the prologue) decides.
   auto needs_shadow = [&](const stg::OpInstance& reader_op,
-                          const std::string& v, int state, int idx) {
-    const std::string& reader = reader_op.value_name;
+                          std::string_view v, int state, int idx) {
+    const int reader = reader_op.wire;
     auto sites = def_sites.find(v);
     if (sites == def_sites.end()) return false;
     auto linked = linked_defs.find(reader);
@@ -212,13 +188,14 @@ RtlPlan build_rtl_plan(const ir::Function& fn, const stg::Stg& stg) {
       const auto& op = st.ops[oi];
       RtlStep step;
       step.op = op;
-      for (const auto& operand : op.operands) {
-        if (needs_shadow(op, operand, static_cast<int>(s),
+      for (const stg::Operand& operand : op.operands) {
+        if (operand.kind() == stg::Operand::Kind::Reg &&
+            needs_shadow(op, operand.reg(), static_cast<int>(s),
                          static_cast<int>(oi))) {
-          step.srcs.push_back(operand + "__pre");
-          plan.shadowed.insert(operand);
+          step.srcs.push_back(operand.str() + "__pre");
+          plan.shadowed.emplace(operand.reg());
         } else {
-          step.srcs.push_back(operand);
+          step.srcs.push_back(operand.str());
         }
       }
       out.steps.push_back(std::move(step));
@@ -259,9 +236,9 @@ RtlPlan build_rtl_plan(const ir::Function& fn, const stg::Stg& stg) {
     std::set<std::string> captured;
     for (auto& step : state.steps) {
       if (step.op.def_var.empty()) continue;
-      if (!plan.shadowed.count(step.op.def_var)) continue;
-      if (captured.insert(step.op.def_var).second)
-        step.captures.push_back(step.op.def_var);
+      const std::string var(step.op.def_var);
+      if (!plan.shadowed.count(var)) continue;
+      if (captured.insert(var).second) step.captures.push_back(var);
     }
   }
   return plan;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -13,7 +14,7 @@ namespace fact::rtl {
 /// operand tokens after shadow-register rewriting: a decimal literal, a
 /// register (IR variable) name, a wire name, or "<var>__pre".
 struct RtlStep {
-  stg::OpInstance op;
+  stg::OpInstance op;  // views storage RtlPlan::owners keeps alive
   std::vector<std::string> srcs;
   /// Shadow captures to perform before this step: each named variable v
   /// is copied into v__pre (the step is about to overwrite v while later
@@ -47,6 +48,8 @@ struct RtlPlan {
   std::set<std::string> wires;           // scheduler-generated result wires
   std::set<std::string> shadowed;        // variables with a __pre shadow
   std::set<std::string> written_params;  // params latched from in_* ports
+  /// The STG's owners (Stg::owners): what the steps' ops view.
+  std::vector<std::shared_ptr<const void>> owners;
 };
 
 /// Derives the plan: wire/variable inventory, shadow-register insertion

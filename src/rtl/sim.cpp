@@ -67,7 +67,7 @@ RtlSimResult simulate_rtl(const ir::Function& fn, const RtlPlan& plan,
       for (const auto& tok : step.srcs) src.push_back(read(tok));
 
       if (step.op.is_store) {
-        auto& mem = mems.at(step.op.array);
+        auto& mem = mems.at(std::string(step.op.array));
         mem[static_cast<size_t>(wrap_index(src[0], mem.size()))] = src[1];
         continue;
       }
@@ -95,15 +95,15 @@ RtlSimResult simulate_rtl(const ir::Function& fn, const RtlPlan& plan,
         case ir::Op::Select: value = src[0] != 0 ? src[1] : src[2]; break;
         case ir::Op::Var: value = src.empty() ? 0 : src[0]; break;
         case ir::Op::ArrayRead: {
-          const auto& mem = mems.at(step.op.array);
+          const auto& mem = mems.at(std::string(step.op.array));
           value = mem[static_cast<size_t>(wrap_index(src[0], mem.size()))];
           break;
         }
         default:
           throw Error("rtl sim: unsupported op");
       }
-      regs[step.op.value_name] = value;
-      if (!step.op.def_var.empty()) regs[step.op.def_var] = value;
+      regs[stg::wire_name(step.op.wire)] = value;
+      if (!step.op.def_var.empty()) regs[std::string(step.op.def_var)] = value;
     }
 
     // Transitions: first match fires.

@@ -69,7 +69,8 @@ std::string render_op(const OpInstance& op, const std::vector<std::string>& src,
     case ir::Op::Var:  // register copy / check point
       return src.empty() ? std::string("0") : src[0];
     case ir::Op::ArrayRead:
-      return strfmt("mem_%s[%s]", op.array.c_str(), src[0].c_str());
+      return strfmt("mem_%s[%s]", std::string(op.array).c_str(),
+                    src[0].c_str());
     default:
       throw Error("verilog: unsupported op");
   }
@@ -141,7 +142,7 @@ std::string emit_verilog(const ir::Function& fn, const stg::Stg& stg,
     const RtlState& st = plan.states[s];
     out << strfmt("        S%zu: begin\n", s);
 
-    std::set<std::string> assigned_wires;
+    std::set<int> assigned_wires;
     for (const RtlStep& step : st.steps) {
       for (const auto& v : step.captures)
         out << strfmt("          %s__pre = %s;\n", v.c_str(), v.c_str());
@@ -149,18 +150,20 @@ std::string emit_verilog(const ir::Function& fn, const stg::Stg& stg,
       src.reserve(step.srcs.size());
       for (const auto& tok : step.srcs) src.push_back(literal(tok, w));
       if (step.op.is_store) {
-        out << strfmt("          mem_%s[%s] = %s;\n", step.op.array.c_str(),
-                      src[0].c_str(), src[1].c_str());
+        out << strfmt("          mem_%s[%s] = %s;\n",
+                      std::string(step.op.array).c_str(), src[0].c_str(),
+                      src[1].c_str());
         continue;
       }
       // Duplicate wires from overlapped iterations re-evaluate harmlessly;
       // emit each once per state.
-      if (!assigned_wires.insert(step.op.value_name).second) continue;
-      out << strfmt("          %s = %s;\n", step.op.value_name.c_str(),
+      if (!assigned_wires.insert(step.op.wire).second) continue;
+      const std::string wire = stg::wire_name(step.op.wire);
+      out << strfmt("          %s = %s;\n", wire.c_str(),
                     render_op(step.op, src, w).c_str());
       if (!step.op.def_var.empty())
-        out << strfmt("          %s = %s;\n", step.op.def_var.c_str(),
-                      step.op.value_name.c_str());
+        out << strfmt("          %s = %s;\n",
+                      std::string(step.op.def_var).c_str(), wire.c_str());
     }
 
     auto action = [&](const RtlTransition& t) {

@@ -1,9 +1,10 @@
 #include "sched/dfg.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <iterator>
 #include <string_view>
-#include <unordered_map>
 
 #include "util/error.hpp"
 #include "util/strfmt.hpp"
@@ -41,73 +42,166 @@ int Dfg::num_csteps() const {
 }
 
 struct DfgBuilder::BuildState {
-  // Per-variable dataflow within the segment, one slot per variable name.
-  // Names are interned on first sight; the keys view strings owned by the
-  // statements and expressions being built, which outlive the build.
+  // Every per-variable and per-array list below is a singly linked list
+  // threaded through one pool, appended at the tail so iteration keeps
+  // insertion order. The pool, the variable and array tables and the
+  // value-number table are flat arrays, sized per build from upper bounds
+  // on its nodes and names and reused by the builder's next build.
+  struct List {
+    int head = -1;
+    int tail = -1;
+  };
+  struct Link {
+    int value;
+    int next;
+  };
+  std::vector<Link> links;
+
+  void append(List& l, int value) {
+    const int k = static_cast<int>(links.size());
+    links.push_back({value, -1});
+    if (l.tail >= 0) {
+      links[static_cast<size_t>(l.tail)].next = k;
+    } else {
+      l.head = k;
+    }
+    l.tail = k;
+  }
+  template <typename F>
+  void for_each(const List& l, F&& f) const {
+    for (int k = l.head; k >= 0; k = links[static_cast<size_t>(k)].next)
+      f(links[static_cast<size_t>(k)].value);
+  }
+
+  // Per-variable dataflow within the segment, one slot per variable name
+  // in first-sight order. A segment names a handful of variables, so a
+  // linear scan interns them.
   struct Var {
+    std::string_view name;  // views `names`
     int last_def = -1;
     int defs = 0;  // in-segment definitions
-    std::vector<int> reads_of_current;
-    std::vector<int> livein_reads;
-    std::vector<int> cached;  // value-cache entries whose expression reads it
+    List reads_of_current;
+    List livein_reads;
+    List cached;  // value-cache entries whose expression reads it
   };
   // Per-array memory ordering.
   struct Array {
+    std::string_view name;  // views `names`
     int last_store = -1;
-    std::vector<int> reads_since_store;
-    std::vector<int> cached;  // value-cache entries whose expression reads it
+    List reads_since_store;
+    List cached;  // value-cache entries whose expression reads it
   };
-  std::unordered_map<std::string_view, int> var_ids;
   std::vector<Var> vars;
-  std::unordered_map<std::string_view, int> array_ids;
   std::vector<Array> arrays;
+  std::vector<std::string_view> fus;  // FU type names interned so far
+  // The DFG's name buffer, sized for every name the build can intern.
+  std::shared_ptr<char[]> names;
+  size_t names_used = 0;
+  size_t names_capacity = 0;
+  // The node array under construction; build() hands the DFG an exact
+  // copy and keeps this one's capacity for the next build.
+  std::vector<DfgNode> nodes;
 
   // Value numbering: identical subexpressions over unchanged inputs bind
   // to one node (so e.g. a condition referenced by several selects costs
-  // one comparator). Entries are chained per Expr::hash() bucket and
+  // one comparator). Entries are chained per Expr::hash() value and
   // killed when an input is redefined; at most one live entry matches any
-  // expression, since an entry is only added after a miss.
+  // expression, since an entry is only added after a miss. `heads` is an
+  // open-addressing table over the distinct hash values: each slot holds
+  // the newest entry of one hash value, or -1.
   struct Cached {
-    ExprPtr expr;
+    const ExprPtr* expr;  // a slot of the IR being built, which outlives it
+    size_t hash;
     int node;
-    int next;  // next entry in the same hash bucket, or -1
+    int next;  // older entry with the same hash, or -1
     bool live;
   };
   std::vector<Cached> cache;
-  std::unordered_map<size_t, int> bucket_head;
+  std::vector<int> heads;
 
-  Var& var(const std::string& name) {
-    const auto [it, fresh] =
-        var_ids.try_emplace(name, static_cast<int>(vars.size()));
-    if (fresh) vars.emplace_back();
-    return vars[static_cast<size_t>(it->second)];
-  }
-  Array& array(const std::string& name) {
-    const auto [it, fresh] =
-        array_ids.try_emplace(name, static_cast<int>(arrays.size()));
-    if (fresh) arrays.emplace_back();
-    return arrays[static_cast<size_t>(it->second)];
+  /// Empties every array for a build that creates at most `max_nodes`
+  /// nodes, names at most `max_vars` variables and `max_arrays` arrays,
+  /// and interns at most `name_bytes` bytes of names.
+  void reset(size_t max_nodes, size_t max_vars, size_t max_arrays,
+             size_t name_bytes) {
+    links.clear();
+    vars.clear();
+    arrays.clear();
+    fus.clear();
+    cache.clear();
+    nodes.clear();
+    vars.reserve(max_vars);
+    arrays.reserve(max_arrays);
+    cache.reserve(max_nodes);
+    nodes.reserve(max_nodes);
+    links.reserve(2 * (max_nodes + max_vars + max_arrays));
+    size_t slots = 16;
+    while (slots < 2 * max_nodes) slots *= 2;
+    heads.assign(slots, -1);
+    names = std::make_shared_for_overwrite<char[]>(name_bytes);
+    names_used = 0;
+    names_capacity = name_bytes;
   }
 
-  int lookup(const ExprPtr& e) const {
-    const auto head = bucket_head.find(e->hash());
-    if (head == bucket_head.end()) return -1;
-    for (int k = head->second; k >= 0; k = cache[static_cast<size_t>(k)].next) {
+  std::string_view intern(std::string_view name) {
+    assert(names_used + name.size() <= names_capacity);
+    char* at = names.get() + names_used;
+    std::copy(name.begin(), name.end(), at);
+    names_used += name.size();
+    return {at, name.size()};
+  }
+  Var& var(std::string_view name) {
+    for (Var& v : vars)
+      if (v.name == name) return v;
+    Var& v = vars.emplace_back();
+    v.name = intern(name);
+    return v;
+  }
+  Array& array(std::string_view name) {
+    for (Array& a : arrays)
+      if (a.name == name) return a;
+    Array& a = arrays.emplace_back();
+    a.name = intern(name);
+    return a;
+  }
+  std::string_view fu(const Binding& b) {
+    if (b.fu.empty()) return {};
+    for (std::string_view name : fus)
+      if (name == b.fu) return name;
+    return fus.emplace_back(intern(b.fu));
+  }
+
+  /// The `heads` slot of hash value `h`: its chain, or the empty slot
+  /// where it would go. The table is at most half full.
+  int& head(size_t h) {
+    const size_t mask = heads.size() - 1;
+    for (size_t i = h & mask;; i = (i + 1) & mask) {
+      int& slot = heads[i];
+      if (slot < 0 || cache[static_cast<size_t>(slot)].hash == h) return slot;
+    }
+  }
+
+  int lookup(const ExprPtr& e) {
+    for (int k = head(e->hash()); k >= 0;
+         k = cache[static_cast<size_t>(k)].next) {
       const Cached& c = cache[static_cast<size_t>(k)];
-      if (c.live && Expr::equal(c.expr, e)) return c.node;
+      if (c.live && Expr::equal(*c.expr, e)) return c.node;
     }
     return -1;
   }
 
   void remember(const ExprPtr& e, int node) {
     const int k = static_cast<int>(cache.size());
-    int& head = bucket_head.try_emplace(e->hash(), -1).first->second;
-    cache.push_back({e, node, head, true});
-    head = k;
+    int& slot = head(e->hash());
+    cache.push_back({&e, e->hash(), node, slot, true});
+    slot = k;
+    // Entries never outnumber nodes, and `heads` has twice the node bound.
+    assert(2 * cache.size() <= heads.size());
     // Register the entry with every variable and array its expression
     // reads, so a redefinition kills exactly the entries that use it.
-    auto note = [k](std::vector<int>& users) {
-      if (users.empty() || users.back() != k) users.push_back(k);
+    auto note = [&](List& users) {
+      if (users.tail < 0 || links[static_cast<size_t>(users.tail)].value != k)
+        append(users, k);
     };
     auto walk = [&](const auto& self, const Expr& x) -> void {
       if (x.op() == Op::Var) note(var(x.name()).cached);
@@ -117,9 +211,9 @@ struct DfgBuilder::BuildState {
     walk(walk, *e);
   }
 
-  void invalidate(std::vector<int>& users) {
-    for (int k : users) cache[static_cast<size_t>(k)].live = false;
-    users.clear();
+  void invalidate(List& users) {
+    for_each(users, [&](int k) { cache[static_cast<size_t>(k)].live = false; });
+    users = {};
   }
 };
 
@@ -170,7 +264,20 @@ DfgBuilder::DfgBuilder(const hlslib::Library& lib,
       b.error = strfmt("no functional unit for operation '%s'", op_token(op));
     }
   }
+
+  // Room for every FU name a build may intern.
+  std::vector<std::string_view> fus;
+  for (const Binding* b : {&memory_, &incrementer_})
+    if (!b->fu.empty()) fus.push_back(b->fu);
+  for (const Binding& b : by_op_)
+    if (!b.fu.empty()) fus.push_back(b.fu);
+  std::sort(fus.begin(), fus.end());
+  fus.erase(std::unique(fus.begin(), fus.end()), fus.end());
+  for (std::string_view name : fus) fu_name_bytes_ += name.size();
+  scratch_ = std::make_unique<BuildState>();
 }
+
+DfgBuilder::~DfgBuilder() = default;
 
 const DfgBuilder::Binding& DfgBuilder::bind_fu(
     const ExprPtr& e, const std::string* self_var) const {
@@ -210,20 +317,6 @@ const DfgBuilder::Binding& DfgBuilder::memory() const {
   return memory_;
 }
 
-namespace {
-
-DfgOperand node_operand(int node) {
-  return {DfgOperand::Kind::Node, node, {}};
-}
-DfgOperand reg_operand(const std::string& name) {
-  return {DfgOperand::Kind::Reg, -1, name};
-}
-DfgOperand literal_operand(int64_t value) {
-  return {DfgOperand::Kind::Literal, -1, std::to_string(value)};
-}
-
-}  // namespace
-
 int DfgBuilder::add_expr(Dfg& dfg, BuildState& bs, const ExprPtr& e,
                          int stmt_id, const std::string* self_var) const {
   switch (e->op()) {
@@ -241,33 +334,29 @@ int DfgBuilder::add_expr(Dfg& dfg, BuildState& bs, const ExprPtr& e,
   node.op = e->op();
   node.stmt_id = stmt_id;
   const Binding& fu = bind_fu(e, self_var);
-  node.fu = fu.fu;
+  node.fu = bs.fu(fu);
   node.delay_ns = fu.delay_ns;
-  if (e->op() == Op::ArrayRead) {
-    node.array = e->name();
-    node.label = e->name() + "[]";
-  } else {
-    node.label = op_token(e->op());
-  }
+  if (e->op() == Op::ArrayRead) node.array = bs.array(e->name()).name;
 
   // First build all child subtrees; variable reads are registered against
   // this node's id only after it is known (sibling subtrees may create
   // nodes in between).
-  node.operands.reserve(e->num_args());
+  int preds[stg::Operands::kMax + 1];  // + an array read's last store
+  size_t num_preds = 0;
   for (const auto& arg : e->args()) {
     const int child = add_expr(dfg, bs, arg, stmt_id);
     if (child >= 0) {
-      node.preds.push_back(child);
-      node.operands.push_back(node_operand(child));
+      preds[num_preds++] = child;
+      node.operands.push_back(stg::Operand::of_wire(child));
     } else if (child == -1) {
-      node.operands.push_back(literal_operand(arg->value()));
+      node.operands.push_back(stg::Operand::of_literal(arg->value()));
     } else if (child == -2) {
-      node.operands.push_back(reg_operand(arg->name()));
       // Variable operand: register read; depends on the segment-local
       // definition if one exists.
+      const BuildState::Var& v = bs.var(arg->name());
+      node.operands.push_back(stg::Operand::of_reg(v.name));
       node.var_reads++;
-      const int def = bs.var(arg->name()).last_def;
-      if (def >= 0) node.preds.push_back(def);
+      if (v.last_def >= 0) preds[num_preds++] = v.last_def;
     }
   }
 
@@ -275,38 +364,86 @@ int DfgBuilder::add_expr(Dfg& dfg, BuildState& bs, const ExprPtr& e,
   for (const auto& arg : e->args()) {
     if (arg->op() != Op::Var) continue;
     BuildState::Var& v = bs.var(arg->name());
-    if (v.last_def < 0) v.livein_reads.push_back(id);
-    v.reads_of_current.push_back(id);
+    if (v.last_def < 0) bs.append(v.livein_reads, id);
+    bs.append(v.reads_of_current, id);
   }
   if (e->op() == Op::ArrayRead) {
     BuildState::Array& a = bs.array(e->name());
-    if (a.last_store >= 0) node.preds.push_back(a.last_store);
-    a.reads_since_store.push_back(id);
+    if (a.last_store >= 0) preds[num_preds++] = a.last_store;
+    bs.append(a.reads_since_store, id);
   }
+  node.preds.assign(preds, preds + num_preds);
   dfg.nodes.push_back(std::move(node));
   bs.remember(e, id);
   return id;
 }
 
+namespace {
+
+/// Upper bounds for a build's flat arrays: nodes (one per non-leaf
+/// expression, plus at most two copies per assignment, one node per store
+/// and one condition check), variable and array references, and the
+/// bytes of the names they spell.
+struct BuildBounds {
+  size_t nodes = 1;
+  size_t vars = 0;
+  size_t arrays = 0;
+  size_t name_bytes = 0;
+
+  void add(const Expr& e) {
+    if (e.op() == Op::Var) {
+      vars++;
+      name_bytes += e.name().size();
+      return;
+    }
+    if (e.op() == Op::Const) return;
+    nodes++;
+    if (e.op() == Op::ArrayRead) {
+      arrays++;
+      name_bytes += e.name().size();
+    }
+    for (const ExprPtr& a : e.args()) add(*a);
+  }
+};
+
+}  // namespace
+
 Dfg DfgBuilder::build(const std::vector<const Stmt*>& stmts,
-                      const ExprPtr& cond, int cond_stmt_id) const {
+                      const ExprPtr& cond, int cond_stmt_id) {
+  BuildBounds bound;
+  for (const Stmt* s : stmts) {
+    if (s->kind == StmtKind::Assign) {
+      bound.nodes += 2;
+      bound.vars++;
+    } else {
+      bound.nodes++;
+      bound.arrays++;
+    }
+    bound.name_bytes += s->target.size();
+    s->for_each_expr_slot([&](const ExprPtr& e) { bound.add(*e); });
+  }
+  if (cond) bound.add(*cond);
+
+  BuildState& bs = *scratch_;
+  bs.reset(bound.nodes, bound.vars, bound.arrays,
+           bound.name_bytes + fu_name_bytes_);
   Dfg dfg;
-  BuildState bs;
+  dfg.nodes = std::move(bs.nodes);
 
   // A register read by `self` (a copy, store or check node) of variable
   // `name`: depends on the segment-local definition if one exists.
   auto read_var = [&](DfgNode& self, const std::string& name,
                       bool note_reader) {
     self.var_reads++;
-    self.operands.push_back(reg_operand(name));
     BuildState::Var& v = bs.var(name);
+    self.operands.push_back(stg::Operand::of_reg(v.name));
     const int id = static_cast<int>(dfg.nodes.size());
     if (v.last_def >= 0) {
       self.preds.push_back(v.last_def);
     } else {
-      v.livein_reads.push_back(id);
+      bs.append(v.livein_reads, id);
     }
-    if (note_reader) v.reads_of_current.push_back(id);
+    if (note_reader) bs.append(v.reads_of_current, id);
   };
 
   auto define_var = [&](const std::string& var, int value_node,
@@ -319,11 +456,10 @@ Dfg DfgBuilder::build(const std::vector<const Stmt*>& stmts,
       copy.op = Op::Var;
       copy.stmt_id = stmt_id;
       copy.delay_ns = 0.0;
-      copy.label = "cp";
       if (value_expr->op() == Op::Var) {
         read_var(copy, value_expr->name(), /*note_reader=*/true);
       } else {
-        copy.operands.push_back(literal_operand(value_expr->value()));
+        copy.operands.push_back(stg::Operand::of_literal(value_expr->value()));
       }
       root = static_cast<int>(dfg.nodes.size());
       dfg.nodes.push_back(std::move(copy));
@@ -338,23 +474,25 @@ Dfg DfgBuilder::build(const std::vector<const Stmt*>& stmts,
       copy.op = Op::Var;
       copy.stmt_id = stmt_id;
       copy.delay_ns = 0.0;
-      copy.label = "cp";
       copy.preds.push_back(root);
-      copy.operands.push_back(node_operand(root));
+      copy.operands.push_back(stg::Operand::of_wire(root));
       root = static_cast<int>(dfg.nodes.size());
       dfg.nodes.push_back(std::move(copy));
     }
     DfgNode& n = dfg.nodes[static_cast<size_t>(root)];
+    BuildState::Var& v = bs.var(var);
     n.reg_write = true;
-    n.def_var = var;
-    n.label = var + "=" + n.label;
+    n.def_var = v.name;
     // Anti-dependencies: earlier reads of the variable's previous value
     // must not be scheduled after this definition.
-    BuildState::Var& v = bs.var(var);
-    for (int r : v.reads_of_current)
+    size_t wars = v.last_def >= 0 ? 1 : 0;
+    bs.for_each(v.reads_of_current, [&](int r) { wars += r != root; });
+    n.war_preds.reserve(wars);
+    bs.for_each(v.reads_of_current, [&](int r) {
       if (r != root) n.war_preds.push_back(r);
+    });
     if (v.last_def >= 0) n.war_preds.push_back(v.last_def);
-    v.reads_of_current.clear();
+    v.reads_of_current = {};
     v.last_def = root;
     v.defs++;
     bs.invalidate(v.cached);
@@ -375,34 +513,34 @@ Dfg DfgBuilder::build(const std::vector<const Stmt*>& stmts,
         st.op = Op::ArrayRead;
         st.is_store = true;
         st.stmt_id = s->id;
-        st.array = s->target;
+        BuildState::Array& a = bs.array(s->target);
+        st.array = a.name;
         const Binding& mem = memory();
-        st.fu = mem.fu;
+        st.fu = bs.fu(mem);
         st.delay_ns = mem.delay_ns;
-        st.label = s->target + "[]=";
-        st.operands.reserve(2);
         auto hook_operand = [&](int node_id, const ExprPtr& expr) {
           if (node_id >= 0) {
             st.preds.push_back(node_id);
-            st.operands.push_back(node_operand(node_id));
+            st.operands.push_back(stg::Operand::of_wire(node_id));
           } else if (expr->op() == Op::Var) {
             read_var(st, expr->name(), /*note_reader=*/true);
           } else {
-            st.operands.push_back(literal_operand(expr->value()));
+            st.operands.push_back(stg::Operand::of_literal(expr->value()));
           }
         };
         hook_operand(idx, s->index);
         hook_operand(val, s->value);
         // Memory ordering: after the previous store and all reads since.
-        BuildState::Array& a = bs.array(s->target);
+        size_t mem_wars = a.last_store >= 0 ? 1 : 0;
+        bs.for_each(a.reads_since_store, [&](int) { mem_wars++; });
+        st.mem_war_preds.reserve(mem_wars);
         if (a.last_store >= 0) st.mem_war_preds.push_back(a.last_store);
-        st.mem_war_preds.insert(st.mem_war_preds.end(),
-                                a.reads_since_store.begin(),
-                                a.reads_since_store.end());
+        bs.for_each(a.reads_since_store,
+                    [&](int r) { st.mem_war_preds.push_back(r); });
         const int id = static_cast<int>(dfg.nodes.size());
         dfg.nodes.push_back(std::move(st));
         a.last_store = id;
-        a.reads_since_store.clear();
+        a.reads_since_store = {};
         bs.invalidate(a.cached);
         break;
       }
@@ -425,11 +563,10 @@ Dfg DfgBuilder::build(const std::vector<const Stmt*>& stmts,
       chk.op = Op::Var;
       chk.stmt_id = cond_stmt_id;
       chk.delay_ns = 0.0;
-      chk.label = "chk";
       if (cond->op() == Op::Var) {
         read_var(chk, cond->name(), /*note_reader=*/false);
       } else {
-        chk.operands.push_back(literal_operand(cond->value()));
+        chk.operands.push_back(stg::Operand::of_literal(cond->value()));
       }
       c = static_cast<int>(dfg.nodes.size());
       dfg.nodes.push_back(std::move(chk));
@@ -437,9 +574,20 @@ Dfg DfgBuilder::build(const std::vector<const Stmt*>& stmts,
     dfg.cond_node = c;
   }
 
-  for (BuildState::Var& v : bs.vars)
-    if (v.last_def >= 0 && !v.livein_reads.empty())
-      dfg.carried.push_back({v.last_def, std::move(v.livein_reads)});
+  for (const BuildState::Var& v : bs.vars) {
+    if (v.last_def < 0 || v.livein_reads.head < 0) continue;
+    Dfg::Carried& c = dfg.carried.emplace_back();
+    c.def = v.last_def;
+    bs.for_each(v.livein_reads, [&](int r) { c.livein_reads.push_back(r); });
+  }
+  dfg.names = std::move(bs.names);
+  // Hand the DFG an exact-size node array (cached DFGs keep their
+  // capacity) and keep the scratch array's for the next build.
+  std::vector<DfgNode> exact;
+  exact.reserve(dfg.nodes.size());
+  std::move(dfg.nodes.begin(), dfg.nodes.end(), std::back_inserter(exact));
+  bs.nodes = std::move(dfg.nodes);
+  dfg.nodes = std::move(exact);
   return dfg;
 }
 
@@ -455,14 +603,15 @@ ResourceTable::ResourceTable(const hlslib::Allocation& alloc, int hyperperiod)
 int ResourceTable::column(const DfgNode& n) {
   // A memory op is bounded by its array's port, not the memory FU type.
   const bool memory = !n.array.empty();
-  const std::string& name = memory ? n.array : n.fu;
+  const std::string_view name = memory ? n.array : n.fu;
   if (name.empty()) return kFree;
   for (size_t c = 0; c < columns_.size(); ++c)
     if (columns_[c].memory == memory && columns_[c].name == name)
       return static_cast<int>(c);
   // New column: widen every row by one zero count.
   const size_t old_width = columns_.size();
-  columns_.push_back({memory, name, memory ? kMemPorts : alloc_.count(name)});
+  columns_.push_back(
+      {memory, std::string(name), memory ? kMemPorts : alloc_.count(name)});
   std::vector<int> widened(rows_ * columns_.size(), 0);
   for (size_t r = 0; r < rows_; ++r)
     std::copy_n(used_.begin() + static_cast<std::ptrdiff_t>(r * old_width),
@@ -550,7 +699,7 @@ DfgDeps::DfgDeps(const Dfg& dfg) {
     const DfgNode& node = dfg.nodes[i];
     // Same identity as ResourceTable::column: an array's port, else the FU.
     const bool memory = !node.array.empty();
-    const std::string& name = memory ? node.array : node.fu;
+    const std::string_view name = memory ? node.array : node.fu;
     if (name.empty()) continue;
     for (size_t r = 0; r < resource_nodes.size() && resource[i] < 0; ++r) {
       const DfgNode& first = dfg.nodes[static_cast<size_t>(resource_nodes[r])];
@@ -613,7 +762,7 @@ bool list_schedule(Dfg& dfg, const DfgDeps& deps, ResourceTable& table,
     if (ready.empty()) {
       std::string stuck;
       for (size_t i = 0; i < n; ++i)
-        if (pending[i] > 0) stuck += dfg.nodes[i].label + " ";
+        if (pending[i] > 0) stuck += dfg.nodes[i].label() + " ";
       throw Error("list_schedule: dependence cycle among: " + stuck);
     }
     std::pop_heap(ready.begin(), ready.end(), lower);
@@ -758,27 +907,27 @@ int resource_min_ii(const Dfg& dfg, const hlslib::Allocation& alloc) {
   // Uses per FU type and per array, in first-use order (a DFG names a
   // handful of each, so a linear scan beats a map).
   struct Uses {
-    const std::string* name;
+    std::string_view name;
     bool memory;
     int count;
   };
   std::vector<Uses> uses;
   for (const auto& n : dfg.nodes) {
     const bool memory = !n.array.empty();
-    const std::string& name = memory ? n.array : n.fu;
+    const std::string_view name = memory ? n.array : n.fu;
     if (name.empty()) continue;
     auto it = std::find_if(uses.begin(), uses.end(), [&](const Uses& u) {
-      return u.memory == memory && *u.name == name;
+      return u.memory == memory && u.name == name;
     });
     if (it == uses.end()) {
-      uses.push_back({&name, memory, 1});
+      uses.push_back({name, memory, 1});
     } else {
       it->count++;
     }
   }
   int ii = 1;
   for (const Uses& u : uses) {
-    const int avail = u.memory ? kMemPorts : alloc.count(*u.name);
+    const int avail = u.memory ? kMemPorts : alloc.count(u.name);
     if (avail <= 0) return -1;  // infeasible
     ii = std::max(ii, (u.count + avail - 1) / avail);
   }

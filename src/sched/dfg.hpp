@@ -1,45 +1,34 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hlslib/library.hpp"
 #include "ir/stmt.hpp"
+#include "stg/stg.hpp"
 
 namespace fact::sched {
-
-/// One operand of a DfgNode, resolved when the DFG is built.
-struct DfgOperand {
-  enum class Kind : uint8_t {
-    Node,     // another node's value: its result wire at emission
-    Reg,      // a register (variable) read
-    Literal,  // a wired constant
-  };
-  Kind kind = Kind::Literal;
-  int node = -1;     // Kind::Node: the producing node's index
-  std::string text;  // Kind::Reg: register name; Kind::Literal: decimal value
-};
 
 /// One operation node of a segment's data-flow graph. Constants and plain
 /// variable reads are leaves folded into their consumers; every node here
 /// does actual work in some cycle (FU op, memory access, mux, or register
-/// copy).
+/// copy). Names view the owning Dfg's `names`.
 struct DfgNode {
-  ir::Op op = ir::Op::Var;  // Var with empty fu == register copy
-  bool is_store = false;    // memory write (op is ArrayRead for reads)
-  std::string fu;           // bound library FU type; empty = no datapath FU
-  std::string array;        // memory ops: which array/memory
-  double delay_ns = 0.0;    // at the scheduling supply voltage
+  ir::Op op = ir::Op::Var;    // Var with empty fu == register copy
+  bool is_store = false;      // memory write (op is ArrayRead for reads)
+  bool reg_write = false;     // assignment root: writes a register
+  std::string_view fu;        // bound library FU type; empty = no datapath FU
+  std::string_view array;     // memory ops: which array/memory
+  std::string_view def_var;   // variable defined (assignment roots)
+  double delay_ns = 0.0;      // at the scheduling supply voltage
   int stmt_id = -1;
-  std::string label;
-  int var_reads = 0;        // register reads issued by this node
-  bool reg_write = false;   // assignment root: writes a register
-  std::string def_var;      // variable defined (assignment roots)
-  /// Operands in op order. A Node operand names the producer by index;
-  /// emission turns it into that node's result wire, numbered from the
-  /// emission's wire base.
-  std::vector<DfgOperand> operands;
+  int var_reads = 0;          // register reads issued by this node
+  /// Operands in op order. A Wire operand holds the producing node's
+  /// index; emission adds the wire base of the STG it is emitted into.
+  stg::Operands operands;
 
   std::vector<int> preds;      // data dependencies (chaining applies)
   /// Scalar anti/output dependencies (cstep >= pred's cstep). Honored in
@@ -61,12 +50,19 @@ struct DfgNode {
   double end_ns = 0.0;  // completion time within the last occupied cstep
 
   int avail_cstep() const { return cstep + span - 1; }
+  /// Human-readable annotation (stg::op_label), e.g. "x=+".
+  std::string label() const {
+    return stg::op_label(op, is_store, array, def_var);
+  }
 };
 
 /// Data-flow graph of one straight-line segment (plus, for loops, the
 /// loop-condition expression evaluated once per iteration).
 struct Dfg {
   std::vector<DfgNode> nodes;
+  /// The buffer holding the variable, array and FU type names the nodes
+  /// view, each distinct name once; shared by copies of the DFG.
+  std::shared_ptr<const char[]> names;
 
   /// A variable both defined in the segment and read before any
   /// in-segment definition: its final definition and the reads of its
@@ -90,11 +86,15 @@ class DfgBuilder {
  public:
   DfgBuilder(const hlslib::Library& lib, const hlslib::Allocation& alloc,
              const hlslib::FuSelection& sel, double vdd, double vt);
+  ~DfgBuilder();
 
   /// DFG for a list of Assign/Store statements; optionally appends a
   /// condition expression (loop or branch condition) evaluated after them.
+  /// Reuses the builder's scratch arrays, so a build allocates little
+  /// more than the DFG itself: its node array, its name buffer and each
+  /// node's dependence lists.
   Dfg build(const std::vector<const ir::Stmt*>& stmts,
-            const ir::ExprPtr& cond = nullptr, int cond_stmt_id = -1) const;
+            const ir::ExprPtr& cond = nullptr, int cond_stmt_id = -1);
 
  private:
   struct BuildState;
@@ -115,6 +115,8 @@ class DfgBuilder {
   Binding glue_;
   Binding memory_;
   Binding incrementer_;  // fu empty when none is allocated
+  size_t fu_name_bytes_ = 0;  // total length of the distinct FU names
+  std::unique_ptr<BuildState> scratch_;
 };
 
 /// Per-cycle resource bookkeeping. In plain mode (hyperperiod 0) each

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -127,14 +126,6 @@ const std::vector<const Stmt*>& loop_body_stmts(const Region& loop) {
   return body.children.empty() ? kNone : body.children[0]->stmts;
 }
 
-/// Name of result wire number `n`: "w<n>".
-std::string wire_name(int n) {
-  char buf[16];
-  buf[0] = 'w';
-  const char* end = std::to_chars(buf + 1, buf + sizeof buf, n).ptr;
-  return std::string(buf, static_cast<size_t>(end - buf));
-}
-
 /// Nodes of a scheduled DFG grouped by an integer key in [0, count) —
 /// first cstep, or kernel-ring slot — in index order within each group,
 /// so a state's ops come out in the order a scan over all nodes would
@@ -227,7 +218,7 @@ class Emitter {
         throw Error(strfmt(
             "infeasible allocation for '%s': operation '%s' needs FU type "
             "'%s' but none are allocated",
-            fn_name_.c_str(), n.label.c_str(), n.fu.c_str()));
+            fn_name_.c_str(), n.label().c_str(), std::string(n.fu).c_str()));
     }
   }
 
@@ -240,37 +231,39 @@ class Emitter {
     return base;
   }
 
-  /// Appends the STG op of node `node_idx` to `st`, resolving node
-  /// operands and pre-readers to wire names from `wire_base`, and counts
-  /// the node's register traffic.
+  /// Appends the STG op of node `node_idx` to `st`, numbering node
+  /// operands and pre-readers from `wire_base`, and counts the node's
+  /// register traffic. The op views the node: the caller hands the STG
+  /// the fragment entry holding the DFG (Stg::keep_alive).
   static void add_op(stg::State& st, const Dfg& dfg, int wire_base,
                      size_t node_idx, int iteration, int lag = 0) {
     const DfgNode& node = dfg.nodes[node_idx];
     stg::OpInstance& op = st.ops.emplace_back();
     op.fu_type = node.fu;
     op.op = node.op;
+    op.is_store = node.is_store;
     op.stmt_id = node.stmt_id;
     op.iteration = iteration;
-    op.label = node.label;
-    op.value_name = wire_name(wire_base + static_cast<int>(node_idx));
-    op.def_var = node.def_var;
-    op.is_store = node.is_store;
-    op.array = node.array;
-    op.operands.reserve(node.operands.size());
-    for (const DfgOperand& operand : node.operands)
-      op.operands.push_back(operand.kind == DfgOperand::Kind::Node
-                                ? wire_name(wire_base + operand.node)
-                                : operand.text);
-    op.pre_readers.reserve(node.war_preds.size());
-    for (int p : node.war_preds) op.pre_readers.push_back(wire_name(wire_base + p));
     op.lag = lag;
+    op.wire = wire_base + static_cast<int>(node_idx);
+    op.def_var = node.def_var;
+    op.array = node.array;
+    op.operands = node.operands;
+    for (stg::Operand& operand : op.operands)
+      if (operand.kind() == stg::Operand::Kind::Wire)
+        operand = stg::Operand::of_wire(wire_base + operand.wire());
+    op.pre_readers = stg::WireList(node.war_preds, wire_base);
     st.reg_reads += node.var_reads;
     if (node.reg_write) st.reg_writes++;
   }
 
-  /// Creates one STG state per control step of a scheduled plain DFG and
-  /// fills op and register-traffic annotations. Returns {first, last}.
-  std::pair<int, int> materialize(const Dfg& dfg) {
+  /// Creates one STG state per control step of a fragment's scheduled
+  /// plain DFG and fills op and register-traffic annotations. Returns
+  /// {first, last}.
+  std::pair<int, int> materialize(
+      const std::shared_ptr<const FragmentCache::Entry>& entry) {
+    stg_.keep_alive(entry);
+    const Dfg& dfg = entry->dfg;
     const int n = dfg.num_csteps();
     assert(n > 0);
     by_cstep_.assign(dfg, n, node_cstep);
@@ -286,7 +279,8 @@ class Emitter {
     if (dfg.cond_node >= 0) {
       const int cstep =
           dfg.nodes[static_cast<size_t>(dfg.cond_node)].avail_cstep();
-      stg_.state(first + cstep).cond_signal = wire_name(wires + dfg.cond_node);
+      stg_.state(first + cstep).cond_signal =
+          stg::wire_name(wires + dfg.cond_node);
     }
     return {first, first + n - 1};
   }
@@ -458,14 +452,14 @@ class Emitter {
           if (!e.dfg.nodes.empty()) schedule_plain(e.dfg);
         });
     if (entry->dfg.nodes.empty()) return in;
-    auto [first, last] = materialize(entry->dfg);
+    auto [first, last] = materialize(entry);
     connect(in, first);
     return {{last, 1.0, ""}};
   }
 
   std::vector<Attach> emit_if(const Region& r, std::vector<Attach> in) {
     const auto cond = cond_fragment(r.ctrl->cond, r.ctrl->id);
-    auto [cfirst, clast] = materialize(cond->dfg);
+    auto [cfirst, clast] = materialize(cond);
     connect(in, cfirst);
     const double p = branch_prob(r.ctrl->id);
     std::vector<Attach> outs =
@@ -486,7 +480,7 @@ class Emitter {
 
     // General path: test states, body, back edge.
     const auto test = cond_fragment(r.ctrl->cond, r.ctrl->id);
-    auto [tfirst, tlast] = materialize(test->dfg);
+    auto [tfirst, tlast] = materialize(test);
     connect(in, tfirst);
     std::vector<Attach> body_out =
         emit_seq(*r.children[0], {{tlast, p, "loop"}});
@@ -605,6 +599,7 @@ class Emitter {
         });
     if (!entry->pipelined) return false;
 
+    stg_.keep_alive(entry);
     const Dfg& dfg = entry->dfg;
     const int ii = entry->ii;
     const PipeDerived derived = derive_pipe(dfg, ii);
@@ -613,11 +608,11 @@ class Emitter {
     const std::vector<int>& owed = derived.owed;
 
     const int wires = assign_wires(dfg);
-    const std::string cond_wire = wire_name(wires + dfg.cond_node);
+    const std::string cond_wire = stg::wire_name(wires + dfg.cond_node);
 
     // Guard: the while-test on entry values (separate evaluation).
     const auto guard = cond_fragment(r.ctrl->cond, r.ctrl->id);
-    auto [gfirst, glast] = materialize(guard->dfg);
+    auto [gfirst, glast] = materialize(guard);
     connect(in, gfirst);
     std::vector<Attach> exits;
     exits.push_back({glast, 1.0 - p, "exit"});
@@ -845,6 +840,7 @@ class Emitter {
         fused_key(run),
         [&](FragmentCache::Entry& e) { admit_fused_run(run, e); });
     if (entry->phases.empty()) return false;
+    stg_.keep_alive(entry);
 
     // Expected total iterations per loop (geometric mean from the measured
     // closing probability). Phases consume these in a fluid model: the
@@ -960,7 +956,7 @@ class Emitter {
       }
       const int cond_cstep =
           dfg.nodes[static_cast<size_t>(dfg.cond_node)].avail_cstep();
-      const std::string cond_wire = wire_name(wires + dfg.cond_node);
+      const std::string cond_wire = stg::wire_name(wires + dfg.cond_node);
       for (int s = cond_cstep % ii; s < h; s += ii) {
         stg::State& st = stg_.state(ring[static_cast<size_t>(s)]);
         if (!st.cond_signal.empty()) st.cond_signal += ",";

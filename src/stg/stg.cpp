@@ -11,6 +11,48 @@
 
 namespace fact::stg {
 
+std::string wire_name(int n) {
+  char buf[16];
+  buf[0] = 'w';
+  const char* end = std::to_chars(buf + 1, buf + sizeof buf, n).ptr;
+  return std::string(buf, static_cast<size_t>(end - buf));
+}
+
+std::string Operand::str() const {
+  switch (kind_) {
+    case Kind::Wire:
+      return wire_name(wire());
+    case Kind::Reg:
+      return std::string(reg());
+    case Kind::Literal:
+      break;
+  }
+  return std::to_string(literal());
+}
+
+std::string op_label(ir::Op op, bool is_store, std::string_view array,
+                     std::string_view def_var) {
+  std::string label;
+  if (!def_var.empty()) {
+    label.assign(def_var);
+    label += '=';
+  }
+  if (is_store) {
+    label.append(array);
+    label += "[]=";
+  } else if (op == ir::Op::ArrayRead) {
+    label.append(array);
+    label += "[]";
+  } else if (op == ir::Op::Var) {
+    // A register copy defines its variable; the only other register-read
+    // node is the check point of a bare-variable condition.
+    label += def_var.empty() ? "chk" : "cp";
+  } else {
+    label += ir::op_token(op);
+  }
+  return label;
+}
+
 int Stg::add_state(const std::string& name) {
   State& s = states_.emplace_back();
   if (name.empty()) {
@@ -117,7 +159,7 @@ std::string Stg::dot(const std::string& graph_name) const {
     const State& s = states_[i];
     std::string label = s.name;
     for (const auto& op : s.ops) {
-      label += "\n" + op.label;
+      label += "\n" + op.label();
       if (op.iteration != 0) label += strfmt("_%d", op.iteration);
     }
     w.node(strfmt("s%zu", i), label,

@@ -1,37 +1,157 @@
 #pragma once
 
+#include <array>
+#include <cassert>
+#include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/expr.hpp"
 
 namespace fact::stg {
 
+/// The one spelling of result wire number `n`: "w<n>".
+std::string wire_name(int n);
+
+/// One operand of an operation: a result wire, a register (IR variable)
+/// read, or a wired literal. Trivially copyable (16 bytes); a register
+/// name views storage kept alive by whoever owns the operation (see
+/// OpInstance).
+class Operand {
+ public:
+  enum class Kind : uint8_t { Wire, Reg, Literal };
+
+  static Operand of_wire(int n) { return Operand(Kind::Wire, n); }
+  static Operand of_literal(int64_t v) { return Operand(Kind::Literal, v); }
+  static Operand of_reg(std::string_view name) {
+    Operand o(Kind::Reg, 0);
+    o.name_ = name.data();
+    o.name_len_ = static_cast<uint32_t>(name.size());
+    return o;
+  }
+
+  Kind kind() const { return kind_; }
+  /// Kind::Wire: the wire number (a DFG node index inside a DfgNode).
+  int wire() const { return static_cast<int>(value_); }
+  /// Kind::Literal: the constant.
+  int64_t literal() const { return value_; }
+  /// Kind::Reg: the variable name.
+  std::string_view reg() const { return {name_, name_len_}; }
+
+  /// The operand as a token: "w<n>", the variable name, or the decimal
+  /// literal.
+  std::string str() const;
+
+  Operand() = default;
+
+ private:
+  Operand(Kind kind, int64_t value) : value_(value), kind_(kind) {}
+
+  union {
+    int64_t value_ = 0;  // Wire, Literal
+    const char* name_;   // Reg
+  };
+  uint32_t name_len_ = 0;
+  Kind kind_ = Kind::Literal;
+};
+
+/// An operation's operands in op order, inline: at most three (Select has
+/// three arguments, the most of any op).
+class Operands {
+ public:
+  static constexpr size_t kMax = 3;
+
+  void push_back(Operand o) {
+    assert(size_ < kMax);
+    items_[size_++] = o;
+  }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const Operand& operator[](size_t i) const { return items_[i]; }
+  Operand& operator[](size_t i) { return items_[i]; }
+  const Operand* begin() const { return items_.data(); }
+  const Operand* end() const { return items_.data() + size_; }
+  Operand* begin() { return items_.data(); }
+  Operand* end() { return items_.data() + size_; }
+
+ private:
+  std::array<Operand, kMax> items_{};
+  uint8_t size_ = 0;
+};
+
+/// Wire numbers given as DFG node indices plus the wire base of the
+/// emission they came from: element i is base + nodes[i]. Views the
+/// node-index list.
+class WireList {
+ public:
+  WireList() = default;
+  WireList(std::span<const int> nodes, int base) : nodes_(nodes), base_(base) {}
+
+  class iterator {
+   public:
+    iterator(const int* p, int base) : p_(p), base_(base) {}
+    int operator*() const { return base_ + *p_; }
+    iterator& operator++() {
+      ++p_;
+      return *this;
+    }
+    bool operator!=(const iterator& o) const { return p_ != o.p_; }
+
+   private:
+    const int* p_;
+    int base_;
+  };
+
+  iterator begin() const { return {nodes_.data(), base_}; }
+  iterator end() const { return {nodes_.data() + nodes_.size(), base_}; }
+
+ private:
+  std::span<const int> nodes_;
+  int base_ = 0;
+};
+
+/// The human-readable annotation of an operation, e.g. "+", "x=*",
+/// "mem[]", "mem[]=", "x=cp" (register copy) or "chk" (a bare-variable
+/// condition check).
+std::string op_label(ir::Op op, bool is_store, std::string_view array,
+                     std::string_view def_var);
+
 /// One operation executed in an STG state, bound to a library FU type.
 /// `iteration` tags which loop iteration the op belongs to when the
 /// scheduler overlaps iterations (the paper's "S.0", "++1_1" annotations
 /// in Figure 1(c)).
+///
+/// Trivially destructible: names are views and the pre-reader list a view
+/// of node indices. The scheduler points them into the scheduled DFGs it
+/// emitted from, and the Stg keeps those alive (Stg::keep_alive), so an
+/// op stays valid as long as its Stg or any copy of it. Ops built by hand
+/// must view storage that outlives them (string literals do).
 struct OpInstance {
-  std::string fu_type;   // library type name (e.g. "a1", "mem1")
-  ir::Op op;             // operation kind
-  int stmt_id = -1;      // originating IR statement
-  int iteration = 0;     // loop-iteration tag
-  std::string label;     // human-readable annotation, e.g. "+1"
-
-  // Dataflow annotations for binding and RTL emission:
-  std::string value_name;             // wire carrying this op's result
-  std::string def_var;                // register written (assignment roots)
-  std::vector<std::string> operands;  // operand wires/registers/immediates
-  bool is_store = false;              // memory write
-  std::string array;                  // memory ops: target array
-  /// For definitions: value names of the operations that must observe the
-  /// *previous* value of def_var (the anti-dependences the scheduler may
-  /// relax via modulo variable expansion). The RTL backend materializes
-  /// shadow registers for readers emitted at or after the definition.
-  std::vector<std::string> pre_readers;
+  std::string_view fu_type;  // library type name (e.g. "a1", "mem1")
+  ir::Op op = ir::Op::Var;   // operation kind
+  bool is_store = false;     // memory write
+  int stmt_id = -1;          // originating IR statement
+  int iteration = 0;         // loop-iteration tag
   /// Pipeline lag inside a kernel ring: how many traversals behind the
   /// newest in-flight iteration this op executes (0 outside rings).
   int lag = 0;
+
+  // Dataflow annotations for binding and RTL emission:
+  int wire = -1;             // result wire number (wire_name); -1: none
+  std::string_view def_var;  // register written (assignment roots)
+  std::string_view array;    // memory ops: target array
+  Operands operands;         // operand wires/registers/literals
+  /// For definitions: result wires of the operations that must observe
+  /// the *previous* value of def_var (the anti-dependences the scheduler
+  /// may relax via modulo variable expansion). The RTL backend
+  /// materializes shadow registers for readers emitted at or after the
+  /// definition.
+  WireList pre_readers;
+
+  std::string label() const { return op_label(op, is_store, array, def_var); }
 };
 
 /// A state of the state transition graph: the set of operations executed
@@ -94,10 +214,22 @@ class Stg {
   /// condition on the edges, like Figure 1(c)).
   std::string dot(const std::string& graph_name = "stg") const;
 
+  /// Keeps `owner` alive as long as this Stg or any copy of it: the
+  /// storage its ops' names and pre-reader lists view (the scheduler
+  /// passes the fragment-cache entries it emitted from).
+  void keep_alive(std::shared_ptr<const void> owner) {
+    if (owners_.empty() || owners_.back() != owner)
+      owners_.push_back(std::move(owner));
+  }
+  const std::vector<std::shared_ptr<const void>>& owners() const {
+    return owners_;
+  }
+
  private:
   std::vector<State> states_;
   std::vector<Edge> edges_;
   int entry_ = 0;
+  std::vector<std::shared_ptr<const void>> owners_;
 };
 
 /// Steady-state probability of every state (the method of ref [10] of the

@@ -433,44 +433,37 @@ Report verify_schedule(const ir::Function& fn, const stg::Stg& stg,
   // slots — so a wire may be defined in several states. What is never
   // legal is the same wire defined twice within one state (two ops would
   // drive one net in the same cycle), or an op without a result wire.
-  std::unordered_map<std::string, std::vector<int>> wire_def_states;
+  std::unordered_map<int, std::vector<int>> wire_def_states;
   for (size_t si = 0; si < stg.num_states(); ++si) {
-    std::unordered_set<std::string> in_state;
+    std::unordered_set<int> in_state;
     for (const stg::OpInstance& op : stg.state(static_cast<int>(si)).ops) {
-      if (op.value_name.empty()) {
+      if (op.wire < 0) {
         add(r, "sched.wires",
             strfmt("state '%s': op '%s' has no result wire",
                    stg.state(static_cast<int>(si)).name.c_str(),
-                   op.label.c_str()));
+                   op.label().c_str()));
         continue;
       }
-      if (!in_state.insert(op.value_name).second)
+      if (!in_state.insert(op.wire).second)
         add(r, "sched.wires",
             strfmt("wire '%s' defined twice in state '%s'",
-                   op.value_name.c_str(),
+                   stg::wire_name(op.wire).c_str(),
                    stg.state(static_cast<int>(si)).name.c_str()));
-      wire_def_states[op.value_name].push_back(static_cast<int>(si));
+      wire_def_states[op.wire].push_back(static_cast<int>(si));
     }
   }
-
-  auto is_wire = [](const std::string& s) {
-    if (s.size() < 2 || s[0] != 'w') return false;
-    for (size_t i = 1; i < s.size(); ++i)
-      if (s[i] < '0' || s[i] > '9') return false;
-    return true;
-  };
 
   // Pass 2: per-state resource bounds, stmt ids, and chaining order.
   for (size_t si = 0; si < stg.num_states(); ++si) {
     const stg::State& st = stg.state(static_cast<int>(si));
-    std::map<std::string, int> fu_used;
-    std::map<std::string, int> mem_used;
-    std::unordered_set<std::string> defined_here;
+    std::map<std::string_view, int> fu_used;
+    std::map<std::string_view, int> mem_used;
+    std::unordered_set<int> defined_here;
     for (const stg::OpInstance& op : st.ops) {
       if (op.stmt_id >= 0 && !ids.count(op.stmt_id))
         add(r, "sched.stmt-ids",
             strfmt("state '%s': op '%s' references missing statement %d",
-                   st.name.c_str(), op.label.c_str(), op.stmt_id));
+                   st.name.c_str(), op.label().c_str(), op.stmt_id));
 
       // Resource accounting mirrors the scheduler's ResourceTable: memory
       // ops are bounded per array (one port each); datapath ops per FU
@@ -480,7 +473,8 @@ Report verify_schedule(const ir::Function& fn, const stg::Stg& stg,
           add(r, "sched.resources",
               strfmt("state '%s': %d concurrent accesses to array '%s' "
                      "(1 memory port)",
-                     st.name.c_str(), mem_used[op.array], op.array.c_str()));
+                     st.name.c_str(), mem_used[op.array],
+                     std::string(op.array).c_str()));
       } else if (!op.fu_type.empty()) {
         const int avail = alloc.count(op.fu_type);
         if (++fu_used[op.fu_type] > avail)
@@ -488,18 +482,20 @@ Report verify_schedule(const ir::Function& fn, const stg::Stg& stg,
               strfmt("state '%s': %d op(s) on FU type '%s' but only %d "
                      "allocated",
                      st.name.c_str(), fu_used[op.fu_type],
-                     op.fu_type.c_str(), avail));
+                     std::string(op.fu_type).c_str(), avail));
       }
 
       if (level == Level::Full) {
-        for (const std::string& operand : op.operands) {
-          if (!is_wire(operand)) continue;
-          auto it = wire_def_states.find(operand);
+        for (const stg::Operand& operand : op.operands) {
+          if (operand.kind() != stg::Operand::Kind::Wire) continue;
+          const int wire = operand.wire();
+          auto it = wire_def_states.find(wire);
           if (it == wire_def_states.end()) {
             add(r, "sched.wires",
                 strfmt("state '%s': op '%s' reads undefined wire '%s'",
-                       st.name.c_str(), op.label.c_str(), operand.c_str()));
-          } else if (st.ring_id < 0 && !defined_here.count(operand) &&
+                       st.name.c_str(), op.label().c_str(),
+                       operand.str().c_str()));
+          } else if (st.ring_id < 0 && !defined_here.count(wire) &&
                      it->second.size() == 1 &&
                      it->second.front() == static_cast<int>(si)) {
             // The operand's only definition is later in this same state:
@@ -510,11 +506,12 @@ Report verify_schedule(const ir::Function& fn, const stg::Stg& stg,
             add(r, "sched.chaining",
                 strfmt("state '%s': op '%s' reads wire '%s' before it is "
                        "produced in the same cycle",
-                       st.name.c_str(), op.label.c_str(), operand.c_str()));
+                       st.name.c_str(), op.label().c_str(),
+                       operand.str().c_str()));
           }
         }
       }
-      if (!op.value_name.empty()) defined_here.insert(op.value_name);
+      if (op.wire >= 0) defined_here.insert(op.wire);
     }
   }
 

@@ -343,6 +343,24 @@ TEST(StructuralHash, DistinguishesStmtKindsWithSharedFields) {
   EXPECT_NE(structural_hash(*a), structural_hash(*w));
 }
 
+TEST(StructuralHash, PinnedValues) {
+  // Fragment hashes key the scheduler's fragment cache and structural
+  // hashes the optimizer's dedup, so a rewrite of the hash walk must keep
+  // every value bit-identical. Names fold through std::hash<std::string>,
+  // so the pins hold for libstdc++.
+  const Function f = hash_fixture();
+  const Stmt& body = *f.body();
+  const Stmt& loop = *body.stmts[2];
+  EXPECT_EQ(structural_hash(f), 6806942339117211919ull);
+  EXPECT_EQ(structural_hash(body), 15170107818443968335ull);
+  EXPECT_EQ(fragment_hash(body), 16655766451379620649ull);
+  EXPECT_EQ(fragment_hash(loop), 13375837107178813812ull);
+  const Stmt& branch = *loop.then_stmts[0];  // if/else
+  EXPECT_EQ(fragment_hash(branch), 4020117449223010681ull);
+  EXPECT_EQ(fragment_hash(*branch.then_stmts[0]), 4690895914973772317ull);
+  EXPECT_EQ(fragment_hash(*loop.then_stmts[2]), 8837076815746501633ull);
+}
+
 // ---- Copy-on-write Function sharing ------------------------------------
 
 /// A body with some nesting so path-copies leave real subtrees shared:

@@ -42,7 +42,6 @@ TEST(Partition, HotLoopFormsOneBlock) {
     op_inst.op = ir::Op::Add;
     op_inst.stmt_id = 42;
     op_inst.iteration = 0;
-    op_inst.label = "+";
     stg.state(s1).ops.push_back(std::move(op_inst));
   }
   stg.add_edge(s0, s1, 1.0);

@@ -19,7 +19,6 @@ stg::Stg two_state() {
     op_inst.op = ir::Op::Add;
     op_inst.stmt_id = 0;
     op_inst.iteration = 0;
-    op_inst.label = "+";
     stg.state(s0).ops.push_back(std::move(op_inst));
   }
   stg.state(s0).reg_reads = 2;
@@ -30,7 +29,6 @@ stg::Stg two_state() {
     op_inst.op = ir::Op::Mul;
     op_inst.stmt_id = 1;
     op_inst.iteration = 0;
-    op_inst.label = "*";
     stg.state(s1).ops.push_back(std::move(op_inst));
   }
   stg.add_edge(s0, s1, 1.0);
@@ -118,7 +116,6 @@ TEST(PowerModel, UnknownFuTypesIgnoredGracefully) {
     op_inst.op = ir::Op::Lt;
     op_inst.stmt_id = 0;
     op_inst.iteration = 0;
-    op_inst.label = "<ctl";
     stg.state(s0).ops.push_back(std::move(op_inst));
   }
   stg.add_edge(s0, s0, 1.0, "", true);

@@ -1,0 +1,177 @@
+// Allocation budget of the scheduler's per-candidate work. This binary
+// replaces the global operator new with a counting one, so it runs alone
+// (not inside fact_tests). It pins three properties:
+//   * stg::OpInstance is trivially destructible: an op owns no heap
+//     memory, so emitting or destroying an STG costs nothing per op;
+//   * rescheduling against a warm FragmentCache (every fragment hits, as
+//     for most of a candidate's regions) allocates per state and per
+//     region, not per op;
+//   * DfgBuilder::build, the cost of a fragment miss, allocates per DFG
+//     and per dependence list, about one allocation per node.
+// The programs are the generated SchedGolden ones.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <type_traits>
+
+#include "program_gen.hpp"
+#include "sched/dfg.hpp"
+#include "sched/fragment_cache.hpp"
+#include "sched/region.hpp"
+#include "sched/scheduler.hpp"
+#include "sim/trace.hpp"
+#include "util/error.hpp"
+
+namespace {
+std::atomic<size_t> g_allocations{0};
+}  // namespace
+
+// Not inlined: GCC would otherwise see the malloc() or free() inside and
+// warn that the caller pairs them with operator delete or operator new
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace fact::sched {
+namespace {
+
+static_assert(std::is_trivially_destructible_v<stg::OpInstance>,
+              "an STG op must own no heap memory");
+
+size_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+/// One generated SchedGolden program: the behavior, its allocation (one
+/// or two instances of every FU type) and its profile.
+struct Program {
+  ir::Function fn;
+  hlslib::Allocation alloc;
+  sim::Profile profile;
+};
+
+std::vector<Program> golden_programs() {
+  const hlslib::Library lib = hlslib::Library::dac98();
+  sim::TraceConfig tc;
+  tc.executions = 6;
+  std::vector<Program> out;
+  for (const bool concurrent : {false, true}) {
+    testgen::GenOptions gen;
+    gen.concurrent_loops = concurrent;
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+      Program p{testgen::random_program(seed, gen), {}, {}};
+      for (const auto& t : lib.types())
+        p.alloc.counts[t.name] = 1 + static_cast<int>(seed % 2);
+      p.profile =
+          sim::profile_function(p.fn, sim::generate_trace(p.fn, tc, 7));
+      out.push_back(std::move(p));
+    }
+  }
+  return out;
+}
+
+size_t count_regions(const Region& r) {
+  size_t n = 1;
+  for (const auto& c : r.children) n += count_regions(*c);
+  return n;
+}
+
+TEST(SchedAlloc, WarmRescheduleAllocatesPerStateNotPerOp) {
+  const hlslib::Library lib = hlslib::Library::dac98();
+  const hlslib::FuSelection sel = hlslib::FuSelection::defaults(lib);
+  size_t total_allocs = 0, total_states = 0, total_regions = 0, total_ops = 0;
+  for (const Program& p : golden_programs()) {
+    FragmentCache cache;
+    SchedOptions opts;
+    opts.fragment_cache = &cache;
+    const Scheduler s(lib, p.alloc, sel, opts);
+    try {
+      (void)s.schedule(p.fn, p.profile);  // warm every fragment
+    } catch (const Error&) {
+      continue;  // unschedulable under this allocation
+    }
+    const size_t before = allocations();
+    const ScheduleResult r = s.schedule(p.fn, p.profile);
+    total_allocs += allocations() - before;
+    total_states += r.stg.num_states();
+    total_regions += count_regions(*build_region_tree(p.fn));
+    for (const stg::State& st : r.stg.states()) total_ops += st.ops.size();
+  }
+  std::printf("warm reschedule: %zu allocations, %zu states, %zu regions, "
+              "%zu ops\n",
+              total_allocs, total_states, total_regions, total_ops);
+  ASSERT_GT(total_states, 0u);
+  // Per state: its ops array, its out-edge list (two allocations for a
+  // branching state), the Stg's state and edge tables as they grow. Per
+  // region: its tree node and statement list, the emitter's transition
+  // lists and the owner the STG keeps alive.
+  EXPECT_LE(total_allocs, 4 * total_states + 6 * total_regions);
+}
+
+/// DFG builds of every straight segment and every condition of a region
+/// tree, as the scheduler performs them on fragment misses.
+void build_all(DfgBuilder& b, const Region& r, size_t* allocs,
+               size_t* nodes) {
+  auto measure = [&](const std::vector<const ir::Stmt*>& stmts,
+                     const ir::ExprPtr& cond, int id) {
+    const size_t before = allocations();
+    const Dfg dfg = b.build(stmts, cond, id);
+    *allocs += allocations() - before;
+    *nodes += dfg.nodes.size();
+  };
+  switch (r.kind) {
+    case Region::Kind::Straight:
+      measure(r.stmts, nullptr, -1);
+      return;
+    case Region::Kind::If:
+      measure({}, r.ctrl->cond, r.ctrl->id);
+      break;
+    case Region::Kind::Loop:
+      measure({}, r.ctrl->cond, r.ctrl->id);
+      if (r.loop_body_is_straight()) {
+        const Region& body = *r.children[0];
+        if (!body.children.empty())
+          measure(body.children[0]->stmts, r.ctrl->cond, r.ctrl->id);
+      }
+      break;
+    case Region::Kind::Seq:
+      break;
+  }
+  for (const auto& c : r.children) build_all(b, *c, allocs, nodes);
+}
+
+TEST(SchedAlloc, DfgBuildAllocatesPerDfgNotPerName) {
+  const hlslib::Library lib = hlslib::Library::dac98();
+  const hlslib::FuSelection sel = hlslib::FuSelection::defaults(lib);
+  size_t allocs = 0, nodes = 0;
+  for (const Program& p : golden_programs()) {
+    DfgBuilder b(lib, p.alloc, sel, 5.0, 1.0);
+    build_all(b, *build_region_tree(p.fn), &allocs, &nodes);
+  }
+  std::printf("DfgBuilder::build: %zu allocations for %zu nodes (%.2f per "
+              "node)\n",
+              allocs, nodes, static_cast<double>(allocs) / nodes);
+  ASSERT_GT(nodes, 0u);
+  EXPECT_LE(static_cast<double>(allocs), 2.5 * static_cast<double>(nodes));
+}
+
+}  // namespace
+}  // namespace fact::sched

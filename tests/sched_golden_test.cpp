@@ -20,11 +20,15 @@
 
 #include "opt/fact.hpp"
 #include "program_gen.hpp"
+#include "rtl/plan.hpp"
+#include "rtl/sim.hpp"
+#include "rtl/verilog.hpp"
 #include "sched/fragment_cache.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/trace.hpp"
 #include "util/error.hpp"
 #include "util/strfmt.hpp"
+#include "verify/verify.hpp"
 #include "workloads/workloads.hpp"
 
 namespace fact::sched {
@@ -47,14 +51,19 @@ std::string render(const ScheduleResult& r) {
     out += strfmt("s%zu %s reads=%d writes=%d ring=%d cond=%s\n", i,
                   s.name.c_str(), s.reg_reads, s.reg_writes, s.ring_id,
                   s.cond_signal.c_str());
-    for (const stg::OpInstance& op : s.ops)
+    for (const stg::OpInstance& op : s.ops) {
+      std::vector<std::string> operands, pre;
+      for (const stg::Operand& o : op.operands) operands.push_back(o.str());
+      for (int w : op.pre_readers) pre.push_back(stg::wire_name(w));
       out += strfmt(
           "  %s op=%s fu=%s stmt=%d it=%d val=%s def=%s operands=[%s] "
           "pre=[%s] lag=%d store=%d array=%s\n",
-          op.label.c_str(), ir::op_token(op.op), op.fu_type.c_str(),
-          op.stmt_id, op.iteration, op.value_name.c_str(), op.def_var.c_str(),
-          join(op.operands).c_str(), join(op.pre_readers).c_str(), op.lag,
-          op.is_store ? 1 : 0, op.array.c_str());
+          op.label().c_str(), ir::op_token(op.op),
+          std::string(op.fu_type).c_str(), op.stmt_id, op.iteration,
+          stg::wire_name(op.wire).c_str(), std::string(op.def_var).c_str(),
+          join(operands).c_str(), join(pre).c_str(), op.lag,
+          op.is_store ? 1 : 0, std::string(op.array).c_str());
+    }
   }
   out += "-- loops\n";
   for (const LoopInfo& l : r.loops) {
@@ -173,7 +182,9 @@ TEST(SharedScheduler, ThreadsMatchSerialOnGoldenPrograms) {
   std::vector<GoldenCase> cases = table2_cases();
   for (GoldenCase& c : generated_cases()) cases.push_back(std::move(c));
 
-  std::map<std::map<std::string, int>, std::vector<const GoldenCase*>> groups;
+  std::map<decltype(hlslib::Allocation::counts),
+           std::vector<const GoldenCase*>>
+      groups;
   for (const GoldenCase& c : cases) groups[c.alloc.counts].push_back(&c);
   for (const auto& [counts, group] : groups) {
     std::vector<sim::Profile> profiles;
@@ -204,6 +215,63 @@ TEST(SharedScheduler, ThreadsMatchSerialOnGoldenPrograms) {
       for (size_t i = 0; i < n; ++i)
         EXPECT_EQ(got[t][i], want[i])
             << group[i]->name << " on thread " << t;
+  }
+}
+
+/// Everything the STG's readers derive from a schedule: the golden
+/// rendering (DOT, every op's views and wires), both verifiers at Full,
+/// the Verilog, and the RTL simulation of every stimulus.
+std::string derive_all(const GoldenCase& c, const ScheduleResult& r) {
+  const hlslib::Library lib = hlslib::Library::dac98();
+  std::string out = render(r);
+  out += verify::verify_stg(r.stg, verify::Level::Full).str();
+  out += verify::verify_schedule(c.fn, r.stg, lib, c.alloc,
+                                 verify::Level::Full)
+             .str();
+  out += rtl::emit_verilog(c.fn, r.stg);
+  const rtl::RtlPlan plan = rtl::build_rtl_plan(c.fn, r.stg);
+  for (const auto& stim : c.trace) {
+    const rtl::RtlSimResult sim = rtl::simulate_rtl(c.fn, plan, stim);
+    out += strfmt("rtl cycles=%ld completed=%d\n", sim.cycles,
+                  sim.completed ? 1 : 0);
+    for (const auto& [name, value] : sim.obs.outputs)
+      out += strfmt("  %s=%lld\n", name.c_str(),
+                    static_cast<long long>(value));
+  }
+  return out;
+}
+
+// An STG's ops view the scheduled DFGs they were emitted from; the STG
+// keeps those alive, so it outlives the Scheduler and the FragmentCache
+// that produced it (the optimizer renders its final STG after its cache
+// is gone).
+TEST(SchedLifetime, StgOutlivesSchedulerAndCache) {
+  const hlslib::Library lib = hlslib::Library::dac98();
+  std::vector<GoldenCase> cases;
+  for (GoldenCase& c : table2_cases())
+    if (c.name == "table2_TEST2") cases.push_back(std::move(c));
+  for (GoldenCase& c : generated_cases())
+    if (c.name == "gen_plain_s03") cases.push_back(std::move(c));
+  ASSERT_EQ(cases.size(), 2u);
+  for (const GoldenCase& c : cases) {
+    ScheduleResult r;
+    std::string before, dot;
+    {
+      FragmentCache cache;
+      SchedOptions opts;
+      opts.fragment_cache = &cache;
+      const Scheduler s(lib, c.alloc, hlslib::FuSelection::defaults(lib),
+                        opts);
+      const sim::Profile profile = sim::profile_function(c.fn, c.trace);
+      (void)s.schedule(c.fn, profile);  // the second run hits every fragment
+      r = s.schedule(c.fn, profile);
+      before = derive_all(c, r);
+      dot = r.stg.dot();
+    }
+    EXPECT_EQ(derive_all(c, r), before) << c.name;
+    const stg::Stg copy = r.stg;  // a copy keeps the views alive too
+    r = ScheduleResult();
+    EXPECT_EQ(copy.dot(), dot) << c.name;
   }
 }
 

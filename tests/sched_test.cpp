@@ -223,14 +223,14 @@ TEST(Dfg, ResourceMinIiMatchesCounts) {
 
 // ---- resource table ---------------------------------------------------
 
-DfgNode fu_node(const std::string& fu) {
+DfgNode fu_node(std::string_view fu) {
   DfgNode n;
   n.op = ir::Op::Add;
   n.fu = fu;
   return n;
 }
 
-DfgNode mem_node(const std::string& array, bool store = false) {
+DfgNode mem_node(std::string_view array, bool store = false) {
   DfgNode n;
   n.op = ir::Op::ArrayRead;
   n.fu = "mem1";
@@ -424,7 +424,7 @@ bool reference_list_schedule(Dfg& dfg, ResourceTable& table, double clock_ns,
 /// segments, branch and loop conditions, and the body-plus-condition DFG
 /// of every straight-bodied loop. Segments whose operations have no FU in
 /// the library are skipped.
-void collect_segments(const Region& r, const DfgBuilder& b,
+void collect_segments(const Region& r, DfgBuilder& b,
                       std::vector<Dfg>* out) {
   auto add = [&](const std::vector<const ir::Stmt*>& stmts,
                  const ir::ExprPtr& cond, int id) {
@@ -462,7 +462,7 @@ TEST(ListSchedule, MatchesQuadraticPicker) {
       const ir::Function fn = testgen::random_program(seed, gen);
       const RegionPtr tree = build_region_tree(fn);
       for (const double vdd : {5.0, 3.3}) {
-        const DfgBuilder builder(lib, alloc, sel, vdd, 1.0);
+        DfgBuilder builder(lib, alloc, sel, vdd, 1.0);
         std::vector<Dfg> segments;
         collect_segments(*tree, builder, &segments);
         for (const Dfg& dfg : segments) {

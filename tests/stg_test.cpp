@@ -296,7 +296,7 @@ TEST(Stg, DotContainsStatesAndProbabilities) {
     op_inst.op = ir::Op::Add;
     op_inst.stmt_id = 3;
     op_inst.iteration = 1;
-    op_inst.label = "a=+";
+    op_inst.def_var = "a";  // rendered "a=+"
     stg.state(1).ops.push_back(std::move(op_inst));
   }
   const std::string dot = stg.dot("g");

@@ -251,16 +251,16 @@ TEST(VerifyStg, CorruptOutEdgeListFlagged) {
 
 // ---- schedule legality --------------------------------------------------
 
-stg::OpInstance mk_op(const std::string& fu, const std::string& wire,
-                      std::vector<std::string> operands = {},
-                      const std::string& array = "") {
+// Names are string literals: an op views its names.
+stg::OpInstance mk_op(std::string_view fu, int wire,
+                      std::initializer_list<stg::Operand> operands = {},
+                      std::string_view array = "") {
   stg::OpInstance op;
   op.fu_type = fu;
   op.op = ir::Op::Add;
   op.stmt_id = -1;  // not tied to an IR statement
-  op.label = "+";
-  op.value_name = wire;
-  op.operands = std::move(operands);
+  op.wire = wire;
+  for (const stg::Operand& o : operands) op.operands.push_back(o);
   op.array = array;
   return op;
 }
@@ -285,23 +285,23 @@ struct SchedFixture {
 
 TEST(VerifySchedule, ResourceOverflowFlagged) {
   SchedFixture f;
-  f.g.state(0).ops.push_back(mk_op("a1", "w1"));
+  f.g.state(0).ops.push_back(mk_op("a1", 1));
   EXPECT_TRUE(f.verify().ok());
-  f.g.state(0).ops.push_back(mk_op("a1", "w2"));  // 2 adders, 1 allocated
+  f.g.state(0).ops.push_back(mk_op("a1", 2));  // 2 adders, 1 allocated
   EXPECT_TRUE(has_check(f.verify(), "sched.resources"));
 }
 
 TEST(VerifySchedule, MemoryPortOverflowFlagged) {
   SchedFixture f;
-  f.g.state(0).ops.push_back(mk_op("", "w1", {}, "m"));
+  f.g.state(0).ops.push_back(mk_op("", 1, {}, "m"));
   EXPECT_TRUE(f.verify().ok());
-  f.g.state(0).ops.push_back(mk_op("", "w2", {}, "m"));  // 2nd port on 'm'
+  f.g.state(0).ops.push_back(mk_op("", 2, {}, "m"));  // 2nd port on 'm'
   EXPECT_TRUE(has_check(f.verify(), "sched.resources"));
 }
 
 TEST(VerifySchedule, MissingStmtIdFlagged) {
   SchedFixture f;
-  stg::OpInstance op = mk_op("a1", "w1");
+  stg::OpInstance op = mk_op("a1", 1);
   op.stmt_id = 999;  // no such statement in fn
   f.g.state(0).ops.push_back(std::move(op));
   EXPECT_TRUE(has_check(f.verify(), "sched.stmt-ids"));
@@ -309,21 +309,22 @@ TEST(VerifySchedule, MissingStmtIdFlagged) {
 
 TEST(VerifySchedule, MissingResultWireFlagged) {
   SchedFixture f;
-  f.g.state(0).ops.push_back(mk_op("a1", ""));
+  f.g.state(0).ops.push_back(mk_op("a1", -1));
   EXPECT_TRUE(has_check(f.verify(), "sched.wires"));
 }
 
 TEST(VerifySchedule, DuplicateWireInOneStateFlagged) {
   SchedFixture f;
-  f.g.state(0).ops.push_back(mk_op("a1", "w1"));
-  stg::OpInstance op = mk_op("", "w1");  // same net driven twice this cycle
+  f.g.state(0).ops.push_back(mk_op("a1", 1));
+  stg::OpInstance op = mk_op("", 1);  // same net driven twice this cycle
   f.g.state(0).ops.push_back(std::move(op));
   EXPECT_TRUE(has_check(f.verify(), "sched.wires"));
 }
 
 TEST(VerifySchedule, UndefinedWireOperandFlaggedAtFullOnly) {
   SchedFixture f;
-  f.g.state(0).ops.push_back(mk_op("a1", "w1", {"w9", "a"}));
+  f.g.state(0).ops.push_back(mk_op(
+      "a1", 1, {stg::Operand::of_wire(9), stg::Operand::of_reg("a")}));
   EXPECT_TRUE(has_check(f.verify(Level::Full), "sched.wires"));
   EXPECT_TRUE(f.verify(Level::Fast).ok());
 }
@@ -331,8 +332,8 @@ TEST(VerifySchedule, UndefinedWireOperandFlaggedAtFullOnly) {
 TEST(VerifySchedule, ChainingOrderFlaggedOutsideRings) {
   SchedFixture f;
   // Consumer before its same-cycle producer.
-  f.g.state(0).ops.push_back(mk_op("a1", "w1", {"w2"}));
-  f.g.state(0).ops.push_back(mk_op("", "w2"));
+  f.g.state(0).ops.push_back(mk_op("a1", 1, {stg::Operand::of_wire(2)}));
+  f.g.state(0).ops.push_back(mk_op("", 2));
   EXPECT_TRUE(has_check(f.verify(), "sched.chaining"));
   // Kernel rings read the previous traversal's wires: exempt.
   f.g.state(0).ring_id = 0;

@@ -5,7 +5,9 @@
 #   [FACT_SANITIZE=address|thread] tools/check.sh [build-dir]
 #
 # FACT_SANITIZE selects the sanitizer:
-#   address (default) - AddressSanitizer + UBSan over the full suite.
+#   address (default) - AddressSanitizer + UBSan over the full suite,
+#                       then a sanitized factc emitting the STG and the
+#                       Verilog of each Table 2 workload.
 #   thread            - ThreadSanitizer; runs the full suite (the engine
 #                       tests exercise multi-threaded candidate evaluation
 #                       via EngineOptions::jobs > 1, and the WorkerPool
@@ -42,6 +44,20 @@ esac
 cmake -S "$repo_root" -B "$build_dir" -DFACT_SANITIZE="$cmake_flag"
 cmake --build "$build_dir" -j "$(nproc)"
 ctest --test-dir "$build_dir" -j "$(nproc)" --output-on-failure
+
+if [ "$cmake_flag" = address ]; then
+  # End-to-end STG lifetime: factc renders the final STG and its Verilog
+  # after optimize() has destroyed the fragment cache the STG's ops were
+  # emitted from, so an op viewing freed memory fails here.
+  out_dir="$build_dir/check-emit"
+  mkdir -p "$out_dir"
+  for w in GCD FIR TEST2 SINTRAN IGF PPS; do
+    "$build_dir/tools/factc" --benchmark "$w" --method fact --quiet \
+      --emit-stg "$out_dir/$w.dot" --emit-verilog "$out_dir/$w.v" >/dev/null \
+      || { echo "check.sh: sanitized factc failed on $w" >&2; exit 1; }
+  done
+  rm -rf "$out_dir"
+fi
 
 if [ "$cmake_flag" = thread ]; then
   # Focused multi-threaded pass: the tests that run the engine, the worker
