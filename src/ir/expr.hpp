@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "util/error.hpp"
+
 namespace fact::ir {
 
 /// Operation kinds appearing in expressions. The arithmetic / comparison
@@ -96,6 +98,54 @@ bool is_associative(Op op);
 const char* op_token(Op op);
 /// Arity of an op's args vector (Const/Var: 0, ArrayRead: 1, Select: 3, ...).
 int op_arity(Op op);
+
+/// The value of `op` applied to already evaluated operands (`a` is the
+/// first argument; unary ops ignore `b`, only Select reads `c`). This is
+/// the one definition of operator semantics: the behavioral interpreter,
+/// the RTL simulator and constant folding all call it.
+///  * Add, Sub and Mul wrap in two's complement, as a hardware adder or
+///    multiplier does, so overflow is defined;
+///  * shift amounts use their low 6 bits; Shr is arithmetic;
+///  * comparisons and the boolean connectives yield 0/1;
+///  * Select yields `b` when `a` is nonzero, else `c`.
+/// Const, Var and ArrayRead read state rather than compute a value; they
+/// are an error here.
+inline int64_t eval_op(Op op, int64_t a, int64_t b = 0, int64_t c = 0) {
+  const auto u = [](int64_t v) { return static_cast<uint64_t>(v); };
+  switch (op) {
+    case Op::Add: return static_cast<int64_t>(u(a) + u(b));
+    case Op::Sub: return static_cast<int64_t>(u(a) - u(b));
+    case Op::Mul: return static_cast<int64_t>(u(a) * u(b));
+    case Op::Lt: return a < b;
+    case Op::Le: return a <= b;
+    case Op::Gt: return a > b;
+    case Op::Ge: return a >= b;
+    case Op::Eq: return a == b;
+    case Op::Ne: return a != b;
+    case Op::BitNot: return ~a;
+    case Op::Shl: return static_cast<int64_t>(u(a) << (b & 63));
+    case Op::Shr: return a >> (b & 63);
+    case Op::And: return a != 0 && b != 0;
+    case Op::Or: return a != 0 || b != 0;
+    case Op::Not: return a == 0;
+    case Op::Select: return a != 0 ? b : c;
+    case Op::Const:
+    case Op::Var:
+    case Op::ArrayRead:
+      break;
+  }
+  throw Error(std::string("eval_op: '") + op_token(op) +
+              "' has no operator value");
+}
+
+/// `idx` wrapped into [0, size): memories alias like a real address
+/// decoder, so every read and store is defined for any index. `size` must
+/// be nonzero.
+inline int64_t wrap_index(int64_t idx, size_t size) {
+  const int64_t n = static_cast<int64_t>(size);
+  const int64_t m = idx % n;
+  return m < 0 ? m + n : m;
+}
 
 /// Walks the expression tree in preorder, calling fn on every node.
 void for_each_node(const ExprPtr& e, const std::function<void(const ExprPtr&)>& fn);

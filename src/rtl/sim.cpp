@@ -17,13 +17,6 @@ bool is_number(const std::string& t) {
   return true;
 }
 
-int64_t wrap_index(int64_t idx, size_t size) {
-  const int64_t n = static_cast<int64_t>(size);
-  int64_t m = idx % n;
-  if (m < 0) m += n;
-  return m;
-}
-
 }  // namespace
 
 RtlSimResult simulate_rtl(const ir::Function& fn, const RtlPlan& plan,
@@ -68,39 +61,22 @@ RtlSimResult simulate_rtl(const ir::Function& fn, const RtlPlan& plan,
 
       if (step.op.is_store) {
         auto& mem = mems.at(std::string(step.op.array));
-        mem[static_cast<size_t>(wrap_index(src[0], mem.size()))] = src[1];
+        mem[static_cast<size_t>(ir::wrap_index(src[0], mem.size()))] = src[1];
         continue;
       }
 
       int64_t value = 0;
       switch (step.op.op) {
-        case ir::Op::Add: value = src[0] + src[1]; break;
-        case ir::Op::Sub: value = src[0] - src[1]; break;
-        case ir::Op::Mul: value = src[0] * src[1]; break;
-        case ir::Op::Shl:
-          value = static_cast<int64_t>(static_cast<uint64_t>(src[0])
-                                       << (src[1] & 63));
-          break;
-        case ir::Op::Shr: value = src[0] >> (src[1] & 63); break;
-        case ir::Op::Lt: value = src[0] < src[1]; break;
-        case ir::Op::Le: value = src[0] <= src[1]; break;
-        case ir::Op::Gt: value = src[0] > src[1]; break;
-        case ir::Op::Ge: value = src[0] >= src[1]; break;
-        case ir::Op::Eq: value = src[0] == src[1]; break;
-        case ir::Op::Ne: value = src[0] != src[1]; break;
-        case ir::Op::BitNot: value = ~src[0]; break;
-        case ir::Op::Not: value = src[0] == 0; break;
-        case ir::Op::And: value = src[0] != 0 && src[1] != 0; break;
-        case ir::Op::Or: value = src[0] != 0 || src[1] != 0; break;
-        case ir::Op::Select: value = src[0] != 0 ? src[1] : src[2]; break;
         case ir::Op::Var: value = src.empty() ? 0 : src[0]; break;
         case ir::Op::ArrayRead: {
           const auto& mem = mems.at(std::string(step.op.array));
-          value = mem[static_cast<size_t>(wrap_index(src[0], mem.size()))];
+          value = mem[static_cast<size_t>(ir::wrap_index(src[0], mem.size()))];
           break;
         }
         default:
-          throw Error("rtl sim: unsupported op");
+          src.resize(3);  // operands an op does not take read as 0
+          value = ir::eval_op(step.op.op, src[0], src[1], src[2]);
+          break;
       }
       regs[stg::wire_name(step.op.wire)] = value;
       if (!step.op.def_var.empty()) regs[std::string(step.op.def_var)] = value;

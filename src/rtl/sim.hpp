@@ -15,8 +15,9 @@ struct RtlSimResult {
 /// backend prints (blocking assignments in step order, shadow captures,
 /// ordered transitions, parameter latching at boundaries). One execution
 /// of the behavior is run per call, starting from reset, with the
-/// stimulus' parameter values and preloaded input memories; memory indices
-/// wrap modulo the array size, matching the behavioral interpreter.
+/// stimulus' parameter values and preloaded input memories. Operator
+/// values come from ir::eval_op and memory indices from ir::wrap_index,
+/// the definitions the behavioral interpreter uses too.
 ///
 /// Used by the test suite to prove the emitted hardware is functionally
 /// equivalent to the behavioral interpreter.

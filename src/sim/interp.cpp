@@ -1,6 +1,6 @@
 #include "sim/interp.hpp"
 
-#include <cassert>
+#include <algorithm>
 
 #include "util/error.hpp"
 
@@ -51,13 +51,6 @@ struct Interpreter::Program {
 };
 
 namespace {
-
-int64_t wrap_index(int64_t idx, size_t size) {
-  const int64_t n = static_cast<int64_t>(size);
-  int64_t m = idx % n;
-  if (m < 0) m += n;
-  return m;
-}
 
 /// One-shot translation of a Function into a Program.
 class Compiler {
@@ -178,7 +171,8 @@ class Compiler {
   std::map<std::string, int32_t> name_pool_;
 };
 
-/// Executes a compiled Program over one stimulus.
+/// Executes a compiled Program: one stimulus at a time, reset between
+/// stimuli, with branch counters and steps accumulating over the pass.
 class Machine {
  public:
   Machine(const Interpreter::Program& p, uint64_t max_steps)
@@ -188,13 +182,16 @@ class Machine {
         branches_(p.branch_ids.size()),
         max_steps_(max_steps) {}
 
+  /// Resets the machine to the start of one execution: every register
+  /// zero (a scalar never written reads 0), every memory reloaded from
+  /// `in`, and the step limit counting from zero again.
   void init(const Stimulus& in) {
+    pass_steps_ += steps_;
+    steps_ = 0;
+    std::fill(regs_.begin(), regs_.end(), 0);
     for (const auto& [name, slot] : p_.params) {
       auto it = in.params.find(name);
-      // Uninitialized scalars read as 0, matching a register that was
-      // never written.
-      regs_[static_cast<size_t>(slot)] =
-          it == in.params.end() ? 0 : it->second;
+      if (it != in.params.end()) regs_[static_cast<size_t>(slot)] = it->second;
     }
     for (size_t i = 0; i < p_.arrays.size(); ++i) {
       const auto& a = p_.arrays[i];
@@ -212,10 +209,10 @@ class Machine {
 
   void run() { exec_list(p_.top); }
 
-  /// Folds accumulated counters into `stats` (branches a behavior never
-  /// reached stay absent from the map, as before).
+  /// Adds the counters of every execution so far into `stats` (branches
+  /// the behavior never reached stay absent from the map).
   void flush(RunStats& stats) const {
-    stats.steps += steps_;
+    stats.steps += pass_steps_ + steps_;
     for (size_t i = 0; i < branches_.size(); ++i) {
       const BranchStats& b = branches_[i];
       if (b.total == 0) continue;
@@ -248,47 +245,16 @@ class Machine {
                       p_.names[static_cast<size_t>(n.name)] + "'");
         auto& mem = mems_[static_cast<size_t>(n.slot)];
         const int64_t i = eval(n.a);
-        return mem[static_cast<size_t>(wrap_index(i, mem.size()))];
+        return mem[static_cast<size_t>(ir::wrap_index(i, mem.size()))];
       }
-      case Op::Add:
-        return eval(n.a) + eval(n.b);
-      case Op::Sub:
-        return eval(n.a) - eval(n.b);
-      case Op::Mul:
-        return eval(n.a) * eval(n.b);
-      case Op::Lt:
-        return eval(n.a) < eval(n.b) ? 1 : 0;
-      case Op::Le:
-        return eval(n.a) <= eval(n.b) ? 1 : 0;
-      case Op::Gt:
-        return eval(n.a) > eval(n.b) ? 1 : 0;
-      case Op::Ge:
-        return eval(n.a) >= eval(n.b) ? 1 : 0;
-      case Op::Eq:
-        return eval(n.a) == eval(n.b) ? 1 : 0;
-      case Op::Ne:
-        return eval(n.a) != eval(n.b) ? 1 : 0;
-      case Op::BitNot:
-        return ~eval(n.a);
-      case Op::Shl: {
-        const int64_t sh = eval(n.b) & 63;
-        return static_cast<int64_t>(static_cast<uint64_t>(eval(n.a)) << sh);
-      }
-      case Op::Shr: {
-        const int64_t sh = eval(n.b) & 63;
-        return eval(n.a) >> sh;
-      }
-      case Op::And:
-        // Both operands always evaluate (hardware evaluates both cones).
-        return (eval(n.a) != 0 && eval(n.b) != 0) ? 1 : 0;
-      case Op::Or:
-        return (eval(n.a) != 0 || eval(n.b) != 0) ? 1 : 0;
-      case Op::Not:
-        return eval(n.a) == 0 ? 1 : 0;
       case Op::Select:
         return eval(n.a) != 0 ? eval(n.b) : eval(n.c);
+      default: {
+        // Both operands always evaluate (hardware evaluates both cones).
+        const int64_t a = eval(n.a);
+        return ir::eval_op(n.op, a, n.b < 0 ? 0 : eval(n.b));
+      }
     }
-    throw Error("eval: unknown op");
   }
 
   void tick() {
@@ -319,7 +285,7 @@ class Machine {
         auto& mem = mems_[static_cast<size_t>(s.slot)];
         const int64_t idx = eval(s.e1);
         const int64_t val = eval(s.e0);
-        mem[static_cast<size_t>(wrap_index(idx, mem.size()))] = val;
+        mem[static_cast<size_t>(ir::wrap_index(idx, mem.size()))] = val;
         break;
       }
       case StmtKind::If: {
@@ -348,77 +314,9 @@ class Machine {
   std::vector<std::vector<int64_t>> mems_;
   std::vector<BranchStats> branches_;
   uint64_t max_steps_;
-  uint64_t steps_ = 0;
+  uint64_t steps_ = 0;       // this execution's
+  uint64_t pass_steps_ = 0;  // earlier executions' of this pass
 };
-
-/// Environment for the one-shot static eval (tests and constant reasoning
-/// in transformations) — not used on the trace-interpretation hot path.
-struct Env {
-  const std::map<std::string, int64_t>& scalars;
-  const std::map<std::string, std::vector<int64_t>>& arrays;
-};
-
-int64_t eval_expr(const ExprPtr& e, const Env& env) {
-  switch (e->op()) {
-    case Op::Const:
-      return e->value();
-    case Op::Var: {
-      auto it = env.scalars.find(e->name());
-      return it == env.scalars.end() ? 0 : it->second;
-    }
-    case Op::ArrayRead: {
-      auto it = env.arrays.find(e->name());
-      if (it == env.arrays.end() || it->second.empty())
-        throw Error("read of unknown array '" + e->name() + "'");
-      const int64_t idx = eval_expr(e->arg(0), env);
-      return it->second[static_cast<size_t>(
-          wrap_index(idx, it->second.size()))];
-    }
-    case Op::Add:
-      return eval_expr(e->arg(0), env) + eval_expr(e->arg(1), env);
-    case Op::Sub:
-      return eval_expr(e->arg(0), env) - eval_expr(e->arg(1), env);
-    case Op::Mul:
-      return eval_expr(e->arg(0), env) * eval_expr(e->arg(1), env);
-    case Op::Lt:
-      return eval_expr(e->arg(0), env) < eval_expr(e->arg(1), env) ? 1 : 0;
-    case Op::Le:
-      return eval_expr(e->arg(0), env) <= eval_expr(e->arg(1), env) ? 1 : 0;
-    case Op::Gt:
-      return eval_expr(e->arg(0), env) > eval_expr(e->arg(1), env) ? 1 : 0;
-    case Op::Ge:
-      return eval_expr(e->arg(0), env) >= eval_expr(e->arg(1), env) ? 1 : 0;
-    case Op::Eq:
-      return eval_expr(e->arg(0), env) == eval_expr(e->arg(1), env) ? 1 : 0;
-    case Op::Ne:
-      return eval_expr(e->arg(0), env) != eval_expr(e->arg(1), env) ? 1 : 0;
-    case Op::BitNot:
-      return ~eval_expr(e->arg(0), env);
-    case Op::Shl: {
-      const int64_t sh = eval_expr(e->arg(1), env) & 63;
-      return static_cast<int64_t>(
-          static_cast<uint64_t>(eval_expr(e->arg(0), env)) << sh);
-    }
-    case Op::Shr: {
-      const int64_t sh = eval_expr(e->arg(1), env) & 63;
-      return eval_expr(e->arg(0), env) >> sh;
-    }
-    case Op::And:
-      return (eval_expr(e->arg(0), env) != 0 && eval_expr(e->arg(1), env) != 0)
-                 ? 1
-                 : 0;
-    case Op::Or:
-      return (eval_expr(e->arg(0), env) != 0 || eval_expr(e->arg(1), env) != 0)
-                 ? 1
-                 : 0;
-    case Op::Not:
-      return eval_expr(e->arg(0), env) == 0 ? 1 : 0;
-    case Op::Select:
-      return eval_expr(e->arg(0), env) != 0 ? eval_expr(e->arg(1), env)
-                                            : eval_expr(e->arg(2), env);
-  }
-  throw Error("eval: unknown op");
-}
 
 }  // namespace
 
@@ -436,14 +334,6 @@ double RunStats::expected_iterations(int stmt_id, double fallback) const {
   return p / (1.0 - p);
 }
 
-void RunStats::merge(const RunStats& other) {
-  for (const auto& [id, b] : other.branches) {
-    branches[id].taken += b.taken;
-    branches[id].total += b.total;
-  }
-  steps += other.steps;
-}
-
 Interpreter::Interpreter(const ir::Function& fn)
     : prog_(Compiler(fn).take()) {}
 
@@ -455,11 +345,17 @@ Observation Interpreter::run(const Stimulus& in, RunStats* stats) const {
   return m.take_observation();
 }
 
-int64_t Interpreter::eval(
-    const ir::ExprPtr& e, const std::map<std::string, int64_t>& scalars,
-    const std::map<std::string, std::vector<int64_t>>& arrays) {
-  Env env{scalars, arrays};
-  return eval_expr(e, env);
+bool Interpreter::run_trace(
+    const Trace& trace, RunStats* stats,
+    const std::function<bool(size_t, Observation&&)>& visit) const {
+  Machine m(*prog_, max_steps_);
+  for (size_t i = 0; i < trace.size(); ++i) {
+    m.init(trace[i]);
+    m.run();
+    if (!visit(i, m.take_observation())) return false;
+  }
+  if (stats) m.flush(*stats);
+  return true;
 }
 
 }  // namespace fact::sim

@@ -102,25 +102,21 @@ obs::Counter& profiles() {
   return c;
 }
 
-/// One interpreter pass of `fn` over the trace: hands each execution's
-/// observation to `visit(index, observation)` and, when `profile` is
-/// non-null, aggregates branch statistics into it. Stops early, returning
-/// false, as soon as `visit` does.
-template <typename Visit>
+/// One interpreter pass of `fn` over the trace, on one machine: hands each
+/// execution's observation to `visit(index, observation)` and, when
+/// `profile` is non-null, aggregates branch statistics into it. Stops
+/// early, returning false, as soon as `visit` does.
 bool simulate_trace(const ir::Function& fn, const Trace& trace,
-                    Profile* profile, Visit&& visit) {
+                    Profile* profile,
+                    const std::function<bool(size_t, Observation&&)>& visit) {
   trace_passes().inc();
-  Interpreter interp(fn);
-  for (size_t i = 0; i < trace.size(); ++i) {
-    RunStats stats;
-    Observation ob = interp.run(trace[i], profile ? &stats : nullptr);
-    if (!visit(i, std::move(ob))) return false;
-    if (profile) {
-      profile->stats.merge(stats);
-      profile->executions++;
-    }
+  if (!Interpreter(fn).run_trace(trace, profile ? &profile->stats : nullptr,
+                                 visit))
+    return false;
+  if (profile) {
+    profile->executions += trace.size();
+    profiles().inc();
   }
-  if (profile) profiles().inc();
   return true;
 }
 

@@ -33,9 +33,6 @@ struct TraceConfig {
   size_t executions = 32;  // number of stimuli in the trace
 };
 
-/// A "typical input trace": one Stimulus per execution of the behavior.
-using Trace = std::vector<Stimulus>;
-
 /// Generates a deterministic trace for `fn` from `config` and `seed`.
 Trace generate_trace(const ir::Function& fn, const TraceConfig& config,
                      uint64_t seed);

@@ -3,7 +3,6 @@
 
 #include <cassert>
 
-#include "sim/interp.hpp"
 #include "xform/expr_transform.hpp"
 
 namespace fact::xform {
@@ -288,8 +287,11 @@ class ConstantFolding final : public ExprTransform {
 
   ExprPtr rewrite(const ExprPtr& e, int variant) const override {
     switch (variant) {
-      case 0:
-        return Expr::constant(sim::Interpreter::eval(e, {}, {}));
+      case 0: {
+        int64_t v[3] = {0, 0, 0};
+        for (size_t i = 0; i < e->num_args(); ++i) v[i] = e->arg(i)->value();
+        return Expr::constant(ir::eval_op(e->op(), v[0], v[1], v[2]));
+      }
       case 1:
         return e->arg(0);
       case 2:

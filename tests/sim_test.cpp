@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "lang/parser.hpp"
 #include "program_gen.hpp"
+#include "rtl/plan.hpp"
+#include "rtl/sim.hpp"
+#include "sched/scheduler.hpp"
 #include "sim/interp.hpp"
 #include "sim/trace.hpp"
 #include "util/error.hpp"
@@ -313,6 +318,292 @@ TEST(CheckedPass, ShortReferenceIsAMismatch) {
   EXPECT_TRUE(profile_if_equivalent(fn, trace, reference).has_value());
   reference.pop_back();
   EXPECT_FALSE(profile_if_equivalent(fn, trace, reference).has_value());
+}
+
+// ---- one operator table --------------------------------------------------
+//
+// ir::eval_op is the only definition of operator values. The interpreter,
+// constant folding and the RTL simulator must each give the value spelled
+// out here, on operands at the edges of int64 and of the shift range.
+
+constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+
+/// The value `op` must have, written without ir::eval_op: arithmetic in
+/// 128 bits reduced modulo 2^64, shifts as repeated doubling and floor
+/// halving by the amount modulo 64.
+int64_t expected_value(ir::Op op, int64_t a, int64_t b) {
+  using ir::Op;
+  const auto wrap = [](__int128 v) {
+    return static_cast<int64_t>(static_cast<uint64_t>(
+        static_cast<unsigned __int128>(v)));
+  };
+  const int amount = static_cast<int>(((b % 64) + 64) % 64);
+  switch (op) {
+    case Op::Add: return wrap(static_cast<__int128>(a) + b);
+    case Op::Sub: return wrap(static_cast<__int128>(a) - b);
+    case Op::Mul: return wrap(static_cast<__int128>(a) * b);
+    case Op::Lt: return a < b ? 1 : 0;
+    case Op::Le: return a <= b ? 1 : 0;
+    case Op::Gt: return a > b ? 1 : 0;
+    case Op::Ge: return a >= b ? 1 : 0;
+    case Op::Eq: return a == b ? 1 : 0;
+    case Op::Ne: return a != b ? 1 : 0;
+    case Op::Shl: {
+      __int128 v = a;
+      for (int k = 0; k < amount; ++k) v = wrap(v * 2);
+      return wrap(v);
+    }
+    case Op::Shr: {
+      int64_t v = a;
+      for (int k = 0; k < amount; ++k)
+        v = (v < 0 && v % 2 != 0) ? (v - 1) / 2 : v / 2;
+      return v;
+    }
+    case Op::And: return (a != 0 && b != 0) ? 1 : 0;
+    case Op::Or: return (a != 0 || b != 0) ? 1 : 0;
+    case Op::BitNot: return wrap(-static_cast<__int128>(a) - 1);
+    case Op::Not: return a == 0 ? 1 : 0;
+    default: break;
+  }
+  ADD_FAILURE() << "no expected value for " << ir::op_token(op);
+  return 0;
+}
+
+TEST(OperatorTable, SpotValues) {
+  using ir::Op;
+  const struct {
+    Op op;
+    int64_t a, b, want;
+  } cases[] = {
+      {Op::Add, kMax, 1, kMin},
+      {Op::Sub, kMin, 1, kMax},
+      {Op::Mul, kMin, -1, kMin},
+      {Op::Mul, 13, 5046075952972447127, -8187988906196393813},
+      {Op::Shl, 1, 63, kMin},
+      {Op::Shl, 1, 64, 1},
+      {Op::Shl, 3, -1, kMin},
+      {Op::Shr, kMin, 63, -1},
+      {Op::Shr, kMax, 64, kMax},
+      {Op::Shr, -8, -1, -1},
+      {Op::BitNot, kMin, 0, kMax},
+      {Op::BitNot, 0, 0, -1},
+      {Op::Not, kMin, 0, 0},
+      {Op::Lt, kMin, kMax, 1},
+      {Op::And, kMin, 64, 1},
+      {Op::Or, 0, 0, 0},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(expected_value(c.op, c.a, c.b), c.want) << ir::op_token(c.op);
+    EXPECT_EQ(ir::eval_op(c.op, c.a, c.b), c.want) << ir::op_token(c.op);
+  }
+  EXPECT_EQ(ir::eval_op(Op::Select, kMin, 1, 2), 1);
+  EXPECT_EQ(ir::eval_op(Op::Select, 0, 1, 2), 2);
+  EXPECT_THROW(ir::eval_op(Op::Var, 0), Error);
+  EXPECT_EQ(ir::wrap_index(kMin, 3), 1);  // -2^63 = -3 * 3074457345618258603 + 1
+  EXPECT_EQ(ir::wrap_index(-1, 4), 3);
+}
+
+/// The RTL plan of `fn`, scheduled RTL-exact.
+rtl::RtlPlan rtl_plan(const ir::Function& fn) {
+  const auto lib = hlslib::Library::dac98();
+  hlslib::Allocation alloc;
+  for (const auto& t : lib.types()) alloc.counts[t.name] = 2;
+  TraceConfig tc;
+  tc.executions = 4;
+  const Profile profile = profile_function(fn, generate_trace(fn, tc, 7));
+  sched::SchedOptions so;
+  so.fuse_loops = false;
+  sched::Scheduler s(lib, alloc, hlslib::FuSelection::defaults(lib), so);
+  const sched::ScheduleResult sr = s.schedule(fn, profile);
+  EXPECT_TRUE(sr.rtl_exact);
+  return rtl::build_rtl_plan(fn, sr.stg);
+}
+
+int64_t rtl_output(const ir::Function& fn, const rtl::RtlPlan& plan,
+                   const Stimulus& in, const std::string& name) {
+  const rtl::RtlSimResult got = rtl::simulate_rtl(fn, plan, in);
+  EXPECT_TRUE(got.completed);
+  return got.obs.outputs.at(name);
+}
+
+/// Constant folding of `e` as the value of `F() { r = e; output r; }`.
+int64_t folded(const xform::Transform& fold, ir::ExprPtr e) {
+  ir::Function fn("F");
+  fn.add_output("r");
+  std::vector<ir::StmtPtr> body;
+  body.push_back(ir::Stmt::assign("r", std::move(e)));
+  fn.set_body(ir::Stmt::block(std::move(body)));
+  fn.renumber();
+  const std::vector<xform::Candidate> cands = fold.find(fn, {});
+  EXPECT_EQ(cands.size(), 1u);
+  if (cands.empty()) return 0;
+  const ir::Function g = fold.apply(fn, cands[0]);
+  const ir::ExprPtr& v = g.body()->stmts[0]->value;
+  EXPECT_EQ(v->op(), ir::Op::Const);
+  return v->value();
+}
+
+TEST(OperatorTable, EveryEvaluatorGivesTheSameValue) {
+  using ir::Op;
+  const int64_t edges[] = {0, 1, -1, 63, 64, kMin, kMax};
+  const auto fold = xform::make_constant_folding();
+  for (Op op : {Op::Add, Op::Sub, Op::Mul, Op::Lt, Op::Le, Op::Gt, Op::Ge,
+                Op::Eq, Op::Ne, Op::Shl, Op::Shr, Op::And, Op::Or}) {
+    const ir::Function fn = parse(std::string("F(int a, int b) { int r = a ") +
+                                  ir::op_token(op) + " b; output r; }");
+    const Interpreter interp(fn);
+    const rtl::RtlPlan plan = rtl_plan(fn);
+    for (int64_t a : edges)
+      for (int64_t b : edges) {
+        const int64_t want = expected_value(op, a, b);
+        Stimulus in;
+        in.params = {{"a", a}, {"b", b}};
+        const auto at = [&] {
+          return ::testing::Message() << a << ' ' << ir::op_token(op) << ' ' << b;
+        };
+        EXPECT_EQ(interp.run(in).outputs.at("r"), want) << at();
+        EXPECT_EQ(folded(*fold, ir::Expr::binary(op, ir::Expr::constant(a),
+                                                 ir::Expr::constant(b))),
+                  want)
+            << at();
+        EXPECT_EQ(rtl_output(fn, plan, in, "r"), want) << at();
+      }
+  }
+  for (Op op : {Op::BitNot, Op::Not}) {
+    const ir::Function fn = parse(std::string("F(int a) { int r = ") +
+                                  ir::op_token(op) + "a; output r; }");
+    const Interpreter interp(fn);
+    const rtl::RtlPlan plan = rtl_plan(fn);
+    for (int64_t a : edges) {
+      const int64_t want = expected_value(op, a, 0);
+      Stimulus in;
+      in.params = {{"a", a}};
+      EXPECT_EQ(interp.run(in).outputs.at("r"), want) << ir::op_token(op) << a;
+      EXPECT_EQ(folded(*fold, ir::Expr::unary(op, ir::Expr::constant(a))), want)
+          << ir::op_token(op) << a;
+      EXPECT_EQ(rtl_output(fn, plan, in, "r"), want) << ir::op_token(op) << a;
+    }
+  }
+}
+
+// TEST1's loops multiply past 2^63; the product wraps like a hardware
+// multiplier instead of being undefined.
+TEST(OperatorTable, RepeatedMultiplyWraps) {
+  const ir::Function fn = parse(R"(
+F(int x) {
+  int i = 0;
+  while (i < 50) { x = x * 7; i = i + 1; }
+  output x;
+}
+)");
+  Stimulus in;
+  in.params = {{"x", 1}};
+  const int64_t want = -7653426353892634447;  // 7^50 mod 2^64, signed
+  EXPECT_EQ(Interpreter(fn).run(in).outputs.at("x"), want);
+  EXPECT_EQ(rtl_output(fn, rtl_plan(fn), in, "x"), want);
+}
+
+// ---- one machine per trace pass ------------------------------------------
+//
+// A pass runs every stimulus on one reused machine. Each execution must
+// still start from reset, so it equals a fresh Interpreter::run.
+
+// Reads `s` (not a parameter) and `m[1]` (not an input) before writing
+// them when a > 3; the innermost If never runs on the trace below.
+constexpr const char* kReadsBeforeWrites = R"(
+F(int a) {
+  int m[4];
+  int r = 0;
+  if (a > 3) {
+    r = s + m[1] * 10;
+    if (a > 100) {
+      if (s > 0) { r = r + 1; }
+    }
+  }
+  int s = a * 2;
+  m[1] = a + 5;
+  output r; output s;
+}
+)";
+
+Trace stimuli(std::initializer_list<int64_t> values) {
+  Trace trace;
+  for (int64_t a : values) {
+    Stimulus in;
+    in.params = {{"a", a}};
+    trace.push_back(in);
+  }
+  return trace;
+}
+
+TEST(MachineReuse, EachExecutionStartsFromReset) {
+  const ir::Function fn = parse(kReadsBeforeWrites);
+  const Trace trace = stimuli({5, 1, 7, 2, 9, 0});
+  Profile fresh;
+  Observations want;
+  for (const auto& in : trace)
+    want.push_back(Interpreter(fn).run(in, &fresh.stats));
+  fresh.executions = trace.size();
+  for (const auto& ob : want) EXPECT_EQ(ob.outputs.at("r"), 0);
+
+  Profile profile;
+  const Observations got = reference_observations(fn, trace, &profile);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].outputs, want[i].outputs) << "execution " << i;
+    EXPECT_EQ(got[i].arrays, want[i].arrays) << "execution " << i;
+  }
+  expect_same_profile(profile, fresh);
+  expect_same_profile(profile_function(fn, trace), fresh);
+
+  std::vector<int> ifs;
+  fn.for_each([&](const ir::Stmt& s) {
+    if (s.kind == ir::StmtKind::If) ifs.push_back(s.id);
+  });
+  ASSERT_EQ(ifs.size(), 3u);
+  EXPECT_EQ(profile.stats.branches.at(ifs[1]).total, 3u);
+  EXPECT_EQ(profile.stats.branches.at(ifs[1]).taken, 0u);
+  EXPECT_FALSE(profile.stats.branches.count(ifs[2]));
+}
+
+TEST(MachineReuse, StepLimitIsPerExecution) {
+  const ir::Function fn = parse(
+      "F(int n) { int i = 0; while (i < n) { i = i + 1; } output i; }");
+  const Trace trace = stimuli({3, 8, 5, 8});
+  uint64_t longest = 0, total = 0;
+  for (const auto& in : trace) {
+    RunStats one;
+    Interpreter(fn).run(in, &one);
+    longest = std::max(longest, one.steps);
+    total += one.steps;
+  }
+  ASSERT_GT(total, longest);
+  const auto keep_all = [](size_t, Observation&&) { return true; };
+
+  Interpreter interp(fn);
+  interp.set_max_steps(longest);
+  RunStats stats;
+  EXPECT_TRUE(interp.run_trace(trace, &stats, keep_all));
+  EXPECT_EQ(stats.steps, total);
+
+  // One execution over the limit aborts the pass; `stats` is untouched.
+  interp.set_max_steps(longest - 1);
+  RunStats marked;
+  marked.steps = 42;
+  marked.branches[99] = {1, 2};
+  EXPECT_THROW(interp.run_trace(trace, &marked, keep_all), Error);
+  EXPECT_THROW(interp.run(trace[1], &marked), Error);
+  EXPECT_EQ(marked.steps, 42u);
+  ASSERT_EQ(marked.branches.size(), 1u);
+  EXPECT_EQ(marked.branches.at(99).total, 2u);
+
+  // So does a pass its visitor stops early.
+  interp.set_max_steps(longest);
+  EXPECT_FALSE(interp.run_trace(trace, &marked,
+                                [](size_t i, Observation&&) { return i < 2; }));
+  EXPECT_EQ(marked.steps, 42u);
+  EXPECT_EQ(marked.branches.size(), 1u);
 }
 
 }  // namespace

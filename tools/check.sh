@@ -5,9 +5,11 @@
 #   [FACT_SANITIZE=address|thread] tools/check.sh [build-dir]
 #
 # FACT_SANITIZE selects the sanitizer:
-#   address (default) - AddressSanitizer + UBSan over the full suite,
-#                       then a sanitized factc emitting the STG and the
-#                       Verilog of each Table 2 workload.
+#   address (default) - AddressSanitizer + UBSan over the full suite
+#                       (UBSan errors are fatal: the tree is built with
+#                       -fno-sanitize-recover=undefined), then a sanitized
+#                       factc emitting the STG and the Verilog of each
+#                       Table 2 workload.
 #   thread            - ThreadSanitizer; runs the full suite (the engine
 #                       tests exercise multi-threaded candidate evaluation
 #                       via EngineOptions::jobs > 1, and the WorkerPool
