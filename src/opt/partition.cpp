@@ -8,8 +8,9 @@ namespace fact::opt {
 
 std::vector<StgBlock> partition_stg(const stg::Stg& stg, double threshold,
                                     const std::vector<double>* pi_in) {
-  const std::vector<double> pi =
-      pi_in ? *pi_in : stg::state_probabilities(stg);
+  std::vector<double> solved;
+  if (!pi_in) solved = stg::state_probabilities(stg);
+  const std::vector<double>& pi = pi_in ? *pi_in : solved;
   std::vector<double> freq;
   freq.reserve(stg.num_edges());
   for (const stg::Edge& e : stg.edges())

@@ -18,8 +18,9 @@ PowerEstimate accumulate(const stg::Stg& stg, const hlslib::Library& lib,
                          const PowerOptions& opts,
                          const std::vector<double>* pi_in) {
   PowerEstimate est;
-  const std::vector<double> pi =
-      pi_in ? *pi_in : stg::state_probabilities(stg);
+  std::vector<double> solved;
+  if (!pi_in) solved = stg::state_probabilities(stg);
+  const std::vector<double>& pi = pi_in ? *pi_in : solved;
   est.avg_schedule_length = stg::average_schedule_length(stg, pi);
 
   // Per-cycle expected ops by FU type. A design binds a handful of types,

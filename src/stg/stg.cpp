@@ -5,6 +5,7 @@
 #include <queue>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/dot.hpp"
 #include "util/error.hpp"
 #include "util/strfmt.hpp"
@@ -176,235 +177,214 @@ std::string Stg::dot(const std::string& graph_name) const {
 
 namespace {
 
-// The solver policy of state_probabilities (see stg.hpp).
-constexpr size_t kDenseCutoff = 48;   // largest chain solved densely
-constexpr double kTolerance = 1e-12;  // Gauss-Seidel L1 convergence bound
-constexpr int kMaxSweeps = 512;       // Gauss-Seidel sweeps before dense
-
 constexpr const char* kSingular =
     "state_probabilities: singular chain (STG not ergodic)";
 
-/// Registry-backed solver accounting. Write-only: never read on the solve
-/// path.
-struct MarkovCounters {
-  obs::Counter& solves = obs::Registry::global().counter(
-      "fact_markov_solves_total", "Stationary-distribution solves");
-  obs::Counter& sparse = obs::Registry::global().counter(
-      "fact_markov_sparse_solves_total",
-      "Solves served by sparse Gauss-Seidel");
-  obs::Counter& sweeps = obs::Registry::global().counter(
-      "fact_markov_sweeps_total", "Gauss-Seidel sweeps performed");
-  obs::Counter& fallbacks = obs::Registry::global().counter(
-      "fact_markov_dense_fallbacks_total",
-      "Sparse solves that diverged and fell back to dense");
-  static MarkovCounters& get() {
-    static MarkovCounters c;
-    return c;
+/// Index of a state, an SCC, a class member or a pool entry. kNone ends a
+/// list and marks a transient state.
+using Ix = uint32_t;
+constexpr Ix kNone = ~Ix{0};
+Ix ix(int state) { return static_cast<Ix>(state); }
+
+/// One off-diagonal transition p(from -> to) of the closed class, linked
+/// into the row list of `from` and the column list of `to`.
+struct Entry {
+  Ix from;
+  Ix to;
+  double p;
+  Ix next_out;  // next entry of row `from`
+  Ix next_in;   // next entry of column `to`
+};
+
+/// Working storage of a solve. One per thread (engine workers solve
+/// concurrently), reused across calls so that a warm solve allocates only
+/// its result.
+struct Scratch {
+  std::vector<Ix> fwd_off, fwd, rev_off, rev;  // CSR adjacency (Kosaraju)
+  std::vector<Ix> order, comp, dfs;            // post-order, SCC labels
+  std::vector<std::pair<Ix, Ix>> stack;        // (state, next fwd slot)
+  std::vector<char> closed;                    // per SCC
+  std::vector<Ix> local;                       // state -> class member
+  std::vector<Entry> pool;                     // entries; fill is appended
+  std::vector<Ix> row, col;                    // list heads per member
+  std::vector<Ix> where;                       // scatter of one row
+  std::vector<double> x;                       // unnormalized pi per member
+
+  /// Appends entry p(i -> j) to the pool and to both lists; returns it.
+  Ix add(Ix i, Ix j, double p) {
+    pool.push_back({i, j, p, row[i], col[j]});
+    return row[i] = col[j] = static_cast<Ix>(pool.size() - 1);
   }
 };
 
-/// True when the chain has exactly one closed communicating class — the
-/// condition under which pi P = pi, sum pi = 1 has a unique solution (the
-/// dense solver detects the same condition as a vanishing pivot).
-/// Kosaraju's algorithm over the positive-probability edges, iterative so
-/// deep chains cannot overflow the stack.
-bool has_unique_closed_class(const Stg& stg) {
-  const size_t n = stg.num_states();
-  if (n == 0) return false;
+/// CSR adjacency over the positive-probability edges: the neighbours of
+/// state s are adj[off[s] .. off[s + 1]), its successors when `forward`,
+/// else its predecessors, in edge order.
+void csr(const Stg& stg, bool forward, std::vector<Ix>& off,
+         std::vector<Ix>& adj) {
+  const Ix n = static_cast<Ix>(stg.num_states());
+  off.assign(n + 1, 0);
+  for (const Edge& e : stg.edges())
+    if (e.prob > 0.0) ++off[ix(forward ? e.from : e.to) + 1];
+  for (Ix s = 0; s < n; ++s) off[s + 1] += off[s];
+  adj.resize(off[n]);
+  // Filling advances off[s] to off[s + 1]; the shift restores it.
+  for (const Edge& e : stg.edges())
+    if (e.prob > 0.0)
+      adj[off[ix(forward ? e.from : e.to)]++] = ix(forward ? e.to : e.from);
+  for (Ix s = n; s > 0; --s) off[s] = off[s - 1];
+  off[0] = 0;
+}
 
-  // Forward and reverse adjacency (state indices), edges with prob > 0.
-  std::vector<std::vector<int>> fwd(n), rev(n);
-  for (const Edge& e : stg.edges()) {
-    if (e.prob <= 0.0) continue;
-    fwd[static_cast<size_t>(e.from)].push_back(e.to);
-    rev[static_cast<size_t>(e.to)].push_back(e.from);
-  }
+/// Finds the chain's closed communicating class by Kosaraju's algorithm
+/// over the positive-probability edges (iterative, so deep chains cannot
+/// overflow the stack). Sets sc.local[s] to state s's index within the
+/// class, members numbered in state-index order, or to kNone for a
+/// transient state, and returns the class size. Throws unless exactly one
+/// class is closed: the condition under which pi P = pi, sum pi = 1 has a
+/// unique solution.
+Ix closed_class(const Stg& stg, Scratch& sc) {
+  const Ix n = static_cast<Ix>(stg.num_states());
+  csr(stg, true, sc.fwd_off, sc.fwd);
+  csr(stg, false, sc.rev_off, sc.rev);
 
-  // Pass 1: iterative DFS post-order over the forward graph.
-  std::vector<int> order;
-  order.reserve(n);
-  std::vector<char> seen(n, 0);
-  std::vector<std::pair<int, size_t>> stack;  // (state, next child index)
-  for (size_t root = 0; root < n; ++root) {
-    if (seen[root]) continue;
-    seen[root] = 1;
-    stack.emplace_back(static_cast<int>(root), 0);
-    while (!stack.empty()) {
-      auto& [s, next] = stack.back();
-      const auto& succ = fwd[static_cast<size_t>(s)];
-      if (next < succ.size()) {
-        const int t = succ[next++];
-        if (!seen[static_cast<size_t>(t)]) {
-          seen[static_cast<size_t>(t)] = 1;
-          stack.emplace_back(t, 0);
-        }
-      } else {
-        order.push_back(s);
-        stack.pop_back();
+  // Pass 1: DFS post-order over the forward edges. comp is kNone for
+  // unseen states and kSeen for seen ones.
+  constexpr Ix kSeen = kNone - 1;
+  sc.order.clear();
+  sc.comp.assign(n, kNone);
+  for (Ix root = 0; root < n; ++root) {
+    if (sc.comp[root] != kNone) continue;
+    sc.comp[root] = kSeen;
+    sc.stack.emplace_back(root, sc.fwd_off[root]);
+    while (!sc.stack.empty()) {
+      auto& [s, next] = sc.stack.back();
+      if (next == sc.fwd_off[s + 1]) {
+        sc.order.push_back(s);
+        sc.stack.pop_back();
+        continue;
+      }
+      const Ix t = sc.fwd[next++];
+      if (sc.comp[t] == kNone) {
+        sc.comp[t] = kSeen;
+        sc.stack.emplace_back(t, sc.fwd_off[t]);
       }
     }
   }
 
-  // Pass 2: sweep reverse post-order over the reverse graph; each sweep
+  // Pass 2: sweep reverse post-order over the incoming edges; each sweep
   // labels one SCC.
-  std::vector<int> comp(n, -1);
-  int num_comps = 0;
-  std::vector<int> dfs;
-  for (size_t i = n; i-- > 0;) {
-    const int root = order[i];
-    if (comp[static_cast<size_t>(root)] != -1) continue;
-    const int c = num_comps++;
-    comp[static_cast<size_t>(root)] = c;
-    dfs.assign(1, root);
-    while (!dfs.empty()) {
-      const int s = dfs.back();
-      dfs.pop_back();
-      for (int t : rev[static_cast<size_t>(s)]) {
-        if (comp[static_cast<size_t>(t)] == -1) {
-          comp[static_cast<size_t>(t)] = c;
-          dfs.push_back(t);
+  Ix num_comps = 0;
+  for (Ix i = n; i-- > 0;) {
+    const Ix root = sc.order[i];
+    if (sc.comp[root] != kSeen) continue;
+    const Ix c = num_comps++;
+    sc.comp[root] = c;
+    sc.dfs.assign(1, root);
+    while (!sc.dfs.empty()) {
+      const Ix s = sc.dfs.back();
+      sc.dfs.pop_back();
+      for (Ix k = sc.rev_off[s]; k < sc.rev_off[s + 1]; ++k) {
+        const Ix t = sc.rev[k];
+        if (sc.comp[t] == kSeen) {
+          sc.comp[t] = c;
+          sc.dfs.push_back(t);
         }
       }
     }
   }
 
   // A class is closed when no edge leaves it for another class.
-  std::vector<char> closed(static_cast<size_t>(num_comps), 1);
-  for (const Edge& e : stg.edges()) {
-    if (e.prob <= 0.0) continue;
-    const int cf = comp[static_cast<size_t>(e.from)];
-    if (cf != comp[static_cast<size_t>(e.to)])
-      closed[static_cast<size_t>(cf)] = 0;
+  sc.closed.assign(num_comps, 1);
+  for (const Edge& e : stg.edges())
+    if (e.prob > 0.0 && sc.comp[ix(e.from)] != sc.comp[ix(e.to)])
+      sc.closed[sc.comp[ix(e.from)]] = 0;
+  Ix closed = kNone;
+  for (Ix c = 0; c < num_comps; ++c) {
+    if (!sc.closed[c]) continue;
+    if (closed != kNone) throw Error(kSingular);
+    closed = c;
   }
-  int num_closed = 0;
-  for (char c : closed) num_closed += c;
-  return num_closed == 1;
+  if (closed == kNone) throw Error(kSingular);
+
+  Ix m = 0;
+  sc.local.resize(n);
+  for (Ix s = 0; s < n; ++s) sc.local[s] = sc.comp[s] == closed ? m++ : kNone;
+  return m;
 }
 
 }  // namespace
 
-/// Dense direct solve of pi P = pi, sum pi = 1: build A = P^T - I (n x n),
-/// replace the last row with all-ones (normalization), Gaussian
-/// elimination with partial pivoting. Exact, O(n^3).
-std::vector<double> dense_probabilities(const Stg& stg) {
-  const size_t n = stg.num_states();
-  std::vector<std::vector<double>> a(n, std::vector<double>(n + 1, 0.0));
-  for (const Edge& e : stg.edges())
-    a[static_cast<size_t>(e.to)][static_cast<size_t>(e.from)] += e.prob;
-  for (size_t i = 0; i < n; ++i) a[i][i] -= 1.0;
-  for (size_t j = 0; j < n; ++j) a[n - 1][j] = 1.0;
-  a[n - 1][n] = 1.0;
-
-  for (size_t col = 0; col < n; ++col) {
-    size_t pivot = col;
-    for (size_t r = col + 1; r < n; ++r)
-      if (std::fabs(a[r][col]) > std::fabs(a[pivot][col])) pivot = r;
-    if (std::fabs(a[pivot][col]) < 1e-14) throw Error(kSingular);
-    std::swap(a[col], a[pivot]);
-    for (size_t r = 0; r < n; ++r) {
-      if (r == col) continue;
-      const double f = a[r][col] / a[col][col];
-      if (f == 0.0) continue;
-      for (size_t c = col; c <= n; ++c) a[r][c] -= f * a[col][c];
-    }
-  }
-  std::vector<double> pi(n);
-  for (size_t i = 0; i < n; ++i) {
-    pi[i] = a[i][n] / a[i][i];
-    if (pi[i] < 0.0 && pi[i] > -1e-9) pi[i] = 0.0;
-  }
-  return pi;
-}
-
-/// Sparse Gauss-Seidel solve over the incoming-edge CSR adjacency.
-/// Update rule per state j, sweeping in state-index order with immediate
-/// reuse of updated values:
-///   pi[j] = (sum over incoming edges i->j, i != j, of pi[i] * p_ij)
-///           / (1 - p_jj)
-/// then normalize to sum 1 after every sweep. States are created by the
-/// scheduler in control-flow order, so forward probability mass propagates
-/// through an entire chain in a single sweep and each loop back-edge costs
-/// roughly one extra sweep — typical STGs converge in a handful of sweeps.
-/// Returns an empty vector when the sweep cap is exceeded (the policy
-/// falls back to the dense solver).
-std::vector<double> sparse_probabilities(const Stg& stg) {
-  // Gauss-Seidel cannot observe non-ergodicity as a vanishing pivot, so
-  // check the structural condition explicitly and keep the error contract
-  // identical to the dense solver's.
-  if (!has_unique_closed_class(stg)) throw Error(kSingular);
-  const size_t n = stg.num_states();
-
-  // CSR incoming adjacency: for each state j, the (source, prob) pairs of
-  // its incoming edges (self-loops held separately for the denominator).
-  // Built by counting sort over the edge table, so the within-row order is
-  // the deterministic edge-insertion order.
-  std::vector<size_t> row(n + 1, 0);
-  std::vector<double> self(n, 0.0);
-  size_t in_edges = 0;
-  for (const Edge& e : stg.edges()) {
-    if (e.prob <= 0.0) continue;
-    if (e.from == e.to) {
-      self[static_cast<size_t>(e.to)] += e.prob;
-    } else {
-      row[static_cast<size_t>(e.to) + 1]++;
-      ++in_edges;
-    }
-  }
-  for (size_t j = 0; j < n; ++j) row[j + 1] += row[j];
-  std::vector<int> src(in_edges);
-  std::vector<double> prob(in_edges);
-  {
-    std::vector<size_t> fill(row.begin(), row.end() - 1);
-    for (const Edge& e : stg.edges()) {
-      if (e.prob <= 0.0 || e.from == e.to) continue;
-      const size_t slot = fill[static_cast<size_t>(e.to)]++;
-      src[slot] = e.from;
-      prob[slot] = e.prob;
-    }
-  }
-
-  obs::Counter& sweeps = MarkovCounters::get().sweeps;
-  std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-  std::vector<double> prev(n);
-  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
-    prev = pi;
-    sweeps.inc();
-    for (size_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (size_t k = row[j]; k < row[j + 1]; ++k)
-        acc += pi[static_cast<size_t>(src[k])] * prob[k];
-      const double denom = 1.0 - self[j];
-      // denom ~ 0 means an absorbing state; the closed-class check
-      // rejects every such chain before we get here (n > 1), so this
-      // guard only protects against pathological float dust.
-      pi[j] = denom > 1e-12 ? acc / denom : acc;
-    }
-    double sum = 0.0;
-    for (double v : pi) sum += v;
-    if (!(sum > 0.0)) return {};  // mass vanished; let dense decide
-    const double inv = 1.0 / sum;
-    for (double& v : pi) v *= inv;
-    double dist = 0.0;
-    for (size_t j = 0; j < n; ++j) dist += std::fabs(pi[j] - prev[j]);
-    if (dist < kTolerance) {
-      for (double& v : pi)
-        if (v < 0.0 && v > -1e-9) v = 0.0;
-      return pi;
-    }
-  }
-  return {};
-}
-
 std::vector<double> state_probabilities(const Stg& stg) {
-  MarkovCounters& mc = MarkovCounters::get();
-  mc.solves.inc();
-  if (stg.num_states() <= kDenseCutoff) return dense_probabilities(stg);
-  std::vector<double> pi = sparse_probabilities(stg);
-  if (pi.empty()) {
-    mc.fallbacks.inc();
-    return dense_probabilities(stg);
+  obs::Span span = obs::span("markov", "stg");
+  static obs::Counter& solves = obs::Registry::global().counter(
+      "fact_markov_solves_total", "Stationary-distribution solves");
+  solves.inc();
+  thread_local Scratch sc;
+  const Ix m = closed_class(stg, sc);
+
+  // The class's off-diagonal transitions; GTH never reads the diagonal.
+  sc.pool.clear();
+  sc.row.assign(m, kNone);
+  sc.col.assign(m, kNone);
+  for (const Edge& e : stg.edges()) {
+    const Ix i = sc.local[ix(e.from)];
+    if (i != kNone && e.prob > 0.0 && e.from != e.to)
+      sc.add(i, sc.local[ix(e.to)], e.prob);
   }
-  mc.sparse.inc();
+
+  // Eliminate members m-1 .. 1. Censoring the chain to members 0..k-1
+  // turns p(i,j) into p(i,j) + p(i,k) p(k,j) / s, where s, the sum of
+  // p(k,j) over j < k, is 1 - p(k,k) computed without a subtraction.
+  // Column k keeps p(i,k) / s for the back-substitution.
+  sc.where.assign(m, kNone);
+  for (Ix k = m - 1; k > 0; --k) {
+    double s = 0.0;
+    for (Ix e = sc.row[k]; e != kNone; e = sc.pool[e].next_out)
+      if (sc.pool[e].to < k) s += sc.pool[e].p;
+    for (Ix c = sc.col[k]; c != kNone; c = sc.pool[c].next_in) {
+      const Ix i = sc.pool[c].from;
+      if (i > k) continue;  // eliminated already
+      const double a = sc.pool[c].p /= s;
+      // Scatter row i, unlinking its entries into members >= k (no later
+      // step reads them through the row), then add a * row k to it. An
+      // entry of column j < k is in row i exactly when its source is i.
+      for (Ix* link = &sc.row[i]; *link != kNone;) {
+        Entry& en = sc.pool[*link];
+        if (en.to >= k) {
+          *link = en.next_out;
+          continue;
+        }
+        sc.where[en.to] = *link;
+        link = &en.next_out;
+      }
+      for (Ix e = sc.row[k]; e != kNone; e = sc.pool[e].next_out) {
+        const Ix j = sc.pool[e].to;
+        if (j >= k || j == i) continue;
+        const double v = a * sc.pool[e].p;
+        const Ix w = sc.where[j];
+        if (w != kNone && sc.pool[w].from == i)
+          sc.pool[w].p += v;
+        else
+          sc.where[j] = sc.add(i, j, v);
+      }
+    }
+  }
+
+  // Back-substitution: x(k) is the sum over i < k of x(i) p(i,k) / s(k).
+  sc.x.assign(m, 0.0);
+  sc.x[0] = 1.0;
+  double total = 1.0;
+  for (Ix k = 1; k < m; ++k) {
+    double v = 0.0;
+    for (Ix c = sc.col[k]; c != kNone; c = sc.pool[c].next_in)
+      if (sc.pool[c].from < k) v += sc.x[sc.pool[c].from] * sc.pool[c].p;
+    sc.x[k] = v;
+    total += v;
+  }
+  std::vector<double> pi(stg.num_states(), 0.0);
+  for (size_t s = 0; s < pi.size(); ++s)
+    if (sc.local[s] != kNone) pi[s] = sc.x[sc.local[s]] / total;
   return pi;
 }
 
@@ -420,15 +400,6 @@ double average_schedule_length(const Stg& stg, const std::vector<double>& pi) {
   if (boundary_rate <= 0.0)
     throw Error("average_schedule_length: no reachable execution boundary");
   return 1.0 / boundary_rate;
-}
-
-std::vector<double> edge_frequencies(const Stg& stg) {
-  const std::vector<double> pi = state_probabilities(stg);
-  std::vector<double> freq;
-  freq.reserve(stg.num_edges());
-  for (const Edge& e : stg.edges())
-    freq.push_back(pi[static_cast<size_t>(e.from)] * e.prob);
-  return freq;
 }
 
 }  // namespace fact::stg

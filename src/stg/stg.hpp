@@ -233,31 +233,20 @@ class Stg {
 };
 
 /// Steady-state probability of every state (the method of ref [10] of the
-/// paper): solves pi = pi * P with sum(pi) = 1. States that are transient
-/// in the stationary distribution get probability 0. Throws fact::Error
-/// when the chain has no unique stationary distribution (more or fewer
-/// than one closed communicating class), whichever solver runs.
+/// paper): solves pi = pi * P with sum(pi) = 1. States outside the chain's
+/// closed communicating class are transient and get probability 0. Throws
+/// fact::Error when the chain has no unique stationary distribution (more
+/// or fewer than one closed class, which includes the empty chain).
 ///
-/// One fixed policy picks the solver. The STG's transition matrix is
-/// extremely sparse (branch factor <= 2 for almost every state), so sparse
-/// Gauss-Seidel wins asymptotically, while the dense direct solve is exact
-/// and cheaper for small chains: chains of at most 48 states are solved
-/// densely; larger ones by Gauss-Seidel, falling back to the dense solve
-/// when it has not converged after 512 sweeps. Both paths iterate states
-/// in index order, so the result is deterministic for a given Stg. Every
-/// solve is counted in the fact_markov_* registry counters.
+/// One direct solver: the Grassmann-Taksar-Heyman state reduction over
+/// the closed class, members numbered in state-index order and eliminated
+/// from the last to the first over sparse rows, then back-substituted and
+/// normalized. It never subtracts, so every intermediate is a sum of
+/// products of probabilities and each probability is accurate to a small
+/// multiple of the rounding error, even on nearly decomposable chains. The
+/// result is a function of the Stg alone (deterministic). Each call counts
+/// in fact_markov_solves_total and opens a `markov` trace span.
 std::vector<double> state_probabilities(const Stg& stg);
-
-/// The two solvers behind state_probabilities, exposed so tests can
-/// compare them. Same error contract as state_probabilities.
-///
-/// Dense: A = P^T - I with the last row replaced by the normalization,
-/// Gaussian elimination with partial pivoting. Exact, O(n^3).
-std::vector<double> dense_probabilities(const Stg& stg);
-/// Sparse: Gauss-Seidel over the incoming-edge CSR adjacency, converged
-/// when the L1 distance between consecutive normalized sweeps drops below
-/// 1e-12. Empty when it has not converged within 512 sweeps.
-std::vector<double> sparse_probabilities(const Stg& stg);
 
 /// Average schedule length in cycles: the expected number of cycles to
 /// complete one execution of the behavior. Computed as
@@ -265,9 +254,5 @@ std::vector<double> sparse_probabilities(const Stg& stg);
 /// i.e. the mean renewal interval of execution completions.
 double average_schedule_length(const Stg& stg);
 double average_schedule_length(const Stg& stg, const std::vector<double>& pi);
-
-/// Relative frequency of each edge: pi[from(e)] * prob(e) (Section 4.1's
-/// ranking key for partitioning).
-std::vector<double> edge_frequencies(const Stg& stg);
 
 }  // namespace fact::stg

@@ -1,14 +1,16 @@
 // Allocation budget of the scheduler's per-candidate work. This binary
 // replaces the global operator new with a counting one, so it runs alone
-// (not inside fact_tests). It pins three properties:
+// (not inside fact_tests). It pins four properties:
 //   * stg::OpInstance is trivially destructible: an op owns no heap
 //     memory, so emitting or destroying an STG costs nothing per op;
 //   * rescheduling against a warm FragmentCache (every fragment hits, as
 //     for most of a candidate's regions) allocates per state and per
 //     region, not per op;
 //   * DfgBuilder::build, the cost of a fragment miss, allocates per DFG
-//     and per dependence list, about one allocation per node.
-// The programs are the generated SchedGolden ones.
+//     and per dependence list, about one allocation per node;
+//   * a warm stg::state_probabilities call allocates per solve, not per
+//     state: its working storage is flat and reused.
+// The scheduler programs are the generated SchedGolden ones.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +26,9 @@
 #include "sched/region.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/trace.hpp"
+#include "stg/stg.hpp"
 #include "util/error.hpp"
+#include "workloads/workloads.hpp"
 
 namespace {
 std::atomic<size_t> g_allocations{0};
@@ -171,6 +175,50 @@ TEST(SchedAlloc, DfgBuildAllocatesPerDfgNotPerName) {
               allocs, nodes, static_cast<double>(allocs) / nodes);
   ASSERT_GT(nodes, 0u);
   EXPECT_LE(static_cast<double>(allocs), 2.5 * static_cast<double>(nodes));
+}
+
+/// An ergodic chain of n states: state i steps to i + 1, and every state
+/// past the first also jumps back to i / 2, so eliminating states fills
+/// in entries; the last state closes the ring.
+stg::Stg back_edge_chain(int n) {
+  stg::Stg g;
+  for (int i = 0; i < n; ++i) g.add_state("");
+  for (int i = 0; i + 1 < n; ++i) {
+    if (i == 0) {
+      g.add_edge(0, 1, 1.0);
+    } else {
+      g.add_edge(i, i + 1, 0.7);
+      g.add_edge(i, i / 2, 0.3);
+    }
+  }
+  g.add_edge(n - 1, 0, 1.0, "", /*exec_boundary=*/true);
+  return g;
+}
+
+TEST(MarkovAlloc, SolveAllocatesPerSolveNotPerState) {
+  const hlslib::Library lib = hlslib::Library::dac98();
+  const workloads::Workload w = workloads::by_name("SINTRAN");
+  const Scheduler s(lib, w.allocation, hlslib::FuSelection::defaults(lib),
+                    SchedOptions{});
+  sim::TraceConfig tc = w.trace;
+  tc.executions = 24;
+  std::vector<stg::Stg> chains;
+  chains.push_back(
+      s.schedule(w.fn,
+                 sim::profile_function(w.fn, sim::generate_trace(w.fn, tc, 7)))
+          .stg);
+  chains.push_back(back_edge_chain(16));
+  chains.push_back(back_edge_chain(465));
+  for (const stg::Stg& g : chains) {
+    (void)stg::state_probabilities(g);  // warm this thread's storage
+    const size_t before = allocations();
+    const std::vector<double> pi = stg::state_probabilities(g);
+    const size_t allocs = allocations() - before;
+    std::printf("state_probabilities: %zu allocations for %zu states\n",
+                allocs, g.num_states());
+    EXPECT_EQ(pi.size(), g.num_states());
+    EXPECT_LE(allocs, 32u) << g.num_states() << " states";
+  }
 }
 
 }  // namespace

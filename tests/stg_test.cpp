@@ -5,10 +5,10 @@
 #include <random>
 
 #include "opt/fact.hpp"
+#include "program_gen.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/trace.hpp"
 #include "stg/stg.hpp"
-#include "test_util.hpp"
 #include "util/error.hpp"
 #include "workloads/workloads.hpp"
 
@@ -114,15 +114,6 @@ TEST(Markov, BranchWeightedLengths) {
   EXPECT_NEAR(average_schedule_length(stg), 2.25, 1e-9);
 }
 
-TEST(Markov, EdgeFrequenciesSumToOnePerStateVisit) {
-  const Stg stg = simple_loop(0.9);
-  const auto freq = edge_frequencies(stg);
-  // Total edge traversal frequency equals 1 (one edge taken per cycle).
-  double total = 0.0;
-  for (double f : freq) total += f;
-  EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
 TEST(Markov, ProbabilitiesFormDistribution) {
   const Stg stg = simple_loop(0.7);
   const auto pi = state_probabilities(stg);
@@ -132,6 +123,12 @@ TEST(Markov, ProbabilitiesFormDistribution) {
     total += p;
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
+  // Edge traversal frequencies pi[from] * prob sum to 1 as well: one edge
+  // is taken per cycle.
+  double edge_total = 0.0;
+  for (const Edge& e : stg.edges())
+    edge_total += pi[static_cast<size_t>(e.from)] * e.prob;
+  EXPECT_NEAR(edge_total, 1.0, 1e-9);
 }
 
 /// Random ergodic chain: a Hamiltonian ring (guarantees one closed
@@ -179,43 +176,21 @@ std::vector<std::pair<std::string, Stg>> table2_initial_stgs() {
   return out;
 }
 
-TEST(Markov, SparseMatchesDenseOnRandomErgodicChains) {
-  // 64 states is above the dense cutoff — the production sparse path. The
-  // Table 2 workloads' initial STGs are real scheduler output.
-  std::vector<std::pair<std::string, Stg>> chains;
-  for (uint64_t seed : {11u, 42u, 271u, 828u})
-    chains.emplace_back("seed " + std::to_string(seed),
-                        random_ergodic(64, seed));
-  const auto table2 = table2_initial_stgs();
-  ASSERT_EQ(table2.size(), 6u);
-  chains.insert(chains.end(), table2.begin(), table2.end());
-  for (const auto& [name, stg] : chains) {
-    stg.validate();
-    const CounterDelta sweeps("fact_markov_sweeps_total");
-    const auto pd = dense_probabilities(stg);
-    const auto ps = sparse_probabilities(stg);
-    EXPECT_GT(sweeps(), 0u) << name;
-    ASSERT_EQ(pd.size(), ps.size()) << name;  // sparse converged
-    for (size_t i = 0; i < pd.size(); ++i)
-      EXPECT_NEAR(pd[i], ps[i], 1e-9) << name << " state " << i;
-  }
-}
-
-TEST(Markov, SingularChainThrowsWhicheverSolver) {
+TEST(Markov, SingularChainThrows) {
   // Two disjoint closed classes: no unique stationary distribution. The
-  // sparse path must report the same error as the dense one.
-  Stg stg;
-  const int s0 = stg.add_state("");
-  const int s1 = stg.add_state("");
-  const int s2 = stg.add_state("");
-  stg.add_edge(s0, s1, 0.5);
-  stg.add_edge(s0, s2, 0.5);
-  stg.add_edge(s1, s1, 1.0, "", true);
-  stg.add_edge(s2, s2, 1.0, "", true);
-  stg.set_entry(s0);
-  for (auto solve : {dense_probabilities, sparse_probabilities}) {
+  // empty chain has no closed class at all.
+  Stg two_classes;
+  const int s0 = two_classes.add_state("");
+  const int s1 = two_classes.add_state("");
+  const int s2 = two_classes.add_state("");
+  two_classes.add_edge(s0, s1, 0.5);
+  two_classes.add_edge(s0, s2, 0.5);
+  two_classes.add_edge(s1, s1, 1.0, "", true);
+  two_classes.add_edge(s2, s2, 1.0, "", true);
+  two_classes.set_entry(s0);
+  for (const Stg& stg : {two_classes, Stg{}}) {
     try {
-      solve(stg);
+      state_probabilities(stg);
       FAIL() << "expected singular-chain error";
     } catch (const Error& e) {
       EXPECT_STREQ(e.what(),
@@ -224,25 +199,10 @@ TEST(Markov, SingularChainThrowsWhicheverSolver) {
   }
 }
 
-TEST(Markov, AutoRespectsDenseCutoff) {
-  // Chains of at most 48 states are solved densely, larger ones sparsely.
-  for (size_t n : {8u, 48u, 49u, 64u}) {
-    const Stg stg = random_ergodic(n, 7);
-    const CounterDelta solves("fact_markov_solves_total");
-    const CounterDelta sparse("fact_markov_sparse_solves_total");
-    const CounterDelta sweeps("fact_markov_sweeps_total");
-    const auto pi = state_probabilities(stg);
-    EXPECT_EQ(solves(), 1u) << n;
-    EXPECT_EQ(sparse(), n > 48 ? 1u : 0u) << n;
-    EXPECT_EQ(sweeps() > 0, n > 48) << n;
-    EXPECT_EQ(pi, n > 48 ? sparse_probabilities(stg) : dense_probabilities(stg))
-        << n;
-  }
-}
-
 /// Two rings of 30 and 40 states joined by rare transitions: a nearly
-/// decomposable chain whose between-ring mass Gauss-Seidel moves only a
-/// little per sweep, so it cannot converge within the sweep cap.
+/// decomposable chain, on which an iterative solver moves the
+/// between-ring mass only a little per sweep (Gauss-Seidel needs more
+/// than 512 sweeps to reach 1e-12).
 Stg weakly_coupled_rings() {
   constexpr int kA = 30, kB = 40;
   constexpr double kLeak = 1e-3;
@@ -270,22 +230,111 @@ Stg weakly_coupled_rings() {
   return stg;
 }
 
-TEST(Markov, SparseFallsBackToDenseWhenSweepsExhausted) {
-  const Stg stg = weakly_coupled_rings();
-  stg.validate();
-  const CounterDelta sweeps("fact_markov_sweeps_total");
-  EXPECT_TRUE(sparse_probabilities(stg).empty());
-  EXPECT_EQ(sweeps(), 512u);
+/// A transient prologue (states 0-3, with a branch and a self-loop) that
+/// leads into a closed loop (states 4-9, with an inner back edge) the
+/// chain never leaves.
+Stg prologue_into_loop() {
+  Stg stg;
+  for (int i = 0; i < 10; ++i) stg.add_state("");
+  stg.add_edge(0, 1, 0.5);
+  stg.add_edge(0, 2, 0.5);
+  stg.add_edge(1, 1, 0.3);
+  stg.add_edge(1, 2, 0.7);
+  stg.add_edge(2, 3, 1.0);
+  stg.add_edge(3, 4, 1.0);
+  for (int i = 4; i < 9; ++i) {
+    if (i == 7) {
+      stg.add_edge(7, 5, 0.4);
+      stg.add_edge(7, 8, 0.6);
+    } else {
+      stg.add_edge(i, i + 1, 1.0);
+    }
+  }
+  stg.add_edge(9, 4, 1.0, "", /*exec_boundary=*/true);
+  stg.set_entry(0);
+  return stg;
+}
 
-  const CounterDelta sparse("fact_markov_sparse_solves_total");
-  const CounterDelta fallbacks("fact_markov_dense_fallbacks_total");
-  const auto pi = state_probabilities(stg);
-  EXPECT_EQ(fallbacks(), 1u);
-  EXPECT_EQ(sparse(), 0u);
-  // The fallback result is the dense solution itself.
-  const auto pd = dense_probabilities(stg);
-  ASSERT_EQ(pd.size(), pi.size());
-  for (size_t i = 0; i < pd.size(); ++i) EXPECT_DOUBLE_EQ(pd[i], pi[i]);
+/// The reference stationary distribution: (P^T - I) pi = 0 with the last
+/// equation replaced by sum(pi) = 1, solved by Gaussian elimination with
+/// partial pivoting in long double. With one closed class the system is
+/// nonsingular and transient states solve to 0.
+std::vector<double> reference_probabilities(const Stg& stg) {
+  const size_t n = stg.num_states();
+  std::vector<std::vector<long double>> a(
+      n, std::vector<long double>(n + 1, 0.0L));
+  for (const Edge& e : stg.edges())
+    a[static_cast<size_t>(e.to)][static_cast<size_t>(e.from)] += e.prob;
+  for (size_t i = 0; i < n; ++i) a[i][i] -= 1.0L;
+  for (long double& v : a[n - 1]) v = 1.0L;
+  for (size_t col = 0; col < n; ++col) {
+    size_t pivot = col;
+    for (size_t r = col + 1; r < n; ++r)
+      if (std::fabs(a[r][col]) > std::fabs(a[pivot][col])) pivot = r;
+    std::swap(a[col], a[pivot]);
+    for (size_t r = col + 1; r < n; ++r) {
+      const long double f = a[r][col] / a[col][col];
+      if (f == 0.0L) continue;
+      for (size_t c = col; c <= n; ++c) a[r][c] -= f * a[col][c];
+    }
+  }
+  std::vector<long double> x(n);
+  for (size_t i = n; i-- > 0;) {
+    long double v = a[i][n];
+    for (size_t c = i + 1; c < n; ++c) v -= a[i][c] * x[c];
+    x[i] = v / a[i][i];
+  }
+  return {x.begin(), x.end()};
+}
+
+/// The initial STG of a generated large program (the shape of fact-bench's
+/// large draw): scheduled under two of each FU type and profiled over
+/// run_fact's default trace, not optimized.
+Stg generated_initial_stg(uint64_t seed) {
+  const auto lib = hlslib::Library::dac98();
+  const opt::FactOptions defaults;
+  const ir::Function fn =
+      testgen::random_program(seed, testgen::GenOptions{14, 3, 3, 8});
+  sim::TraceConfig tc;
+  tc.executions = defaults.trace_executions;
+  const sim::Trace trace = sim::generate_trace(fn, tc, defaults.seed);
+  const sched::Scheduler scheduler(lib, hlslib::parse_allocation("", lib),
+                                   hlslib::FuSelection::defaults(lib),
+                                   defaults.sched);
+  return scheduler.schedule(fn, sim::profile_function(fn, trace)).stg;
+}
+
+TEST(Markov, MatchesLongDoubleReference) {
+  std::vector<std::pair<std::string, Stg>> chains;
+  for (size_t n : {8u, 48u, 49u, 64u, 200u})
+    for (uint64_t seed : {7u, 42u})
+      chains.emplace_back(
+          std::to_string(n) + " states, seed " + std::to_string(seed),
+          random_ergodic(n, seed));
+  chains.emplace_back("weakly coupled rings", weakly_coupled_rings());
+  chains.emplace_back("prologue into loop", prologue_into_loop());
+  const auto table2 = table2_initial_stgs();
+  ASSERT_EQ(table2.size(), 6u);
+  chains.insert(chains.end(), table2.begin(), table2.end());
+  for (uint64_t seed = 1014; seed <= 1020; ++seed)
+    chains.emplace_back("generated " + std::to_string(seed),
+                        generated_initial_stg(seed));
+
+  for (const auto& [name, stg] : chains) {
+    stg.validate();
+    const auto pi = state_probabilities(stg);
+    const auto ref = reference_probabilities(stg);
+    ASSERT_EQ(pi.size(), ref.size()) << name;
+    double max_diff = 0.0;
+    for (size_t i = 0; i < pi.size(); ++i)
+      max_diff = std::max(max_diff, std::fabs(pi[i] - ref[i]));
+    EXPECT_LE(max_diff, 1e-12) << name << " (" << pi.size() << " states)";
+  }
+
+  // The prologue is transient: exactly 0, not merely small.
+  const auto pi = state_probabilities(prologue_into_loop());
+  for (size_t s = 0; s < 4; ++s) EXPECT_EQ(pi[s], 0.0) << "state " << s;
+  for (size_t s = 4; s < 10; ++s) EXPECT_GT(pi[s], 0.0) << "state " << s;
 }
 
 TEST(Stg, DotContainsStatesAndProbabilities) {
