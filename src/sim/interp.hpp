@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,22 @@ struct Observation {
   std::map<std::string, std::vector<int64_t>> arrays;
 
   bool operator==(const Observation& other) const = default;
+};
+
+/// Where each value of a flat observation comes from: the declared outputs
+/// and then every array's cells, each in name order (the order in which the
+/// Observation maps compare). Two behaviors observe alike only if their
+/// layouts are equal: the same output names and the same array names and
+/// sizes.
+struct ObservationLayout {
+  std::vector<std::string> outputs;                    // sorted, unique
+  std::vector<std::pair<std::string, size_t>> arrays;  // (name, size), sorted
+  size_t size = 0;  // values per execution
+
+  /// The map-keyed Observation of one flat observation in this layout.
+  Observation observation(std::span<const int64_t> values) const;
+
+  bool operator==(const ObservationLayout& other) const = default;
 };
 
 /// Per-branch execution counts keyed by statement id. For an If, `taken`
@@ -64,21 +81,35 @@ using Trace = std::vector<Stimulus>;
 ///  * array indices wrap modulo the array size (ir::wrap_index: memories
 ///    alias like real address decoders), so every store/read is defined
 ///    for any index;
-///  * `&&`/`||` evaluate both operands (hardware evaluates both cones);
+///  * operands evaluate left to right, a Store's index before its value;
+///    `&&`/`||` evaluate both operands (hardware evaluates both cones);
 ///    Select evaluates only the chosen arm;
 ///  * every execution starts from reset: scalars that are not parameters
 ///    read 0 until written, and non-input arrays start zeroed;
-///  * execution aborts with fact::Error after `max_steps` statements,
-///    which catches accidentally non-terminating behaviors.
+///  * a statement counts one step when it starts, and a While one more per
+///    iteration; execution aborts with fact::Error after `max_steps` steps,
+///    which catches accidentally non-terminating behaviors. A read of an
+///    undeclared array aborts when it is evaluated, before its index; a
+///    store to one aborts before its index and value.
 ///
-/// Construction compiles the function once into a slot-indexed program:
-/// every scalar and array name is resolved to a dense register/memory
-/// index, so per-stimulus execution never touches a string. The optimizer
-/// interprets each candidate over a whole trace (one pass that both checks
-/// equivalence and profiles, see sim::profile_if_equivalent); run_trace()
-/// runs such a pass on one machine, reset between stimuli. The compiled
-/// program snapshots the function: the Function need not outlive the
-/// Interpreter.
+/// Construction compiles the function once into a linear instruction
+/// stream of three-address instructions, `dst = op(a, b[, c])`, over one
+/// int64 register file: the scalars first, then the expression temporaries,
+/// then the constants (loaded once, read-only). Every operand is a register
+/// index. If and While become counted conditional jumps, Select a jump over
+/// the arm it does not choose, and a step instruction opens each run of
+/// statements that no jump enters or leaves, counting them all at once
+/// (none of them but the last can abort, so the step count and the order
+/// of errors are those of one check per statement). Arrays live in one flat
+/// memory, one segment per array. Per-stimulus execution never touches a
+/// string. The optimizer interprets each candidate over a whole trace (one
+/// pass that both checks equivalence and profiles, see
+/// sim::profile_if_equivalent); run_trace() runs such a pass on one
+/// machine, reset in place between stimuli, and hands out each execution's
+/// observation as flat values in layout() order from a reused buffer. The
+/// compiled program snapshots the function: the Function need not outlive
+/// the Interpreter. Construction throws fact::Error if the arrays hold more
+/// than 2^31 - 1 cells in all.
 class Interpreter {
  public:
   explicit Interpreter(const ir::Function& fn);
@@ -86,19 +117,24 @@ class Interpreter {
   /// Step limit of one execution (not of a whole trace).
   void set_max_steps(uint64_t n) { max_steps_ = n; }
 
+  /// The order of the values run_trace() hands out per execution.
+  const ObservationLayout& layout() const;
+
   /// Runs one execution; accumulates branch statistics into `stats` if
   /// non-null. (On an aborted run — step limit, unknown array — `stats`
   /// is left untouched rather than partially updated.)
   Observation run(const Stimulus& in, RunStats* stats = nullptr) const;
 
   /// Runs every stimulus of `trace`, in order, on one machine and hands
-  /// each execution's observation to `visit(index, observation)`; stops
-  /// early, returning false, as soon as `visit` does. Each execution has
-  /// the same result as run() on that stimulus. Only a pass that runs the
-  /// whole trace adds its branch statistics and steps to `stats` (if
-  /// non-null); an early stop or an abort leaves `stats` untouched.
-  bool run_trace(const Trace& trace, RunStats* stats,
-                 const std::function<bool(size_t, Observation&&)>& visit)
+  /// each execution's flat observation (layout() order; valid until the
+  /// next execution) to `visit(index, values)`; stops early, returning
+  /// false, as soon as `visit` does. Each execution has the same result as
+  /// run() on that stimulus. Only a pass that runs the whole trace adds its
+  /// branch statistics and steps to `stats` (if non-null); an early stop
+  /// or an abort leaves `stats` untouched.
+  bool run_trace(
+      std::span<const Stimulus> trace, RunStats* stats,
+      const std::function<bool(size_t, std::span<const int64_t>)>& visit)
       const;
 
   struct Program;  // compiled form; defined in interp.cpp

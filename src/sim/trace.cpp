@@ -102,16 +102,16 @@ obs::Counter& profiles() {
   return c;
 }
 
+using Visit = std::function<bool(size_t, std::span<const int64_t>)>;
+
 /// One interpreter pass of `fn` over the trace, on one machine: hands each
-/// execution's observation to `visit(index, observation)` and, when
-/// `profile` is non-null, aggregates branch statistics into it. Stops
-/// early, returning false, as soon as `visit` does.
-bool simulate_trace(const ir::Function& fn, const Trace& trace,
-                    Profile* profile,
-                    const std::function<bool(size_t, Observation&&)>& visit) {
+/// execution's observation to `visit(index, values)` and, when `profile` is
+/// non-null, aggregates branch statistics into it. Stops early, returning
+/// false, as soon as `visit` does.
+bool simulate_trace(const Interpreter& interp, const Trace& trace,
+                    Profile* profile, const Visit& visit) {
   trace_passes().inc();
-  if (!Interpreter(fn).run_trace(trace, profile ? &profile->stats : nullptr,
-                                 visit))
+  if (!interp.run_trace(trace, profile ? &profile->stats : nullptr, visit))
     return false;
   if (profile) {
     profile->executions += trace.size();
@@ -120,50 +120,77 @@ bool simulate_trace(const ir::Function& fn, const Trace& trace,
   return true;
 }
 
+/// Appends each execution's observation to `out`, laid out as `interp`'s.
+Visit recorder(const Interpreter& interp, size_t executions,
+               Observations& out) {
+  out.layout = interp.layout();
+  out.values.reserve(executions * out.layout.size);
+  return [&out](size_t, std::span<const int64_t> ob) {
+    out.values.insert(out.values.end(), ob.begin(), ob.end());
+    out.executions++;
+    return true;
+  };
+}
+
+/// Compares each execution's observation with the same execution's in
+/// `reference`; false at the first mismatch. A behavior observing another
+/// layout mismatches on the first execution it finishes.
+Visit comparer(const Interpreter& interp, const Observations& reference) {
+  const bool same_layout = interp.layout() == reference.layout;
+  return [&reference, same_layout](size_t i, std::span<const int64_t> ob) {
+    if (!same_layout || i >= reference.executions) return false;
+    return std::equal(ob.begin(), ob.end(),
+                      reference.values.begin() +
+                          static_cast<ptrdiff_t>(i * ob.size()));
+  };
+}
+
 }  // namespace
+
+Observation Observations::at(size_t i) const {
+  return layout.observation(
+      std::span(values).subspan(i * layout.size, layout.size));
+}
 
 Profile profile_function(const ir::Function& fn, const Trace& trace) {
   Profile profile;
-  simulate_trace(fn, trace, &profile, [](size_t, Observation&&) {
-    return true;
-  });
+  simulate_trace(Interpreter(fn), trace, &profile,
+                 [](size_t, std::span<const int64_t>) { return true; });
   return profile;
 }
 
 bool equivalent_on_trace(const ir::Function& a, const ir::Function& b,
                          const Trace& trace) {
-  // Interleaved so that a mismatch stops both runs early; still two passes.
+  // Interleaved, one execution at a time, so that a mismatch or an abort
+  // stops both runs early and only one observation is held; still two
+  // passes.
   trace_passes().inc(2);
-  Interpreter ia(a);
-  Interpreter ib(b);
-  for (const auto& stimulus : trace) {
-    const Observation oa = ia.run(stimulus);
-    const Observation ob = ib.run(stimulus);
-    if (!(oa == ob)) return false;
+  const Interpreter ia(a);
+  const Interpreter ib(b);
+  for (const Stimulus& stimulus : trace) {
+    const std::span<const Stimulus> one(&stimulus, 1);
+    Observations ref;
+    ia.run_trace(one, nullptr, recorder(ia, 1, ref));
+    if (!ib.run_trace(one, nullptr, comparer(ib, ref))) return false;
   }
   return true;
 }
 
 Observations reference_observations(const ir::Function& fn, const Trace& trace,
                                     Profile* profile) {
+  const Interpreter interp(fn);
   Observations out;
-  out.reserve(trace.size());
-  simulate_trace(fn, trace, profile, [&](size_t, Observation&& ob) {
-    out.push_back(std::move(ob));
-    return true;
-  });
+  simulate_trace(interp, trace, profile, recorder(interp, trace.size(), out));
   return out;
 }
 
 std::optional<Profile> profile_if_equivalent(const ir::Function& fn,
                                              const Trace& trace,
                                              const Observations& reference) {
+  const Interpreter interp(fn);
   Profile profile;
-  const bool equivalent =
-      simulate_trace(fn, trace, &profile, [&](size_t i, Observation&& ob) {
-        return i < reference.size() && ob == reference[i];
-      });
-  if (!equivalent) return std::nullopt;
+  if (!simulate_trace(interp, trace, &profile, comparer(interp, reference)))
+    return std::nullopt;
   return profile;
 }
 

@@ -64,12 +64,22 @@ Profile profile_function(const ir::Function& fn, const Trace& trace);
 
 /// Runs both functions over the trace and returns true iff every execution
 /// produces identical observations. Used to check that transformations
-/// preserve functionality.
+/// preserve functionality. The two run side by side, execution by
+/// execution: `a`, then `b`, then compare; the first abort or mismatch
+/// ends the check.
 bool equivalent_on_trace(const ir::Function& a, const ir::Function& b,
                          const Trace& trace);
 
-/// The observation of every execution of a trace, in trace order.
-using Observations = std::vector<Observation>;
+/// The observations of every execution of a trace, in one flat buffer:
+/// execution i observes values[i * layout.size, (i + 1) * layout.size).
+struct Observations {
+  ObservationLayout layout;
+  size_t executions = 0;
+  std::vector<int64_t> values;
+
+  /// Execution `i`'s observation as an Observation.
+  Observation at(size_t i) const;
+};
 
 /// Simulates the behavior over the whole trace and records what each
 /// execution observes: the reference profile_if_equivalent() checks
@@ -81,10 +91,13 @@ Observations reference_observations(const ir::Function& fn, const Trace& trace,
 /// One interpreter pass that both checks and profiles a transformed
 /// behavior: runs `fn` over the trace, comparing each execution's
 /// observation with `reference` (from reference_observations() of the
-/// original). Stops at the first mismatch and returns nullopt; otherwise
-/// returns the profile, equal to profile_function(fn, trace). Agrees with
-/// equivalent_on_trace(original, fn, trace) whenever the original runs the
-/// whole trace without aborting; an aborting `fn` throws just the same.
+/// original) value by value. Stops at the first mismatch and returns
+/// nullopt; otherwise returns the profile, equal to
+/// profile_function(fn, trace). A behavior whose layout differs from the
+/// reference's (another output, a missing or resized array) mismatches on
+/// execution 0, once it has run. Agrees with equivalent_on_trace(original,
+/// fn, trace) whenever the original runs the whole trace without aborting;
+/// an aborting `fn` throws just the same.
 std::optional<Profile> profile_if_equivalent(const ir::Function& fn,
                                              const Trace& trace,
                                              const Observations& reference);

@@ -1,6 +1,9 @@
-// Allocation budget of the scheduler's per-candidate work. This binary
-// replaces the global operator new with a counting one, so it runs alone
-// (not inside fact_tests). It pins four properties:
+// Allocation budget of the per-candidate work of the interpreter and the
+// scheduler. This binary replaces the global operator new with a counting
+// one, so it runs alone (not inside fact_tests). It pins five properties:
+//   * an equivalence pass (sim::profile_if_equivalent) allocates per pass,
+//     not per execution: memories reset in place and observations go into
+//     a reused buffer;
 //   * stg::OpInstance is trivially destructible: an op owns no heap
 //     memory, so emitting or destroying an STG costs nothing per op;
 //   * rescheduling against a warm FragmentCache (every fragment hits, as
@@ -18,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <type_traits>
 
 #include "program_gen.hpp"
@@ -175,6 +179,31 @@ TEST(SchedAlloc, DfgBuildAllocatesPerDfgNotPerName) {
               allocs, nodes, static_cast<double>(allocs) / nodes);
   ASSERT_GT(nodes, 0u);
   EXPECT_LE(static_cast<double>(allocs), 2.5 * static_cast<double>(nodes));
+}
+
+TEST(SimAlloc, CheckedPassAllocatesPerPassNotPerExecution) {
+  for (const char* name : {"TEST2", "SINTRAN"}) {
+    const workloads::Workload w = workloads::by_name(name);
+    size_t allocs[2];
+    for (const size_t executions : {size_t{8}, size_t{32}}) {
+      sim::TraceConfig tc = w.trace;
+      tc.executions = executions;
+      const sim::Trace trace = sim::generate_trace(w.fn, tc, 7);
+      const sim::Observations reference =
+          sim::reference_observations(w.fn, trace);
+      ASSERT_TRUE(sim::profile_if_equivalent(w.fn, trace, reference));
+      const size_t before = allocations();
+      const std::optional<sim::Profile> p =
+          sim::profile_if_equivalent(w.fn, trace, reference);
+      allocs[executions == 8 ? 0 : 1] = allocations() - before;
+      ASSERT_TRUE(p);
+      EXPECT_EQ(p->executions, executions);
+    }
+    std::printf("%s profile_if_equivalent: %zu allocations at 8 executions, "
+                "%zu at 32\n",
+                name, allocs[0], allocs[1]);
+    EXPECT_EQ(allocs[0], allocs[1]) << name;
+  }
 }
 
 /// An ergodic chain of n states: state i steps to i + 1, and every state

@@ -249,7 +249,7 @@ TEST_P(CheckedPass, AgreesWithProfileAndEquivalencePair) {
   const Trace trace = generate_trace(fn, tc, GetParam() * 31 + 5);
   Profile root;
   const Observations reference = reference_observations(fn, trace, &root);
-  ASSERT_EQ(reference.size(), trace.size());
+  ASSERT_EQ(reference.executions, trace.size());
   expect_same_profile(root, profile_function(fn, trace));
 
   // Equivalent candidates: every rewrite the standard library offers.
@@ -292,14 +292,33 @@ TEST_P(CheckedPass, AgreesWithProfileAndEquivalencePair) {
 INSTANTIATE_TEST_SUITE_P(Generated, CheckedPass,
                          ::testing::Range<uint64_t>(1, 13));
 
-TEST(CheckedPass, StepLimitAbortThrowsLikeThePair) {
-  const ir::Function fn = testgen::random_program(3);
-  // The same program followed by a loop that never exits.
+/// `fn` with its declarations rebuilt by `edit` (the body is shared).
+template <typename Edit>
+ir::Function redeclared(const ir::Function& fn, Edit edit) {
+  std::vector<ir::ArrayDecl> arrays = fn.arrays();
+  std::vector<std::string> outputs = fn.outputs();
+  edit(arrays, outputs);
+  ir::Function g(fn.name());
+  for (const auto& p : fn.params()) g.add_param(p);
+  for (const auto& a : arrays) g.add_array(a);
+  for (const auto& o : outputs) g.add_output(o);
+  g.set_body(fn.body()->clone());
+  return g;
+}
+
+/// `fn` followed by a loop that never exits.
+ir::Function with_spin(const ir::Function& fn) {
   ir::Function spin = fn.clone();
   spin.body()->stmts.push_back(ir::Stmt::while_stmt(
       ir::Expr::constant(1),
       {ir::Stmt::assign("v0", ir::Expr::var("v0"))}));
   spin.renumber();
+  return spin;
+}
+
+TEST(CheckedPass, StepLimitAbortThrowsLikeThePair) {
+  const ir::Function fn = testgen::random_program(3);
+  const ir::Function spin = with_spin(fn);
   TraceConfig tc;
   tc.executions = 1;
   const Trace trace = generate_trace(fn, tc, 11);
@@ -309,14 +328,46 @@ TEST(CheckedPass, StepLimitAbortThrowsLikeThePair) {
   EXPECT_THROW(profile_if_equivalent(spin, trace, reference), Error);
 }
 
+// A candidate that observes another layout (an extra output, a missing or
+// resized array) is non-equivalent, but only once execution 0 has run: if
+// it aborts there, it throws, as the pair does.
+TEST(CheckedPass, OtherLayoutIsAMismatchAfterExecutionZero) {
+  const ir::Function fn = testgen::random_program(3);
+  ASSERT_FALSE(fn.arrays().empty());
+  TraceConfig tc;
+  tc.executions = 4;
+  const Trace trace = generate_trace(fn, tc, 11);
+  const Observations reference = reference_observations(fn, trace);
+  const std::vector<ir::Function> others = {
+      redeclared(fn, [](auto&, auto& outputs) { outputs.push_back("zz"); }),
+      redeclared(fn, [](auto& arrays, auto&) { arrays.back().size += 1; }),
+      redeclared(fn, [](auto& arrays, auto&) {
+        arrays.push_back({"zz", 4, false});
+      }),
+  };
+  for (const ir::Function& other : others) {
+    EXPECT_FALSE(profile_if_equivalent(other, trace, reference).has_value());
+    EXPECT_FALSE(equivalent_on_trace(fn, other, trace));
+    // The missing array: the original against the candidate's reference.
+    EXPECT_FALSE(profile_if_equivalent(fn, trace,
+                                       reference_observations(other, trace))
+                     .has_value());
+    const ir::Function spin = with_spin(other);
+    EXPECT_THROW(profile_if_equivalent(spin, trace, reference), Error);
+    EXPECT_THROW(equivalent_on_trace(fn, spin, trace), Error);
+  }
+}
+
 TEST(CheckedPass, ShortReferenceIsAMismatch) {
   const ir::Function fn = parse("F(int x) { int y = x * 2; output y; }");
   TraceConfig tc;
   tc.executions = 4;
   const Trace trace = generate_trace(fn, tc, 3);
-  Observations reference = reference_observations(fn, trace);
-  EXPECT_TRUE(profile_if_equivalent(fn, trace, reference).has_value());
-  reference.pop_back();
+  EXPECT_TRUE(profile_if_equivalent(fn, trace, reference_observations(fn, trace))
+                  .has_value());
+  const Trace shorter(trace.begin(), trace.end() - 1);
+  const Observations reference = reference_observations(fn, shorter);
+  EXPECT_EQ(reference.executions, shorter.size());
   EXPECT_FALSE(profile_if_equivalent(fn, trace, reference).has_value());
 }
 
@@ -541,7 +592,7 @@ TEST(MachineReuse, EachExecutionStartsFromReset) {
   const ir::Function fn = parse(kReadsBeforeWrites);
   const Trace trace = stimuli({5, 1, 7, 2, 9, 0});
   Profile fresh;
-  Observations want;
+  std::vector<Observation> want;
   for (const auto& in : trace)
     want.push_back(Interpreter(fn).run(in, &fresh.stats));
   fresh.executions = trace.size();
@@ -549,10 +600,10 @@ TEST(MachineReuse, EachExecutionStartsFromReset) {
 
   Profile profile;
   const Observations got = reference_observations(fn, trace, &profile);
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].outputs, want[i].outputs) << "execution " << i;
-    EXPECT_EQ(got[i].arrays, want[i].arrays) << "execution " << i;
+  ASSERT_EQ(got.executions, want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.at(i).outputs, want[i].outputs) << "execution " << i;
+    EXPECT_EQ(got.at(i).arrays, want[i].arrays) << "execution " << i;
   }
   expect_same_profile(profile, fresh);
   expect_same_profile(profile_function(fn, trace), fresh);
@@ -579,7 +630,7 @@ TEST(MachineReuse, StepLimitIsPerExecution) {
     total += one.steps;
   }
   ASSERT_GT(total, longest);
-  const auto keep_all = [](size_t, Observation&&) { return true; };
+  const auto keep_all = [](size_t, std::span<const int64_t>) { return true; };
 
   Interpreter interp(fn);
   interp.set_max_steps(longest);
@@ -601,9 +652,36 @@ TEST(MachineReuse, StepLimitIsPerExecution) {
   // So does a pass its visitor stops early.
   interp.set_max_steps(longest);
   EXPECT_FALSE(interp.run_trace(trace, &marked,
-                                [](size_t i, Observation&&) { return i < 2; }));
+                                [](size_t i, std::span<const int64_t>) {
+                                  return i < 2;
+                                }));
   EXPECT_EQ(marked.steps, 42u);
   EXPECT_EQ(marked.branches.size(), 1u);
+}
+
+// equivalent_on_trace runs the two behaviors side by side: on each
+// execution the first, then the second, then the comparison, so whichever
+// of these first aborts or differs decides the result.
+TEST(Equivalence, SideBySideDecidesWhichErrorIsRaised) {
+  const ir::Function spins_late =
+      parse("F(int a) { while (a > 5) { a = a; } int x = a; output x; }");
+  const ir::Function differs = parse("G(int a) { int x = a + 1; output x; }");
+  const ir::Function spins_early =
+      parse("G(int a) { while (a > 0) { a = a; } int x = a; output x; }");
+  const auto error = [](const ir::Function& a, const ir::Function& b,
+                        const Trace& trace) -> std::string {
+    try {
+      return equivalent_on_trace(a, b, trace) ? "equivalent" : "differs";
+    } catch (const Error& e) {
+      return e.what();
+    }
+  };
+  EXPECT_EQ(error(spins_late, differs, stimuli({1, 9})), "differs");
+  EXPECT_EQ(error(spins_late, spins_early, stimuli({1, 9})),
+            "interpreter exceeded step limit in 'G'");
+  EXPECT_EQ(error(spins_late, spins_early, stimuli({9, 1})),
+            "interpreter exceeded step limit in 'F'");
+  EXPECT_EQ(error(spins_late, spins_late, stimuli({1, 2})), "equivalent");
 }
 
 }  // namespace
