@@ -142,9 +142,6 @@ inline int64_t eval_op(Op op, int64_t a, int64_t b = 0, int64_t c = 0) {
 /// decoder, so every read and store is defined for any index. `size` must
 /// be nonzero.
 inline int64_t wrap_index(int64_t idx, size_t size) {
-  if (static_cast<uint64_t>(idx) < size) return idx;  // already in range
-  if ((size & (size - 1)) == 0)  // a power of two: the low bits
-    return static_cast<int64_t>(static_cast<uint64_t>(idx) & (size - 1));
   const int64_t n = static_cast<int64_t>(size);
   const int64_t m = idx % n;
   return m < 0 ? m + n : m;

@@ -161,19 +161,24 @@ Profile profile_function(const ir::Function& fn, const Trace& trace) {
 
 bool equivalent_on_trace(const ir::Function& a, const ir::Function& b,
                          const Trace& trace) {
-  // Interleaved, one execution at a time, so that a mismatch or an abort
-  // stops both runs early and only one observation is held; still two
+  // Side by side, one execution at a time, so that a mismatch or an abort
+  // stops both runs early: `a`'s pass runs `b` on each stimulus it has
+  // just run and compares with `a`'s observation as it stands. Still two
   // passes.
   trace_passes().inc(2);
   const Interpreter ia(a);
   const Interpreter ib(b);
-  for (const Stimulus& stimulus : trace) {
-    const std::span<const Stimulus> one(&stimulus, 1);
-    Observations ref;
-    ia.run_trace(one, nullptr, recorder(ia, 1, ref));
-    if (!ib.run_trace(one, nullptr, comparer(ib, ref))) return false;
-  }
-  return true;
+  const bool same_layout = ia.layout() == ib.layout();
+  std::span<const int64_t> expected;
+  const Visit compare = [&](size_t, std::span<const int64_t> ob) {
+    return same_layout && std::equal(ob.begin(), ob.end(), expected.begin());
+  };
+  return ia.run_trace(trace, nullptr,
+                      [&](size_t i, std::span<const int64_t> ob) {
+                        expected = ob;
+                        return ib.run_trace(std::span(&trace[i], 1), nullptr,
+                                            compare);
+                      });
 }
 
 Observations reference_observations(const ir::Function& fn, const Trace& trace,
