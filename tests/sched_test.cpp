@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <thread>
 
 #include "lang/parser.hpp"
@@ -12,7 +16,9 @@
 #include "sim/trace.hpp"
 #include "test_util.hpp"
 #include "util/error.hpp"
+#include "util/strfmt.hpp"
 #include "workloads/workloads.hpp"
+#include "xform/transform.hpp"
 
 namespace fact::sched {
 namespace {
@@ -896,6 +902,120 @@ TEST(FusedFragment, SharedCacheAcrossThreads) {
     ASSERT_EQ(per_thread.size(), static_cast<size_t>(kRounds));
     for (const auto& dot : per_thread) EXPECT_EQ(dot, want);
   }
+}
+
+/// 64-bit FNV-1a of a string: a compact, platform-independent digest for
+/// pinning renderings that are too large to store whole.
+uint64_t fnv1a(const std::string& s) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char ch : s) {
+    h ^= ch;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Every kernel ring of an STG (a pipelined loop's, or a fused phase's) as
+/// "[loop:II,...]": the loops whose exit condition the ring checks, in
+/// wire order (admission order for a fused phase), each with its II, which
+/// is the ring length over the number of ring states checking it.
+std::string render_rings(const stg::Stg& stg) {
+  std::map<int, std::vector<const stg::State*>> rings;
+  for (const stg::State& st : stg.states())
+    if (st.ring_id >= 0) rings[st.ring_id].push_back(&st);
+  std::string out;
+  for (const auto& [id, states] : rings) {
+    std::map<std::string, int> loop_of;  // wire name -> statement id
+    for (const stg::State* st : states)
+      for (const stg::OpInstance& op : st->ops)
+        loop_of[stg::wire_name(op.wire)] = op.stmt_id;
+    std::map<int, std::pair<int, int>> checks;  // wire -> (loop, count)
+    for (const stg::State* st : states) {
+      std::stringstream signals(st->cond_signal);
+      std::string wire;
+      while (std::getline(signals, wire, ',')) {
+        auto& [loop, count] = checks[std::stoi(wire.substr(1))];
+        loop = loop_of.count(wire) ? loop_of[wire] : -1;
+        count++;
+      }
+    }
+    out += "[";
+    for (const auto& [wire, check] : checks)
+      out += strfmt("%s%d:%d", out.back() == '[' ? "" : ",", check.first,
+                    static_cast<int>(states.size()) / check.second);
+    out += "]";
+  }
+  return out;
+}
+
+/// One pinned line: the schedule's DOT digest and its kernel rings, or the
+/// scheduling error.
+std::string fused_golden_line(const FusedCase& c, const ir::Function& fn,
+                              const hlslib::Allocation& alloc) {
+  Harness h;
+  try {
+    const ScheduleResult r =
+        Scheduler(h.lib, alloc, h.sel, h.opts).schedule(fn, c.profile);
+    return strfmt("%016llx %s",
+                  static_cast<unsigned long long>(fnv1a(r.stg.dot())),
+                  render_rings(r.stg).c_str());
+  } catch (const Error& e) {
+    return strfmt("error %016llx",
+                  static_cast<unsigned long long>(fnv1a(e.what())));
+  }
+}
+
+// Pins fused-loop admission far beyond the root schedules SchedGolden
+// covers: every fused case and every standard-library candidate of it
+// (each move applied once), scheduled from scratch under the case's own
+// allocation and under one and two instances of every FU type (where
+// those differ from its own). On a
+// mismatch the produced file goes to <gtest temp dir>/fused_golden.txt.
+TEST(FusedGolden, CandidatesOfFusedCases) {
+  Harness h;
+  const xform::TransformLibrary xlib = xform::TransformLibrary::standard();
+  std::map<std::string, hlslib::Allocation> uniform;
+  for (const int n : {1, 2})
+    for (const auto& t : h.lib.types())
+      uniform["x" + std::to_string(n)].counts[t.name] = n;
+  std::string got;
+  size_t lines = 0;
+  for (const FusedCase& c : fused_cases()) {
+    std::vector<std::pair<std::string, ir::Function>> fns;
+    fns.emplace_back("root", c.fn.clone());
+    const std::vector<xform::Candidate> cands = xlib.find_all(c.fn, {});
+    for (size_t k = 0; k < cands.size(); ++k) {
+      try {
+        fns.emplace_back(strfmt("c%zu:%s", k, cands[k].transform.c_str()),
+                         xlib.apply(c.fn, cands[k]));
+      } catch (const Error&) {
+        continue;  // a move that does not apply is not pinned
+      }
+    }
+    std::vector<std::pair<std::string, const hlslib::Allocation*>> allocs{
+        {"own", &c.alloc}};
+    for (const auto& [name, alloc] : uniform)
+      if (alloc.counts != c.alloc.counts) allocs.emplace_back(name, &alloc);
+    for (const auto& [fn_name, fn] : fns)
+      for (const auto& [alloc_name, alloc] : allocs) {
+        got += c.name + "/" + alloc_name + "/" + fn_name + " " +
+               fused_golden_line(c, fn, *alloc) + "\n";
+        lines++;
+      }
+  }
+  EXPECT_GE(lines, 1000u);
+  const std::string path =
+      std::string(FACT_TEST_DATA_DIR) + "/fused_golden.txt";
+  std::ifstream in(path);
+  std::stringstream want;
+  want << in.rdbuf();
+  if (in.good() && got == want.str()) return;
+  const std::filesystem::path out =
+      std::filesystem::path(::testing::TempDir()) / "fused_golden.txt";
+  std::ofstream(out) << got;
+  ADD_FAILURE() << "fused schedules differ from " << path
+                << (in.good() ? "" : " (missing)") << "; produced output in "
+                << out.string();
 }
 
 }  // namespace
