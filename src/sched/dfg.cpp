@@ -596,8 +596,19 @@ Dfg DfgBuilder::build(const std::vector<const Stmt*>& stmts,
 // ---------------------------------------------------------------------------
 
 ResourceTable::ResourceTable(const hlslib::Allocation& alloc, int hyperperiod)
-    : alloc_(alloc), hyperperiod_(hyperperiod) {
+    : alloc_(&alloc), hyperperiod_(hyperperiod) {
   if (hyperperiod_ > 0) rows_ = static_cast<size_t>(hyperperiod_);
+}
+
+int ResourceTable::find(bool memory, std::string_view name) const {
+  for (size_t c = 0; c < columns_.size(); ++c)
+    if (columns_[c].memory == memory && columns_[c].name == name)
+      return static_cast<int>(c);
+  return kFree;
+}
+
+int ResourceTable::capacity(bool memory, std::string_view name) const {
+  return memory ? kMemPorts : alloc_->count(name);
 }
 
 int ResourceTable::column(const DfgNode& n) {
@@ -605,13 +616,10 @@ int ResourceTable::column(const DfgNode& n) {
   const bool memory = !n.array.empty();
   const std::string_view name = memory ? n.array : n.fu;
   if (name.empty()) return kFree;
-  for (size_t c = 0; c < columns_.size(); ++c)
-    if (columns_[c].memory == memory && columns_[c].name == name)
-      return static_cast<int>(c);
+  if (const int c = find(memory, name); c != kFree) return c;
   // New column: widen every row by one zero count.
   const size_t old_width = columns_.size();
-  columns_.push_back(
-      {memory, std::string(name), memory ? kMemPorts : alloc_.count(name)});
+  columns_.push_back({memory, std::string(name), capacity(memory, name)});
   std::vector<int> widened(rows_ * columns_.size(), 0);
   for (size_t r = 0; r < rows_; ++r)
     std::copy_n(used_.begin() + static_cast<std::ptrdiff_t>(r * old_width),
@@ -620,6 +628,31 @@ int ResourceTable::column(const DfgNode& n) {
                     static_cast<std::ptrdiff_t>(r * columns_.size()));
   used_ = std::move(widened);
   return static_cast<int>(old_width);
+}
+
+void ResourceTable::extend(int hyperperiod) {
+  assert(hyperperiod_ > 0 && hyperperiod % hyperperiod_ == 0);
+  const size_t tile = used_.size();
+  rows_ = static_cast<size_t>(hyperperiod);
+  used_.resize(rows_ * columns_.size());
+  for (size_t k = tile; tile > 0 && k < used_.size(); k += tile)
+    std::copy_n(used_.begin(), tile,
+                used_.begin() + static_cast<std::ptrdiff_t>(k));
+  hyperperiod_ = hyperperiod;
+}
+
+int ResourceTable::free_units(const DfgNode& n) const {
+  assert(hyperperiod_ > 0);
+  const bool memory = !n.array.empty();
+  const std::string_view name = memory ? n.array : n.fu;
+  const int col = find(memory, name);
+  if (col == kFree) return capacity(memory, name) * hyperperiod_;
+  const size_t width = columns_.size();
+  const int cap = columns_[static_cast<size_t>(col)].capacity;
+  int free = 0;
+  for (size_t r = 0; r < rows_; ++r)
+    free += std::max(0, cap - used_[r * width + static_cast<size_t>(col)]);
+  return free;
 }
 
 bool ResourceTable::can_place(int col, int cstep, int period) const {
@@ -903,13 +936,14 @@ bool pipeline_lags_consistent(const Dfg& dfg, int ii) {
   return true;
 }
 
-int resource_min_ii(const Dfg& dfg, const hlslib::Allocation& alloc) {
+int resource_min_ii(const Dfg& dfg, const ResourceTable& table) {
   // Uses per FU type and per array, in first-use order (a DFG names a
   // handful of each, so a linear scan beats a map).
   struct Uses {
     std::string_view name;
     bool memory;
     int count;
+    const DfgNode* first;
   };
   std::vector<Uses> uses;
   for (const auto& n : dfg.nodes) {
@@ -920,16 +954,17 @@ int resource_min_ii(const Dfg& dfg, const hlslib::Allocation& alloc) {
       return u.memory == memory && u.name == name;
     });
     if (it == uses.end()) {
-      uses.push_back({name, memory, 1});
+      uses.push_back({name, memory, 1, &n});
     } else {
       it->count++;
     }
   }
+  const int h = table.hyperperiod();
   int ii = 1;
   for (const Uses& u : uses) {
-    const int avail = u.memory ? kMemPorts : alloc.count(u.name);
-    if (avail <= 0) return -1;  // infeasible
-    ii = std::max(ii, (u.count + avail - 1) / avail);
+    const int free = table.free_units(*u.first);
+    if (free <= 0) return -1;  // no unit left
+    ii = std::max(ii, (u.count * h + free - 1) / free);
   }
   return ii;
 }

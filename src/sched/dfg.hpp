@@ -138,6 +138,17 @@ class ResourceTable {
   static constexpr int kFree = -1;
   int column(const DfgNode& n);
 
+  int hyperperiod() const { return hyperperiod_; }
+  /// Widens a modulo table to `hyperperiod`, a multiple of the current
+  /// one, by tiling its rows. A reservation made at a period dividing the
+  /// old hyperperiod holds exactly the slots it would hold had it been
+  /// made in the wider table, so can_place answers as before for every
+  /// such period.
+  void extend(int hyperperiod);
+  /// Units of `n`'s resource a modulo table has left, summed over its
+  /// rows: capacity x hyperperiod less every reservation.
+  int free_units(const DfgNode& n) const;
+
   bool can_place(int col, int cstep, int period = 0) const;
   void place(int col, int cstep, int period = 0);
 
@@ -155,7 +166,11 @@ class ResourceTable {
     int capacity = 0;
   };
 
-  const hlslib::Allocation& alloc_;
+  /// Index of the column named (memory, name), or kFree.
+  int find(bool memory, std::string_view name) const;
+  int capacity(bool memory, std::string_view name) const;
+
+  const hlslib::Allocation* alloc_;
   int hyperperiod_;
   std::vector<Column> columns_;
   size_t rows_ = 0;
@@ -218,9 +233,13 @@ bool recurrences_ok(const Dfg& dfg, int ii);
 /// II = 1, where the single ring state executes in dataflow order.
 bool pipeline_lags_consistent(const Dfg& dfg, int ii);
 
-/// Minimum II due to resources alone: max over FU types and memories of
-/// ceil(uses / available), with the resource table's ports per array; -1
-/// when some FU type the DFG needs is not allocated.
-int resource_min_ii(const Dfg& dfg, const hlslib::Allocation& alloc);
+/// Smallest II at which the DFG's ops can fit into what the modulo table
+/// `table` (hyperperiod h) has left, by counting alone: scheduled at II
+/// `ii` into the table widened to L = lcm(h, ii), each op holds L/ii rows
+/// of its resource, which has free_units * L/h units, so every resource
+/// needs ii >= ceil(uses * h / free_units). -1 when some resource the DFG
+/// needs has no unit left (or none allocated). A lone loop passes an
+/// empty table of hyperperiod 1: the classic ceil(uses / available).
+int resource_min_ii(const Dfg& dfg, const ResourceTable& table);
 
 }  // namespace fact::sched

@@ -578,7 +578,7 @@ class Emitter {
         [&](FragmentCache::Entry& e) {
           Dfg dfg = build_dfg(body_stmts, r.ctrl->cond, r.ctrl->id);
           check_feasible(dfg);
-          const int res_ii = resource_min_ii(dfg, alloc_);
+          const int res_ii = resource_min_ii(dfg, ResourceTable(alloc_, 1));
           if (res_ii < 0) return;  // e.pipelined stays false
           obs::Span sp = obs::span("list_schedule", "sched");
           // Every attempt reschedules the same DFG in place: a successful
@@ -714,58 +714,58 @@ class Emitter {
 
   using FusedPhase = FragmentCache::Entry::FusedPhase;
 
-  /// The loops of a fused run during admission: each loop's DFG as
-  /// built, its dependence lists and resource-bound II (computed once per
-  /// run), and a working copy that every admission attempt reschedules in
-  /// place.
+  /// The loops of a fused run during admission: each loop's DFG, which
+  /// admission schedules in place, and its dependence lists (both built
+  /// once per run).
   struct FusedLoops {
-    std::vector<Dfg> base;
+    std::vector<Dfg> dfgs;
     std::vector<DfgDeps> deps;
-    std::vector<int> solo_ii;
-    std::vector<Dfg> work;
   };
-
-  /// Joint modulo scheduling of the phase's loops with every II fixed,
-  /// sharing one resource table; false if infeasible.
-  bool schedule_phase(FusedLoops& loops,
-                      const std::vector<std::pair<size_t, int>>& loop_iis,
-                      FusedPhase* phase) const {
-    int h = 1;
-    for (const auto& [i, ii] : loop_iis) h = lcm_int(h, ii);
-    if (h > kMaxHyperperiod) return false;
-    ResourceTable table(alloc_, h);
-    for (const auto& [i, ii] : loop_iis) {
-      // Fused phases are metrics-grade (rtl_exact = false); pipeline-lag
-      // consistency is not enforced here to preserve the paper's
-      // steady-state throughput shapes.
-      Dfg& dfg = loops.work[i];
-      if (!list_schedule(dfg, loops.deps[i], table, opts_.clock_ns, ii) ||
-          !recurrences_ok(dfg, ii))
-        return false;
-    }
-    phase->active = loop_iis;
-    phase->dfgs.clear();
-    phase->dfgs.reserve(loop_iis.size());
-    for (const auto& [i, ii] : loop_iis) phase->dfgs.push_back(loops.work[i]);
-    phase->hyperperiod = h;
-    return true;
-  }
 
   /// Admission policy (the Figure 2(b) behavior) for the remaining-loop
   /// set `mask`: loops are admitted in program order; a newcomer may slow
   /// itself down (larger II) but must not degrade already-admitted loops,
   /// otherwise it waits for a later phase. An empty `active` list means no
   /// loop could be admitted.
+  ///
+  /// The phase's loops share one modulo table, and admitted loops keep
+  /// their placements: a newcomer at II `ii` is list-scheduled alone into
+  /// a copy of the table widened from hyperperiod h to lcm(h, ii). That
+  /// equals scheduling the whole phase afresh, because every admitted II
+  /// divides h (so the widened table is what rescheduling the admitted
+  /// loops in admission order would reserve) and list_schedule is
+  /// deterministic. The newcomer's first II is resource_min_ii over what
+  /// the table has left; every smaller II would fail list_schedule.
   FusedPhase admit(FusedLoops& loops, unsigned mask) const {
     FusedPhase current;
-    for (size_t i = 0; i < loops.base.size(); ++i) {
+    int h = 1;  // hyperperiod: lcm of the admitted IIs
+    ResourceTable table(alloc_, h);
+    for (size_t i = 0; i < loops.dfgs.size(); ++i) {
       if (!(mask & (1u << i))) continue;
-      for (int ii = loops.solo_ii[i]; ii <= kMaxHyperperiod; ++ii) {
-        auto cand = current.active;
-        cand.emplace_back(i, ii);
-        if (schedule_phase(loops, cand, &current)) break;
+      Dfg& dfg = loops.dfgs[i];
+      const int first_ii = resource_min_ii(dfg, table);
+      if (first_ii < 0) continue;  // no unit left: wait for a later phase
+      for (int ii = first_ii; ii <= kMaxHyperperiod; ++ii) {
+        const int widened = lcm_int(h, ii);
+        if (widened > kMaxHyperperiod) continue;
+        ResourceTable trial = table;
+        trial.extend(widened);
+        // Fused phases are metrics-grade (rtl_exact = false); pipeline-lag
+        // consistency is not enforced here to preserve the paper's
+        // steady-state throughput shapes.
+        if (!list_schedule(dfg, loops.deps[i], trial, opts_.clock_ns, ii) ||
+            !recurrences_ok(dfg, ii))
+          continue;
+        table = std::move(trial);
+        current.active.emplace_back(i, ii);
+        h = widened;
+        break;
       }
     }
+    current.dfgs.reserve(current.active.size());
+    for (const auto& [i, ii] : current.active)
+      current.dfgs.push_back(loops.dfgs[i]);
+    current.hyperperiod = h;
     return current;
   }
 
@@ -778,20 +778,15 @@ class Emitter {
                        FragmentCache::Entry& e) {
     const size_t k = run.size();
     FusedLoops loops;
-    loops.base.reserve(k);
-    for (size_t i = 0; i < k; ++i) {
-      const Region& loop = *run[i];
-      loops.base.push_back(
-          build_dfg(loop_body_stmts(loop), loop.ctrl->cond, loop.ctrl->id));
-      check_feasible(loops.base[i]);
-      const int res_ii = resource_min_ii(loops.base[i], alloc_);
-      if (res_ii < 0) return;
-      loops.solo_ii.push_back(std::max(1, res_ii));
+    loops.dfgs.reserve(k);
+    for (const Region* loop : run) {
+      loops.dfgs.push_back(build_dfg(loop_body_stmts(*loop), loop->ctrl->cond,
+                                     loop->ctrl->id));
+      check_feasible(loops.dfgs.back());
     }
     obs::Span sp = obs::span("list_schedule", "sched");
     loops.deps.reserve(k);
-    for (const Dfg& dfg : loops.base) loops.deps.emplace_back(dfg);
-    loops.work = loops.base;
+    for (const Dfg& dfg : loops.dfgs) loops.deps.emplace_back(dfg);
     auto phase = [&](unsigned mask) -> const FusedPhase& {
       auto it = e.phases.find(mask);
       if (it == e.phases.end())

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <thread>
 
@@ -223,7 +224,7 @@ TEST(Dfg, ResourceMinIiMatchesCounts) {
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
   const RegionPtr tree = build_region_tree(fn);
   const Dfg dfg = b.build(tree->children[0]->stmts);
-  const int ii = resource_min_ii(dfg, s.alloc);
+  const int ii = resource_min_ii(dfg, ResourceTable(s.alloc, 1));
   EXPECT_GE(ii, 2);  // 4 adds on 2 adders (chain is left-leaning: a+1 first)
 }
 
@@ -336,6 +337,46 @@ TEST(ResourceTable, UnallocatedFuIsNeverPlaceable) {
   for (int k = 0; k < 4; ++k) plain.place(copy, 0);
   EXPECT_TRUE(plain.can_place(copy, 0));
   EXPECT_TRUE(modulo.can_place(copy, 0, 1));
+}
+
+TEST(ResourceTable, ExtendKeepsReservations) {
+  Harness s;
+  s.alloc.counts["a1"] = 2;
+  s.alloc.counts["mt1"] = 1;
+  s.alloc.counts["mt1_missing"] = 0;
+  const std::vector<DfgNode> nodes = {fu_node("a1"), fu_node("mt1"),
+                                      mem_node("x"), mem_node("y"),
+                                      fu_node("mt1_missing")};
+  for (const int h : {1, 2, 3, 4, 6, 12}) {
+    std::vector<int> periods;  // every period dividing h
+    for (int p = 1; p <= h; ++p)
+      if (h % p == 0) periods.push_back(p);
+    // Fill the table part way: walk csteps and periods, placing whatever
+    // fits on the first three resources (never on "y").
+    ResourceTable t(s.alloc, h);
+    int step = 0;
+    for (size_t k = 0; k < 3 * periods.size() * static_cast<size_t>(h); ++k) {
+      const DfgNode& n = nodes[k % 3];
+      const int p = periods[k % periods.size()];
+      step = (step * 7 + 3) % 97;
+      if (t.can_place(n, step, p)) t.place(n, step, p);
+    }
+    for (const int factor : {1, 2, 5}) {
+      const int wide = h * factor;
+      ResourceTable w = t;
+      w.extend(wide);
+      ASSERT_EQ(w.hyperperiod(), wide);
+      for (const DfgNode& n : nodes) {
+        EXPECT_EQ(w.free_units(n), t.free_units(n) * factor)
+            << n.fu << n.array << " h " << h << " -> " << wide;
+        for (int c = 0; c < wide; ++c)
+          for (const int p : periods)
+            EXPECT_EQ(w.can_place(n, c, p), t.can_place(n, c, p))
+                << n.fu << n.array << " h " << h << " -> " << wide
+                << " cstep " << c << " period " << p;
+      }
+    }
+  }
 }
 
 // ---- list_schedule against the quadratic picker -----------------------
@@ -836,6 +877,84 @@ std::vector<FusedCase> fused_cases() {
   return cases;
 }
 
+/// The DFG (body plus exit condition) of every straight-bodied loop of
+/// `fn`, in program order, as the scheduler builds it for pipelining.
+std::vector<Dfg> loop_dfgs(const ir::Function& fn, DfgBuilder& builder) {
+  std::vector<Dfg> out;
+  const RegionPtr tree = build_region_tree(fn);
+  std::vector<const Region*> todo{tree.get()};
+  std::vector<const Region*> loops;
+  while (!todo.empty()) {
+    const Region* r = todo.back();
+    todo.pop_back();
+    if (r->kind == Region::Kind::Loop && r->loop_body_is_straight())
+      loops.push_back(r);
+    for (auto it = r->children.rbegin(); it != r->children.rend(); ++it)
+      todo.push_back(it->get());
+  }
+  static const std::vector<const ir::Stmt*> kNone;
+  for (const Region* loop : loops) {
+    const Region& body = *loop->children[0];
+    out.push_back(builder.build(
+        body.children.empty() ? kNone : body.children[0]->stmts,
+        loop->ctrl->cond, loop->ctrl->id));
+  }
+  return out;
+}
+
+// The residual II bound that fused-loop admission starts a newcomer at
+// only skips IIs that list_schedule would reject: with the earlier loops
+// of a case already placed in one modulo table, the newcomer fails at
+// every II from its solo bound up to one below the residual bound.
+TEST(ResourceMinIi, IsALowerBoundOverAPartialTable) {
+  constexpr int kMaxHyperperiod = 64;
+  int skipped = 0, raised = 0, deferred = 0;
+  for (const FusedCase& c : fused_cases()) {
+    Harness h;
+    DfgBuilder builder(h.lib, c.alloc, h.sel, 5.0, 1.0);
+    ResourceTable table(c.alloc, 1);
+    for (Dfg& dfg : loop_dfgs(c.fn, builder)) {
+      const DfgDeps deps(dfg);
+      const int solo = resource_min_ii(dfg, ResourceTable(c.alloc, 1));
+      if (solo < 0) continue;
+      const int bound = resource_min_ii(dfg, table);
+      if (bound >= 0) {
+        EXPECT_GE(bound, solo) << c.name;
+      }
+      const int stop = bound < 0 ? kMaxHyperperiod + 1 : bound;
+      if (bound < 0) deferred++;
+      if (bound > solo) raised++;
+      for (int ii = solo; ii < stop; ++ii) {
+        const int wide = std::lcm(table.hyperperiod(), ii);
+        if (wide > kMaxHyperperiod) continue;
+        ResourceTable trial = table;
+        trial.extend(wide);
+        EXPECT_FALSE(list_schedule(dfg, deps, trial, h.opts.clock_ns, ii))
+            << c.name << " ii " << ii << " below the residual bound "
+            << bound;
+        skipped++;
+      }
+      // Place the loop at the first II that fits, as admission does, so
+      // later loops see a fuller table.
+      for (int ii = std::max(1, bound); bound >= 0 && ii <= kMaxHyperperiod;
+           ++ii) {
+        const int wide = std::lcm(table.hyperperiod(), ii);
+        if (wide > kMaxHyperperiod) continue;
+        ResourceTable trial = table;
+        trial.extend(wide);
+        if (!list_schedule(dfg, deps, trial, h.opts.clock_ns, ii) ||
+            !recurrences_ok(dfg, ii))
+          continue;
+        table = std::move(trial);
+        break;
+      }
+    }
+  }
+  EXPECT_GE(raised, 10);
+  EXPECT_GE(deferred, 10);
+  EXPECT_GE(skipped, 100);
+}
+
 TEST(FusedFragment, CacheInvisible) {
   int fused = 0;
   for (const FusedCase& c : fused_cases()) {
@@ -982,7 +1101,7 @@ TEST(FusedGolden, CandidatesOfFusedCases) {
   size_t lines = 0;
   for (const FusedCase& c : fused_cases()) {
     std::vector<std::pair<std::string, ir::Function>> fns;
-    fns.emplace_back("root", c.fn.clone());
+    fns.emplace_back("original", c.fn.clone());
     const std::vector<xform::Candidate> cands = xlib.find_all(c.fn, {});
     for (size_t k = 0; k < cands.size(); ++k) {
       try {

@@ -21,8 +21,9 @@
 #                       unix socket with concurrent factcli clients and
 #                       requires a clean daemon exit.
 #
-# Both legs then run the sanitized `factc --method all` on the six Table 2
-# workloads at --jobs 1 and at --jobs 4 and require identical stdout.
+# Both legs then run the sanitized `factc --method all --emit-stg` on the
+# six Table 2 workloads at --jobs 1 and at --jobs 4 and require identical
+# stdout and identical STG files.
 #
 # Each sanitized tree lives in its own build directory (default
 # build-asan / build-tsan) so the regular build stays untouched.
@@ -52,17 +53,22 @@ ctest --test-dir "$build_dir" -j "$(nproc)" --output-on-failure
 
 # Jobs invariance end to end: scratch state of the interpreter or the
 # scheduler that leaks from one worker's candidate into another's would make
-# the sanitized --jobs 4 reports differ from --jobs 1.
+# the sanitized --jobs 4 reports or final STGs differ from --jobs 1. Both
+# runs write the STG to one path (so the reports' "wrote" lines match) and
+# it is moved aside after each.
 jobs_dir="$build_dir/check-jobs"
 mkdir -p "$jobs_dir"
 for w in GCD FIR TEST2 SINTRAN IGF PPS; do
   for jobs in 1 4; do
     "$build_dir/tools/factc" --benchmark "$w" --method all --jobs "$jobs" \
-      >"$jobs_dir/$w.$jobs.txt" \
+      --emit-stg "$jobs_dir/$w.dot" >"$jobs_dir/$w.$jobs.txt" \
       || { echo "check.sh: sanitized factc --jobs $jobs failed on $w" >&2; exit 1; }
+    mv "$jobs_dir/$w.dot" "$jobs_dir/$w.$jobs.dot"
   done
   cmp "$jobs_dir/$w.1.txt" "$jobs_dir/$w.4.txt" \
-    || { echo "check.sh: factc --jobs 4 differs from --jobs 1 on $w" >&2; exit 1; }
+    || { echo "check.sh: factc --jobs 4 report differs from --jobs 1 on $w" >&2; exit 1; }
+  cmp "$jobs_dir/$w.1.dot" "$jobs_dir/$w.4.dot" \
+    || { echo "check.sh: factc --jobs 4 STG differs from --jobs 1 on $w" >&2; exit 1; }
 done
 rm -rf "$jobs_dir"
 
