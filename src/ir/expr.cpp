@@ -19,7 +19,12 @@ Expr::Expr(Op op, int64_t value, std::string name, std::vector<ExprPtr> args)
   size_t h = static_cast<size_t>(op_) * 0x9E3779B1u;
   h = combine(h, std::hash<int64_t>{}(value_));
   h = combine(h, std::hash<std::string>{}(name_));
-  for (const auto& a : args_) h = combine(h, a->hash());
+  for (const auto& a : args_) {
+    if (!a)
+      throw Error(std::string("'") + op_token(op_) +
+                  "' node built with a null operand");
+    h = combine(h, a->hash());
+  }
   hash_ = h;
 }
 

@@ -66,6 +66,8 @@ class Expr {
   std::string str() const;
 
   // ---- factories ------------------------------------------------------
+  // Every factory throws fact::Error when an operand is null, so a
+  // malformed rewrite fails where it is built.
   static ExprPtr constant(int64_t v);
   static ExprPtr var(const std::string& name);
   static ExprPtr array_read(const std::string& array, ExprPtr index);

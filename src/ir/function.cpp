@@ -64,9 +64,11 @@ int Function::max_stmt_id() const {
   return max_id;
 }
 
-std::set<int> Function::stmt_ids() const {
-  std::set<int> ids;
-  for_each([&](const Stmt& s) { ids.insert(s.id); });
+std::vector<int> Function::stmt_ids() const {
+  std::vector<int> ids;
+  for_each([&](const Stmt& s) { ids.push_back(s.id); });
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   return ids;
 }
 

@@ -61,9 +61,9 @@ class Function {
   /// Largest statement id in use, or -1.
   int max_stmt_id() const;
 
-  /// The set of all statement ids (used by the optimizer to detect
+  /// All statement ids, sorted and unique (used by the optimizer to detect
   /// transform-created statements).
-  std::set<int> stmt_ids() const;
+  std::vector<int> stmt_ids() const;
 
   /// Finds the statement with the given id, or nullptr. The mutable
   /// overload is copy-on-write: it copies the spine from the root to the

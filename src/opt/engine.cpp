@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <typeinfo>
 #include <unordered_set>
 
@@ -479,6 +480,8 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
       // survivors still wanted — independent of the jobs count — so even
       // the set of speculatively processed candidates is deterministic.
       std::vector<Member> behavior_set;
+      // Statement ids of each parent, computed on its first survivor.
+      std::vector<std::optional<std::vector<int>>> parent_ids(in_set.size());
       size_t next_item = 0;
       while (next_item < work.size() &&
              behavior_set.size() < opts_.max_neighbors_eval &&
@@ -497,6 +500,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
           // Gate 1: the rewrite itself. A transform implementation may
           // throw anything; the candidate is quarantined, never the run.
           try {
+            obs::Span sp_apply = obs::span("apply", "opt");
             o.fn = xforms_.apply(g.fn, item.cand);
           } catch (const Error& e) {
             o.status = Outcome::Status::Quarantined;
@@ -516,6 +520,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
           // corruption that leaves the structural hash unchanged (e.g. a
           // duplicated statement id) is caught and accounted for.
           if (opts_.validate != verify::Level::Off) {
+            obs::Span sp_verify = obs::span("verify", "opt");
             const verify::Report rep = verify::verify_function(
                 o.fn, opts_.validate, &baseline_undef);
             if (!rep.ok()) {
@@ -527,7 +532,10 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
             }
           }
 
-          o.hash = ir::structural_hash(o.fn);
+          {
+            obs::Span sp_hash = obs::span("hash", "opt");
+            o.hash = ir::structural_hash(o.fn);
+          }
           o.past_dedup = true;
           // Pre-filter against the dedup set, frozen during the wave:
           // known duplicates skip the equivalence simulation. The
@@ -601,9 +609,12 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
               // ones.
               m.region = g.region;
               if (!m.region.empty()) {
-                const std::set<int> parent_ids = g.fn.stmt_ids();
-                for (int id : o.fn.stmt_ids())
-                  if (!parent_ids.count(id)) m.region.insert(id);
+                auto& pids = parent_ids[item.parent];
+                if (!pids) pids = g.fn.stmt_ids();
+                const std::vector<int> ids = o.fn.stmt_ids();
+                std::set_difference(ids.begin(), ids.end(), pids->begin(),
+                                    pids->end(),
+                                    std::inserter(m.region, m.region.end()));
               }
               m.fn = std::move(o.fn);
               m.profile = std::move(o.profile);

@@ -166,12 +166,14 @@ TEST(Cli, TraceOutWritesChromeTraceJson) {
     EXPECT_EQ(e.get_int("pid"), 1);
     names.insert(e.get_string("name"));
   }
-  // The flow's phase spans, the engine's per-candidate spans, the
-  // scheduler's phases inside `schedule`, and the stationary solve.
+  // The flow's phase spans, the engine's per-candidate spans and their
+  // gates, the scheduler's phases inside `schedule`, and the stationary
+  // solve.
   for (const char* want :
        {"trace_gen", "initial_schedule", "partition", "block",
         "final_schedule", "engine.optimize", "reference", "generation",
-        "candidate", "equivalence", "evaluate", "schedule", "emit",
+        "candidate", "apply", "verify", "hash", "equivalence", "evaluate",
+        "schedule", "emit",
         "dfg_build", "list_schedule", "estimate", "markov"})
     EXPECT_TRUE(names.count(want)) << "missing span " << want;
 }

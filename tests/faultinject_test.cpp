@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "lang/parser.hpp"
 #include "opt/engine.hpp"
 #include "sim/trace.hpp"
@@ -182,6 +184,42 @@ TEST(FaultInjection, FullCorruptionDegradesToBaseline) {
   // The baseline itself was still evaluated: the caller gets real metrics.
   EXPECT_GT(r.best_eval.avg_len, 0.0);
   EXPECT_FALSE(r.truncated);
+}
+
+/// A transform bug that builds an expression with a null operand after
+/// the real rewrite. Expr's constructor rejects it with fact::Error.
+class NullOperandLibrary : public xform::TransformLibrary {
+ public:
+  explicit NullOperandLibrary(const xform::TransformLibrary& inner)
+      : inner_(inner) {}
+  std::vector<xform::Candidate> find_all(
+      const ir::Function& fn, const std::set<int>& region) const override {
+    return inner_.find_all(fn, region);
+  }
+  ir::Function apply(const ir::Function& fn,
+                     const xform::Candidate& c) const override {
+    applies_.fetch_add(1, std::memory_order_relaxed);
+    ir::Function g = inner_.apply(fn, c);
+    (void)ir::Expr::binary(ir::Op::Add, ir::Expr::var("a"), nullptr);
+    return g;
+  }
+  int applies() const { return applies_.load(std::memory_order_relaxed); }
+
+ private:
+  const xform::TransformLibrary& inner_;
+  mutable std::atomic<int> applies_{0};
+};
+
+TEST(FaultInjection, NullOperandIsAnApplyError) {
+  Harness h;
+  const auto inner = xform::TransformLibrary::standard();
+  const NullOperandLibrary buggy(inner);
+  const EngineResult r = h.run(buggy, {});
+  EXPECT_GT(buggy.applies(), 0);
+  EXPECT_EQ(by_class(r, "apply-error"), buggy.applies());
+  EXPECT_EQ(r.quarantined, buggy.applies());
+  EXPECT_TRUE(r.degraded_to_baseline);
+  EXPECT_EQ(r.best.str(), h.fn.str());
 }
 
 TEST(FaultInjection, DeterministicForSeeds) {

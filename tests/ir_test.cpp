@@ -56,6 +56,14 @@ TEST(Expr, SubexprAtAndReplaceAt) {
   EXPECT_THROW(replace_at(e, {7}, c(0)), Error);
 }
 
+TEST(Expr, NullOperandThrows) {
+  EXPECT_THROW(Expr::binary(Op::Add, Expr::var("a"), nullptr), Error);
+  EXPECT_THROW(Expr::unary(Op::Not, nullptr), Error);
+  EXPECT_THROW(Expr::array_read("m", nullptr), Error);
+  const ExprPtr sum = Expr::binary(Op::Add, Expr::var("a"), Expr::var("b"));
+  EXPECT_THROW(Expr::rebuild(*sum, {Expr::var("a"), nullptr}), Error);
+}
+
 TEST(Expr, OpPredicates) {
   EXPECT_TRUE(is_commutative(Op::Add));
   EXPECT_TRUE(is_commutative(Op::Mul));

@@ -12,7 +12,10 @@
 //   * DfgBuilder::build, the cost of a fragment miss, allocates per DFG
 //     and per dependence list, about one allocation per node;
 //   * a warm stg::state_probabilities call allocates per solve, not per
-//     state: its working storage is flat and reused.
+//     state: its working storage is flat and reused;
+//   * verify::verify_function on a clean candidate allocates per scalar
+//     name and per If/While statement, not per statement or expression
+//     node.
 // The scheduler programs are the generated SchedGolden ones.
 
 #include <gtest/gtest.h>
@@ -22,6 +25,8 @@
 #include <cstdlib>
 #include <new>
 #include <optional>
+#include <set>
+#include <string>
 #include <type_traits>
 
 #include "program_gen.hpp"
@@ -32,7 +37,9 @@
 #include "sim/trace.hpp"
 #include "stg/stg.hpp"
 #include "util/error.hpp"
+#include "verify/verify.hpp"
 #include "workloads/workloads.hpp"
+#include "xform/transform.hpp"
 
 namespace {
 std::atomic<size_t> g_allocations{0};
@@ -248,6 +255,61 @@ TEST(MarkovAlloc, SolveAllocatesPerSolveNotPerState) {
     EXPECT_EQ(pi.size(), g.num_states());
     EXPECT_LE(allocs, 32u) << g.num_states() << " states";
   }
+}
+
+/// Distinct scalar names of `fn` (parameters, assignment targets and
+/// scalar reads) plus its If and While statements.
+size_t names_and_control(const ir::Function& fn) {
+  std::set<std::string> names(fn.params().begin(), fn.params().end());
+  size_t control = 0;
+  fn.for_each([&](const ir::Stmt& s) {
+    if (s.kind == ir::StmtKind::Assign) names.insert(s.target);
+    if (s.kind == ir::StmtKind::If || s.kind == ir::StmtKind::While) ++control;
+    s.for_each_expr_slot([&](const ir::ExprPtr& e) {
+      ir::for_each_node(e, [&](const ir::ExprPtr& n) {
+        if (n->op() == ir::Op::Var) names.insert(n->name());
+      });
+    });
+  });
+  return names.size() + control;
+}
+
+TEST(VerifyAlloc, IrChecksAllocatePerNameAndControlStatement) {
+  const xform::TransformLibrary lib = xform::TransformLibrary::standard();
+  std::vector<std::pair<std::string, ir::Function>> programs;
+  programs.emplace_back("SINTRAN", workloads::by_name("SINTRAN").fn);
+  for (uint64_t seed = 1014; seed <= 1020; ++seed)
+    programs.emplace_back("GEN" + std::to_string(seed),
+                          testgen::random_program(seed));
+  size_t total_checked = 0;
+  for (const auto& [name, fn] : programs) {
+    const std::set<std::string> baseline = verify::undefined_reads(fn);
+    size_t checked = 0, allocs = 0, budget = 0, stmts = 0;
+    for (const xform::Candidate& c : lib.find_all(fn, {})) {
+      ir::Function g;
+      try {
+        g = lib.apply(fn, c);
+      } catch (const Error&) {
+        continue;
+      }
+      const size_t bound = 2 * names_and_control(g) + 16;
+      const size_t before = allocations();
+      const verify::Report rep =
+          verify::verify_function(g, verify::Level::Fast, &baseline);
+      const size_t used = allocations() - before;
+      if (!rep.ok()) continue;  // a report's issues allocate their text
+      ++checked;
+      allocs += used;
+      budget += bound;
+      stmts += g.stmt_count();
+      EXPECT_LE(used, bound) << name << " " << c.describe();
+    }
+    std::printf("%s verify_function: %zu allocations over %zu candidates "
+                "(%zu statements; budget %zu)\n",
+                name.c_str(), allocs, checked, stmts, budget);
+    total_checked += checked;
+  }
+  EXPECT_GT(total_checked, 300u);
 }
 
 }  // namespace

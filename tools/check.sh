@@ -15,11 +15,13 @@
 #                       via EngineOptions::jobs > 1, and the WorkerPool
 #                       tests hammer the pool handoff directly), then
 #                       re-runs the parallel engine + pool + service tests
-#                       with TSAN_OPTIONS=halt_on_error=1 so any data race
-#                       in the evaluation waves or the factd service fails
-#                       loudly, and finally drives a sanitized factd over a
-#                       unix socket with concurrent factcli clients and
-#                       requires a clean daemon exit.
+#                       and the four-thread verifier test with
+#                       TSAN_OPTIONS=halt_on_error=1 so any data race in
+#                       the evaluation waves, the verifier or the factd
+#                       service fails loudly, and finally drives a
+#                       sanitized factd over a unix socket with
+#                       concurrent factcli clients and requires a clean
+#                       daemon exit.
 #
 # Both legs then run the sanitized `factc --method all --emit-stg` on the
 # six Table 2 workloads at --jobs 1 and at --jobs 4 and require identical
@@ -92,7 +94,7 @@ if [ "$cmake_flag" = thread ]; then
   # with real thread contention, with races promoted to hard failures.
   TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \
     ctest --test-dir "$build_dir" --output-on-failure \
-      -R 'WorkerPool|JobsInvariant|JobsDeterminism|EvalCache|FusedFragment|SharedScheduler|Gate3|Engine\.EnginesSharing|Service\.|Server\.|FactdE2E|Obs\.'
+      -R 'WorkerPool|JobsInvariant|JobsDeterminism|EvalCache|FusedFragment|SharedScheduler|Gate3|Engine\.EnginesSharing|Service\.|Server\.|FactdE2E|Obs\.|VerifyOracle\.SharedCandidates'
 
   # Server integration under TSan: a sanitized factd on a unix socket,
   # hammered by concurrent factcli clients, must exit cleanly (TSan makes
@@ -131,13 +133,14 @@ if [ "$cmake_flag" = thread ]; then
   rm -f "$sock"
 
   # Span tracing under TSan: a traced sanitized run with parallel
-  # evaluation must produce well-formed Chrome trace JSON.
+  # evaluation must produce well-formed Chrome trace JSON that carries the
+  # candidate gates' spans (apply, verify, hash) from the workers.
   trace_json="$build_dir/factc-tsan-trace.json"
   "$build_dir/tools/factc" --benchmark GCD --jobs 4 --quiet \
     --trace-out "$trace_json" >/dev/null
   grep -q '^{"traceEvents":\[{' "$trace_json" \
     || { echo "check.sh: factc --trace-out produced malformed trace JSON" >&2; exit 1; }
-  for span in engine.optimize dfg_build emit; do
+  for span in engine.optimize dfg_build emit apply verify hash; do
     grep -q "\"name\":\"$span\"" "$trace_json" \
       || { echo "check.sh: trace JSON is missing the $span span" >&2; exit 1; }
   done
