@@ -147,20 +147,31 @@ size_t EvalCache::size() const {
 
 // ---- measurement -------------------------------------------------------
 
+power::PowerEstimate measure_design(const stg::Chain& chain,
+                                    const hlslib::Library& lib,
+                                    const power::PowerOptions& opts,
+                                    Objective objective, double baseline_len,
+                                    const std::vector<double>* pi,
+                                    bool breakdown) {
+  obs::Span sp = obs::span("estimate", "eval");
+  std::vector<double> solved;
+  if (!pi) {
+    solved = stg::state_probabilities(chain);
+    pi = &solved;
+  }
+  return objective == Objective::Power
+             ? power::estimate_power_scaled(chain, lib, baseline_len, opts,
+                                            pi, breakdown)
+             : power::estimate_power(chain, lib, opts, pi, breakdown);
+}
+
 power::PowerEstimate measure_design(const stg::Stg& stg,
                                     const hlslib::Library& lib,
                                     const power::PowerOptions& opts,
                                     Objective objective, double baseline_len,
                                     const std::vector<double>* pi) {
-  obs::Span sp = obs::span("estimate", "eval");
-  std::vector<double> solved;
-  if (!pi) {
-    solved = stg::state_probabilities(stg);
-    pi = &solved;
-  }
-  return objective == Objective::Power
-             ? power::estimate_power_scaled(stg, lib, baseline_len, opts, pi)
-             : power::estimate_power(stg, lib, opts, pi);
+  return measure_design(stg::Chain::of(stg), lib, opts, objective,
+                        baseline_len, pi);
 }
 
 // ---- TransformEngine ---------------------------------------------------
@@ -202,21 +213,29 @@ Evaluation TransformEngine::evaluate_impl(
     own_profile = sim::profile_function(fn, trace);
   }
   const sim::Profile& profile = known_profile ? *known_profile : *own_profile;
+  // The score needs only the schedule's chain. Full validation needs the
+  // STG itself: the schedule must be structurally sound and legal under
+  // the allocation before its metrics are trusted.
+  const bool full = opts_.validate == verify::Level::Full;
   obs::Span sp_sched = obs::span("schedule", "eval");
-  const sched::ScheduleResult sr = scheduler.schedule(fn, profile);
+  std::optional<sched::ScheduleResult> sr;
+  stg::Chain chain;
+  if (full)
+    sr = scheduler.schedule(fn, profile);
+  else
+    chain = scheduler.summarize(fn, profile);
   sp_sched.finish();
-
-  // Full validation: the schedule must be structurally sound and legal
-  // under the allocation before its metrics are trusted.
-  if (opts_.validate == verify::Level::Full) {
-    verify::Report rep = verify::verify_stg(sr.stg, opts_.validate);
+  if (full) {
+    verify::Report rep = verify::verify_stg(sr->stg, opts_.validate);
     if (rep.ok())
-      rep = verify::verify_schedule(fn, sr.stg, lib_, alloc_, opts_.validate);
+      rep = verify::verify_schedule(fn, sr->stg, lib_, alloc_, opts_.validate);
     verify::check_or_throw(rep);
+    chain = stg::Chain::of(sr->stg);
   }
 
   const power::PowerEstimate est =
-      measure_design(sr.stg, lib_, power_opts_, objective, baseline_len);
+      measure_design(chain, lib_, power_opts_, objective, baseline_len,
+                     nullptr, /*breakdown=*/false);
   Evaluation ev;
   ev.avg_len = est.avg_schedule_length;
   ev.power = est.power;
@@ -458,6 +477,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
       // Neighborhood generation (serial): every candidate transformation
       // of every population member (statement 6 of Figure 6) goes into one
       // RNG-ordered work list.
+      obs::Span sp_find = obs::span("find", "opt");
       std::vector<WorkItem> work;
       for (size_t gi = 0; gi < in_set.size(); ++gi) {
         if (out_of_budget()) break;
@@ -471,6 +491,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
         for (auto& c : cands)
           work.push_back(WorkItem{gi, std::move(c)});
       }
+      sp_find.finish();
 
       // The gauntlet (gates 1-3), in waves: workers speculatively apply,
       // verify, hash, and equivalence-check candidates; the reduction then
@@ -570,6 +591,8 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
           o.status = Outcome::Status::Survived;
         });
 
+        // The serial reduction: dedup, quarantine accounting, regions.
+        obs::Span sp_reduce = obs::span("reduce", "opt");
         for (size_t w = 0; w < wave; ++w) {
           if (behavior_set.size() >= opts_.max_neighbors_eval) break;
           if (out_of_budget()) break;
@@ -677,6 +700,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
           }
           behavior_set[w].profile.reset();  // in_set must not keep it alive
         });
+        obs::Span sp_reduce = obs::span("reduce", "opt");
         for (size_t w = 0; w < n; ++w) {
           if (out_of_budget()) break;
           Member& m = behavior_set[w];
@@ -701,6 +725,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
 
       // Rank decreasing gain = increasing score; select a fixed-size
       // subset with P(rank) ~ e^(-k * rank).
+      obs::Span sp_rank = obs::span("reduce", "opt");
       std::sort(behavior_set.begin(), behavior_set.end(),
                 [](const Member& a, const Member& b) {
                   return a.eval.score < b.eval.score;

@@ -94,12 +94,21 @@ struct Evaluation {
 };
 
 /// Measures a scheduled design the one way every flow does (Section 2.2):
-/// solves the STG's Markov chain once and estimates power from that
-/// solution; the estimate's avg_schedule_length is the design's average
-/// schedule length. Power mode scales the supply to iso-throughput with
+/// solves the chain once and estimates power from that solution; the
+/// estimate's avg_schedule_length is the design's average schedule
+/// length. Power mode scales the supply to iso-throughput with
 /// `baseline_len`; Throughput mode reports power at nominal Vdd and
 /// ignores `baseline_len`. `pi` optionally supplies the solution when the
 /// caller needs it too (run_fact partitions the initial design with it).
+/// Without `breakdown` the per-FU maps stay empty (power::estimate_power).
+power::PowerEstimate measure_design(const stg::Chain& chain,
+                                    const hlslib::Library& lib,
+                                    const power::PowerOptions& opts,
+                                    Objective objective,
+                                    double baseline_len = 0.0,
+                                    const std::vector<double>* pi = nullptr,
+                                    bool breakdown = true);
+/// measure_design(stg::Chain::of(stg), ...).
 power::PowerEstimate measure_design(const stg::Stg& stg,
                                     const hlslib::Library& lib,
                                     const power::PowerOptions& opts,

@@ -34,9 +34,11 @@ FactResult run_fact(const ir::Function& fn, const hlslib::Library& lib,
   sched::ScheduleResult initial = scheduler.schedule(fn, profile);
   sp_initial.finish();
   // One stationary solve serves the initial measurement and the partition.
-  const std::vector<double> initial_pi = stg::state_probabilities(initial.stg);
+  const stg::Chain initial_chain = stg::Chain::of(initial.stg);
+  const std::vector<double> initial_pi =
+      stg::state_probabilities(initial_chain);
   result.initial_power =
-      measure_design(initial.stg, lib, opts.power, Objective::Throughput,
+      measure_design(initial_chain, lib, opts.power, Objective::Throughput,
                      0.0, &initial_pi);
   result.initial_avg_len = result.initial_power.avg_schedule_length;
   result.log.push_back(strfmt("initial schedule: %zu states, avg length %.2f",

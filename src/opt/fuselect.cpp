@@ -32,9 +32,9 @@ power::PowerEstimate measure(const ir::Function& fn,
                              const power::PowerOptions& power_opts,
                              double baseline_len) {
   const sched::Scheduler scheduler(lib, alloc, sel, sched_opts);
-  const sched::ScheduleResult sr = scheduler.schedule(fn, profile);
-  return measure_design(sr.stg, lib, power_opts, Objective::Power,
-                        baseline_len);
+  return measure_design(scheduler.summarize(fn, profile), lib, power_opts,
+                        Objective::Power, baseline_len, nullptr,
+                        /*breakdown=*/false);
 }
 
 }  // namespace

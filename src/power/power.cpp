@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <string_view>
 
 #include "util/strfmt.hpp"
 
@@ -13,57 +12,63 @@ namespace {
 /// Expected executions of each FU type per behavior execution, plus
 /// register traffic: per-state counts weighted by state probabilities,
 /// scaled by the average schedule length (Example 1's
-/// "119.11 x (P_S1 x 1 + P_S5 x 1)" computation).
-PowerEstimate accumulate(const stg::Stg& stg, const hlslib::Library& lib,
+/// "119.11 x (P_S1 x 1 + P_S5 x 1)" computation). Without `breakdown`
+/// the per-FU maps stay empty; every other field is the same.
+PowerEstimate accumulate(const stg::Chain& chain, const hlslib::Library& lib,
                          const PowerOptions& opts,
-                         const std::vector<double>* pi_in) {
+                         const std::vector<double>* pi_in, bool breakdown) {
   PowerEstimate est;
   std::vector<double> solved;
-  if (!pi_in) solved = stg::state_probabilities(stg);
+  if (!pi_in) solved = stg::state_probabilities(chain);
   const std::vector<double>& pi = pi_in ? *pi_in : solved;
-  est.avg_schedule_length = stg::average_schedule_length(stg, pi);
+  est.avg_schedule_length = stg::average_schedule_length(chain, pi);
 
-  // Per-cycle expected ops by FU type. A design binds a handful of types,
-  // so a linear scan finds an op's row; each row still sums its ops in
-  // state order, and the rows are folded in name order below, so every
-  // sum is the one a name-keyed map gives.
-  struct Rate {
-    std::string_view fu;
-    double rate;
-  };
-  std::vector<Rate> op_rate;
+  // Per-cycle expected ops by FU type: a row adds pi[s] once per op, in
+  // state order, and exists only where some state has an op for it. The
+  // rows are folded in name order below, so every sum is the one a
+  // name-keyed map gives.
+  thread_local std::vector<double> rate;
+  thread_local std::vector<char> used;
+  thread_local std::vector<size_t> order;
+  rate.assign(chain.fus.size(), 0.0);
+  used.assign(chain.fus.size(), 0);
   double reg_rate = 0.0;
-  for (size_t s = 0; s < stg.num_states(); ++s) {
-    const stg::State& st = stg.state(static_cast<int>(s));
-    for (const auto& op : st.ops) {
-      if (op.fu_type.empty()) continue;
-      auto row = std::find_if(op_rate.begin(), op_rate.end(),
-                              [&](const Rate& r) { return r.fu == op.fu_type; });
-      if (row == op_rate.end()) row = op_rate.insert(row, {op.fu_type, 0.0});
-      row->rate += pi[s];
+  const stg::OpRows& states = chain.states();
+  for (size_t s = 0; s < states.size(); ++s) {
+    for (const stg::FuCount& fc : states.ops(s)) {
+      const size_t f = static_cast<size_t>(fc.fu);
+      used[f] = 1;
+      for (int k = 0; k < fc.count; ++k) rate[f] += pi[s];
     }
-    reg_rate += pi[s] * (st.reg_reads + st.reg_writes);
+    reg_rate += pi[s] * states.reg_traffic(s);
   }
-  std::sort(op_rate.begin(), op_rate.end(),
-            [](const Rate& a, const Rate& b) { return a.fu < b.fu; });
+  order.clear();
+  for (size_t f = 0; f < used.size(); ++f)
+    if (used[f]) order.push_back(f);
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return chain.fus[a] < chain.fus[b];
+  });
 
   double total = 0.0;
-  for (const auto& [fu_view, rate] : op_rate) {
-    const std::string fu(fu_view);
-    const double n_ops = rate * est.avg_schedule_length;
-    est.ops_per_exec[fu] = n_ops;
+  for (const size_t f : order) {
+    const std::string fu(chain.fus[f]);
+    const double n_ops = rate[f] * est.avg_schedule_length;
     const hlslib::FuType& t = lib.get(fu);
-    est.energy_coeff[fu] = t.energy_coeff * n_ops;
+    if (breakdown) {
+      est.ops_per_exec[fu] = n_ops;
+      est.energy_coeff[fu] = t.energy_coeff * n_ops;
+    }
     total += t.energy_coeff * n_ops;
   }
   est.reg_accesses_per_exec = reg_rate * est.avg_schedule_length;
   const hlslib::FuType* reg = lib.first_of(hlslib::FuClass::Register);
   const double reg_coeff = reg ? reg->energy_coeff : 0.0;
-  est.energy_coeff["<registers>"] = reg_coeff * est.reg_accesses_per_exec;
+  if (breakdown)
+    est.energy_coeff["<registers>"] = reg_coeff * est.reg_accesses_per_exec;
   total += reg_coeff * est.reg_accesses_per_exec;
 
   est.energy_coeff_total = total * (1.0 + opts.overhead_fraction);
-  est.energy_coeff["<overhead>"] = total * opts.overhead_fraction;
+  if (breakdown) est.energy_coeff["<overhead>"] = total * opts.overhead_fraction;
   return est;
 }
 
@@ -80,14 +85,21 @@ std::string PowerEstimate::report() const {
   return out.str();
 }
 
-PowerEstimate estimate_power(const stg::Stg& stg, const hlslib::Library& lib,
+PowerEstimate estimate_power(const stg::Chain& chain,
+                             const hlslib::Library& lib,
                              const PowerOptions& opts,
-                             const std::vector<double>* pi) {
-  PowerEstimate est = accumulate(stg, lib, opts, pi);
+                             const std::vector<double>* pi, bool breakdown) {
+  PowerEstimate est = accumulate(chain, lib, opts, pi, breakdown);
   est.vdd = opts.vdd;
   const double energy = est.energy_coeff_total * opts.vdd * opts.vdd;
   est.power = energy / (est.avg_schedule_length * opts.clock_ns);
   return est;
+}
+
+PowerEstimate estimate_power(const stg::Stg& stg, const hlslib::Library& lib,
+                             const PowerOptions& opts,
+                             const std::vector<double>* pi) {
+  return estimate_power(stg::Chain::of(stg), lib, opts, pi);
 }
 
 double structural_overhead_fraction(const stg::Stg& stg,
@@ -115,12 +127,13 @@ double structural_overhead_fraction(const stg::Stg& stg,
   return overhead_energy / base_energy;
 }
 
-PowerEstimate estimate_power_scaled(const stg::Stg& stg,
+PowerEstimate estimate_power_scaled(const stg::Chain& chain,
                                     const hlslib::Library& lib,
                                     double baseline_avg_length,
                                     const PowerOptions& opts,
-                                    const std::vector<double>* pi) {
-  PowerEstimate est = accumulate(stg, lib, opts, pi);
+                                    const std::vector<double>* pi,
+                                    bool breakdown) {
+  PowerEstimate est = accumulate(chain, lib, opts, pi, breakdown);
   // Scale Vdd until this design slows down to the baseline's schedule
   // length. The schedule length in cycles at 5V, expressed at the scaled
   // voltage, becomes exactly baseline_avg_length (Example 1: 119.11 cycles
@@ -133,6 +146,15 @@ PowerEstimate estimate_power_scaled(const stg::Stg& stg,
       est.avg_schedule_length * hlslib::delay_scale(est.vdd, opts.vt);
   est.power = energy / (effective_len * opts.clock_ns);
   return est;
+}
+
+PowerEstimate estimate_power_scaled(const stg::Stg& stg,
+                                    const hlslib::Library& lib,
+                                    double baseline_avg_length,
+                                    const PowerOptions& opts,
+                                    const std::vector<double>* pi) {
+  return estimate_power_scaled(stg::Chain::of(stg), lib, baseline_avg_length,
+                               opts, pi);
 }
 
 }  // namespace fact::power

@@ -40,9 +40,17 @@ struct PowerEstimate {
 /// voltage scaling): Example 1's first computation.
 ///
 /// `pi` optionally supplies the precomputed stationary distribution of
-/// `stg` (as returned by stg::state_probabilities); callers that already
-/// solved the chain — the optimizer solves it for the schedule length —
-/// pass it to avoid a second solve. nullptr recomputes internally.
+/// the chain (as returned by stg::state_probabilities); callers that
+/// already solved it pass it to avoid a second solve. nullptr recomputes
+/// internally. Without `breakdown`, ops_per_exec and energy_coeff stay
+/// empty and every other field is the same (a candidate's score needs
+/// none of the per-FU maps).
+PowerEstimate estimate_power(const stg::Chain& chain,
+                             const hlslib::Library& lib,
+                             const PowerOptions& opts = {},
+                             const std::vector<double>* pi = nullptr,
+                             bool breakdown = true);
+/// estimate_power(stg::Chain::of(stg), ...).
 PowerEstimate estimate_power(const stg::Stg& stg, const hlslib::Library& lib,
                              const PowerOptions& opts = {},
                              const std::vector<double>* pi = nullptr);
@@ -52,6 +60,13 @@ PowerEstimate estimate_power(const stg::Stg& stg, const hlslib::Library& lib,
 /// `baseline_avg_length` — the untransformed design's length — then
 /// reports power at the scaled voltage. This is the paper's iso-throughput
 /// Vdd scaling (Example 1: 119.11 vs 151.30 cycles -> 4.29V).
+PowerEstimate estimate_power_scaled(const stg::Chain& chain,
+                                    const hlslib::Library& lib,
+                                    double baseline_avg_length,
+                                    const PowerOptions& opts = {},
+                                    const std::vector<double>* pi = nullptr,
+                                    bool breakdown = true);
+/// estimate_power_scaled(stg::Chain::of(stg), ...).
 PowerEstimate estimate_power_scaled(const stg::Stg& stg,
                                     const hlslib::Library& lib,
                                     double baseline_avg_length,

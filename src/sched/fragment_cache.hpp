@@ -24,7 +24,11 @@ namespace fact::sched {
 /// What is cached is the *scheduled DFG*, not STG states: materialization
 /// into the STG depends on run-global state (wire numbering, transition
 /// stitching) and is cheap, while DFG build + (modulo) list scheduling is
-/// the scheduler's hot path. A fused run's loops share one resource table,
+/// the scheduler's hot path. Next to the DFG an entry keeps what emission
+/// derives from it alone: the summary rows (op counts per FU type and
+/// register traffic) of the states it turns into, which
+/// Scheduler::summarize appends instead of ops, and a pipelined loop's
+/// lags and drain states. A fused run's loops share one resource table,
 /// so a loop's schedule depends on its phase partners: a fused entry is
 /// keyed by the ordered partner set (every loop's pipelined-loop key:
 /// body fragment hashes, condition hash, statement id) and holds the
@@ -59,6 +63,7 @@ class FragmentCache {
       std::vector<std::pair<size_t, int>> active;  // (run position, II)
       std::vector<Dfg> dfgs;                       // parallel to active
       int hyperperiod = 0;
+      stg::OpRows rows;  // summary row of each ring slot
     };
 
     /// Scheduling succeeded. When false, `error` holds the fact::Error
@@ -74,6 +79,18 @@ class FragmentCache {
     /// ok == true means "fall back to the sequential loop path".
     bool pipelined = false;
     int ii = 0;
+    /// Control steps of `dfg` (plain fragments; a pipelined loop's
+    /// prologue).
+    int csteps = 0;
+    /// Summary rows of the states emission creates from the entry: a
+    /// plain fragment's control steps; a pipelined loop's prologue steps,
+    /// then its II kernel-ring slots, then its drain states.
+    stg::OpRows rows;
+    /// Pipelined-loop entries: each node's pipeline lag and the drain
+    /// rounds it owes when the exit fires, and the (round, cstep) of each
+    /// drain state in emission order.
+    std::vector<int> lag, owed;
+    std::vector<std::pair<int, int>> drain;
     /// Fused-run entries only: the phase of every remaining-loop set
     /// (bitmask over run positions) reachable from the full run. Empty
     /// means the run is not fusable: emit its loops one by one.

@@ -4,85 +4,7 @@
 
 namespace fact::sched {
 
-using ir::Stmt;
 using ir::StmtKind;
-
-namespace {
-
-RegionPtr build_seq(const std::vector<ir::StmtPtr>& stmts);
-
-void append_stmt_list(Region& seq, const std::vector<ir::StmtPtr>& stmts) {
-  Region* open_straight = nullptr;
-  auto straight = [&]() -> Region& {
-    if (!open_straight) {
-      auto r = std::make_unique<Region>();
-      r->kind = Region::Kind::Straight;
-      open_straight = r.get();
-      seq.children.push_back(std::move(r));
-    }
-    return *open_straight;
-  };
-
-  for (const auto& s : stmts) {
-    switch (s->kind) {
-      case StmtKind::Assign:
-      case StmtKind::Store:
-        straight().stmts.push_back(s.get());
-        break;
-      case StmtKind::If: {
-        open_straight = nullptr;
-        auto r = std::make_unique<Region>();
-        r->kind = Region::Kind::If;
-        r->ctrl = s.get();
-        r->children.push_back(build_seq(s->then_stmts));
-        r->children.push_back(build_seq(s->else_stmts));
-        seq.children.push_back(std::move(r));
-        break;
-      }
-      case StmtKind::While: {
-        open_straight = nullptr;
-        auto r = std::make_unique<Region>();
-        r->kind = Region::Kind::Loop;
-        r->ctrl = s.get();
-        r->children.push_back(build_seq(s->then_stmts));
-        seq.children.push_back(std::move(r));
-        break;
-      }
-      case StmtKind::Block:
-        // Flatten nested blocks into the enclosing sequence so adjacent
-        // straight-line code merges into one segment.
-        open_straight = nullptr;
-        {
-          auto sub = std::make_unique<Region>();
-          sub->kind = Region::Kind::Seq;
-          append_stmt_list(*sub, s->stmts);
-          for (auto& c : sub->children) seq.children.push_back(std::move(c));
-        }
-        open_straight = nullptr;
-        break;
-    }
-  }
-}
-
-RegionPtr build_seq(const std::vector<ir::StmtPtr>& stmts) {
-  auto seq = std::make_unique<Region>();
-  seq->kind = Region::Kind::Seq;
-  append_stmt_list(*seq, stmts);
-  // Merge adjacent straight segments (block flattening can split them).
-  std::vector<RegionPtr> merged;
-  for (auto& c : seq->children) {
-    if (c->is_straight() && !merged.empty() && merged.back()->is_straight()) {
-      auto& dst = merged.back()->stmts;
-      dst.insert(dst.end(), c->stmts.begin(), c->stmts.end());
-    } else {
-      merged.push_back(std::move(c));
-    }
-  }
-  seq->children = std::move(merged);
-  return seq;
-}
-
-}  // namespace
 
 bool Region::loop_body_is_straight() const {
   assert(kind == Kind::Loop);
@@ -91,9 +13,65 @@ bool Region::loop_body_is_straight() const {
   return body.children.size() == 1 && body.children[0]->is_straight();
 }
 
-RegionPtr build_region_tree(const ir::Function& fn) {
+void RegionTree::build(const ir::Function& fn) {
   assert(fn.body() && fn.body()->kind == StmtKind::Block);
-  return build_seq(fn.body()->stmts);
+  used_ = 0;
+  build_seq(fn.body()->stmts);  // the first region made: the root
+}
+
+Region& RegionTree::make(Region::Kind kind) {
+  if (used_ == nodes_.size()) nodes_.push_back(std::make_unique<Region>());
+  Region& r = *nodes_[used_++];
+  r.kind = kind;
+  r.stmts.clear();
+  r.ctrl = nullptr;
+  r.children.clear();
+  return r;
+}
+
+Region* RegionTree::build_seq(const std::vector<ir::StmtPtr>& stmts) {
+  Region& seq = make(Region::Kind::Seq);
+  Region* open_straight = nullptr;
+  append(seq, stmts, open_straight);
+  return &seq;
+}
+
+void RegionTree::append(Region& seq, const std::vector<ir::StmtPtr>& stmts,
+                        Region*& open_straight) {
+  for (const auto& s : stmts) {
+    switch (s->kind) {
+      case StmtKind::Assign:
+      case StmtKind::Store:
+        if (!open_straight) {
+          open_straight = &make(Region::Kind::Straight);
+          seq.children.push_back(open_straight);
+        }
+        open_straight->stmts.push_back(s.get());
+        break;
+      case StmtKind::If: {
+        open_straight = nullptr;
+        Region& r = make(Region::Kind::If);
+        r.ctrl = s.get();
+        seq.children.push_back(&r);
+        r.children.push_back(build_seq(s->then_stmts));
+        r.children.push_back(build_seq(s->else_stmts));
+        break;
+      }
+      case StmtKind::While: {
+        open_straight = nullptr;
+        Region& r = make(Region::Kind::Loop);
+        r.ctrl = s.get();
+        seq.children.push_back(&r);
+        r.children.push_back(build_seq(s->then_stmts));
+        break;
+      }
+      case StmtKind::Block:
+        // Flatten nested blocks into the enclosing sequence, so adjacent
+        // straight-line code merges into one segment.
+        append(seq, s->stmts, open_straight);
+        break;
+    }
+  }
 }
 
 }  // namespace fact::sched

@@ -23,8 +23,8 @@ struct Region {
   const ir::Stmt* ctrl = nullptr;
 
   // If: children[0]=then, children[1]=else. Loop: children[0]=body.
-  // Seq: ordered children.
-  std::vector<std::unique_ptr<Region>> children;
+  // Seq: ordered children. Owned by the RegionTree.
+  std::vector<Region*> children;
 
   bool is_straight() const { return kind == Kind::Straight; }
 
@@ -33,10 +33,36 @@ struct Region {
   bool loop_body_is_straight() const;
 };
 
-using RegionPtr = std::unique_ptr<Region>;
+/// The region tree of a function body. It owns its regions, and building
+/// it again reuses their storage: a rebuild into a tree that has held a
+/// shape at least as large allocates nothing. Pointers into the function
+/// remain valid as long as it is alive and unmodified.
+class RegionTree {
+ public:
+  RegionTree() = default;
+  explicit RegionTree(const ir::Function& fn) { build(fn); }
 
-/// Builds the region tree of a function body. Pointers into `fn` remain
-/// valid as long as `fn` is alive and unmodified.
-RegionPtr build_region_tree(const ir::Function& fn);
+  /// Replaces the tree by that of `fn`.
+  void build(const ir::Function& fn);
+
+  /// The body's Seq region.
+  const Region& root() const { return *nodes_.front(); }
+  const Region& operator*() const { return root(); }
+  const Region* operator->() const { return &root(); }
+
+ private:
+  Region& make(Region::Kind kind);
+  Region* build_seq(const std::vector<ir::StmtPtr>& stmts);
+  void append(Region& seq, const std::vector<ir::StmtPtr>& stmts,
+              Region*& open_straight);
+
+  std::vector<std::unique_ptr<Region>> nodes_;  // [0, used_) in the tree
+  size_t used_ = 0;
+};
+
+/// Builds the region tree of a function body.
+inline RegionTree build_region_tree(const ir::Function& fn) {
+  return RegionTree(fn);
+}
 
 }  // namespace fact::sched

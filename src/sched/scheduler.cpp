@@ -1,6 +1,7 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <map>
 #include <numeric>
@@ -58,8 +59,11 @@ void collect_region_rw(const Region& r, RwSets& rw) {
   for (const auto& c : r.children) collect_region_rw(*c, rw);
 }
 
-RwSets collect_loop_rw(const Region& loop) {
-  RwSets rw;
+/// Fills `rw` (its lists' storage reused) with what `loop` touches.
+void collect_loop_rw(const Region& loop, RwSets& rw) {
+  for (auto* names :
+       {&rw.var_reads, &rw.var_writes, &rw.arr_reads, &rw.arr_writes})
+    names->clear();
   collect_expr(*loop.ctrl->cond, rw);
   collect_region_rw(*loop.children[0], rw);
   for (auto* names :
@@ -67,7 +71,6 @@ RwSets collect_loop_rw(const Region& loop) {
     std::sort(names->begin(), names->end());
     names->erase(std::unique(names->begin(), names->end()), names->end());
   }
-  return rw;
 }
 
 bool disjoint(const std::vector<std::string_view>& a,
@@ -160,41 +163,91 @@ class NodeBuckets {
 
 int node_cstep(const DfgNode& node) { return node.cstep; }
 
+/// An edge label, spelled only into a full STG: a fixed text, or the exit
+/// of a fused run's loop ("exitL<position>").
+struct Label {
+  Label(const char* text = "") : text(text) {}
+  static Label exit_of(size_t loop) {
+    Label l;
+    l.exit_loop = static_cast<int>(loop);
+    return l;
+  }
+  std::string str() const {
+    return exit_loop >= 0 ? strfmt("exitL%d", exit_loop) : std::string(text);
+  }
+
+  const char* text;
+  int exit_loop = -1;
+};
+
 /// A pending transition into the next state to be created.
 struct Attach {
   int state = -1;
   double prob = 1.0;
-  std::string label;
+  Label label;
 };
+
+/// What emission reuses from one schedule to the next on a thread: the
+/// region tree, the stack of pending transitions and the loops'
+/// read/write sets. Storage keeps its capacity, so a warm emission
+/// allocates none of it.
+struct EmitScratch {
+  RegionTree tree;
+  std::vector<Attach> pending;
+  std::array<RwSets, kMaxFused> rw;
+};
+
+/// One control code for both outputs: the Emitter decides states, edges
+/// and probabilities once, and writes them either into a full STG (ops,
+/// names, labels, condition signals, loop decisions) or, given a chain,
+/// into that summary only (each state's op counts come from rows the
+/// fragment-cache entries carry).
+/// This thread's EmitScratch. One Emitter runs at a time on a thread.
+EmitScratch& emit_scratch() {
+  thread_local EmitScratch scratch;
+  return scratch;
+}
 
 class Emitter {
  public:
   Emitter(const hlslib::Library& lib, const hlslib::Allocation& alloc,
           const hlslib::FuSelection& sel, const SchedOptions& opts,
-          const sim::Profile& profile)
+          const sim::Profile& profile, stg::Chain* chain = nullptr)
       : lib_(lib),
         alloc_(alloc),
         sel_(sel),
         opts_(opts),
-        profile_(profile) {}
+        profile_(profile),
+        chain_(chain) {}
 
-  ScheduleResult run(const ir::Function& fn) {
-    fn_name_ = fn.name();
-    RegionPtr tree = build_region_tree(fn);
-    std::vector<Attach> outs = emit_seq(*tree, {});
-    if (stg_.num_states() > kMaxStates)
+  void run(const ir::Function& fn) {
+    fn_name_ = &fn.name();
+    scratch_.tree.build(fn);
+    pending_.clear();
+    emit_seq(*scratch_.tree, 0);
+    const size_t states = static_cast<size_t>(num_states());
+    if (states > kMaxStates)
       throw Error(strfmt(
           "schedule for '%s' exploded to %zu states (max_states %zu)",
-          fn_name_.c_str(), stg_.num_states(), kMaxStates));
-    if (stg_.num_states() == 0) {
-      const int idle = stg_.add_state("idle");
-      stg_.add_edge(idle, idle, 1.0, "", /*exec_boundary=*/true);
+          fn_name_->c_str(), states, kMaxStates));
+    if (states == 0) {
+      const int idle = add_named_state("idle");
+      add_edge(idle, idle, 1.0, "", /*exec_boundary=*/true);
     } else {
-      for (const Attach& a : outs)
-        stg_.add_edge(a.state, 0, a.prob, a.label, /*exec_boundary=*/true);
+      for (const Attach& a : pending_)
+        add_edge(a.state, 0, a.prob, a.label, /*exec_boundary=*/true);
     }
-    stg_.set_entry(0);
-    stg_.validate();
+    if (chain_) {
+      chain_->set_entry(0);
+      chain_->validate();
+    } else {
+      stg_.set_entry(0);
+      stg_.validate();
+    }
+  }
+
+  /// The full schedule run() emitted (without a chain).
+  ScheduleResult result() {
     ScheduleResult result;
     result.stg = std::move(stg_);
     result.loops = std::move(loops_);
@@ -203,10 +256,51 @@ class Emitter {
   }
 
  private:
+  // ---- output ----------------------------------------------------------
+
+  bool full() const { return chain_ == nullptr; }
+
+  int num_states() const {
+    return static_cast<int>(full() ? stg_.num_states()
+                                   : chain_->num_states());
+  }
+
+  /// Appends a state. A summary takes its op counts and register traffic
+  /// from row r of `rows`; into a full STG the caller adds the ops.
+  int add_state(const stg::OpRows& rows, size_t r) {
+    return full() ? stg_.add_state("") : chain_->add_state(rows, r);
+  }
+
+  /// Appends a state without ops, named in a full STG.
+  int add_named_state(const char* name) {
+    return full() ? stg_.add_state(name) : chain_->add_state();
+  }
+
+  void add_edge(int from, int to, double prob, const Label& label = {},
+                bool exec_boundary = false) {
+    if (full())
+      stg_.add_edge(from, to, prob, label.str(), exec_boundary);
+    else
+      chain_->add_edge(from, to, prob, exec_boundary);
+  }
+
   // ---- helpers ---------------------------------------------------------
 
-  void connect(const std::vector<Attach>& in, int state) {
-    for (const Attach& a : in) stg_.add_edge(a.state, state, a.prob, a.label);
+  // Emission keeps its pending transitions on one stack: a region's
+  // incoming ones are pending_[in, end) when it starts, and its outgoing
+  // ones replace them there when it returns.
+
+  /// Connects the pending transitions [first, last) to `state`.
+  void connect(size_t first, size_t last, int state) {
+    for (size_t a = first; a < last; ++a)
+      add_edge(pending_[a].state, state, pending_[a].prob, pending_[a].label);
+  }
+
+  /// Connects the pending transitions from `in` on to `state` and drops
+  /// them.
+  void enter(size_t in, int state) {
+    connect(in, pending_.size(), state);
+    pending_.resize(in);
   }
 
   /// Every op must have a nonzero allocation; diagnose infeasible
@@ -218,7 +312,7 @@ class Emitter {
         throw Error(strfmt(
             "infeasible allocation for '%s': operation '%s' needs FU type "
             "'%s' but none are allocated",
-            fn_name_.c_str(), n.label().c_str(), std::string(n.fu).c_str()));
+            fn_name_->c_str(), n.label().c_str(), std::string(n.fu).c_str()));
     }
   }
 
@@ -258,31 +352,78 @@ class Emitter {
   }
 
   /// Creates one STG state per control step of a fragment's scheduled
-  /// plain DFG and fills op and register-traffic annotations. Returns
-  /// {first, last}.
+  /// plain DFG and, into a full STG, fills op and register-traffic
+  /// annotations. Returns {first, last}.
   std::pair<int, int> materialize(
       const std::shared_ptr<const FragmentCache::Entry>& entry) {
-    stg_.keep_alive(entry);
     const Dfg& dfg = entry->dfg;
-    const int n = dfg.num_csteps();
+    const int n = entry->csteps;
     assert(n > 0);
-    by_cstep_.assign(dfg, n, node_cstep);
-    const int wires = assign_wires(dfg);
-    const int first = static_cast<int>(stg_.num_states());
+    int wires = 0;
+    if (full()) {
+      stg_.keep_alive(entry);
+      by_cstep_.assign(dfg, n, node_cstep);
+      wires = assign_wires(dfg);
+    }
+    const int first = num_states();
     for (int c = 0; c < n; ++c) {
-      const int s = stg_.add_state("");
-      if (c > 0) stg_.add_edge(s - 1, s, 1.0);
+      const int s = add_state(entry->rows, static_cast<size_t>(c));
+      if (c > 0) add_edge(s - 1, s, 1.0);
+      if (!full()) continue;
       stg::State& st = stg_.state(s);
       st.ops.reserve(by_cstep_[c].size());
       for (int i : by_cstep_[c]) add_op(st, dfg, wires, static_cast<size_t>(i), 0);
     }
-    if (dfg.cond_node >= 0) {
+    if (full() && dfg.cond_node >= 0) {
       const int cstep =
           dfg.nodes[static_cast<size_t>(dfg.cond_node)].avail_cstep();
       stg_.state(first + cstep).cond_signal =
           stg::wire_name(wires + dfg.cond_node);
     }
     return {first, first + n - 1};
+  }
+
+  // ---- summary rows -----------------------------------------------------
+
+  /// Library FU type index of every node of `dfg` (-1: no datapath FU).
+  std::vector<int> node_fus(const Dfg& dfg) const {
+    std::vector<int> fus(dfg.nodes.size(), -1);
+    for (size_t i = 0; i < dfg.nodes.size(); ++i)
+      if (!dfg.nodes[i].fu.empty())
+        fus[i] = static_cast<int>(&lib_.get(std::string(dfg.nodes[i].fu)) -
+                                  lib_.types().data());
+    return fus;
+  }
+
+  /// Appends `n` summary rows to `out`. `visit(add)` calls
+  /// add(row, node, fu) once per op a row's state executes; each op counts
+  /// toward its FU type and its register reads and write.
+  template <typename Visit>
+  void append_rows(stg::OpRows& out, size_t n, Visit&& visit) const {
+    const size_t nf = lib_.types().size();
+    std::vector<int> ops(n * nf, 0), reg(n, 0);
+    visit([&](size_t row, const DfgNode& node, int fu) {
+      if (fu >= 0) ops[row * nf + static_cast<size_t>(fu)]++;
+      reg[row] += node.var_reads + (node.reg_write ? 1 : 0);
+    });
+    std::vector<stg::FuCount> counts;
+    for (size_t r = 0; r < n; ++r) {
+      counts.clear();
+      for (size_t f = 0; f < nf; ++f)
+        if (const int c = ops[r * nf + f]) counts.push_back({static_cast<int>(f), c});
+      out.push_back(counts, reg[r]);
+    }
+  }
+
+  /// A plain fragment's rows, one per control step (a node counts in its
+  /// first).
+  void cstep_rows(FragmentCache::Entry& e) const {
+    e.csteps = e.dfg.num_csteps();
+    const std::vector<int> fus = node_fus(e.dfg);
+    append_rows(e.rows, static_cast<size_t>(e.csteps), [&](auto add) {
+      for (size_t i = 0; i < e.dfg.nodes.size(); ++i)
+        add(static_cast<size_t>(e.dfg.nodes[i].cstep), e.dfg.nodes[i], fus[i]);
+    });
   }
 
   // ---- fragment cache ---------------------------------------------------
@@ -310,7 +451,7 @@ class Emitter {
   /// pipelined-loop key (body fragments, condition, statement id). A loop's
   /// schedule in a phase depends on its partners and on admission order,
   /// so both are in the key.
-  uint64_t fused_key(const std::vector<const Region*>& run) const {
+  uint64_t fused_key(std::span<const Region* const> run) const {
     uint64_t h = key_mix(kTagFused, run.size());
     for (const Region* loop : run)
       h = key_mix(h, pipe_key(loop_body_stmts(*loop), loop->ctrl->cond,
@@ -353,6 +494,7 @@ class Emitter {
     return fragment(cond_key(cond, stmt_id), [&](FragmentCache::Entry& e) {
       e.dfg = build_dfg({}, cond, stmt_id);
       schedule_plain(e.dfg);
+      cstep_rows(e);
     });
   }
 
@@ -384,121 +526,116 @@ class Emitter {
     ResourceTable table(alloc_, 0);
     if (!list_schedule(dfg, table, opts_.clock_ns))
       throw Error(strfmt("cannot schedule segment of '%s' under clock %.1fns",
-                         fn_name_.c_str(), opts_.clock_ns));
+                         fn_name_->c_str(), opts_.clock_ns));
   }
 
   // ---- region emission --------------------------------------------------
 
-  std::vector<Attach> emit_seq(const Region& seq, std::vector<Attach> in) {
+  void emit_seq(const Region& seq, size_t in) {
     assert(seq.kind == Region::Kind::Seq);
     size_t i = 0;
     while (i < seq.children.size()) {
       const Region& child = *seq.children[i];
       if (child.kind == Region::Kind::Loop && opts_.fuse_loops) {
         // Collect a maximal run of adjacent, independent, pipelineable
-        // loops for concurrent execution.
-        std::vector<const Region*> run{&child};
-        std::vector<RwSets> rw;  // of each loop in `run`, once needed
+        // loops for concurrent execution. rw[k] holds loop k's read/write
+        // sets once needed; rw[size] the next loop's, while it is tested.
+        std::array<const Region*, kMaxFused> run{&child};
+        size_t size = 1, with_rw = 0;
+        std::array<RwSets, kMaxFused>& rw = scratch_.rw;
         size_t j = i + 1;
-        while (j < seq.children.size() && run.size() < kMaxFused) {
+        while (j < seq.children.size() && size < kMaxFused) {
           const Region& next = *seq.children[j];
           if (next.kind != Region::Kind::Loop) break;
           if (!next.loop_body_is_straight() ||
               !run.front()->loop_body_is_straight())
             break;
-          if (rw.empty()) rw.push_back(collect_loop_rw(child));
-          RwSets next_rw = collect_loop_rw(next);
+          if (with_rw == 0) collect_loop_rw(child, rw[with_rw++]);
+          collect_loop_rw(next, rw[with_rw]);
           bool indep = true;
-          for (const RwSets& r : rw)
-            if (!loops_independent(r, next_rw)) { indep = false; break; }
+          for (size_t k = 0; k < with_rw; ++k)
+            if (!loops_independent(rw[k], rw[with_rw])) { indep = false; break; }
           if (!indep) break;
-          run.push_back(&next);
-          rw.push_back(std::move(next_rw));
+          run[size++] = &next;
+          with_rw++;
           ++j;
         }
-        if (run.size() >= 2) {
-          std::vector<Attach> out;
-          if (emit_fused_run(run, in, &out)) {
-            in = std::move(out);
-            i = j;
-            continue;
-          }
+        if (size >= 2 && emit_fused_run({run.data(), size}, in)) {
+          i = j;
+          continue;
         }
       }
-      in = emit_region(child, std::move(in));
+      emit_region(child, in);
       ++i;
     }
-    return in;
   }
 
-  std::vector<Attach> emit_region(const Region& r, std::vector<Attach> in) {
+  void emit_region(const Region& r, size_t in) {
     switch (r.kind) {
       case Region::Kind::Straight:
-        return emit_straight(r, std::move(in));
+        return emit_straight(r, in);
       case Region::Kind::If:
-        return emit_if(r, std::move(in));
+        return emit_if(r, in);
       case Region::Kind::Loop:
-        return emit_loop(r, std::move(in));
+        return emit_loop(r, in);
       case Region::Kind::Seq:
-        return emit_seq(r, std::move(in));
+        return emit_seq(r, in);
     }
-    return in;
   }
 
-  std::vector<Attach> emit_straight(const Region& r, std::vector<Attach> in) {
+  void emit_straight(const Region& r, size_t in) {
     const auto entry =
         fragment(straight_key(r.stmts), [&](FragmentCache::Entry& e) {
           e.dfg = build_dfg(r.stmts);
           if (!e.dfg.nodes.empty()) schedule_plain(e.dfg);
+          cstep_rows(e);
         });
-    if (entry->dfg.nodes.empty()) return in;
+    if (entry->dfg.nodes.empty()) return;
     auto [first, last] = materialize(entry);
-    connect(in, first);
-    return {{last, 1.0, ""}};
+    enter(in, first);
+    pending_.push_back({last, 1.0, ""});
   }
 
-  std::vector<Attach> emit_if(const Region& r, std::vector<Attach> in) {
+  void emit_if(const Region& r, size_t in) {
     const auto cond = cond_fragment(r.ctrl->cond, r.ctrl->id);
     auto [cfirst, clast] = materialize(cond);
-    connect(in, cfirst);
+    enter(in, cfirst);
     const double p = branch_prob(r.ctrl->id);
-    std::vector<Attach> outs =
-        emit_seq(*r.children[0], {{clast, p, "T"}});
-    std::vector<Attach> else_outs =
-        emit_seq(*r.children[1], {{clast, 1.0 - p, "F"}});
-    outs.insert(outs.end(), else_outs.begin(), else_outs.end());
-    return outs;
+    // The then-branch's outgoing transitions, then the else-branch's.
+    pending_.push_back({clast, p, "T"});
+    emit_seq(*r.children[0], in);
+    const size_t else_in = pending_.size();
+    pending_.push_back({clast, 1.0 - p, "F"});
+    emit_seq(*r.children[1], else_in);
   }
 
-  std::vector<Attach> emit_loop(const Region& r, std::vector<Attach> in) {
+  void emit_loop(const Region& r, size_t in) {
     const double p = loop_prob(r.ctrl->id);  // closing probability
 
-    if (r.loop_body_is_straight()) {
-      std::vector<Attach> out;
-      if (emit_pipelined_loop(r, p, in, &out)) return out;
-    }
+    if (r.loop_body_is_straight() && emit_pipelined_loop(r, p, in)) return;
 
     // General path: test states, body, back edge.
     const auto test = cond_fragment(r.ctrl->cond, r.ctrl->id);
     auto [tfirst, tlast] = materialize(test);
-    connect(in, tfirst);
-    std::vector<Attach> body_out =
-        emit_seq(*r.children[0], {{tlast, p, "loop"}});
-    connect(body_out, tfirst);
+    enter(in, tfirst);
+    pending_.push_back({tlast, p, "loop"});
+    emit_seq(*r.children[0], in);
+    enter(in, tfirst);
 
-    LoopInfo info;
-    info.stmt_id = r.ctrl->id;
-    info.pipelined = false;
-    loops_.push_back(info);
-    return {{tlast, 1.0 - p, "exit"}};
+    if (full()) {
+      LoopInfo info;
+      info.stmt_id = r.ctrl->id;
+      info.pipelined = false;
+      loops_.push_back(info);
+    }
+    pending_.push_back({tlast, 1.0 - p, "exit"});
   }
 
   /// Derived per-op pipeline bookkeeping of a modulo-scheduled body:
   /// lags (slot wraparounds along each op's dependence chain — how many
   /// traversals behind the newest iteration it runs) and the drain debts
-  /// owed when the check fires the exit. O(nodes + dependence edges), so
-  /// cached pipelined fragments re-derive it from the stored DFG instead
-  /// of storing it.
+  /// owed when the check fires the exit. The winning II's is kept in the
+  /// pipelined fragment's entry (pipe_rows).
   struct PipeDerived {
     int body_csteps = 0;
     int cond_cstep = 0;
@@ -566,9 +703,7 @@ class Emitter {
   /// This structure is functionally exact for the RTL backend and only
   /// adds entry/exit states that the steady state amortizes.
   /// Returns false if pipelining is infeasible.
-  bool emit_pipelined_loop(const Region& r, double p,
-                           const std::vector<Attach>& in,
-                           std::vector<Attach>* out) {
+  bool emit_pipelined_loop(const Region& r, double p, size_t in) {
     const std::vector<const Stmt*>& body_stmts = loop_body_stmts(r);
     // The II search through the fragment cache: the winning modulo
     // schedule — or the not-pipelineable verdict — is a pure function of
@@ -589,60 +724,68 @@ class Emitter {
             if (!list_schedule(dfg, deps, table, opts_.clock_ns, ii)) continue;
             if (!recurrences_ok(dfg, ii)) continue;
             if (!pipeline_lags_consistent(dfg, ii)) continue;
-            if (!drain_representable(dfg, ii, derive_pipe(dfg, ii)))
+            PipeDerived derived = derive_pipe(dfg, ii);
+            if (!drain_representable(dfg, ii, derived))
               continue;  // try the next II
             e.pipelined = true;
             e.ii = ii;
             e.dfg = std::move(dfg);
+            pipe_rows(e, std::move(derived));
             return;
           }
         });
     if (!entry->pipelined) return false;
 
-    stg_.keep_alive(entry);
     const Dfg& dfg = entry->dfg;
     const int ii = entry->ii;
-    const PipeDerived derived = derive_pipe(dfg, ii);
-    const int body_csteps = derived.body_csteps;
-    const std::vector<int>& lag = derived.lag;
-    const std::vector<int>& owed = derived.owed;
+    const int body_csteps = entry->csteps;
+    const int cond_cstep =
+        dfg.nodes[static_cast<size_t>(dfg.cond_node)].avail_cstep();
+    int wires = 0;
+    std::string cond_wire;
+    if (full()) {
+      stg_.keep_alive(entry);
+      wires = assign_wires(dfg);
+      cond_wire = stg::wire_name(wires + dfg.cond_node);
+    }
 
-    const int wires = assign_wires(dfg);
-    const std::string cond_wire = stg::wire_name(wires + dfg.cond_node);
-
-    // Guard: the while-test on entry values (separate evaluation).
+    // Guard: the while-test on entry values (separate evaluation). The
+    // loop's exits replace its incoming transitions as they arise.
     const auto guard = cond_fragment(r.ctrl->cond, r.ctrl->id);
     auto [gfirst, glast] = materialize(guard);
-    connect(in, gfirst);
-    std::vector<Attach> exits;
-    exits.push_back({glast, 1.0 - p, "exit"});
-
-    by_cstep_.assign(dfg, body_csteps, node_cstep);
+    enter(in, gfirst);
+    pending_.push_back({glast, 1.0 - p, "exit"});
 
     // Prologue: iteration 0 executed linearly (fills wires).
-    const int prologue_first = static_cast<int>(stg_.num_states());
+    if (full()) by_cstep_.assign(dfg, body_csteps, node_cstep);
+    const int prologue_first = num_states();
     for (int c = 0; c < body_csteps; ++c) {
-      const int s = stg_.add_state("");
-      if (c > 0) stg_.add_edge(s - 1, s, 1.0);
+      const int s = add_state(entry->rows, static_cast<size_t>(c));
+      if (c > 0) add_edge(s - 1, s, 1.0);
+      if (!full()) continue;
       stg::State& st = stg_.state(s);
       st.ops.reserve(by_cstep_[c].size());
       for (int i : by_cstep_[c]) add_op(st, dfg, wires, static_cast<size_t>(i), 0);
     }
     const int prologue_last = prologue_first + body_csteps - 1;
-    stg_.add_edge(glast, prologue_first, p, "loop");
+    add_edge(glast, prologue_first, p, "loop");
 
     // Kernel ring: every op once per traversal, at slot cstep % II.
     const int ring_id = next_ring_id_++;
-    const int ring0 = static_cast<int>(stg_.num_states());
-    by_slot_.assign(dfg, ii,
-                    [ii](const DfgNode& node) { return node.cstep % ii; });
+    const int ring0 = num_states();
+    if (full())
+      by_slot_.assign(dfg, ii,
+                      [ii](const DfgNode& node) { return node.cstep % ii; });
     for (int k = 0; k < ii; ++k) {
-      stg::State& st = stg_.state(stg_.add_state(""));
+      const int s = add_state(entry->rows, static_cast<size_t>(body_csteps + k));
+      if (!full()) continue;
+      stg::State& st = stg_.state(s);
       st.ring_id = ring_id;
       st.ops.reserve(by_slot_[k].size());
       for (int i : by_slot_[k]) {
         const size_t idx = static_cast<size_t>(i);
-        add_op(st, dfg, wires, idx, dfg.nodes[idx].cstep / ii, lag[idx]);
+        add_op(st, dfg, wires, idx, dfg.nodes[idx].cstep / ii,
+               entry->lag[idx]);
       }
     }
 
@@ -650,66 +793,100 @@ class Emitter {
     //   owed = lag - lag(check) + (slot > check_slot ? 1 : 0)
     // executions to complete the in-flight iterations. The drain flushes
     // them round by round in cstep order (resource-legal: each drain
-    // state re-uses one kernel cstep's op set).
+    // state re-uses one kernel cstep's op set); the entry lists the
+    // (round, cstep) of every drain state.
     int drain_first = -1, drain_last = -1;
-    for (int round = 1; round <= derived.max_owed; ++round) {
-      for (int c = 0; c < body_csteps; ++c) {
-        size_t count = 0;
-        for (int i : by_cstep_[c])
-          if (owed[static_cast<size_t>(i)] >= round) count++;
-        if (count == 0) continue;
-        const int s = stg_.add_state("");
+    for (size_t d = 0; d < entry->drain.size(); ++d) {
+      const auto [round, c] = entry->drain[d];
+      const int s = add_state(entry->rows,
+                              static_cast<size_t>(body_csteps + ii) + d);
+      if (full()) {
         stg::State& st = stg_.state(s);
-        st.ops.reserve(count);
         for (int i : by_cstep_[c]) {
           const size_t idx = static_cast<size_t>(i);
-          if (owed[idx] >= round) add_op(st, dfg, wires, idx, 0, lag[idx]);
+          if (entry->owed[idx] >= round)
+            add_op(st, dfg, wires, idx, 0, entry->lag[idx]);
         }
-        if (drain_last >= 0) stg_.add_edge(drain_last, s, 1.0);
-        if (drain_first < 0) drain_first = s;
-        drain_last = s;
       }
+      if (drain_last >= 0) add_edge(drain_last, s, 1.0);
+      if (drain_first < 0) drain_first = s;
+      drain_last = s;
     }
-    const auto exit_target = [&](int from, double prob,
-                                 const std::string& label) {
+    const auto exit_target = [&](int from, double prob, const Label& label) {
       if (drain_first < 0) {
-        exits.push_back({from, prob, label});
+        pending_.push_back({from, prob, label});
       } else {
-        stg_.add_edge(from, drain_first, prob, label);
+        add_edge(from, drain_first, prob, label);
       }
     };
 
     // Prologue branch: the iteration-1 check was computed at its cstep;
     // branch at the last prologue state on the stored wire. A prologue
     // exit bypasses the drain — iteration 0's tail already ran linearly.
-    stg_.state(prologue_last).cond_signal = cond_wire;
-    stg_.add_edge(prologue_last, ring0, p, "loop");
-    exits.push_back({prologue_last, 1.0 - p, "exit"});
+    if (full()) stg_.state(prologue_last).cond_signal = cond_wire;
+    add_edge(prologue_last, ring0, p, "loop");
+    pending_.push_back({prologue_last, 1.0 - p, "exit"});
 
     // Ring transitions with the per-traversal check.
-    const int check_state = ring0 + derived.cond_cstep % ii;
-    stg_.state(check_state).cond_signal = cond_wire;
+    const int check_state = ring0 + cond_cstep % ii;
+    if (full()) stg_.state(check_state).cond_signal = cond_wire;
     for (int k = 0; k < ii; ++k) {
       const int cur = ring0 + k;
       const int next = ring0 + (k + 1) % ii;
       if (cur == check_state) {
-        stg_.add_edge(cur, next, p, "loop");
+        add_edge(cur, next, p, "loop");
         exit_target(cur, 1.0 - p, "exit");
       } else {
-        stg_.add_edge(cur, next, 1.0);
+        add_edge(cur, next, 1.0);
       }
     }
-    if (drain_last >= 0) exits.push_back({drain_last, 1.0, ""});
+    if (drain_last >= 0) pending_.push_back({drain_last, 1.0, ""});
 
-    *out = std::move(exits);
-
-    LoopInfo info;
-    info.stmt_id = r.ctrl->id;
-    info.pipelined = true;
-    info.ii = ii;
-    info.body_csteps = body_csteps;
-    loops_.push_back(info);
+    if (full()) {
+      LoopInfo info;
+      info.stmt_id = r.ctrl->id;
+      info.pipelined = true;
+      info.ii = ii;
+      info.body_csteps = body_csteps;
+      loops_.push_back(info);
+    }
     return true;
+  }
+
+  /// What emitting a pipelined loop's states needs of its winning II,
+  /// kept in the entry: the prologue's control steps, the per-node lags
+  /// and drain debts, the (round, cstep) of every drain state, and the
+  /// summary rows of the prologue steps, the II ring slots and the drain
+  /// states, in that order.
+  void pipe_rows(FragmentCache::Entry& e, PipeDerived derived) const {
+    const Dfg& dfg = e.dfg;
+    const int ii = e.ii;
+    e.csteps = derived.body_csteps;
+    for (int round = 1; round <= derived.max_owed; ++round)
+      for (int c = 0; c < e.csteps; ++c)
+        for (size_t i = 0; i < dfg.nodes.size(); ++i)
+          if (dfg.nodes[i].cstep == c && derived.owed[i] >= round) {
+            e.drain.emplace_back(round, c);
+            break;
+          }
+    const std::vector<int> fus = node_fus(dfg);
+    const size_t rows =
+        static_cast<size_t>(e.csteps + ii) + e.drain.size();
+    append_rows(e.rows, rows, [&](auto add) {
+      for (size_t i = 0; i < dfg.nodes.size(); ++i) {
+        const DfgNode& node = dfg.nodes[i];
+        add(static_cast<size_t>(node.cstep), node, fus[i]);
+        add(static_cast<size_t>(e.csteps + node.cstep % ii), node, fus[i]);
+      }
+      for (size_t d = 0; d < e.drain.size(); ++d) {
+        const auto [round, c] = e.drain[d];
+        for (size_t i = 0; i < dfg.nodes.size(); ++i)
+          if (dfg.nodes[i].cstep == c && derived.owed[i] >= round)
+            add(static_cast<size_t>(e.csteps + ii) + d, dfg.nodes[i], fus[i]);
+      }
+    });
+    e.lag = std::move(derived.lag);
+    e.owed = std::move(derived.owed);
   }
 
   using FusedPhase = FragmentCache::Entry::FusedPhase;
@@ -774,7 +951,7 @@ class Emitter {
   /// remaining-loop set reachable from the full run, or no phases at all
   /// when the run is not fusable. Probabilities stay out: they come from
   /// the profile and are applied at emission.
-  void admit_fused_run(const std::vector<const Region*>& run,
+  void admit_fused_run(std::span<const Region* const> run,
                        FragmentCache::Entry& e) {
     const size_t k = run.size();
     FusedLoops loops;
@@ -815,27 +992,50 @@ class Emitter {
         if (rest != 0 && seen.insert(rest).second) work.push_back(rest);
       }
     }
+    // Summary rows, one per ring slot: loop i's op at cstep c executes in
+    // every slot == c mod II_i.
+    for (auto& [mask, ps] : e.phases) {
+      std::vector<std::vector<int>> fus;
+      for (const Dfg& dfg : ps.dfgs) fus.push_back(node_fus(dfg));
+      append_rows(ps.rows, static_cast<size_t>(ps.hyperperiod), [&](auto add) {
+        for (size_t a = 0; a < ps.active.size(); ++a) {
+          const int ii = ps.active[a].second;
+          const Dfg& dfg = ps.dfgs[a];
+          for (size_t ni = 0; ni < dfg.nodes.size(); ++ni)
+            for (int s = dfg.nodes[ni].cstep % ii; s < ps.hyperperiod; s += ii)
+              add(static_cast<size_t>(s), dfg.nodes[ni], fus[a][ni]);
+        }
+      });
+    }
   }
 
-  /// Emission state of one fused run.
+  /// Per-loop values of a fused run, by run position.
+  using PerLoop = std::array<double, kMaxFused>;
+
+  /// Emission state of one fused run. Its exits go on the pending stack.
   struct FusedEmission {
-    const std::map<unsigned, FusedPhase>* phases = nullptr;
-    std::map<unsigned, int> phase_entry;  // remaining-loop set -> state
-    std::vector<Attach> exits;
-    std::map<size_t, std::pair<int, int>> first_sched;  // loop -> (ii, len)
+    explicit FusedEmission(const std::map<unsigned, FusedPhase>& phases)
+        : phases(&phases) {
+      phase_entry.fill(-1);
+    }
+
+    const std::map<unsigned, FusedPhase>* phases;
+    /// Entry state of each remaining-loop set's phase; -1 before it is
+    /// emitted.
+    std::array<int, 1u << kMaxFused> phase_entry;
+    /// Per loop: (II, body csteps) of its first phase; II 0 before it.
+    std::array<std::pair<int, int>, kMaxFused> first_sched{};
   };
 
   /// Concurrent-loop phases: execute the run's loops together, sharing
   /// resources; when a loop exits, transition to the phase executing the
   /// remaining subset. Returns false if no joint schedule fits.
-  bool emit_fused_run(const std::vector<const Region*>& run,
-                      const std::vector<Attach>& in,
-                      std::vector<Attach>* out) {
+  bool emit_fused_run(std::span<const Region* const> run, size_t in) {
     const auto entry = fragment(
         fused_key(run),
         [&](FragmentCache::Entry& e) { admit_fused_run(run, e); });
     if (entry->phases.empty()) return false;
-    stg_.keep_alive(entry);
+    if (full()) stg_.keep_alive(entry);
 
     // Expected total iterations per loop (geometric mean from the measured
     // closing probability). Phases consume these in a fluid model: the
@@ -844,34 +1044,36 @@ class Emitter {
     // so the phase's expected length matches the fluid duration, while
     // non-finishers survive the phase with high probability.
     const size_t k = run.size();
-    std::vector<double> initial_rem(k);
+    PerLoop initial_rem{};
     for (size_t i = 0; i < k; ++i) {
       const double close_p = loop_prob(run[i]->ctrl->id);
       initial_rem[i] =
           std::max(0.5, close_p / std::max(1e-6, 1.0 - close_p));
     }
 
-    FusedEmission fe;
-    fe.phases = &entry->phases;
+    FusedEmission fe(entry->phases);
+    const size_t exits = pending_.size();
     const int entry_state = emit_phase(fe, (1u << k) - 1u, initial_rem);
-    connect(in, entry_state);
+    connect(in, exits, entry_state);
+    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(in),
+                   pending_.begin() + static_cast<std::ptrdiff_t>(exits));
     rtl_exact_ = false;  // fused phases are metrics-grade (see header)
 
-    for (size_t i = 0; i < k; ++i) {
-      LoopInfo info;
-      info.stmt_id = run[i]->ctrl->id;
-      info.pipelined = true;
-      auto fs = fe.first_sched.find(i);
-      if (fs != fe.first_sched.end()) {
-        info.ii = fs->second.first;
-        info.body_csteps = fs->second.second;
+    if (full()) {
+      for (size_t i = 0; i < k; ++i) {
+        LoopInfo info;
+        info.stmt_id = run[i]->ctrl->id;
+        info.pipelined = true;
+        if (fe.first_sched[i].first > 0) {
+          info.ii = fe.first_sched[i].first;
+          info.body_csteps = fe.first_sched[i].second;
+        }
+        for (size_t j = 0; j < k; ++j)
+          if (j != i) info.fused_with.push_back(run[j]->ctrl->id);
+        loops_.push_back(info);
       }
-      for (size_t j = 0; j < k; ++j)
-        if (j != i) info.fused_with.push_back(run[j]->ctrl->id);
-      loops_.push_back(info);
     }
 
-    *out = std::move(fe.exits);
     return true;
   }
 
@@ -879,14 +1081,12 @@ class Emitter {
   /// its successors); returns its entry state. `rem` is the per-loop
   /// remaining-iteration estimate at phase entry; memoized per mask (the
   /// dominant exit path fixes each phase's calibration).
-  int emit_phase(FusedEmission& fe, unsigned mask,
-                 const std::vector<double>& rem) {
-    auto memo = fe.phase_entry.find(mask);
-    if (memo != fe.phase_entry.end()) return memo->second;
+  int emit_phase(FusedEmission& fe, unsigned mask, const PerLoop& rem) {
+    if (fe.phase_entry[mask] >= 0) return fe.phase_entry[mask];
     if (mask == 0) {
-      const int join = stg_.add_state("join");
+      const int join = add_named_state("join");
       fe.phase_entry[0] = join;
-      fe.exits.push_back({join, 1.0, ""});
+      pending_.push_back({join, 1.0, ""});
       return join;
     }
     const auto found = fe.phases->find(mask);
@@ -909,81 +1109,74 @@ class Emitter {
     }
     duration = std::max(duration, 1.0);
 
+    // The ring: one state per hyperperiod slot.
     const int phase_ring_id = next_ring_id_++;
-    std::vector<int> ring;
-    std::vector<size_t> ops_per_slot(static_cast<size_t>(h), 0);
-    for (size_t a = 0; a < ps.active.size(); ++a) {
-      const int ii = ps.active[a].second;
-      for (const DfgNode& node : ps.dfgs[a].nodes)
-        for (int s = node.cstep % ii; s < h; s += ii)
-          ops_per_slot[static_cast<size_t>(s)]++;
-    }
+    const int ring0 = num_states();
     for (int s = 0; s < h; ++s) {
-      ring.push_back(stg_.add_state(""));
-      stg::State& st = stg_.state(ring.back());
-      st.ring_id = phase_ring_id;
-      st.ops.reserve(ops_per_slot[static_cast<size_t>(s)]);
+      const int st = add_state(ps.rows, static_cast<size_t>(s));
+      if (full()) stg_.state(st).ring_id = phase_ring_id;
     }
-    fe.phase_entry[mask] = ring[0];
+    fe.phase_entry[mask] = ring0;
 
     // Remaining iterations at phase exit (for successor phases).
-    std::vector<double> rem_after = rem;
+    PerLoop rem_after = rem;
     for (const auto& [i, ii] : ps.active)
       rem_after[i] = std::max(0.5, rem[i] - duration / ii);
 
-    // Ops: loop i's op at cstep c executes in every slot == c mod II_i.
-    struct ExitCheck {
-      size_t loop;
-      double p;
-    };
-    std::map<int, std::vector<ExitCheck>> checks;  // slot -> exits
+    // Per active loop: the slot of its exit check and the probability it
+    // keeps looping there. Into a full STG, its ops: loop i's op at cstep
+    // c executes in every slot == c mod II_i.
+    std::array<int, kMaxFused> check_slot{};
+    PerLoop keep{};
     for (size_t a = 0; a < ps.active.size(); ++a) {
       const auto [i, ii] = ps.active[a];
       const Dfg& dfg = ps.dfgs[a];
-      fe.first_sched.emplace(i, std::make_pair(ii, dfg.num_csteps()));
-      const int wires = assign_wires(dfg);
-      for (size_t ni = 0; ni < dfg.nodes.size(); ++ni) {
-        const DfgNode& node = dfg.nodes[ni];
-        const int base_slot = node.cstep % ii;
-        for (int s = base_slot; s < h; s += ii)
-          add_op(stg_.state(ring[static_cast<size_t>(s)]), dfg, wires, ni,
-                 node.cstep / ii + (s - base_slot) / ii);
-      }
       const int cond_cstep =
           dfg.nodes[static_cast<size_t>(dfg.cond_node)].avail_cstep();
-      const std::string cond_wire = stg::wire_name(wires + dfg.cond_node);
-      for (int s = cond_cstep % ii; s < h; s += ii) {
-        stg::State& st = stg_.state(ring[static_cast<size_t>(s)]);
-        if (!st.cond_signal.empty()) st.cond_signal += ",";
-        st.cond_signal += cond_wire;
+      check_slot[a] = cond_cstep % ii;
+      if (full()) {
+        if (fe.first_sched[i].first == 0)
+          fe.first_sched[i] = {ii, dfg.num_csteps()};
+        const int wires = assign_wires(dfg);
+        for (size_t ni = 0; ni < dfg.nodes.size(); ++ni) {
+          const DfgNode& node = dfg.nodes[ni];
+          const int base_slot = node.cstep % ii;
+          for (int s = base_slot; s < h; s += ii)
+            add_op(stg_.state(ring0 + s), dfg, wires, ni,
+                   node.cstep / ii + (s - base_slot) / ii);
+        }
+        const std::string cond_wire = stg::wire_name(wires + dfg.cond_node);
+        for (int s = check_slot[a]; s < h; s += ii) {
+          stg::State& st = stg_.state(ring0 + s);
+          if (!st.cond_signal.empty()) st.cond_signal += ",";
+          st.cond_signal += cond_wire;
+        }
       }
       // Closing probability calibrated to the fluid phase: the finisher
       // expects duration/II more iterations; survivors rarely exit here.
       const double expect_iters = duration / ii;
-      const double p = i == finisher
-                           ? expect_iters / (expect_iters + 1.0)
-                           : std::min(0.9999, 1.0 - 1.0 / (16.0 * rem[i]));
-      for (int s = cond_cstep % ii; s < h; s += ii)
-        checks[s].push_back({i, p});
+      keep[a] = i == finisher ? expect_iters / (expect_iters + 1.0)
+                              : std::min(0.9999, 1.0 - 1.0 / (16.0 * rem[i]));
     }
 
+    // Each slot's exits, in admission order, then the step to the next
+    // slot.
     for (int s = 0; s < h; ++s) {
-      const int next = ring[static_cast<size_t>((s + 1) % h)];
+      const int next = ring0 + (s + 1) % h;
       double remaining = 1.0;
-      auto it = checks.find(s);
-      if (it != checks.end()) {
-        for (const ExitCheck& ec : it->second) {
-          const int target = emit_phase(fe, mask & ~(1u << ec.loop), rem_after);
-          stg_.add_edge(ring[static_cast<size_t>(s)], target,
-                        remaining * (1.0 - ec.p),
-                        strfmt("exitL%zu", ec.loop));
-          remaining *= ec.p;
-        }
+      bool checks = false;
+      for (size_t a = 0; a < ps.active.size(); ++a) {
+        const auto [i, ii] = ps.active[a];
+        if (s % ii != check_slot[a]) continue;
+        checks = true;
+        const int target = emit_phase(fe, mask & ~(1u << i), rem_after);
+        add_edge(ring0 + s, target, remaining * (1.0 - keep[a]),
+                 Label::exit_of(i));
+        remaining *= keep[a];
       }
-      stg_.add_edge(ring[static_cast<size_t>(s)], next, remaining,
-                    it != checks.end() ? "loop" : "");
+      add_edge(ring0 + s, next, remaining, checks ? "loop" : "");
     }
-    return ring[0];
+    return ring0;
   }
 
   const hlslib::Library& lib_;
@@ -991,10 +1184,13 @@ class Emitter {
   const hlslib::FuSelection& sel_;
   const SchedOptions& opts_;
   const sim::Profile& profile_;
+  stg::Chain* const chain_;  // the summary being emitted; null: full STG
+  EmitScratch& scratch_ = emit_scratch();
+  std::vector<Attach>& pending_ = scratch_.pending;
   std::optional<DfgBuilder> builder_;
   stg::Stg stg_;
   std::vector<LoopInfo> loops_;
-  std::string fn_name_;
+  const std::string* fn_name_ = nullptr;
   int wire_counter_ = 0;
   int next_ring_id_ = 0;
   bool rtl_exact_ = true;
@@ -1016,7 +1212,21 @@ ScheduleResult Scheduler::schedule(const ir::Function& fn,
   // construction and list scheduling nest inside as their own spans.
   obs::Span sp = obs::span("emit", "sched");
   Emitter emitter(lib_, alloc_, sel_, opts_, profile);
-  return emitter.run(fn);
+  emitter.run(fn);
+  return emitter.result();
+}
+
+stg::Chain Scheduler::summarize(const ir::Function& fn,
+                                const sim::Profile& profile) const {
+  obs::Span sp = obs::span("emit", "sched");
+  // Emission appends to per-thread storage that keeps its capacity
+  // across calls; the result is an exact-size copy of it.
+  thread_local stg::Chain chain;
+  chain.clear();
+  for (const hlslib::FuType& t : lib_.types()) chain.fus.push_back(t.name);
+  Emitter emitter(lib_, alloc_, sel_, opts_, profile, &chain);
+  emitter.run(fn);
+  return chain;
 }
 
 }  // namespace fact::sched

@@ -96,6 +96,16 @@ class Scheduler {
   ScheduleResult schedule(const ir::Function& fn,
                           const sim::Profile& profile) const;
 
+  /// The chain of the STG schedule() would return, emitted by the same
+  /// control code but without the STG: its states, edges and
+  /// probabilities, and per state the op counts by FU type and the
+  /// register traffic. `fus` views this Scheduler's library, so the chain
+  /// must not outlive it. Validated like schedule()'s STG (Chain::validate)
+  /// and under the same explosion guard; same thread-safety. For a design
+  /// that is only measured (a candidate's evaluation).
+  stg::Chain summarize(const ir::Function& fn,
+                       const sim::Profile& profile) const;
+
  private:
   // Stored by value: callers routinely pass temporaries (e.g.
   // FuSelection::defaults(lib)) and the scheduler may outlive them.

@@ -1,8 +1,8 @@
 #include "stg/stg.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <queue>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -85,14 +85,95 @@ int Stg::add_edge(int from, int to, double prob, const std::string& cond_label,
   return idx;
 }
 
-void Stg::validate() const {
-  if (states_.empty()) throw Error("STG has no states");
-  if (entry_ < 0 || static_cast<size_t>(entry_) >= states_.size())
-    throw Error("STG entry state out of range");
+namespace {
 
+/// Working storage of a chain check, per thread and reused across calls.
+struct CheckScratch {
+  std::vector<uint32_t> off;  // out-edges of state s: out[off[s] .. off[s+1])
+  std::vector<uint32_t> out;  // edge indices, in edge order per state
+  std::vector<char> seen;
+  std::vector<int> work;
+};
+
+/// Chain::validate's checks. Errors name state s by `named[s].name` when
+/// given, else "S<s>".
+void check_chain(const Chain& c, const std::vector<State>* named) {
+  const auto name = [named](size_t s) {
+    return named ? (*named)[s].name : strfmt("S%zu", s);
+  };
+  const size_t n = c.num_states();
+  const std::vector<ChainEdge>& edges = c.edges();
+  if (n == 0) throw Error("STG has no states");
+  if (c.entry() < 0 || static_cast<size_t>(c.entry()) >= n)
+    throw Error("STG entry state out of range");
+  for (size_t ei = 0; ei < edges.size(); ++ei) {
+    const ChainEdge& e = edges[ei];
+    if (e.from < 0 || static_cast<size_t>(e.from) >= n || e.to < 0 ||
+        static_cast<size_t>(e.to) >= n)
+      throw Error(strfmt("STG edge %zu has dangling endpoints %d->%d", ei,
+                         e.from, e.to));
+  }
+
+  thread_local CheckScratch sc;
+  sc.off.assign(n + 1, 0);
+  for (const ChainEdge& e : edges) ++sc.off[static_cast<size_t>(e.from) + 1];
+  for (size_t s = 0; s < n; ++s) sc.off[s + 1] += sc.off[s];
+  sc.out.resize(edges.size());
+  // Filling advances off[s] to off[s + 1]; the shift restores it.
+  for (size_t ei = 0; ei < edges.size(); ++ei)
+    sc.out[sc.off[static_cast<size_t>(edges[ei].from)]++] =
+        static_cast<uint32_t>(ei);
+  for (size_t s = n; s > 0; --s) sc.off[s] = sc.off[s - 1];
+  sc.off[0] = 0;
+
+  bool has_boundary = false;
+  for (size_t s = 0; s < n; ++s) {
+    if (sc.off[s] == sc.off[s + 1])
+      throw Error("STG state '" + name(s) + "' has no outgoing edge");
+    double sum = 0.0;
+    for (uint32_t k = sc.off[s]; k < sc.off[s + 1]; ++k) {
+      const ChainEdge& e = edges[sc.out[k]];
+      if (e.prob < -1e-9 || e.prob > 1.0 + 1e-9)
+        throw Error(strfmt("STG edge %s->%s has probability %g out of [0,1]",
+                           name(s).c_str(),
+                           name(static_cast<size_t>(e.to)).c_str(), e.prob));
+      sum += e.prob;
+      if (e.exec_boundary) has_boundary = true;
+    }
+    if (std::fabs(sum - 1.0) > 1e-6)
+      throw Error(strfmt("STG state '%s' outgoing probabilities sum to %g",
+                         name(s).c_str(), sum));
+  }
+  if (!has_boundary)
+    throw Error("STG has no execution-boundary edge");
+
+  // Reachability from entry.
+  sc.seen.assign(n, 0);
+  sc.work.assign(1, c.entry());
+  sc.seen[static_cast<size_t>(c.entry())] = 1;
+  while (!sc.work.empty()) {
+    const size_t s = static_cast<size_t>(sc.work.back());
+    sc.work.pop_back();
+    for (uint32_t k = sc.off[s]; k < sc.off[s + 1]; ++k) {
+      const int t = edges[sc.out[k]].to;
+      if (!sc.seen[static_cast<size_t>(t)]) {
+        sc.seen[static_cast<size_t>(t)] = 1;
+        sc.work.push_back(t);
+      }
+    }
+  }
+  for (size_t s = 0; s < n; ++s)
+    if (!sc.seen[s])
+      throw Error("STG state '" + name(s) + "' unreachable from entry");
+}
+
+}  // namespace
+
+void Stg::validate() const {
   // Out-edge lists must agree exactly with the edge table: every edge is
   // indexed once, by its own from-state. A mismatch means some mutation
   // bypassed add_edge and every downstream analysis would silently skew.
+  // The rest are the chain's checks.
   std::vector<int> indexed(edges_.size(), 0);
   for (size_t i = 0; i < states_.size(); ++i) {
     for (int ei : states_[i].out_edges) {
@@ -109,49 +190,62 @@ void Stg::validate() const {
     if (indexed[ei] != 1)
       throw Error(strfmt("STG edge %zu appears %d time(s) in out-edge lists",
                          ei, indexed[ei]));
+  check_chain(Chain::of(*this), &states_);
+}
 
-  bool has_boundary = false;
-  for (size_t i = 0; i < states_.size(); ++i) {
-    const State& s = states_[i];
-    if (s.out_edges.empty())
-      throw Error("STG state '" + s.name + "' has no outgoing edge");
-    double sum = 0.0;
-    for (int ei : s.out_edges) {
-      const Edge& e = edges_[static_cast<size_t>(ei)];
-      if (e.prob < -1e-9 || e.prob > 1.0 + 1e-9)
-        throw Error(strfmt("STG edge %s->%s has probability %g out of [0,1]",
-                           s.name.c_str(),
-                           states_[static_cast<size_t>(e.to)].name.c_str(),
-                           e.prob));
-      sum += e.prob;
-      if (e.exec_boundary) has_boundary = true;
-    }
-    if (std::fabs(sum - 1.0) > 1e-6)
-      throw Error(strfmt("STG state '%s' outgoing probabilities sum to %g",
-                         s.name.c_str(), sum));
-  }
-  if (!has_boundary)
-    throw Error("STG has no execution-boundary edge");
+int Chain::add_edge(int from, int to, double prob, bool exec_boundary) {
+  const size_t n = num_states();
+  if (from < 0 || static_cast<size_t>(from) >= n || to < 0 ||
+      static_cast<size_t>(to) >= n)
+    throw Error("Chain::add_edge: state index out of range");
+  edges_.push_back({from, to, prob, exec_boundary});
+  return static_cast<int>(edges_.size()) - 1;
+}
 
-  // Reachability from entry.
-  std::vector<bool> seen(states_.size(), false);
-  std::queue<int> work;
-  work.push(entry_);
-  seen[static_cast<size_t>(entry_)] = true;
-  while (!work.empty()) {
-    const int s = work.front();
-    work.pop();
-    for (int ei : states_[static_cast<size_t>(s)].out_edges) {
-      const int t = edges_[static_cast<size_t>(ei)].to;
-      if (!seen[static_cast<size_t>(t)]) {
-        seen[static_cast<size_t>(t)] = true;
-        work.push(t);
+void Chain::clear() {
+  fus.clear();
+  states_.clear();
+  edges_.clear();
+  entry_ = 0;
+}
+
+void Chain::validate() const { check_chain(*this, nullptr); }
+
+Chain Chain::of(const Stg& stg) {
+  Chain c;
+  c.entry_ = stg.entry();
+  c.edges_.reserve(stg.num_edges());
+  for (const Edge& e : stg.edges())
+    c.edges_.push_back({e.from, e.to, e.prob, e.exec_boundary});
+  // A state's ops counted per FU type, in type order; a design binds a
+  // handful of types, so a linear scan interns each op's name. The
+  // per-thread lists keep their storage, and the chain's are exact-size.
+  thread_local std::vector<std::string_view> fus;
+  thread_local std::vector<int> count;  // per FU type, of one state
+  thread_local std::vector<FuCount> row;
+  fus.clear();
+  size_t ops = 0;
+  for (const State& st : stg.states()) ops += st.ops.size();
+  c.states_.reserve(stg.num_states(), ops);
+  for (const State& st : stg.states()) {
+    count.assign(fus.size(), 0);
+    for (const OpInstance& op : st.ops) {
+      if (op.fu_type.empty()) continue;
+      const size_t f = static_cast<size_t>(
+          std::find(fus.begin(), fus.end(), op.fu_type) - fus.begin());
+      if (f == fus.size()) {
+        fus.push_back(op.fu_type);
+        count.push_back(0);
       }
+      count[f]++;
     }
+    row.clear();
+    for (size_t f = 0; f < count.size(); ++f)
+      if (count[f] > 0) row.push_back({static_cast<int>(f), count[f]});
+    c.states_.push_back(row, st.reg_reads + st.reg_writes);
   }
-  for (size_t i = 0; i < states_.size(); ++i)
-    if (!seen[i])
-      throw Error("STG state '" + states_[i].name + "' unreachable from entry");
+  c.fus = fus;
+  return c;
 }
 
 std::string Stg::dot(const std::string& graph_name) const {
@@ -220,16 +314,16 @@ struct Scratch {
 /// CSR adjacency over the positive-probability edges: the neighbours of
 /// state s are adj[off[s] .. off[s + 1]), its successors when `forward`,
 /// else its predecessors, in edge order.
-void csr(const Stg& stg, bool forward, std::vector<Ix>& off,
+void csr(const Chain& chain, bool forward, std::vector<Ix>& off,
          std::vector<Ix>& adj) {
-  const Ix n = static_cast<Ix>(stg.num_states());
+  const Ix n = static_cast<Ix>(chain.num_states());
   off.assign(n + 1, 0);
-  for (const Edge& e : stg.edges())
+  for (const ChainEdge& e : chain.edges())
     if (e.prob > 0.0) ++off[ix(forward ? e.from : e.to) + 1];
   for (Ix s = 0; s < n; ++s) off[s + 1] += off[s];
   adj.resize(off[n]);
   // Filling advances off[s] to off[s + 1]; the shift restores it.
-  for (const Edge& e : stg.edges())
+  for (const ChainEdge& e : chain.edges())
     if (e.prob > 0.0)
       adj[off[ix(forward ? e.from : e.to)]++] = ix(forward ? e.to : e.from);
   for (Ix s = n; s > 0; --s) off[s] = off[s - 1];
@@ -243,10 +337,10 @@ void csr(const Stg& stg, bool forward, std::vector<Ix>& off,
 /// transient state, and returns the class size. Throws unless exactly one
 /// class is closed: the condition under which pi P = pi, sum pi = 1 has a
 /// unique solution.
-Ix closed_class(const Stg& stg, Scratch& sc) {
-  const Ix n = static_cast<Ix>(stg.num_states());
-  csr(stg, true, sc.fwd_off, sc.fwd);
-  csr(stg, false, sc.rev_off, sc.rev);
+Ix closed_class(const Chain& chain, Scratch& sc) {
+  const Ix n = static_cast<Ix>(chain.num_states());
+  csr(chain, true, sc.fwd_off, sc.fwd);
+  csr(chain, false, sc.rev_off, sc.rev);
 
   // Pass 1: DFS post-order over the forward edges. comp is kNone for
   // unseen states and kSeen for seen ones.
@@ -296,7 +390,7 @@ Ix closed_class(const Stg& stg, Scratch& sc) {
 
   // A class is closed when no edge leaves it for another class.
   sc.closed.assign(num_comps, 1);
-  for (const Edge& e : stg.edges())
+  for (const ChainEdge& e : chain.edges())
     if (e.prob > 0.0 && sc.comp[ix(e.from)] != sc.comp[ix(e.to)])
       sc.closed[sc.comp[ix(e.from)]] = 0;
   Ix closed = kNone;
@@ -315,19 +409,19 @@ Ix closed_class(const Stg& stg, Scratch& sc) {
 
 }  // namespace
 
-std::vector<double> state_probabilities(const Stg& stg) {
+std::vector<double> state_probabilities(const Chain& chain) {
   obs::Span span = obs::span("markov", "stg");
   static obs::Counter& solves = obs::Registry::global().counter(
       "fact_markov_solves_total", "Stationary-distribution solves");
   solves.inc();
   thread_local Scratch sc;
-  const Ix m = closed_class(stg, sc);
+  const Ix m = closed_class(chain, sc);
 
   // The class's off-diagonal transitions; GTH never reads the diagonal.
   sc.pool.clear();
   sc.row.assign(m, kNone);
   sc.col.assign(m, kNone);
-  for (const Edge& e : stg.edges()) {
+  for (const ChainEdge& e : chain.edges()) {
     const Ix i = sc.local[ix(e.from)];
     if (i != kNone && e.prob > 0.0 && e.from != e.to)
       sc.add(i, sc.local[ix(e.to)], e.prob);
@@ -382,24 +476,34 @@ std::vector<double> state_probabilities(const Stg& stg) {
     sc.x[k] = v;
     total += v;
   }
-  std::vector<double> pi(stg.num_states(), 0.0);
+  std::vector<double> pi(chain.num_states(), 0.0);
   for (size_t s = 0; s < pi.size(); ++s)
     if (sc.local[s] != kNone) pi[s] = sc.x[sc.local[s]] / total;
   return pi;
 }
 
-double average_schedule_length(const Stg& stg) {
-  return average_schedule_length(stg, state_probabilities(stg));
+std::vector<double> state_probabilities(const Stg& stg) {
+  return state_probabilities(Chain::of(stg));
 }
 
-double average_schedule_length(const Stg& stg, const std::vector<double>& pi) {
+double average_schedule_length(const Chain& chain,
+                               const std::vector<double>& pi) {
   double boundary_rate = 0.0;
-  for (const Edge& e : stg.edges())
+  for (const ChainEdge& e : chain.edges())
     if (e.exec_boundary)
       boundary_rate += pi[static_cast<size_t>(e.from)] * e.prob;
   if (boundary_rate <= 0.0)
     throw Error("average_schedule_length: no reachable execution boundary");
   return 1.0 / boundary_rate;
+}
+
+double average_schedule_length(const Stg& stg) {
+  const Chain chain = Chain::of(stg);
+  return average_schedule_length(chain, state_probabilities(chain));
+}
+
+double average_schedule_length(const Stg& stg, const std::vector<double>& pi) {
+  return average_schedule_length(Chain::of(stg), pi);
 }
 
 }  // namespace fact::stg

@@ -205,9 +205,10 @@ class Stg {
   int entry() const { return entry_; }
   void set_entry(int s) { entry_ = s; }
 
-  /// Throws fact::Error if malformed: dangling edges, a state whose
-  /// outgoing probabilities do not sum to 1, unreachable states, or no
-  /// exec-boundary edge (the chain would have no renewal point).
+  /// Throws fact::Error if malformed: out-edge lists that disagree with
+  /// the edge table, then Chain::validate's checks on Chain::of(*this)
+  /// (dangling edges, a state whose outgoing probabilities do not sum to
+  /// 1, unreachable states, no exec-boundary edge), naming states by name.
   void validate() const;
 
   /// Graphviz rendering (state name + ops inside the node, probability and
@@ -232,6 +233,110 @@ class Stg {
   std::vector<std::shared_ptr<const void>> owners_;
 };
 
+/// Operations bound to one FU type in one state: `fu` indexes Chain::fus.
+struct FuCount {
+  int fu = 0;
+  int count = 0;
+};
+
+/// Per-row FU op counts and register traffic, flat: one row per state of
+/// a Chain, or per control step or ring slot of a scheduled fragment.
+class OpRows {
+ public:
+  /// Appends a row: its op counts (no FU twice, no zero count) and its
+  /// register reads plus writes.
+  void push_back(std::span<const FuCount> ops, int reg_traffic) {
+    counts_.insert(counts_.end(), ops.begin(), ops.end());
+    end_.push_back(static_cast<uint32_t>(counts_.size()));
+    reg_.push_back(reg_traffic);
+  }
+  /// Appends row r of `other`.
+  void push_back(const OpRows& other, size_t r) {
+    push_back(other.ops(r), other.reg_traffic(r));
+  }
+  void clear() {
+    end_.clear();
+    counts_.clear();
+    reg_.clear();
+  }
+  void reserve(size_t rows, size_t counts) {
+    end_.reserve(rows);
+    counts_.reserve(counts);
+    reg_.reserve(rows);
+  }
+
+  size_t size() const { return reg_.size(); }
+  std::span<const FuCount> ops(size_t r) const {
+    const uint32_t b = r == 0 ? 0 : end_[r - 1];
+    return {counts_.data() + b, end_[r] - b};
+  }
+  int reg_traffic(size_t r) const { return reg_[r]; }
+
+ private:
+  std::vector<uint32_t> end_;     // row r's counts end at end_[r]
+  std::vector<FuCount> counts_;
+  std::vector<int> reg_;
+};
+
+/// A transition of a Chain: an Edge without its condition label.
+struct ChainEdge {
+  int from = -1;
+  int to = -1;
+  double prob = 1.0;
+  bool exec_boundary = false;
+};
+
+/// What the Markov chain, the schedule length and the power model read of
+/// an STG, flat: the state count, the edges in add order, and each state's
+/// op counts by FU type and register traffic. No names, labels, ops or
+/// per-state containers. The scheduler emits one directly for a candidate
+/// whose STG would be discarded (Scheduler::summarize); Chain::of reduces a
+/// full Stg to the same chain, and every Stg analysis goes through it.
+class Chain {
+ public:
+  /// FU type names by index (the `fu` of every FuCount). They view
+  /// storage that must outlive the chain: the Scheduler's library for a
+  /// summary, the Stg's ops for Chain::of.
+  std::vector<std::string_view> fus;
+
+  /// Appends a state with the op counts and register traffic of row r of
+  /// `rows`; returns its index.
+  int add_state(const OpRows& rows, size_t r) {
+    states_.push_back(rows, r);
+    return static_cast<int>(states_.size()) - 1;
+  }
+  /// Appends a state without ops; returns its index.
+  int add_state() {
+    states_.push_back({}, 0);
+    return static_cast<int>(states_.size()) - 1;
+  }
+  /// Throws fact::Error when either endpoint is not a state.
+  int add_edge(int from, int to, double prob, bool exec_boundary = false);
+
+  size_t num_states() const { return states_.size(); }
+  const OpRows& states() const { return states_; }
+  const std::vector<ChainEdge>& edges() const { return edges_; }
+  int entry() const { return entry_; }
+  void set_entry(int s) { entry_ = s; }
+  void clear();
+
+  /// The checks of Stg::validate: no states, entry out of range, an edge
+  /// whose endpoint is not a state, a state without outgoing edge or whose
+  /// outgoing probabilities leave [0,1] or do not sum to 1, no
+  /// exec-boundary edge, a state unreachable from entry. Throws
+  /// fact::Error naming state i "S<i>".
+  void validate() const;
+
+  /// The chain of a full STG: its edges in edge order, and each state's
+  /// ops counted per FU type (types numbered in order of first sight).
+  static Chain of(const Stg& stg);
+
+ private:
+  OpRows states_;
+  std::vector<ChainEdge> edges_;
+  int entry_ = 0;
+};
+
 /// Steady-state probability of every state (the method of ref [10] of the
 /// paper): solves pi = pi * P with sum(pi) = 1. States outside the chain's
 /// closed communicating class are transient and get probability 0. Throws
@@ -246,12 +351,17 @@ class Stg {
 /// multiple of the rounding error, even on nearly decomposable chains. The
 /// result is a function of the Stg alone (deterministic). Each call counts
 /// in fact_markov_solves_total and opens a `markov` trace span.
+std::vector<double> state_probabilities(const Chain& chain);
+/// state_probabilities(Chain::of(stg)).
 std::vector<double> state_probabilities(const Stg& stg);
 
 /// Average schedule length in cycles: the expected number of cycles to
 /// complete one execution of the behavior. Computed as
 ///   1 / sum over boundary edges e of pi[from(e)] * prob(e),
 /// i.e. the mean renewal interval of execution completions.
+double average_schedule_length(const Chain& chain,
+                               const std::vector<double>& pi);
+/// The Stg forms go through Chain::of.
 double average_schedule_length(const Stg& stg);
 double average_schedule_length(const Stg& stg, const std::vector<double>& pi);
 

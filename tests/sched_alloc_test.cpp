@@ -1,6 +1,6 @@
 // Allocation budget of the per-candidate work of the interpreter and the
 // scheduler. This binary replaces the global operator new with a counting
-// one, so it runs alone (not inside fact_tests). It pins five properties:
+// one, so it runs alone (not inside fact_tests). It pins these properties:
 //   * an equivalence pass (sim::profile_if_equivalent) allocates per pass,
 //     not per execution: memories reset in place and observations go into
 //     a reused buffer;
@@ -11,6 +11,10 @@
 //     region, not per op;
 //   * DfgBuilder::build, the cost of a fragment miss, allocates per DFG
 //     and per dependence list, about one allocation per node;
+//   * a warm chain-only schedule (Scheduler::summarize) of SINTRAN and its
+//     unrolled candidates makes a fixed number of allocations, whatever
+//     its state and region counts: emission reuses per-thread storage and
+//     the chain is one exact-size copy of it;
 //   * a warm stg::state_probabilities call allocates per solve, not per
 //     state: its working storage is flat and reused;
 //   * verify::verify_function on a clean candidate allocates per scalar
@@ -139,6 +143,47 @@ TEST(SchedAlloc, WarmRescheduleAllocatesPerStateNotPerOp) {
   // region: its tree node and statement list, the emitter's transition
   // lists and the owner the STG keeps alive.
   EXPECT_LE(total_allocs, 4 * total_states + 6 * total_regions);
+}
+
+TEST(SchedAlloc, WarmSummaryAllocatesPerScheduleNotPerState) {
+  // SINTRAN and its unrolled candidates: unrolling multiplies a loop's
+  // states, not its regions.
+  const hlslib::Library lib = hlslib::Library::dac98();
+  const workloads::Workload w = workloads::by_name("SINTRAN");
+  sim::TraceConfig tc = w.trace;
+  tc.executions = 24;
+  const sim::Trace trace = sim::generate_trace(w.fn, tc, 7);
+  const xform::TransformLibrary xlib = xform::TransformLibrary::standard();
+  std::vector<ir::Function> fns;
+  fns.push_back(w.fn.clone());
+  for (const xform::Candidate& c : xlib.find_all(w.fn, {}))
+    if (c.transform == "unroll") fns.push_back(xlib.apply(w.fn, c));
+  FragmentCache cache;
+  SchedOptions opts;
+  opts.fragment_cache = &cache;
+  const Scheduler s(lib, w.allocation, hlslib::FuSelection::defaults(lib),
+                    opts);
+  size_t min_states = SIZE_MAX, max_states = 0;
+  for (const ir::Function& fn : fns) {
+    const sim::Profile profile = sim::profile_function(fn, trace);
+    // Warm every fragment and this thread: the first call fills the cache,
+    // the second takes the hit path once.
+    (void)s.summarize(fn, profile);
+    (void)s.summarize(fn, profile);
+    const size_t before = allocations();
+    const stg::Chain chain = s.summarize(fn, profile);
+    const size_t allocs = allocations() - before;
+    std::printf("summarize: %zu allocations, %zu states, %zu regions\n",
+                allocs, chain.num_states(),
+                count_regions(*build_region_tree(fn)));
+    min_states = std::min(min_states, chain.num_states());
+    max_states = std::max(max_states, chain.num_states());
+    // The chain's exact-size copy of the thread's emission storage: its
+    // FU names, its edges and its three state-row arrays.
+    EXPECT_LE(allocs, 5u) << chain.num_states() << " states";
+  }
+  ASSERT_GE(fns.size(), 3u);
+  ASSERT_GE(max_states, 8 * min_states);
 }
 
 /// DFG builds of every straight segment and every condition of a region

@@ -26,6 +26,7 @@
 #include "sched/fragment_cache.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/trace.hpp"
+#include "summary_oracle.hpp"
 #include "util/error.hpp"
 #include "util/strfmt.hpp"
 #include "verify/verify.hpp"
@@ -168,6 +169,29 @@ TEST(SchedGolden, Table2Workloads) {
 TEST(SchedGolden, GeneratedPrograms) {
   for (const GoldenCase& c : generated_cases())
     expect_golden(c.name, schedule_and_render(c));
+}
+
+/// The SchedGolden programs: each summary is its STG's chain, with the
+/// same estimates (Power against a baseline 25% slower than the design).
+TEST(SummaryOracle, SchedGoldenPrograms) {
+  const hlslib::Library lib = hlslib::Library::dac98();
+  std::vector<GoldenCase> cases = table2_cases();
+  for (GoldenCase& c : generated_cases()) cases.push_back(std::move(c));
+  size_t scheduled = 0;
+  for (const GoldenCase& c : cases) {
+    const Scheduler s(lib, c.alloc, hlslib::FuSelection::defaults(lib));
+    const sim::Profile profile = sim::profile_function(c.fn, c.trace);
+    double baseline = 100.0;
+    try {
+      baseline = 1.25 * opt::measure_design(s.summarize(c.fn, profile), lib,
+                                            {}, opt::Objective::Throughput)
+                            .avg_schedule_length;
+    } catch (const Error&) {
+    }
+    if (oracle::expect_summary_matches(s, c.fn, profile, lib, baseline, c.name))
+      scheduled++;
+  }
+  EXPECT_GE(scheduled, 28u);
 }
 
 // The contract the optimizer relies on: its worker threads share one

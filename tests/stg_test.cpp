@@ -69,6 +69,133 @@ TEST(Stg, AddEdgeRangeChecked) {
   EXPECT_THROW(stg.add_edge(0, 5, 1.0), Error);
 }
 
+// The Stg.Validate* cases on chains: built directly, and reduced from the
+// malformed STG by Chain::of. Stg::validate runs the same check.
+Chain chain_loop(double p) {
+  Chain c;
+  const int s0 = c.add_state();
+  const int s1 = c.add_state();
+  c.add_edge(s0, s1, 1.0);
+  c.add_edge(s1, s1, p);
+  c.add_edge(s1, s0, 1.0 - p, /*exec_boundary=*/true);
+  c.set_entry(s0);
+  return c;
+}
+
+TEST(Chain, ValidatePassesOnWellFormed) {
+  EXPECT_NO_THROW(chain_loop(0.5).validate());
+  EXPECT_NO_THROW(Chain::of(simple_loop(0.5)).validate());
+}
+
+TEST(Chain, ValidateCatchesBadProbabilitySum) {
+  Chain c;
+  const int s0 = c.add_state();
+  c.add_edge(s0, s0, 0.7, true);
+  EXPECT_THROW(c.validate(), Error);
+  Stg stg;
+  stg.add_edge(stg.add_state(""), 0, 0.7, "", true);
+  EXPECT_THROW(Chain::of(stg).validate(), Error);
+}
+
+TEST(Chain, ValidateCatchesDeadEnd) {
+  Chain c;
+  const int s0 = c.add_state();
+  const int s1 = c.add_state();
+  c.add_edge(s0, s1, 1.0, true);
+  EXPECT_THROW(c.validate(), Error);  // s1 has no outgoing edge
+  Stg stg;
+  stg.add_state("");
+  stg.add_state("");
+  stg.add_edge(0, 1, 1.0, "", true);
+  EXPECT_THROW(Chain::of(stg).validate(), Error);
+}
+
+TEST(Chain, ValidateCatchesUnreachable) {
+  Chain c;
+  const int s0 = c.add_state();
+  const int s1 = c.add_state();
+  c.add_edge(s0, s0, 1.0, true);
+  c.add_edge(s1, s0, 1.0);
+  EXPECT_THROW(c.validate(), Error);  // s1 unreachable
+  Stg stg;
+  stg.add_state("");
+  stg.add_state("");
+  stg.add_edge(0, 0, 1.0, "", true);
+  stg.add_edge(1, 0, 1.0);
+  EXPECT_THROW(Chain::of(stg).validate(), Error);
+}
+
+TEST(Chain, ValidateRequiresBoundary) {
+  Chain c;
+  const int s0 = c.add_state();
+  c.add_edge(s0, s0, 1.0);
+  EXPECT_THROW(c.validate(), Error);
+  Stg stg;
+  stg.add_edge(stg.add_state(""), 0, 1.0);
+  EXPECT_THROW(Chain::of(stg).validate(), Error);
+}
+
+TEST(Chain, ValidateCatchesEmptyAndBadEntry) {
+  EXPECT_THROW(Chain().validate(), Error);
+  Chain c = chain_loop(0.5);
+  c.set_entry(2);
+  EXPECT_THROW(c.validate(), Error);
+  Stg stg = simple_loop(0.5);
+  stg.set_entry(-1);
+  EXPECT_THROW(stg.validate(), Error);
+}
+
+TEST(Chain, ValidateCatchesDanglingEdge) {
+  // add_edge refuses a dangling edge; a mutated STG edge reaches the chain.
+  Stg stg = simple_loop(0.5);
+  stg.edge(0).to = 7;
+  EXPECT_THROW(Chain::of(stg).validate(), Error);
+  EXPECT_THROW(stg.validate(), Error);
+}
+
+TEST(Chain, AddEdgeRangeChecked) {
+  Chain c;
+  c.add_state();
+  EXPECT_THROW(c.add_edge(0, 5, 1.0), Error);
+  EXPECT_THROW(c.add_edge(-1, 0, 1.0), Error);
+}
+
+TEST(Chain, ErrorsNameStgStates) {
+  Stg stg;
+  stg.add_state("head");
+  stg.add_state("tail");
+  stg.add_edge(0, 1, 1.0, "", true);
+  try {
+    stg.validate();
+    FAIL() << "dead end accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'tail'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Chain, OfCountsOpsPerFuAndRegisterTraffic) {
+  Stg stg = simple_loop(0.5);
+  for (const char* fu : {"a1", "mt1", "a1", ""}) {
+    OpInstance op;
+    op.fu_type = fu;
+    stg.state(1).ops.push_back(op);
+  }
+  stg.state(1).reg_reads = 3;
+  stg.state(1).reg_writes = 1;
+  const Chain c = Chain::of(stg);
+  ASSERT_EQ(c.num_states(), 2u);
+  EXPECT_TRUE(c.states().ops(0).empty());
+  ASSERT_EQ(c.fus.size(), 2u);
+  std::map<std::string_view, int> counts;
+  for (const FuCount& fc : c.states().ops(1))
+    counts[c.fus[static_cast<size_t>(fc.fu)]] += fc.count;
+  EXPECT_EQ(counts, (std::map<std::string_view, int>{{"a1", 2}, {"mt1", 1}}));
+  EXPECT_EQ(c.states().reg_traffic(1), 4);
+  ASSERT_EQ(c.edges().size(), 3u);
+  EXPECT_TRUE(c.edges()[2].exec_boundary);
+}
+
 TEST(Markov, UniformCycleProbabilities) {
   // Deterministic 3-cycle: pi = 1/3 each; the linear solve must handle
   // this periodic chain (power iteration would not converge).

@@ -25,7 +25,10 @@
 #
 # Both legs then run the sanitized `factc --method all --emit-stg` on the
 # six Table 2 workloads at --jobs 1 and at --jobs 4 and require identical
-# stdout and identical STG files.
+# stdout and identical STG files, and `factc --method all` on the same six
+# under both objectives at --validate full (candidates measured on their
+# full STG) and --validate fast (on the scheduler's chain summary) and
+# require identical reports.
 #
 # Each sanitized tree lives in its own build directory (default
 # build-asan / build-tsan) so the regular build stays untouched.
@@ -73,6 +76,25 @@ for w in GCD FIR TEST2 SINTRAN IGF PPS; do
     || { echo "check.sh: factc --jobs 4 STG differs from --jobs 1 on $w" >&2; exit 1; }
 done
 rm -rf "$jobs_dir"
+
+# One score either way: with --validate full a candidate is measured on its
+# full STG, with the default --validate fast on the chain the scheduler
+# summarizes. Both must give the same report.
+summary_dir="$build_dir/check-summary"
+mkdir -p "$summary_dir"
+for w in GCD FIR TEST2 SINTRAN IGF PPS; do
+  for objective in throughput power; do
+    for validate in fast full; do
+      "$build_dir/tools/factc" --benchmark "$w" --objective "$objective" \
+        --method all --validate "$validate" \
+        >"$summary_dir/$w.$objective.$validate.txt" \
+        || { echo "check.sh: sanitized factc --validate $validate failed on $w ($objective)" >&2; exit 1; }
+    done
+    cmp "$summary_dir/$w.$objective.fast.txt" "$summary_dir/$w.$objective.full.txt" \
+      || { echo "check.sh: --validate full report differs from --validate fast on $w ($objective)" >&2; exit 1; }
+  done
+done
+rm -rf "$summary_dir"
 
 if [ "$cmake_flag" = address ]; then
   # End-to-end STG lifetime: factc renders the final STG and its Verilog
