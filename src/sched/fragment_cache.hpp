@@ -82,9 +82,10 @@ class FragmentCache {
     /// Control steps of `dfg` (plain fragments; a pipelined loop's
     /// prologue).
     int csteps = 0;
-    /// Summary rows of the states emission creates from the entry: a
-    /// plain fragment's control steps; a pipelined loop's prologue steps,
-    /// then its II kernel-ring slots, then its drain states.
+    /// Summary rows of the states emission creates from the entry, built
+    /// from its kind's op placement walk: a plain fragment's control
+    /// steps; a pipelined loop's prologue steps, then its II kernel-ring
+    /// slots, then its drain states.
     stg::OpRows rows;
     /// Pipelined-loop entries: each node's pipeline lag and the drain
     /// rounds it owes when the exit fires, and the (round, cstep) of each

@@ -60,9 +60,4 @@ class RegionTree {
   size_t used_ = 0;
 };
 
-/// Builds the region tree of a function body.
-inline RegionTree build_region_tree(const ir::Function& fn) {
-  return RegionTree(fn);
-}
-
 }  // namespace fact::sched

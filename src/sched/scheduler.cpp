@@ -129,39 +129,57 @@ const std::vector<const Stmt*>& loop_body_stmts(const Region& loop) {
   return body.children.empty() ? kNone : body.children[0]->stmts;
 }
 
-/// Nodes of a scheduled DFG grouped by an integer key in [0, count) —
-/// first cstep, or kernel-ring slot — in index order within each group,
-/// so a state's ops come out in the order a scan over all nodes would
-/// produce them. Reusable: assign() keeps the buffers' capacity.
-class NodeBuckets {
- public:
-  template <typename Key>
-  void assign(const Dfg& dfg, int count, Key key) {
-    begin_.assign(static_cast<size_t>(count) + 1, 0);
-    for (const DfgNode& node : dfg.nodes)
-      begin_[static_cast<size_t>(key(node)) + 1]++;
-    for (size_t k = 1; k < begin_.size(); ++k) begin_[k] += begin_[k - 1];
-    fill_.assign(begin_.begin(), begin_.end() - 1);
-    order_.resize(dfg.nodes.size());
-    for (size_t i = 0; i < dfg.nodes.size(); ++i)
-      order_[static_cast<size_t>(fill_[static_cast<size_t>(key(dfg.nodes[i]))]++)] =
-          static_cast<int>(i);
+/// Op placement walks, one per fragment kind. Each calls
+/// visit(row, loop, node, iteration, lag) once per op a state of the
+/// fragment executes: node `node` of the DFG of loop `loop` (0 except in a
+/// fused phase) runs in the fragment's row `row` (its state first + row)
+/// with that iteration tag and pipeline lag. Nodes are visited in index
+/// order, so a state's ops come out in node order. An entry's summary rows
+/// (built once, on the miss) and a full STG's ops (appended per emission)
+/// both come from these walks.
+
+/// A plain fragment: a node runs in its first control step.
+template <typename Visit>
+void place_plain(const Dfg& dfg, Visit&& visit) {
+  for (size_t i = 0; i < dfg.nodes.size(); ++i)
+    visit(static_cast<size_t>(dfg.nodes[i].cstep), 0, i, 0, 0);
+}
+
+/// A pipelined loop's rows are its prologue's control steps (iteration 0,
+/// linear), then its II kernel-ring slots (a node at slot cstep % II,
+/// tagged with the traversal it belongs to), then its drain states (a node
+/// in drain state (round, cstep) for each round it owes).
+template <typename Visit>
+void place_pipelined(const FragmentCache::Entry& e, Visit&& visit) {
+  const size_t ring = static_cast<size_t>(e.csteps);
+  const size_t drain = ring + static_cast<size_t>(e.ii);
+  for (size_t i = 0; i < e.dfg.nodes.size(); ++i) {
+    const int c = e.dfg.nodes[i].cstep;
+    visit(static_cast<size_t>(c), 0, i, 0, 0);
+    visit(ring + static_cast<size_t>(c % e.ii), 0, i, c / e.ii, e.lag[i]);
+    for (int round = 1; round <= e.owed[i]; ++round) {
+      const auto d = std::lower_bound(e.drain.begin(), e.drain.end(),
+                                      std::pair{round, c});
+      visit(drain + static_cast<size_t>(d - e.drain.begin()), 0, i, 0,
+            e.lag[i]);
+    }
   }
+}
 
-  /// The nodes of group k.
-  std::span<const int> operator[](int k) const {
-    const size_t b = static_cast<size_t>(begin_[static_cast<size_t>(k)]);
-    const size_t e = static_cast<size_t>(begin_[static_cast<size_t>(k) + 1]);
-    return {order_.data() + b, e - b};
+/// A fused phase's rows are its hyperperiod's ring slots: loop a's node at
+/// cstep c runs in every slot == c mod II_a.
+template <typename Visit>
+void place_phase(const FragmentCache::Entry::FusedPhase& ps, Visit&& visit) {
+  for (size_t a = 0; a < ps.active.size(); ++a) {
+    const int ii = ps.active[a].second;
+    const Dfg& dfg = ps.dfgs[a];
+    for (size_t i = 0; i < dfg.nodes.size(); ++i) {
+      const int c = dfg.nodes[i].cstep;
+      for (int s = c % ii; s < ps.hyperperiod; s += ii)
+        visit(static_cast<size_t>(s), a, i, c / ii + (s - c % ii) / ii, 0);
+    }
   }
-
- private:
-  std::vector<int> begin_;
-  std::vector<int> order_;
-  std::vector<int> fill_;
-};
-
-int node_cstep(const DfgNode& node) { return node.cstep; }
+}
 
 /// An edge label, spelled only into a full STG: a fixed text, or the exit
 /// of a fused run's loop ("exitL<position>").
@@ -188,26 +206,27 @@ struct Attach {
 };
 
 /// What emission reuses from one schedule to the next on a thread: the
-/// region tree, the stack of pending transitions and the loops'
-/// read/write sets. Storage keeps its capacity, so a warm emission
-/// allocates none of it.
+/// region tree, the stack of pending transitions, the loops' read/write
+/// sets and the op count of each state of one fragment. Storage keeps its
+/// capacity, so a warm emission allocates none of it.
 struct EmitScratch {
   RegionTree tree;
   std::vector<Attach> pending;
   std::array<RwSets, kMaxFused> rw;
+  std::vector<int> ops;
 };
 
-/// One control code for both outputs: the Emitter decides states, edges
-/// and probabilities once, and writes them either into a full STG (ops,
-/// names, labels, condition signals, loop decisions) or, given a chain,
-/// into that summary only (each state's op counts come from rows the
-/// fragment-cache entries carry).
 /// This thread's EmitScratch. One Emitter runs at a time on a thread.
 EmitScratch& emit_scratch() {
   thread_local EmitScratch scratch;
   return scratch;
 }
 
+/// One control code for both outputs: the Emitter decides states, edges
+/// and probabilities once, and writes them either into a full STG (ops,
+/// names, labels, condition signals, loop decisions) or, given a chain,
+/// into that summary only (each state's op counts come from rows the
+/// fragment-cache entries carry).
 class Emitter {
  public:
   Emitter(const hlslib::Library& lib, const hlslib::Allocation& alloc,
@@ -351,6 +370,24 @@ class Emitter {
     if (node.reg_write) st.reg_writes++;
   }
 
+  /// Appends to state first + row of a full STG the op of every visit of
+  /// `place` (a placement walk over `rows` rows), numbering loop l's wires
+  /// from wires[l]. Each state's op list is sized exactly first.
+  template <typename Place>
+  void add_ops(int first, size_t rows, std::span<const Dfg> dfgs,
+               std::span<const int> wires, Place&& place) {
+    std::vector<int>& ops = scratch_.ops;
+    ops.assign(rows, 0);
+    place([&](size_t row, size_t, size_t, int, int) { ops[row]++; });
+    for (size_t r = 0; r < rows; ++r)
+      stg_.state(first + static_cast<int>(r))
+          .ops.reserve(static_cast<size_t>(ops[r]));
+    place([&](size_t row, size_t loop, size_t node, int iteration, int lag) {
+      add_op(stg_.state(first + static_cast<int>(row)), dfgs[loop],
+             wires[loop], node, iteration, lag);
+    });
+  }
+
   /// Creates one STG state per control step of a fragment's scheduled
   /// plain DFG and, into a full STG, fills op and register-traffic
   /// annotations. Returns {first, last}.
@@ -359,26 +396,22 @@ class Emitter {
     const Dfg& dfg = entry->dfg;
     const int n = entry->csteps;
     assert(n > 0);
-    int wires = 0;
-    if (full()) {
-      stg_.keep_alive(entry);
-      by_cstep_.assign(dfg, n, node_cstep);
-      wires = assign_wires(dfg);
-    }
     const int first = num_states();
     for (int c = 0; c < n; ++c) {
       const int s = add_state(entry->rows, static_cast<size_t>(c));
       if (c > 0) add_edge(s - 1, s, 1.0);
-      if (!full()) continue;
-      stg::State& st = stg_.state(s);
-      st.ops.reserve(by_cstep_[c].size());
-      for (int i : by_cstep_[c]) add_op(st, dfg, wires, static_cast<size_t>(i), 0);
     }
-    if (full() && dfg.cond_node >= 0) {
-      const int cstep =
-          dfg.nodes[static_cast<size_t>(dfg.cond_node)].avail_cstep();
-      stg_.state(first + cstep).cond_signal =
-          stg::wire_name(wires + dfg.cond_node);
+    if (full()) {
+      stg_.keep_alive(entry);
+      const int wires = assign_wires(dfg);
+      add_ops(first, static_cast<size_t>(n), {&dfg, 1}, {&wires, 1},
+              [&](auto&& visit) { place_plain(dfg, visit); });
+      if (dfg.cond_node >= 0) {
+        const int cstep =
+            dfg.nodes[static_cast<size_t>(dfg.cond_node)].avail_cstep();
+        stg_.state(first + cstep).cond_signal =
+            stg::wire_name(wires + dfg.cond_node);
+      }
     }
     return {first, first + n - 1};
   }
@@ -395,15 +428,20 @@ class Emitter {
     return fus;
   }
 
-  /// Appends `n` summary rows to `out`. `visit(add)` calls
-  /// add(row, node, fu) once per op a row's state executes; each op counts
-  /// toward its FU type and its register reads and write.
-  template <typename Visit>
-  void append_rows(stg::OpRows& out, size_t n, Visit&& visit) const {
+  /// Appends the `n` summary rows of a placement walk over `dfgs` (by
+  /// loop) to `out`: each op counts toward its FU type and its register
+  /// reads and write.
+  template <typename Place>
+  void add_rows(stg::OpRows& out, size_t n, std::span<const Dfg> dfgs,
+                Place&& place) const {
     const size_t nf = lib_.types().size();
+    std::vector<std::vector<int>> fus;
+    for (const Dfg& dfg : dfgs) fus.push_back(node_fus(dfg));
     std::vector<int> ops(n * nf, 0), reg(n, 0);
-    visit([&](size_t row, const DfgNode& node, int fu) {
-      if (fu >= 0) ops[row * nf + static_cast<size_t>(fu)]++;
+    place([&](size_t row, size_t loop, size_t i, int, int) {
+      const DfgNode& node = dfgs[loop].nodes[i];
+      if (const int fu = fus[loop][i]; fu >= 0)
+        ops[row * nf + static_cast<size_t>(fu)]++;
       reg[row] += node.var_reads + (node.reg_write ? 1 : 0);
     });
     std::vector<stg::FuCount> counts;
@@ -413,17 +451,6 @@ class Emitter {
         if (const int c = ops[r * nf + f]) counts.push_back({static_cast<int>(f), c});
       out.push_back(counts, reg[r]);
     }
-  }
-
-  /// A plain fragment's rows, one per control step (a node counts in its
-  /// first).
-  void cstep_rows(FragmentCache::Entry& e) const {
-    e.csteps = e.dfg.num_csteps();
-    const std::vector<int> fus = node_fus(e.dfg);
-    append_rows(e.rows, static_cast<size_t>(e.csteps), [&](auto add) {
-      for (size_t i = 0; i < e.dfg.nodes.size(); ++i)
-        add(static_cast<size_t>(e.dfg.nodes[i].cstep), e.dfg.nodes[i], fus[i]);
-    });
   }
 
   // ---- fragment cache ---------------------------------------------------
@@ -493,8 +520,7 @@ class Emitter {
       const ExprPtr& cond, int stmt_id) {
     return fragment(cond_key(cond, stmt_id), [&](FragmentCache::Entry& e) {
       e.dfg = build_dfg({}, cond, stmt_id);
-      schedule_plain(e.dfg);
-      cstep_rows(e);
+      schedule_plain(e);
     });
   }
 
@@ -519,14 +545,20 @@ class Emitter {
     return builder_->build(stmts, cond, cond_stmt_id);
   }
 
-  /// Schedules a plain (non-modulo) DFG.
-  void schedule_plain(Dfg& dfg) const {
-    check_feasible(dfg);
-    obs::Span sp = obs::span("list_schedule", "sched");
-    ResourceTable table(alloc_, 0);
-    if (!list_schedule(dfg, table, opts_.clock_ns))
-      throw Error(strfmt("cannot schedule segment of '%s' under clock %.1fns",
-                         fn_name_->c_str(), opts_.clock_ns));
+  /// Schedules a plain (non-modulo) fragment's DFG, if it has nodes, and
+  /// records its control steps and their summary rows.
+  void schedule_plain(FragmentCache::Entry& e) const {
+    if (!e.dfg.nodes.empty()) {
+      check_feasible(e.dfg);
+      obs::Span sp = obs::span("list_schedule", "sched");
+      ResourceTable table(alloc_, 0);
+      if (!list_schedule(e.dfg, table, opts_.clock_ns))
+        throw Error(strfmt("cannot schedule segment of '%s' under clock %.1fns",
+                           fn_name_->c_str(), opts_.clock_ns));
+    }
+    e.csteps = e.dfg.num_csteps();
+    add_rows(e.rows, static_cast<size_t>(e.csteps), {&e.dfg, 1},
+             [&](auto&& visit) { place_plain(e.dfg, visit); });
   }
 
   // ---- region emission --------------------------------------------------
@@ -587,8 +619,7 @@ class Emitter {
     const auto entry =
         fragment(straight_key(r.stmts), [&](FragmentCache::Entry& e) {
           e.dfg = build_dfg(r.stmts);
-          if (!e.dfg.nodes.empty()) schedule_plain(e.dfg);
-          cstep_rows(e);
+          schedule_plain(e);
         });
     if (entry->dfg.nodes.empty()) return;
     auto [first, last] = materialize(entry);
@@ -635,14 +666,13 @@ class Emitter {
   /// lags (slot wraparounds along each op's dependence chain — how many
   /// traversals behind the newest iteration it runs) and the drain debts
   /// owed when the check fires the exit. The winning II's is kept in the
-  /// pipelined fragment's entry (pipe_rows).
+  /// pipelined fragment's entry.
   struct PipeDerived {
     int body_csteps = 0;
     int cond_cstep = 0;
     int check_slot = 0;
     std::vector<int> lag;
     std::vector<int> owed;
-    int max_owed = 0;
   };
 
   static PipeDerived derive_pipe(const Dfg& dfg, int ii) {
@@ -664,7 +694,6 @@ class Emitter {
     for (size_t i = 0; i < dfg.nodes.size(); ++i) {
       const int extra = dfg.nodes[i].cstep % ii > d.check_slot ? 1 : 0;
       d.owed[i] = std::max(0, d.lag[i] - check_lag + extra);
-      d.max_owed = std::max(d.max_owed, d.owed[i]);
     }
     return d;
   }
@@ -730,7 +759,14 @@ class Emitter {
             e.pipelined = true;
             e.ii = ii;
             e.dfg = std::move(dfg);
-            pipe_rows(e, std::move(derived));
+            e.csteps = derived.body_csteps;
+            e.lag = std::move(derived.lag);
+            e.owed = std::move(derived.owed);
+            e.drain = drain_states(e);
+            add_rows(e.rows,
+                     static_cast<size_t>(e.csteps + ii) + e.drain.size(),
+                     {&e.dfg, 1},
+                     [&](auto&& visit) { place_pipelined(e, visit); });
             return;
           }
         });
@@ -756,67 +792,37 @@ class Emitter {
     enter(in, gfirst);
     pending_.push_back({glast, 1.0 - p, "exit"});
 
-    // Prologue: iteration 0 executed linearly (fills wires).
-    if (full()) by_cstep_.assign(dfg, body_csteps, node_cstep);
-    const int prologue_first = num_states();
-    for (int c = 0; c < body_csteps; ++c) {
-      const int s = add_state(entry->rows, static_cast<size_t>(c));
-      if (c > 0) add_edge(s - 1, s, 1.0);
-      if (!full()) continue;
-      stg::State& st = stg_.state(s);
-      st.ops.reserve(by_cstep_[c].size());
-      for (int i : by_cstep_[c]) add_op(st, dfg, wires, static_cast<size_t>(i), 0);
-    }
-    const int prologue_last = prologue_first + body_csteps - 1;
-    add_edge(glast, prologue_first, p, "loop");
-
-    // Kernel ring: every op once per traversal, at slot cstep % II.
-    const int ring_id = next_ring_id_++;
-    const int ring0 = num_states();
-    if (full())
-      by_slot_.assign(dfg, ii,
-                      [ii](const DfgNode& node) { return node.cstep % ii; });
-    for (int k = 0; k < ii; ++k) {
-      const int s = add_state(entry->rows, static_cast<size_t>(body_csteps + k));
-      if (!full()) continue;
-      stg::State& st = stg_.state(s);
-      st.ring_id = ring_id;
-      st.ops.reserve(by_slot_[k].size());
-      for (int i : by_slot_[k]) {
-        const size_t idx = static_cast<size_t>(i);
-        add_op(st, dfg, wires, idx, dfg.nodes[idx].cstep / ii,
-               entry->lag[idx]);
-      }
-    }
-
-    // Epilogue drain: when the check fires the exit, each op still owes
+    // Prologue: iteration 0 executed linearly (fills wires). Kernel ring:
+    // every op once per traversal, at slot cstep % II. Epilogue drain:
+    // when the check fires the exit, each op still owes
     //   owed = lag - lag(check) + (slot > check_slot ? 1 : 0)
-    // executions to complete the in-flight iterations. The drain flushes
-    // them round by round in cstep order (resource-legal: each drain
-    // state re-uses one kernel cstep's op set); the entry lists the
-    // (round, cstep) of every drain state.
-    int drain_first = -1, drain_last = -1;
-    for (size_t d = 0; d < entry->drain.size(); ++d) {
-      const auto [round, c] = entry->drain[d];
-      const int s = add_state(entry->rows,
-                              static_cast<size_t>(body_csteps + ii) + d);
-      if (full()) {
-        stg::State& st = stg_.state(s);
-        for (int i : by_cstep_[c]) {
-          const size_t idx = static_cast<size_t>(i);
-          if (entry->owed[idx] >= round)
-            add_op(st, dfg, wires, idx, 0, entry->lag[idx]);
-        }
-      }
-      if (drain_last >= 0) add_edge(drain_last, s, 1.0);
-      if (drain_first < 0) drain_first = s;
-      drain_last = s;
+    // executions to complete the in-flight iterations, flushed round by
+    // round in cstep order (resource-legal: each drain state re-uses one
+    // kernel cstep's op set). The states of all three follow the entry's
+    // rows.
+    const int prologue_first = num_states();
+    for (size_t row = 0; row < entry->rows.size(); ++row)
+      add_state(entry->rows, row);
+    const int prologue_last = prologue_first + body_csteps - 1;
+    const int ring0 = prologue_first + body_csteps;
+    const int ring_id = next_ring_id_++;
+    const int drain_first = ring0 + ii;
+    const int drain_end = drain_first + static_cast<int>(entry->drain.size());
+    const bool drains = drain_end > drain_first;
+    if (full()) {
+      for (int s = ring0; s < ring0 + ii; ++s) stg_.state(s).ring_id = ring_id;
+      add_ops(prologue_first, entry->rows.size(), {&dfg, 1}, {&wires, 1},
+              [&](auto&& visit) { place_pipelined(*entry, visit); });
     }
+    for (int s = prologue_first + 1; s <= prologue_last; ++s)
+      add_edge(s - 1, s, 1.0);
+    add_edge(glast, prologue_first, p, "loop");
+    for (int s = drain_first + 1; s < drain_end; ++s) add_edge(s - 1, s, 1.0);
     const auto exit_target = [&](int from, double prob, const Label& label) {
-      if (drain_first < 0) {
-        pending_.push_back({from, prob, label});
-      } else {
+      if (drains) {
         add_edge(from, drain_first, prob, label);
+      } else {
+        pending_.push_back({from, prob, label});
       }
     };
 
@@ -840,7 +846,7 @@ class Emitter {
         add_edge(cur, next, 1.0);
       }
     }
-    if (drain_last >= 0) pending_.push_back({drain_last, 1.0, ""});
+    if (drains) pending_.push_back({drain_end - 1, 1.0, ""});
 
     if (full()) {
       LoopInfo info;
@@ -853,40 +859,22 @@ class Emitter {
     return true;
   }
 
-  /// What emitting a pipelined loop's states needs of its winning II,
-  /// kept in the entry: the prologue's control steps, the per-node lags
-  /// and drain debts, the (round, cstep) of every drain state, and the
-  /// summary rows of the prologue steps, the II ring slots and the drain
-  /// states, in that order.
-  void pipe_rows(FragmentCache::Entry& e, PipeDerived derived) const {
-    const Dfg& dfg = e.dfg;
-    const int ii = e.ii;
-    e.csteps = derived.body_csteps;
-    for (int round = 1; round <= derived.max_owed; ++round)
+  /// The (round, cstep) of every drain state of a pipelined entry, in
+  /// emission order: round by round, the control steps where some op
+  /// still owes that round.
+  static std::vector<std::pair<int, int>> drain_states(
+      const FragmentCache::Entry& e) {
+    std::vector<int> most(static_cast<size_t>(e.csteps), 0);  // per cstep
+    for (size_t i = 0; i < e.dfg.nodes.size(); ++i) {
+      int& m = most[static_cast<size_t>(e.dfg.nodes[i].cstep)];
+      m = std::max(m, e.owed[i]);
+    }
+    std::vector<std::pair<int, int>> drain;
+    const int rounds = *std::max_element(most.begin(), most.end());
+    for (int round = 1; round <= rounds; ++round)
       for (int c = 0; c < e.csteps; ++c)
-        for (size_t i = 0; i < dfg.nodes.size(); ++i)
-          if (dfg.nodes[i].cstep == c && derived.owed[i] >= round) {
-            e.drain.emplace_back(round, c);
-            break;
-          }
-    const std::vector<int> fus = node_fus(dfg);
-    const size_t rows =
-        static_cast<size_t>(e.csteps + ii) + e.drain.size();
-    append_rows(e.rows, rows, [&](auto add) {
-      for (size_t i = 0; i < dfg.nodes.size(); ++i) {
-        const DfgNode& node = dfg.nodes[i];
-        add(static_cast<size_t>(node.cstep), node, fus[i]);
-        add(static_cast<size_t>(e.csteps + node.cstep % ii), node, fus[i]);
-      }
-      for (size_t d = 0; d < e.drain.size(); ++d) {
-        const auto [round, c] = e.drain[d];
-        for (size_t i = 0; i < dfg.nodes.size(); ++i)
-          if (dfg.nodes[i].cstep == c && derived.owed[i] >= round)
-            add(static_cast<size_t>(e.csteps + ii) + d, dfg.nodes[i], fus[i]);
-      }
-    });
-    e.lag = std::move(derived.lag);
-    e.owed = std::move(derived.owed);
+        if (most[static_cast<size_t>(c)] >= round) drain.emplace_back(round, c);
+    return drain;
   }
 
   using FusedPhase = FragmentCache::Entry::FusedPhase;
@@ -992,21 +980,9 @@ class Emitter {
         if (rest != 0 && seen.insert(rest).second) work.push_back(rest);
       }
     }
-    // Summary rows, one per ring slot: loop i's op at cstep c executes in
-    // every slot == c mod II_i.
-    for (auto& [mask, ps] : e.phases) {
-      std::vector<std::vector<int>> fus;
-      for (const Dfg& dfg : ps.dfgs) fus.push_back(node_fus(dfg));
-      append_rows(ps.rows, static_cast<size_t>(ps.hyperperiod), [&](auto add) {
-        for (size_t a = 0; a < ps.active.size(); ++a) {
-          const int ii = ps.active[a].second;
-          const Dfg& dfg = ps.dfgs[a];
-          for (size_t ni = 0; ni < dfg.nodes.size(); ++ni)
-            for (int s = dfg.nodes[ni].cstep % ii; s < ps.hyperperiod; s += ii)
-              add(static_cast<size_t>(s), dfg.nodes[ni], fus[a][ni]);
-        }
-      });
-    }
+    for (auto& [mask, ps] : e.phases)
+      add_rows(ps.rows, static_cast<size_t>(ps.hyperperiod), ps.dfgs,
+               [&](auto&& visit) { place_phase(ps, visit); });
   }
 
   /// Per-loop values of a fused run, by run position.
@@ -1124,9 +1100,9 @@ class Emitter {
       rem_after[i] = std::max(0.5, rem[i] - duration / ii);
 
     // Per active loop: the slot of its exit check and the probability it
-    // keeps looping there. Into a full STG, its ops: loop i's op at cstep
-    // c executes in every slot == c mod II_i.
-    std::array<int, kMaxFused> check_slot{};
+    // keeps looping there. Into a full STG, its wires, its condition
+    // signals and then its ops.
+    std::array<int, kMaxFused> check_slot{}, wires{};
     PerLoop keep{};
     for (size_t a = 0; a < ps.active.size(); ++a) {
       const auto [i, ii] = ps.active[a];
@@ -1137,15 +1113,8 @@ class Emitter {
       if (full()) {
         if (fe.first_sched[i].first == 0)
           fe.first_sched[i] = {ii, dfg.num_csteps()};
-        const int wires = assign_wires(dfg);
-        for (size_t ni = 0; ni < dfg.nodes.size(); ++ni) {
-          const DfgNode& node = dfg.nodes[ni];
-          const int base_slot = node.cstep % ii;
-          for (int s = base_slot; s < h; s += ii)
-            add_op(stg_.state(ring0 + s), dfg, wires, ni,
-                   node.cstep / ii + (s - base_slot) / ii);
-        }
-        const std::string cond_wire = stg::wire_name(wires + dfg.cond_node);
+        wires[a] = assign_wires(dfg);
+        const std::string cond_wire = stg::wire_name(wires[a] + dfg.cond_node);
         for (int s = check_slot[a]; s < h; s += ii) {
           stg::State& st = stg_.state(ring0 + s);
           if (!st.cond_signal.empty()) st.cond_signal += ",";
@@ -1158,6 +1127,9 @@ class Emitter {
       keep[a] = i == finisher ? expect_iters / (expect_iters + 1.0)
                               : std::min(0.9999, 1.0 - 1.0 / (16.0 * rem[i]));
     }
+    if (full())
+      add_ops(ring0, static_cast<size_t>(h), ps.dfgs, wires,
+              [&](auto&& visit) { place_phase(ps, visit); });
 
     // Each slot's exits, in admission order, then the step to the next
     // slot.
@@ -1194,10 +1166,6 @@ class Emitter {
   int wire_counter_ = 0;
   int next_ring_id_ = 0;
   bool rtl_exact_ = true;
-  // Scratch for grouping a DFG's nodes at emission (materialize and the
-  // pipelined prologue/drain use the cstep buckets, the ring its slots).
-  NodeBuckets by_cstep_;
-  NodeBuckets by_slot_;
 };
 
 }  // namespace

@@ -51,12 +51,6 @@ struct ScheduleResult {
   /// stale wires around phase transitions. Schedule with
   /// SchedOptions::fuse_loops = false to guarantee RTL-exact output.
   bool rtl_exact = true;
-
-  const LoopInfo* loop_info(int stmt_id) const {
-    for (const auto& l : loops)
-      if (l.stmt_id == stmt_id) return &l;
-    return nullptr;
-  }
 };
 
 /// The CFI scheduler (the paper's Wavesched-style substrate, ref [13]).

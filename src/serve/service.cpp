@@ -16,6 +16,9 @@ namespace fact::serve {
 
 namespace {
 
+/// Completed-request latencies kept for the percentile estimates.
+constexpr size_t kLatencyWindow = 4096;
+
 double ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -139,8 +142,7 @@ Service::Service(ServiceOptions opts)
       pool_(opts.workers > 0 ? opts.workers : WorkerPool::hardware_threads()),
       cache_(opts.cache_cap) {
   if (opts_.queue_cap == 0) opts_.queue_cap = 1;
-  if (opts_.latency_window == 0) opts_.latency_window = 1;
-  latencies_.resize(opts_.latency_window, 0.0);
+  latencies_.resize(kLatencyWindow, 0.0);
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 

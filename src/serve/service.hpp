@@ -35,8 +35,6 @@ struct ServiceOptions {
   size_t batch_max = 0;
   /// Capacity of the process-wide EvalCache shared by all sessions.
   size_t cache_cap = 1 << 18;
-  /// Completed-request latencies kept for the percentile estimates.
-  size_t latency_window = 4096;
 };
 
 /// Point-in-time service counters, exposed by `status` responses.
@@ -173,7 +171,7 @@ class Service {
   uint64_t accepted_ = 0, completed_ = 0, failed_ = 0, cancelled_ = 0,
            rejected_ = 0;
   uint64_t evaluations_ = 0, cache_hits_ = 0;
-  std::vector<double> latencies_;  // ring buffer of size latency_window
+  std::vector<double> latencies_;  // ring buffer (service.cpp kLatencyWindow)
   size_t latency_next_ = 0;
   size_t latency_total_ = 0;
   double latency_max_ = 0.0;

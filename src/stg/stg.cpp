@@ -87,36 +87,82 @@ int Stg::add_edge(int from, int to, double prob, const std::string& cond_label,
 
 namespace {
 
-/// Working storage of a chain check, per thread and reused across calls.
+/// Working storage of a structure check, per thread and reused across
+/// calls.
 struct CheckScratch {
+  std::vector<int> listed;    // per edge: how many out-edge lists hold it
   std::vector<uint32_t> off;  // out-edges of state s: out[off[s] .. off[s+1])
   std::vector<uint32_t> out;  // edge indices, in edge order per state
   std::vector<char> seen;
   std::vector<int> work;
 };
 
-/// Chain::validate's checks. Errors name state s by `named[s].name` when
-/// given, else "S<s>".
-void check_chain(const Chain& c, const std::vector<State>* named) {
-  const auto name = [named](size_t s) {
-    return named ? (*named)[s].name : strfmt("S%zu", s);
+/// The structural checks of a chain (`states` null, state s named "S<s>")
+/// or of an Stg (its states, named, with their out-edge lists). `E` is
+/// ChainEdge or Edge.
+template <typename E>
+std::vector<StructureIssue> check_structure(
+    size_t n, int entry, const std::vector<E>& edges,
+    const std::vector<State>* states) {
+  std::vector<StructureIssue> issues;
+  const auto add = [&](const char* check, std::string detail) {
+    issues.push_back({check, std::move(detail)});
   };
-  const size_t n = c.num_states();
-  const std::vector<ChainEdge>& edges = c.edges();
-  if (n == 0) throw Error("STG has no states");
-  if (c.entry() < 0 || static_cast<size_t>(c.entry()) >= n)
-    throw Error("STG entry state out of range");
-  for (size_t ei = 0; ei < edges.size(); ++ei) {
-    const ChainEdge& e = edges[ei];
-    if (e.from < 0 || static_cast<size_t>(e.from) >= n || e.to < 0 ||
-        static_cast<size_t>(e.to) >= n)
-      throw Error(strfmt("STG edge %zu has dangling endpoints %d->%d", ei,
-                         e.from, e.to));
+  const auto name = [states](size_t s) {
+    return states ? (*states)[s].name : strfmt("S%zu", s);
+  };
+  const auto is_state = [n](int s) {
+    return s >= 0 && static_cast<size_t>(s) < n;
+  };
+  if (n == 0) {
+    add("stg.empty", "STG has no states");
+    return issues;
   }
+  if (!is_state(entry))
+    add("stg.entry", strfmt("STG entry state %d out of range", entry));
 
+  // An Stg's out-edge lists must agree exactly with the edge table: every
+  // edge is listed once, by its own from-state. A mismatch means some
+  // mutation bypassed add_edge and every downstream analysis would
+  // silently skew.
   thread_local CheckScratch sc;
+  if (states) {
+    sc.listed.assign(edges.size(), 0);
+    for (size_t s = 0; s < n; ++s) {
+      for (int ei : (*states)[s].out_edges) {
+        if (ei < 0 || static_cast<size_t>(ei) >= edges.size()) {
+          add("stg.edges", strfmt("STG state '%s' indexes nonexistent edge %d",
+                                  name(s).c_str(), ei));
+          continue;
+        }
+        sc.listed[static_cast<size_t>(ei)]++;
+        if (edges[static_cast<size_t>(ei)].from != static_cast<int>(s))
+          add("stg.edges",
+              strfmt("STG state '%s' lists edge %d, which leaves state %d",
+                     name(s).c_str(), ei, edges[static_cast<size_t>(ei)].from));
+      }
+    }
+  }
+  for (size_t ei = 0; ei < edges.size(); ++ei) {
+    const E& e = edges[ei];
+    if (!is_state(e.from) || !is_state(e.to)) {
+      add("stg.edges", strfmt("STG edge %zu has dangling endpoints %d->%d", ei,
+                              e.from, e.to));
+      continue;
+    }
+    if (states && sc.listed[ei] != 1)
+      add("stg.edges", strfmt("STG edge %zu appears %d time(s) in out-edge lists",
+                              ei, sc.listed[ei]));
+    if (e.prob < -1e-9 || e.prob > 1.0 + 1e-9)
+      add("stg.prob",
+          strfmt("STG edge %s->%s has probability %g out of [0,1]",
+                 name(static_cast<size_t>(e.from)).c_str(),
+                 name(static_cast<size_t>(e.to)).c_str(), e.prob));
+  }
+  if (!issues.empty()) return issues;  // the checks below would misreport
+
   sc.off.assign(n + 1, 0);
-  for (const ChainEdge& e : edges) ++sc.off[static_cast<size_t>(e.from) + 1];
+  for (const E& e : edges) ++sc.off[static_cast<size_t>(e.from) + 1];
   for (size_t s = 0; s < n; ++s) sc.off[s + 1] += sc.off[s];
   sc.out.resize(edges.size());
   // Filling advances off[s] to off[s + 1]; the shift restores it.
@@ -128,29 +174,27 @@ void check_chain(const Chain& c, const std::vector<State>* named) {
 
   bool has_boundary = false;
   for (size_t s = 0; s < n; ++s) {
-    if (sc.off[s] == sc.off[s + 1])
-      throw Error("STG state '" + name(s) + "' has no outgoing edge");
+    if (sc.off[s] == sc.off[s + 1]) {
+      add("stg.edges",
+          strfmt("STG state '%s' has no outgoing edge", name(s).c_str()));
+      continue;
+    }
     double sum = 0.0;
     for (uint32_t k = sc.off[s]; k < sc.off[s + 1]; ++k) {
-      const ChainEdge& e = edges[sc.out[k]];
-      if (e.prob < -1e-9 || e.prob > 1.0 + 1e-9)
-        throw Error(strfmt("STG edge %s->%s has probability %g out of [0,1]",
-                           name(s).c_str(),
-                           name(static_cast<size_t>(e.to)).c_str(), e.prob));
-      sum += e.prob;
-      if (e.exec_boundary) has_boundary = true;
+      sum += edges[sc.out[k]].prob;
+      if (edges[sc.out[k]].exec_boundary) has_boundary = true;
     }
     if (std::fabs(sum - 1.0) > 1e-6)
-      throw Error(strfmt("STG state '%s' outgoing probabilities sum to %g",
-                         name(s).c_str(), sum));
+      add("stg.prob", strfmt("STG state '%s' outgoing probabilities sum to %g",
+                             name(s).c_str(), sum));
   }
   if (!has_boundary)
-    throw Error("STG has no execution-boundary edge");
+    add("stg.boundary", "STG has no execution-boundary edge");
 
   // Reachability from entry.
   sc.seen.assign(n, 0);
-  sc.work.assign(1, c.entry());
-  sc.seen[static_cast<size_t>(c.entry())] = 1;
+  sc.work.assign(1, entry);
+  sc.seen[static_cast<size_t>(entry)] = 1;
   while (!sc.work.empty()) {
     const size_t s = static_cast<size_t>(sc.work.back());
     sc.work.pop_back();
@@ -164,34 +208,29 @@ void check_chain(const Chain& c, const std::vector<State>* named) {
   }
   for (size_t s = 0; s < n; ++s)
     if (!sc.seen[s])
-      throw Error("STG state '" + name(s) + "' unreachable from entry");
+      add("stg.reachable",
+          strfmt("STG state '%s' unreachable from entry", name(s).c_str()));
+  return issues;
+}
+
+/// Throws fact::Error with the first issue, if any.
+void throw_first(const std::vector<StructureIssue>& issues) {
+  if (!issues.empty()) throw Error(issues.front().detail);
 }
 
 }  // namespace
 
-void Stg::validate() const {
-  // Out-edge lists must agree exactly with the edge table: every edge is
-  // indexed once, by its own from-state. A mismatch means some mutation
-  // bypassed add_edge and every downstream analysis would silently skew.
-  // The rest are the chain's checks.
-  std::vector<int> indexed(edges_.size(), 0);
-  for (size_t i = 0; i < states_.size(); ++i) {
-    for (int ei : states_[i].out_edges) {
-      if (ei < 0 || static_cast<size_t>(ei) >= edges_.size())
-        throw Error("STG state '" + states_[i].name +
-                    "' indexes a nonexistent edge");
-      if (edges_[static_cast<size_t>(ei)].from != static_cast<int>(i))
-        throw Error("STG state '" + states_[i].name +
-                    "' lists an edge leaving a different state");
-      indexed[static_cast<size_t>(ei)]++;
-    }
-  }
-  for (size_t ei = 0; ei < edges_.size(); ++ei)
-    if (indexed[ei] != 1)
-      throw Error(strfmt("STG edge %zu appears %d time(s) in out-edge lists",
-                         ei, indexed[ei]));
-  check_chain(Chain::of(*this), &states_);
+std::vector<StructureIssue> structure_issues(const Chain& chain) {
+  return check_structure(chain.num_states(), chain.entry(), chain.edges(),
+                         nullptr);
 }
+
+std::vector<StructureIssue> structure_issues(const Stg& stg) {
+  return check_structure(stg.num_states(), stg.entry(), stg.edges(),
+                         &stg.states());
+}
+
+void Stg::validate() const { throw_first(structure_issues(*this)); }
 
 int Chain::add_edge(int from, int to, double prob, bool exec_boundary) {
   const size_t n = num_states();
@@ -209,7 +248,7 @@ void Chain::clear() {
   entry_ = 0;
 }
 
-void Chain::validate() const { check_chain(*this, nullptr); }
+void Chain::validate() const { throw_first(structure_issues(*this)); }
 
 Chain Chain::of(const Stg& stg) {
   Chain c;

@@ -205,10 +205,7 @@ class Stg {
   int entry() const { return entry_; }
   void set_entry(int s) { entry_ = s; }
 
-  /// Throws fact::Error if malformed: out-edge lists that disagree with
-  /// the edge table, then Chain::validate's checks on Chain::of(*this)
-  /// (dangling edges, a state whose outgoing probabilities do not sum to
-  /// 1, unreachable states, no exec-boundary edge), naming states by name.
+  /// Throws fact::Error with the first of structure_issues(*this).
   void validate() const;
 
   /// Graphviz rendering (state name + ops inside the node, probability and
@@ -320,11 +317,7 @@ class Chain {
   void set_entry(int s) { entry_ = s; }
   void clear();
 
-  /// The checks of Stg::validate: no states, entry out of range, an edge
-  /// whose endpoint is not a state, a state without outgoing edge or whose
-  /// outgoing probabilities leave [0,1] or do not sum to 1, no
-  /// exec-boundary edge, a state unreachable from entry. Throws
-  /// fact::Error naming state i "S<i>".
+  /// Throws fact::Error with the first of structure_issues(*this).
   void validate() const;
 
   /// The chain of a full STG: its edges in edge order, and each state's
@@ -336,6 +329,33 @@ class Chain {
   std::vector<ChainEdge> edges_;
   int entry_ = 0;
 };
+
+/// A structural defect of an STG or a chain: the check it fails and a
+/// diagnostic.
+struct StructureIssue {
+  const char* check;
+  std::string detail;
+};
+
+/// The structural checks of an STG or a chain, one implementation behind
+/// Stg::validate, Chain::validate and verify::verify_stg. Every issue, in
+/// this order, under its check name:
+///  * stg.empty: no states (nothing else is checked);
+///  * stg.entry: the entry is not a state;
+///  * stg.edges: in an Stg, an out-edge list holding an index that is no
+///    edge or an edge leaving another state, or an edge listed other than
+///    once; an edge whose endpoint is not a state;
+///  * stg.prob: an edge probability outside [0,1];
+/// and, only when none of these fired (they would misreport):
+///  * stg.edges: a state without outgoing edge;
+///  * stg.prob: a state whose outgoing probabilities do not sum to 1;
+///  * stg.boundary: no exec-boundary edge;
+///  * stg.reachable: a state unreachable from the entry.
+/// Diagnostics name an Stg's states by name and a chain's state i "S<i>".
+/// A sound structure yields an empty list, and once the thread's check
+/// storage is warm the check allocates nothing.
+std::vector<StructureIssue> structure_issues(const Chain& chain);
+std::vector<StructureIssue> structure_issues(const Stg& stg);
 
 /// Steady-state probability of every state (the method of ref [10] of the
 /// paper): solves pi = pi * P with sum(pi) = 1. States outside the chain's
@@ -349,7 +369,7 @@ class Chain {
 /// normalized. It never subtracts, so every intermediate is a sum of
 /// products of probabilities and each probability is accurate to a small
 /// multiple of the rounding error, even on nearly decomposable chains. The
-/// result is a function of the Stg alone (deterministic). Each call counts
+/// result is a function of the chain alone (deterministic). Each call counts
 /// in fact_markov_solves_total and opens a `markov` trace span.
 std::vector<double> state_probabilities(const Chain& chain);
 /// state_probabilities(Chain::of(stg)).

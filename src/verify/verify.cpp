@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <queue>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -460,99 +459,16 @@ Report verify_function(const ir::Function& fn, Level level,
 Report verify_stg(const stg::Stg& stg, Level level) {
   Report r;
   if (level == Level::Off) return r;
-
-  const auto& states = stg.states();
-  const auto& edges = stg.edges();
-  if (states.empty()) {
-    add(r, "stg.empty", "STG has no states");
-    return r;
-  }
-  if (stg.entry() < 0 || static_cast<size_t>(stg.entry()) >= states.size())
-    add(r, "stg.entry", strfmt("entry state %d out of range", stg.entry()));
-
-  // Edge table and out-edge list consistency.
-  std::vector<int> indexed(edges.size(), 0);
-  for (size_t si = 0; si < states.size(); ++si) {
-    for (int ei : states[si].out_edges) {
-      if (ei < 0 || static_cast<size_t>(ei) >= edges.size()) {
-        add(r, "stg.edges",
-            strfmt("state '%s' indexes nonexistent edge %d",
-                   states[si].name.c_str(), ei));
-        continue;
-      }
-      indexed[static_cast<size_t>(ei)]++;
-      if (edges[static_cast<size_t>(ei)].from != static_cast<int>(si))
-        add(r, "stg.edges",
-            strfmt("edge %d in out-list of state '%s' but from state %d", ei,
-                   states[si].name.c_str(), edges[static_cast<size_t>(ei)].from));
-    }
-  }
-  for (size_t ei = 0; ei < edges.size(); ++ei) {
-    const stg::Edge& e = edges[ei];
-    if (e.from < 0 || static_cast<size_t>(e.from) >= states.size() ||
-        e.to < 0 || static_cast<size_t>(e.to) >= states.size()) {
-      add(r, "stg.edges", strfmt("edge %zu has dangling endpoints %d->%d", ei,
-                                 e.from, e.to));
-      continue;
-    }
-    if (indexed[ei] != 1)
-      add(r, "stg.edges",
-          strfmt("edge %zu indexed %d time(s) by out-edge lists", ei, indexed[ei]));
-    if (e.prob < -1e-9 || e.prob > 1.0 + 1e-9)
-      add(r, "stg.prob", strfmt("edge %zu has probability %g", ei, e.prob));
-  }
-  if (!r.ok()) return r;  // structure broken; later checks would misreport
-
-  bool has_boundary = false;
-  for (size_t si = 0; si < states.size(); ++si) {
-    const stg::State& s = states[si];
-    if (s.out_edges.empty()) {
-      add(r, "stg.edges", strfmt("state '%s' has no outgoing edge", s.name.c_str()));
-      continue;
-    }
-    double sum = 0.0;
-    for (int ei : s.out_edges) {
-      sum += edges[static_cast<size_t>(ei)].prob;
-      if (edges[static_cast<size_t>(ei)].exec_boundary) has_boundary = true;
-    }
-    if (std::abs(sum - 1.0) > 1e-6)
-      add(r, "stg.prob",
-          strfmt("state '%s' outgoing probabilities sum to %g", s.name.c_str(),
-                 sum));
-    // Determinism: more than one successor requires a steering signal the
-    // controller can test; probability annotations alone cannot be
-    // implemented in hardware.
+  for (stg::StructureIssue& i : stg::structure_issues(stg))
+    add(r, i.check, std::move(i.detail));
+  // Determinism: more than one successor requires a steering signal the
+  // controller can test; probability annotations alone cannot be
+  // implemented in hardware.
+  for (const stg::State& s : stg.states())
     if (s.out_edges.size() > 1 && s.cond_signal.empty())
       add(r, "stg.deterministic",
           strfmt("state '%s' has %zu successors but no cond_signal",
                  s.name.c_str(), s.out_edges.size()));
-  }
-  if (!has_boundary)
-    add(r, "stg.boundary", "no execution-boundary edge (no renewal point)");
-
-  // Reachability from entry.
-  if (stg.entry() >= 0 && static_cast<size_t>(stg.entry()) < states.size()) {
-    std::vector<bool> seen(states.size(), false);
-    std::queue<int> work;
-    work.push(stg.entry());
-    seen[static_cast<size_t>(stg.entry())] = true;
-    while (!work.empty()) {
-      const int s = work.front();
-      work.pop();
-      for (int ei : states[static_cast<size_t>(s)].out_edges) {
-        const int t = edges[static_cast<size_t>(ei)].to;
-        if (!seen[static_cast<size_t>(t)]) {
-          seen[static_cast<size_t>(t)] = true;
-          work.push(t);
-        }
-      }
-    }
-    for (size_t i = 0; i < states.size(); ++i)
-      if (!seen[i])
-        add(r, "stg.reachable",
-            strfmt("state '%s' unreachable from entry", states[i].name.c_str()));
-  }
-
   return r;
 }
 

@@ -78,14 +78,11 @@ std::set<std::string> undefined_reads(const ir::Function& fn);
 Report verify_function(const ir::Function& fn, Level level = Level::Full,
                        const std::set<std::string>* undef_allowed = nullptr);
 
-/// STG structural checks beyond Stg::validate():
-///  * edge endpoints in range, out-edge lists exactly consistent with the
-///    edge table (every edge indexed once, from-state matches);
-///  * probabilities within [0,1], per-state sums equal to 1;
-///  * entry in range, all states reachable, an execution boundary exists;
-///  * deterministic out-edges: a state with more than one successor must
-///    expose a steering signal (cond_signal), otherwise the controller
-///    cannot implement the transition.
+/// Every issue of the STG's structure (stg::structure_issues, the checks
+/// of Stg::validate: stg.empty, stg.entry, stg.edges, stg.prob,
+/// stg.boundary, stg.reachable), then stg.deterministic: a state with more
+/// than one successor must expose a steering signal (cond_signal),
+/// otherwise the controller cannot implement the transition.
 Report verify_stg(const stg::Stg& stg, Level level = Level::Full);
 
 /// Schedule legality of `stg` as a schedule of `fn` under `alloc`:

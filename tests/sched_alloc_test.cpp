@@ -131,7 +131,7 @@ TEST(SchedAlloc, WarmRescheduleAllocatesPerStateNotPerOp) {
     const ScheduleResult r = s.schedule(p.fn, p.profile);
     total_allocs += allocations() - before;
     total_states += r.stg.num_states();
-    total_regions += count_regions(*build_region_tree(p.fn));
+    total_regions += count_regions(*RegionTree(p.fn));
     for (const stg::State& st : r.stg.states()) total_ops += st.ops.size();
   }
   std::printf("warm reschedule: %zu allocations, %zu states, %zu regions, "
@@ -175,7 +175,7 @@ TEST(SchedAlloc, WarmSummaryAllocatesPerScheduleNotPerState) {
     const size_t allocs = allocations() - before;
     std::printf("summarize: %zu allocations, %zu states, %zu regions\n",
                 allocs, chain.num_states(),
-                count_regions(*build_region_tree(fn)));
+                count_regions(*RegionTree(fn)));
     min_states = std::min(min_states, chain.num_states());
     max_states = std::max(max_states, chain.num_states());
     // The chain's exact-size copy of the thread's emission storage: its
@@ -224,7 +224,7 @@ TEST(SchedAlloc, DfgBuildAllocatesPerDfgNotPerName) {
   size_t allocs = 0, nodes = 0;
   for (const Program& p : golden_programs()) {
     DfgBuilder b(lib, p.alloc, sel, 5.0, 1.0);
-    build_all(b, *build_region_tree(p.fn), &allocs, &nodes);
+    build_all(b, *RegionTree(p.fn), &allocs, &nodes);
   }
   std::printf("DfgBuilder::build: %zu allocations for %zu nodes (%.2f per "
               "node)\n",

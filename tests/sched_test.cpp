@@ -51,7 +51,7 @@ struct Harness {
 
 TEST(RegionTree, GroupsStraightLineCode) {
   const auto fn = parse("F(int a) { int x = a + 1; int y = x * 2; int z = y - 1; }");
-  const RegionTree tree = build_region_tree(fn);
+  const RegionTree tree(fn);
   ASSERT_EQ(tree->children.size(), 1u);
   EXPECT_TRUE(tree->children[0]->is_straight());
   EXPECT_EQ(tree->children[0]->stmts.size(), 3u);
@@ -65,7 +65,7 @@ F(int a) {
   int y = x * 2;
 }
 )");
-  const RegionTree tree = build_region_tree(fn);
+  const RegionTree tree(fn);
   ASSERT_EQ(tree->children.size(), 3u);
   EXPECT_TRUE(tree->children[0]->is_straight());
   EXPECT_EQ(tree->children[1]->kind, Region::Kind::If);
@@ -74,7 +74,7 @@ F(int a) {
 
 TEST(RegionTree, LoopBodyStraightDetection) {
   const auto straight = parse("F(int n) { int i = 0; while (i < n) { i = i + 1; } }");
-  const auto tree1 = build_region_tree(straight);
+  const RegionTree tree1(straight);
   const Region* loop1 = tree1->children[1];
   ASSERT_EQ(loop1->kind, Region::Kind::Loop);
   EXPECT_TRUE(loop1->loop_body_is_straight());
@@ -85,14 +85,14 @@ F(int n) {
   while (i < n) { if (i > 2) { i = i + 2; } else { i = i + 1; } }
 }
 )");
-  const auto tree2 = build_region_tree(branchy);
+  const RegionTree tree2(branchy);
   EXPECT_FALSE(tree2->children[1]->loop_body_is_straight());
 }
 
 TEST(RegionTree, FlattensNestedBlocks) {
   // for-lowering produces nested blocks; adjacent straight code must merge.
   const auto fn = parse("F() { int a = 1; for (a = 0; a < 2; a++) { int b = a; } int c = 2; }");
-  const RegionTree tree = build_region_tree(fn);
+  const RegionTree tree(fn);
   // init statements merge into one straight region before the loop.
   ASSERT_GE(tree->children.size(), 2u);
   EXPECT_TRUE(tree->children[0]->is_straight());
@@ -105,7 +105,7 @@ TEST(Dfg, ValueNumberingSharesCommonSubexpressions) {
   Harness s;
   const auto fn = parse("F(int a, int b) { int x = (a > b) ? a : b; int y = (a > b) ? b : a; }");
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
-  const RegionTree tree = build_region_tree(fn);
+  const RegionTree tree(fn);
   const Dfg dfg = b.build(tree->children[0]->stmts);
   int comparators = 0;
   for (const auto& n : dfg.nodes)
@@ -117,7 +117,7 @@ TEST(Dfg, ValueNumberingInvalidatedOnRedefine) {
   Harness s;
   const auto fn = parse("F(int a) { int x = a * a; a = a + 1; int y = a * a; }");
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
-  const RegionTree tree = build_region_tree(fn);
+  const RegionTree tree(fn);
   const Dfg dfg = b.build(tree->children[0]->stmts);
   int mults = 0;
   for (const auto& n : dfg.nodes)
@@ -129,7 +129,7 @@ TEST(Dfg, CountedLoopComparisonsAreControllerResident) {
   Harness s;
   const auto fn = parse("F(int n, int c) { int x = (n < 5) + (n < c); }");
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
-  const RegionTree tree = build_region_tree(fn);
+  const RegionTree tree(fn);
   const Dfg dfg = b.build(tree->children[0]->stmts);
   int datapath_cmp = 0, controller_cmp = 0;
   for (const auto& n : dfg.nodes) {
@@ -146,7 +146,7 @@ TEST(Dfg, IncrementerBindsSelfIncrementsOnly) {
   // data add and must stay on the adder so counters keep incrementers.
   const auto fn = parse("F(int a) { int i = 3; i = i + 1; int j = a + 1; }");
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
-  const RegionTree tree = build_region_tree(fn);
+  const RegionTree tree(fn);
   const Dfg dfg = b.build(tree->children[0]->stmts);
   int incrs = 0, adders = 0;
   for (const auto& n : dfg.nodes) {
@@ -163,7 +163,7 @@ TEST(Dfg, ChainingRespectsClockPeriod) {
   // third starts a new cstep.
   const auto fn = parse("F(int a, int b) { int x = ((a + b) + a) + b; }");
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
-  const RegionTree tree = build_region_tree(fn);
+  const RegionTree tree(fn);
   Dfg dfg = b.build(tree->children[0]->stmts);
   ResourceTable table(s.alloc, 0);
   ASSERT_TRUE(list_schedule(dfg, table, 25.0));
@@ -176,7 +176,7 @@ TEST(Dfg, ResourceConstraintSerializes) {
   // Two independent multiplies, one multiplier: 2 csteps.
   const auto fn = parse("F(int a, int b) { int x = a * a; int y = b * b; }");
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
-  const RegionTree tree = build_region_tree(fn);
+  const RegionTree tree(fn);
   Dfg dfg = b.build(tree->children[0]->stmts);
   ResourceTable table(s.alloc, 0);
   ASSERT_TRUE(list_schedule(dfg, table, 25.0));
@@ -188,7 +188,7 @@ TEST(Dfg, MultiCycleOperations) {
   // Multiplier (23ns at 5V) at 4V scales to ~34ns > 25ns: spans 2 csteps.
   const auto fn = parse("F(int a) { int x = a * a; }");
   DfgBuilder b(s.lib, s.alloc, s.sel, 4.0, 1.0);
-  const RegionTree tree = build_region_tree(fn);
+  const RegionTree tree(fn);
   Dfg dfg = b.build(tree->children[0]->stmts);
   ResourceTable table(s.alloc, 0);
   ASSERT_TRUE(list_schedule(dfg, table, 25.0));
@@ -206,7 +206,7 @@ F(int i) {
 }
 )");
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
-  const RegionTree tree = build_region_tree(fn);
+  const RegionTree tree(fn);
   Dfg dfg = b.build(tree->children[0]->stmts);
   ResourceTable table(s.alloc, 0);
   ASSERT_TRUE(list_schedule(dfg, table, 25.0));
@@ -223,7 +223,7 @@ TEST(Dfg, ResourceMinIiMatchesCounts) {
   const auto fn = parse("F(int a) { int x = a + 1 + a + 2 + a + 3; }");
   // Note: +1 binds to the incrementer; remaining adds to a1.
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
-  const RegionTree tree = build_region_tree(fn);
+  const RegionTree tree(fn);
   const Dfg dfg = b.build(tree->children[0]->stmts);
   const int ii = resource_min_ii(dfg, ResourceTable(s.alloc, 1));
   EXPECT_GE(ii, 2);  // 4 adds on 2 adders (chain is left-leaning: a+1 first)
@@ -508,7 +508,7 @@ TEST(ListSchedule, MatchesQuadraticPicker) {
       for (const auto& t : lib.types())
         alloc.counts[t.name] = 1 + static_cast<int>(seed % 2);
       const ir::Function fn = testgen::random_program(seed, gen);
-      const RegionTree tree = build_region_tree(fn);
+      const RegionTree tree(fn);
       for (const double vdd : {5.0, 3.3}) {
         DfgBuilder builder(lib, alloc, sel, vdd, 1.0);
         std::vector<Dfg> segments;
@@ -882,7 +882,7 @@ std::vector<FusedCase> fused_cases() {
 /// `fn`, in program order, as the scheduler builds it for pipelining.
 std::vector<Dfg> loop_dfgs(const ir::Function& fn, DfgBuilder& builder) {
   std::vector<Dfg> out;
-  const RegionTree tree = build_region_tree(fn);
+  const RegionTree tree(fn);
   std::vector<const Region*> todo{&tree.root()};
   std::vector<const Region*> loops;
   while (!todo.empty()) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <random>
@@ -10,6 +11,7 @@
 #include "sim/trace.hpp"
 #include "stg/stg.hpp"
 #include "util/error.hpp"
+#include "verify/verify.hpp"
 #include "workloads/workloads.hpp"
 
 namespace fact::stg {
@@ -28,40 +30,179 @@ Stg simple_loop(double p) {
   return stg;
 }
 
+// ---- structure checks ---------------------------------------------------
+//
+// One table of STGs, sound and malformed. Stg::validate, Chain::validate
+// (on Chain::of) and verify_stg run one implementation of the structural
+// checks (structure_issues), so every case gets the same verdict from all
+// three, except that a chain has no out-edge lists to corrupt. The named
+// tests below each run their rows of the table.
+
+/// The two-state loop with its steering signal on S1, so that verify_stg's
+/// determinism check passes too.
+Stg steered_loop() {
+  Stg stg = simple_loop(0.5);
+  stg.state(1).cond_signal = "w0";
+  return stg;
+}
+
+/// S0 branches to S1 (0.7) or back to itself (0.3) on w0; S1 returns to
+/// S0 across the exec boundary.
+Stg branch() {
+  Stg g;
+  const int s0 = g.add_state("S0");
+  const int s1 = g.add_state("S1");
+  g.add_edge(s0, s1, 0.7, "T");
+  g.add_edge(s0, s0, 0.3, "F");
+  g.state(s0).cond_signal = "w0";
+  g.add_edge(s1, s0, 1.0, "", /*exec_boundary=*/true);
+  g.set_entry(s0);
+  return g;
+}
+
+struct StructureCase {
+  const char* name;
+  const char* check;  // verify_stg's first issue; nullptr: sound
+  bool in_chain;      // the defect survives Chain::of
+  Stg (*build)();
+};
+
+const StructureCase kStructureCases[] = {
+    {"sound loop", nullptr, true, steered_loop},
+    {"sound branch", nullptr, true, branch},
+    {"no states", "stg.empty", true, [] { return Stg(); }},
+    {"entry past the end", "stg.entry", true,
+     [] {
+       Stg g = steered_loop();
+       g.set_entry(2);
+       return g;
+     }},
+    {"entry before the start", "stg.entry", true,
+     [] {
+       Stg g = steered_loop();
+       g.set_entry(-1);
+       return g;
+     }},
+    {"dangling edge", "stg.edges", true,
+     [] {
+       // add_edge refuses a dangling edge; a mutated edge reaches the check.
+       Stg g = steered_loop();
+       g.edge(0).to = 7;
+       return g;
+     }},
+    {"out-edge list names no edge", "stg.edges", false,
+     [] {
+       Stg g = branch();
+       g.state(1).out_edges.push_back(99);
+       return g;
+     }},
+    {"out-edge list names a foreign edge", "stg.edges", false,
+     [] {
+       Stg g = branch();
+       g.state(1).out_edges.push_back(0);  // edge 0 leaves S0, not S1
+       return g;
+     }},
+    {"dead end", "stg.edges", true,
+     [] {
+       Stg g;
+       g.add_state("");
+       g.add_state("");
+       g.add_edge(0, 1, 1.0, "", true);  // S1 has no outgoing edge
+       return g;
+     }},
+    {"self-loop probability 0.7", "stg.prob", true,
+     [] {
+       Stg g;
+       g.add_edge(g.add_state(""), 0, 0.7, "", true);
+       return g;
+     }},
+    {"branch probabilities sum to 0.8", "stg.prob", true,
+     [] {
+       Stg g = branch();
+       g.edge(0).prob = 0.5;
+       return g;
+     }},
+    {"probabilities out of [0,1]", "stg.prob", true,
+     [] {
+       Stg g = branch();
+       g.edge(0).prob = 1.4;
+       g.edge(1).prob = -0.4;
+       return g;
+     }},
+    {"self-loop without boundary", "stg.boundary", true,
+     [] {
+       Stg g;
+       g.add_edge(g.add_state(""), 0, 1.0);
+       return g;
+     }},
+    {"branch without boundary", "stg.boundary", true,
+     [] {
+       Stg g = branch();
+       for (size_t i = 0; i < g.num_edges(); ++i)
+         g.edge(static_cast<int>(i)).exec_boundary = false;
+       return g;
+     }},
+    {"unreachable state", "stg.reachable", true,
+     [] {
+       Stg g;
+       g.add_state("");
+       g.add_state("");
+       g.add_edge(0, 0, 1.0, "", true);
+       g.add_edge(1, 0, 1.0);  // nothing enters S1
+       return g;
+     }},
+    {"orphan self-loop", "stg.reachable", true,
+     [] {
+       Stg g = branch();
+       const int orphan = g.add_state("orphan");
+       g.add_edge(orphan, orphan, 1.0);
+       return g;
+     }},
+};
+
+/// Runs the table's case `name` through the three checks.
+void expect_case(std::string_view name) {
+  const auto it = std::find_if(
+      std::begin(kStructureCases), std::end(kStructureCases),
+      [name](const StructureCase& c) { return c.name == name; });
+  ASSERT_NE(it, std::end(kStructureCases)) << name;
+  SCOPED_TRACE(it->name);
+  const Stg stg = it->build();
+  const verify::Report report = verify::verify_stg(stg);
+  if (!it->check) {
+    EXPECT_TRUE(report.ok()) << report.str();
+    EXPECT_NO_THROW(stg.validate());
+    EXPECT_NO_THROW(Chain::of(stg).validate());
+    return;
+  }
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.first_check(), it->check) << report.str();
+  try {
+    stg.validate();
+    ADD_FAILURE() << "Stg::validate accepted it";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.what(), report.issues.front().detail);
+  }
+  if (it->in_chain)
+    EXPECT_THROW(Chain::of(stg).validate(), Error);
+  else
+    EXPECT_NO_THROW(Chain::of(stg).validate());
+}
+
 TEST(Stg, ValidatePassesOnWellFormed) {
   EXPECT_NO_THROW(simple_loop(0.5).validate());
+  expect_case("sound loop");
 }
 
 TEST(Stg, ValidateCatchesBadProbabilitySum) {
-  Stg stg;
-  const int s0 = stg.add_state("");
-  stg.add_edge(s0, s0, 0.7, "", true);
-  EXPECT_THROW(stg.validate(), Error);
+  expect_case("self-loop probability 0.7");
 }
 
-TEST(Stg, ValidateCatchesDeadEnd) {
-  Stg stg;
-  const int s0 = stg.add_state("");
-  const int s1 = stg.add_state("");
-  stg.add_edge(s0, s1, 1.0, "", true);
-  EXPECT_THROW(stg.validate(), Error);  // s1 has no outgoing edge
-}
+TEST(Stg, ValidateCatchesDeadEnd) { expect_case("dead end"); }
 
-TEST(Stg, ValidateCatchesUnreachable) {
-  Stg stg;
-  const int s0 = stg.add_state("");
-  const int s1 = stg.add_state("");
-  stg.add_edge(s0, s0, 1.0, "", true);
-  stg.add_edge(s1, s0, 1.0);
-  EXPECT_THROW(stg.validate(), Error);  // s1 unreachable
-}
+TEST(Stg, ValidateCatchesUnreachable) { expect_case("unreachable state"); }
 
-TEST(Stg, ValidateRequiresBoundary) {
-  Stg stg;
-  const int s0 = stg.add_state("");
-  stg.add_edge(s0, s0, 1.0);
-  EXPECT_THROW(stg.validate(), Error);
-}
+TEST(Stg, ValidateRequiresBoundary) { expect_case("self-loop without boundary"); }
 
 TEST(Stg, AddEdgeRangeChecked) {
   Stg stg;
@@ -69,89 +210,36 @@ TEST(Stg, AddEdgeRangeChecked) {
   EXPECT_THROW(stg.add_edge(0, 5, 1.0), Error);
 }
 
-// The Stg.Validate* cases on chains: built directly, and reduced from the
-// malformed STG by Chain::of. Stg::validate runs the same check.
-Chain chain_loop(double p) {
+TEST(Chain, ValidatePassesOnWellFormed) {
   Chain c;
   const int s0 = c.add_state();
   const int s1 = c.add_state();
   c.add_edge(s0, s1, 1.0);
-  c.add_edge(s1, s1, p);
-  c.add_edge(s1, s0, 1.0 - p, /*exec_boundary=*/true);
-  c.set_entry(s0);
-  return c;
-}
-
-TEST(Chain, ValidatePassesOnWellFormed) {
-  EXPECT_NO_THROW(chain_loop(0.5).validate());
-  EXPECT_NO_THROW(Chain::of(simple_loop(0.5)).validate());
+  c.add_edge(s1, s1, 0.5);
+  c.add_edge(s1, s0, 0.5, /*exec_boundary=*/true);
+  EXPECT_NO_THROW(c.validate());
+  expect_case("sound loop");
 }
 
 TEST(Chain, ValidateCatchesBadProbabilitySum) {
-  Chain c;
-  const int s0 = c.add_state();
-  c.add_edge(s0, s0, 0.7, true);
-  EXPECT_THROW(c.validate(), Error);
-  Stg stg;
-  stg.add_edge(stg.add_state(""), 0, 0.7, "", true);
-  EXPECT_THROW(Chain::of(stg).validate(), Error);
+  expect_case("self-loop probability 0.7");
 }
 
-TEST(Chain, ValidateCatchesDeadEnd) {
-  Chain c;
-  const int s0 = c.add_state();
-  const int s1 = c.add_state();
-  c.add_edge(s0, s1, 1.0, true);
-  EXPECT_THROW(c.validate(), Error);  // s1 has no outgoing edge
-  Stg stg;
-  stg.add_state("");
-  stg.add_state("");
-  stg.add_edge(0, 1, 1.0, "", true);
-  EXPECT_THROW(Chain::of(stg).validate(), Error);
-}
+TEST(Chain, ValidateCatchesDeadEnd) { expect_case("dead end"); }
 
-TEST(Chain, ValidateCatchesUnreachable) {
-  Chain c;
-  const int s0 = c.add_state();
-  const int s1 = c.add_state();
-  c.add_edge(s0, s0, 1.0, true);
-  c.add_edge(s1, s0, 1.0);
-  EXPECT_THROW(c.validate(), Error);  // s1 unreachable
-  Stg stg;
-  stg.add_state("");
-  stg.add_state("");
-  stg.add_edge(0, 0, 1.0, "", true);
-  stg.add_edge(1, 0, 1.0);
-  EXPECT_THROW(Chain::of(stg).validate(), Error);
-}
+TEST(Chain, ValidateCatchesUnreachable) { expect_case("unreachable state"); }
 
 TEST(Chain, ValidateRequiresBoundary) {
-  Chain c;
-  const int s0 = c.add_state();
-  c.add_edge(s0, s0, 1.0);
-  EXPECT_THROW(c.validate(), Error);
-  Stg stg;
-  stg.add_edge(stg.add_state(""), 0, 1.0);
-  EXPECT_THROW(Chain::of(stg).validate(), Error);
+  expect_case("self-loop without boundary");
 }
 
 TEST(Chain, ValidateCatchesEmptyAndBadEntry) {
-  EXPECT_THROW(Chain().validate(), Error);
-  Chain c = chain_loop(0.5);
-  c.set_entry(2);
-  EXPECT_THROW(c.validate(), Error);
-  Stg stg = simple_loop(0.5);
-  stg.set_entry(-1);
-  EXPECT_THROW(stg.validate(), Error);
+  expect_case("no states");
+  expect_case("entry past the end");
+  expect_case("entry before the start");
 }
 
-TEST(Chain, ValidateCatchesDanglingEdge) {
-  // add_edge refuses a dangling edge; a mutated STG edge reaches the chain.
-  Stg stg = simple_loop(0.5);
-  stg.edge(0).to = 7;
-  EXPECT_THROW(Chain::of(stg).validate(), Error);
-  EXPECT_THROW(stg.validate(), Error);
-}
+TEST(Chain, ValidateCatchesDanglingEdge) { expect_case("dangling edge"); }
 
 TEST(Chain, AddEdgeRangeChecked) {
   Chain c;
@@ -172,6 +260,38 @@ TEST(Chain, ErrorsNameStgStates) {
     EXPECT_NE(std::string(e.what()).find("'tail'"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(VerifyStg, CleanStgPasses) { expect_case("sound branch"); }
+
+TEST(VerifyStg, BadProbabilitySumFlagged) {
+  expect_case("branch probabilities sum to 0.8");
+}
+
+TEST(VerifyStg, OutOfRangeProbabilityFlagged) {
+  expect_case("probabilities out of [0,1]");
+}
+
+TEST(VerifyStg, UnreachableStateFlagged) { expect_case("orphan self-loop"); }
+
+TEST(VerifyStg, MissingBoundaryFlagged) {
+  expect_case("branch without boundary");
+}
+
+TEST(VerifyStg, CorruptOutEdgeListFlagged) {
+  expect_case("out-edge list names no edge");
+  expect_case("out-edge list names a foreign edge");
+}
+
+TEST(VerifyStg, MissingCondSignalFlagged) {
+  // The one check beyond the structure's: a sound STG whose branching
+  // state has no steering signal.
+  Stg g = branch();
+  g.state(0).cond_signal.clear();
+  EXPECT_NO_THROW(g.validate());
+  const verify::Report report = verify::verify_stg(g);
+  ASSERT_EQ(report.issues.size(), 1u) << report.str();
+  EXPECT_EQ(report.first_check(), "stg.deterministic");
 }
 
 TEST(Chain, OfCountsOpsPerFuAndRegisterTraffic) {

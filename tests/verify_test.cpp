@@ -1,6 +1,7 @@
 // Unit tests of the deep invariant verifier (src/verify): hand-corrupted
-// IR, STGs, and schedules must each be flagged with the right check name,
-// and legitimate designs must pass untouched.
+// IR and schedules must each be flagged with the right check name, and
+// legitimate designs must pass untouched. verify_stg's cases are in
+// stg_test.cpp, in one table with Stg::validate's and Chain::validate's.
 
 #include <gtest/gtest.h>
 
@@ -184,69 +185,6 @@ F(int n) {
   const std::set<std::string> loop_undef = undefined_reads(loop_fn);
   EXPECT_TRUE(loop_undef.count("t"));
   EXPECT_FALSE(loop_undef.count("n"));
-}
-
-// ---- STG checks ---------------------------------------------------------
-
-stg::Stg small_stg() {
-  stg::Stg g;
-  const int s0 = g.add_state("S0");
-  const int s1 = g.add_state("S1");
-  g.add_edge(s0, s1, 0.7, "T");
-  g.add_edge(s0, s0, 0.3, "F");
-  g.state(s0).cond_signal = "w0";
-  g.add_edge(s1, s0, 1.0, "", /*exec_boundary=*/true);
-  g.set_entry(s0);
-  return g;
-}
-
-TEST(VerifyStg, CleanStgPasses) {
-  EXPECT_TRUE(verify_stg(small_stg(), Level::Full).ok());
-}
-
-TEST(VerifyStg, BadProbabilitySumFlagged) {
-  stg::Stg g = small_stg();
-  g.edge(0).prob = 0.5;  // 0.5 + 0.3 != 1
-  EXPECT_TRUE(has_check(verify_stg(g), "stg.prob"));
-}
-
-TEST(VerifyStg, OutOfRangeProbabilityFlagged) {
-  stg::Stg g = small_stg();
-  g.edge(0).prob = 1.4;
-  g.edge(1).prob = -0.4;
-  EXPECT_TRUE(has_check(verify_stg(g), "stg.prob"));
-}
-
-TEST(VerifyStg, MissingCondSignalFlagged) {
-  stg::Stg g = small_stg();
-  g.state(0).cond_signal.clear();
-  EXPECT_TRUE(has_check(verify_stg(g), "stg.deterministic"));
-}
-
-TEST(VerifyStg, UnreachableStateFlagged) {
-  stg::Stg g = small_stg();
-  const int orphan = g.add_state("orphan");
-  g.add_edge(orphan, orphan, 1.0);
-  EXPECT_TRUE(has_check(verify_stg(g), "stg.reachable"));
-}
-
-TEST(VerifyStg, MissingBoundaryFlagged) {
-  stg::Stg g = small_stg();
-  for (size_t i = 0; i < g.num_edges(); ++i)
-    g.edge(static_cast<int>(i)).exec_boundary = false;
-  EXPECT_TRUE(has_check(verify_stg(g), "stg.boundary"));
-}
-
-TEST(VerifyStg, CorruptOutEdgeListFlagged) {
-  stg::Stg g = small_stg();
-  g.state(1).out_edges.push_back(99);  // nonexistent edge index
-  EXPECT_TRUE(has_check(verify_stg(g), "stg.edges"));
-
-  stg::Stg g2 = small_stg();
-  g2.state(1).out_edges.push_back(0);  // edge 0 leaves state 0, not 1
-  EXPECT_TRUE(has_check(verify_stg(g2), "stg.edges"));
-  // The stg-level validator rejects the same corruption.
-  EXPECT_THROW(g2.validate(), Error);
 }
 
 // ---- schedule legality --------------------------------------------------

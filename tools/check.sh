@@ -156,13 +156,15 @@ if [ "$cmake_flag" = thread ]; then
 
   # Span tracing under TSan: a traced sanitized run with parallel
   # evaluation must produce well-formed Chrome trace JSON that carries the
-  # candidate gates' spans (apply, verify, hash) from the workers.
+  # candidate gates' spans (apply, verify, hash) from the workers and the
+  # main thread's neighbourhood generation and wave reduction spans (find,
+  # reduce).
   trace_json="$build_dir/factc-tsan-trace.json"
   "$build_dir/tools/factc" --benchmark GCD --jobs 4 --quiet \
     --trace-out "$trace_json" >/dev/null
   grep -q '^{"traceEvents":\[{' "$trace_json" \
     || { echo "check.sh: factc --trace-out produced malformed trace JSON" >&2; exit 1; }
-  for span in engine.optimize dfg_build emit apply verify hash; do
+  for span in engine.optimize dfg_build emit apply verify hash find reduce; do
     grep -q "\"name\":\"$span\"" "$trace_json" \
       || { echo "check.sh: trace JSON is missing the $span span" >&2; exit 1; }
   done
