@@ -142,8 +142,10 @@ inline int64_t eval_op(Op op, int64_t a, int64_t b = 0, int64_t c = 0) {
 
 /// `idx` wrapped into [0, size): memories alias like a real address
 /// decoder, so every read and store is defined for any index. `size` must
-/// be nonzero.
+/// be nonzero. An index already in range, nearly every one a behavior
+/// computes, is returned without the 64-bit division.
 inline int64_t wrap_index(int64_t idx, size_t size) {
+  if (static_cast<uint64_t>(idx) < size) return idx;
   const int64_t n = static_cast<int64_t>(size);
   const int64_t m = idx % n;
   return m < 0 ? m + n : m;

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <string_view>
 
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace fact::sim {
@@ -358,38 +360,290 @@ class Compiler {
   int32_t open_step_ = -1;  // the step instruction of the current run
 };
 
-/// Executes a compiled Program: one stimulus at a time, reset in place
-/// between stimuli, with branch counters and steps accumulating over the
-/// pass. The memory sits right behind a slot per output, so once the
-/// outputs are copied there, that one buffer is the execution's
-/// observation.
+/// Executions of a trace that run in lockstep: one dispatch per
+/// instruction serves them all. Four lanes cover TEST2's whole trace in
+/// one group and the other Table 2 traces in whole groups.
+constexpr size_t kLanes = 4;
+
+constexpr int32_t kHalted = -1;
+
+/// Where a run stopped: at Halt (`pc` is kHalted) or at the branch where
+/// the lanes disagree, before it counted; and the steps taken so far.
+struct Stop {
+  int32_t pc;
+  uint64_t steps;
+};
+
+/// Executes a compiled Program on `W` lanes at once, each lane one
+/// execution: from a given instruction and step count to Halt, or, when
+/// `W` > 1, to the first If, Loop or JumpIfZero on which the lanes
+/// disagree. Registers are laid out [reg][lane]; each lane's memory is one
+/// segment of `stride` cells (lane-major). A branch counter adds the lanes
+/// it counts for, and the step count is shared: in lockstep every lane
+/// has taken the same steps. `W` = 1 is the serial machine.
+template <size_t W>
 class Machine {
  public:
-  Machine(const Program& p, uint64_t max_steps)
+  Machine(const Program& p, uint64_t max_steps, int64_t* regs, int64_t* memory,
+          size_t stride, BranchStats* branches, uint64_t lanes)
       : p_(p),
-        regs_(p.registers),
-        observation_(p.layout.size),
-        memory_(observation_.data() + p.output_registers.size()),
-        branches_(p.branch_ids.size()),
+        regs_(regs),
+        memory_(memory),
+        stride_(stride),
+        branches_(branches),
+        lanes_(lanes),
         max_steps_(max_steps) {}
-  Machine(const Machine&) = delete;  // memory_ points into observation_
-  Machine& operator=(const Machine&) = delete;
 
-  /// Runs one execution of `in` from reset; returns its observation.
-  std::span<const int64_t> execute(const Stimulus& in) {
-    reset(in);
-    run();
-    int64_t* out = observation_.data();
-    for (int32_t r : p_.output_registers) *out++ = regs_[static_cast<size_t>(r)];
-    return observation_;
+  /// Runs from instruction `pc` with `steps` steps taken. Dispatch is
+  /// threaded: each handler jumps straight to the next instruction's
+  /// handler through a table of label addresses (a GNU extension that GCC
+  /// and Clang accept under -std=c++20), so each handler's indirect jump is
+  /// predicted on its own. fact-bench measured it faster end to end than
+  /// the same loop over one shared `switch` on every workload.
+  Stop run(int32_t pc, uint64_t steps) {
+    static const void* const kHandler[] = {
+        &&Add, &&Sub, &&Mul, &&Lt, &&Le, &&Gt, &&Ge, &&Eq, &&Ne, &&BitNot,
+        &&Shl, &&Shr, &&And, &&Or, &&Not, &&Mov, &&Load, &&Store,
+        &&Step, &&If, &&Loop, &&JumpIfZero, &&Jump, &&Fail, &&Halt};
+    static_assert(std::size(kHandler) == static_cast<size_t>(Code::Halt) + 1);
+    const Instr* const code = p_.code.data();
+    int64_t* const r = regs_;
+    const uint64_t lanes = W == 1 ? 1 : lanes_;
+    const Instr* in;
+    // Where the lanes disagree, the group splits before the branch counts.
+#define FACT_SPLIT_UNLESS_AGREED(cond)                                 \
+  if (!agree(r + in->a * W))                                           \
+    return {static_cast<int32_t>(in - code), steps};                   \
+  const bool cond = r[in->a * W] != 0
+#define FACT_JUMP(target) \
+  goto* kHandler[static_cast<size_t>((in = code + (target))->code)]
+#define FACT_NEXT goto* kHandler[static_cast<size_t>((++in)->code)]
+
+    FACT_JUMP(pc);
+  Add: apply<Op::Add>(r, *in); FACT_NEXT;
+  Sub: apply<Op::Sub>(r, *in); FACT_NEXT;
+  Mul: apply<Op::Mul>(r, *in); FACT_NEXT;
+  Lt: apply<Op::Lt>(r, *in); FACT_NEXT;
+  Le: apply<Op::Le>(r, *in); FACT_NEXT;
+  Gt: apply<Op::Gt>(r, *in); FACT_NEXT;
+  Ge: apply<Op::Ge>(r, *in); FACT_NEXT;
+  Eq: apply<Op::Eq>(r, *in); FACT_NEXT;
+  Ne: apply<Op::Ne>(r, *in); FACT_NEXT;
+  BitNot: apply<Op::BitNot>(r, *in); FACT_NEXT;
+  Shl: apply<Op::Shl>(r, *in); FACT_NEXT;
+  Shr: apply<Op::Shr>(r, *in); FACT_NEXT;
+  And: apply<Op::And>(r, *in); FACT_NEXT;
+  Or: apply<Op::Or>(r, *in); FACT_NEXT;
+  Not: apply<Op::Not>(r, *in); FACT_NEXT;
+  Mov: {
+    const int64_t* a = r + in->a * W;
+    int64_t* d = r + in->d * W;
+    for (size_t l = 0; l < W; ++l) d[l] = a[l];
+    FACT_NEXT;
+  }
+  Load: {
+    const int64_t* a = r + in->a * W;
+    int64_t* d = r + in->d * W;
+    for (size_t l = 0; l < W; ++l)
+      d[l] = memory_[l * stride_ + in->b + at(a[l], in->c)];
+    FACT_NEXT;
+  }
+  Store: {
+    const int64_t* a = r + in->a * W;
+    const int64_t* b = r + in->b * W;
+    for (size_t l = 0; l < W; ++l)
+      memory_[l * stride_ + in->d + at(a[l], in->c)] = b[l];
+    FACT_NEXT;
+  }
+  Step:
+    steps += static_cast<uint64_t>(in->a);
+    if (steps > max_steps_)
+      throw Error("interpreter exceeded step limit in '" + p_.fn_name + "'");
+    FACT_NEXT;
+  If: {
+    FACT_SPLIT_UNLESS_AGREED(taken);
+    BranchStats& b = branches_[in->d];
+    b.total += lanes;
+    if (!taken) FACT_JUMP(in->b);
+    b.taken += lanes;
+    FACT_NEXT;
+  }
+  Loop: {
+    FACT_SPLIT_UNLESS_AGREED(taken);
+    BranchStats& b = branches_[in->d];
+    b.total += lanes;
+    if (!taken) FACT_NEXT;
+    b.taken += lanes;
+    FACT_JUMP(in->b);
+  }
+  JumpIfZero: {
+    FACT_SPLIT_UNLESS_AGREED(taken);
+    if (!taken) FACT_JUMP(in->b);
+    FACT_NEXT;
+  }
+  Jump:
+    FACT_JUMP(in->b);
+  Fail:
+    throw Error(p_.errors[static_cast<size_t>(in->a)]);
+  Halt:
+    return {kHalted, steps};
+#undef FACT_NEXT
+#undef FACT_JUMP
+#undef FACT_SPLIT_UNLESS_AGREED
   }
 
-  /// Adds the counters of every execution so far into `stats` (branches
-  /// the behavior never reached stay absent from the map).
+ private:
+  /// d = op(a, b) in every lane (unary operators ignore b); d may be a or
+  /// b, as each lane reads its operands before it writes. Always inlined:
+  /// GCC otherwise may leave it a call that switches on `op` at run time
+  /// in some instantiation, which halves the speed of every arithmetic
+  /// instruction without a warning.
+  template <Op op>
+  [[gnu::always_inline]] static void apply(int64_t* r, const Instr& in) {
+    const int64_t* a = r + in.a * W;
+    const int64_t* b = r + in.b * W;
+    int64_t* d = r + in.d * W;
+    for (size_t l = 0; l < W; ++l) d[l] = ir::eval_op(op, a[l], b[l]);
+  }
+
+  /// Whether every lane tests `c` alike (all zero or all nonzero).
+  [[gnu::always_inline]] static bool agree(const int64_t* c) {
+    bool any = false, all = true;
+    for (size_t l = 0; l < W; ++l) {
+      any |= c[l] != 0;
+      all &= c[l] != 0;
+    }
+    return any == all;
+  }
+
+  static size_t at(int64_t index, int32_t size) {
+    return static_cast<size_t>(
+        ir::wrap_index(index, static_cast<size_t>(size)));
+  }
+
+  const Program& p_;
+  int64_t* regs_;
+  int64_t* memory_;  // lane 0's
+  size_t stride_;
+  BranchStats* branches_;
+  uint64_t lanes_;  // counted per branch: the lanes that are executions
+  uint64_t max_steps_;
+};
+
+/// What a trace pass reuses from one pass to the next on a thread. Storage
+/// keeps its capacity, so a warm pass allocates none of it, and it is
+/// bounded by kLanes x (registers + memory) of the largest behavior the
+/// thread has run.
+struct LaneScratch {
+  std::vector<int64_t> lanes;         // the lane machine's, [reg][lane]
+  std::vector<int64_t> serial;        // the serial machine's
+  std::vector<int64_t> observations;  // one per lane: outputs, then memory
+  std::vector<BranchStats> branches;  // per branch counter, over the pass
+};
+
+/// This thread's LaneScratch for one pass. A visitor may run another pass
+/// on the same thread (equivalent_on_trace does), so each nesting depth
+/// holds its own.
+class ScratchLease {
+ public:
+  ScratchLease() {
+    Pool& p = pool();
+    if (p.depth == p.scratch.size())
+      p.scratch.push_back(std::make_unique<LaneScratch>());
+    s_ = p.scratch[p.depth++].get();
+  }
+  ~ScratchLease() { pool().depth--; }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  LaneScratch* operator->() const { return s_; }
+
+ private:
+  struct Pool {
+    std::vector<std::unique_ptr<LaneScratch>> scratch;
+    size_t depth = 0;
+  };
+  static Pool& pool() {
+    thread_local Pool p;
+    return p;
+  }
+
+  LaneScratch* s_;
+};
+
+/// The lane counters, registered together so that every export carries
+/// both once a pass has run.
+struct LaneCounters {
+  obs::Counter& groups = obs::Registry::global().counter(
+      "fact_sim_lane_groups_total",
+      "Groups of executions a trace pass started in lockstep");
+  obs::Counter& splits = obs::Registry::global().counter(
+      "fact_sim_lane_splits_total",
+      "Lockstep groups whose executions took different branches");
+};
+LaneCounters& lane_counters() {
+  static LaneCounters c;
+  return c;
+}
+
+/// One interpreter pass over a trace. Runs the trace in order, in groups
+/// of kLanes executions (a last group of two or three is padded with
+/// copies of its last execution, which never disagree with it; a last
+/// single execution runs serially). A group runs in lockstep until its
+/// lanes disagree at a branch; then each lane, in execution order,
+/// finishes alone on the serial machine from that branch, with its own
+/// registers and memory and the shared step count. Each execution's
+/// observation reaches `visit` in execution order, once the execution
+/// has finished and only after every earlier one was visited, and a
+/// lane's run after a split starts only once every earlier lane was
+/// visited, so the first mismatch, the first abort and the statistics are
+/// those of running the executions one by one. An abort in lockstep hits
+/// every lane at once; the serial pass would have hit it in the group's
+/// first execution, with the same message.
+class Pass {
+ public:
+  using Visit = std::function<bool(size_t, std::span<const int64_t>)>;
+
+  Pass(const Program& p, uint64_t max_steps)
+      : p_(p), max_steps_(max_steps), stride_(p.layout.size) {
+    s_->branches.assign(p.branch_ids.size(), {});
+    s_->serial.assign(p.registers.begin(), p.registers.end());
+  }
+  ~Pass() {
+    // One increment per counter and pass, also for a pass that aborted.
+    LaneCounters& c = lane_counters();
+    if (groups_) c.groups.inc(groups_);
+    if (splits_) c.splits.inc(splits_);
+  }
+  Pass(const Pass&) = delete;
+  Pass& operator=(const Pass&) = delete;
+
+  /// Runs `trace`; false as soon as `visit` returns false.
+  bool run(std::span<const Stimulus> trace, const Visit& visit) {
+    s_->observations.resize((trace.size() >= 2 ? kLanes : 1) * stride_);
+    size_t i = 0;
+    if (trace.size() >= 2) {
+      // Every lane's constants; temporaries are written before they are
+      // read, and scalars are reset per group.
+      const std::vector<int64_t>& init = p_.registers;
+      s_->lanes.resize(init.size() * kLanes);
+      for (size_t reg = 0; reg < init.size(); ++reg)
+        std::fill_n(s_->lanes.begin() + reg * kLanes, kLanes, init[reg]);
+      while (trace.size() - i >= 2) {
+        const size_t n = std::min(kLanes, trace.size() - i);
+        if (!group<kLanes>(trace.subspan(i, n), i, visit)) return false;
+        i += n;
+      }
+    }
+    return i >= trace.size() || group<1>(trace.subspan(i), i, visit);
+  }
+
+  /// Adds the pass's counters into `stats` (branches the behavior never
+  /// reached stay absent from the map).
   void flush(RunStats& stats) const {
     stats.steps += steps_;
-    for (size_t i = 0; i < branches_.size(); ++i) {
-      const BranchStats& b = branches_[i];
+    for (size_t i = 0; i < s_->branches.size(); ++i) {
+      const BranchStats& b = s_->branches[i];
       if (b.total == 0) continue;
       auto& d = stats.branches[p_.branch_ids[i]];
       d.taken += b.taken;
@@ -398,16 +652,57 @@ class Machine {
   }
 
  private:
-  /// Every scalar zero (a scalar never written reads 0) but the parameters,
-  /// every memory zero but the input arrays' given cells.
-  void reset(const Stimulus& in) {
-    std::fill_n(regs_.begin(), p_.num_scalars, 0);
-    for (const auto& [name, r] : p_.params) {
+  /// Runs `group` (executions first, first + 1, ...) from reset on W lanes.
+  template <size_t W>
+  bool group(std::span<const Stimulus> group, size_t first,
+             const Visit& visit) {
+    int64_t* regs = W == 1 ? s_->serial.data() : s_->lanes.data();
+    for (size_t l = 0; l < W; ++l)
+      reset<W>(group[std::min(l, group.size() - 1)], regs, l);
+    if constexpr (W > 1) groups_++;
+    const Stop stop =
+        Machine<W>(p_, max_steps_, regs, memory(0), stride_,
+                   s_->branches.data(), group.size())
+            .run(0, 0);
+    if (stop.pc == kHalted) {
+      steps_ += stop.steps * group.size();
+      for (size_t l = 0; l < group.size(); ++l) {
+        observe<W>(regs, l);
+        if (!visit(first + l, observation(l))) return false;
+      }
+      return true;
+    }
+    if constexpr (W > 1) {
+      splits_++;
+      int64_t* serial = s_->serial.data();
+      for (size_t l = 0; l < group.size(); ++l) {
+        for (size_t reg = 0; reg < s_->serial.size(); ++reg)
+          serial[reg] = regs[reg * W + l];
+        steps_ += Machine<1>(p_, max_steps_, serial, memory(l), stride_,
+                             s_->branches.data(), 1)
+                      .run(stop.pc, stop.steps)
+                      .steps;
+        observe<1>(serial, l);
+        if (!visit(first + l, observation(l))) return false;
+      }
+    }
+    return true;
+  }
+
+  /// Lane `lane` of `regs` and its memory at reset for `in`: every scalar
+  /// zero (a scalar never written reads 0) but the parameters, every
+  /// memory cell zero but the input arrays' given cells.
+  template <size_t W>
+  void reset(const Stimulus& in, int64_t* regs, size_t lane) {
+    for (size_t reg = 0; reg < static_cast<size_t>(p_.num_scalars); ++reg)
+      regs[reg * W + lane] = 0;
+    for (const auto& [name, reg] : p_.params) {
       auto it = in.params.find(name);
-      if (it != in.params.end()) regs_[static_cast<size_t>(r)] = it->second;
+      if (it != in.params.end())
+        regs[static_cast<size_t>(reg) * W + lane] = it->second;
     }
     for (const auto& a : p_.arrays) {
-      int64_t* mem = memory_ + a.offset;
+      int64_t* mem = memory(lane) + a.offset;
       size_t given = 0;
       if (a.is_input) {
         auto it = in.arrays.find(a.name);
@@ -420,93 +715,30 @@ class Machine {
     }
   }
 
-  /// Runs the program from its first instruction to Halt. Dispatch is
-  /// threaded: each handler jumps straight to the next instruction's
-  /// handler through a table of label addresses (a GNU extension that GCC
-  /// and Clang accept under -std=c++20), so each handler's indirect jump is
-  /// predicted on its own. fact-bench measured it faster end to end than
-  /// the same loop over one shared `switch` on every workload.
-  void run() {
-    static const void* const kHandler[] = {
-        &&Add, &&Sub, &&Mul, &&Lt, &&Le, &&Gt, &&Ge, &&Eq, &&Ne, &&BitNot,
-        &&Shl, &&Shr, &&And, &&Or, &&Not, &&Mov, &&Load, &&Store,
-        &&Step, &&If, &&Loop, &&JumpIfZero, &&Jump, &&Fail, &&Halt};
-    static_assert(std::size(kHandler) == static_cast<size_t>(Code::Halt) + 1);
-    const Instr* const code = p_.code.data();
-    int64_t* const r = regs_.data();
-    int64_t* const mem = memory_;
-    const auto at = [](int64_t index, int32_t size) {
-      return static_cast<size_t>(
-          ir::wrap_index(index, static_cast<size_t>(size)));
-    };
-    uint64_t steps = 0;  // this execution's
-    const Instr* in = code;
-    // Unary operators ignore b.
-    const auto apply = [&](Op op) {
-      r[in->d] = ir::eval_op(op, r[in->a], r[in->b]);
-    };
-#define FACT_JUMP(target) \
-  goto* kHandler[static_cast<size_t>((in = code + (target))->code)]
-#define FACT_NEXT goto* kHandler[static_cast<size_t>((++in)->code)]
+  /// Copies lane `lane`'s outputs in front of its memory, so that one
+  /// buffer is the execution's observation. A serial machine's registers
+  /// (W = 1) may belong to any lane.
+  template <size_t W>
+  void observe(const int64_t* regs, size_t lane) {
+    int64_t* out = s_->observations.data() + lane * stride_;
+    for (int32_t reg : p_.output_registers)
+      *out++ = regs[static_cast<size_t>(reg) * W + (W == 1 ? 0 : lane)];
+  }
 
-    FACT_JUMP(0);
-  Add: apply(Op::Add); FACT_NEXT;
-  Sub: apply(Op::Sub); FACT_NEXT;
-  Mul: apply(Op::Mul); FACT_NEXT;
-  Lt: apply(Op::Lt); FACT_NEXT;
-  Le: apply(Op::Le); FACT_NEXT;
-  Gt: apply(Op::Gt); FACT_NEXT;
-  Ge: apply(Op::Ge); FACT_NEXT;
-  Eq: apply(Op::Eq); FACT_NEXT;
-  Ne: apply(Op::Ne); FACT_NEXT;
-  BitNot: apply(Op::BitNot); FACT_NEXT;
-  Shl: apply(Op::Shl); FACT_NEXT;
-  Shr: apply(Op::Shr); FACT_NEXT;
-  And: apply(Op::And); FACT_NEXT;
-  Or: apply(Op::Or); FACT_NEXT;
-  Not: apply(Op::Not); FACT_NEXT;
-  Mov: r[in->d] = r[in->a]; FACT_NEXT;
-  Load: r[in->d] = mem[in->b + at(r[in->a], in->c)]; FACT_NEXT;
-  Store: mem[in->d + at(r[in->a], in->c)] = r[in->b]; FACT_NEXT;
-  Step:
-    steps += static_cast<uint64_t>(in->a);
-    if (steps > max_steps_)
-      throw Error("interpreter exceeded step limit in '" + p_.fn_name + "'");
-    FACT_NEXT;
-  If: {
-    BranchStats& b = branches_[static_cast<size_t>(in->d)];
-    b.total++;
-    if (r[in->a] == 0) FACT_JUMP(in->b);
-    b.taken++;
-    FACT_NEXT;
+  int64_t* memory(size_t lane) {
+    return s_->observations.data() + lane * stride_ +
+           p_.output_registers.size();
   }
-  Loop: {
-    BranchStats& b = branches_[static_cast<size_t>(in->d)];
-    b.total++;
-    if (r[in->a] == 0) FACT_NEXT;
-    b.taken++;
-    FACT_JUMP(in->b);
-  }
-  JumpIfZero:
-    if (r[in->a] == 0) FACT_JUMP(in->b);
-    FACT_NEXT;
-  Jump:
-    FACT_JUMP(in->b);
-  Fail:
-    throw Error(p_.errors[static_cast<size_t>(in->a)]);
-  Halt:
-    steps_ += steps;
-#undef FACT_NEXT
-#undef FACT_JUMP
+  std::span<const int64_t> observation(size_t lane) const {
+    return {s_->observations.data() + lane * stride_, stride_};
   }
 
   const Program& p_;
-  std::vector<int64_t> regs_;
-  std::vector<int64_t> observation_;  // the outputs, then the memory
-  int64_t* memory_;
-  std::vector<BranchStats> branches_;
   uint64_t max_steps_;
-  uint64_t steps_ = 0;  // every finished execution's
+  size_t stride_;  // values per observation
+  ScratchLease s_;
+  uint64_t steps_ = 0;
+  uint64_t groups_ = 0, splits_ = 0;  // lockstep groups; the ones that split
 };
 
 }  // namespace
@@ -544,20 +776,22 @@ Interpreter::Interpreter(const ir::Function& fn)
 const ObservationLayout& Interpreter::layout() const { return prog_->layout; }
 
 Observation Interpreter::run(const Stimulus& in, RunStats* stats) const {
-  Machine m(*prog_, max_steps_);
-  const std::span<const int64_t> values = m.execute(in);
-  if (stats) m.flush(*stats);
-  return prog_->layout.observation(values);
+  Observation obs;
+  run_trace(std::span(&in, 1), stats,
+            [&](size_t, std::span<const int64_t> values) {
+              obs = prog_->layout.observation(values);
+              return true;
+            });
+  return obs;
 }
 
 bool Interpreter::run_trace(
     std::span<const Stimulus> trace, RunStats* stats,
     const std::function<bool(size_t, std::span<const int64_t>)>& visit)
     const {
-  Machine m(*prog_, max_steps_);
-  for (size_t i = 0; i < trace.size(); ++i)
-    if (!visit(i, m.execute(trace[i]))) return false;
-  if (stats) m.flush(*stats);
+  Pass pass(*prog_, max_steps_);
+  if (!pass.run(trace, visit)) return false;
+  if (stats) pass.flush(*stats);
   return true;
 }
 

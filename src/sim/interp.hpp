@@ -104,9 +104,13 @@ using Trace = std::vector<Stimulus>;
 /// memory, one segment per array. Per-stimulus execution never touches a
 /// string. The optimizer interprets each candidate over a whole trace (one
 /// pass that both checks equivalence and profiles, see
-/// sim::profile_if_equivalent); run_trace() runs such a pass on one
-/// machine, reset in place between stimuli, and hands out each execution's
-/// observation as flat values in layout() order from a reused buffer. The
+/// sim::profile_if_equivalent). run_trace() runs such a pass in groups of
+/// executions in lockstep, one instruction dispatch serving every
+/// execution of a group while they all take the same branches; where they
+/// part, each finishes alone, in execution order. Either way it hands out
+/// each execution's observation as flat values in layout() order, in
+/// execution order, from per-thread buffers reused across passes, and the
+/// pass has the results of running the stimuli one at a time. The
 /// compiled program snapshots the function: the Function need not outlive
 /// the Interpreter. Construction throws fact::Error if the arrays hold more
 /// than 2^31 - 1 cells in all.
@@ -125,13 +129,15 @@ class Interpreter {
   /// is left untouched rather than partially updated.)
   Observation run(const Stimulus& in, RunStats* stats = nullptr) const;
 
-  /// Runs every stimulus of `trace`, in order, on one machine and hands
-  /// each execution's flat observation (layout() order; valid until the
-  /// next execution) to `visit(index, values)`; stops early, returning
+  /// Runs every stimulus of `trace` and hands each execution's flat
+  /// observation (layout() order; valid until `visit` returns) to
+  /// `visit(index, values)`, in execution order; stops early, returning
   /// false, as soon as `visit` does. Each execution has the same result as
-  /// run() on that stimulus. Only a pass that runs the whole trace adds its
-  /// branch statistics and steps to `stats` (if non-null); an early stop
-  /// or an abort leaves `stats` untouched.
+  /// run() on that stimulus, and the pass aborts just where running the
+  /// stimuli one by one would: with the error of its first aborting
+  /// execution, once `visit` has accepted every earlier one. Only a pass that runs the whole trace adds its branch
+  /// statistics and steps to `stats` (if non-null); an early stop or an
+  /// abort leaves `stats` untouched.
   bool run_trace(
       std::span<const Stimulus> trace, RunStats* stats,
       const std::function<bool(size_t, std::span<const int64_t>)>& visit)

@@ -104,10 +104,10 @@ obs::Counter& profiles() {
 
 using Visit = std::function<bool(size_t, std::span<const int64_t>)>;
 
-/// One interpreter pass of `fn` over the trace, on one machine: hands each
-/// execution's observation to `visit(index, values)` and, when `profile` is
-/// non-null, aggregates branch statistics into it. Stops early, returning
-/// false, as soon as `visit` does.
+/// One interpreter pass of `fn` over the trace (Interpreter::run_trace):
+/// hands each execution's observation to `visit(index, values)` and, when
+/// `profile` is non-null, aggregates branch statistics into it. Stops
+/// early, returning false, as soon as `visit` does.
 bool simulate_trace(const Interpreter& interp, const Trace& trace,
                     Profile* profile, const Visit& visit) {
   trace_passes().inc();

@@ -64,9 +64,9 @@ Profile profile_function(const ir::Function& fn, const Trace& trace);
 
 /// Runs both functions over the trace and returns true iff every execution
 /// produces identical observations. Used to check that transformations
-/// preserve functionality. The two run side by side, execution by
-/// execution: `a`, then `b`, then compare; the first abort or mismatch
-/// ends the check.
+/// preserve functionality. The two run side by side: `b` runs each
+/// stimulus once `a` has run it, and the two observations are compared;
+/// the first abort or mismatch, in execution order, ends the check.
 bool equivalent_on_trace(const ir::Function& a, const ir::Function& b,
                          const Trace& trace);
 

@@ -84,8 +84,11 @@ F(int n) {
   const Cdfg g = Cdfg::from_function(fn);
   // i is loop-carried: one loop join with two inputs (initial + back edge).
   ASSERT_EQ(count_kind(g, NodeKind::Join), 1u);
-  for (const auto& n : g.nodes())
-    if (n.kind == NodeKind::Join) EXPECT_EQ(n.data_preds.size(), 2u);
+  for (const auto& n : g.nodes()) {
+    if (n.kind == NodeKind::Join) {
+      EXPECT_EQ(n.data_preds.size(), 2u);
+    }
+  }
 }
 
 TEST(CdfgBuild, TernaryBecomesSelectNode) {

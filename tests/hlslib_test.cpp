@@ -104,8 +104,9 @@ TEST(VddScaling, ConsistentWithDelayLaw) {
   for (double fast : {50.0, 80.0, 119.11}) {
     const double slow = 151.30;
     const double v = scale_vdd_for_slowdown(fast, slow, 1.0);
-    if (v < 5.0 && v > 1.1)
+    if (v < 5.0 && v > 1.1) {
       EXPECT_NEAR(delay_scale(v, 1.0), slow / fast, 1e-6) << fast;
+    }
   }
 }
 

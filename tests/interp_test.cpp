@@ -1,7 +1,8 @@
 // The compiled interpreter against two references it does not share code
 // with: the root profiles of the Table 2 workloads as the tree-walking
 // interpreter recorded them, and a recursive evaluator written from the
-// semantics comment on sim::Interpreter.
+// semantics comment on sim::Interpreter. Its lockstep lanes are checked
+// against its serial machine: the same stimuli run one at a time.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <optional>
 
 #include "ir/function.hpp"
+#include "obs/metrics.hpp"
 #include "opt/fact.hpp"
 #include "program_gen.hpp"
 #include "sim/interp.hpp"
@@ -243,10 +245,8 @@ PassResult interpreter_pass(const ir::Function& fn, const Trace& trace,
   return r;
 }
 
-void expect_same_pass(const ir::Function& fn, const Trace& trace,
-                      uint64_t max_steps, const std::string& what) {
-  const PassResult want = oracle_pass(fn, trace, max_steps);
-  const PassResult got = interpreter_pass(fn, trace, max_steps);
+void expect_same_result(const PassResult& got, const PassResult& want,
+                        const std::string& what) {
   EXPECT_EQ(got.error, want.error) << what;
   ASSERT_EQ(got.observations.size(), want.observations.size()) << what;
   for (size_t i = 0; i < want.observations.size(); ++i)
@@ -261,6 +261,12 @@ void expect_same_pass(const ir::Function& fn, const Trace& trace,
     EXPECT_EQ(got.stats->branches.at(id).taken, b.taken) << what;
     EXPECT_EQ(got.stats->branches.at(id).total, b.total) << what;
   }
+}
+
+void expect_same_pass(const ir::Function& fn, const Trace& trace,
+                      uint64_t max_steps, const std::string& what) {
+  expect_same_result(interpreter_pass(fn, trace, max_steps),
+                     oracle_pass(fn, trace, max_steps), what);
 }
 
 struct Shape {
@@ -450,6 +456,247 @@ TEST(InterpOracle, StepLimitComesBeforeTheStatementsError) {
     expect_same_pass(fn, {with_a(2)}, limit,
                      "limit " + std::to_string(limit));
   }
+}
+
+// ---- lanes -----------------------------------------------------------------
+//
+// A trace pass runs its executions in lockstep groups and splits a group
+// where its executions branch apart. Whatever the grouping, the pass must
+// equal the same stimuli run one by one, each as a one-stimulus trace on
+// the serial machine: the same observations, steps, branch counts, first
+// abort and early stop.
+
+uint64_t counter(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+/// run_trace over the whole trace, its visitor stopping after execution
+/// `stop` (none if `stop` is past the end).
+PassResult lane_pass(const ir::Function& fn, const Trace& trace,
+                     uint64_t max_steps, size_t stop) {
+  PassResult r;
+  Interpreter interp(fn);
+  interp.set_max_steps(max_steps);
+  RunStats stats;
+  try {
+    const bool whole = interp.run_trace(
+        trace, &stats, [&](size_t i, std::span<const int64_t> values) {
+          EXPECT_EQ(i, r.observations.size());
+          r.observations.push_back(interp.layout().observation(values));
+          return i != stop;
+        });
+    EXPECT_EQ(whole, stop >= trace.size());
+    if (whole) r.stats = stats;
+  } catch (const Error& e) {
+    r.error = e.what();
+  }
+  return r;
+}
+
+/// The same stimuli as one-stimulus traces, one after another, stopping
+/// after execution `stop`.
+PassResult one_by_one(const ir::Function& fn, const Trace& trace,
+                      uint64_t max_steps, size_t stop) {
+  PassResult r;
+  Interpreter interp(fn);
+  interp.set_max_steps(max_steps);
+  RunStats stats;
+  try {
+    for (size_t i = 0; i < trace.size(); ++i) {
+      interp.run_trace(std::span(&trace[i], 1), &stats,
+                       [&](size_t, std::span<const int64_t> values) {
+                         r.observations.push_back(
+                             interp.layout().observation(values));
+                         return true;
+                       });
+      if (i == stop) return r;
+    }
+    r.stats = stats;
+  } catch (const Error& e) {
+    r.error = e.what();
+  }
+  return r;
+}
+
+void expect_lanes_serial(const ir::Function& fn, const Trace& trace,
+                         uint64_t max_steps, size_t stop,
+                         const std::string& what) {
+  expect_same_result(lane_pass(fn, trace, max_steps, stop),
+                     one_by_one(fn, trace, max_steps, stop), what);
+}
+
+// Trace lengths that make groups short, exact, and several plus a
+// remainder.
+const size_t kLengths[] = {1, 3, 5, 8, 17, 33};
+
+// Every program of InterpOracle's shapes and a sample of its candidates,
+// at every length: the whole trace at the default step limit; the program
+// also at its mean steps per execution as the limit, and with the visitor
+// stopping halfway.
+TEST(LaneOracle, MatchesOneStimulusTraces) {
+  const auto xlib = xform::TransformLibrary::standard();
+  const uint64_t groups = counter("fact_sim_lane_groups_total");
+  const uint64_t splits = counter("fact_sim_lane_splits_total");
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    for (const Shape& shape : shapes()) {
+      const ir::Function fn = testgen::random_program(seed, shape.opts);
+      const std::vector<xform::Candidate> cands = xlib.find_all(fn, {});
+      const size_t stride = std::max<size_t>(1, cands.size() / 4);
+      for (const size_t length : kLengths) {
+        TraceConfig tc;
+        tc.executions = length;
+        const Trace trace = generate_trace(fn, tc, seed * 7 + length);
+        const std::string what = std::string(shape.name) + " seed " +
+                                 std::to_string(seed) + " length " +
+                                 std::to_string(length);
+        expect_lanes_serial(fn, trace, 10'000'000, SIZE_MAX, what);
+        expect_lanes_serial(fn, trace, 10'000'000, length / 2,
+                            what + " stop " + std::to_string(length / 2));
+        const PassResult full = one_by_one(fn, trace, 10'000'000, SIZE_MAX);
+        ASSERT_TRUE(full.stats) << what << ": " << full.error;
+        const uint64_t cut = full.stats->steps / length;
+        expect_lanes_serial(fn, trace, cut, SIZE_MAX,
+                            what + " limit " + std::to_string(cut));
+        for (size_t i = 0; i < cands.size(); i += stride)
+          expect_lanes_serial(xlib.apply(fn, cands[i]), trace, 10'000'000,
+                              SIZE_MAX, what + " " + cands[i].describe());
+      }
+    }
+  }
+  // Both ways a group ends: in lockstep at Halt, and split.
+  const uint64_t split = counter("fact_sim_lane_splits_total") - splits;
+  EXPECT_GT(split, 0u);
+  EXPECT_GT(counter("fact_sim_lane_groups_total") - groups, split);
+}
+
+Trace with_as(std::initializer_list<int64_t> as) {
+  Trace t;
+  for (int64_t a : as) t.push_back(with_a(a));
+  return t;
+}
+
+TEST(LaneOracle, FirstMismatchEndsThePassBeforeALaterAbort) {
+  // Execution 1 observes x = 2 where the reference has 1; execution 2
+  // would read an unknown array, but never runs past the split.
+  const ir::Function ref = behavior({}, {Stmt::assign("x", Expr::var("a"))});
+  const ir::Function cand = behavior(
+      {}, {Stmt::if_stmt(Expr::binary(Op::Eq, Expr::var("a"), Expr::constant(2)),
+                     {Stmt::assign("x", unknown_read())},
+                     {Stmt::assign("x", Expr::select(
+                                            Expr::binary(Op::Eq, Expr::var("a"),
+                                                         Expr::constant(1)),
+                                            Expr::constant(2),
+                                            Expr::var("a")))})});
+  const Trace trace = with_as({0, 1, 2, 3});
+  const uint64_t splits = counter("fact_sim_lane_splits_total");
+  std::optional<Profile> p;
+  EXPECT_NO_THROW(p = profile_if_equivalent(
+                      cand, trace, reference_observations(ref, trace)));
+  EXPECT_FALSE(p);
+  EXPECT_EQ(counter("fact_sim_lane_splits_total") - splits, 1u);
+}
+
+TEST(LaneOracle, OnlyTheLongExecutionHitsTheStepLimit) {
+  // Execution 2 never leaves its loop; executions 0 and 1 match first.
+  const ir::Function fn = behavior(
+      {}, {Stmt::assign("x", Expr::var("a")),
+           Stmt::while_stmt(Expr::binary(Op::Eq, Expr::var("a"),
+                                     Expr::constant(2)),
+                        {Stmt::assign("x", Expr::binary(Op::Add,
+                                                        Expr::var("x"),
+                                                        Expr::constant(1)))})});
+  const Trace trace = with_as({0, 1, 2, 3});
+  const Trace fine = with_as({0, 1, 3, 4});
+  try {
+    profile_if_equivalent(fn, trace, reference_observations(fn, fine));
+    ADD_FAILURE() << "no abort";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "interpreter exceeded step limit in 'F'");
+  }
+  // The same on a small limit, with a visitor that sees executions 0 and 1.
+  expect_lanes_serial(fn, trace, 40, SIZE_MAX, "limit 40");
+  const PassResult r = lane_pass(fn, trace, 40, SIZE_MAX);
+  EXPECT_EQ(r.observations.size(), 2u);
+  EXPECT_EQ(r.error, "interpreter exceeded step limit in 'F'");
+}
+
+TEST(LaneOracle, LanesSplitAtIfWhileExitAndSelect) {
+  const auto a = [] { return Expr::var("a"); };
+  const auto k = [](int64_t v) { return Expr::constant(v); };
+  const auto i = [] { return Expr::var("i"); };
+  struct Case {
+    const char* name;
+    ir::Function fn;
+    Trace trace;
+  };
+  const Case cases[] = {
+      {"if",
+       behavior({}, {Stmt::if_stmt(Expr::binary(Op::Gt, a(), k(1)),
+                                   {Stmt::assign("x", a())},
+                                   {Stmt::assign("x", Expr::binary(
+                                                          Op::Sub, k(0),
+                                                          a()))})}),
+       with_as({2, 2, 0, 5})},
+      // Two iterations in lockstep; then executions 2 and 3 stay in the
+      // loop.
+      {"while exit",
+       behavior({{"m", 4, false}},
+                {Stmt::while_stmt(Expr::binary(Op::Lt, i(), a()),
+                                  {Stmt::store("m", i(), a()),
+                                   Stmt::assign("i", Expr::binary(
+                                                         Op::Add, i(), k(1)))}),
+                 Stmt::assign("x", i())}),
+       with_as({2, 2, 3, 5})},
+      // a * 3 is a live temporary across the select's jump.
+      {"select",
+       behavior({}, {Stmt::assign(
+                        "x", Expr::binary(
+                                 Op::Add, Expr::binary(Op::Mul, a(), k(3)),
+                                 Expr::select(Expr::binary(Op::Gt, a(), k(1)),
+                                              a(), k(7))))}),
+       with_as({2, 2, 0, 5})},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const uint64_t splits = counter("fact_sim_lane_splits_total");
+    Profile root;
+    const Observations reference =
+        reference_observations(c.fn, c.trace, &root);
+    const std::optional<Profile> checked =
+        profile_if_equivalent(c.fn, c.trace, reference);
+    // One group each for the reference pass and the checked one.
+    EXPECT_EQ(counter("fact_sim_lane_splits_total") - splits, 2u);
+    const PassResult want = one_by_one(c.fn, c.trace, 10'000'000, SIZE_MAX);
+    std::vector<Observation> observed;
+    for (size_t e = 0; e < reference.executions; ++e)
+      observed.push_back(reference.at(e));
+    expect_same_result({observed, root.stats, ""}, want, "reference");
+    ASSERT_TRUE(checked);
+    EXPECT_EQ(checked->executions, c.trace.size());
+    expect_same_result({observed, checked->stats, ""}, want, "checked");
+  }
+}
+
+TEST(LaneOracle, LockstepAbortRaisesLaneZerosError) {
+  // Every execution reads the unknown array on the same path.
+  const ir::Function fn = behavior({}, {Stmt::assign("x", unknown_read())});
+  const Trace trace = with_as({0, 1, 2, 3});
+  const uint64_t groups = counter("fact_sim_lane_groups_total");
+  const uint64_t splits = counter("fact_sim_lane_splits_total");
+  try {
+    profile_if_equivalent(fn, trace, Observations{});
+    ADD_FAILURE() << "no abort";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "read of unknown array 'zz'");
+  }
+  EXPECT_EQ(counter("fact_sim_lane_groups_total") - groups, 1u);
+  EXPECT_EQ(counter("fact_sim_lane_splits_total") - splits, 0u);
+  // And the step limit, hit by all four at once.
+  const ir::Function loop = behavior(
+      {}, {Stmt::while_stmt(Expr::constant(1), {Stmt::assign("x", Expr::var("a"))})});
+  expect_lanes_serial(loop, trace, 25, SIZE_MAX, "step limit");
+  EXPECT_EQ(lane_pass(loop, trace, 25, SIZE_MAX).error,
+            "interpreter exceeded step limit in 'F'");
 }
 
 }  // namespace

@@ -121,8 +121,9 @@ F(int g) {
     for (const auto& step : st.steps) {
       for (const auto& c : step.captures)
         if (c == "i") captured = true;
-      if (step.op.def_var == "i")
+      if (step.op.def_var == "i") {
         EXPECT_TRUE(captured) << "update without prior capture";
+      }
     }
   }
 }

@@ -116,7 +116,7 @@ if [ "$cmake_flag" = thread ]; then
   # with real thread contention, with races promoted to hard failures.
   TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \
     ctest --test-dir "$build_dir" --output-on-failure \
-      -R 'WorkerPool|JobsInvariant|JobsDeterminism|EvalCache|FusedFragment|SharedScheduler|Gate3|Engine\.EnginesSharing|Service\.|Server\.|FactdE2E|Obs\.|VerifyOracle\.SharedCandidates'
+      -R 'WorkerPool|JobsInvariant|JobsDeterminism|EvalCache|FusedFragment|SharedScheduler|Gate3|Engine\.EnginesSharing|Service\.|Server\.|FactdE2E|Obs\.|VerifyOracle\.SharedCandidates|LaneOracle'
 
   # Server integration under TSan: a sanitized factd on a unix socket,
   # hammered by concurrent factcli clients, must exit cleanly (TSan makes
@@ -145,11 +145,16 @@ if [ "$cmake_flag" = thread ]; then
   done
   "$build_dir/tools/factcli" --unix "$sock" --status >/dev/null
   # The observability endpoints under the same contention: the stats
-  # inventory and a Prometheus scrape that must carry live counters.
+  # inventory and a Prometheus scrape that must carry live counters,
+  # among them the lockstep groups of the workers' trace passes: PPS runs
+  # in lockstep, so concurrent workers ran on their per-thread lane
+  # storage.
   "$build_dir/tools/factcli" --unix "$sock" --stats >/dev/null
-  "$build_dir/tools/factcli" --unix "$sock" --metrics \
-    | grep -q '^fact_serve_completed_total [1-9]' \
-    || { echo "check.sh: factd metrics scrape missing live counters" >&2; exit 1; }
+  scrape=$("$build_dir/tools/factcli" --unix "$sock" --metrics)
+  for live in fact_serve_completed_total fact_sim_lane_groups_total; do
+    printf '%s\n' "$scrape" | grep -q "^$live [1-9]" \
+      || { echo "check.sh: factd metrics scrape missing live $live" >&2; exit 1; }
+  done
   "$build_dir/tools/factcli" --unix "$sock" --shutdown >/dev/null
   wait "$factd_pid"
   rm -f "$sock"
