@@ -12,6 +12,43 @@ size_t combine(size_t seed, size_t v) {
   return seed ^ (v + 0x9E3779B97F4A7C15ull + (seed << 6) + (seed >> 2));
 }
 
+/// Expr::str's rendering, appended to one buffer.
+void append_str(std::string& out, const Expr& e) {
+  switch (e.op()) {
+    case Op::Const: out += std::to_string(e.value()); return;
+    case Op::Var: out += e.name(); return;
+    case Op::ArrayRead:
+      out += e.name();
+      out += '[';
+      append_str(out, *e.arg(0));
+      out += ']';
+      return;
+    case Op::BitNot:
+    case Op::Not:
+      out += e.op() == Op::BitNot ? '~' : '!';
+      append_str(out, *e.arg(0));
+      return;
+    case Op::Select:
+      out += '(';
+      append_str(out, *e.arg(0));
+      out += " ? ";
+      append_str(out, *e.arg(1));
+      out += " : ";
+      append_str(out, *e.arg(2));
+      out += ')';
+      return;
+    default:
+      out += '(';
+      append_str(out, *e.arg(0));
+      out += ' ';
+      out += op_token(e.op());
+      out += ' ';
+      append_str(out, *e.arg(1));
+      out += ')';
+      return;
+  }
+}
+
 }  // namespace
 
 Expr::Expr(Op op, int64_t value, std::string name, std::vector<ExprPtr> args)
@@ -47,24 +84,9 @@ bool Expr::equal(const ExprPtr& a, const ExprPtr& b) {
 }
 
 std::string Expr::str() const {
-  switch (op_) {
-    case Op::Const:
-      return std::to_string(value_);
-    case Op::Var:
-      return name_;
-    case Op::ArrayRead:
-      return name_ + "[" + args_[0]->str() + "]";
-    case Op::BitNot:
-      return std::string("~") + args_[0]->str();
-    case Op::Not:
-      return std::string("!") + args_[0]->str();
-    case Op::Select:
-      return "(" + args_[0]->str() + " ? " + args_[1]->str() + " : " +
-             args_[2]->str() + ")";
-    default:
-      return "(" + args_[0]->str() + " " + op_token(op_) + " " +
-             args_[1]->str() + ")";
-  }
+  std::string out;
+  append_str(out, *this);
+  return out;
 }
 
 ExprPtr Expr::constant(int64_t v) {

@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "util/error.hpp"
@@ -168,41 +167,6 @@ size_t Registry::size() const {
 
 // ---- export --------------------------------------------------------------
 
-namespace {
-
-/// Deterministic number rendering shared by both exporters: integral
-/// values print as integers, everything else as shortest %.17g that still
-/// round-trips (matches serve::Json's convention).
-std::string render_double(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9.0e15)
-    return strfmt("%lld", static_cast<long long>(v));
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::string s = strfmt("%.*g", prec, v);
-    if (std::stod(s) == v) return s;
-  }
-  return strfmt("%.17g", v);
-}
-
-std::string render_le(double bound) { return render_double(bound); }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += strfmt("\\u%04x", c);
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string to_prometheus(const Snapshot& snap) {
   std::string out;
   for (const MetricSnapshot& m : snap.metrics) {
@@ -225,13 +189,14 @@ std::string to_prometheus(const Snapshot& snap) {
         uint64_t cum = 0;
         for (size_t i = 0; i < m.bounds.size(); ++i) {
           cum += m.bucket_counts[i];
-          out += m.name + "_bucket{le=\"" + render_le(m.bounds[i]) + "\"} " +
+          out += m.name + "_bucket{le=\"" + Json(m.bounds[i]).dump() +
+                 "\"} " +
                  strfmt("%llu", static_cast<unsigned long long>(cum)) + "\n";
         }
         cum += m.bucket_counts.back();
         out += m.name + "_bucket{le=\"+Inf\"} " +
                strfmt("%llu", static_cast<unsigned long long>(cum)) + "\n";
-        out += m.name + "_sum " + render_double(m.sum) + "\n";
+        out += m.name + "_sum " + Json(m.sum).dump() + "\n";
         out += m.name + "_count " +
                strfmt("%llu", static_cast<unsigned long long>(cum)) + "\n";
         break;
@@ -241,40 +206,34 @@ std::string to_prometheus(const Snapshot& snap) {
   return out;
 }
 
-std::string to_json(const Snapshot& snap) {
-  std::string out = "{";
-  bool first = true;
+Json to_json(const Snapshot& snap) {
+  Json out = Json::object();
   for (const MetricSnapshot& m : snap.metrics) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + json_escape(m.name) + "\":";
     switch (m.kind) {
       case MetricSnapshot::Kind::Counter:
-        out += strfmt("%llu", static_cast<unsigned long long>(m.counter_value));
+        out.set(m.name, m.counter_value);
         break;
       case MetricSnapshot::Kind::Gauge:
-        out += strfmt("%lld", static_cast<long long>(m.gauge_value));
+        out.set(m.name, m.gauge_value);
         break;
       case MetricSnapshot::Kind::Histogram: {
-        out += "{\"buckets\":[";
+        Json buckets = Json::array();
         for (size_t i = 0; i < m.bounds.size(); ++i) {
-          if (i) out += ",";
-          out += "[" + render_double(m.bounds[i]) + "," +
-                 strfmt("%llu",
-                        static_cast<unsigned long long>(m.bucket_counts[i])) +
-                 "]";
+          Json bucket = Json::array();
+          bucket.push_back(m.bounds[i]);
+          bucket.push_back(m.bucket_counts[i]);
+          buckets.push_back(std::move(bucket));
         }
-        out += "],\"inf\":" +
-               strfmt("%llu",
-                      static_cast<unsigned long long>(m.bucket_counts.back()));
-        out += ",\"sum\":" + render_double(m.sum);
-        out += ",\"count\":" +
-               strfmt("%llu", static_cast<unsigned long long>(m.count)) + "}";
+        Json h = Json::object();
+        h.set("buckets", std::move(buckets));
+        h.set("inf", m.bucket_counts.back());
+        h.set("sum", m.sum);
+        h.set("count", m.count);
+        out.set(m.name, std::move(h));
         break;
       }
     }
   }
-  out += "}";
   return out;
 }
 

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace fact::obs {
 
 /// Process-wide metrics for the optimizer, scheduler, caches and factd.
@@ -144,7 +146,7 @@ std::string to_prometheus(const Snapshot& snap);
 
 /// The same snapshot as one JSON object keyed by metric name; counters and
 /// gauges map to numbers, histograms to {"buckets":[[le,count],...],
-/// "sum":s,"count":n}. Parseable by serve::Json; deterministic.
-std::string to_json(const Snapshot& snap);
+/// "inf":n,"sum":s,"count":n}. Deterministic: metrics in name order.
+Json to_json(const Snapshot& snap);
 
 }  // namespace fact::obs

@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <fstream>
 
 #include "util/error.hpp"
@@ -28,9 +27,8 @@ Tracer::Tracer(const Clock* clock) : clock_(clock ? clock : &default_clock_) {
   epoch_ns_ = clock_->now_ns();
 }
 
-void Tracer::complete(
-    std::string name, const char* cat, uint64_t start_ns, uint64_t end_ns,
-    std::vector<std::pair<std::string, std::string>> args_json) {
+void Tracer::complete(std::string name, const char* cat, uint64_t start_ns,
+                      uint64_t end_ns, Json args) {
   Event e;
   e.name = std::move(name);
   e.cat = cat;
@@ -38,7 +36,7 @@ void Tracer::complete(
   e.ts_ns = start_ns >= epoch_ns_ ? start_ns - epoch_ns_ : 0;
   e.dur_ns = end_ns >= start_ns ? end_ns - start_ns : 0;
   e.tid = current_thread_id();
-  e.args = std::move(args_json);
+  e.args = std::move(args);
   std::lock_guard<std::mutex> lock(mu_);
   events_.push_back(std::move(e));
 }
@@ -68,22 +66,6 @@ void Tracer::clear() {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += strfmt("\\u%04x", c);
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 /// Chrome trace timestamps are microseconds; keep nanosecond resolution
 /// with three decimals, trimmed of a trailing ".000" so whole-µs values
 /// (the ManualClock tests) render as plain integers.
@@ -105,20 +87,21 @@ std::string Tracer::chrome_json() const {
   for (const Event& e : events_) {
     if (!first) out += ",";
     first = false;
-    out += "{\"name\":\"" + json_escape(e.name) + "\"";
-    out += ",\"cat\":\"" + json_escape(e.cat) + "\"";
-    out += strfmt(",\"ph\":\"%c\"", e.phase);
-    out += ",\"ts\":" + render_us(e.ts_ns);
-    if (e.phase == 'X') out += ",\"dur\":" + render_us(e.dur_ns);
+    out += "{\"name\":";
+    out += Json(e.name).dump();
+    out += ",\"cat\":";
+    out += Json(e.cat).dump();
+    out += strfmt(",\"ph\":\"%c\",\"ts\":", e.phase);
+    out += render_us(e.ts_ns);
+    if (e.phase == 'X') {
+      out += ",\"dur\":";
+      out += render_us(e.dur_ns);
+    }
     if (e.phase == 'i') out += ",\"s\":\"t\"";
     out += strfmt(",\"pid\":1,\"tid\":%d", e.tid);
-    if (!e.args.empty()) {
-      out += ",\"args\":{";
-      for (size_t i = 0; i < e.args.size(); ++i) {
-        if (i) out += ",";
-        out += "\"" + json_escape(e.args[i].first) + "\":" + e.args[i].second;
-      }
-      out += "}";
+    if (e.args.size()) {
+      out += ",\"args\":";
+      out += e.args.dump();
     }
     out += "}";
   }
@@ -142,35 +125,6 @@ Tracer* tracer() { return g_tracer.load(std::memory_order_relaxed); }
 void set_tracer(Tracer* t) { g_tracer.store(t, std::memory_order_relaxed); }
 
 // ---- Span ----------------------------------------------------------------
-
-void Span::arg(const char* key, const std::string& value) {
-  if (!tracer_) return;
-  args_.emplace_back(key, "\"" + json_escape(value) + "\"");
-}
-
-void Span::arg(const char* key, const char* value) {
-  arg(key, std::string(value));
-}
-
-void Span::arg(const char* key, int64_t value) {
-  if (!tracer_) return;
-  args_.emplace_back(key, strfmt("%lld", static_cast<long long>(value)));
-}
-
-void Span::arg(const char* key, double value) {
-  if (!tracer_) return;
-  if (std::isfinite(value) && value == std::floor(value) &&
-      std::fabs(value) < 9.0e15) {
-    arg(key, static_cast<int64_t>(value));
-    return;
-  }
-  args_.emplace_back(key, strfmt("%.6g", value));
-}
-
-void Span::arg(const char* key, bool value) {
-  if (!tracer_) return;
-  args_.emplace_back(key, value ? "true" : "false");
-}
 
 void Span::finish() {
   if (!tracer_) return;

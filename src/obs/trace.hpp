@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace fact::obs {
 
 /// Span tracing with explicit clock injection, emitting Chrome
@@ -70,11 +72,10 @@ class Tracer {
 
   uint64_t now_ns() const { return clock_->now_ns(); }
 
-  /// Records one complete ("ph":"X") event. `args_json` holds key →
-  /// pre-rendered JSON value (already quoted/escaped for strings).
+  /// Records one complete ("ph":"X") event; `args` is its "args" object
+  /// (null or empty for none).
   void complete(std::string name, const char* cat, uint64_t start_ns,
-                uint64_t end_ns,
-                std::vector<std::pair<std::string, std::string>> args_json);
+                uint64_t end_ns, Json args);
   /// Records an instant ("ph":"i") event.
   void instant(std::string name, const char* cat);
 
@@ -94,7 +95,7 @@ class Tracer {
     uint64_t ts_ns;
     uint64_t dur_ns;
     int tid;
-    std::vector<std::pair<std::string, std::string>> args;
+    Json args;
   };
 
   const Clock* clock_;
@@ -134,16 +135,12 @@ class Span {
   }
   ~Span() { finish(); }
 
-  /// Annotations, rendered into the event's "args" object.
-  void arg(const char* key, const std::string& value);
-  void arg(const char* key, const char* value);
-  void arg(const char* key, int64_t value);
-  void arg(const char* key, int value) { arg(key, static_cast<int64_t>(value)); }
-  void arg(const char* key, size_t value) {
-    arg(key, static_cast<int64_t>(value));
+  /// Annotation, rendered into the event's "args" object: anything a Json
+  /// is built from (string, number, bool). An inert span builds nothing.
+  template <typename T>
+  void arg(const char* key, T&& value) {
+    if (tracer_) args_.set(key, Json(std::forward<T>(value)));
   }
-  void arg(const char* key, double value);
-  void arg(const char* key, bool value);
 
   /// Ends the span now (idempotent; the destructor calls it too).
   void finish();
@@ -153,7 +150,7 @@ class Span {
   const char* name_ = "";
   const char* cat_ = "";
   uint64_t start_ns_ = 0;
-  std::vector<std::pair<std::string, std::string>> args_;
+  Json args_;
 };
 
 /// Convenience: a span on the process-wide tracer (no-op when none).

@@ -215,7 +215,9 @@ Evaluation TransformEngine::evaluate_impl(
   const sim::Profile& profile = known_profile ? *known_profile : *own_profile;
   // The score needs only the schedule's chain. Full validation needs the
   // STG itself: the schedule must be structurally sound and legal under
-  // the allocation before its metrics are trusted.
+  // the allocation before its metrics are trusted. schedule() has checked
+  // the structure (Stg::validate; a defect throws and is quarantined as a
+  // schedule-error), so only steering and legality remain.
   const bool full = opts_.validate == verify::Level::Full;
   obs::Span sp_sched = obs::span("schedule", "eval");
   std::optional<sched::ScheduleResult> sr;
@@ -226,7 +228,7 @@ Evaluation TransformEngine::evaluate_impl(
     chain = scheduler.summarize(fn, profile);
   sp_sched.finish();
   if (full) {
-    verify::Report rep = verify::verify_stg(sr->stg, opts_.validate);
+    verify::Report rep = verify::verify_steering(sr->stg, opts_.validate);
     if (rep.ok())
       rep = verify::verify_schedule(fn, sr->stg, lib_, alloc_, opts_.validate);
     verify::check_or_throw(rep);

@@ -148,88 +148,52 @@ std::string render_fact_report(const FactResult& r, Objective objective,
   return out;
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          out += strfmt("\\u%04x", c);
-        else
-          out += c;
+Json telemetry_json(const FactResult& r) {
+  auto object_of = [](const auto& map) {
+    Json out = Json::object();
+    for (const auto& [key, value] : map) out.set(key, value);
+    return out;
+  };
+  Json blocks = Json::array();
+  for (const SearchTelemetry& t : r.block_telemetry) {
+    Json generations = Json::array();
+    for (const GenerationTelemetry& g : t.generations) {
+      Json gen = Json::object();
+      gen.set("outer", g.outer);
+      gen.set("k", g.k);
+      gen.set("candidates", g.candidates);
+      gen.set("duplicates", g.duplicates);
+      gen.set("quarantined", g.quarantined);
+      gen.set("nonequivalent", g.rejected_nonequivalent);
+      gen.set("evaluations", g.evaluations);
+      gen.set("cache_hits", g.cache_hits);
+      gen.set("accepted", g.accepted);
+      gen.set("improvements", g.improvements);
+      gen.set("best_score", g.best_score);
+      gen.set("acceptance_rate", g.acceptance_rate);
+      generations.push_back(std::move(gen));
     }
+    Json ranks = Json::object();
+    for (const auto& [rank, n] : t.selected_ranks)
+      ranks.set(std::to_string(rank), n);
+    Json block = Json::object();
+    block.set("generations", std::move(generations));
+    block.set("selected_ranks", std::move(ranks));
+    block.set("accepted_by_transform", object_of(t.accepted_by_transform));
+    block.set("improvements_by_transform",
+              object_of(t.improvements_by_transform));
+    block.set("improvement_by_transform",
+              object_of(t.improvement_by_transform));
+    blocks.push_back(std::move(block));
   }
-  return out;
-}
-
-std::string json_num(double v) { return strfmt("%.6g", v); }
-
-template <typename V, typename Render>
-std::string json_map(const std::map<std::string, V>& m, Render render) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [k, v] : m) {
-    if (!first) out += ",";
-    first = false;
-    out += strfmt("\"%s\":%s", json_escape(k).c_str(), render(v).c_str());
-  }
-  return out + "}";
-}
-
-std::string telemetry_block_json(const SearchTelemetry& t) {
-  std::string out = "{\"generations\":[";
-  for (size_t i = 0; i < t.generations.size(); ++i) {
-    const GenerationTelemetry& g = t.generations[i];
-    if (i) out += ",";
-    out += strfmt(
-        "{\"outer\":%d,\"k\":%s,\"candidates\":%d,\"duplicates\":%d,"
-        "\"quarantined\":%d,\"nonequivalent\":%d,\"evaluations\":%d,"
-        "\"cache_hits\":%d,\"accepted\":%d,\"improvements\":%d,"
-        "\"best_score\":%s,\"acceptance_rate\":%s}",
-        g.outer, json_num(g.k).c_str(), g.candidates, g.duplicates,
-        g.quarantined, g.rejected_nonequivalent, g.evaluations, g.cache_hits,
-        g.accepted, g.improvements, json_num(g.best_score).c_str(),
-        json_num(g.acceptance_rate).c_str());
-  }
-  out += "],\"selected_ranks\":{";
-  bool first = true;
-  for (const auto& [rank, n] : t.selected_ranks) {
-    if (!first) out += ",";
-    first = false;
-    out += strfmt("\"%d\":%d", rank, n);
-  }
-  out += "},\"accepted_by_transform\":";
-  out += json_map(t.accepted_by_transform,
-                  [](int n) { return strfmt("%d", n); });
-  out += ",\"improvements_by_transform\":";
-  out += json_map(t.improvements_by_transform,
-                  [](int n) { return strfmt("%d", n); });
-  out += ",\"improvement_by_transform\":";
-  out += json_map(t.improvement_by_transform,
-                  [](double v) { return json_num(v); });
-  return out + "}";
-}
-
-}  // namespace
-
-std::string telemetry_json(const FactResult& r) {
-  std::string out = "{\"blocks\":[";
-  for (size_t b = 0; b < r.block_telemetry.size(); ++b) {
-    if (b) out += ",";
-    out += telemetry_block_json(r.block_telemetry[b]);
-  }
-  out += strfmt(
-      "],\"evaluations\":%d,\"cache_hits\":%d,\"cache_misses\":%d,"
-      "\"quarantined\":%d,\"blocks_degraded\":%d,\"truncated\":%s}",
-      r.evaluations, r.cache_hits, r.cache_misses, r.quarantined,
-      r.blocks_degraded, r.truncated ? "true" : "false");
+  Json out = Json::object();
+  out.set("blocks", std::move(blocks));
+  out.set("evaluations", r.evaluations);
+  out.set("cache_hits", r.cache_hits);
+  out.set("cache_misses", r.cache_misses);
+  out.set("quarantined", r.quarantined);
+  out.set("blocks_degraded", r.blocks_degraded);
+  out.set("truncated", r.truncated);
   return out;
 }
 

@@ -5,6 +5,7 @@
 
 #include "opt/engine.hpp"
 #include "opt/partition.hpp"
+#include "util/json.hpp"
 
 namespace fact::opt {
 
@@ -82,11 +83,11 @@ FactResult run_fact(const ir::Function& fn, const hlslib::Library& lib,
 std::string render_fact_report(const FactResult& r, Objective objective,
                                bool quiet);
 
-/// Renders the per-block search telemetry plus the flow-level cache
-/// counters as a stable JSON document (insertion-ordered keys, %.6g
-/// doubles). Deterministic for a given FactResult — safe to byte-diff
-/// across factc/factd and jobs counts. `factc --metrics-out` embeds it
+/// The per-block search telemetry plus the flow-level cache counters as
+/// one JSON object (insertion-ordered keys; doubles exact, in shortest
+/// round-trip form). Deterministic for a given FactResult — its dump() is
+/// safe to byte-diff across jobs counts. `factc --metrics-out` embeds it
 /// under the "search" key.
-std::string telemetry_json(const FactResult& r);
+Json telemetry_json(const FactResult& r);
 
 }  // namespace fact::opt

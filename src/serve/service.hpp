@@ -14,8 +14,8 @@
 
 #include "hlslib/library.hpp"
 #include "opt/engine.hpp"
-#include "serve/json.hpp"
 #include "sim/trace.hpp"
+#include "util/json.hpp"
 #include "util/parallel.hpp"
 
 namespace fact::serve {

@@ -293,7 +293,8 @@ std::string Stg::dot(const std::string& graph_name) const {
     const State& s = states_[i];
     std::string label = s.name;
     for (const auto& op : s.ops) {
-      label += "\n" + op.label();
+      label += '\n';
+      label += op.label();
       if (op.iteration != 0) label += strfmt("_%d", op.iteration);
     }
     w.node(strfmt("s%zu", i), label,

@@ -1,4 +1,4 @@
-#include "serve/json.hpp"
+#include "util/json.hpp"
 
 #include <cctype>
 #include <cmath>
@@ -7,7 +7,7 @@
 
 #include "util/error.hpp"
 
-namespace fact::serve {
+namespace fact {
 
 namespace {
 
@@ -351,4 +351,4 @@ Json Json::parse(const std::string& text) {
   return ParserImpl(text).parse_document();
 }
 
-}  // namespace fact::serve
+}  // namespace fact

@@ -461,9 +461,16 @@ Report verify_stg(const stg::Stg& stg, Level level) {
   if (level == Level::Off) return r;
   for (stg::StructureIssue& i : stg::structure_issues(stg))
     add(r, i.check, std::move(i.detail));
-  // Determinism: more than one successor requires a steering signal the
-  // controller can test; probability annotations alone cannot be
-  // implemented in hardware.
+  for (Issue& i : verify_steering(stg, level).issues)
+    r.issues.push_back(std::move(i));
+  return r;
+}
+
+Report verify_steering(const stg::Stg& stg, Level level) {
+  Report r;
+  if (level == Level::Off) return r;
+  // More than one successor requires a steering signal the controller can
+  // test; probability annotations alone cannot be implemented in hardware.
   for (const stg::State& s : stg.states())
     if (s.out_edges.size() > 1 && s.cond_signal.empty())
       add(r, "stg.deterministic",

@@ -85,6 +85,10 @@ Report verify_function(const ir::Function& fn, Level level = Level::Full,
 /// otherwise the controller cannot implement the transition.
 Report verify_stg(const stg::Stg& stg, Level level = Level::Full);
 
+/// stg.deterministic alone: verify_stg for an STG whose structure is
+/// already known sound (Scheduler::schedule ends with Stg::validate).
+Report verify_steering(const stg::Stg& stg, Level level = Level::Full);
+
 /// Schedule legality of `stg` as a schedule of `fn` under `alloc`:
 ///  * per-state resource bounds: per FU type, concurrent ops never exceed
 ///    the allocation; per array, concurrent memory ops never exceed the

@@ -226,8 +226,11 @@ PPS(int x0, int x1, int x2, int x3, int x4, int x5, int x6, int x7) {
   hlslib::Allocation alloc;
   alloc.counts = {{"a1", 5}};
   sim::TraceConfig tc;
-  for (int i = 0; i < 8; ++i)
-    tc.params["x" + std::to_string(i)] = gaussian(0.0, 64.0, 0.7, -255, 255);
+  for (int i = 0; i < 8; ++i) {
+    std::string x = "x";
+    x += std::to_string(i);
+    tc.params[x] = gaussian(0.0, 64.0, 0.7, -255, 255);
+  }
   tc.executions = 8;
   return make("PPS", src, alloc, tc);
 }

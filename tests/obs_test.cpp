@@ -12,13 +12,12 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/json.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace {
 
 using namespace fact;
-using Json = fact::serve::Json;
 
 // ---- metrics -------------------------------------------------------------
 
@@ -150,7 +149,7 @@ TEST(Obs, PrometheusTextMatchesGolden) {
 }
 
 TEST(Obs, JsonExportParseableAndExact) {
-  const Json snap = Json::parse(obs::to_json(export_fixture()));
+  const Json snap = Json::parse(obs::to_json(export_fixture()).dump());
   EXPECT_EQ(snap.get_int("fact_test_requests_total"), 3);
   EXPECT_EQ(snap.get_int("fact_test_queue_depth"), -2);
   const Json* h = snap.get("fact_test_latency_ms");
@@ -166,6 +165,32 @@ TEST(Obs, JsonExportParseableAndExact) {
   EXPECT_DOUBLE_EQ(buckets->at(1).at(0).as_double(), 2.5);
   EXPECT_EQ(buckets->at(1).at(1).as_int(), 1);
   EXPECT_EQ(buckets->at(2).at(1).as_int(), 0);
+}
+
+TEST(Obs, ExportsEscapeNamesAndArgs) {
+  // Quotes, backslashes and control characters in a metric name, a span
+  // name or a span argument come back unchanged through a parse of either
+  // export.
+  const std::string odd = "q\"b\\n\nt\tu\x01";
+  obs::Registry reg;
+  reg.counter(odd).inc(7);
+  const Json snap = Json::parse(obs::to_json(reg.snapshot()).dump());
+  EXPECT_EQ(snap.get_int(odd), 7);
+
+  obs::ManualClock clock;
+  obs::Tracer tracer(&clock);
+  {
+    obs::Span sp(&tracer, odd.c_str());
+    sp.arg("value", odd);
+    sp.arg(odd.c_str(), 1);
+  }
+  const Json trace = Json::parse(tracer.chrome_json());
+  const Json& event = trace.get("traceEvents")->at(0);
+  EXPECT_EQ(event.get_string("name"), odd);
+  const Json* args = event.get("args");
+  ASSERT_TRUE(args != nullptr);
+  EXPECT_EQ(args->get_string("value"), odd);
+  EXPECT_EQ(args->get_int(odd), 1);
 }
 
 TEST(Obs, GlobalRegistryHasProcessMetrics) {

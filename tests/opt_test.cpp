@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <optional>
 #include <thread>
 
@@ -258,7 +259,7 @@ TEST_P(JobsDeterminism, RunFactIdenticalAcrossJobs) {
   EXPECT_DOUBLE_EQ(r1.final_avg_len, r4.final_avg_len);
   EXPECT_DOUBLE_EQ(r1.final_power.power, r4.final_power.power);
   // Everything factc prints and --metrics-out's "search" key.
-  EXPECT_EQ(telemetry_json(r1), telemetry_json(r4));
+  EXPECT_EQ(telemetry_json(r1).dump(), telemetry_json(r4).dump());
   EXPECT_EQ(render_fact_report(r1, Objective::Throughput, false),
             render_fact_report(r4, Objective::Throughput, false));
 }
@@ -554,6 +555,38 @@ F(int n) {
       run_fact(fn, h.lib, h.alloc, h.sel, tc, xforms, opts);
   EXPECT_LE(r.final_power.vdd, 5.0);
   EXPECT_LE(r.final_power.power, r.initial_power.power * 1.0001);
+}
+
+TEST(RunFact, TelemetryNumbersAreExact) {
+  // telemetry_json's doubles parse back to the run's own bits: the export
+  // loses no digit of a generation's k or best score (GCD's best score, a
+  // mean schedule length of 13.958..., has more than six).
+  const workloads::Workload w = workloads::by_name("GCD");
+  const auto lib = hlslib::Library::dac98();
+  const auto sel = hlslib::FuSelection::defaults(lib);
+  const auto xforms = xform::TransformLibrary::standard();
+  const FactResult r =
+      run_fact(w.fn, lib, w.allocation, sel, w.trace, xforms, FactOptions{});
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  const Json doc = Json::parse(telemetry_json(r).dump());
+  const Json* blocks = doc.get("blocks");
+  ASSERT_TRUE(blocks != nullptr);
+  ASSERT_EQ(blocks->size(), r.block_telemetry.size());
+  size_t checked = 0;
+  for (size_t b = 0; b < r.block_telemetry.size(); ++b) {
+    const std::vector<GenerationTelemetry>& gens =
+        r.block_telemetry[b].generations;
+    const Json* parsed = blocks->at(b).get("generations");
+    ASSERT_TRUE(parsed != nullptr);
+    ASSERT_EQ(parsed->size(), gens.size());
+    for (size_t g = 0; g < gens.size(); ++g, ++checked) {
+      SCOPED_TRACE(testing::Message() << "block " << b << " generation " << g);
+      EXPECT_EQ(bits(parsed->at(g).get_double("k")), bits(gens[g].k));
+      EXPECT_EQ(bits(parsed->at(g).get_double("best_score")),
+                bits(gens[g].best_score));
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 // ---- gate 3: one interpreter pass per candidate --------------------------

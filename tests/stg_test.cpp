@@ -292,6 +292,17 @@ TEST(VerifyStg, MissingCondSignalFlagged) {
   const verify::Report report = verify::verify_stg(g);
   ASSERT_EQ(report.issues.size(), 1u) << report.str();
   EXPECT_EQ(report.first_check(), "stg.deterministic");
+  EXPECT_EQ(verify::verify_steering(g).str(), report.str());
+}
+
+TEST(VerifyStg, SteeringLeavesTheStructureToValidate) {
+  // verify_steering serves STGs that Stg::validate already passed, so it
+  // reports none of the table's structural defects.
+  for (const StructureCase& c : kStructureCases) {
+    SCOPED_TRACE(c.name);
+    for (const verify::Issue& i : verify::verify_steering(c.build()).issues)
+      EXPECT_EQ(i.check, "stg.deterministic") << i.detail;
+  }
 }
 
 TEST(Chain, OfCountsOpsPerFuAndRegisterTraffic) {

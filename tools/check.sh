@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
-# Robustness gate: build the whole tree under a sanitizer and run the full
-# test suite (including the fault-injection and verifier tests). Usage:
+# Robustness gate: build src/ and tools/ as fact-bench does (Release) and
+# require a build free of compiler warnings, then build the whole tree under
+# a sanitizer and run the full test suite (including the fault-injection
+# and verifier tests). Usage:
 #
 #   [FACT_SANITIZE=address|thread] tools/check.sh [build-dir]
 #
@@ -31,7 +33,8 @@
 # require identical reports.
 #
 # Each sanitized tree lives in its own build directory (default
-# build-asan / build-tsan) so the regular build stays untouched.
+# build-asan / build-tsan) so the regular build stays untouched; the
+# Release tree lives beside it, in <build-dir>-release.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -51,6 +54,20 @@ case "$sanitize" in
     exit 2
     ;;
 esac
+
+# Warning-free Release build: every library under src/ and the three tools,
+# compiled from clean (a warning prints only when its file compiles).
+release_dir="$build_dir-release"
+release_log="$release_dir/build.log"
+cmake -S "$repo_root" -B "$release_dir" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$release_dir" --target clean
+cmake --build "$release_dir" -j "$(nproc)" --target factc factd factcli \
+  >"$release_log" 2>&1 \
+  || { cat "$release_log" >&2; echo "check.sh: Release build failed" >&2; exit 1; }
+if grep 'warning:' "$release_log" >&2; then
+  echo "check.sh: the Release build of src/ and tools/ printed warnings" >&2
+  exit 1
+fi
 
 cmake -S "$repo_root" -B "$build_dir" -DFACT_SANITIZE="$cmake_flag"
 cmake --build "$build_dir" -j "$(nproc)"

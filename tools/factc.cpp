@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
       write_file(args.emit_cdfg, cdfg::Cdfg::from_function(fn).dot(fn.name()));
 
     const bool all = args.method == "all";
-    std::string search_json;  // telemetry_json of the FACT run, if any
+    Json search;  // telemetry_json of the FACT run, if any (else null)
     auto line = [&](const char* tag, double len, double power, size_t n) {
       printf("%-7s avg length %10.2f cycles | throughput %8.3f (x1000/cyc) "
              "| power %8.3f | %zu transform(s)\n",
@@ -236,7 +236,7 @@ int main(int argc, char** argv) {
       const auto xf = xform::TransformLibrary::standard();
       const opt::FactResult r =
           opt::run_fact(fn, lib, alloc, sel, traces, xf, fo);
-      search_json = opt::telemetry_json(r);
+      search = opt::telemetry_json(r);
       // Rendered by the same function factd uses for optimize responses,
       // which is what makes server output byte-identical to batch output.
       fputs(opt::render_fact_report(r, fo.objective, args.quiet).c_str(),
@@ -261,13 +261,12 @@ int main(int argc, char** argv) {
     // Observability outputs, written without announcing on stdout: the
     // determinism tests diff batch output with these flags on vs. off.
     if (!args.metrics_out.empty()) {
+      Json doc = Json::object();
+      doc.set("registry", obs::to_json(obs::Registry::global().snapshot()));
+      doc.set("search", std::move(search));
       std::ofstream out(args.metrics_out);
       if (!out) throw Error("cannot write " + args.metrics_out);
-      out << "{\"registry\":"
-          << obs::to_json(obs::Registry::global().snapshot())
-          << ",\"search\":"
-          << (search_json.empty() ? std::string("null") : search_json)
-          << "}\n";
+      out << doc.dump() << "\n";
     }
     if (tracer) {
       obs::set_tracer(nullptr);

@@ -37,14 +37,13 @@
 #include <thread>
 #include <vector>
 
-#include "serve/json.hpp"
 #include "serve/net.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace {
 
 using namespace fact;
-using serve::Json;
 
 struct Args {
   std::string unix_path;
