@@ -3,6 +3,7 @@
 // trace), the winning transform sequence, and the search statistics for
 // a CFI benchmark.
 
+#include <cinttypes>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -29,16 +30,16 @@ int main() {
       w.fn, trace, opt::Objective::Throughput, {}, base.avg_len);
 
   printf("convergence (best schedule length after each generation):\n");
-  for (size_t i = 0; i < r.score_trace.size(); ++i)
-    printf("  generation %zu: %.2f cycles (%.2fx)\n", i, r.score_trace[i],
-           base.avg_len / r.score_trace[i]);
+  for (const opt::GenerationTelemetry& g : r.telemetry.generations)
+    printf("  generation %d: %.2f cycles (%.2fx)\n", g.outer, g.best_score,
+           base.avg_len / g.best_score);
   printf("\nwinning transform sequence:\n");
   for (const auto& a : r.applied) printf("  %s\n", a.c_str());
   printf("\nsearch statistics:\n");
-  printf("  candidate evaluations (reschedule+estimate): %d\n",
-         r.evaluations);
-  printf("  candidates rejected by equivalence checking: %d\n",
-         r.rejected_nonequivalent);
+  printf("  candidate evaluations (reschedule+estimate): %" PRIu64 "\n",
+         r.counts.evaluations);
+  printf("  candidates rejected by equivalence checking: %" PRIu64 "\n",
+         r.counts.nonequivalent);
   printf("  final: %.2f cycles, %.2fx over the untransformed schedule\n",
          r.best_eval.avg_len, base.avg_len / r.best_eval.avg_len);
   return 0;

@@ -11,6 +11,7 @@
 // equivalent, and when the search degrades to the baseline design.
 
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -82,8 +83,8 @@ int main() {
     opt::EngineResult r;
     run_timed(env, w, trace, injector, verify::Level::Full, &r);
     const bool equiv = sim::equivalent_on_trace(w.fn, r.best, trace);
-    printf("%-6.2f %9d %11d %9.2f %9s  %s\n", rate, injector.injected_total(),
-           r.quarantined, r.best_eval.avg_len, equiv ? "yes" : "NO",
+    printf("%-6.2f %9d %11" PRIu64 " %9.2f %9s  %s\n", rate,
+           injector.injected_total(), r.counts.quarantined, r.best_eval.avg_len, equiv ? "yes" : "NO",
            r.degraded_to_baseline ? "baseline" : "-");
   }
   bench::rule('=');

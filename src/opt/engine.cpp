@@ -35,53 +35,48 @@ struct Member {
   std::optional<sim::Profile> profile;
 };
 
-/// Process-wide search instrumentation (obs registry). Strictly
-/// write-only from the search path: counters are never read back to make
-/// decisions, so the determinism contract (jobs-invariance, factd ==
-/// factc) is untouched. Function-local statics resolve each metric once.
-struct SearchCounters {
-  obs::Counter& optimize_calls = obs::Registry::global().counter(
-      "fact_engine_optimize_total", "TransformEngine::optimize() calls");
-  obs::Counter& generations = obs::Registry::global().counter(
-      "fact_search_generations_total", "Outer search iterations completed");
-  obs::Counter& candidates = obs::Registry::global().counter(
-      "fact_search_candidates_total",
-      "Candidate transformations entering the gauntlet");
-  obs::Counter& duplicates = obs::Registry::global().counter(
-      "fact_search_duplicates_total",
-      "Candidates dropped by structural dedup");
-  obs::Counter& quarantined = obs::Registry::global().counter(
-      "fact_search_quarantined_total",
-      "Candidates quarantined (apply/verify/equivalence/evaluate)");
-  obs::Counter& nonequivalent = obs::Registry::global().counter(
-      "fact_search_nonequivalent_total",
-      "Candidates failing trace equivalence");
-  obs::Counter& accepted = obs::Registry::global().counter(
-      "fact_search_accepted_total",
-      "Candidates surviving every gate incl. evaluation");
-  obs::Counter& improvements = obs::Registry::global().counter(
-      "fact_search_improvements_total",
-      "Accepted candidates that improved the best score");
-  obs::Counter& eval_requests = obs::Registry::global().counter(
-      "fact_eval_requests_total",
-      "Candidate evaluations requested (cache hits + misses)");
-  obs::Counter& eval_cache_hits = obs::Registry::global().counter(
-      "fact_eval_cache_hits_total",
-      "Evaluation requests served from the memo cache");
-  obs::Counter& eval_cache_misses = obs::Registry::global().counter(
-      "fact_eval_cache_misses_total",
-      "Evaluation requests that ran the full pipeline");
-  obs::Histogram& selected_rank = obs::Registry::global().histogram(
+/// Adds one optimize() call's search to the process-wide registry (obs),
+/// once, after the search. Strictly write-only: metrics are never read
+/// back to make decisions, so the determinism contract (jobs-invariance,
+/// factd == factc) is untouched.
+void publish(const EngineResult& r) {
+  obs::Registry& reg = obs::Registry::global();
+  for (const SearchCountField& f : kSearchCountFields)
+    reg.counter(f.metric, f.help).inc(r.counts.*f.member);
+  reg.counter("fact_eval_cache_misses_total",
+              "Evaluation requests that ran the full pipeline")
+      .inc(r.counts.cache_misses());
+  reg.counter("fact_search_generations_total",
+              "Outer search iterations completed")
+      .inc(r.telemetry.generations.size());
+  obs::Histogram& ranks = reg.histogram(
       "fact_search_selected_rank",
       {0.5, 1.5, 2.5, 3.5, 5.5, 7.5, 11.5, 15.5, 23.5, 31.5},
       "Rank of each member selected into In_set (0 = best)");
-  static SearchCounters& get() {
-    static SearchCounters c;
-    return c;
-  }
-};
+  for (const auto& [rank, n] : r.telemetry.selected_ranks)
+    for (int i = 0; i < n; ++i) ranks.observe(static_cast<double>(rank));
+}
 
 }  // namespace
+
+// ---- SearchCounts ------------------------------------------------------
+
+static_assert(sizeof(SearchCounts) ==
+                  std::size(kSearchCountFields) * sizeof(uint64_t),
+              "kSearchCountFields must list every SearchCounts field");
+
+SearchCounts& SearchCounts::operator+=(const SearchCounts& o) {
+  for (const SearchCountField& f : kSearchCountFields)
+    this->*f.member += o.*f.member;
+  return *this;
+}
+
+SearchCounts SearchCounts::operator-(const SearchCounts& o) const {
+  SearchCounts d = *this;
+  for (const SearchCountField& f : kSearchCountFields)
+    d.*f.member -= o.*f.member;
+  return d;
+}
 
 // ---- EvalCache ---------------------------------------------------------
 
@@ -261,8 +256,9 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
   Rng rng(opts_.seed);
   const auto start_time = std::chrono::steady_clock::now();
 
-  SearchCounters& sc = SearchCounters::get();
-  sc.optimize_calls.inc();
+  static obs::Counter& optimize_calls = obs::Registry::global().counter(
+      "fact_engine_optimize_total", "TransformEngine::optimize() calls");
+  optimize_calls.inc();
   obs::Span sp_opt = obs::span("engine.optimize", "opt");
   sp_opt.arg("objective",
              objective == Objective::Power ? "power" : "throughput");
@@ -311,7 +307,8 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
       return true;
     }
     if (opts_.max_evaluations > 0 &&
-        result.evaluations >= opts_.max_evaluations) {
+        result.counts.evaluations >=
+            static_cast<uint64_t>(opts_.max_evaluations)) {
       result.truncated = true;
       return true;
     }
@@ -331,10 +328,9 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
   auto quarantine = [&](const char* pass, std::string failure_class,
                         std::string message,
                         const std::vector<std::string>& transforms) {
-    result.quarantined++;
-    sc.quarantined.inc();
+    result.counts.quarantined++;
     result.quarantine_by_class[failure_class]++;
-    if (result.quarantine.size() < opts_.quarantine_log_cap) {
+    if (result.quarantine.size() < kQuarantineLogCap) {
       QuarantineRecord rec;
       rec.pass = pass;
       rec.failure_class = std::move(failure_class);
@@ -376,15 +372,11 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
   // failures. Returns false when the member must drop out.
   auto consume_entry = [&](Member& m, const EvalCache::Entry& entry,
                            bool hit) {
-    result.evaluations++;
-    sc.eval_requests.inc();
+    result.counts.evaluations++;
     if (hit) {
-      result.cache_hits++;
-      sc.eval_cache_hits.inc();
+      result.counts.cache_hits++;
       cache.touch(m.hash, objective, baseline_len);
     } else {
-      result.cache_misses++;
-      sc.eval_cache_misses.inc();
       cache.insert(m.hash, objective, baseline_len, entry);
     }
     if (!entry.ok) {
@@ -455,22 +447,13 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
     std::string message;
   };
 
-  int accepted = 0;  // candidates that survived every gate
   double best_score = result.best_eval.score;
   for (int outer = 0;
        outer < opts_.max_outer_iters && !out_of_budget(); ++outer) {
     const double k = opts_.k0 + opts_.k_step * outer;
     const double score_before = best_score;
 
-    // Per-generation telemetry: funnel counts accumulate inline in the
-    // serial reductions; the pipeline counters diff the run totals.
-    GenerationTelemetry gen;
-    gen.outer = outer;
-    gen.k = k;
-    const int gen_ev0 = result.evaluations;
-    const int gen_ch0 = result.cache_hits;
-    const int gen_q0 = result.quarantined;
-    const int gen_ne0 = result.rejected_nonequivalent;
+    const SearchCounts counts_before = result.counts;
     obs::Span sp_gen = obs::span("generation", "opt");
     sp_gen.arg("outer", outer);
     sp_gen.arg("k", k);
@@ -599,21 +582,24 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
           if (behavior_set.size() >= opts_.max_neighbors_eval) break;
           if (out_of_budget()) break;
           Outcome& o = outcomes[w];
-          gen.candidates++;
-          sc.candidates.inc();
+          result.counts.candidates++;
           // Structural dedup, in submission order (mirrors the serial
           // gate: candidates reaching it insert their hash whether or not
           // they later fail equivalence).
           if (o.past_dedup && !seen.insert(o.hash).second) {
-            gen.duplicates++;
-            sc.duplicates.inc();
+            result.counts.duplicates++;
             continue;
           }
 
           const WorkItem& item = work[next_item + w];
           const Member& g = in_set[item.parent];
+          // The candidate's transform sequence. A non-equivalent
+          // candidate's message is its description, formatted once by the
+          // worker.
           std::vector<std::string> seq = g.applied;
-          seq.push_back(item.cand.describe());
+          seq.push_back(o.status == Outcome::Status::NonEquivalent
+                            ? o.message
+                            : item.cand.describe());
 
           switch (o.status) {
             case Outcome::Status::Quarantined:
@@ -623,8 +609,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
             case Outcome::Status::Duplicate:
               break;  // unreachable: the seen-insert above filtered it
             case Outcome::Status::NonEquivalent:
-              result.rejected_nonequivalent++;
-              sc.nonequivalent.inc();
+              result.counts.nonequivalent++;
               quarantine("equivalence", "nonequivalent", std::move(o.message),
                          seq);
               break;
@@ -666,9 +651,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
       // of the move that produced it (the sentinel 1e30 score a failed
       // root leaves behind gets no delta — it would be meaningless).
       auto accept = [&](Member& m) {
-        accepted++;
-        gen.accepted++;
-        sc.accepted.inc();
+        result.counts.accepted++;
         result.telemetry.accepted_by_transform[m.via]++;
         if (m.eval.score < best_score) {
           const double delta =
@@ -677,8 +660,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
           result.best = m.fn.clone();
           result.best_eval = m.eval;
           result.applied = m.applied;
-          gen.improvements++;
-          sc.improvements.inc();
+          result.counts.improvements++;
           result.telemetry.improvements_by_transform[m.via]++;
           result.telemetry.improvement_by_transform[m.via] += delta;
         }
@@ -759,7 +741,6 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
         taken[pick] = true;
         chosen.push_back(pick);
         result.telemetry.selected_ranks[static_cast<int>(pick)]++;
-        sc.selected_rank.observe(static_cast<double>(pick));
       }
       std::vector<Member> next;
       next.reserve(chosen.size());
@@ -767,20 +748,10 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
       in_set = std::move(next);
     }
 
-    result.score_trace.push_back(best_score);
-    gen.evaluations = result.evaluations - gen_ev0;
-    gen.cache_hits = result.cache_hits - gen_ch0;
-    gen.quarantined = result.quarantined - gen_q0;
-    gen.rejected_nonequivalent = result.rejected_nonequivalent - gen_ne0;
-    gen.best_score = best_score;
-    gen.acceptance_rate =
-        gen.candidates > 0
-            ? static_cast<double>(gen.accepted) / gen.candidates
-            : 0.0;
-    result.telemetry.generations.push_back(gen);
-    sc.generations.inc();
-    sp_gen.arg("candidates", gen.candidates);
-    sp_gen.arg("accepted", gen.accepted);
+    const GenerationTelemetry& gen = result.telemetry.generations.emplace_back(
+        GenerationTelemetry{outer, k, best_score, result.counts - counts_before});
+    sp_gen.arg("candidates", gen.counts.candidates);
+    sp_gen.arg("accepted", gen.counts.accepted);
     // Termination: a full generation without improvement (Section 4.2).
     if (best_score >= score_before - 1e-9 && outer > 0) break;
     if (in_set.empty()) break;
@@ -789,7 +760,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
   // If the schedule-blind ablation was used, the recorded eval lacks real
   // metrics; evaluate the winner properly once. A winner that fails this
   // final evaluation is abandoned in favor of the baseline.
-  if (!opts_.reschedule_in_loop && accepted > 0) {
+  if (!opts_.reschedule_in_loop && result.counts.accepted > 0) {
     try {
       result.best_eval = evaluate_impl(scheduler, result.best, trace,
                                        objective, baseline_len, nullptr);
@@ -799,18 +770,20 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
       result.applied.clear();
       result.best_eval = Evaluation{};
       result.best_eval.score = 1e30;
-      accepted = 0;
+      result.degraded_to_baseline = true;
     }
   }
 
   // Graceful degradation: when the whole neighborhood was quarantined or
-  // rejected, the engine falls back to the (already validated or at least
-  // unmodified) baseline design rather than failing the run.
-  result.degraded_to_baseline =
-      accepted == 0 && (result.quarantined > 0 || !root_ok);
+  // rejected, or the ablation's winner failed its final evaluation, the
+  // engine falls back to the (already validated or at least unmodified)
+  // baseline design rather than failing the run.
+  result.degraded_to_baseline |= result.counts.accepted == 0 &&
+                                 (result.counts.quarantined > 0 || !root_ok);
 
-  sp_opt.arg("evaluations", result.evaluations);
-  sp_opt.arg("cache_hits", result.cache_hits);
+  publish(result);
+  sp_opt.arg("evaluations", result.counts.evaluations);
+  sp_opt.arg("cache_hits", result.counts.cache_hits);
   return result;
 }
 

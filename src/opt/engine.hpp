@@ -50,9 +50,6 @@ struct EngineOptions {
   /// Evaluation-count budget (schedule+estimate invocations); same
   /// best-so-far / truncated contract. 0 = unlimited.
   int max_evaluations = 0;
-  /// At most this many structured quarantine records are kept (counters
-  /// always cover every quarantined candidate).
-  size_t quarantine_log_cap = 64;
 
   /// Worker threads for candidate evaluation (apply/verify/equivalence/
   /// schedule+estimate run concurrently; neighborhood generation and all
@@ -77,6 +74,10 @@ struct EngineOptions {
   /// contended calls to inline execution, which never changes results).
   WorkerPool* pool = nullptr;
 };
+
+/// Structured quarantine records kept per optimize() call (the counts
+/// cover every quarantined candidate).
+inline constexpr size_t kQuarantineLogCap = 64;
 
 /// Why and where a candidate was quarantined instead of evaluated.
 struct QuarantineRecord {
@@ -130,9 +131,8 @@ power::PowerEstimate measure_design(const stg::Stg& stg,
 /// serial reduction step — never by lookup(), so lookups within one
 /// evaluation wave see a frozen cache and hit/miss counts are independent
 /// of `jobs`. Thread-safe throughout: one mutex guards one map and one
-/// exact LRU list. Traffic is accounted by the engine's
-/// fact_eval_{requests,cache_hits,cache_misses}_total registry counters,
-/// not here.
+/// exact LRU list. Traffic is accounted by the engine's SearchCounts (and
+/// the fact_eval_*_total registry counters derived from them), not here.
 class EvalCache {
  public:
   struct Entry {
@@ -183,23 +183,63 @@ class EvalCache {
   std::list<Key> lru_;  // front = most recently used
 };
 
-/// One outer iteration (generation) of the Figure 6 search, as observed by
-/// the serial reduction. All fields are derived strictly from
-/// submission-order accounting, so they are byte-identical for any jobs
-/// count — safe to print in determinism-checked reports.
+/// The work of the Figure 6 search: the serial reduction of optimize()
+/// counts each event in one field at one site (so the counts are
+/// jobs-invariant), and every total, generation row and registry counter
+/// is derived from this record.
+struct SearchCounts {
+  uint64_t candidates = 0;     // work items that entered the gauntlet
+  uint64_t duplicates = 0;     // dropped by structural dedup
+  uint64_t quarantined = 0;    // failed apply/verify/equivalence/evaluate
+  uint64_t nonequivalent = 0;  // of those, failing trace equivalence
+  uint64_t evaluations = 0;    // schedule+estimate requests
+  uint64_t cache_hits = 0;     // of those, served from the memo cache
+  uint64_t accepted = 0;       // survived every gate incl. evaluation
+  uint64_t improvements = 0;   // accepted candidates that improved the best
+
+  /// Evaluation requests that ran the schedule+estimate pipeline.
+  uint64_t cache_misses() const { return evaluations - cache_hits; }
+
+  SearchCounts& operator+=(const SearchCounts& o);
+  SearchCounts operator-(const SearchCounts& o) const;
+  bool operator==(const SearchCounts&) const = default;
+};
+
+/// Each SearchCounts field, in declaration order, with its key in
+/// telemetry_json and the registry counter optimize() adds it to.
+struct SearchCountField {
+  uint64_t SearchCounts::*member;
+  const char* key;
+  const char* metric;
+  const char* help;
+};
+inline constexpr SearchCountField kSearchCountFields[] = {
+    {&SearchCounts::candidates, "candidates", "fact_search_candidates_total",
+     "Candidate transformations entering the gauntlet"},
+    {&SearchCounts::duplicates, "duplicates", "fact_search_duplicates_total",
+     "Candidates dropped by structural dedup"},
+    {&SearchCounts::quarantined, "quarantined", "fact_search_quarantined_total",
+     "Candidates quarantined (apply/verify/equivalence/evaluate)"},
+    {&SearchCounts::nonequivalent, "nonequivalent",
+     "fact_search_nonequivalent_total", "Candidates failing trace equivalence"},
+    {&SearchCounts::evaluations, "evaluations", "fact_eval_requests_total",
+     "Candidate evaluations requested (cache hits + misses)"},
+    {&SearchCounts::cache_hits, "cache_hits", "fact_eval_cache_hits_total",
+     "Evaluation requests served from the memo cache"},
+    {&SearchCounts::accepted, "accepted", "fact_search_accepted_total",
+     "Candidates surviving every gate incl. evaluation"},
+    {&SearchCounts::improvements, "improvements",
+     "fact_search_improvements_total",
+     "Accepted candidates that improved the best score"},
+};
+
+/// One outer iteration (generation) of the Figure 6 search: its counts
+/// are the run's counts at its close minus those at its start.
 struct GenerationTelemetry {
-  int outer = 0;           // generation index
-  double k = 0.0;          // selection sharpness this generation
-  int candidates = 0;      // work items that entered the gauntlet
-  int duplicates = 0;      // dropped by structural dedup
-  int quarantined = 0;     // failed apply/verify/equivalence/evaluate
-  int rejected_nonequivalent = 0;
-  int evaluations = 0;     // schedule+estimate requests
-  int cache_hits = 0;      // of those, served from the memo cache
-  int accepted = 0;        // survived every gate incl. evaluation
-  int improvements = 0;    // accepted candidates that improved the best
-  double best_score = 0.0;        // best-so-far after this generation
-  double acceptance_rate = 0.0;   // accepted / candidates (0 when none)
+  int outer = 0;            // generation index
+  double k = 0.0;           // selection sharpness this generation
+  double best_score = 0.0;  // best-so-far after this generation
+  SearchCounts counts;
 };
 
 /// Search telemetry for one optimize() call: the per-generation funnel
@@ -223,21 +263,9 @@ struct EngineResult {
   ir::Function best;
   Evaluation best_eval;
   std::vector<std::string> applied;      // winning transform sequence
-  std::vector<double> score_trace;       // best score after each generation
-  /// Evaluation *requests* (every candidate that reached the schedule+
-  /// estimate stage). Of these, cache_hits were served from the memo cache
-  /// without running the pipeline; cache_misses ran it for real.
-  /// evaluations == cache_hits + cache_misses always.
-  int evaluations = 0;
-  int cache_hits = 0;
-  int cache_misses = 0;
-  int rejected_nonequivalent = 0;        // candidates failing trace equivalence
-
-  /// Candidates removed by the transactional evaluation wrapper (failed
-  /// apply, verifier rejection, equivalence failure, or an exception while
-  /// scheduling/estimating). Counters cover every quarantined candidate;
-  /// `quarantine` keeps the first quarantine_log_cap structured records.
-  int quarantined = 0;
+  /// What the search did, the root's evaluation included; `quarantine`
+  /// keeps the first kQuarantineLogCap records of counts.quarantined.
+  SearchCounts counts;
   std::map<std::string, int> quarantine_by_class;
   std::vector<QuarantineRecord> quarantine;
   /// True when the deadline/evaluation budget expired and the result is

@@ -1,5 +1,7 @@
 #include "opt/fact.hpp"
 
+#include <cinttypes>
+
 #include "obs/trace.hpp"
 #include "util/strfmt.hpp"
 
@@ -72,22 +74,20 @@ FactResult run_fact(const ir::Function& fn, const hlslib::Library& lib,
                                       blocks[b].stmt_ids,
                                       result.initial_avg_len, shared);
     result.block_telemetry.push_back(std::move(er.telemetry));
-    result.evaluations += er.evaluations;
-    result.cache_hits += er.cache_hits;
-    result.cache_misses += er.cache_misses;
-    result.quarantined += er.quarantined;
+    result.counts += er.counts;
     for (const auto& [cls, n] : er.quarantine_by_class)
       result.quarantine_by_class[cls] += n;
     if (er.degraded_to_baseline) result.blocks_degraded++;
     if (er.truncated) result.truncated = true;
     result.log.push_back(
         strfmt("block %zu (weight %.3f, %zu stmts): %zu transform(s), "
-               "score %.4f after %d evaluations",
+               "score %.4f after %" PRIu64 " evaluations",
                b, blocks[b].weight, blocks[b].stmt_ids.size(),
-               er.applied.size(), er.best_eval.score, er.evaluations));
-    if (er.quarantined > 0)
+               er.applied.size(), er.best_eval.score, er.counts.evaluations));
+    if (er.counts.quarantined > 0)
       result.log.push_back(strfmt(
-          "block %zu: %d candidate(s) quarantined%s%s", b, er.quarantined,
+          "block %zu: %" PRIu64 " candidate(s) quarantined%s%s", b,
+          er.counts.quarantined,
           er.degraded_to_baseline ? "; degraded to baseline" : "",
           er.truncated ? "; budget exhausted (best-so-far)" : ""));
     for (const auto& a : er.applied)
@@ -103,10 +103,11 @@ FactResult run_fact(const ir::Function& fn, const hlslib::Library& lib,
   result.final_power = measure_design(result.schedule.stg, lib, opts.power,
                                       opts.objective, result.initial_avg_len);
   result.final_avg_len = result.final_power.avg_schedule_length;
-  if (result.evaluations > 0)
+  if (result.counts.evaluations > 0)
     result.log.push_back(strfmt(
-        "evaluation cache: %d hit(s) / %d request(s) across %zu block(s)",
-        result.cache_hits, result.evaluations, blocks.size()));
+        "evaluation cache: %" PRIu64 " hit(s) / %" PRIu64
+        " request(s) across %zu block(s)",
+        result.counts.cache_hits, result.counts.evaluations, blocks.size()));
   result.log.push_back(strfmt("final: avg length %.2f, power %.4f (Vdd %.2fV)",
                               result.final_avg_len, result.final_power.power,
                               result.final_power.vdd));
@@ -123,11 +124,13 @@ std::string render_fact_report(const FactResult& r, Objective objective,
       r.final_power.power, r.applied.size());
   if (r.truncated)
     out += "note: search budget exhausted; result is best-so-far\n";
-  if (!quiet && r.evaluations > 0)
-    out += strfmt("evaluations: %d (%d served from the memo cache)\n",
-                  r.evaluations, r.cache_hits);
-  if (!quiet && r.quarantined > 0) {
-    out += strfmt("quarantined %d candidate(s):", r.quarantined);
+  if (!quiet && r.counts.evaluations > 0)
+    out += strfmt("evaluations: %" PRIu64 " (%" PRIu64
+                  " served from the memo cache)\n",
+                  r.counts.evaluations, r.counts.cache_hits);
+  if (!quiet && r.counts.quarantined > 0) {
+    out += strfmt("quarantined %" PRIu64 " candidate(s):",
+                  r.counts.quarantined);
     for (const auto& [cls, n] : r.quarantine_by_class)
       out += strfmt(" %s=%d", cls.c_str(), n);
     out += "\n";
@@ -159,18 +162,14 @@ Json telemetry_json(const FactResult& r) {
     Json generations = Json::array();
     for (const GenerationTelemetry& g : t.generations) {
       Json gen = Json::object();
+      const SearchCounts& c = g.counts;
       gen.set("outer", g.outer);
       gen.set("k", g.k);
-      gen.set("candidates", g.candidates);
-      gen.set("duplicates", g.duplicates);
-      gen.set("quarantined", g.quarantined);
-      gen.set("nonequivalent", g.rejected_nonequivalent);
-      gen.set("evaluations", g.evaluations);
-      gen.set("cache_hits", g.cache_hits);
-      gen.set("accepted", g.accepted);
-      gen.set("improvements", g.improvements);
+      for (const SearchCountField& f : kSearchCountFields)
+        gen.set(f.key, c.*f.member);
       gen.set("best_score", g.best_score);
-      gen.set("acceptance_rate", g.acceptance_rate);
+      const double candidates = static_cast<double>(c.candidates);
+      gen.set("acceptance_rate", candidates > 0 ? c.accepted / candidates : 0);
       generations.push_back(std::move(gen));
     }
     Json ranks = Json::object();
@@ -188,13 +187,17 @@ Json telemetry_json(const FactResult& r) {
   }
   Json out = Json::object();
   out.set("blocks", std::move(blocks));
-  out.set("evaluations", r.evaluations);
-  out.set("cache_hits", r.cache_hits);
-  out.set("cache_misses", r.cache_misses);
-  out.set("quarantined", r.quarantined);
+  set_totals(out, r);
+  return out;
+}
+
+void set_totals(Json& out, const FactResult& r) {
+  out.set("evaluations", r.counts.evaluations);
+  out.set("cache_hits", r.counts.cache_hits);
+  out.set("cache_misses", r.counts.cache_misses());
+  out.set("quarantined", r.counts.quarantined);
   out.set("blocks_degraded", r.blocks_degraded);
   out.set("truncated", r.truncated);
-  return out;
 }
 
 }  // namespace fact::opt

@@ -32,16 +32,12 @@ struct FactResult {
   power::PowerEstimate final_power;   // Vdd-scaled in Power mode
   std::vector<std::string> applied;   // transform sequence
   std::vector<std::string> log;       // human-readable flow narration
-  /// Evaluation requests over all blocks; cache_hits of them were served
-  /// from the memo cache shared across the per-block engine runs (blocks
-  /// re-derive overlapping variants, and every block's root is the
-  /// previous block's winner), skipping schedule+verify+estimate entirely.
-  int evaluations = 0;
-  int cache_hits = 0;
-  int cache_misses = 0;
+  /// The search counts summed over all per-block engine runs (cache hits
+  /// include the blocks' shared memo cache: every block's root is the
+  /// previous block's winner).
+  SearchCounts counts;
 
   // Robustness accounting aggregated over all per-block engine runs:
-  int quarantined = 0;                // candidates removed by any gate
   std::map<std::string, int> quarantine_by_class;
   int blocks_degraded = 0;            // blocks that fell back to baseline
   bool truncated = false;             // some block hit the deadline budget
@@ -89,5 +85,9 @@ std::string render_fact_report(const FactResult& r, Objective objective,
 /// safe to byte-diff across jobs counts. `factc --metrics-out` embeds it
 /// under the "search" key.
 Json telemetry_json(const FactResult& r);
+
+/// Sets the flow's totals (evaluations through truncated) on `out`, as
+/// telemetry_json and factd's optimize responses end.
+void set_totals(Json& out, const FactResult& r);
 
 }  // namespace fact::opt

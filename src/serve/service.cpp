@@ -42,26 +42,6 @@ Json error_response(const Json& req, const std::string& msg) {
   return r;
 }
 
-/// Registry mirror of the service's lifecycle counters (the mutex-guarded
-/// fields behind status/stats remain authoritative; the registry copies
-/// feed the `metrics` endpoint and process-wide exports). Write-only.
-struct ServeCounters {
-  obs::Counter& accepted = obs::Registry::global().counter(
-      "fact_serve_accepted_total", "Jobs admitted to the queue");
-  obs::Counter& completed = obs::Registry::global().counter(
-      "fact_serve_completed_total", "Jobs finished ok");
-  obs::Counter& failed = obs::Registry::global().counter(
-      "fact_serve_failed_total", "Jobs finished with an error");
-  obs::Counter& cancelled = obs::Registry::global().counter(
-      "fact_serve_cancelled_total", "Jobs cancelled by the client");
-  obs::Counter& rejected = obs::Registry::global().counter(
-      "fact_serve_rejected_total", "Jobs bounced on a full queue");
-  static ServeCounters& get() {
-    static ServeCounters c;
-    return c;
-  }
-};
-
 }  // namespace
 
 // ---- JobState ------------------------------------------------------------
@@ -169,9 +149,7 @@ void Service::stop() {
   }
   for (auto& s : leftover) {
     s->complete(error_response(s->request(), "server shutting down"));
-    ServeCounters::get().failed.inc();
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    ++failed_;
+    count(JobEvent::Failed);
   }
   std::lock_guard<std::mutex> lk(jobs_mu_);
   live_jobs_.clear();
@@ -185,13 +163,7 @@ Ticket Service::submit(Json request) {
   const Json& req = state->request();
 
   auto fail_now = [&](const std::string& msg, bool rejected) {
-    {
-      std::lock_guard<std::mutex> lk(stats_mu_);
-      if (rejected) ++rejected_;
-      else ++failed_;
-    }
-    if (rejected) ServeCounters::get().rejected.inc();
-    else ServeCounters::get().failed.inc();
+    count(rejected ? JobEvent::Rejected : JobEvent::Failed);
     state->complete(error_response(req, msg));
     return Ticket(state);
   };
@@ -226,11 +198,7 @@ Ticket Service::submit(Json request) {
     }
     queue_.push_back(state);
   }
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    ++accepted_;
-  }
-  ServeCounters::get().accepted.inc();
+  count(JobEvent::Accepted);
   cv_work_.notify_one();
   return Ticket(std::move(state));
 }
@@ -304,17 +272,10 @@ void Service::run_job(JobState& job) {
   }
   const double wall = ms_since(start);
   resp.set("wall_ms", wall);
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    if (job.cancel_requested()) ++cancelled_;
-    else if (resp.get_bool("ok")) ++completed_;
-    else ++failed_;
-    record_latency(wall);
-  }
-  ServeCounters& scnt = ServeCounters::get();
-  if (job.cancel_requested()) scnt.cancelled.inc();
-  else if (resp.get_bool("ok")) scnt.completed.inc();
-  else scnt.failed.inc();
+  count(job.cancel_requested() ? JobEvent::Cancelled
+        : resp.get_bool("ok")  ? JobEvent::Completed
+                               : JobEvent::Failed);
+  record_latency(wall);
   {
     std::lock_guard<std::mutex> lk(jobs_mu_);
     live_jobs_.erase(job.ticket());
@@ -422,8 +383,7 @@ Json Service::execute_optimize(const Json& req, JobState& job) {
 
   {
     std::lock_guard<std::mutex> lk(stats_mu_);
-    evaluations_ += static_cast<uint64_t>(r.evaluations);
-    cache_hits_ += static_cast<uint64_t>(r.cache_hits);
+    search_counts_ += r.counts;
   }
 
   Json resp = base_response(req, true);
@@ -438,12 +398,7 @@ Json Service::execute_optimize(const Json& req, JobState& job) {
   Json transforms = Json::array();
   for (const std::string& t : r.applied) transforms.push_back(Json(t));
   resp.set("transforms", std::move(transforms));
-  resp.set("evaluations", r.evaluations);
-  resp.set("cache_hits", r.cache_hits);
-  resp.set("cache_misses", r.cache_misses);
-  resp.set("quarantined", r.quarantined);
-  resp.set("blocks_degraded", r.blocks_degraded);
-  resp.set("truncated", r.truncated);
+  opt::set_totals(resp, r);
   return resp;
 }
 
@@ -488,8 +443,24 @@ Json Service::execute_profile(const Json& req) {
 
 // ---- stats ---------------------------------------------------------------
 
+void Service::count(JobEvent e) {
+  obs::Registry& reg = obs::Registry::global();
+  static obs::Counter* const metrics[] = {
+      &reg.counter("fact_serve_accepted_total", "Jobs admitted to the queue"),
+      &reg.counter("fact_serve_completed_total", "Jobs finished ok"),
+      &reg.counter("fact_serve_failed_total", "Jobs finished with an error"),
+      &reg.counter("fact_serve_cancelled_total",
+                   "Jobs cancelled by the client"),
+      &reg.counter("fact_serve_rejected_total",
+                   "Jobs bounced on a full queue")};
+  const size_t i = static_cast<size_t>(e);
+  metrics[i]->inc();
+  std::lock_guard<std::mutex> lk(stats_mu_);
+  ++job_events_[i];
+}
+
 void Service::record_latency(double ms) {
-  // Caller holds stats_mu_.
+  std::lock_guard<std::mutex> lk(stats_mu_);
   latencies_[latency_next_] = ms;
   latency_next_ = (latency_next_ + 1) % latencies_.size();
   ++latency_total_;
@@ -513,13 +484,16 @@ StatsSnapshot Service::stats() const {
   std::vector<double> window;
   {
     std::lock_guard<std::mutex> lk(stats_mu_);
-    s.accepted = accepted_;
-    s.completed = completed_;
-    s.failed = failed_;
-    s.cancelled = cancelled_;
-    s.rejected = rejected_;
-    s.evaluations = evaluations_;
-    s.cache_hits = cache_hits_;
+    auto events = [&](JobEvent e) {
+      return job_events_[static_cast<size_t>(e)];
+    };
+    s.accepted = events(JobEvent::Accepted);
+    s.completed = events(JobEvent::Completed);
+    s.failed = events(JobEvent::Failed);
+    s.cancelled = events(JobEvent::Cancelled);
+    s.rejected = events(JobEvent::Rejected);
+    s.evaluations = search_counts_.evaluations;
+    s.cache_hits = search_counts_.cache_hits;
     s.max_ms = latency_max_;
     const size_t n = std::min(latency_total_, latencies_.size());
     window.assign(latencies_.begin(),
@@ -554,11 +528,9 @@ Json Service::status_response() const {
   stats.set("rejected", s.rejected);
   stats.set("evaluations", s.evaluations);
   stats.set("cache_hits", s.cache_hits);
+  const double evaluations = static_cast<double>(s.evaluations);
   stats.set("cache_hit_rate",
-            s.evaluations == 0
-                ? 0.0
-                : static_cast<double>(s.cache_hits) /
-                      static_cast<double>(s.evaluations));
+            evaluations > 0 ? s.cache_hits / evaluations : 0.0);
   stats.set("cache_entries", s.cache_entries);
   stats.set("cache_cap", s.cache_cap);
   stats.set("latency_count", s.latency_count);
@@ -602,7 +574,7 @@ Json Service::stats_response() const {
 
 std::string Service::metrics_text() const {
   // Point-in-time service state rides along as gauges; the counters are
-  // already live in the registry (mirrored at their increment sites).
+  // already in the registry (count() and each optimize() publish them).
   obs::Registry& reg = obs::Registry::global();
   const StatsSnapshot s = stats();
   reg.gauge("fact_serve_sessions", "Named sessions resident")

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -144,6 +145,11 @@ class Service {
   /// ephemeral one (no "session").
   SessionPtr resolve_session(const Json& req);
   SessionPtr build_session(const Json& req, const std::string& name) const;
+  /// A job's lifecycle events, in job_events_ order.
+  enum class JobEvent { Accepted, Completed, Failed, Cancelled, Rejected };
+  /// Counts one event for this instance (status) and in the process-wide
+  /// registry (metrics): one call per event.
+  void count(JobEvent e);
   void record_latency(double ms);
 
   ServiceOptions opts_;
@@ -168,9 +174,8 @@ class Service {
   std::map<uint64_t, std::weak_ptr<JobState>> live_jobs_;
 
   mutable std::mutex stats_mu_;
-  uint64_t accepted_ = 0, completed_ = 0, failed_ = 0, cancelled_ = 0,
-           rejected_ = 0;
-  uint64_t evaluations_ = 0, cache_hits_ = 0;
+  std::array<uint64_t, 5> job_events_{};  // by JobEvent
+  opt::SearchCounts search_counts_;  // this instance's jobs, summed
   std::vector<double> latencies_;  // ring buffer (service.cpp kLatencyWindow)
   size_t latency_next_ = 0;
   size_t latency_total_ = 0;

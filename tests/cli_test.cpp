@@ -1,5 +1,6 @@
-// End-to-end tests of the factc command-line driver (the binary path is
-// injected by CMake as FACTC_PATH).
+// End-to-end tests of the factc command-line driver, and of factd's
+// argument checks (the binary paths are injected by CMake as FACTC_PATH and
+// FACTD_PATH).
 
 #include <gtest/gtest.h>
 
@@ -18,8 +19,8 @@ struct CliResult {
   std::string output;
 };
 
-CliResult run_cli(const std::string& args) {
-  const std::string cmd = std::string(FACTC_PATH) + " " + args + " 2>&1";
+CliResult run_tool(const char* path, const std::string& args) {
+  const std::string cmd = std::string(path) + " " + args + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   CliResult r;
   if (!pipe) return r;
@@ -28,6 +29,8 @@ CliResult run_cli(const std::string& args) {
   r.exit_code = WEXITSTATUS(pclose(pipe));
   return r;
 }
+
+CliResult run_cli(const std::string& args) { return run_tool(FACTC_PATH, args); }
 
 TEST(Cli, BenchmarkAllMethods) {
   const CliResult r = run_cli("--benchmark GCD --method all --quiet");
@@ -97,6 +100,23 @@ TEST(Cli, BadUsageFails) {
   EXPECT_NE(run_cli("--benchmark NOPE").exit_code, 0);
   EXPECT_NE(run_cli("--benchmark GCD --alloc bogus=1").exit_code, 0);
   EXPECT_NE(run_cli("/nonexistent/file.fact").exit_code, 0);
+}
+
+TEST(Cli, FactdRejectsNegativeCounts) {
+  // A negative count is a usage error (exit 2) naming its flag, raised while
+  // parsing arguments, before any service or thread starts. The trailing
+  // valueless --unix is a usage error too, so a flag that let the value
+  // through still exits 2 without starting a daemon, with another message.
+  for (const char* flag : {"--workers", "--queue-cap", "--batch-max",
+                           "--cache-cap", "--stats-interval"}) {
+    for (const std::string& value : {std::string(" -1"), std::string("=-3")}) {
+      const CliResult r = run_tool(FACTD_PATH, flag + value + " --unix");
+      EXPECT_EQ(r.exit_code, 2) << flag << value << ": " << r.output;
+      EXPECT_NE(r.output.find(std::string(flag) + " must be >= 0"),
+                std::string::npos)
+          << flag << value << ": " << r.output;
+    }
+  }
 }
 
 TEST(Cli, InfeasibleAllocationDiagnosed) {

@@ -115,12 +115,12 @@ TEST(FaultInjection, AllInjectedFaultsCaughtAndAccounted) {
   }
   EXPECT_EQ(exception_classes(r),
             injector.injected(verify::FaultClass::ThrowException));
-  EXPECT_EQ(r.rejected_nonequivalent,
+  EXPECT_EQ(r.counts.nonequivalent,
             injector.injected(verify::FaultClass::WrongSemantics));
 
   // Counter consistency, and structured records stay within their cap.
-  EXPECT_EQ(sum_by_class(r), r.quarantined);
-  EXPECT_LE(r.quarantine.size(), opts.quarantine_log_cap);
+  EXPECT_EQ(sum_by_class(r), r.counts.quarantined);
+  EXPECT_LE(r.quarantine.size(), kQuarantineLogCap);
   for (const auto& rec : r.quarantine) {
     EXPECT_FALSE(rec.pass.empty());
     EXPECT_FALSE(rec.failure_class.empty());
@@ -157,7 +157,7 @@ TEST(FaultInjection, EveryClassCaughtInIsolation) {
                            : by_class(r, expected_class(c));
     // 100% of this class's injections were caught and classified.
     EXPECT_EQ(caught, injector.injected(c)) << verify::to_string(c);
-    EXPECT_EQ(r.quarantined, injector.injected_total())
+    EXPECT_EQ(r.counts.quarantined, injector.injected_total())
         << verify::to_string(c);
 
     // With every rewrite corrupted, nothing may be accepted.
@@ -179,8 +179,8 @@ TEST(FaultInjection, FullCorruptionDegradesToBaseline) {
   EXPECT_TRUE(r.degraded_to_baseline);
   EXPECT_TRUE(r.applied.empty());
   EXPECT_EQ(r.best.str(), h.fn.str());
-  EXPECT_EQ(r.quarantined, injector.injected_total());
-  EXPECT_GT(r.quarantined, 0);
+  EXPECT_EQ(r.counts.quarantined, injector.injected_total());
+  EXPECT_GT(r.counts.quarantined, 0);
   // The baseline itself was still evaluated: the caller gets real metrics.
   EXPECT_GT(r.best_eval.avg_len, 0.0);
   EXPECT_FALSE(r.truncated);
@@ -217,7 +217,7 @@ TEST(FaultInjection, NullOperandIsAnApplyError) {
   const EngineResult r = h.run(buggy, {});
   EXPECT_GT(buggy.applies(), 0);
   EXPECT_EQ(by_class(r, "apply-error"), buggy.applies());
-  EXPECT_EQ(r.quarantined, buggy.applies());
+  EXPECT_EQ(r.counts.quarantined, buggy.applies());
   EXPECT_TRUE(r.degraded_to_baseline);
   EXPECT_EQ(r.best.str(), h.fn.str());
 }
@@ -234,7 +234,7 @@ TEST(FaultInjection, DeterministicForSeeds) {
     opts.seed = 3;
     EngineResult r = h.run(injector, opts);
     return std::make_tuple(r.best.str(), r.quarantine_by_class,
-                           r.evaluations, injector.injected_by_class());
+                           r.counts.evaluations, injector.injected_by_class());
   };
   EXPECT_EQ(once(), once());
 }
@@ -251,7 +251,7 @@ TEST(Deadline, TinyDeadlineReturnsBestSoFarTruncated) {
   // Truncation is not degradation: nothing failed, we just ran out of
   // budget before exploring.
   EXPECT_FALSE(r.degraded_to_baseline);
-  EXPECT_EQ(r.quarantined, 0);
+  EXPECT_EQ(r.counts.quarantined, 0);
 }
 
 TEST(Deadline, EvaluationBudgetTruncates) {
@@ -261,7 +261,7 @@ TEST(Deadline, EvaluationBudgetTruncates) {
   opts.max_evaluations = 1;
   const EngineResult r = h.run(xf, opts);
   EXPECT_TRUE(r.truncated);
-  EXPECT_EQ(r.evaluations, 1);
+  EXPECT_EQ(r.counts.evaluations, 1);
   EXPECT_EQ(r.best.str(), h.fn.str());
   EXPECT_GT(r.best_eval.avg_len, 0.0);
 }

@@ -9,6 +9,7 @@
 #include "opt/baselines.hpp"
 #include "opt/fact.hpp"
 #include "opt/partition.hpp"
+#include "test_util.hpp"
 #include "util/parallel.hpp"
 #include "workloads/workloads.hpp"
 
@@ -126,8 +127,8 @@ GCD(int a, int b) {
       engine.optimize(fn, trace, Objective::Throughput, {}, base.avg_len);
   EXPECT_LT(r.best_eval.avg_len, base.avg_len * 0.6);
   EXPECT_FALSE(r.applied.empty());
-  EXPECT_EQ(r.rejected_nonequivalent, 0);
-  EXPECT_GT(r.evaluations, 1);
+  EXPECT_EQ(r.counts.nonequivalent, 0);
+  EXPECT_GT(r.counts.evaluations, 1);
   // The winner is functionally equivalent to the input.
   EXPECT_TRUE(sim::equivalent_on_trace(fn, r.best, trace));
 }
@@ -148,7 +149,7 @@ TEST(Engine, DeterministicForSeed) {
       engine.optimize(fn, trace, Objective::Throughput, {}, 100.0);
   EXPECT_EQ(r1.best.str(), r2.best.str());
   EXPECT_EQ(r1.applied, r2.applied);
-  EXPECT_EQ(r1.evaluations, r2.evaluations);
+  EXPECT_EQ(r1.counts.evaluations, r2.counts.evaluations);
 }
 
 TEST(Engine, RegionRestrictsRewrites) {
@@ -220,14 +221,67 @@ TEST(Engine, JobsInvariantIncludingScoreTrace) {
   const EngineResult r4 = run(4);
   EXPECT_EQ(r1.best.str(), r4.best.str());
   EXPECT_EQ(r1.applied, r4.applied);
-  EXPECT_EQ(r1.score_trace, r4.score_trace);
-  EXPECT_EQ(r1.evaluations, r4.evaluations);
-  EXPECT_EQ(r1.cache_hits, r4.cache_hits);
-  EXPECT_EQ(r1.cache_misses, r4.cache_misses);
-  EXPECT_EQ(r1.quarantined, r4.quarantined);
+  auto best_scores = [](const EngineResult& r) {
+    std::vector<double> scores;
+    for (const GenerationTelemetry& g : r.telemetry.generations)
+      scores.push_back(g.best_score);
+    return scores;
+  };
+  EXPECT_EQ(best_scores(r1), best_scores(r4));
+  EXPECT_EQ(r1.counts.evaluations, r4.counts.evaluations);
+  EXPECT_EQ(r1.counts.cache_hits, r4.counts.cache_hits);
+  EXPECT_EQ(r1.counts.cache_misses(), r4.counts.cache_misses());
+  EXPECT_EQ(r1.counts.quarantined, r4.counts.quarantined);
   EXPECT_EQ(r1.quarantine_by_class, r4.quarantine_by_class);
-  EXPECT_EQ(r1.rejected_nonequivalent, r4.rejected_nonequivalent);
-  EXPECT_EQ(r1.evaluations, r1.cache_hits + r1.cache_misses);
+  EXPECT_EQ(r1.counts.nonequivalent, r4.counts.nonequivalent);
+  EXPECT_EQ(r1.counts.evaluations,
+            r1.counts.cache_hits + r1.counts.cache_misses());
+  EXPECT_EQ(r1.counts, r4.counts);
+}
+
+/// Rewrites the first statement's value into `x * 8`: equivalent to the
+/// chain of additions below, but it needs a multiplier.
+class MultiplyLibrary : public xform::TransformLibrary {
+ public:
+  std::vector<xform::Candidate> find_all(
+      const ir::Function&, const std::set<int>&) const override {
+    xform::Candidate c;
+    c.transform = "multiply";
+    return {c};
+  }
+  ir::Function apply(const ir::Function& fn,
+                     const xform::Candidate&) const override {
+    ir::Function g = fn.clone();
+    g.body()->stmts[0]->value = ir::Expr::binary(
+        ir::Op::Mul, ir::Expr::var("x"), ir::Expr::constant(8));
+    return g;
+  }
+};
+
+TEST(Engine, AblationWinnerFailingItsFinalEvaluationDegrades) {
+  // The schedule-blind ablation scores candidates by op count, so the
+  // multiply wins; with no multiplier allocated, its final evaluation
+  // fails. The winner is dropped for the baseline, and the run reports
+  // both the acceptance it counted and the degradation.
+  Harness h;
+  h.alloc.counts = {{"a1", 1}};
+  const auto fn =
+      parse("F(int x) { int y = x + x + x + x + x + x + x + x; output y; }");
+  const sim::Trace trace = sim::generate_trace(fn, {}, 5);
+  const MultiplyLibrary xforms;
+  EngineOptions opts;
+  opts.reschedule_in_loop = false;
+  TransformEngine engine(h.lib, h.alloc, h.sel, h.sched_opts, h.power_opts,
+                         xforms, opts);
+  const EngineResult r =
+      engine.optimize(fn, trace, Objective::Throughput, {}, 100.0);
+  EXPECT_GT(r.counts.accepted, 0u);
+  EXPECT_GT(r.counts.improvements, 0u);
+  EXPECT_EQ(r.quarantine_by_class.at("final-evaluation"), 1);
+  EXPECT_EQ(r.counts.quarantined, 1u);
+  EXPECT_TRUE(r.degraded_to_baseline);
+  EXPECT_TRUE(r.applied.empty());
+  EXPECT_EQ(r.best.str(), fn.str());
 }
 
 // The full determinism contract over every bundled Table 2 workload:
@@ -249,10 +303,10 @@ TEST_P(JobsDeterminism, RunFactIdenticalAcrossJobs) {
   EXPECT_EQ(r1.optimized.str(), r4.optimized.str());
   EXPECT_EQ(r1.applied, r4.applied);
   EXPECT_EQ(r1.log, r4.log);
-  EXPECT_EQ(r1.evaluations, r4.evaluations);
-  EXPECT_EQ(r1.cache_hits, r4.cache_hits);
-  EXPECT_EQ(r1.cache_misses, r4.cache_misses);
-  EXPECT_EQ(r1.quarantined, r4.quarantined);
+  EXPECT_EQ(r1.counts.evaluations, r4.counts.evaluations);
+  EXPECT_EQ(r1.counts.cache_hits, r4.counts.cache_hits);
+  EXPECT_EQ(r1.counts.cache_misses(), r4.counts.cache_misses());
+  EXPECT_EQ(r1.counts.quarantined, r4.counts.quarantined);
   EXPECT_EQ(r1.quarantine_by_class, r4.quarantine_by_class);
   EXPECT_EQ(r1.blocks_degraded, r4.blocks_degraded);
   EXPECT_EQ(r1.truncated, r4.truncated);
@@ -350,11 +404,11 @@ TEST(EvalCache, SharedCacheServesRepeatFlows) {
 
     // The repeat flow is served entirely from the memo cache and still
     // reproduces the cold result exactly.
-    EXPECT_EQ(warm.cache_hits, warm.evaluations) << w.name;
-    EXPECT_EQ(warm.cache_misses, 0) << w.name;
+    EXPECT_EQ(warm.counts.cache_hits, warm.counts.evaluations) << w.name;
+    EXPECT_EQ(warm.counts.cache_misses(), 0) << w.name;
     EXPECT_EQ(warm.optimized.str(), cold.optimized.str()) << w.name;
     EXPECT_EQ(warm.applied, cold.applied) << w.name;
-    EXPECT_EQ(warm.quarantined, cold.quarantined) << w.name;
+    EXPECT_EQ(warm.counts.quarantined, cold.counts.quarantined) << w.name;
   }
 }
 
@@ -446,11 +500,11 @@ TEST(Engine, EnginesSharingOneWorkerPoolMatchPrivatePools) {
   ASSERT_TRUE(sb.has_value());
   EXPECT_EQ(sa->optimized.str(), ra.optimized.str());
   EXPECT_EQ(sa->applied, ra.applied);
-  EXPECT_EQ(sa->evaluations, ra.evaluations);
+  EXPECT_EQ(sa->counts.evaluations, ra.counts.evaluations);
   EXPECT_DOUBLE_EQ(sa->final_avg_len, ra.final_avg_len);
   EXPECT_EQ(sb->optimized.str(), rb.optimized.str());
   EXPECT_EQ(sb->applied, rb.applied);
-  EXPECT_EQ(sb->evaluations, rb.evaluations);
+  EXPECT_EQ(sb->counts.evaluations, rb.counts.evaluations);
   EXPECT_DOUBLE_EQ(sb->final_avg_len, rb.final_avg_len);
 
   // The borrowed pool is untouched by engine teardown and stays usable.
@@ -532,7 +586,7 @@ GCD(int a, int b) {
   EXPECT_LT(r.final_avg_len, r.initial_avg_len);
   EXPECT_FALSE(r.applied.empty());
   EXPECT_FALSE(r.log.empty());
-  EXPECT_GT(r.evaluations, 0);
+  EXPECT_GT(r.counts.evaluations, 0);
   r.schedule.stg.validate();
 }
 
@@ -589,6 +643,101 @@ TEST(RunFact, TelemetryNumbersAreExact) {
   EXPECT_GT(checked, 0u);
 }
 
+// Every search total has one accounting path: the engine counts each event
+// once in EngineResult::counts and publishes the record to the registry
+// after the search, so the registry's deltas, the flow's summed counts and
+// the per-generation rows all tell the same story, at any jobs count.
+TEST(RunFact, RegistryAndTelemetryDeriveFromTheCounts) {
+  const auto lib = hlslib::Library::dac98();
+  const auto sel = hlslib::FuSelection::defaults(lib);
+  const auto xforms = xform::TransformLibrary::standard();
+  const std::pair<const char*, Objective> cases[] = {
+      {"GCD", Objective::Throughput}, {"SINTRAN", Objective::Power}};
+  for (const auto& [name, objective] : cases) {
+    for (int jobs : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << name << " jobs=" << jobs);
+      const workloads::Workload w = workloads::by_name(name);
+      FactOptions opts;
+      opts.objective = objective;
+      opts.engine.jobs = jobs;
+      obs::Histogram& rank_hist = obs::Registry::global().histogram(
+          "fact_search_selected_rank", {0.5});
+      const uint64_t ranks_before = rank_hist.count();
+      const CounterDelta optimize_calls{"fact_engine_optimize_total"};
+      const CounterDelta generations{"fact_search_generations_total"};
+      const CounterDelta candidates{"fact_search_candidates_total"};
+      const CounterDelta duplicates{"fact_search_duplicates_total"};
+      const CounterDelta quarantined{"fact_search_quarantined_total"};
+      const CounterDelta nonequivalent{"fact_search_nonequivalent_total"};
+      const CounterDelta accepted{"fact_search_accepted_total"};
+      const CounterDelta improvements{"fact_search_improvements_total"};
+      const CounterDelta requests{"fact_eval_requests_total"};
+      const CounterDelta hits{"fact_eval_cache_hits_total"};
+      const CounterDelta misses{"fact_eval_cache_misses_total"};
+      const FactResult r =
+          run_fact(w.fn, lib, w.allocation, sel, w.trace, xforms, opts);
+      const SearchCounts& c = r.counts;
+
+      EXPECT_EQ(candidates(), c.candidates);
+      EXPECT_EQ(duplicates(), c.duplicates);
+      EXPECT_EQ(quarantined(), c.quarantined);
+      EXPECT_EQ(nonequivalent(), c.nonequivalent);
+      EXPECT_EQ(accepted(), c.accepted);
+      EXPECT_EQ(improvements(), c.improvements);
+      EXPECT_EQ(requests(), c.evaluations);
+      EXPECT_EQ(hits(), c.cache_hits);
+      EXPECT_EQ(misses(), c.cache_misses());
+      EXPECT_EQ(optimize_calls(), r.block_telemetry.size());
+
+      // Each block's root is one evaluation request outside any
+      // generation; every other event happens inside one.
+      uint64_t gens = 0, ranks = 0;
+      SearchCounts in_gens;
+      for (const SearchTelemetry& block : r.block_telemetry) {
+        SearchCounts block_gens;
+        for (const GenerationTelemetry& g : block.generations)
+          block_gens += g.counts;
+        EXPECT_GT(block_gens.evaluations, 0u);
+        in_gens += block_gens;
+        gens += block.generations.size();
+        for (const auto& [rank, n] : block.selected_ranks)
+          ranks += static_cast<uint64_t>(n);
+      }
+      EXPECT_EQ(generations(), gens);
+      EXPECT_EQ(rank_hist.count() - ranks_before, ranks);
+      EXPECT_EQ(in_gens.evaluations + r.block_telemetry.size(), c.evaluations);
+      EXPECT_LE(c.cache_hits - in_gens.cache_hits, r.block_telemetry.size());
+      EXPECT_EQ(in_gens.candidates, c.candidates);
+      EXPECT_EQ(in_gens.duplicates, c.duplicates);
+      EXPECT_EQ(in_gens.quarantined, c.quarantined);
+      EXPECT_EQ(in_gens.nonequivalent, c.nonequivalent);
+      EXPECT_EQ(in_gens.accepted, c.accepted);
+      EXPECT_EQ(in_gens.improvements, c.improvements);
+      EXPECT_GT(c.candidates, 0u);
+    }
+  }
+}
+
+TEST(Engine, GenerationsAndTheRootAccountForEveryEvaluation) {
+  // One optimize() call: its generations' evaluation requests plus the
+  // root's are the call's total.
+  const workloads::Workload w = workloads::by_name("GCD");
+  const auto lib = hlslib::Library::dac98();
+  const auto sel = hlslib::FuSelection::defaults(lib);
+  const auto xforms = xform::TransformLibrary::standard();
+  const sim::Trace trace = sim::generate_trace(w.fn, w.trace, 7);
+  const TransformEngine engine(lib, w.allocation, sel, {}, {}, xforms, {});
+  const EngineResult r =
+      engine.optimize(w.fn, trace, Objective::Throughput, {}, 0.0);
+  ASSERT_FALSE(r.telemetry.generations.empty());
+  SearchCounts in_gens;
+  for (const GenerationTelemetry& g : r.telemetry.generations)
+    in_gens += g.counts;
+  EXPECT_EQ(in_gens.evaluations + 1, r.counts.evaluations);
+  EXPECT_EQ(r.counts - in_gens,
+            (SearchCounts{.evaluations = 1}));
+}
+
 // ---- gate 3: one interpreter pass per candidate --------------------------
 
 uint64_t trace_passes() {
@@ -626,9 +775,9 @@ TEST(Gate3, OnePassPerCandidateAcrossJobs) {
   uint64_t evaluated = 0, reached_at_most = 0;
   for (const SearchTelemetry& block : r.block_telemetry)
     for (const GenerationTelemetry& g : block.generations) {
-      evaluated += g.evaluations;
-      reached_at_most += g.evaluations + g.rejected_nonequivalent +
-                         g.quarantined + g.duplicates;
+      evaluated += g.counts.evaluations;
+      reached_at_most += g.counts.evaluations + g.counts.nonequivalent +
+                         g.counts.quarantined + g.counts.duplicates;
     }
   const uint64_t fixed = 2 + r.block_telemetry.size();
   ASSERT_GT(evaluated, 100u);
@@ -668,7 +817,7 @@ TEST(Gate3, AbortingCandidateIsQuarantinedAsSimulationError) {
                          xforms, opts);
   const EngineResult r =
       engine.optimize(fn, trace, Objective::Throughput, {}, 100.0);
-  EXPECT_EQ(r.quarantined, 1);
+  EXPECT_EQ(r.counts.quarantined, 1);
   EXPECT_EQ(r.quarantine_by_class.at("simulation-error"), 1);
   ASSERT_EQ(r.quarantine.size(), 1u);
   EXPECT_EQ(r.quarantine[0].pass, "equivalence");

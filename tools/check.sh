@@ -27,10 +27,10 @@
 #
 # Both legs then run the sanitized `factc --method all --emit-stg` on the
 # six Table 2 workloads at --jobs 1 and at --jobs 4 and require identical
-# stdout and identical STG files, and `factc --method all` on the same six
-# under both objectives at --validate full (candidates measured on their
-# full STG) and --validate fast (on the scheduler's chain summary) and
-# require identical reports.
+# stdout, STG files and --metrics-out search counts, and `factc --method
+# all` on the same six under both objectives at --validate full (candidates
+# measured on their full STG) and --validate fast (on the scheduler's chain
+# summary) and require identical reports.
 #
 # Each sanitized tree lives in its own build directory (default
 # build-asan / build-tsan) so the regular build stays untouched; the
@@ -77,13 +77,15 @@ ctest --test-dir "$build_dir" -j "$(nproc)" --output-on-failure
 # scheduler that leaks from one worker's candidate into another's would make
 # the sanitized --jobs 4 reports or final STGs differ from --jobs 1. Both
 # runs write the STG to one path (so the reports' "wrote" lines match) and
-# it is moved aside after each.
+# it is moved aside after each. So must the search counts: the "search"
+# telemetry and the registry's fact_search_*/fact_eval_* counters.
 jobs_dir="$build_dir/check-jobs"
 mkdir -p "$jobs_dir"
 for w in GCD FIR TEST2 SINTRAN IGF PPS; do
   for jobs in 1 4; do
     "$build_dir/tools/factc" --benchmark "$w" --method all --jobs "$jobs" \
-      --emit-stg "$jobs_dir/$w.dot" >"$jobs_dir/$w.$jobs.txt" \
+      --emit-stg "$jobs_dir/$w.dot" --metrics-out "$jobs_dir/$w.$jobs.json" \
+      >"$jobs_dir/$w.$jobs.txt" \
       || { echo "check.sh: sanitized factc --jobs $jobs failed on $w" >&2; exit 1; }
     mv "$jobs_dir/$w.dot" "$jobs_dir/$w.$jobs.dot"
   done
@@ -91,6 +93,13 @@ for w in GCD FIR TEST2 SINTRAN IGF PPS; do
     || { echo "check.sh: factc --jobs 4 report differs from --jobs 1 on $w" >&2; exit 1; }
   cmp "$jobs_dir/$w.1.dot" "$jobs_dir/$w.4.dot" \
     || { echo "check.sh: factc --jobs 4 STG differs from --jobs 1 on $w" >&2; exit 1; }
+  python3 -c 'import json, sys
+one, four = ((d["search"], {k: v for k, v in d["registry"].items()
+              if k.startswith(("fact_search_", "fact_eval_"))})
+             for d in (json.load(open(path)) for path in sys.argv[1:]))
+sys.exit(not (isinstance(one[0], dict) and one[1] and one == four))' \
+    "$jobs_dir/$w.1.json" "$jobs_dir/$w.4.json" \
+    || { echo "check.sh: factc --jobs 4 search counts differ from --jobs 1 on $w" >&2; exit 1; }
 done
 rm -rf "$jobs_dir"
 

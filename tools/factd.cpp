@@ -19,6 +19,7 @@
 //   --stats-interval <s> print a periodic stats line every <s> seconds
 //   --quiet             no startup/shutdown banner
 
+#include <cinttypes>
 #include <cstdio>
 #include <atomic>
 #include <chrono>
@@ -81,14 +82,20 @@ Args parse_args(int argc, char** argv) {
       if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
       return argv[++i];
     };
+    auto count = [&]() {  // negative would wrap: --queue-cap -1 = no bound
+      const std::string text = next();
+      const long v = parse_long(text, arg);
+      if (v < 0) usage((arg + " must be >= 0, got " + text).c_str());
+      return v;
+    };
     if (arg == "--unix") a.server.unix_path = next();
     else if (arg == "--tcp-port") a.server.tcp_port = static_cast<int>(parse_long(next(), arg));
     else if (arg == "--tcp-host") a.server.tcp_host = next();
-    else if (arg == "--workers") a.service.workers = static_cast<int>(parse_long(next(), arg));
-    else if (arg == "--queue-cap") a.service.queue_cap = static_cast<size_t>(parse_long(next(), arg));
-    else if (arg == "--batch-max") a.service.batch_max = static_cast<size_t>(parse_long(next(), arg));
-    else if (arg == "--cache-cap") a.service.cache_cap = static_cast<size_t>(parse_long(next(), arg));
-    else if (arg == "--stats-interval") a.stats_interval_s = parse_long(next(), arg);
+    else if (arg == "--workers") a.service.workers = static_cast<int>(count());
+    else if (arg == "--queue-cap") a.service.queue_cap = static_cast<size_t>(count());
+    else if (arg == "--batch-max") a.service.batch_max = static_cast<size_t>(count());
+    else if (arg == "--cache-cap") a.service.cache_cap = static_cast<size_t>(count());
+    else if (arg == "--stats-interval") a.stats_interval_s = count();
     else if (arg == "--quiet") a.quiet = true;
     else if (arg == "--help" || arg == "-h") usage();
     else usage(("unknown option " + arg).c_str());
@@ -130,13 +137,10 @@ int main(int argc, char** argv) {
           const serve::StatsSnapshot s = service.stats();
           fprintf(stderr,
                   "factd: stats uptime=%.0fms sessions=%zu queue=%zu "
-                  "in_flight=%zu completed=%llu failed=%llu cancelled=%llu "
-                  "evals=%llu cache=%zu/%zu\n",
+                  "in_flight=%zu completed=%" PRIu64 " failed=%" PRIu64
+                  " cancelled=%" PRIu64 " evals=%" PRIu64 " cache=%zu/%zu\n",
                   s.uptime_ms, s.sessions, s.queue_depth, s.in_flight,
-                  static_cast<unsigned long long>(s.completed),
-                  static_cast<unsigned long long>(s.failed),
-                  static_cast<unsigned long long>(s.cancelled),
-                  static_cast<unsigned long long>(s.evaluations),
+                  s.completed, s.failed, s.cancelled, s.evaluations,
                   s.cache_entries, s.cache_cap);
         }
       });
@@ -153,12 +157,10 @@ int main(int argc, char** argv) {
     }
     if (!args.quiet) {
       const serve::StatsSnapshot s = service.stats();
-      printf("factd: shutdown after %llu completed, %llu failed, "
-             "%llu cancelled, %llu rejected; cache %zu/%zu entries\n",
-             static_cast<unsigned long long>(s.completed),
-             static_cast<unsigned long long>(s.failed),
-             static_cast<unsigned long long>(s.cancelled),
-             static_cast<unsigned long long>(s.rejected), s.cache_entries,
+      printf("factd: shutdown after %" PRIu64 " completed, %" PRIu64
+             " failed, %" PRIu64 " cancelled, %" PRIu64
+             " rejected; cache %zu/%zu entries\n",
+             s.completed, s.failed, s.cancelled, s.rejected, s.cache_entries,
              s.cache_cap);
     }
     return 0;
