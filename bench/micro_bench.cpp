@@ -6,6 +6,8 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
+#include "program_gen.hpp"
+#include "sched/dfg.hpp"
 
 namespace {
 
@@ -41,6 +43,42 @@ void BM_Schedule(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Schedule);
+
+/// Every assignment and store of `s`, in program order.
+void collect_assignments(const ir::Stmt& s, std::vector<const ir::Stmt*>& out) {
+  if (s.kind == ir::StmtKind::Assign || s.kind == ir::StmtKind::Store)
+    out.push_back(&s);
+  for (const std::vector<ir::StmtPtr>* list : s.child_lists())
+    for (const ir::StmtPtr& c : *list) collect_assignments(*c, out);
+}
+
+// One DFG build, the cost of a fragment-cache miss, in warm scratch: the
+// segment made of all the assignments and stores of the generated program
+// GEN1017 (fact-bench's `generated` draw), in program order, under 2 of
+// every FU type. `per_node` is the build time per DFG node.
+void BM_DfgBuild(benchmark::State& state) {
+  bench::Env env;
+  const ir::Function fn = testgen::random_program(1017);
+  std::vector<const ir::Stmt*> stmts;
+  collect_assignments(*fn.body(), stmts);
+  hlslib::Allocation alloc;
+  for (const hlslib::FuType& t : env.lib.types()) alloc.counts[t.name] = 2;
+  const sched::DfgBuilder builder(env.lib, alloc, env.sel, 5.0, 1.0);
+  sched::DfgScratch scratch;
+  size_t nodes = 0;
+  for (auto _ : state) {
+    const sched::Dfg dfg = builder.build(scratch, stmts);
+    nodes = dfg.nodes.size();
+    benchmark::DoNotOptimize(dfg.nodes.data());
+  }
+  state.counters["stmts"] = static_cast<double>(stmts.size());
+  state.counters["nodes"] = static_cast<double>(nodes);
+  state.counters["per_node"] = benchmark::Counter(
+      static_cast<double>(nodes),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DfgBuild);
 
 void BM_MarkovSolve(benchmark::State& state) {
   bench::Env env;

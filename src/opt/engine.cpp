@@ -1,9 +1,9 @@
 #include "opt/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <iterator>
 #include <typeinfo>
 #include <unordered_set>
@@ -13,6 +13,7 @@
 #include "obs/trace.hpp"
 #include "sched/fragment_cache.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/parallel.hpp"
 #include "util/strfmt.hpp"
 
@@ -84,25 +85,22 @@ EvalCache::EvalCache(size_t capacity)
     : capacity_(std::max<size_t>(1, capacity)) {}
 
 EvalCache::Key EvalCache::make_key(uint64_t h, Objective o,
-                                   double baseline_len) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(baseline_len));
-  std::memcpy(&bits, &baseline_len, sizeof(bits));
-  return Key{h, static_cast<int>(o), bits};
+                                   double baseline_len, uint64_t context) {
+  return Key{h, static_cast<int>(o), std::bit_cast<uint64_t>(baseline_len),
+             context};
 }
 
 size_t EvalCache::KeyHash::operator()(const Key& k) const {
-  uint64_t h = k.hash;
-  h ^= (k.baseline_bits + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2));
-  h ^= (static_cast<uint64_t>(k.objective) + 0x9E3779B97F4A7C15ull +
-        (h << 6) + (h >> 2));
-  return static_cast<size_t>(h);
+  uint64_t h = hash_mix(k.hash, k.baseline_bits);
+  h = hash_mix(h, static_cast<uint64_t>(k.objective));
+  return static_cast<size_t>(hash_mix(h, k.context));
 }
 
 std::optional<EvalCache::Entry> EvalCache::lookup(uint64_t structural_hash,
                                                   Objective objective,
-                                                  double baseline_len) const {
-  const Key key = make_key(structural_hash, objective, baseline_len);
+                                                  double baseline_len,
+                                                  uint64_t context) const {
+  const Key key = make_key(structural_hash, objective, baseline_len, context);
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = map_.find(key);
   if (it == map_.end()) return std::nullopt;
@@ -110,8 +108,8 @@ std::optional<EvalCache::Entry> EvalCache::lookup(uint64_t structural_hash,
 }
 
 void EvalCache::insert(uint64_t structural_hash, Objective objective,
-                       double baseline_len, Entry entry) {
-  const Key key = make_key(structural_hash, objective, baseline_len);
+                       double baseline_len, uint64_t context, Entry entry) {
+  const Key key = make_key(structural_hash, objective, baseline_len, context);
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = map_.find(key);
   if (it != map_.end()) {
@@ -128,8 +126,8 @@ void EvalCache::insert(uint64_t structural_hash, Objective objective,
 }
 
 void EvalCache::touch(uint64_t structural_hash, Objective objective,
-                      double baseline_len) {
-  const Key key = make_key(structural_hash, objective, baseline_len);
+                      double baseline_len, uint64_t context) {
+  const Key key = make_key(structural_hash, objective, baseline_len, context);
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = map_.find(key);
   if (it != map_.end()) lru_.splice(lru_.begin(), lru_, it->second.lru);
@@ -138,6 +136,45 @@ void EvalCache::touch(uint64_t structural_hash, Objective objective,
 size_t EvalCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return map_.size();
+}
+
+// ---- evaluation context ------------------------------------------------
+
+uint64_t TransformEngine::eval_context(const sim::Trace& trace) const {
+  const auto real = [](double v) { return std::bit_cast<uint64_t>(v); };
+  uint64_t h = hash_mix(0xC0E7u, lib_.types().size());
+  for (const hlslib::FuType& t : lib_.types()) {
+    h = hash_mix(h, t.name);
+    h = hash_mix(h, static_cast<uint64_t>(t.cls));
+    for (const double v : {t.energy_coeff, t.delay_ns, t.area})
+      h = hash_mix(h, real(v));
+  }
+  h = hash_mix(h, alloc_.counts.size());
+  for (const auto& [name, count] : alloc_.counts)
+    h = hash_mix(hash_mix(h, name), static_cast<uint64_t>(count));
+  h = hash_mix(h, sel_.choice.size());
+  for (const auto& [op, name] : sel_.choice)
+    h = hash_mix(hash_mix(h, static_cast<uint64_t>(op)), name);
+  // The fragment cache is a memo of the schedule, not an input to it.
+  h = hash_mix(h, real(sched_opts_.clock_ns));
+  h = hash_mix(h, sched_opts_.fuse_loops ? 1u : 0u);
+  for (const double v : {power_opts_.vdd, power_opts_.vt, power_opts_.clock_ns,
+                         power_opts_.overhead_fraction})
+    h = hash_mix(h, real(v));
+  // At Full an evaluation verifies the schedule and can fail on it.
+  h = hash_mix(h, static_cast<uint64_t>(opts_.validate));
+  h = hash_mix(h, trace.size());
+  for (const sim::Stimulus& s : trace) {
+    h = hash_mix(h, s.params.size());
+    for (const auto& [name, value] : s.params)
+      h = hash_mix(hash_mix(h, name), static_cast<uint64_t>(value));
+    h = hash_mix(h, s.arrays.size());
+    for (const auto& [name, values] : s.arrays) {
+      h = hash_mix(hash_mix(h, name), values.size());
+      for (const int64_t v : values) h = hash_mix(h, static_cast<uint64_t>(v));
+    }
+  }
+  return h;
 }
 
 // ---- measurement -------------------------------------------------------
@@ -255,6 +292,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
                                        EvalCache* shared_cache) const {
   Rng rng(opts_.seed);
   const auto start_time = std::chrono::steady_clock::now();
+  const uint64_t context = eval_context(trace);
 
   static obs::Counter& optimize_calls = obs::Registry::global().counter(
       "fact_engine_optimize_total", "TransformEngine::optimize() calls");
@@ -375,9 +413,9 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
     result.counts.evaluations++;
     if (hit) {
       result.counts.cache_hits++;
-      cache.touch(m.hash, objective, baseline_len);
+      cache.touch(m.hash, objective, baseline_len, context);
     } else {
-      cache.insert(m.hash, objective, baseline_len, entry);
+      cache.insert(m.hash, objective, baseline_len, context, entry);
     }
     if (!entry.ok) {
       quarantine("evaluate", entry.failure_class, entry.message, m.applied);
@@ -414,7 +452,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
 
   bool root_ok;
   {
-    const auto hit = cache.lookup(root.hash, objective, baseline_len);
+    const auto hit = cache.lookup(root.hash, objective, baseline_len, context);
     root_ok = consume_entry(root, hit ? *hit : compute_entry(root),
                             hit.has_value());
     root.profile.reset();
@@ -674,7 +712,8 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
           obs::Span sp_eval = obs::span("evaluate", "opt");
           sp_eval.arg("transform", behavior_set[w].via);
           const auto hit =
-              cache.lookup(behavior_set[w].hash, objective, baseline_len);
+              cache.lookup(behavior_set[w].hash, objective, baseline_len,
+                           context);
           sp_eval.arg("cache_hit", hit.has_value());
           if (hit) {
             entries[w] = std::move(*hit);

@@ -118,12 +118,16 @@ power::PowerEstimate measure_design(const stg::Stg& stg,
                                     const std::vector<double>* pi = nullptr);
 
 /// Memoized candidate evaluations, keyed by (structural hash, objective,
-/// baseline_len). run_fact shares one cache across its per-block engine
-/// runs: blocks repeatedly re-derive overlapping variants (and every
-/// block's root is the previous block's winner), and a hit skips the full
-/// schedule+verify+estimate pipeline. factd shares one process-wide cache
-/// across all sessions. Failed evaluations are memoized too, so a
-/// known-bad variant quarantines again without re-running the scheduler.
+/// baseline_len, evaluation context digest). run_fact shares one cache
+/// across its per-block engine runs: blocks repeatedly re-derive
+/// overlapping variants (and every block's root is the previous block's
+/// winner), and a hit skips the full schedule+verify+estimate pipeline.
+/// factd shares one process-wide cache across all sessions, whose
+/// requests differ in allocation, clock, validation level and trace: the
+/// context digest (TransformEngine::eval_context) keeps their evaluations
+/// apart. Failed evaluations are
+/// memoized too, so a known-bad variant quarantines again without
+/// re-running the scheduler.
 ///
 /// Bounded: at most `capacity` entries, evicting least-recently-used past
 /// it so a long-lived daemon cannot grow memory without limit. Recency is
@@ -147,16 +151,16 @@ class EvalCache {
   explicit EvalCache(size_t capacity = 1 << 18);
 
   std::optional<Entry> lookup(uint64_t structural_hash, Objective objective,
-                              double baseline_len) const;
+                              double baseline_len, uint64_t context) const;
   /// First insertion wins; re-inserting the same key only refreshes its
   /// recency (the engine re-requests a key only when dedup already
   /// collapsed it). Evicts the least-recently-used entry past capacity.
   void insert(uint64_t structural_hash, Objective objective,
-              double baseline_len, Entry entry);
+              double baseline_len, uint64_t context, Entry entry);
   /// Marks a key most-recently-used (no-op when absent). The engine calls
   /// this on every cache hit, from the serial reduction.
   void touch(uint64_t structural_hash, Objective objective,
-             double baseline_len);
+             double baseline_len, uint64_t context);
   size_t size() const;
   size_t capacity() const { return capacity_; }
 
@@ -165,12 +169,14 @@ class EvalCache {
     uint64_t hash;
     int objective;
     uint64_t baseline_bits;  // bit pattern of baseline_len (exact match)
+    uint64_t context;        // TransformEngine::eval_context digest
     bool operator==(const Key&) const = default;
   };
   struct KeyHash {
     size_t operator()(const Key& k) const;
   };
-  static Key make_key(uint64_t h, Objective o, double baseline_len);
+  static Key make_key(uint64_t h, Objective o, double baseline_len,
+                      uint64_t context);
 
   struct Slot {
     Entry entry;
@@ -295,9 +301,11 @@ class TransformEngine {
   /// the untransformed design's average schedule length, the reference for
   /// iso-throughput Vdd scaling in Power mode. `cache` optionally shares
   /// memoized evaluations across calls (run_fact passes one per flow);
-  /// when null a run-local cache is used. Results are identical for any
-  /// EngineOptions::jobs value: candidate work runs on worker threads but
-  /// is reduced strictly in the serial submission order.
+  /// when null a run-local cache is used. Its entries are keyed by
+  /// eval_context(trace), so one cache may serve engines of any
+  /// configuration. Results are identical for any EngineOptions::jobs
+  /// value: candidate work runs on worker threads but is reduced strictly
+  /// in the serial submission order.
   EngineResult optimize(const ir::Function& fn, const sim::Trace& trace,
                         Objective objective, const std::set<int>& region,
                         double baseline_len, EvalCache* cache = nullptr) const;
@@ -309,6 +317,11 @@ class TransformEngine {
                       Objective objective, double baseline_len) const;
 
  private:
+  /// One digest of everything but the candidate that an evaluation reads:
+  /// the library, the allocation, the FU selection, the scheduler and
+  /// power options, the validation level and the stimuli of `trace`.
+  uint64_t eval_context(const sim::Trace& trace) const;
+
   /// evaluate() through a given Scheduler, with an optional known profile
   /// of `fn` over `trace`. optimize() builds one Scheduler per run, over
   /// the run's FragmentCache, and shares it across its workers; it passes

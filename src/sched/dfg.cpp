@@ -1,12 +1,14 @@
 #include "sched/dfg.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
-#include <iterator>
+#include <span>
 #include <string_view>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/strfmt.hpp"
 
 namespace fact::sched {
@@ -41,12 +43,34 @@ int Dfg::num_csteps() const {
   return max_cstep + 1;
 }
 
-struct DfgBuilder::BuildState {
+// ---------------------------------------------------------------------------
+// DfgBuilder
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Moves every name a node views from the buffer at `from` to the same
+/// offset in the buffer at `to`.
+void rebase(std::span<DfgNode> nodes, const char* from, const char* to) {
+  const auto move = [&](std::string_view s) -> std::string_view {
+    return s.empty() ? s : std::string_view(to + (s.data() - from), s.size());
+  };
+  for (DfgNode& n : nodes) {
+    n.fu = move(n.fu);
+    n.array = move(n.array);
+    n.def_var = move(n.def_var);
+    for (stg::Operand& o : n.operands)
+      if (o.kind() == stg::Operand::Kind::Reg)
+        o = stg::Operand::of_reg(move(o.reg()));
+  }
+}
+
+}  // namespace
+
+struct DfgScratch::State {
   // Every per-variable and per-array list below is a singly linked list
   // threaded through one pool, appended at the tail so iteration keeps
-  // insertion order. The pool, the variable and array tables and the
-  // value-number table are flat arrays, sized per build from upper bounds
-  // on its nodes and names and reused by the builder's next build.
+  // insertion order.
   struct List {
     int head = -1;
     int tail = -1;
@@ -73,149 +97,192 @@ struct DfgBuilder::BuildState {
       f(links[static_cast<size_t>(k)].value);
   }
 
+  // The names the DFG views, each distinct one once, in a buffer build()
+  // hands to the DFG; the next build starts a new one of the largest
+  // size any build has needed.
+  struct Name {
+    size_t offset = 0;
+    size_t size = 0;
+  };
+  std::shared_ptr<char[]> names;
+  size_t names_used = 0;
+  size_t names_capacity = 256;
+
+  std::string_view view(Name n) const {
+    return {names.get() + n.offset, n.size};
+  }
+  Name intern(std::string_view name) {
+    if (names_used + name.size() > names_capacity) {
+      // Grow, and move the names the nodes so far view along.
+      const size_t capacity =
+          std::max(names_used + name.size(), 2 * names_capacity);
+      auto grown = std::make_shared_for_overwrite<char[]>(capacity);
+      std::copy_n(names.get(), names_used, grown.get());
+      rebase(nodes, names.get(), grown.get());
+      names = std::move(grown);
+      names_capacity = capacity;
+    }
+    std::copy(name.begin(), name.end(), names.get() + names_used);
+    const Name n{names_used, name.size()};
+    names_used += name.size();
+    return n;
+  }
+
   // Per-variable dataflow within the segment, one slot per variable name
   // in first-sight order. A segment names a handful of variables, so a
-  // linear scan interns them.
+  // linear scan interns them. `version` counts the definitions so far.
   struct Var {
-    std::string_view name;  // views `names`
+    Name name;
+    int version = 0;
     int last_def = -1;
     int defs = 0;  // in-segment definitions
     List reads_of_current;
     List livein_reads;
-    List cached;  // value-cache entries whose expression reads it
   };
-  // Per-array memory ordering.
+  // Per-array memory ordering; `version` counts the stores so far.
   struct Array {
-    std::string_view name;  // views `names`
+    Name name;
+    int version = 0;
     int last_store = -1;
     List reads_since_store;
-    List cached;  // value-cache entries whose expression reads it
+    int resource = -1;
+  };
+  // Per FU type of the builder: its interned name (once a node binds it)
+  // and its resource index.
+  struct Fu {
+    Name name;
+    bool interned = false;
+    int resource = -1;
   };
   std::vector<Var> vars;
   std::vector<Array> arrays;
-  std::vector<std::string_view> fus;  // FU type names interned so far
-  // The DFG's name buffer, sized for every name the build can intern.
-  std::shared_ptr<char[]> names;
-  size_t names_used = 0;
-  size_t names_capacity = 0;
-  // The node array under construction; build() hands the DFG an exact
-  // copy and keeps this one's capacity for the next build.
+  std::vector<Fu> fus;
+
+  size_t var(std::string_view name) {
+    for (size_t i = 0; i < vars.size(); ++i)
+      if (view(vars[i].name) == name) return i;
+    vars.emplace_back().name = intern(name);
+    return vars.size() - 1;
+  }
+  size_t array(std::string_view name) {
+    for (size_t i = 0; i < arrays.size(); ++i)
+      if (view(arrays[i].name) == name) return i;
+    arrays.emplace_back().name = intern(name);
+    return arrays.size() - 1;
+  }
+
+  // The nodes and their edges under construction (DfgEdges::begin and
+  // preds), each node's successor counts along data and memory-order
+  // edges and along anti edges, and each node's resource.
   std::vector<DfgNode> nodes;
+  std::vector<int> begin;
+  std::vector<int> preds;
+  std::vector<int> succ_count, war_count;
+  std::vector<int> resource, resource_nodes;
+  std::vector<int> cursor;  // successor fill positions, at the end
 
-  // Value numbering: identical subexpressions over unchanged inputs bind
-  // to one node (so e.g. a condition referenced by several selects costs
-  // one comparator). Entries are chained per Expr::hash() value and
-  // killed when an input is redefined; at most one live entry matches any
-  // expression, since an entry is only added after a miss. `heads` is an
-  // open-addressing table over the distinct hash values: each slot holds
-  // the newest entry of one hash value, or -1.
-  struct Cached {
-    const ExprPtr* expr;  // a slot of the IR being built, which outlives it
-    size_t hash;
-    int node;
-    int next;  // older entry with the same hash, or -1
-    bool live;
+  /// Adds a data or memory-order edge from `p` to the newest node.
+  void edge(int p) {
+    preds.push_back(p);
+    succ_count[static_cast<size_t>(p)]++;
+  }
+  /// Adds an anti/output edge from `p` to the newest node.
+  void anti_edge(int p) {
+    preds.push_back(p);
+    war_count[static_cast<size_t>(p)]++;
+  }
+
+  // Local value numbering: the key of a node made for an expression is its
+  // op, the array it reads and that array's version, and per operand a
+  // literal, a node, or a variable and its version. Keys are
+  // open-addressed in `slots`; a slot belongs to the current build only
+  // when it carries the build's stamp, so a build starts with an empty
+  // table without clearing it.
+  enum class Arg : uint8_t { None, Literal, Node, Var };
+  struct Key {
+    ir::Op op = ir::Op::Const;
+    std::array<Arg, stg::Operands::kMax> kind{};
+    int array = -1;
+    int array_version = 0;
+    std::array<int64_t, stg::Operands::kMax> arg{};
+
+    bool operator==(const Key&) const = default;
+    uint64_t hash() const {
+      uint64_t h = hash_mix(static_cast<uint64_t>(op),
+                            static_cast<uint64_t>(array) << 32 |
+                                static_cast<uint32_t>(array_version));
+      for (size_t i = 0; i < arg.size(); ++i)
+        h = hash_mix(h, static_cast<uint64_t>(arg[i]) * 4 +
+                            static_cast<uint64_t>(kind[i]));
+      return h;
+    }
   };
-  std::vector<Cached> cache;
-  std::vector<int> heads;
+  struct Entry {
+    Key key;
+    uint64_t hash;
+    int node;
+  };
+  struct Slot {
+    uint32_t stamp = 0;
+    int entry = -1;
+  };
+  std::vector<Entry> entries;
+  std::vector<Slot> slots;
+  uint32_t stamp = 0;
 
-  /// Empties every array for a build that creates at most `max_nodes`
-  /// nodes, names at most `max_vars` variables and `max_arrays` arrays,
-  /// and interns at most `name_bytes` bytes of names.
-  void reset(size_t max_nodes, size_t max_vars, size_t max_arrays,
-             size_t name_bytes) {
+  /// The node an earlier expression with this key made, or -1.
+  int lookup(const Key& key, uint64_t h) const {
+    const size_t mask = slots.size() - 1;
+    for (size_t i = h & mask;; i = (i + 1) & mask) {
+      const Slot& slot = slots[i];
+      if (slot.stamp != stamp) return -1;
+      const Entry& e = entries[static_cast<size_t>(slot.entry)];
+      if (e.hash == h && e.key == key) return e.node;
+    }
+  }
+  void place(size_t entry) {
+    const size_t mask = slots.size() - 1;
+    size_t i = entries[entry].hash & mask;
+    while (slots[i].stamp == stamp) i = (i + 1) & mask;
+    slots[i] = {stamp, static_cast<int>(entry)};
+  }
+  void remember(const Key& key, uint64_t h, int node) {
+    entries.push_back({key, h, node});
+    if (2 * entries.size() <= slots.size()) {
+      place(entries.size() - 1);
+      return;
+    }
+    // Keep the table at most half full.
+    slots.assign(2 * slots.size(), Slot{});
+    for (size_t e = 0; e < entries.size(); ++e) place(e);
+  }
+
+  /// Empties every table for a build by a builder of `num_fus` FU types.
+  void reset(size_t num_fus) {
     links.clear();
+    if (!names) names = std::make_shared_for_overwrite<char[]>(names_capacity);
+    names_used = 0;
     vars.clear();
     arrays.clear();
-    fus.clear();
-    cache.clear();
+    fus.assign(num_fus, Fu{});
     nodes.clear();
-    vars.reserve(max_vars);
-    arrays.reserve(max_arrays);
-    cache.reserve(max_nodes);
-    nodes.reserve(max_nodes);
-    links.reserve(2 * (max_nodes + max_vars + max_arrays));
-    size_t slots = 16;
-    while (slots < 2 * max_nodes) slots *= 2;
-    heads.assign(slots, -1);
-    names = std::make_shared_for_overwrite<char[]>(name_bytes);
-    names_used = 0;
-    names_capacity = name_bytes;
-  }
-
-  std::string_view intern(std::string_view name) {
-    assert(names_used + name.size() <= names_capacity);
-    char* at = names.get() + names_used;
-    std::copy(name.begin(), name.end(), at);
-    names_used += name.size();
-    return {at, name.size()};
-  }
-  Var& var(std::string_view name) {
-    for (Var& v : vars)
-      if (v.name == name) return v;
-    Var& v = vars.emplace_back();
-    v.name = intern(name);
-    return v;
-  }
-  Array& array(std::string_view name) {
-    for (Array& a : arrays)
-      if (a.name == name) return a;
-    Array& a = arrays.emplace_back();
-    a.name = intern(name);
-    return a;
-  }
-  std::string_view fu(const Binding& b) {
-    if (b.fu.empty()) return {};
-    for (std::string_view name : fus)
-      if (name == b.fu) return name;
-    return fus.emplace_back(intern(b.fu));
-  }
-
-  /// The `heads` slot of hash value `h`: its chain, or the empty slot
-  /// where it would go. The table is at most half full.
-  int& head(size_t h) {
-    const size_t mask = heads.size() - 1;
-    for (size_t i = h & mask;; i = (i + 1) & mask) {
-      int& slot = heads[i];
-      if (slot < 0 || cache[static_cast<size_t>(slot)].hash == h) return slot;
+    begin.assign(1, 0);
+    preds.clear();
+    succ_count.clear();
+    war_count.clear();
+    resource.clear();
+    resource_nodes.clear();
+    entries.clear();
+    if (slots.empty()) slots.resize(64);
+    if (++stamp == 0) {  // the stamp wrapped: clear for real
+      slots.assign(slots.size(), Slot{});
+      stamp = 1;
     }
-  }
-
-  int lookup(const ExprPtr& e) {
-    for (int k = head(e->hash()); k >= 0;
-         k = cache[static_cast<size_t>(k)].next) {
-      const Cached& c = cache[static_cast<size_t>(k)];
-      if (c.live && Expr::equal(*c.expr, e)) return c.node;
-    }
-    return -1;
-  }
-
-  void remember(const ExprPtr& e, int node) {
-    const int k = static_cast<int>(cache.size());
-    int& slot = head(e->hash());
-    cache.push_back({&e, e->hash(), node, slot, true});
-    slot = k;
-    // Entries never outnumber nodes, and `heads` has twice the node bound.
-    assert(2 * cache.size() <= heads.size());
-    // Register the entry with every variable and array its expression
-    // reads, so a redefinition kills exactly the entries that use it.
-    auto note = [&](List& users) {
-      if (users.tail < 0 || links[static_cast<size_t>(users.tail)].value != k)
-        append(users, k);
-    };
-    auto walk = [&](const auto& self, const Expr& x) -> void {
-      if (x.op() == Op::Var) note(var(x.name()).cached);
-      if (x.op() == Op::ArrayRead) note(array(x.name()).cached);
-      for (const ExprPtr& a : x.args()) self(self, *a);
-    };
-    walk(walk, *e);
-  }
-
-  void invalidate(List& users) {
-    for_each(users, [&](int k) { cache[static_cast<size_t>(k)].live = false; });
-    users = {};
   }
 };
+
+DfgScratch::DfgScratch() : state_(std::make_unique<State>()) {}
+DfgScratch::~DfgScratch() = default;
 
 DfgBuilder::DfgBuilder(const hlslib::Library& lib,
                        const hlslib::Allocation& alloc,
@@ -235,7 +302,7 @@ DfgBuilder::DfgBuilder(const hlslib::Library& lib,
   };
   const hlslib::FuType* mem = lib.first_of(FuClass::Memory);
   if (mem) {
-    memory_ = {mem->name, mem->delay_ns * scale, ""};
+    memory_ = {mem->name, -1, mem->delay_ns * scale, ""};
   } else {
     memory_.error = "library has no memory component";
   }
@@ -265,33 +332,32 @@ DfgBuilder::DfgBuilder(const hlslib::Library& lib,
     }
   }
 
-  // Room for every FU name a build may intern.
-  std::vector<std::string_view> fus;
-  for (const Binding* b : {&memory_, &incrementer_})
-    if (!b->fu.empty()) fus.push_back(b->fu);
-  for (const Binding& b : by_op_)
-    if (!b.fu.empty()) fus.push_back(b.fu);
-  std::sort(fus.begin(), fus.end());
-  fus.erase(std::unique(fus.begin(), fus.end()), fus.end());
-  for (std::string_view name : fus) fu_name_bytes_ += name.size();
-  scratch_ = std::make_unique<BuildState>();
+  // Number the distinct FU types bound, so a build interns each by index.
+  std::vector<Binding*> bound{&memory_, &incrementer_};
+  for (Binding& b : by_op_) bound.push_back(&b);
+  for (const Binding* b : bound)
+    if (!b->fu.empty()) fus_.push_back(b->fu);
+  std::sort(fus_.begin(), fus_.end());
+  fus_.erase(std::unique(fus_.begin(), fus_.end()), fus_.end());
+  for (Binding* b : bound)
+    if (!b->fu.empty())
+      b->fu_id = static_cast<int>(
+          std::lower_bound(fus_.begin(), fus_.end(), b->fu) - fus_.begin());
 }
 
-DfgBuilder::~DfgBuilder() = default;
-
 const DfgBuilder::Binding& DfgBuilder::bind_fu(
-    const ExprPtr& e, const std::string* self_var) const {
-  const Op op = e->op();
+    const Expr& e, const std::string* self_var) const {
+  const Op op = e.op();
   // Incrementer special case: a self-increment `i = i + 1` binds to an
   // incrementer when one is allocated (Table 1 binds "++1" to incr1 while
   // "a + 7" uses the adder). A data add that merely has a constant-1
   // operand stays on the adder so counters keep their incrementers.
   if (self_var && op == Op::Add && !incrementer_.fu.empty()) {
     const bool self_incr =
-        (is_const_one(e->arg(1)) && e->arg(0)->op() == Op::Var &&
-         e->arg(0)->name() == *self_var) ||
-        (is_const_one(e->arg(0)) && e->arg(1)->op() == Op::Var &&
-         e->arg(1)->name() == *self_var);
+        (is_const_one(e.arg(1)) && e.arg(0)->op() == Op::Var &&
+         e.arg(0)->name() == *self_var) ||
+        (is_const_one(e.arg(0)) && e.arg(1)->op() == Op::Var &&
+         e.arg(1)->name() == *self_var);
     if (self_incr) return incrementer_;
   }
   // Comparisons of a variable against a constant are FSM-counter
@@ -303,8 +369,8 @@ const DfgBuilder::Binding& DfgBuilder::bind_fu(
       return a->op() == Op::Const || a->op() == Op::Var;
     };
     const bool has_const =
-        e->arg(0)->op() == Op::Const || e->arg(1)->op() == Op::Const;
-    if (has_const && counter_operand(e->arg(0)) && counter_operand(e->arg(1)))
+        e.arg(0)->op() == Op::Const || e.arg(1)->op() == Op::Const;
+    if (has_const && counter_operand(e.arg(0)) && counter_operand(e.arg(1)))
       return glue_;
   }
   const Binding& b = by_op_[static_cast<size_t>(op)];
@@ -317,277 +383,370 @@ const DfgBuilder::Binding& DfgBuilder::memory() const {
   return memory_;
 }
 
-int DfgBuilder::add_expr(Dfg& dfg, BuildState& bs, const ExprPtr& e,
-                         int stmt_id, const std::string* self_var) const {
-  switch (e->op()) {
-    case Op::Const:
-      return -1;  // literal: wired constant, no node
-    case Op::Var:
-      return -2;  // handled by the caller (register read)
-    default:
-      break;
-  }
+/// One build's pass over the statements, in the scratch state.
+class DfgBuilder::Pass {
+ public:
+  using State = DfgScratch::State;
 
-  if (const int hit = bs.lookup(e); hit >= 0) return hit;
+  Pass(const DfgBuilder& builder, State& s) : b_(builder), s_(s) {}
 
-  DfgNode node;
-  node.op = e->op();
-  node.stmt_id = stmt_id;
-  const Binding& fu = bind_fu(e, self_var);
-  node.fu = bs.fu(fu);
-  node.delay_ns = fu.delay_ns;
-  if (e->op() == Op::ArrayRead) node.array = bs.array(e->name()).name;
+  /// add_expr results that are not nodes.
+  static constexpr int kLiteral = -1;
+  static constexpr int kRegister = -2;
 
-  // First build all child subtrees; variable reads are registered against
-  // this node's id only after it is known (sibling subtrees may create
-  // nodes in between).
-  int preds[stg::Operands::kMax + 1];  // + an array read's last store
-  size_t num_preds = 0;
-  for (const auto& arg : e->args()) {
-    const int child = add_expr(dfg, bs, arg, stmt_id);
-    if (child >= 0) {
-      preds[num_preds++] = child;
-      node.operands.push_back(stg::Operand::of_wire(child));
-    } else if (child == -1) {
-      node.operands.push_back(stg::Operand::of_literal(arg->value()));
-    } else if (child == -2) {
-      // Variable operand: register read; depends on the segment-local
-      // definition if one exists.
-      const BuildState::Var& v = bs.var(arg->name());
-      node.operands.push_back(stg::Operand::of_reg(v.name));
-      node.var_reads++;
-      if (v.last_def >= 0) preds[num_preds++] = v.last_def;
+  /// The node computing `e` (made unless value numbering finds it), or
+  /// kLiteral / kRegister for a constant / variable leaf.
+  int add_expr(const Expr& e, int stmt_id,
+               const std::string* self_var = nullptr) {
+    switch (e.op()) {
+      case Op::Const:
+        return kLiteral;
+      case Op::Var:
+        return kRegister;
+      default:
+        break;
     }
-  }
+    // Binding first: an op without a unit fails before its operands are
+    // built. Such an op never has a node to find (making one would have
+    // failed), so the failing op is the first unbound one in pre-order.
+    const Binding& fu = b_.bind_fu(e, self_var);
 
-  const int id = static_cast<int>(dfg.nodes.size());
-  for (const auto& arg : e->args()) {
-    if (arg->op() != Op::Var) continue;
-    BuildState::Var& v = bs.var(arg->name());
-    if (v.last_def < 0) bs.append(v.livein_reads, id);
-    bs.append(v.reads_of_current, id);
-  }
-  if (e->op() == Op::ArrayRead) {
-    BuildState::Array& a = bs.array(e->name());
-    if (a.last_store >= 0) preds[num_preds++] = a.last_store;
-    bs.append(a.reads_since_store, id);
-  }
-  node.preds.assign(preds, preds + num_preds);
-  dfg.nodes.push_back(std::move(node));
-  bs.remember(e, id);
-  return id;
-}
-
-namespace {
-
-/// Upper bounds for a build's flat arrays: nodes (one per non-leaf
-/// expression, plus at most two copies per assignment, one node per store
-/// and one condition check), variable and array references, and the
-/// bytes of the names they spell.
-struct BuildBounds {
-  size_t nodes = 1;
-  size_t vars = 0;
-  size_t arrays = 0;
-  size_t name_bytes = 0;
-
-  void add(const Expr& e) {
-    if (e.op() == Op::Var) {
-      vars++;
-      name_bytes += e.name().size();
-      return;
-    }
-    if (e.op() == Op::Const) return;
-    nodes++;
+    State::Key key;
+    key.op = e.op();
     if (e.op() == Op::ArrayRead) {
-      arrays++;
-      name_bytes += e.name().size();
+      const size_t a = s_.array(e.name());
+      key.array = static_cast<int>(a);
+      key.array_version = s_.arrays[a].version;
     }
-    for (const ExprPtr& a : e.args()) add(*a);
+    // Operands: child nodes first (sibling subtrees may make nodes in
+    // between), then this node's key.
+    const auto& args = e.args();
+    int operand[stg::Operands::kMax];
+    for (size_t i = 0; i < args.size(); ++i) {
+      const Expr& arg = *args[i];
+      operand[i] = add_expr(arg, stmt_id);
+      if (operand[i] >= 0) {
+        key.kind[i] = State::Arg::Node;
+        key.arg[i] = operand[i];
+      } else if (operand[i] == kLiteral) {
+        key.kind[i] = State::Arg::Literal;
+        key.arg[i] = arg.value();
+      } else {
+        const size_t v = s_.var(arg.name());
+        key.kind[i] = State::Arg::Var;
+        key.arg[i] = static_cast<int64_t>(v) << 32 | s_.vars[v].version;
+      }
+    }
+    const uint64_t h = key.hash();
+    if (const int hit = s_.lookup(key, h); hit >= 0) return hit;
+
+    const int id = open_node(e.op(), stmt_id, &fu);
+    DfgNode& node = s_.nodes.back();
+    for (size_t i = 0; i < args.size(); ++i) {
+      if (operand[i] >= 0) {
+        s_.edge(operand[i]);
+        node.operands.push_back(stg::Operand::of_wire(operand[i]));
+      } else if (operand[i] == kLiteral) {
+        node.operands.push_back(stg::Operand::of_literal(args[i]->value()));
+      } else {
+        // Variable operand: register read; depends on the segment-local
+        // definition if one exists.
+        const State::Var& v = s_.vars[static_cast<size_t>(key.arg[i] >> 32)];
+        node.operands.push_back(stg::Operand::of_reg(s_.view(v.name)));
+        node.var_reads++;
+        if (v.last_def >= 0) s_.edge(v.last_def);
+      }
+    }
+    if (key.array >= 0) {
+      State::Array& a = s_.arrays[static_cast<size_t>(key.array)];
+      node.array = s_.view(a.name);
+      if (a.last_store >= 0) s_.edge(a.last_store);
+      s_.append(a.reads_since_store, id);
+    }
+    for (size_t i = 0; i < args.size(); ++i) {
+      if (key.kind[i] != State::Arg::Var) continue;
+      State::Var& v = s_.vars[static_cast<size_t>(key.arg[i] >> 32)];
+      if (v.last_def < 0) s_.append(v.livein_reads, id);
+      s_.append(v.reads_of_current, id);
+    }
+    close_node(-1, key.array);
+    s_.remember(key, h, id);
+    return id;
   }
-};
 
-}  // namespace
-
-Dfg DfgBuilder::build(const std::vector<const Stmt*>& stmts,
-                      const ExprPtr& cond, int cond_stmt_id) {
-  BuildBounds bound;
-  for (const Stmt* s : stmts) {
-    if (s->kind == StmtKind::Assign) {
-      bound.nodes += 2;
-      bound.vars++;
-    } else {
-      bound.nodes++;
-      bound.arrays++;
-    }
-    bound.name_bytes += s->target.size();
-    s->for_each_expr_slot([&](const ExprPtr& e) { bound.add(*e); });
-  }
-  if (cond) bound.add(*cond);
-
-  BuildState& bs = *scratch_;
-  bs.reset(bound.nodes, bound.vars, bound.arrays,
-           bound.name_bytes + fu_name_bytes_);
-  Dfg dfg;
-  dfg.nodes = std::move(bs.nodes);
-
-  // A register read by `self` (a copy, store or check node) of variable
-  // `name`: depends on the segment-local definition if one exists.
-  auto read_var = [&](DfgNode& self, const std::string& name,
-                      bool note_reader) {
-    self.var_reads++;
-    BuildState::Var& v = bs.var(name);
-    self.operands.push_back(stg::Operand::of_reg(v.name));
-    const int id = static_cast<int>(dfg.nodes.size());
-    if (v.last_def >= 0) {
-      self.preds.push_back(v.last_def);
-    } else {
-      bs.append(v.livein_reads, id);
-    }
-    if (note_reader) bs.append(v.reads_of_current, id);
-  };
-
-  auto define_var = [&](const std::string& var, int value_node,
-                        const ExprPtr& value_expr, int stmt_id,
-                        int first_new_node) {
-    int root = value_node;
+  void assign(const Stmt& s) {
+    const int first_new = static_cast<int>(s_.nodes.size());
+    int root = add_expr(*s.value, s.id, &s.target);
     if (root < 0) {
       // Copy assignment (x = y or x = 5): a register transfer node.
-      DfgNode copy;
-      copy.op = Op::Var;
-      copy.stmt_id = stmt_id;
-      copy.delay_ns = 0.0;
-      if (value_expr->op() == Op::Var) {
-        read_var(copy, value_expr->name(), /*note_reader=*/true);
+      root = open_node(Op::Var, s.id, nullptr);
+      if (s.value->op() == Op::Var) {
+        read_var(s.value->name(), /*note_reader=*/true);
       } else {
-        copy.operands.push_back(stg::Operand::of_literal(value_expr->value()));
+        s_.nodes.back().operands.push_back(
+            stg::Operand::of_literal(s.value->value()));
       }
-      root = static_cast<int>(dfg.nodes.size());
-      dfg.nodes.push_back(std::move(copy));
+      close_node();
     }
-    if (dfg.nodes[static_cast<size_t>(root)].reg_write ||
-        root < first_new_node) {
+    if (s_.nodes[static_cast<size_t>(root)].reg_write || root < first_new) {
       // The value node already defines another variable, or predates this
       // statement entirely (a value-numbering hit): route the definition
       // through a fresh copy. Defining the old node directly would give it
       // anti-dependence edges pointing at its own consumers (a cycle).
-      DfgNode copy;
-      copy.op = Op::Var;
-      copy.stmt_id = stmt_id;
-      copy.delay_ns = 0.0;
-      copy.preds.push_back(root);
-      copy.operands.push_back(stg::Operand::of_wire(root));
-      root = static_cast<int>(dfg.nodes.size());
-      dfg.nodes.push_back(std::move(copy));
+      const int value = root;
+      root = open_node(Op::Var, s.id, nullptr);
+      s_.edge(value);
+      s_.nodes.back().operands.push_back(stg::Operand::of_wire(value));
+      close_node();
     }
-    DfgNode& n = dfg.nodes[static_cast<size_t>(root)];
-    BuildState::Var& v = bs.var(var);
+    // The root is the newest node, so its anti-dependence edges (earlier
+    // reads of the variable's previous value, then that value's
+    // definition) still end the edge array.
+    assert(root + 1 == static_cast<int>(s_.nodes.size()));
+    State::Var& v = s_.vars[s_.var(s.target)];
+    DfgNode& n = s_.nodes.back();
     n.reg_write = true;
-    n.def_var = v.name;
-    // Anti-dependencies: earlier reads of the variable's previous value
-    // must not be scheduled after this definition.
-    size_t wars = v.last_def >= 0 ? 1 : 0;
-    bs.for_each(v.reads_of_current, [&](int r) { wars += r != root; });
-    n.war_preds.reserve(wars);
-    bs.for_each(v.reads_of_current, [&](int r) {
-      if (r != root) n.war_preds.push_back(r);
+    n.def_var = s_.view(v.name);
+    s_.for_each(v.reads_of_current, [&](int r) {
+      if (r != root) s_.anti_edge(r);
     });
-    if (v.last_def >= 0) n.war_preds.push_back(v.last_def);
+    if (v.last_def >= 0) s_.anti_edge(v.last_def);
+    const int end = static_cast<int>(s_.preds.size());
+    s_.begin[s_.begin.size() - 2] = end;
+    s_.begin.back() = end;
     v.reads_of_current = {};
     v.last_def = root;
     v.defs++;
-    bs.invalidate(v.cached);
-  };
+    v.version++;
+  }
 
-  for (const Stmt* s : stmts) {
-    switch (s->kind) {
-      case StmtKind::Assign: {
-        const int first_new = static_cast<int>(dfg.nodes.size());
-        const int v = add_expr(dfg, bs, s->value, s->id, &s->target);
-        define_var(s->target, v, s->value, s->id, first_new);
-        break;
+  void store(const Stmt& s) {
+    const int idx = add_expr(*s.index, s.id);
+    const int val = add_expr(*s.value, s.id);
+    const size_t a = s_.array(s.target);
+    const Binding& mem = b_.memory();
+    const int id = open_node(Op::ArrayRead, s.id, &mem);
+    s_.nodes.back().is_store = true;
+    s_.nodes.back().array = s_.view(s_.arrays[a].name);
+    auto hook_operand = [&](int node_id, const Expr& expr) {
+      if (node_id >= 0) {
+        s_.edge(node_id);
+        s_.nodes.back().operands.push_back(stg::Operand::of_wire(node_id));
+      } else if (expr.op() == Op::Var) {
+        read_var(expr.name(), /*note_reader=*/true);
+      } else {
+        s_.nodes.back().operands.push_back(
+            stg::Operand::of_literal(expr.value()));
       }
-      case StmtKind::Store: {
-        const int idx = add_expr(dfg, bs, s->index, s->id);
-        const int val = add_expr(dfg, bs, s->value, s->id);
-        DfgNode st;
-        st.op = Op::ArrayRead;
-        st.is_store = true;
-        st.stmt_id = s->id;
-        BuildState::Array& a = bs.array(s->target);
-        st.array = a.name;
-        const Binding& mem = memory();
-        st.fu = bs.fu(mem);
-        st.delay_ns = mem.delay_ns;
-        auto hook_operand = [&](int node_id, const ExprPtr& expr) {
-          if (node_id >= 0) {
-            st.preds.push_back(node_id);
-            st.operands.push_back(stg::Operand::of_wire(node_id));
-          } else if (expr->op() == Op::Var) {
-            read_var(st, expr->name(), /*note_reader=*/true);
-          } else {
-            st.operands.push_back(stg::Operand::of_literal(expr->value()));
-          }
-        };
-        hook_operand(idx, s->index);
-        hook_operand(val, s->value);
-        // Memory ordering: after the previous store and all reads since.
-        size_t mem_wars = a.last_store >= 0 ? 1 : 0;
-        bs.for_each(a.reads_since_store, [&](int) { mem_wars++; });
-        st.mem_war_preds.reserve(mem_wars);
-        if (a.last_store >= 0) st.mem_war_preds.push_back(a.last_store);
-        bs.for_each(a.reads_since_store,
-                    [&](int r) { st.mem_war_preds.push_back(r); });
-        const int id = static_cast<int>(dfg.nodes.size());
-        dfg.nodes.push_back(std::move(st));
-        a.last_store = id;
-        a.reads_since_store = {};
-        bs.invalidate(a.cached);
-        break;
+    };
+    hook_operand(idx, *s.index);
+    hook_operand(val, *s.value);
+    // Memory ordering: after the previous store and all reads since.
+    State::Array& arr = s_.arrays[a];
+    const int data_end = static_cast<int>(s_.preds.size());
+    if (arr.last_store >= 0) s_.edge(arr.last_store);
+    s_.for_each(arr.reads_since_store, [&](int r) { s_.edge(r); });
+    close_node(data_end, static_cast<int>(a));
+    arr.last_store = id;
+    arr.reads_since_store = {};
+    arr.version++;
+  }
+
+  /// The node checking `cond`, appended after the statements.
+  int condition(const Expr& cond, int stmt_id) {
+    int c = add_expr(cond, stmt_id);
+    if (c >= 0) return c;
+    // Condition is a bare variable or constant: model as a copy node so
+    // there is a concrete check point in the schedule.
+    c = open_node(Op::Var, stmt_id, nullptr);
+    if (cond.op() == Op::Var) {
+      read_var(cond.name(), /*note_reader=*/false);
+    } else {
+      s_.nodes.back().operands.push_back(
+          stg::Operand::of_literal(cond.value()));
+    }
+    close_node();
+    return c;
+  }
+
+ private:
+  /// Appends a node bound to `fu`, or a register copy (no FU, no delay)
+  /// when `fu` is null. Its edges follow, up to close_node().
+  int open_node(Op op, int stmt_id, const Binding* fu) {
+    const int id = static_cast<int>(s_.nodes.size());
+    DfgNode& n = s_.nodes.emplace_back();
+    n.op = op;
+    n.stmt_id = stmt_id;
+    s_.succ_count.push_back(0);
+    s_.war_count.push_back(0);
+    int resource = -1;
+    if (fu) {
+      n.delay_ns = fu->delay_ns;
+      if (fu->fu_id >= 0) {
+        State::Fu& f = s_.fus[static_cast<size_t>(fu->fu_id)];
+        if (!f.interned) {
+          f.name = s_.intern(fu->fu);
+          f.interned = true;
+        }
+        n.fu = s_.view(f.name);
+        // A memory op's resource is its array's port (close_node).
+        if (op != Op::ArrayRead) {
+          if (f.resource < 0) f.resource = new_resource(id);
+          resource = f.resource;
+        }
       }
+    }
+    s_.resource.push_back(resource);
+    return id;
+  }
+
+  /// Ends the newest node's edges: data edges up to `data_end` (default:
+  /// all pushed so far), no anti edges yet, memory-order edges after. A
+  /// memory op names its `array`, whose port is its resource.
+  void close_node(int data_end = -1, int array = -1) {
+    const int end = static_cast<int>(s_.preds.size());
+    if (data_end < 0) data_end = end;
+    s_.begin.push_back(data_end);
+    s_.begin.push_back(data_end);
+    s_.begin.push_back(end);
+    if (array >= 0) {
+      State::Array& a = s_.arrays[static_cast<size_t>(array)];
+      if (a.resource < 0)
+        a.resource = new_resource(static_cast<int>(s_.nodes.size()) - 1);
+      s_.resource.back() = a.resource;
+    }
+  }
+
+  int new_resource(int node) {
+    s_.resource_nodes.push_back(node);
+    return static_cast<int>(s_.resource_nodes.size()) - 1;
+  }
+
+  /// A register read of variable `name` by the newest node (a copy, store
+  /// or check node): depends on the segment-local definition if one
+  /// exists.
+  void read_var(const std::string& name, bool note_reader) {
+    const int id = static_cast<int>(s_.nodes.size()) - 1;
+    State::Var& v = s_.vars[s_.var(name)];
+    DfgNode& self = s_.nodes.back();
+    self.var_reads++;
+    self.operands.push_back(stg::Operand::of_reg(s_.view(v.name)));
+    if (v.last_def >= 0) {
+      s_.edge(v.last_def);
+    } else {
+      s_.append(v.livein_reads, id);
+    }
+    if (note_reader) s_.append(v.reads_of_current, id);
+  }
+
+  const DfgBuilder& b_;
+  State& s_;
+};
+
+Dfg DfgBuilder::build(DfgScratch& scratch,
+                      const std::vector<const Stmt*>& stmts,
+                      const ExprPtr& cond, int cond_stmt_id) const {
+  DfgScratch::State& s = *scratch.state_;
+  s.reset(fus_.size());
+  Pass pass(*this, s);
+  for (const Stmt* st : stmts) {
+    switch (st->kind) {
+      case StmtKind::Assign:
+        pass.assign(*st);
+        break;
+      case StmtKind::Store:
+        pass.store(*st);
+        break;
       default:
         throw Error("DfgBuilder: segment contains control flow");
     }
   }
-
+  Dfg dfg;
+  if (cond) dfg.cond_node = pass.condition(*cond, cond_stmt_id);
   // Anti-dependences on multi-definition variables must keep their order
   // even under modulo scheduling (see DfgNode::relax_war).
-  for (const BuildState::Var& v : bs.vars)
-    if (v.defs == 1) dfg.nodes[static_cast<size_t>(v.last_def)].relax_war = true;
+  for (const DfgScratch::State::Var& v : s.vars)
+    if (v.defs == 1) s.nodes[static_cast<size_t>(v.last_def)].relax_war = true;
 
-  if (cond) {
-    int c = add_expr(dfg, bs, cond, cond_stmt_id);
-    if (c < 0) {
-      // Condition is a bare variable or constant: model as a copy node so
-      // there is a concrete check point in the schedule.
-      DfgNode chk;
-      chk.op = Op::Var;
-      chk.stmt_id = cond_stmt_id;
-      chk.delay_ns = 0.0;
-      if (cond->op() == Op::Var) {
-        read_var(chk, cond->name(), /*note_reader=*/false);
-      } else {
-        chk.operands.push_back(stg::Operand::of_literal(cond->value()));
-      }
-      c = static_cast<int>(dfg.nodes.size());
-      dfg.nodes.push_back(std::move(chk));
-    }
-    dfg.cond_node = c;
-  }
+  // The DFG's own arrays, each allocated once at its exact size, and the
+  // name buffer its nodes view.
+  const size_t n = s.nodes.size();
+  dfg.nodes.assign(s.nodes.begin(), s.nodes.end());
+  dfg.names = std::move(s.names);
 
-  for (const BuildState::Var& v : bs.vars) {
+  // The edge block: every int array carved from one buffer, in order.
+  size_t carried = 0, reads = 0;
+  for (const DfgScratch::State::Var& v : s.vars) {
     if (v.last_def < 0 || v.livein_reads.head < 0) continue;
-    Dfg::Carried& c = dfg.carried.emplace_back();
-    c.def = v.last_def;
-    bs.for_each(v.livein_reads, [&](int r) { c.livein_reads.push_back(r); });
+    carried++;
+    s.for_each(v.livein_reads, [&](int) { reads++; });
   }
-  dfg.names = std::move(bs.names);
-  // Hand the DFG an exact-size node array (cached DFGs keep their
-  // capacity) and keep the scratch array's for the next build.
-  std::vector<DfgNode> exact;
-  exact.reserve(dfg.nodes.size());
-  std::move(dfg.nodes.begin(), dfg.nodes.end(), std::back_inserter(exact));
-  bs.nodes = std::move(dfg.nodes);
-  dfg.nodes = std::move(exact);
+  // Each edge appears once among the predecessors and once among the
+  // successors of either kind.
+  const size_t num_edges = s.preds.size();
+  auto edges = std::make_shared<DfgEdges>();
+  DfgEdges& e = *edges;
+  e.ints_.resize(s.begin.size() + 2 * num_edges + n + s.resource_nodes.size() +
+                 2 * (n + 1) + reads);
+  int* next = e.ints_.data();
+  auto carve = [&](std::span<const int>& out, size_t size) {
+    int* first = next;
+    next += size;
+    out = {first, size};
+    return first;
+  };
+  std::copy(s.begin.begin(), s.begin.end(), carve(e.begin, s.begin.size()));
+  std::copy(s.preds.begin(), s.preds.end(), carve(e.preds, num_edges));
+  std::copy(s.resource.begin(), s.resource.end(), carve(e.resource, n));
+  std::copy(s.resource_nodes.begin(), s.resource_nodes.end(),
+            carve(e.resource_nodes, s.resource_nodes.size()));
+  // Successor lists from the counts the pass kept, filled in node order.
+  int* succ_begin = carve(e.succ_begin, n + 1);
+  int* war_begin = carve(e.war_begin, n + 1);
+  succ_begin[0] = war_begin[0] = 0;
+  for (size_t i = 0; i < n; ++i) {
+    succ_begin[i + 1] = succ_begin[i] + s.succ_count[i];
+    war_begin[i + 1] = war_begin[i] + s.war_count[i];
+  }
+  int* succs = carve(e.succs, static_cast<size_t>(succ_begin[n]));
+  int* war_succs = carve(e.war_succs, static_cast<size_t>(war_begin[n]));
+  s.cursor.assign(succ_begin, succ_begin + n);
+  s.cursor.insert(s.cursor.end(), war_begin, war_begin + n);
+  for (size_t i = 0; i < n; ++i) {
+    const int* b = &s.begin[3 * i];
+    for (int k = b[0]; k < b[3]; ++k) {
+      const size_t p = static_cast<size_t>(s.preds[static_cast<size_t>(k)]);
+      if (k >= b[1] && k < b[2]) {
+        war_succs[s.cursor[n + p]++] = static_cast<int>(i);
+      } else {
+        succs[s.cursor[p]++] = static_cast<int>(i);
+      }
+    }
+  }
+  // Priorities over data edges only. Nodes are created in topological
+  // order (children before parents), so a reverse sweep propagates from
+  // consumers to producers; prio[i] collects the maximum over i's
+  // successors before i's turn.
+  e.prio_.assign(n, 0.0);
+  for (size_t i = n; i-- > 0;) {
+    e.prio_[i] += dfg.nodes[i].delay_ns;
+    for (int k = s.begin[3 * i]; k < s.begin[3 * i + 1]; ++k) {
+      const size_t p = static_cast<size_t>(s.preds[static_cast<size_t>(k)]);
+      e.prio_[p] = std::max(e.prio_[p], e.prio_[i]);
+    }
+  }
+  e.prio = e.prio_;
+  // Carried variables, in first-sight order.
+  int* livein = carve(e.livein_reads, reads);
+  dfg.carried.reserve(carried);
+  for (const DfgScratch::State::Var& v : s.vars) {
+    if (v.last_def < 0 || v.livein_reads.head < 0) continue;
+    const int* first = livein;
+    s.for_each(v.livein_reads, [&](int r) { *livein++ = r; });
+    dfg.carried.push_back(
+        {v.last_def, {first, static_cast<size_t>(livein - first)}});
+  }
+  dfg.edges = std::move(edges);
   return dfg;
 }
 
@@ -693,81 +852,11 @@ void ResourceTable::place(int col, int cstep, int period) {
 // List scheduling
 // ---------------------------------------------------------------------------
 
-DfgDeps::DfgDeps(const Dfg& dfg) {
-  const size_t n = dfg.nodes.size();
-  num_preds.assign(n, 0);
-  num_war_preds.assign(n, 0);
-  succ_begin.assign(n + 1, 0);
-  war_begin.assign(n + 1, 0);
-  // Counting pass, then fill: successors of each node in index order.
-  for (size_t i = 0; i < n; ++i) {
-    const DfgNode& node = dfg.nodes[i];
-    num_preds[i] = static_cast<int>(node.preds.size() +
-                                    node.mem_war_preds.size());
-    num_war_preds[i] = static_cast<int>(node.war_preds.size());
-    for (int p : node.preds) succ_begin[static_cast<size_t>(p) + 1]++;
-    for (int p : node.mem_war_preds) succ_begin[static_cast<size_t>(p) + 1]++;
-    for (int p : node.war_preds) war_begin[static_cast<size_t>(p) + 1]++;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    succ_begin[i + 1] += succ_begin[i];
-    war_begin[i + 1] += war_begin[i];
-  }
-  succs.resize(static_cast<size_t>(succ_begin[n]));
-  war_succs.resize(static_cast<size_t>(war_begin[n]));
-  std::vector<int> fill(succ_begin.begin(), succ_begin.end() - 1);
-  std::vector<int> war_fill(war_begin.begin(), war_begin.end() - 1);
-  for (size_t i = 0; i < n; ++i) {
-    const DfgNode& node = dfg.nodes[i];
-    const int self = static_cast<int>(i);
-    for (int p : node.preds) succs[static_cast<size_t>(fill[static_cast<size_t>(p)]++)] = self;
-    for (int p : node.mem_war_preds)
-      succs[static_cast<size_t>(fill[static_cast<size_t>(p)]++)] = self;
-    for (int p : node.war_preds)
-      war_succs[static_cast<size_t>(war_fill[static_cast<size_t>(p)]++)] = self;
-  }
-
-  resource.assign(n, -1);
-  for (size_t i = 0; i < n; ++i) {
-    const DfgNode& node = dfg.nodes[i];
-    // Same identity as ResourceTable::column: an array's port, else the FU.
-    const bool memory = !node.array.empty();
-    const std::string_view name = memory ? node.array : node.fu;
-    if (name.empty()) continue;
-    for (size_t r = 0; r < resource_nodes.size() && resource[i] < 0; ++r) {
-      const DfgNode& first = dfg.nodes[static_cast<size_t>(resource_nodes[r])];
-      if (first.array.empty() != memory &&
-          (memory ? first.array : first.fu) == name)
-        resource[i] = static_cast<int>(r);
-    }
-    if (resource[i] < 0) {
-      resource[i] = static_cast<int>(resource_nodes.size());
-      resource_nodes.push_back(static_cast<int>(i));
-    }
-  }
-
-  // Priorities over data edges only. Nodes are created in topological
-  // order (children before parents), so a reverse sweep propagates from
-  // consumers to producers.
-  // prio[i] collects the maximum over i's successors before i's turn.
-  prio.assign(n, 0.0);
-  for (size_t i = n; i-- > 0;) {
-    prio[i] += dfg.nodes[i].delay_ns;
-    for (int p : dfg.nodes[i].preds) {
-      double& best = prio[static_cast<size_t>(p)];
-      best = std::max(best, prio[i]);
-    }
-  }
-}
-
 bool list_schedule(Dfg& dfg, ResourceTable& table, double clock_ns, int period,
                    int max_csteps) {
-  return list_schedule(dfg, DfgDeps(dfg), table, clock_ns, period, max_csteps);
-}
-
-bool list_schedule(Dfg& dfg, const DfgDeps& deps, ResourceTable& table,
-                   double clock_ns, int period, int max_csteps) {
   const size_t n = dfg.nodes.size();
+  if (n == 0) return true;
+  const DfgEdges& deps = *dfg.edges;
   // Modulo scheduling relaxes the anti/output edges of single-definition
   // variables (see DfgNode::relax_war).
   auto honors_war = [&](size_t i) {
@@ -786,7 +875,8 @@ bool list_schedule(Dfg& dfg, const DfgDeps& deps, ResourceTable& table,
     return pa < pb || (pa == pb && a > b);
   };
   for (size_t i = 0; i < n; ++i) {
-    pending[i] = deps.num_preds[i] + (honors_war(i) ? deps.num_war_preds[i] : 0);
+    const int* b = &deps.begin[3 * i];
+    pending[i] = b[3] - b[0] - (honors_war(i) ? 0 : b[2] - b[1]);
     if (pending[i] == 0) ready.push_back(static_cast<int>(i));
   }
   std::make_heap(ready.begin(), ready.end(), lower);
@@ -811,13 +901,14 @@ bool list_schedule(Dfg& dfg, const DfgDeps& deps, ResourceTable& table,
     node.span = std::max(1, static_cast<int>(std::ceil(node.delay_ns / clock_ns - 1e-9)));
     if (period > 0 && node.span > period) return false;
 
+    const std::span<const int> preds = dfg.preds(static_cast<size_t>(pick));
     int earliest = 0;
-    for (int p : node.preds)
+    for (int p : preds)
       earliest = std::max(earliest, dfg.nodes[static_cast<size_t>(p)].avail_cstep());
-    for (int p : node.mem_war_preds)
+    for (int p : dfg.mem_war_preds(static_cast<size_t>(pick)))
       earliest = std::max(earliest, dfg.nodes[static_cast<size_t>(p)].cstep);
     if (honors_war(static_cast<size_t>(pick)))
-      for (int p : node.war_preds)
+      for (int p : dfg.war_preds(static_cast<size_t>(pick)))
         earliest = std::max(earliest, dfg.nodes[static_cast<size_t>(p)].cstep);
 
     bool placed = false;
@@ -825,7 +916,7 @@ bool list_schedule(Dfg& dfg, const DfgDeps& deps, ResourceTable& table,
       // Chaining: operands that become available within this same cstep
       // delay our start time.
       double start = 0.0;
-      for (int p : node.preds) {
+      for (int p : preds) {
         const DfgNode& pd = dfg.nodes[static_cast<size_t>(p)];
         if (pd.avail_cstep() == cstep) start = std::max(start, pd.end_ns);
       }
@@ -888,7 +979,7 @@ bool pipeline_lags_consistent(const Dfg& dfg, int ii) {
     if (n.cstep < 0) continue;
     const int slot = n.cstep % ii;
     bool first = true;
-    for (int p : n.preds) {
+    for (int p : dfg.preds(i)) {
       const DfgNode& pred = dfg.nodes[static_cast<size_t>(p)];
       const int wrap = pred.avail_cstep() % ii > slot ? 1 : 0;
       const int via = lag[static_cast<size_t>(p)] + wrap;
@@ -913,7 +1004,7 @@ bool pipeline_lags_consistent(const Dfg& dfg, int ii) {
       return delta <= 0;
     };
     if (!n.relax_war) {
-      for (int p : n.war_preds)
+      for (int p : dfg.war_preds(i))
         if (!ordered_ok(p)) return false;
     } else {
       // Relaxed anti-dependences are repaired by one shadow register per
@@ -921,7 +1012,7 @@ bool pipeline_lags_consistent(const Dfg& dfg, int ii) {
       // recent execution or exactly one update older (the shadow). With
       // def lag Ld running before/after the reader (slot order) and reader
       // lag Lr, that bounds Ld - Lr to {0,1} / {-1,0} respectively.
-      for (int p : n.war_preds) {
+      for (int p : dfg.war_preds(i)) {
         const DfgNode& r = dfg.nodes[static_cast<size_t>(p)];
         if (r.cstep < 0) continue;
         const bool before = n.cstep % ii < r.cstep % ii;
@@ -930,7 +1021,7 @@ bool pipeline_lags_consistent(const Dfg& dfg, int ii) {
           return false;
       }
     }
-    for (int p : n.mem_war_preds)
+    for (int p : dfg.mem_war_preds(i))
       if (!ordered_ok(p)) return false;
   }
   return true;

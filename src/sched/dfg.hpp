@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,11 +16,19 @@ namespace fact::sched {
 /// One operation node of a segment's data-flow graph. Constants and plain
 /// variable reads are leaves folded into their consumers; every node here
 /// does actual work in some cycle (FU op, memory access, mux, or register
-/// copy). Names view the owning Dfg's `names`.
+/// copy). Names view the owning Dfg's `names`; the node's dependence edges
+/// live in the Dfg too, so a node owns no heap memory.
 struct DfgNode {
   ir::Op op = ir::Op::Var;    // Var with empty fu == register copy
   bool is_store = false;      // memory write (op is ArrayRead for reads)
   bool reg_write = false;     // assignment root: writes a register
+  /// Whether modulo scheduling may relax this definition's anti/output
+  /// edges (Dfg::war_preds). Set for single-definition variables only:
+  /// relaxing models modulo variable expansion (each overlapped iteration
+  /// reads a shadow copy of the register, standard in software
+  /// pipelining), and one shadow level cannot represent multiple
+  /// in-flight versions.
+  bool relax_war = false;
   std::string_view fu;        // bound library FU type; empty = no datapath FU
   std::string_view array;     // memory ops: which array/memory
   std::string_view def_var;   // variable defined (assignment roots)
@@ -29,19 +38,6 @@ struct DfgNode {
   /// Operands in op order. A Wire operand holds the producing node's
   /// index; emission adds the wire base of the STG it is emitted into.
   stg::Operands operands;
-
-  std::vector<int> preds;      // data dependencies (chaining applies)
-  /// Scalar anti/output dependencies (cstep >= pred's cstep). Honored in
-  /// plain scheduling; relaxed in modulo scheduling when `relax_war` is
-  /// set, which models modulo variable expansion (each overlapped
-  /// iteration reads a shadow copy of the register, standard in software
-  /// pipelining). Only single-definition variables are relaxed: one
-  /// shadow level cannot represent multiple in-flight versions.
-  std::vector<int> war_preds;
-  bool relax_war = false;
-  /// Memory ordering (store-after-read / store-after-store on one array).
-  /// Always honored: memories are not renamed.
-  std::vector<int> mem_war_preds;
 
   // Filled by scheduling:
   int cstep = -1;       // first control step the op occupies
@@ -56,6 +52,43 @@ struct DfgNode {
   }
 };
 
+/// A DFG's dependence edges and what list scheduling derives from them,
+/// all fixed by the build and shared by every copy of the DFG. Edge lists
+/// are flat (CSR) arrays in creation order, with one entry per edge,
+/// duplicates included, so counting down a node's unscheduled
+/// predecessors stays exact. The int arrays are spans into one buffer and
+/// the priorities into another, both owned here.
+struct DfgEdges {
+  /// Every node's predecessors, node by node: node i's data edges, then its
+  /// scalar anti/output edges, then its memory-order edges, split at
+  /// begin[3i], begin[3i+1], begin[3i+2] and begin[3i+3].
+  std::span<const int> begin, preds;
+  /// Successors along data and memory-order edges of node i:
+  /// succs[succ_begin[i] .. succ_begin[i+1]), in node order.
+  std::span<const int> succ_begin, succs;
+  /// Successors along scalar anti/output edges, likewise.
+  std::span<const int> war_begin, war_succs;
+  /// Longest downstream delay (ns) from each node over data edges, the
+  /// classic list-scheduling priority.
+  std::span<const double> prio;
+  /// The resource (FU type or array port) each node occupies, as an index
+  /// into `resource_nodes`, or -1 for none; `resource_nodes` holds the
+  /// first node using each distinct resource. list_schedule resolves one
+  /// table column per resource instead of one per node.
+  std::span<const int> resource, resource_nodes;
+  /// The live-in reads of every carried variable (Dfg::Carried views).
+  std::span<const int> livein_reads;
+
+  DfgEdges() = default;
+  DfgEdges(const DfgEdges&) = delete;  // the spans view this object
+  DfgEdges& operator=(const DfgEdges&) = delete;
+
+ private:
+  friend class DfgBuilder;
+  std::vector<int> ints_;
+  std::vector<double> prio_;
+};
+
 /// Data-flow graph of one straight-line segment (plus, for loops, the
 /// loop-condition expression evaluated once per iteration).
 struct Dfg {
@@ -63,51 +96,101 @@ struct Dfg {
   /// The buffer holding the variable, array and FU type names the nodes
   /// view, each distinct name once; shared by copies of the DFG.
   std::shared_ptr<const char[]> names;
+  /// The edges between `nodes`; shared by copies of the DFG.
+  std::shared_ptr<const DfgEdges> edges;
 
   /// A variable both defined in the segment and read before any
   /// in-segment definition: its final definition and the reads of its
   /// live-in value. Used for loop-carried recurrence checks.
   struct Carried {
     int def = -1;
-    std::vector<int> livein_reads;
+    std::span<const int> livein_reads;  // views edges->livein_reads
   };
   std::vector<Carried> carried;
   /// Node computing the appended condition expression, or -1.
   int cond_node = -1;
 
+  /// Data dependencies of node i (chaining applies).
+  std::span<const int> preds(size_t i) const { return edge_list(3 * i); }
+  /// Scalar anti/output dependencies of node i (cstep >= pred's cstep):
+  /// earlier readers of the previous value of the variable it defines,
+  /// then that value's definition. Honored in plain scheduling; relaxed
+  /// in modulo scheduling when the node's `relax_war` is set.
+  std::span<const int> war_preds(size_t i) const {
+    return edge_list(3 * i + 1);
+  }
+  /// Memory ordering of node i (store-after-read / store-after-store on
+  /// one array). Always honored: memories are not renamed.
+  std::span<const int> mem_war_preds(size_t i) const {
+    return edge_list(3 * i + 2);
+  }
+
   int num_csteps() const;
+
+ private:
+  std::span<const int> edge_list(size_t k) const {
+    const DfgEdges& e = *edges;
+    return {e.preds.data() + e.begin[k],
+            static_cast<size_t>(e.begin[k + 1] - e.begin[k])};
+  }
+};
+
+/// The working storage of DfgBuilder::build. It keeps its capacity from
+/// one build to the next, so a warm build allocates only the DFG's own
+/// arrays. Not thread-safe: the scheduler keeps one per thread.
+class DfgScratch {
+ public:
+  DfgScratch();
+  ~DfgScratch();
+  DfgScratch(const DfgScratch&) = delete;
+  DfgScratch& operator=(const DfgScratch&) = delete;
+
+ private:
+  friend class DfgBuilder;
+  struct State;
+  std::unique_ptr<State> state_;
 };
 
 /// Builds segment DFGs, binding each operation to a library FU type using
 /// the selection (with the incrementer special case: a self-increment
 /// `i = i + 1` binds to an Incrementer when one is allocated). Delays are
 /// scaled for the supply voltage per the paper's delay law.
+///
+/// The builder is the binding table, resolved once on construction and
+/// immutable after it: a Scheduler makes one and all its threads share
+/// it. A build is one pass over the statements that numbers values
+/// locally. A variable or array gets a new version at each definition or
+/// store, and an expression binds to an existing node when its op, its
+/// literals, its operand nodes and the versions of the variables and the
+/// array it reads match; identical subexpressions over unchanged inputs
+/// therefore share one node (so e.g. a condition referenced by several
+/// selects costs one comparator). Each node's edges are known when the
+/// next node is created, and the DFG's edge lists, successor lists,
+/// priorities and resource indices are laid out once, at the end.
 class DfgBuilder {
  public:
   DfgBuilder(const hlslib::Library& lib, const hlslib::Allocation& alloc,
              const hlslib::FuSelection& sel, double vdd, double vt);
-  ~DfgBuilder();
 
   /// DFG for a list of Assign/Store statements; optionally appends a
   /// condition expression (loop or branch condition) evaluated after them.
-  /// Reuses the builder's scratch arrays, so a build allocates little
-  /// more than the DFG itself: its node array, its name buffer and each
-  /// node's dependence lists.
-  Dfg build(const std::vector<const ir::Stmt*>& stmts,
-            const ir::ExprPtr& cond = nullptr, int cond_stmt_id = -1);
+  /// Works in `scratch`, so a warm build allocates a fixed number of
+  /// arrays, whatever its node count.
+  Dfg build(DfgScratch& scratch, const std::vector<const ir::Stmt*>& stmts,
+            const ir::ExprPtr& cond = nullptr, int cond_stmt_id = -1) const;
 
  private:
-  struct BuildState;
-  /// An FU binding resolved once per builder: the type and its scaled
-  /// delay, or the fact::Error message to throw when an op needs it.
+  class Pass;
+  /// An FU binding: the type, its index among the builder's distinct
+  /// types and its scaled delay, or the fact::Error message to throw when
+  /// an op needs it.
   struct Binding {
     std::string fu;  // empty: no datapath FU (glue logic)
+    int fu_id = -1;  // index into fus_; -1 when fu is empty
     double delay_ns = 0.0;
     std::string error;
   };
-  int add_expr(Dfg& dfg, BuildState& bs, const ir::ExprPtr& e, int stmt_id,
-               const std::string* self_var = nullptr) const;
-  const Binding& bind_fu(const ir::ExprPtr& e,
+  const Binding& bind_fu(const ir::Expr& e,
                          const std::string* self_var) const;
   const Binding& memory() const;
 
@@ -115,8 +198,7 @@ class DfgBuilder {
   Binding glue_;
   Binding memory_;
   Binding incrementer_;  // fu empty when none is allocated
-  size_t fu_name_bytes_ = 0;  // total length of the distinct FU names
-  std::unique_ptr<BuildState> scratch_;
+  std::vector<std::string> fus_;  // the distinct FU types bound
 };
 
 /// Per-cycle resource bookkeeping. In plain mode (hyperperiod 0) each
@@ -177,42 +259,16 @@ class ResourceTable {
   std::vector<int> used_;  // rows_ x columns_.size(), row-major
 };
 
-/// The dependence lists list_schedule walks, built once per DFG and
-/// shared by every schedule of it (each II of the pipelining search, each
-/// fused-phase admission attempt). Successor lists are flat (CSR) arrays
-/// with one entry per dependence edge, duplicates included, so counting
-/// down a node's unscheduled predecessors stays exact.
-struct DfgDeps {
-  explicit DfgDeps(const Dfg& dfg);
-
-  /// Longest downstream delay (ns) from each node over data edges, the
-  /// classic list-scheduling priority.
-  std::vector<double> prio;
-  /// Successors along data and memory-ordering edges of node i:
-  /// succs[succ_begin[i] .. succ_begin[i+1]).
-  std::vector<int> succ_begin, succs;
-  /// Successors along scalar anti/output edges (DfgNode::war_preds).
-  std::vector<int> war_begin, war_succs;
-  /// Per node: data + memory-ordering predecessors, and anti/output ones.
-  std::vector<int> num_preds, num_war_preds;
-  /// The resource (FU type or array port) each node occupies, as an index
-  /// into `resource_nodes`, or -1 for none; `resource_nodes` holds the
-  /// first node using each distinct resource. list_schedule resolves one
-  /// table column per resource instead of one per node.
-  std::vector<int> resource, resource_nodes;
-};
-
 /// Resource-constrained list scheduling with operator chaining under the
 /// clock period. Each step places the ready node (every ordering
 /// predecessor placed) of highest priority, lowest index first on ties.
 /// In modulo mode (`period` > 0) resources are reserved modulo the period
 /// in `table` (which may be shared across loops being fused). Returns
 /// false if some op can never be placed (e.g. allocation count 0 for a
-/// needed FU, or delay exceeding the clock). `deps` must be built from a
-/// DFG with the same nodes and edges as `dfg`.
-bool list_schedule(Dfg& dfg, const DfgDeps& deps, ResourceTable& table,
-                   double clock_ns, int period = 0, int max_csteps = 100000);
-/// As above, building the dependence lists for this one call.
+/// needed FU, or delay exceeding the clock). Walks the edge lists, the
+/// priorities and the resource indices the build laid out, so each II of
+/// the pipelining search and each fused-phase admission attempt costs
+/// only the placement itself.
 bool list_schedule(Dfg& dfg, ResourceTable& table, double clock_ns,
                    int period = 0, int max_csteps = 100000);
 

@@ -24,7 +24,14 @@ namespace fact::sched {
 /// What is cached is the *scheduled DFG*, not STG states: materialization
 /// into the STG depends on run-global state (wire numbering, transition
 /// stitching) and is cheap, while DFG build + (modulo) list scheduling is
-/// the scheduler's hot path. Next to the DFG an entry keeps what emission
+/// the scheduler's hot path. A miss builds the DFG in the thread's scratch
+/// with the Scheduler's one binding table (DfgBuilder), in one pass that
+/// also lays out the edge, successor, priority and resource arrays every
+/// list_schedule of it walks. The entry's DFG owns its name buffer and
+/// its edge arrays (shared by copies of it), and the STG ops emitted from
+/// it view both, names and pre-reader lists alike, so an STG keeps the
+/// entries it emits from alive (Stg::keep_alive). Next to the DFG an
+/// entry keeps what emission
 /// derives from it alone: the summary rows (op counts per FU type and
 /// register traffic) of the states it turns into, which
 /// Scheduler::summarize appends instead of ops, and a pipelined loop's
@@ -40,7 +47,8 @@ namespace fact::sched {
 /// Determinism: an entry's value is a pure function of its key (the
 /// scheduler is deterministic and every input that isn't part of the key —
 /// library, allocation, FU selection, clock — is fixed for the cache's
-/// owner, one engine optimize() call). A hit therefore reproduces exactly
+/// owner, one engine optimize() call, whose one Scheduler resolves them
+/// once). A hit therefore reproduces exactly
 /// what recomputation would, so results are byte-identical whatever the
 /// hit/miss interleaving.
 ///

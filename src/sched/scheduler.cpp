@@ -5,7 +5,6 @@
 #include <cassert>
 #include <map>
 #include <numeric>
-#include <optional>
 #include <set>
 #include <span>
 #include <string_view>
@@ -15,6 +14,7 @@
 #include "sched/dfg.hpp"
 #include "sched/fragment_cache.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/strfmt.hpp"
 
 namespace fact::sched {
@@ -105,16 +105,6 @@ static_assert(kMaxFused <= 31, "fused phases are 32-bit loop masks");
 /// throws fact::Error. A runaway candidate (e.g. an over-unrolled loop)
 /// would otherwise drown the optimization loop in STG analysis.
 constexpr size_t kMaxStates = 100000;
-
-/// Key folding for fragment-cache keys (same splitmix64-style mix as
-/// ir::hash so key quality matches).
-uint64_t key_mix(uint64_t seed, uint64_t v) {
-  v += 0x9E3779B97F4A7C15ull;
-  v = (v ^ (v >> 30)) * 0xBF58476D1CE4E5B9ull;
-  v = (v ^ (v >> 27)) * 0x94D049BB133111EBull;
-  v ^= v >> 31;
-  return seed * 0x100000001B3ull ^ v;
-}
 
 // Fragment kinds live in disjoint key spaces.
 constexpr uint64_t kTagStraight = 0x51A16u;
@@ -207,13 +197,15 @@ struct Attach {
 
 /// What emission reuses from one schedule to the next on a thread: the
 /// region tree, the stack of pending transitions, the loops' read/write
-/// sets and the op count of each state of one fragment. Storage keeps its
-/// capacity, so a warm emission allocates none of it.
+/// sets, the op count of each state of one fragment and the DFG builder's
+/// working storage. Storage keeps its capacity, so a warm emission
+/// allocates none of it.
 struct EmitScratch {
   RegionTree tree;
   std::vector<Attach> pending;
   std::array<RwSets, kMaxFused> rw;
   std::vector<int> ops;
+  DfgScratch dfg;
 };
 
 /// This thread's EmitScratch. One Emitter runs at a time on a thread.
@@ -230,11 +222,11 @@ EmitScratch& emit_scratch() {
 class Emitter {
  public:
   Emitter(const hlslib::Library& lib, const hlslib::Allocation& alloc,
-          const hlslib::FuSelection& sel, const SchedOptions& opts,
+          const DfgBuilder& builder, const SchedOptions& opts,
           const sim::Profile& profile, stg::Chain* chain = nullptr)
       : lib_(lib),
         alloc_(alloc),
-        sel_(sel),
+        builder_(builder),
         opts_(opts),
         profile_(profile),
         chain_(chain) {}
@@ -365,7 +357,7 @@ class Emitter {
     for (stg::Operand& operand : op.operands)
       if (operand.kind() == stg::Operand::Kind::Wire)
         operand = stg::Operand::of_wire(wire_base + operand.wire());
-    op.pre_readers = stg::WireList(node.war_preds, wire_base);
+    op.pre_readers = stg::WireList(dfg.war_preds(node_idx), wire_base);
     st.reg_reads += node.var_reads;
     if (node.reg_write) st.reg_writes++;
   }
@@ -456,22 +448,22 @@ class Emitter {
   // ---- fragment cache ---------------------------------------------------
 
   uint64_t straight_key(const std::vector<const Stmt*>& stmts) const {
-    uint64_t h = key_mix(kTagStraight, stmts.size());
-    for (const Stmt* s : stmts) h = key_mix(h, ir::fragment_hash(*s));
+    uint64_t h = hash_mix(kTagStraight, stmts.size());
+    for (const Stmt* s : stmts) h = hash_mix(h, ir::fragment_hash(*s));
     return h;
   }
 
   uint64_t cond_key(const ExprPtr& cond, int stmt_id) const {
-    uint64_t h = key_mix(kTagCond, static_cast<uint64_t>(cond->hash()));
-    return key_mix(h, static_cast<uint64_t>(static_cast<int64_t>(stmt_id)));
+    uint64_t h = hash_mix(kTagCond, static_cast<uint64_t>(cond->hash()));
+    return hash_mix(h, static_cast<uint64_t>(static_cast<int64_t>(stmt_id)));
   }
 
   uint64_t pipe_key(const std::vector<const Stmt*>& body_stmts,
                     const ExprPtr& cond, int stmt_id) const {
-    uint64_t h = key_mix(kTagPipe, body_stmts.size());
-    for (const Stmt* s : body_stmts) h = key_mix(h, ir::fragment_hash(*s));
-    h = key_mix(h, static_cast<uint64_t>(cond->hash()));
-    return key_mix(h, static_cast<uint64_t>(static_cast<int64_t>(stmt_id)));
+    uint64_t h = hash_mix(kTagPipe, body_stmts.size());
+    for (const Stmt* s : body_stmts) h = hash_mix(h, ir::fragment_hash(*s));
+    h = hash_mix(h, static_cast<uint64_t>(cond->hash()));
+    return hash_mix(h, static_cast<uint64_t>(static_cast<int64_t>(stmt_id)));
   }
 
   /// A fused run's key: the ordered partner set, each loop by its
@@ -479,9 +471,9 @@ class Emitter {
   /// schedule in a phase depends on its partners and on admission order,
   /// so both are in the key.
   uint64_t fused_key(std::span<const Region* const> run) const {
-    uint64_t h = key_mix(kTagFused, run.size());
+    uint64_t h = hash_mix(kTagFused, run.size());
     for (const Region* loop : run)
-      h = key_mix(h, pipe_key(loop_body_stmts(*loop), loop->ctrl->cond,
+      h = hash_mix(h, pipe_key(loop_body_stmts(*loop), loop->ctrl->cond,
                               loop->ctrl->id));
     return h;
   }
@@ -535,14 +527,14 @@ class Emitter {
     return std::clamp(profile_.branch_prob(stmt_id, 0.5), 0.01, 0.99999);
   }
 
-  /// DfgBuilder::build under the `dfg_build` span. The builder resolves
-  /// its FU bindings on construction, so it is made on the first fragment
-  /// miss: a schedule whose fragments all hit never needs one.
+  /// DfgBuilder::build, in this thread's scratch, under the `dfg_build`
+  /// span (annotated with the DFG's node count).
   Dfg build_dfg(const std::vector<const Stmt*>& stmts,
                 const ExprPtr& cond = nullptr, int cond_stmt_id = -1) {
     obs::Span sp = obs::span("dfg_build", "sched");
-    if (!builder_) builder_.emplace(lib_, alloc_, sel_, kVdd, kVt);
-    return builder_->build(stmts, cond, cond_stmt_id);
+    Dfg dfg = builder_.build(scratch_.dfg, stmts, cond, cond_stmt_id);
+    sp.arg("nodes", dfg.nodes.size());
+    return dfg;
   }
 
   /// Schedules a plain (non-modulo) fragment's DFG, if it has nodes, and
@@ -683,7 +675,7 @@ class Emitter {
     d.lag.assign(dfg.nodes.size(), 0);
     for (size_t i = 0; i < dfg.nodes.size(); ++i) {
       const DfgNode& node = dfg.nodes[i];
-      for (int pidx : node.preds) {
+      for (int pidx : dfg.preds(i)) {
         const DfgNode& pred = dfg.nodes[static_cast<size_t>(pidx)];
         const int wrap = pred.cstep % ii > node.cstep % ii ? 1 : 0;
         d.lag[i] = std::max(d.lag[i], d.lag[static_cast<size_t>(pidx)] + wrap);
@@ -708,7 +700,7 @@ class Emitter {
     for (size_t i = 0; i < dfg.nodes.size(); ++i) {
       const DfgNode& node = dfg.nodes[i];
       if (!node.relax_war) continue;
-      for (int p : node.war_preds) {
+      for (int p : dfg.war_preds(i)) {
         const DfgNode& r = dfg.nodes[static_cast<size_t>(p)];
         if (r.cstep < 0 || d.owed[static_cast<size_t>(p)] <= 0) continue;
         const int ran = node.cstep % ii <= d.check_slot ? 0 : 1;
@@ -747,10 +739,9 @@ class Emitter {
           obs::Span sp = obs::span("list_schedule", "sched");
           // Every attempt reschedules the same DFG in place: a successful
           // list_schedule rewrites every node's placement.
-          const DfgDeps deps(dfg);
           for (int ii = res_ii; ii <= kMaxIi; ++ii) {
             ResourceTable table(alloc_, ii);
-            if (!list_schedule(dfg, deps, table, opts_.clock_ns, ii)) continue;
+            if (!list_schedule(dfg, table, opts_.clock_ns, ii)) continue;
             if (!recurrences_ok(dfg, ii)) continue;
             if (!pipeline_lags_consistent(dfg, ii)) continue;
             PipeDerived derived = derive_pipe(dfg, ii);
@@ -879,14 +870,6 @@ class Emitter {
 
   using FusedPhase = FragmentCache::Entry::FusedPhase;
 
-  /// The loops of a fused run during admission: each loop's DFG, which
-  /// admission schedules in place, and its dependence lists (both built
-  /// once per run).
-  struct FusedLoops {
-    std::vector<Dfg> dfgs;
-    std::vector<DfgDeps> deps;
-  };
-
   /// Admission policy (the Figure 2(b) behavior) for the remaining-loop
   /// set `mask`: loops are admitted in program order; a newcomer may slow
   /// itself down (larger II) but must not degrade already-admitted loops,
@@ -901,13 +884,15 @@ class Emitter {
   /// loops in admission order would reserve) and list_schedule is
   /// deterministic. The newcomer's first II is resource_min_ii over what
   /// the table has left; every smaller II would fail list_schedule.
-  FusedPhase admit(FusedLoops& loops, unsigned mask) const {
+  /// `dfgs` holds each loop's DFG, built once per run; admission schedules
+  /// it in place.
+  FusedPhase admit(std::vector<Dfg>& dfgs, unsigned mask) const {
     FusedPhase current;
     int h = 1;  // hyperperiod: lcm of the admitted IIs
     ResourceTable table(alloc_, h);
-    for (size_t i = 0; i < loops.dfgs.size(); ++i) {
+    for (size_t i = 0; i < dfgs.size(); ++i) {
       if (!(mask & (1u << i))) continue;
-      Dfg& dfg = loops.dfgs[i];
+      Dfg& dfg = dfgs[i];
       const int first_ii = resource_min_ii(dfg, table);
       if (first_ii < 0) continue;  // no unit left: wait for a later phase
       for (int ii = first_ii; ii <= kMaxHyperperiod; ++ii) {
@@ -918,7 +903,7 @@ class Emitter {
         // Fused phases are metrics-grade (rtl_exact = false); pipeline-lag
         // consistency is not enforced here to preserve the paper's
         // steady-state throughput shapes.
-        if (!list_schedule(dfg, loops.deps[i], trial, opts_.clock_ns, ii) ||
+        if (!list_schedule(dfg, trial, opts_.clock_ns, ii) ||
             !recurrences_ok(dfg, ii))
           continue;
         table = std::move(trial);
@@ -929,7 +914,7 @@ class Emitter {
     }
     current.dfgs.reserve(current.active.size());
     for (const auto& [i, ii] : current.active)
-      current.dfgs.push_back(loops.dfgs[i]);
+      current.dfgs.push_back(dfgs[i]);
     current.hyperperiod = h;
     return current;
   }
@@ -942,20 +927,18 @@ class Emitter {
   void admit_fused_run(std::span<const Region* const> run,
                        FragmentCache::Entry& e) {
     const size_t k = run.size();
-    FusedLoops loops;
-    loops.dfgs.reserve(k);
+    std::vector<Dfg> dfgs;
+    dfgs.reserve(k);
     for (const Region* loop : run) {
-      loops.dfgs.push_back(build_dfg(loop_body_stmts(*loop), loop->ctrl->cond,
-                                     loop->ctrl->id));
-      check_feasible(loops.dfgs.back());
+      dfgs.push_back(build_dfg(loop_body_stmts(*loop), loop->ctrl->cond,
+                               loop->ctrl->id));
+      check_feasible(dfgs.back());
     }
     obs::Span sp = obs::span("list_schedule", "sched");
-    loops.deps.reserve(k);
-    for (const Dfg& dfg : loops.dfgs) loops.deps.emplace_back(dfg);
     auto phase = [&](unsigned mask) -> const FusedPhase& {
       auto it = e.phases.find(mask);
       if (it == e.phases.end())
-        it = e.phases.emplace(mask, admit(loops, mask)).first;
+        it = e.phases.emplace(mask, admit(dfgs, mask)).first;
       return it->second;
     };
     // Every loop must at least pipeline alone, or fusion degrades to the
@@ -1153,13 +1136,12 @@ class Emitter {
 
   const hlslib::Library& lib_;
   const hlslib::Allocation& alloc_;
-  const hlslib::FuSelection& sel_;
+  const DfgBuilder& builder_;
   const SchedOptions& opts_;
   const sim::Profile& profile_;
   stg::Chain* const chain_;  // the summary being emitted; null: full STG
   EmitScratch& scratch_ = emit_scratch();
   std::vector<Attach>& pending_ = scratch_.pending;
-  std::optional<DfgBuilder> builder_;
   stg::Stg stg_;
   std::vector<LoopInfo> loops_;
   const std::string* fn_name_ = nullptr;
@@ -1172,14 +1154,17 @@ class Emitter {
 
 Scheduler::Scheduler(const hlslib::Library& lib, const hlslib::Allocation& alloc,
                      const hlslib::FuSelection& sel, SchedOptions opts)
-    : lib_(lib), alloc_(alloc), sel_(sel), opts_(opts) {}
+    : lib_(lib),
+      alloc_(alloc),
+      opts_(opts),
+      builder_(lib_, alloc_, sel, kVdd, kVt) {}
 
 ScheduleResult Scheduler::schedule(const ir::Function& fn,
                                    const sim::Profile& profile) const {
   // Everything but fragment-cache misses is emission; the misses' DFG
   // construction and list scheduling nest inside as their own spans.
   obs::Span sp = obs::span("emit", "sched");
-  Emitter emitter(lib_, alloc_, sel_, opts_, profile);
+  Emitter emitter(lib_, alloc_, builder_, opts_, profile);
   emitter.run(fn);
   return emitter.result();
 }
@@ -1192,7 +1177,7 @@ stg::Chain Scheduler::summarize(const ir::Function& fn,
   thread_local stg::Chain chain;
   chain.clear();
   for (const hlslib::FuType& t : lib_.types()) chain.fus.push_back(t.name);
-  Emitter emitter(lib_, alloc_, sel_, opts_, profile, &chain);
+  Emitter emitter(lib_, alloc_, builder_, opts_, profile, &chain);
   emitter.run(fn);
   return chain;
 }

@@ -5,6 +5,7 @@
 
 #include "hlslib/library.hpp"
 #include "ir/function.hpp"
+#include "sched/dfg.hpp"
 #include "sched/region.hpp"
 #include "sim/trace.hpp"
 #include "stg/stg.hpp"
@@ -107,8 +108,11 @@ class Scheduler {
   // schedule() above).
   hlslib::Library lib_;
   hlslib::Allocation alloc_;
-  hlslib::FuSelection sel_;
   SchedOptions opts_;
+  /// The FU bindings every DFG build of every thread uses, resolved once
+  /// here from the library, the allocation and the selection. Builds work
+  /// in per-thread scratch.
+  DfgBuilder builder_;
 };
 
 }  // namespace fact::sched

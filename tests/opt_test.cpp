@@ -327,30 +327,32 @@ TEST(EvalCache, FirstInsertWinsAndKeysDiscriminate) {
   EvalCache::Entry ok;
   ok.ok = true;
   ok.eval.score = 1.5;
-  cache.insert(42, Objective::Throughput, 10.0, ok);
+  cache.insert(42, Objective::Throughput, 10.0, 0, ok);
   EXPECT_EQ(cache.size(), 1u);
 
   // Re-inserting the same key is a no-op: the first entry sticks.
   EvalCache::Entry other = ok;
   other.eval.score = 9.9;
-  cache.insert(42, Objective::Throughput, 10.0, other);
+  cache.insert(42, Objective::Throughput, 10.0, 0, other);
   EXPECT_EQ(cache.size(), 1u);
-  auto hit = cache.lookup(42, Objective::Throughput, 10.0);
+  auto hit = cache.lookup(42, Objective::Throughput, 10.0, 0);
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(hit->ok);
   EXPECT_DOUBLE_EQ(hit->eval.score, 1.5);
 
-  // Same hash under a different objective or baseline is a different key.
-  EXPECT_FALSE(cache.lookup(42, Objective::Power, 10.0).has_value());
-  EXPECT_FALSE(cache.lookup(42, Objective::Throughput, 11.0).has_value());
-  EXPECT_FALSE(cache.lookup(43, Objective::Throughput, 10.0).has_value());
+  // Same hash under a different objective, baseline or evaluation
+  // context is a different key.
+  EXPECT_FALSE(cache.lookup(42, Objective::Throughput, 10.0, 1).has_value());
+  EXPECT_FALSE(cache.lookup(42, Objective::Power, 10.0, 0).has_value());
+  EXPECT_FALSE(cache.lookup(42, Objective::Throughput, 11.0, 0).has_value());
+  EXPECT_FALSE(cache.lookup(43, Objective::Throughput, 10.0, 0).has_value());
 
   // Failures are memoized too.
   EvalCache::Entry bad;
   bad.ok = false;
   bad.failure_class = "sched";
-  cache.insert(7, Objective::Power, 10.0, bad);
-  auto miss = cache.lookup(7, Objective::Power, 10.0);
+  cache.insert(7, Objective::Power, 10.0, 0, bad);
+  auto miss = cache.lookup(7, Objective::Power, 10.0, 0);
   ASSERT_TRUE(miss.has_value());
   EXPECT_FALSE(miss->ok);
   EXPECT_EQ(miss->failure_class, "sched");
@@ -366,26 +368,26 @@ TEST(EvalCache, LargeCacheServesEveryKeyAndHonorsCap) {
     EvalCache::Entry e;
     e.ok = true;
     e.eval.score = double(h);
-    cache.insert(h, Objective::Throughput, 10.0, e);
+    cache.insert(h, Objective::Throughput, 10.0, 0, e);
   }
   EXPECT_EQ(cache.size(), 1000u);
   for (uint64_t h = 0; h < 1000; ++h) {
-    auto hit = cache.lookup(h, Objective::Throughput, 10.0);
+    auto hit = cache.lookup(h, Objective::Throughput, 10.0, 0);
     ASSERT_TRUE(hit.has_value()) << h;
     EXPECT_DOUBLE_EQ(hit->eval.score, double(h));
   }
-  EXPECT_FALSE(cache.lookup(1000, Objective::Throughput, 10.0).has_value());
+  EXPECT_FALSE(cache.lookup(1000, Objective::Throughput, 10.0, 0).has_value());
 
   // Overfill by 3x: LRU eviction keeps exactly the last `cap` keys.
   for (uint64_t h = 1000; h < 3 * cap; ++h) {
     EvalCache::Entry e;
     e.ok = true;
-    cache.insert(h, Objective::Throughput, 10.0, e);
+    cache.insert(h, Objective::Throughput, 10.0, 0, e);
   }
   EXPECT_EQ(cache.size(), cap);
-  EXPECT_FALSE(cache.lookup(2 * cap - 1, Objective::Throughput, 10.0).has_value());
-  EXPECT_TRUE(cache.lookup(2 * cap, Objective::Throughput, 10.0).has_value());
-  EXPECT_TRUE(cache.lookup(3 * cap - 1, Objective::Throughput, 10.0).has_value());
+  EXPECT_FALSE(cache.lookup(2 * cap - 1, Objective::Throughput, 10.0, 0).has_value());
+  EXPECT_TRUE(cache.lookup(2 * cap, Objective::Throughput, 10.0, 0).has_value());
+  EXPECT_TRUE(cache.lookup(3 * cap - 1, Objective::Throughput, 10.0, 0).has_value());
 }
 
 TEST(EvalCache, SharedCacheServesRepeatFlows) {
@@ -422,35 +424,35 @@ TEST(EvalCache, LruEvictionHonorsCapAndRecency) {
     return e;
   };
   auto hit = [&](uint64_t h) {
-    return cache.lookup(h, Objective::Throughput, 1.0).has_value();
+    return cache.lookup(h, Objective::Throughput, 1.0, 0).has_value();
   };
-  cache.insert(1, Objective::Throughput, 1.0, entry(1.0));
-  cache.insert(2, Objective::Throughput, 1.0, entry(2.0));
-  cache.insert(3, Objective::Throughput, 1.0, entry(3.0));
+  cache.insert(1, Objective::Throughput, 1.0, 0, entry(1.0));
+  cache.insert(2, Objective::Throughput, 1.0, 0, entry(2.0));
+  cache.insert(3, Objective::Throughput, 1.0, 0, entry(3.0));
   EXPECT_EQ(cache.size(), 3u);
 
   // touch() saves key 1 from eviction; key 2 is now least recent, so the
   // fourth insert evicts it. lookup() itself never advances recency (the
   // frozen-wave contract), so the probes below don't perturb the order.
-  cache.touch(1, Objective::Throughput, 1.0);
-  cache.insert(4, Objective::Throughput, 1.0, entry(4.0));
+  cache.touch(1, Objective::Throughput, 1.0, 0);
+  cache.insert(4, Objective::Throughput, 1.0, 0, entry(4.0));
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_FALSE(hit(2));
   EXPECT_TRUE(hit(1) && hit(3) && hit(4));
 
   // Re-inserting an existing key keeps the original entry but refreshes
   // recency: 3 jumps ahead of 1, so the next insert evicts 1.
-  cache.insert(3, Objective::Throughput, 1.0, entry(99.0));
-  cache.insert(5, Objective::Throughput, 1.0, entry(5.0));
+  cache.insert(3, Objective::Throughput, 1.0, 0, entry(99.0));
+  cache.insert(5, Objective::Throughput, 1.0, 0, entry(5.0));
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_FALSE(hit(1));
   ASSERT_TRUE(hit(3));
-  EXPECT_DOUBLE_EQ(cache.lookup(3, Objective::Throughput, 1.0)->eval.score,
+  EXPECT_DOUBLE_EQ(cache.lookup(3, Objective::Throughput, 1.0, 0)->eval.score,
                    3.0);
   EXPECT_TRUE(hit(4) && hit(5));
 
   // touch() of an absent key is a no-op.
-  cache.touch(777, Objective::Throughput, 1.0);
+  cache.touch(777, Objective::Throughput, 1.0, 0);
   EXPECT_EQ(cache.size(), 3u);
 }
 
@@ -460,10 +462,10 @@ TEST(EvalCache, CapOneStillServesTheCurrentKey) {
   e.ok = true;
   e.eval.score = 1.0;
   for (uint64_t h = 1; h <= 5; ++h)
-    cache.insert(h, Objective::Power, 2.0, e);
+    cache.insert(h, Objective::Power, 2.0, 0, e);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_TRUE(cache.lookup(5, Objective::Power, 2.0).has_value());
-  EXPECT_FALSE(cache.lookup(4, Objective::Power, 2.0).has_value());
+  EXPECT_TRUE(cache.lookup(5, Objective::Power, 2.0, 0).has_value());
+  EXPECT_FALSE(cache.lookup(4, Objective::Power, 2.0, 0).has_value());
 }
 
 TEST(Engine, EnginesSharingOneWorkerPoolMatchPrivatePools) {

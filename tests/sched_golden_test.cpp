@@ -194,13 +194,14 @@ TEST(SummaryOracle, SchedGoldenPrograms) {
   EXPECT_GE(scheduled, 28u);
 }
 
-// The contract the optimizer relies on: its worker threads share one
-// Scheduler over one FragmentCache, and every schedule must equal a
-// serial, cache-free one. A cache assumes one allocation, so each
-// allocation of the pinned programs gets its own Scheduler and cache;
-// 4 threads schedule all of that allocation's programs, each starting at
-// a different one so that threads race on first computes.
-TEST(SharedScheduler, ThreadsMatchSerialOnGoldenPrograms) {
+/// 4 threads share one Scheduler per allocation of the pinned programs and
+/// schedule all of that allocation's programs, each starting at a
+/// different one; every rendering must equal a serial one from a Scheduler
+/// of its own. With `cached`, the shared Scheduler has a FragmentCache of
+/// its own (a cache assumes one allocation), so threads race on first
+/// computes; without, every thread builds and schedules every fragment in
+/// its own scratch.
+void expect_threads_match_serial(bool cached) {
   const hlslib::Library lib = hlslib::Library::dac98();
   const hlslib::FuSelection sel = hlslib::FuSelection::defaults(lib);
   std::vector<GoldenCase> cases = table2_cases();
@@ -219,7 +220,7 @@ TEST(SharedScheduler, ThreadsMatchSerialOnGoldenPrograms) {
     }
     FragmentCache cache;
     SchedOptions opts;
-    opts.fragment_cache = &cache;
+    if (cached) opts.fragment_cache = &cache;
     const Scheduler shared(lib, group.front()->alloc, sel, opts);
 
     constexpr size_t kThreads = 4;
@@ -240,6 +241,20 @@ TEST(SharedScheduler, ThreadsMatchSerialOnGoldenPrograms) {
         EXPECT_EQ(got[t][i], want[i])
             << group[i]->name << " on thread " << t;
   }
+}
+
+// The contract the optimizer relies on: its worker threads share one
+// Scheduler over one FragmentCache, and every schedule must equal a
+// serial, cache-free one.
+TEST(SharedScheduler, ThreadsMatchSerialOnGoldenPrograms) {
+  expect_threads_match_serial(/*cached=*/true);
+}
+
+// Threads sharing one Scheduler's binding table, each building every DFG
+// in its own scratch: a build must depend on nothing another thread's
+// build writes.
+TEST(SharedScheduler, ThreadsMatchSerialWithoutACache) {
+  expect_threads_match_serial(/*cached=*/false);
 }
 
 /// Everything the STG's readers derive from a schedule: the golden

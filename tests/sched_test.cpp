@@ -5,9 +5,12 @@
 #include <fstream>
 #include <map>
 #include <numeric>
+#include <set>
+#include <span>
 #include <sstream>
 #include <thread>
 
+#include "ir/hash.hpp"
 #include "lang/parser.hpp"
 #include "program_gen.hpp"
 #include "sched/dfg.hpp"
@@ -101,12 +104,19 @@ TEST(RegionTree, FlattensNestedBlocks) {
 
 // ---- DFG construction -------------------------------------------------
 
+/// A DFG built in a scratch of its own.
+Dfg build(const DfgBuilder& b, const std::vector<const ir::Stmt*>& stmts,
+          const ir::ExprPtr& cond = nullptr, int cond_stmt_id = -1) {
+  DfgScratch scratch;
+  return b.build(scratch, stmts, cond, cond_stmt_id);
+}
+
 TEST(Dfg, ValueNumberingSharesCommonSubexpressions) {
   Harness s;
   const auto fn = parse("F(int a, int b) { int x = (a > b) ? a : b; int y = (a > b) ? b : a; }");
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
   const RegionTree tree(fn);
-  const Dfg dfg = b.build(tree->children[0]->stmts);
+  const Dfg dfg = build(b, tree->children[0]->stmts);
   int comparators = 0;
   for (const auto& n : dfg.nodes)
     if (n.fu == "cp1") comparators++;
@@ -118,7 +128,7 @@ TEST(Dfg, ValueNumberingInvalidatedOnRedefine) {
   const auto fn = parse("F(int a) { int x = a * a; a = a + 1; int y = a * a; }");
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
   const RegionTree tree(fn);
-  const Dfg dfg = b.build(tree->children[0]->stmts);
+  const Dfg dfg = build(b, tree->children[0]->stmts);
   int mults = 0;
   for (const auto& n : dfg.nodes)
     if (n.fu == "mt1") mults++;
@@ -130,7 +140,7 @@ TEST(Dfg, CountedLoopComparisonsAreControllerResident) {
   const auto fn = parse("F(int n, int c) { int x = (n < 5) + (n < c); }");
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
   const RegionTree tree(fn);
-  const Dfg dfg = b.build(tree->children[0]->stmts);
+  const Dfg dfg = build(b, tree->children[0]->stmts);
   int datapath_cmp = 0, controller_cmp = 0;
   for (const auto& n : dfg.nodes) {
     if (n.op != ir::Op::Lt) continue;
@@ -147,7 +157,7 @@ TEST(Dfg, IncrementerBindsSelfIncrementsOnly) {
   const auto fn = parse("F(int a) { int i = 3; i = i + 1; int j = a + 1; }");
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
   const RegionTree tree(fn);
-  const Dfg dfg = b.build(tree->children[0]->stmts);
+  const Dfg dfg = build(b, tree->children[0]->stmts);
   int incrs = 0, adders = 0;
   for (const auto& n : dfg.nodes) {
     if (n.fu == "i1") incrs++;
@@ -164,7 +174,7 @@ TEST(Dfg, ChainingRespectsClockPeriod) {
   const auto fn = parse("F(int a, int b) { int x = ((a + b) + a) + b; }");
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
   const RegionTree tree(fn);
-  Dfg dfg = b.build(tree->children[0]->stmts);
+  Dfg dfg = build(b, tree->children[0]->stmts);
   ResourceTable table(s.alloc, 0);
   ASSERT_TRUE(list_schedule(dfg, table, 25.0));
   EXPECT_EQ(dfg.num_csteps(), 2);
@@ -177,7 +187,7 @@ TEST(Dfg, ResourceConstraintSerializes) {
   const auto fn = parse("F(int a, int b) { int x = a * a; int y = b * b; }");
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
   const RegionTree tree(fn);
-  Dfg dfg = b.build(tree->children[0]->stmts);
+  Dfg dfg = build(b, tree->children[0]->stmts);
   ResourceTable table(s.alloc, 0);
   ASSERT_TRUE(list_schedule(dfg, table, 25.0));
   EXPECT_EQ(dfg.num_csteps(), 2);
@@ -189,7 +199,7 @@ TEST(Dfg, MultiCycleOperations) {
   const auto fn = parse("F(int a) { int x = a * a; }");
   DfgBuilder b(s.lib, s.alloc, s.sel, 4.0, 1.0);
   const RegionTree tree(fn);
-  Dfg dfg = b.build(tree->children[0]->stmts);
+  Dfg dfg = build(b, tree->children[0]->stmts);
   ResourceTable table(s.alloc, 0);
   ASSERT_TRUE(list_schedule(dfg, table, 25.0));
   EXPECT_EQ(dfg.nodes[0].span, 2);
@@ -207,7 +217,7 @@ F(int i) {
 )");
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
   const RegionTree tree(fn);
-  Dfg dfg = b.build(tree->children[0]->stmts);
+  Dfg dfg = build(b, tree->children[0]->stmts);
   ResourceTable table(s.alloc, 0);
   ASSERT_TRUE(list_schedule(dfg, table, 25.0));
   // Two reads of x cannot share a cycle on a single-ported memory.
@@ -224,9 +234,417 @@ TEST(Dfg, ResourceMinIiMatchesCounts) {
   // Note: +1 binds to the incrementer; remaining adds to a1.
   DfgBuilder b(s.lib, s.alloc, s.sel, 5.0, 1.0);
   const RegionTree tree(fn);
-  const Dfg dfg = b.build(tree->children[0]->stmts);
+  const Dfg dfg = build(b, tree->children[0]->stmts);
   const int ii = resource_min_ii(dfg, ResourceTable(s.alloc, 1));
   EXPECT_GE(ii, 2);  // 4 adds on 2 adders (chain is left-leaning: a+1 first)
+}
+
+// ---- DFG construction against the reference builder --------------------
+
+/// The DFG builder at its simplest, kept as the oracle: value numbering by
+/// structural equality against every earlier expression, each entry
+/// killed by name when a variable or array its expression reads is
+/// redefined, and per-node edge vectors. A build renders as text: every
+/// node with its annotations and edge lists, the carried variables and
+/// the condition node.
+class ReferenceDfgBuilder {
+ public:
+  ReferenceDfgBuilder(const hlslib::Library& lib,
+                      const hlslib::Allocation& alloc,
+                      const hlslib::FuSelection& sel)
+      : lib_(lib), alloc_(alloc), sel_(sel) {}
+
+  std::string build(const std::vector<const ir::Stmt*>& stmts,
+                    const ir::ExprPtr& cond, int cond_stmt_id) {
+    nodes_.clear();
+    vars_.clear();
+    order_.clear();
+    arrays_.clear();
+    entries_.clear();
+    for (const ir::Stmt* s : stmts) {
+      if (s->kind == ir::StmtKind::Assign) {
+        const int first_new = static_cast<int>(nodes_.size());
+        define(s->target, add(s->value, s->id, &s->target), s->value, s->id,
+               first_new);
+      } else if (s->kind == ir::StmtKind::Store) {
+        store(*s);
+      } else {
+        throw Error("DfgBuilder: segment contains control flow");
+      }
+    }
+    for (const std::string& name : order_) {
+      const Var& v = vars_[name];
+      if (v.defs == 1) nodes_[static_cast<size_t>(v.last_def)].relax_war = true;
+    }
+    int cond_node = -1;
+    if (cond) {
+      cond_node = add(cond, cond_stmt_id);
+      if (cond_node < 0) {
+        Node chk{ir::Op::Var, cond_stmt_id};
+        if (cond->op() == ir::Op::Var) {
+          read_var(chk, cond->name(), /*note_reader=*/false);
+        } else {
+          chk.operands.push_back(std::to_string(cond->value()));
+        }
+        cond_node = push(std::move(chk));
+      }
+    }
+    std::string out;
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      const Node& n = nodes_[i];
+      out += render_node(i, n.op, n.is_store, n.reg_write, n.relax_war, n.fu,
+                         n.array, n.def_var, n.stmt_id, n.var_reads,
+                         n.operands, n.preds, n.war_preds, n.mem_war_preds);
+    }
+    for (const std::string& name : order_) {
+      const Var& v = vars_[name];
+      if (v.last_def >= 0 && !v.livein_reads.empty())
+        out += render_carried(v.last_def, v.livein_reads);
+    }
+    return out + strfmt("cond %d\n", cond_node);
+  }
+
+  static std::string render_node(size_t i, ir::Op op, bool is_store,
+                                 bool reg_write, bool relax_war,
+                                 std::string_view fu, std::string_view array,
+                                 std::string_view def_var, int stmt_id,
+                                 int var_reads,
+                                 const std::vector<std::string>& operands,
+                                 std::span<const int> preds,
+                                 std::span<const int> war_preds,
+                                 std::span<const int> mem_war_preds) {
+    std::string out = strfmt(
+        "%zu: op %d%s%s%s fu '%s' array '%s' def '%s' stmt %d reads %d (",
+        i, static_cast<int>(op), is_store ? " store" : "",
+        reg_write ? " reg_write" : "", relax_war ? " relax_war" : "",
+        std::string(fu).c_str(), std::string(array).c_str(),
+        std::string(def_var).c_str(), stmt_id, var_reads);
+    for (const std::string& o : operands) out += " " + o;
+    out += " )";
+    for (const auto& [what, list] :
+         {std::pair{" preds", preds}, std::pair{" war", war_preds},
+          std::pair{" mem", mem_war_preds}}) {
+      out += what;
+      for (int p : list) out += " " + std::to_string(p);
+    }
+    return out + "\n";
+  }
+  static std::string render_carried(int def, std::span<const int> reads) {
+    std::string out = strfmt("carried %d:", def);
+    for (int r : reads) out += " " + std::to_string(r);
+    return out + "\n";
+  }
+
+ private:
+  struct Node {
+    Node(ir::Op op, int stmt_id) : op(op), stmt_id(stmt_id) {}
+
+    ir::Op op;
+    int stmt_id;
+    bool is_store = false;
+    bool reg_write = false;
+    bool relax_war = false;
+    std::string fu, array, def_var;
+    int var_reads = 0;
+    std::vector<std::string> operands;
+    std::vector<int> preds, war_preds, mem_war_preds;
+  };
+  struct Var {
+    int last_def = -1;
+    int defs = 0;
+    std::vector<int> reads_of_current, livein_reads;
+  };
+  struct Array {
+    int last_store = -1;
+    std::vector<int> reads_since_store;
+  };
+  struct Entry {
+    ir::ExprPtr expr;
+    int node;
+    bool live;
+    std::set<std::string> vars, arrays;  // read anywhere in expr
+  };
+
+  Var& var(const std::string& name) {
+    if (!vars_.count(name)) order_.push_back(name);
+    return vars_[name];
+  }
+  int push(Node n) {
+    nodes_.push_back(std::move(n));
+    return static_cast<int>(nodes_.size()) - 1;
+  }
+  void kill(bool array, const std::string& name) {
+    for (Entry& e : entries_)
+      if ((array ? e.arrays : e.vars).count(name)) e.live = false;
+  }
+  static void reads_of(const ir::Expr& e, Entry& entry) {
+    if (e.op() == ir::Op::Var) entry.vars.insert(e.name());
+    if (e.op() == ir::Op::ArrayRead) entry.arrays.insert(e.name());
+    for (const ir::ExprPtr& a : e.args()) reads_of(*a, entry);
+  }
+
+  std::string bind(const ir::Expr& e, const std::string* self_var) const {
+    const ir::Op op = e.op();
+    auto is_one = [](const ir::ExprPtr& a) {
+      return a->op() == ir::Op::Const && a->value() == 1;
+    };
+    auto is_self = [&](const ir::ExprPtr& a) {
+      return a->op() == ir::Op::Var && a->name() == *self_var;
+    };
+    const hlslib::FuType* inc = lib_.first_of(hlslib::FuClass::Incrementer);
+    if (self_var && op == ir::Op::Add && inc && alloc_.count(inc->name) > 0 &&
+        ((is_one(e.arg(1)) && is_self(e.arg(0))) ||
+         (is_one(e.arg(0)) && is_self(e.arg(1)))))
+      return known(inc->name);
+    if (ir::is_comparison(op)) {
+      auto leaf = [](const ir::ExprPtr& a) {
+        return a->op() == ir::Op::Const || a->op() == ir::Op::Var;
+      };
+      const bool has_const = e.arg(0)->op() == ir::Op::Const ||
+                             e.arg(1)->op() == ir::Op::Const;
+      if (has_const && leaf(e.arg(0)) && leaf(e.arg(1))) return "";
+    }
+    if (op == ir::Op::ArrayRead) return memory();
+    const hlslib::FuClass cls = hlslib::op_fu_class(op);
+    if (cls == hlslib::FuClass::None) return "";
+    if (const auto it = sel_.choice.find(op); it != sel_.choice.end())
+      return known(it->second);
+    if (const hlslib::FuType* t = lib_.first_of(cls)) return t->name;
+    throw Error(strfmt("no functional unit for operation '%s'",
+                       ir::op_token(op)));
+  }
+  std::string known(const std::string& name) const {
+    if (!lib_.find(name))
+      throw Error("unknown functional unit type '" + name + "'");
+    return name;
+  }
+  std::string memory() const {
+    const hlslib::FuType* mem = lib_.first_of(hlslib::FuClass::Memory);
+    if (!mem) throw Error("library has no memory component");
+    return mem->name;
+  }
+
+  int add(const ir::ExprPtr& e, int stmt_id,
+          const std::string* self_var = nullptr) {
+    if (e->op() == ir::Op::Const) return -1;
+    if (e->op() == ir::Op::Var) return -2;
+    for (const Entry& c : entries_)
+      if (c.live && ir::Expr::equal(c.expr, e)) return c.node;
+    Node node{e->op(), stmt_id};
+    node.fu = bind(*e, self_var);
+    if (e->op() == ir::Op::ArrayRead) node.array = e->name();
+    for (const ir::ExprPtr& arg : e->args()) {
+      const int child = add(arg, stmt_id);
+      if (child >= 0) {
+        node.preds.push_back(child);
+        node.operands.push_back(stg::wire_name(child));
+      } else if (child == -1) {
+        node.operands.push_back(std::to_string(arg->value()));
+      } else {
+        const Var& v = var(arg->name());
+        node.operands.push_back(arg->name());
+        node.var_reads++;
+        if (v.last_def >= 0) node.preds.push_back(v.last_def);
+      }
+    }
+    const int id = static_cast<int>(nodes_.size());
+    for (const ir::ExprPtr& arg : e->args()) {
+      if (arg->op() != ir::Op::Var) continue;
+      Var& v = var(arg->name());
+      if (v.last_def < 0) v.livein_reads.push_back(id);
+      v.reads_of_current.push_back(id);
+    }
+    if (e->op() == ir::Op::ArrayRead) {
+      Array& a = arrays_[e->name()];
+      if (a.last_store >= 0) node.preds.push_back(a.last_store);
+      a.reads_since_store.push_back(id);
+    }
+    push(std::move(node));
+    Entry entry{e, id, true, {}, {}};
+    reads_of(*e, entry);
+    entries_.push_back(std::move(entry));
+    return id;
+  }
+
+  void read_var(Node& self, const std::string& name, bool note_reader) {
+    self.var_reads++;
+    Var& v = var(name);
+    self.operands.push_back(name);
+    const int id = static_cast<int>(nodes_.size());
+    if (v.last_def >= 0) {
+      self.preds.push_back(v.last_def);
+    } else {
+      v.livein_reads.push_back(id);
+    }
+    if (note_reader) v.reads_of_current.push_back(id);
+  }
+
+  void define(const std::string& target, int root, const ir::ExprPtr& value,
+              int stmt_id, int first_new) {
+    if (root < 0) {
+      Node copy{ir::Op::Var, stmt_id};
+      if (value->op() == ir::Op::Var) {
+        read_var(copy, value->name(), /*note_reader=*/true);
+      } else {
+        copy.operands.push_back(std::to_string(value->value()));
+      }
+      root = push(std::move(copy));
+    }
+    if (nodes_[static_cast<size_t>(root)].reg_write || root < first_new) {
+      Node copy{ir::Op::Var, stmt_id};
+      copy.preds.push_back(root);
+      copy.operands.push_back(stg::wire_name(root));
+      root = push(std::move(copy));
+    }
+    Node& n = nodes_[static_cast<size_t>(root)];
+    Var& v = var(target);
+    n.reg_write = true;
+    n.def_var = target;
+    for (int r : v.reads_of_current)
+      if (r != root) n.war_preds.push_back(r);
+    if (v.last_def >= 0) n.war_preds.push_back(v.last_def);
+    v.reads_of_current.clear();
+    v.last_def = root;
+    v.defs++;
+    kill(false, target);
+  }
+
+  void store(const ir::Stmt& s) {
+    const int idx = add(s.index, s.id);
+    const int val = add(s.value, s.id);
+    Node st{ir::Op::ArrayRead, s.id};
+    st.is_store = true;
+    st.array = s.target;
+    st.fu = memory();
+    for (const auto& [child, expr] : {std::pair{idx, s.index},
+                                      std::pair{val, s.value}}) {
+      if (child >= 0) {
+        st.preds.push_back(child);
+        st.operands.push_back(stg::wire_name(child));
+      } else if (expr->op() == ir::Op::Var) {
+        read_var(st, expr->name(), /*note_reader=*/true);
+      } else {
+        st.operands.push_back(std::to_string(expr->value()));
+      }
+    }
+    Array& a = arrays_[s.target];
+    if (a.last_store >= 0) st.mem_war_preds.push_back(a.last_store);
+    for (int r : a.reads_since_store) st.mem_war_preds.push_back(r);
+    a.last_store = push(std::move(st));
+    a.reads_since_store.clear();
+    kill(true, s.target);
+  }
+
+  const hlslib::Library& lib_;
+  const hlslib::Allocation& alloc_;
+  const hlslib::FuSelection& sel_;
+  std::vector<Node> nodes_;
+  std::map<std::string, Var> vars_;
+  std::vector<std::string> order_;  // variables in first-sight order
+  std::map<std::string, Array> arrays_;
+  std::vector<Entry> entries_;
+};
+
+/// A built DFG rendered as the reference builder renders its own.
+std::string render_dfg(const Dfg& dfg) {
+  std::string out;
+  for (size_t i = 0; i < dfg.nodes.size(); ++i) {
+    const DfgNode& n = dfg.nodes[i];
+    std::vector<std::string> operands;
+    for (const stg::Operand& o : n.operands) operands.push_back(o.str());
+    out += ReferenceDfgBuilder::render_node(
+        i, n.op, n.is_store, n.reg_write, n.relax_war, n.fu, n.array,
+        n.def_var, n.stmt_id, n.var_reads, operands, dfg.preds(i),
+        dfg.war_preds(i), dfg.mem_war_preds(i));
+  }
+  for (const Dfg::Carried& c : dfg.carried)
+    out += ReferenceDfgBuilder::render_carried(c.def, c.livein_reads);
+  return out + strfmt("cond %d\n", dfg.cond_node);
+}
+
+// Every segment DFG of generated programs and of each of their first-level
+// candidates equals the reference builder's, node for node and edge for
+// edge: straight segments, conditions, and loop bodies with their exit
+// condition. Some allocations leave the incrementer out, and some
+// selections bind multiplies and subtractions to unknown types, so both
+// bindings of a self-increment and the failing builds are compared too: a
+// failing build must fail with the same message, that of the first
+// unbound op in pre-order.
+TEST(Dfg, MatchesReferenceBuilder) {
+  const hlslib::Library lib = hlslib::Library::dac98();
+  const xform::TransformLibrary xlib = xform::TransformLibrary::standard();
+  size_t built = 0, failed = 0, nodes = 0;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    hlslib::Allocation alloc;
+    for (const auto& t : lib.types())
+      alloc.counts[t.name] = 1 + static_cast<int>(seed % 2);
+    if (seed % 3 == 0) alloc.counts["i1"] = 0;
+    hlslib::FuSelection sel = hlslib::FuSelection::defaults(lib);
+    if (seed % 4 == 0) {
+      sel.choice[ir::Op::Mul] = "mt9";
+      sel.choice[ir::Op::Sub] = "sb9";
+    }
+    const DfgBuilder builder(lib, alloc, sel, 5.0, 1.0);
+    ReferenceDfgBuilder reference(lib, alloc, sel);
+    DfgScratch scratch;
+
+    const ir::Function fn = testgen::random_program(seed);
+    std::vector<ir::Function> fns;
+    fns.push_back(fn.clone());
+    for (const xform::Candidate& c : xlib.find_all(fn, {})) {
+      try {
+        fns.push_back(xlib.apply(fn, c));
+      } catch (const Error&) {
+      }
+    }
+    // Candidates share most segments with their parent: compare each
+    // distinct one once (by statement fragment hashes, condition and id).
+    std::set<std::vector<uint64_t>> seen;
+    for (const ir::Function& f : fns) {
+      const RegionTree tree(f);
+      std::vector<const Region*> todo{&tree.root()};
+      auto compare = [&](const std::vector<const ir::Stmt*>& stmts,
+                         const ir::ExprPtr& cond, int id) {
+        std::vector<uint64_t> key{cond ? cond->hash() : 0,
+                                  static_cast<uint64_t>(id)};
+        for (const ir::Stmt* st : stmts) key.push_back(ir::fragment_hash(*st));
+        if (!seen.insert(std::move(key)).second) return;
+        std::string want, got;
+        try {
+          want = reference.build(stmts, cond, id);
+        } catch (const Error& e) {
+          want = std::string("error: ") + e.what();
+        }
+        try {
+          const Dfg dfg = builder.build(scratch, stmts, cond, id);
+          got = render_dfg(dfg);
+          nodes += dfg.nodes.size();
+        } catch (const Error& e) {
+          got = std::string("error: ") + e.what();
+          failed++;
+        }
+        built++;
+        ASSERT_EQ(got, want) << "seed " << seed << "\n" << f.str();
+      };
+      while (!todo.empty()) {
+        const Region& r = *todo.back();
+        todo.pop_back();
+        if (r.kind == Region::Kind::Straight) compare(r.stmts, nullptr, -1);
+        if (r.kind == Region::Kind::If || r.kind == Region::Kind::Loop)
+          compare({}, r.ctrl->cond, r.ctrl->id);
+        if (r.kind == Region::Kind::Loop && r.loop_body_is_straight() &&
+            !r.children[0]->children.empty())
+          compare(r.children[0]->children[0]->stmts, r.ctrl->cond, r.ctrl->id);
+        if (HasFatalFailure()) return;
+        for (const auto& c : r.children) todo.push_back(c);
+      }
+    }
+  }
+  std::printf("compared %zu builds (%zu failing), %zu nodes\n", built, failed,
+              nodes);
+  EXPECT_GT(built, 1000u);
+  EXPECT_GT(failed, 100u);
+  EXPECT_GT(nodes, 5000u);
 }
 
 // ---- resource table ---------------------------------------------------
@@ -390,7 +808,7 @@ std::vector<double> reference_priorities(const Dfg& dfg) {
   std::vector<double> prio(n, 0.0);
   std::vector<std::vector<int>> succs(n);
   for (size_t i = 0; i < n; ++i)
-    for (int p : dfg.nodes[i].preds)
+    for (int p : dfg.preds(i))
       succs[static_cast<size_t>(p)].push_back(static_cast<int>(i));
   for (size_t ii = n; ii-- > 0;) {
     double best = 0.0;
@@ -413,11 +831,11 @@ bool reference_list_schedule(Dfg& dfg, ResourceTable& table, double clock_ns,
       if (done[i]) continue;
       const DfgNode& node = dfg.nodes[i];
       bool ready = true;
-      for (int p : node.preds) ready = ready && done[static_cast<size_t>(p)];
-      for (int p : node.mem_war_preds)
+      for (int p : dfg.preds(i)) ready = ready && done[static_cast<size_t>(p)];
+      for (int p : dfg.mem_war_preds(i))
         ready = ready && done[static_cast<size_t>(p)];
       if (period == 0 || !node.relax_war)
-        for (int p : node.war_preds) ready = ready && done[static_cast<size_t>(p)];
+        for (int p : dfg.war_preds(i)) ready = ready && done[static_cast<size_t>(p)];
       if (ready && (pick < 0 || prio[i] > prio[static_cast<size_t>(pick)]))
         pick = static_cast<int>(i);
     }
@@ -428,18 +846,19 @@ bool reference_list_schedule(Dfg& dfg, ResourceTable& table, double clock_ns,
     node.span = std::max(
         1, static_cast<int>(std::ceil(node.delay_ns / clock_ns - 1e-9)));
     if (period > 0 && node.span > period) return false;
+    const size_t self = static_cast<size_t>(pick);
     int earliest = 0;
-    for (int p : node.preds)
+    for (int p : dfg.preds(self))
       earliest = std::max(earliest, dfg.nodes[static_cast<size_t>(p)].avail_cstep());
-    for (int p : node.mem_war_preds)
+    for (int p : dfg.mem_war_preds(self))
       earliest = std::max(earliest, dfg.nodes[static_cast<size_t>(p)].cstep);
     if (period == 0 || !node.relax_war)
-      for (int p : node.war_preds)
+      for (int p : dfg.war_preds(self))
         earliest = std::max(earliest, dfg.nodes[static_cast<size_t>(p)].cstep);
     bool placed = false;
     for (int cstep = earliest; cstep < earliest + 100000; ++cstep) {
       double start = 0.0;
-      for (int p : node.preds) {
+      for (int p : dfg.preds(self)) {
         const DfgNode& pd = dfg.nodes[static_cast<size_t>(p)];
         if (pd.avail_cstep() == cstep) start = std::max(start, pd.end_ns);
       }
@@ -477,7 +896,7 @@ void collect_segments(const Region& r, DfgBuilder& b,
   auto add = [&](const std::vector<const ir::Stmt*>& stmts,
                  const ir::ExprPtr& cond, int id) {
     try {
-      out->push_back(b.build(stmts, cond, id));
+      out->push_back(build(b, stmts, cond, id));
     } catch (const Error&) {
     }
   };
@@ -494,8 +913,8 @@ void collect_segments(const Region& r, DfgBuilder& b,
 
 // The ready-list scheduler against the quadratic picker on every segment
 // DFG of generated programs, plain and at modulo periods 1-4, with short
-// and multi-cycle delays. One DfgDeps serves all five schedules of a DFG
-// and one working copy is rescheduled in place, as the II search does.
+// and multi-cycle delays. One working copy of each DFG is rescheduled in
+// place, as the II search does.
 TEST(ListSchedule, MatchesQuadraticPicker) {
   const hlslib::Library lib = hlslib::Library::dac98();
   const hlslib::FuSelection sel = hlslib::FuSelection::defaults(lib);
@@ -514,7 +933,6 @@ TEST(ListSchedule, MatchesQuadraticPicker) {
         std::vector<Dfg> segments;
         collect_segments(*tree, builder, &segments);
         for (const Dfg& dfg : segments) {
-          const DfgDeps deps(dfg);
           Dfg got = dfg;
           for (int period = 0; period <= 4; ++period) {
             const std::string what = "seed " + std::to_string(seed) +
@@ -527,7 +945,7 @@ TEST(ListSchedule, MatchesQuadraticPicker) {
             const bool want_ok =
                 reference_list_schedule(want, want_table, 25.0, period);
             const bool got_ok =
-                list_schedule(got, deps, got_table, 25.0, period);
+                list_schedule(got, got_table, 25.0, period);
             ASSERT_EQ(want_ok, got_ok) << what;
             if (!want_ok) continue;
             compared++;
@@ -896,7 +1314,7 @@ std::vector<Dfg> loop_dfgs(const ir::Function& fn, DfgBuilder& builder) {
   static const std::vector<const ir::Stmt*> kNone;
   for (const Region* loop : loops) {
     const Region& body = *loop->children[0];
-    out.push_back(builder.build(
+    out.push_back(build(builder,
         body.children.empty() ? kNone : body.children[0]->stmts,
         loop->ctrl->cond, loop->ctrl->id));
   }
@@ -915,7 +1333,6 @@ TEST(ResourceMinIi, IsALowerBoundOverAPartialTable) {
     DfgBuilder builder(h.lib, c.alloc, h.sel, 5.0, 1.0);
     ResourceTable table(c.alloc, 1);
     for (Dfg& dfg : loop_dfgs(c.fn, builder)) {
-      const DfgDeps deps(dfg);
       const int solo = resource_min_ii(dfg, ResourceTable(c.alloc, 1));
       if (solo < 0) continue;
       const int bound = resource_min_ii(dfg, table);
@@ -930,7 +1347,7 @@ TEST(ResourceMinIi, IsALowerBoundOverAPartialTable) {
         if (wide > kMaxHyperperiod) continue;
         ResourceTable trial = table;
         trial.extend(wide);
-        EXPECT_FALSE(list_schedule(dfg, deps, trial, h.opts.clock_ns, ii))
+        EXPECT_FALSE(list_schedule(dfg, trial, h.opts.clock_ns, ii))
             << c.name << " ii " << ii << " below the residual bound "
             << bound;
         skipped++;
@@ -943,7 +1360,7 @@ TEST(ResourceMinIi, IsALowerBoundOverAPartialTable) {
         if (wide > kMaxHyperperiod) continue;
         ResourceTable trial = table;
         trial.extend(wide);
-        if (!list_schedule(dfg, deps, trial, h.opts.clock_ns, ii) ||
+        if (!list_schedule(dfg, trial, h.opts.clock_ns, ii) ||
             !recurrences_ok(dfg, ii))
           continue;
         table = std::move(trial);

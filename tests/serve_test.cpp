@@ -12,11 +12,16 @@
 #include <thread>
 #include <vector>
 
+#include "hlslib/library.hpp"
+#include "opt/fact.hpp"
 #include "serve/json.hpp"
 #include "serve/net.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "util/error.hpp"
+#include "verify/verify.hpp"
+#include "workloads/workloads.hpp"
+#include "xform/transform.hpp"
 
 namespace {
 
@@ -275,6 +280,80 @@ TEST(Service, SharedCacheCrossesSessions) {
   EXPECT_GT(r2.get_int("cache_hits"), 0);
   EXPECT_EQ(r2.get_double("avg_len"), r1.get_double("avg_len"));
   EXPECT_EQ(svc.session_count(), 2u);
+}
+
+// factd's one EvalCache serves requests under every allocation, clock and
+// validation level.
+// Each reply of a sequence must equal a cold in-process run_fact of its
+// request, its cache hits included: an evaluation cached under one context
+// must not serve another.
+TEST(Service, CacheKeyedByEvaluationContext) {
+  struct Request {
+    const char* benchmark;
+    const char* objective;
+    const char* alloc;  // empty: the benchmark's own
+    double clock;
+    const char* validate;
+  };
+  // Each pair of requests has equal baseline lengths, so only the
+  // evaluation context tells their evaluations apart.
+  const std::vector<std::vector<Request>> sequences = {
+      {{"PPS", "throughput", "", 25.0, "fast"},
+       {"PPS", "throughput", "a1=2,sb1=2,mt1=2,cp1=2,e1=1,i1=1,n1=1,s1=1",
+        25.0, "fast"}},
+      {{"GCD", "power", "", 25.0, "fast"}, {"GCD", "power", "", 50.0, "fast"}},
+      // A Full evaluation verifies the schedule a Fast one never checked.
+      {{"GCD", "throughput", "", 25.0, "fast"},
+       {"GCD", "throughput", "", 25.0, "full"}},
+  };
+  const fact::hlslib::Library lib = fact::hlslib::Library::dac98();
+  const fact::hlslib::FuSelection sel =
+      fact::hlslib::FuSelection::defaults(lib);
+  const fact::xform::TransformLibrary xforms =
+      fact::xform::TransformLibrary::standard();
+  for (const std::vector<Request>& sequence : sequences) {
+    fact::serve::Service svc;
+    int id = 0;
+    for (const Request& q : sequence) {
+      Json req = optimize_request(q.benchmark, ++id);
+      req.set("objective", q.objective);
+      if (*q.alloc) req.set("alloc", q.alloc);
+      req.set("clock", q.clock);
+      req.set("validate", q.validate);
+      const Json& got = svc.submit(req).wait();
+      ASSERT_TRUE(got.get_bool("ok")) << got.dump();
+
+      const fact::workloads::Workload w =
+          fact::workloads::by_name(q.benchmark);
+      fact::opt::FactOptions fo;
+      if (std::string(q.objective) == "power")
+        fo.objective = fact::opt::Objective::Power;
+      fo.sched.clock_ns = q.clock;
+      fo.power.clock_ns = q.clock;
+      fo.engine.validate = fact::verify::level_from_string(q.validate);
+      const fact::opt::FactResult want = fact::opt::run_fact(
+          w.fn, lib,
+          *q.alloc ? fact::hlslib::parse_allocation(q.alloc, lib)
+                   : w.allocation,
+          sel, w.trace, xforms, fo);
+      const std::string what = std::string(q.benchmark) + " " +
+                               q.objective + " alloc '" + q.alloc +
+                               "' clock " + std::to_string(q.clock) +
+                               " validate " + q.validate;
+      EXPECT_EQ(got.get_string("report"),
+                fact::opt::render_fact_report(want, fo.objective, true))
+          << what;
+      EXPECT_EQ(got.get_double("avg_len"), want.final_avg_len) << what;
+      EXPECT_EQ(got.get_double("power"), want.final_power.power) << what;
+      EXPECT_EQ(got.get_int("evaluations"),
+                static_cast<int64_t>(want.counts.evaluations))
+          << what;
+      // A request may hit its own flow's entries, never another's.
+      EXPECT_EQ(got.get_int("cache_hits"),
+                static_cast<int64_t>(want.counts.cache_hits))
+          << what;
+    }
+  }
 }
 
 TEST(Service, ResponsesIndependentOfBatchShapeAndWorkers) {
