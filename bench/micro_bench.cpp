@@ -8,6 +8,8 @@
 #include "bench_util.hpp"
 #include "program_gen.hpp"
 #include "sched/dfg.hpp"
+#include "sim/interp.hpp"
+#include "verify/verify.hpp"
 
 namespace {
 
@@ -144,6 +146,58 @@ void BM_EquivalenceCheck(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EquivalenceCheck);
+
+// The IR half of the candidate gate: the verifier's checks and the
+// interpreter's compile of every first-level standard-library candidate of
+// a generated program (fact-bench's `generated` draw, GEN<seed>; GEN1019
+// has no candidate), against the parent's per-statement results
+// (parent:1, as the search gates) or whole (parent:0). `per_candidate` is
+// the time per candidate; `compiled` and `checked` are the shares of the
+// candidates' statements the compile and the checks redid.
+void BM_CandidateGate(benchmark::State& state) {
+  const ir::Function fn =
+      testgen::random_program(static_cast<uint64_t>(state.range(0)));
+  const bool reuse = state.range(1) != 0;
+  const auto lib = xform::TransformLibrary::standard();
+  std::vector<ir::Function> cands;
+  for (const xform::Candidate& c : lib.find_all(fn, {})) {
+    try {
+      cands.push_back(lib.apply(fn, c));
+    } catch (const std::exception&) {
+      // declined at apply time
+    }
+  }
+  const sim::StatementCode code = sim::statement_code(fn);
+  const verify::StatementChecks checks = verify::statement_checks(fn);
+  const std::set<std::string> allowed = verify::undefined_reads(fn);
+  size_t stmts = 0, compiled = 0, checked = 0;
+  for (auto _ : state) {
+    stmts = compiled = checked = 0;
+    for (const ir::Function& g : cands) {
+      const verify::FunctionChecks c(g, reuse ? &checks : nullptr);
+      benchmark::DoNotOptimize(c.report(&allowed));
+      const sim::Interpreter interp(g, reuse ? &code : nullptr);
+      benchmark::DoNotOptimize(interp.layout());
+      stmts += g.stmt_count();
+      compiled += interp.compiled_statements();
+      checked += c.checked_statements();
+    }
+  }
+  const auto share = [&](size_t n) {
+    return stmts == 0 ? 0.0
+                      : static_cast<double>(n) / static_cast<double>(stmts);
+  };
+  state.counters["candidates"] = static_cast<double>(cands.size());
+  state.counters["compiled"] = share(compiled);
+  state.counters["checked"] = share(checked);
+  state.counters["per_candidate"] = benchmark::Counter(
+      static_cast<double>(cands.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CandidateGate)
+    ->ArgNames({"gen", "parent"})
+    ->ArgsProduct({{1014, 1015, 1016, 1017, 1018, 1020}, {0, 1}});
 
 void BM_FullFactGcd(benchmark::State& state) {
   bench::Env env;

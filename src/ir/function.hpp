@@ -16,6 +16,8 @@ struct ArrayDecl {
   std::string name;
   size_t size = 0;
   bool is_input = false;  // initialized from the input trace
+
+  bool operator==(const ArrayDecl&) const = default;
 };
 
 /// A behavioral description: one top-level function whose body is executed
@@ -38,6 +40,14 @@ class Function {
 
   const std::vector<std::string>& outputs() const { return outputs_; }
   void add_output(const std::string& o) { outputs_.push_back(o); }
+
+  /// Whether `other` declares the same parameters, arrays and outputs, in
+  /// the same order. A statement compiles and verifies alike in two such
+  /// functions (sim::StatementCode, verify::StatementChecks).
+  bool same_declarations(const Function& other) const {
+    return params_ == other.params_ && arrays_ == other.arrays_ &&
+           outputs_ == other.outputs_;
+  }
 
   /// The body is always a Block statement. The mutable overload is a
   /// copy-on-write barrier: it makes the whole tree uniquely owned first

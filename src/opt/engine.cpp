@@ -5,8 +5,10 @@
 #include <chrono>
 #include <cmath>
 #include <iterator>
+#include <memory>
 #include <typeinfo>
 #include <unordered_set>
+#include <utility>
 
 #include "ir/hash.hpp"
 #include "obs/metrics.hpp"
@@ -21,6 +23,38 @@ namespace fact::opt {
 
 namespace {
 
+/// What gating a member's candidates reuses: the member's compiled
+/// statements and verifier results, by statement pointer. Workers only
+/// read it.
+struct GateState {
+  /// The state of `f`, a variant of the function `parent` is the state
+  /// of (null for the root); its checks only when `checked`.
+  GateState(const ir::Function& f, const GateState* parent, bool checked)
+      : fn(f) {
+    try {
+      code.emplace(sim::statement_code(
+          fn, parent && parent->code ? &*parent->code : nullptr));
+    } catch (const Error&) {
+      // fn does not compile; its candidates compile whole, at gate 3.
+    }
+    if (checked)
+      checks.emplace(verify::statement_checks(
+          fn, parent && parent->checks ? &*parent->checks : nullptr));
+  }
+
+  const ir::Function fn;
+  std::optional<sim::StatementCode> code;
+  std::optional<verify::StatementChecks> checks;
+};
+
+/// A member gets a GateState of its own only when it has at least this
+/// many candidates; one with fewer gates them against the state it
+/// inherited. Making a state costs about two candidates' gates, and on the
+/// Table 2 behaviors, whose members have 5 to 21 candidates, a candidate
+/// redoes 40% to 87% of its statements whichever state it is gated
+/// against; the generated behaviors' members have a hundred or more.
+constexpr size_t kOwnGateCandidates = 32;
+
 /// One member of the search population: a transformed variant plus the
 /// bookkeeping needed to keep exploring from it.
 struct Member {
@@ -34,6 +68,10 @@ struct Member {
   /// from the reference pass), handed to evaluation and dropped there.
   /// Empty for a root whose reference pass aborted.
   std::optional<sim::Profile> profile;
+  /// The state its candidates are gated against: the root's own, else
+  /// the one it inherited from its parent, or its own (made against that)
+  /// if it has kOwnGateCandidates candidates.
+  std::shared_ptr<const GateState> gate;
 };
 
 /// Adds one optimize() call's search to the process-wide registry (obs),
@@ -431,6 +469,8 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
   root.fn = fn.clone();
   root.region = region;
   root.hash = ir::structural_hash(fn);
+  const bool checked = opts_.validate != verify::Level::Off;
+  root.gate = std::make_shared<const GateState>(root.fn, nullptr, checked);
 
   // Gate 3 compares every candidate against the input behavior, so the
   // input is simulated once, here: its observations become the reference
@@ -504,8 +544,12 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
       std::vector<WorkItem> work;
       for (size_t gi = 0; gi < in_set.size(); ++gi) {
         if (out_of_budget()) break;
-        std::vector<xform::Candidate> cands =
-            xforms_.find_all(in_set[gi].fn, in_set[gi].region);
+        Member& m = in_set[gi];
+        std::vector<xform::Candidate> cands = xforms_.find_all(m.fn, m.region);
+        if (cands.size() >= kOwnGateCandidates &&
+            m.gate->fn.body() != std::as_const(m.fn).body())
+          m.gate = std::make_shared<const GateState>(m.fn, m.gate.get(),
+                                                     checked);
         // Deterministic shuffle so the evaluation budget samples the
         // neighborhood uniformly instead of front-loading one transform.
         for (size_t i = cands.size(); i > 1; --i)
@@ -537,6 +581,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
         pool.parallel_for(wave, [&](size_t w) {
           const WorkItem& item = work[next_item + w];
           const Member& g = in_set[item.parent];
+          const GateState& base = *g.gate;
           Outcome& o = outcomes[w];
           obs::Span sp_cand = obs::span("candidate", "opt");
           sp_cand.arg("transform", item.cand.transform);
@@ -562,11 +607,14 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
 
           // Gate 2: deep IR invariants, before dedup so that even a
           // corruption that leaves the structural hash unchanged (e.g. a
-          // duplicated statement id) is caught and accounted for.
+          // duplicated statement id) is caught and accounted for. Only
+          // the statements the candidate does not share with the state it
+          // is gated against are checked afresh.
           if (opts_.validate != verify::Level::Off) {
             obs::Span sp_verify = obs::span("verify", "opt");
-            const verify::Report rep = verify::verify_function(
-                o.fn, opts_.validate, &baseline_undef);
+            const verify::FunctionChecks checks(
+                o.fn, base.checks ? &*base.checks : nullptr);
+            const verify::Report rep = checks.report(&baseline_undef);
             if (!rep.ok()) {
               o.status = Outcome::Status::Quarantined;
               o.pass = "verify";
@@ -592,12 +640,16 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
 
           // Gate 3: observable behavior must match the original. One
           // interpreter pass checks it against the reference and profiles
-          // the candidate for evaluation.
+          // the candidate for evaluation. The compile links the state's
+          // fragments of the statements the candidate shares with it.
           {
             obs::Span sp_eq = obs::span("equivalence", "opt");
             try {
               if (reference_error) throw Error(*reference_error);
-              o.profile = sim::profile_if_equivalent(o.fn, trace, reference);
+              const sim::Interpreter compiled(
+                  o.fn, base.code ? &*base.code : nullptr);
+              o.profile =
+                  sim::profile_if_equivalent(compiled, trace, reference);
             } catch (const std::exception& e) {
               o.status = Outcome::Status::Quarantined;
               o.pass = "equivalence";
@@ -666,6 +718,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
               }
               m.fn = std::move(o.fn);
               m.profile = std::move(o.profile);
+              m.gate = g.gate;
               m.applied = std::move(seq);
               m.via = item.cand.transform;
               m.hash = o.hash;
@@ -734,7 +787,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
           if (out_of_budget()) break;
           // Ablation: schedule-blind search scores by static op count.
           size_t ops = 0;
-          m.fn.for_each([&](const ir::Stmt& s) {
+          std::as_const(m.fn).for_each([&](const ir::Stmt& s) {
             for (const auto* slot : s.expr_slots())
               ops += (*slot)->tree_size();
           });

@@ -294,15 +294,19 @@ DfgBuilder::DfgBuilder(const hlslib::Library& lib,
     if (name.empty()) return glue_;
     Binding b;
     b.fu = name;
-    if (const hlslib::FuType* t = lib.find(name))
+    if (const hlslib::FuType* t = lib.find(name)) {
       b.delay_ns = t->delay_ns * scale;
-    else
+      b.fu_type = static_cast<int>(t - lib.types().data());
+    } else {
       b.error = "unknown functional unit type '" + name + "'";
+    }
     return b;
   };
   const hlslib::FuType* mem = lib.first_of(FuClass::Memory);
   if (mem) {
-    memory_ = {mem->name, -1, mem->delay_ns * scale, ""};
+    memory_ = {mem->name, -1,
+               static_cast<int>(lib.find(mem->name) - lib.types().data()),
+               mem->delay_ns * scale, ""};
   } else {
     memory_.error = "library has no memory component";
   }
@@ -589,6 +593,7 @@ class DfgBuilder::Pass {
           f.interned = true;
         }
         n.fu = s_.view(f.name);
+        n.fu_type = static_cast<int16_t>(fu->fu_type);
         // A memory op's resource is its array's port (close_node).
         if (op != Op::ArrayRead) {
           if (f.resource < 0) f.resource = new_resource(id);

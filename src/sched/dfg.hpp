@@ -34,7 +34,8 @@ struct DfgNode {
   std::string_view def_var;   // variable defined (assignment roots)
   double delay_ns = 0.0;      // at the scheduling supply voltage
   int stmt_id = -1;
-  int var_reads = 0;          // register reads issued by this node
+  int16_t var_reads = 0;      // register reads issued by this node
+  int16_t fu_type = -1;       // fu's index in Library::types(); -1 if none
   /// Operands in op order. A Wire operand holds the producing node's
   /// index; emission adds the wire base of the STG it is emitted into.
   stg::Operands operands;
@@ -187,6 +188,7 @@ class DfgBuilder {
   struct Binding {
     std::string fu;  // empty: no datapath FU (glue logic)
     int fu_id = -1;  // index into fus_; -1 when fu is empty
+    int fu_type = -1;  // index into the library's types; -1 when fu is empty
     double delay_ns = 0.0;
     std::string error;
   };

@@ -410,16 +410,6 @@ class Emitter {
 
   // ---- summary rows -----------------------------------------------------
 
-  /// Library FU type index of every node of `dfg` (-1: no datapath FU).
-  std::vector<int> node_fus(const Dfg& dfg) const {
-    std::vector<int> fus(dfg.nodes.size(), -1);
-    for (size_t i = 0; i < dfg.nodes.size(); ++i)
-      if (!dfg.nodes[i].fu.empty())
-        fus[i] = static_cast<int>(&lib_.get(std::string(dfg.nodes[i].fu)) -
-                                  lib_.types().data());
-    return fus;
-  }
-
   /// Appends the `n` summary rows of a placement walk over `dfgs` (by
   /// loop) to `out`: each op counts toward its FU type and its register
   /// reads and write.
@@ -427,13 +417,11 @@ class Emitter {
   void add_rows(stg::OpRows& out, size_t n, std::span<const Dfg> dfgs,
                 Place&& place) const {
     const size_t nf = lib_.types().size();
-    std::vector<std::vector<int>> fus;
-    for (const Dfg& dfg : dfgs) fus.push_back(node_fus(dfg));
     std::vector<int> ops(n * nf, 0), reg(n, 0);
     place([&](size_t row, size_t loop, size_t i, int, int) {
       const DfgNode& node = dfgs[loop].nodes[i];
-      if (const int fu = fus[loop][i]; fu >= 0)
-        ops[row * nf + static_cast<size_t>(fu)]++;
+      if (node.fu_type >= 0)
+        ops[row * nf + static_cast<size_t>(node.fu_type)]++;
       reg[row] += node.var_reads + (node.reg_write ? 1 : 0);
     });
     std::vector<stg::FuCount> counts;

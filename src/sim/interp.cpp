@@ -1,6 +1,7 @@
 #include "sim/interp.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -8,6 +9,8 @@
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
+#include "util/intern_table.hpp"
+#include "util/pointer_map.hpp"
 
 namespace fact::sim {
 
@@ -32,6 +35,11 @@ enum class Code : uint8_t {
   Jump,        // jump to b
   Fail,        // abort with message a
   Halt,
+  // Fragment pieces only, never in a program: the link's bookkeeping, at
+  // the point of the compile where it happens.
+  StepReq,  // a statement's (or a While iteration's) step
+  Land,     // the jump at piece a lands here
+  Child,    // the fragment's child a links here
 };
 
 static_assert(static_cast<int>(Op::Not) - static_cast<int>(Op::Add) ==
@@ -46,6 +54,33 @@ struct Instr {
   Code code;
   int32_t d = 0, a = 0, b = 0, c = 0;
 };
+
+/// Which of an instruction's d, a and b (bits 0, 1 and 2) are registers.
+constexpr uint8_t register_fields(Code code) {
+  switch (code) {
+    case Code::Mov:
+    case Code::Load:
+      return 0b011;
+    case Code::Store:
+      return 0b110;
+    case Code::If:
+    case Code::Loop:
+    case Code::JumpIfZero:
+      return 0b010;
+    default:
+      return code < Code::Mov ? 0b111 : 0;  // the operators
+  }
+}
+
+/// Operand encoding in a fragment: a scalar is its number in the unit's
+/// names, a temporary its number above kTemp, a constant its number in the
+/// unit's constants above kConst, and a unary operator's unused second
+/// operand kUnused (register 0 in a program, read and ignored). The top
+/// bits are the kind, the rest the number (kNumber).
+constexpr int32_t kTemp = 1 << 29;
+constexpr int32_t kConst = 2 << 29;
+constexpr int32_t kUnused = 3 << 29;
+constexpr int32_t kNumber = (1 << 29) - 1;
 
 }  // namespace
 
@@ -75,117 +110,179 @@ struct Interpreter::Program {
   std::vector<std::string> errors;  // Fail messages
 };
 
+/// The fragments one compile made, in flat arrays (an ir::StatementIndex
+/// unit). A fragment's own code and tables are contiguous ranges; its
+/// children are references, into this unit or into an ancestor's, which
+/// `base` keeps alive (the parent's unit, whose own base is the
+/// grandparent's, and so on). Fragments number scalars and constants in
+/// `names` and `consts`, which extend the parent unit's tables, so a
+/// number means the same in every unit of the chain.
+struct FragmentUnit {
+  using Ref = ir::UnitRef<FragmentUnit>;
+  using Range = ir::UnitRange;
+  struct Fragment {
+    const Stmt* stmt = nullptr;
+    Range code, errors, kids;
+    /// The scalars and the constants (tagged with kConst) the statement
+    /// reads or writes itself, each where its compile first sees it, and
+    /// kChild where each child's compile runs.
+    Range sights;
+    int32_t temps = 0;      // temporaries its subtree uses, at most
+    uint32_t instrs = 0;    // pieces of its subtree: at least its instructions
+    uint32_t counters = 0;  // branch counters of its subtree
+    bool counted = false;   // an If or While: it numbers a branch counter
+  };
+
+  /// In `sights`, a child's place.
+  static constexpr int32_t kChild = -1;
+
+  std::span<const Ref> top() const { return body; }
+
+  std::vector<Fragment> records;
+  std::vector<Instr> code;
+  std::vector<int32_t> sights;
+  std::vector<std::string> errors;
+  std::vector<Ref> kids;
+  std::vector<Ref> body;  // the top-level statements, in order
+  InternTable<std::string> names;  // the scalars
+  InternTable<int64_t> consts;
+  std::shared_ptr<const FragmentUnit> base;
+};
+
 namespace {
 
 using Program = Interpreter::Program;
+using Unit = FragmentUnit;
 
-/// One-shot translation of a Function into a Program. Scalars get their
-/// registers as they are first seen; temporaries and constants get
-/// provisional numbers above kTemp and kConst, which finish() relocates
-/// behind the scalars once their count is known.
-class Compiler {
- public:
-  explicit Compiler(const ir::Function& fn) : p_(std::make_shared<Program>()) {
-    p_->fn_name = fn.name();
-    std::vector<Program::Array>& arrays = p_->arrays;
-    // Cells are addressed by int32 offsets.
-    constexpr size_t kMaxCells = std::numeric_limits<int32_t>::max();
-    size_t cells = 0;
-    for (const auto& a : fn.arrays()) {
-      Sym& s = sym(a.name);
-      if (s.array >= 0) continue;  // redeclared: the first declaration wins
-      if (a.size > kMaxCells - cells)
-        throw Error("the arrays of '" + fn.name() +
-                    "' are too large to simulate");
-      cells += a.size;
-      s.array = 0;
-      arrays.push_back({a.name, 0, static_cast<int32_t>(a.size), a.is_input});
-    }
-    std::sort(arrays.begin(), arrays.end(),
-              [](const auto& x, const auto& y) { return x.name < y.name; });
-    for (size_t i = 0; i < arrays.size(); ++i) {
-      sym(arrays[i].name).array = static_cast<int32_t>(i);
-      arrays[i].offset = p_->memory_size;
-      p_->memory_size += arrays[i].size;
-    }
-    for (const auto& n : fn.params()) p_->params.emplace_back(n, reg(n));
-    if (fn.body()) list(fn.body()->stmts);
-    emit(Code::Halt);
-    layout(fn);
-    finish();
+/// The arrays of `fn` as a program lays them out: the first declaration
+/// of each name, sorted by name, one memory segment each.
+std::vector<Program::Array> lay_out_arrays(const ir::Function& fn,
+                                           int32_t& memory_size) {
+  std::vector<Program::Array> arrays;
+  // Cells are addressed by int32 offsets.
+  constexpr size_t kMaxCells = std::numeric_limits<int32_t>::max();
+  size_t cells = 0;
+  for (const auto& a : fn.arrays()) {
+    const bool redeclared =  // the first declaration wins
+        std::any_of(arrays.begin(), arrays.end(),
+                    [&](const Program::Array& x) { return x.name == a.name; });
+    if (redeclared) continue;
+    if (a.size > kMaxCells - cells)
+      throw Error("the arrays of '" + fn.name() +
+                  "' are too large to simulate");
+    cells += a.size;
+    arrays.push_back({a.name, 0, static_cast<int32_t>(a.size), a.is_input});
   }
+  std::sort(arrays.begin(), arrays.end(),
+            [](const auto& x, const auto& y) { return x.name < y.name; });
+  memory_size = 0;
+  for (Program::Array& a : arrays) {
+    a.offset = memory_size;
+    memory_size += a.size;
+  }
+  return arrays;
+}
 
-  std::shared_ptr<const Program> take() { return std::move(p_); }
+/// What a compile reuses from one function to the next on a thread.
+struct CompileScratch {
+  Unit unit;  // the fragments of the compile under way
+  std::vector<Unit::Ref> kids;
+  std::vector<int32_t> regs, consts, temps, at;
+  std::vector<int64_t> values;
+  std::vector<std::pair<std::string_view, int32_t>> outs;
+};
+CompileScratch& compile_scratch() {
+  thread_local CompileScratch s;
+  return s;
+}
+
+/// Compiles statements into the fragments of one Unit, reusing the
+/// parent's fragment of every statement the parent holds.
+class FragmentCompiler {
+ public:
+  FragmentCompiler(Unit& unit, const std::vector<Program::Array>& arrays,
+                   const PointerMap<Unit::Ref>* parent)
+      : u_(unit),
+        arrays_(arrays),
+        parent_(parent),
+        kids_(compile_scratch().kids) {}
+
+  /// The fragment of `s`: the parent's, or a new one.
+  Unit::Ref get(const Stmt& s) {
+    if (parent_)
+      if (const Unit::Ref* r = parent_->find(&s)) return *r;
+    return compile(s);
+  }
 
  private:
-  static constexpr int32_t kTemp = 1 << 29;
-  static constexpr int32_t kConst = 1 << 30;
-
-  struct Sym {
-    int32_t reg = -1;    // scalar register
-    int32_t array = -1;  // index into Program::arrays
-  };
-
-  /// A behavior has few names (and few distinct constants), so flat
-  /// tables searched in order beat hashing them.
-  Sym& sym(std::string_view name) {
-    for (auto& [n, s] : syms_)
-      if (n == name) return s;
-    return syms_.emplace_back(name, Sym{}).second;
+  /// Compiles `s`, its children first, so that its own code is one range
+  /// and only one fragment is open at a time.
+  Unit::Ref compile(const Stmt& s) {
+    const Unit::Range kids =
+        ir::add_kids(u_, s, kids_, [&](const Stmt& c) { return get(c); });
+    f_ = Unit::Fragment{};
+    f_.stmt = &s;
+    f_.kids = kids;
+    f_.code.begin = static_cast<uint32_t>(u_.code.size());
+    f_.errors.begin = static_cast<uint32_t>(u_.errors.size());
+    f_.sights.begin = static_cast<uint32_t>(u_.sights.size());
+    next_kid_ = 0;
+    max_temps_ = 0;
+    stmt(s);
+    f_.code.size = static_cast<uint32_t>(u_.code.size()) - f_.code.begin;
+    f_.instrs = f_.code.size;
+    f_.temps = max_temps_;
+    f_.counters = f_.counted ? 1 : 0;
+    for (uint32_t k = 0; k < f_.kids.size; ++k) {
+      const Unit::Fragment& kid = *u_.kids[f_.kids.begin + k];
+      f_.temps = std::max(f_.temps, kid.temps);
+      f_.instrs += kid.instrs;
+      f_.counters += kid.counters;
+    }
+    u_.records.push_back(f_);
+    return {&u_, static_cast<uint32_t>(u_.records.size() - 1)};
   }
 
-  int32_t reg(std::string_view name) {
-    Sym& s = sym(name);
-    if (s.reg < 0) s.reg = p_->num_scalars++;
-    return s.reg;
+  /// Notes the fragment's first sight of scalar or constant `id`.
+  int32_t sight(int32_t id) {
+    const auto first = u_.sights.begin() + f_.sights.begin;
+    if (std::find(first, u_.sights.end(), id) == u_.sights.end()) {
+      u_.sights.push_back(id);
+      f_.sights.size++;
+    }
+    return id;
   }
 
-  /// The array `name` reads and stores go to; null if undeclared or empty.
-  const Program::Array* array(std::string_view name) {
-    const Sym& s = sym(name);
-    if (s.array < 0 || p_->arrays[static_cast<size_t>(s.array)].size == 0)
-      return nullptr;
-    return &p_->arrays[static_cast<size_t>(s.array)];
-  }
+  int32_t reg(std::string_view name) { return sight(u_.names.intern(name)); }
 
-  int32_t constant(int64_t v) {
-    auto it = std::find(consts_.begin(), consts_.end(), v);
-    if (it == consts_.end()) it = consts_.insert(it, v);
-    return kConst | static_cast<int32_t>(it - consts_.begin());
-  }
+  int32_t constant(int64_t v) { return sight(kConst | u_.consts.intern(v)); }
 
   int32_t temp() {
     max_temps_ = std::max(max_temps_, next_temp_ + 1);
     return kTemp | next_temp_++;
   }
 
-  int32_t here() const { return static_cast<int32_t>(p_->code.size()); }
+  /// The array `name` reads and stores go to; null if undeclared or empty.
+  const Program::Array* array(std::string_view name) const {
+    for (const Program::Array& a : arrays_)
+      if (a.name == name) return a.size == 0 ? nullptr : &a;
+    return nullptr;
+  }
 
-  int32_t emit(Code code, int32_t d = 0, int32_t a = 0, int32_t b = 0,
-               int32_t c = 0) {
-    p_->code.push_back({code, d, a, b, c});
-    if (code >= Code::If) open_step_ = -1;  // control flow ends the run
+  /// Appends a piece; returns its index in the fragment.
+  int32_t put(Code code, int32_t d = 0, int32_t a = 0, int32_t b = 0,
+              int32_t c = 0) {
+    u_.code.push_back({code, d, a, b, c});
     return here() - 1;
   }
 
-  /// Makes the jump at `at` land here. Another path enters here, so the
-  /// run of statements the current step instruction counts ends.
-  void land(int32_t at) {
-    p_->code[static_cast<size_t>(at)].b = here();
-    open_step_ = -1;
-  }
-
-  /// One statement's step: joins the open step instruction, if any.
-  void step() {
-    if (open_step_ >= 0)
-      p_->code[static_cast<size_t>(open_step_)].a++;
-    else
-      open_step_ = emit(Code::Step, 0, 1);
+  int32_t here() const {
+    return static_cast<int32_t>(u_.code.size() - f_.code.begin);
   }
 
   void fail(std::string message) {
-    emit(Code::Fail, 0, static_cast<int32_t>(p_->errors.size()));
-    p_->errors.push_back(std::move(message));
+    put(Code::Fail, 0, static_cast<int32_t>(f_.errors.size++));
+    u_.errors.push_back(std::move(message));
   }
 
   /// The register that holds the value of `e`, after emitting its code.
@@ -210,44 +307,52 @@ class Compiler {
     switch (e.op()) {
       case Op::Var:
       case Op::Const:
-        emit(Code::Mov, dst, expr(e));
+        put(Code::Mov, dst, expr(e));
         return;
       case Op::ArrayRead: {
         const Program::Array* a = array(e.name());
         if (!a) return fail("read of unknown array '" + e.name() + "'");
-        emit(Code::Load, dst, expr(*e.arg(0)), a->offset, a->size);
+        put(Code::Load, dst, expr(*e.arg(0)), a->offset, a->size);
         return;
       }
       case Op::Select: {
-        const int32_t skip = emit(Code::JumpIfZero, 0, expr(*e.arg(0)));
+        const int32_t skip = put(Code::JumpIfZero, 0, expr(*e.arg(0)));
         into(*e.arg(1), dst);
-        const int32_t over = emit(Code::Jump);
-        land(skip);
+        const int32_t over = put(Code::Jump);
+        put(Code::Land, 0, skip);
         into(*e.arg(2), dst);
-        land(over);
+        put(Code::Land, 0, over);
         return;
       }
       default: {
         // Both operands always evaluate (hardware evaluates both cones).
         const int32_t a = expr(*e.arg(0));
-        const int32_t b = e.num_args() > 1 ? expr(*e.arg(1)) : 0;
-        emit(operator_code(e.op()), dst, a, b);
+        const int32_t b = e.num_args() > 1 ? expr(*e.arg(1)) : kUnused;
+        put(operator_code(e.op()), dst, a, b);
         return;
       }
     }
   }
 
+  /// The children of one list, compiled before this fragment.
   void list(const std::vector<ir::StmtPtr>& stmts) {
-    for (const auto& s : stmts) stmt(*s);
+    for (const auto& c : stmts) {
+      if (!c) continue;
+      put(Code::Child, 0, next_kid_++);
+      u_.sights.push_back(Unit::kChild);
+      f_.sights.size++;
+    }
   }
 
   void stmt(const Stmt& s) {
-    step();
+    put(Code::StepReq);
     next_temp_ = 0;
     switch (s.kind) {
-      case StmtKind::Assign:
-        into(*s.value, reg(s.target));
+      case StmtKind::Assign: {
+        const int32_t target = reg(s.target);
+        into(*s.value, target);
         break;
+      }
       case StmtKind::Store: {
         const Program::Array* a = array(s.target);
         if (!a) {
@@ -256,33 +361,36 @@ class Compiler {
         }
         const int32_t index = expr(*s.index);
         const int32_t value = expr(*s.value);
-        emit(Code::Store, a->offset, index, value, a->size);
+        put(Code::Store, a->offset, index, value, a->size);
         break;
       }
       case StmtKind::If: {
-        const int32_t test = emit(Code::If, branch(s.id), expr(*s.cond));
+        // The branch counter is numbered as the statement starts, before
+        // any child's.
+        f_.counted = true;
+        const int32_t test = put(Code::If, 0, expr(*s.cond));
         list(s.then_stmts);
         if (s.else_stmts.empty()) {
-          land(test);
+          put(Code::Land, 0, test);
           break;
         }
-        const int32_t over = emit(Code::Jump);
-        land(test);
+        const int32_t over = put(Code::Jump);
+        put(Code::Land, 0, test);
         list(s.else_stmts);
-        land(over);
+        put(Code::Land, 0, over);
         break;
       }
       case StmtKind::While: {
         // The test sits below the body: one jump in, then one counted
         // conditional jump back per iteration.
-        const int32_t counter = branch(s.id);
-        const int32_t enter = emit(Code::Jump);
+        f_.counted = true;
+        const int32_t enter = put(Code::Jump);
         const int32_t top = here();
-        step();  // the iteration's own step
+        put(Code::StepReq);  // the iteration's own step
         list(s.then_stmts);
-        land(enter);
+        put(Code::Land, 0, enter);
         next_temp_ = 0;
-        emit(Code::Loop, counter, expr(*s.cond), top);
+        put(Code::Loop, 0, expr(*s.cond), top);
         break;
       }
       case StmtKind::Block:
@@ -291,18 +399,202 @@ class Compiler {
     }
   }
 
-  int32_t branch(int stmt_id) {
-    p_->branch_ids.push_back(stmt_id);
-    return static_cast<int32_t>(p_->branch_ids.size()) - 1;
+  Unit& u_;
+  const std::vector<Program::Array>& arrays_;
+  const PointerMap<Unit::Ref>* parent_;
+  std::vector<Unit::Ref>& kids_;  // children compiled, per pending fragment
+  Unit::Fragment f_;              // the open fragment
+  int32_t next_kid_ = 0;
+  int32_t next_temp_ = 0, max_temps_ = 0;
+};
+
+/// Links a function's fragments into its Program, in two passes. The
+/// first gives the registers, as a compile of the whole function in one
+/// walk would as it goes: the parameters', then each top-level
+/// statement's scalars and constants in the order its subtree first sees
+/// them, then the outputs'; the temporaries sit between the scalars and
+/// the constants. The second replays each fragment's pieces in program
+/// order with those registers: it numbers the branch counters and errors
+/// and merges each statement's step into the open run.
+class Linker {
+ public:
+  Linker(const ir::Function& fn, std::vector<Program::Array> arrays,
+         int32_t memory_size, const Unit& unit)
+      : p_(std::make_shared<Program>()),
+        regs_(compile_scratch().regs),
+        consts_(compile_scratch().consts),
+        temps_(compile_scratch().temps),
+        at_(compile_scratch().at) {
+    regs_.assign(unit.names.size(), -1);
+    consts_.assign(unit.consts.size(), -1);
+    p_->fn_name = fn.name();
+    p_->arrays = std::move(arrays);
+    p_->memory_size = memory_size;
+    p_->params.reserve(fn.params().size());
+    for (const auto& n : fn.params())
+      p_->params.emplace_back(n, reg(unit.names.find(n)));
+    std::vector<int64_t>& consts = compile_scratch().values;
+    consts.clear();
+    int32_t temps = 0;
+    uint32_t instrs = 1;  // Halt
+    uint32_t counters = 0;
+    for (const Unit::Ref& r : unit.body) {
+      see(r, unit, consts);
+      const Unit::Fragment& f = *r;
+      temps = std::max(temps, f.temps);
+      instrs += f.instrs;
+      counters += f.counters;
+    }
+    std::vector<std::pair<std::string_view, int32_t>>& outs =
+        compile_scratch().outs;
+    outs.clear();
+    for (const auto& o : fn.outputs())
+      outs.emplace_back(o, reg(unit.names.find(o)));
+    temps_.resize(static_cast<size_t>(temps));
+    for (int32_t t = 0; t < temps; ++t)
+      temps_[static_cast<size_t>(t)] = p_->num_scalars + t;
+    const int32_t first_const = p_->num_scalars + temps;
+    for (int32_t& c : consts_)
+      if (c >= 0) c += first_const;
+    p_->registers.reserve(static_cast<size_t>(first_const) + consts.size());
+    p_->registers.assign(static_cast<size_t>(first_const), 0);
+    p_->registers.insert(p_->registers.end(), consts.begin(), consts.end());
+    registers_[0] = regs_.data();
+    registers_[1] = temps_.data();
+    registers_[2] = consts_.data();
+
+    p_->code.resize(instrs);
+    code_ = p_->code.data();
+    p_->branch_ids.reserve(counters);
+    for (const Unit::Ref& r : unit.body) link(r);
+    emit({Code::Halt});
+    p_->code.resize(static_cast<size_t>(size_));
+    layout(outs);
+  }
+
+  std::shared_ptr<const Program> take() { return std::move(p_); }
+
+ private:
+  /// Gives the scalars and constants of fragment `ref`'s subtree their
+  /// registers (constants their place in `consts`), in the order the
+  /// subtree first sees them.
+  void see(Unit::Ref ref, const Unit& unit, std::vector<int64_t>& consts) {
+    const Unit::Fragment& f = *ref;
+    uint32_t kid = f.kids.begin;
+    for (uint32_t i = 0; i < f.sights.size; ++i) {
+      const int32_t id = ref.unit->sights[f.sights.begin + i];
+      if (id == Unit::kChild) {
+        see(ref.unit->kids[kid++], unit, consts);
+      } else if (!(id & kConst)) {
+        reg(id);
+      } else if (int32_t& c = consts_[static_cast<size_t>(id & kNumber)];
+                 c < 0) {
+        c = static_cast<int32_t>(consts.size());
+        consts.push_back(unit.consts[id & kNumber]);
+      }
+    }
+  }
+
+  /// The register of the scalar numbered `id`, given as first seen.
+  int32_t reg(int32_t id) {
+    int32_t& r = regs_[static_cast<size_t>(id)];
+    if (r < 0) r = p_->num_scalars++;
+    return r;
+  }
+
+  int32_t here() const { return size_; }
+
+  void emit(const Instr& in) {
+    code_[size_++] = in;
+    if (in.code >= Code::If) open_step_ = -1;  // control flow ends the run
+  }
+
+  /// One statement's step: joins the open step instruction, if any.
+  void step() {
+    if (open_step_ >= 0) {
+      code_[open_step_].a++;
+    } else {
+      open_step_ = here();
+      emit({Code::Step, 0, 1});
+    }
+  }
+
+  /// Makes the jump at `at` land here. Another path enters here, so the
+  /// run of statements the current step instruction counts ends.
+  void land(int32_t at) {
+    code_[at].b = here();
+    open_step_ = -1;
+  }
+
+  /// Replays fragment `ref`. Where its jumps and its loop top landed in
+  /// the program is kept in `at_` from `top_` on, one slot per piece, for
+  /// the pieces that refer to them; its children use the space past it.
+  void link(Unit::Ref ref) {
+    const Unit& u = *ref.unit;
+    const Unit::Fragment& f = *ref;
+    int32_t counter = 0;
+    if (f.counted) {
+      counter = static_cast<int32_t>(p_->branch_ids.size());
+      p_->branch_ids.push_back(f.stmt->id);
+    }
+    const size_t at = top_;
+    top_ += f.code.size;
+    if (at_.size() < top_) at_.resize(2 * top_);
+    const Instr* pieces = u.code.data() + f.code.begin;
+    for (uint32_t i = 0; i < f.code.size; ++i) {
+      Instr in = pieces[i];
+      if (in.code < Code::If) {  // straight-line: only its registers change
+        const uint8_t fields = register_fields(in.code);
+        if (fields & 1) in.d = fix(in.d);
+        if (fields & 2) in.a = fix(in.a);
+        if (fields & 4) in.b = fix(in.b);
+        code_[size_++] = in;
+        continue;
+      }
+      at_[at + i] = here();
+      switch (in.code) {
+        case Code::StepReq:
+          step();
+          continue;
+        case Code::Land:
+          land(at_[at + static_cast<size_t>(in.a)]);
+          continue;
+        case Code::Child:
+          link(u.kids[f.kids.begin + static_cast<uint32_t>(in.a)]);
+          continue;
+        case Code::Fail:
+          p_->errors.push_back(
+              u.errors[f.errors.begin + static_cast<uint32_t>(in.a)]);
+          in.a = static_cast<int32_t>(p_->errors.size()) - 1;
+          break;
+        case Code::Loop:
+          in.b = at_[at + static_cast<size_t>(in.b)];
+          [[fallthrough]];
+        case Code::If:
+          in.d = counter;
+          [[fallthrough]];
+        default:  // JumpIfZero, Jump
+          in.a = register_fields(in.code) & 2 ? fix(in.a) : in.a;
+          break;
+      }
+      emit(in);
+    }
+    top_ = at;
+  }
+
+  /// The program's register for operand `r` of a fragment.
+  int32_t fix(int32_t r) const {
+    return registers_[static_cast<uint32_t>(r) >> 29][r & kNumber];
   }
 
   /// The observation layout: outputs, then arrays, each sorted by name.
-  void layout(const ir::Function& fn) {
-    std::vector<std::pair<std::string_view, int32_t>> outs;
-    for (const auto& o : fn.outputs()) outs.emplace_back(o, reg(o));
+  void layout(std::vector<std::pair<std::string_view, int32_t>>& outs) {
     std::sort(outs.begin(), outs.end());
     outs.erase(std::unique(outs.begin(), outs.end()), outs.end());
     ObservationLayout& l = p_->layout;
+    l.outputs.reserve(outs.size());
+    p_->output_registers.reserve(outs.size());
+    l.arrays.reserve(p_->arrays.size());
     for (const auto& [name, r] : outs) {
       l.outputs.emplace_back(name);
       p_->output_registers.push_back(r);
@@ -312,51 +604,18 @@ class Compiler {
     l.size = outs.size() + static_cast<size_t>(p_->memory_size);
   }
 
-  /// Relocates temporaries and constants behind the scalars and lays out
-  /// the register file.
-  void finish() {
-    const int32_t temps = p_->num_scalars;
-    const int32_t consts = temps + max_temps_;
-    const auto fix = [&](int32_t& r) {
-      if (r & kConst)
-        r = consts + (r & ~kConst);
-      else if (r & kTemp)
-        r = temps + (r & ~kTemp);
-    };
-    for (Instr& in : p_->code) {
-      switch (in.code) {
-        default:  // the operators
-          fix(in.b);
-          [[fallthrough]];
-        case Code::Mov:
-        case Code::Load:
-          fix(in.d);
-          fix(in.a);
-          break;
-        case Code::Store:
-          fix(in.a);
-          fix(in.b);
-          break;
-        case Code::If:
-        case Code::Loop:
-        case Code::JumpIfZero:
-          fix(in.a);
-          break;
-        case Code::Step:
-        case Code::Jump:
-        case Code::Fail:
-        case Code::Halt:
-          break;
-      }
-    }
-    p_->registers.assign(static_cast<size_t>(consts), 0);
-    p_->registers.insert(p_->registers.end(), consts_.begin(), consts_.end());
-  }
-
   std::shared_ptr<Program> p_;
-  std::vector<std::pair<std::string_view, Sym>> syms_;
-  std::vector<int64_t> consts_;
-  int32_t next_temp_ = 0, max_temps_ = 0;
+  std::vector<int32_t>& regs_;    // per name: its register, -1 while unseen
+  std::vector<int32_t>& consts_;  // per constant: its register, -1 if unused
+  std::vector<int32_t>& temps_;   // per temporary: its register
+  static constexpr int32_t kZero = 0;
+  // Per operand kind (fix()): the registers of scalars, temporaries and
+  // constants, and kUnused's register 0.
+  const int32_t* registers_[4] = {nullptr, nullptr, nullptr, &kZero};
+  std::vector<int32_t>& at_;  // per open fragment's piece, see link()
+  size_t top_ = 0;
+  Instr* code_ = nullptr;  // the program's, sized for every piece
+  int32_t size_ = 0;       // instructions emitted
   int32_t open_step_ = -1;  // the step instruction of the current run
 };
 
@@ -770,10 +1029,114 @@ double RunStats::expected_iterations(int stmt_id, double fallback) const {
   return p / (1.0 - p);
 }
 
-Interpreter::Interpreter(const ir::Function& fn)
-    : prog_(Compiler(fn).take()) {}
+namespace {
+
+/// Compiles the fragments of `fn` into the thread's scratch unit, reusing
+/// `parent`'s where it allows, and returns the unit. It holds them until
+/// the thread's next compile.
+const Unit& compile_fragments(const ir::Function& fn,
+                              const StatementCode* parent,
+                              const std::vector<Program::Array>& arrays) {
+  const PointerMap<Unit::Ref>* reuse =
+      parent ? parent->reusable_for(fn) : nullptr;
+  Unit& unit = compile_scratch().unit;
+  unit.records.clear();
+  unit.code.clear();
+  unit.sights.clear();
+  unit.errors.clear();
+  unit.kids.clear();
+  unit.body.clear();
+  unit.names.reset(reuse ? &parent->unit()->names : nullptr);
+  unit.consts.reset(reuse ? &parent->unit()->consts : nullptr);
+  if (!reuse) {
+    // Same declarations, same names: a parent's table holds these.
+    for (const auto& n : fn.params()) unit.names.intern(n);
+    for (const auto& n : fn.outputs()) unit.names.intern(n);
+  }
+  if (fn.body()) {
+    FragmentCompiler compiler(unit, arrays, reuse);
+    for (const auto& s : fn.body()->stmts)
+      if (s) unit.body.push_back(compiler.get(*s));
+  }
+  return unit;
+}
+
+}  // namespace
+
+Interpreter::Interpreter(const ir::Function& fn, const StatementCode* parent) {
+  int32_t memory_size = 0;
+  std::vector<Program::Array> arrays = lay_out_arrays(fn, memory_size);
+  const Unit& unit = compile_fragments(fn, parent, arrays);
+  compiled_ = unit.records.size();
+  prog_ = Linker(fn, std::move(arrays), memory_size, unit).take();
+}
+
+StatementCode statement_code(const ir::Function& fn,
+                             const StatementCode* parent) {
+  int32_t memory_size = 0;
+  const Unit& scratch =
+      compile_fragments(fn, parent, lay_out_arrays(fn, memory_size));
+  // A copy that owns its fragments, exactly sized, with the scratch
+  // unit's references to itself redirected to the copy.
+  auto unit = std::make_shared<Unit>(scratch);
+  unit->names = scratch.names.flattened();
+  unit->consts = scratch.consts.flattened();
+  for (Unit::Ref& r : unit->kids)
+    if (r.unit == &scratch) r.unit = unit.get();
+  for (Unit::Ref& r : unit->body)
+    if (r.unit == &scratch) r.unit = unit.get();
+  if (parent && parent->reusable_for(fn)) unit->base = parent->unit();
+  return StatementCode(fn, std::move(unit));
+}
 
 const ObservationLayout& Interpreter::layout() const { return prog_->layout; }
+
+
+std::string Interpreter::listing() const {
+  const Program& p = *prog_;
+  std::string out = p.fn_name;
+  const auto num = [&](int64_t v) {
+    char buf[24];
+    out += ' ';
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  };
+  for (const Instr& in : p.code) {
+    out += "\n";
+    for (const int64_t v : {static_cast<int64_t>(in.code), int64_t{in.d},
+                            int64_t{in.a}, int64_t{in.b}, int64_t{in.c}})
+      num(v);
+  }
+  out += "\nregisters";
+  num(p.num_scalars);
+  out += ':';
+  for (const int64_t v : p.registers) num(v);
+  out += "\nparams:";
+  for (const auto& [name, r] : p.params) {
+    out += ' ' + name;
+    num(r);
+  }
+  out += "\narrays";
+  num(p.memory_size);
+  out += ':';
+  for (const Program::Array& a : p.arrays) {
+    out += ' ' + a.name;
+    num(a.offset);
+    num(a.size);
+    num(a.is_input);
+  }
+  out += "\noutputs:";
+  for (size_t i = 0; i < p.layout.outputs.size(); ++i) {
+    out += ' ' + p.layout.outputs[i];
+    num(p.output_registers[i]);
+  }
+  out += "\nlayout";
+  num(static_cast<int64_t>(p.layout.size));
+  out += "\nbranches:";
+  for (const int id : p.branch_ids) num(id);
+  out += "\nerrors:";
+  for (const std::string& e : p.errors) out += "\n  " + e;
+  return out + "\n";
+}
 
 Observation Interpreter::run(const Stimulus& in, RunStats* stats) const {
   Observation obs;
@@ -796,3 +1159,5 @@ bool Interpreter::run_trace(
 }
 
 }  // namespace fact::sim
+
+template class fact::ir::StatementIndex<fact::sim::FragmentUnit>;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "ir/function.hpp"
+#include "ir/statement_index.hpp"
 
 namespace fact::sim {
 
@@ -71,6 +72,13 @@ struct RunStats {
 /// A "typical input trace": one Stimulus per execution of the behavior.
 using Trace = std::vector<Stimulus>;
 
+struct FragmentUnit;  // the fragments of one compile; defined in interp.cpp
+
+/// The fragments of one compile of a behavior, found by statement pointer:
+/// what compiling a variant of the behavior reuses (see Interpreter and
+/// ir::StatementIndex). Made by statement_code().
+using StatementCode = ir::StatementIndex<FragmentUnit>;
+
 /// Reference interpreter for the behavior IR.
 ///
 /// Semantics notes:
@@ -102,8 +110,25 @@ using Trace = std::vector<Stimulus>;
 /// (none of them but the last can abort, so the step count and the order
 /// of errors are those of one check per statement). Arrays live in one flat
 /// memory, one segment per array. Per-stimulus execution never touches a
-/// string. The optimizer interprets each candidate over a whole trace (one
-/// pass that both checks equivalence and profiles, see
+/// string.
+///
+/// Compiling is two steps. Each statement, at every nesting level, first
+/// compiles on its own into a relocatable fragment: its code, with the
+/// names and constants it reads numbered in the order it first sees them,
+/// its temporaries, its jumps relative to itself, its branch counters'
+/// statement ids and its error messages; a compound statement's fragment
+/// refers to its children's. A link then replays the fragments in program
+/// order: it gives scalars and constants their registers in the order the
+/// whole program first sees them, numbers the branch counters and errors,
+/// and merges each statement's step into the open run, so the program is
+/// the one a compile of the whole function in one walk would give. A
+/// fragment depends only on its statement and the array declarations.
+/// Compiling a variant against its parent's StatementCode therefore reuses
+/// the fragment of every statement the variant shares with the parent by
+/// pointer, and compiles only the rest.
+///
+/// The optimizer interprets each candidate over a whole trace (one pass
+/// that both checks equivalence and profiles, see
 /// sim::profile_if_equivalent). run_trace() runs such a pass in groups of
 /// executions in lockstep, one instruction dispatch serving every
 /// execution of a group while they all take the same branches; where they
@@ -112,11 +137,17 @@ using Trace = std::vector<Stimulus>;
 /// execution order, from per-thread buffers reused across passes, and the
 /// pass has the results of running the stimuli one at a time. The
 /// compiled program snapshots the function: the Function need not outlive
-/// the Interpreter. Construction throws fact::Error if the arrays hold more
-/// than 2^31 - 1 cells in all.
+/// the Interpreter. Construction throws fact::Error if the arrays hold
+/// more than 2^31 - 1 cells in all.
 class Interpreter {
  public:
-  explicit Interpreter(const ir::Function& fn);
+  /// Compiles `fn`. With a `parent`, built from the compile of a function
+  /// `fn` derives from, each statement of `fn` that the parent's function
+  /// also holds reuses the parent's fragment, provided both functions
+  /// declare the same parameters, arrays and outputs; otherwise every
+  /// statement compiles. The program is the same either way.
+  explicit Interpreter(const ir::Function& fn,
+                       const StatementCode* parent = nullptr);
 
   /// Step limit of one execution (not of a whole trace).
   void set_max_steps(uint64_t n) { max_steps_ = n; }
@@ -135,19 +166,41 @@ class Interpreter {
   /// false, as soon as `visit` does. Each execution has the same result as
   /// run() on that stimulus, and the pass aborts just where running the
   /// stimuli one by one would: with the error of its first aborting
-  /// execution, once `visit` has accepted every earlier one. Only a pass that runs the whole trace adds its branch
-  /// statistics and steps to `stats` (if non-null); an early stop or an
-  /// abort leaves `stats` untouched.
+  /// execution, once `visit` has accepted every earlier one. Only a pass
+  /// that runs the whole trace adds its branch statistics and steps to
+  /// `stats` (if non-null); an early stop or an abort leaves `stats`
+  /// untouched.
   bool run_trace(
       std::span<const Stimulus> trace, RunStats* stats,
       const std::function<bool(size_t, std::span<const int64_t>)>& visit)
       const;
 
+  /// The compiled program as text, one line per instruction, then its
+  /// register file, observation layout, branch counters' statement ids
+  /// and error messages. Two compiles are the same program exactly when
+  /// their listings are equal (the tests compare them).
+  std::string listing() const;
+
+  /// Statements this compile compiled; it reused the parent's fragments
+  /// of the others.
+  size_t compiled_statements() const { return compiled_; }
+
   struct Program;  // compiled form; defined in interp.cpp
 
  private:
   std::shared_ptr<const Program> prog_;
+  size_t compiled_ = 0;
   uint64_t max_steps_ = 10'000'000;
 };
 
+/// The fragments of `fn`, compiled as Interpreter(fn, parent) compiles
+/// them, kept and indexed by statement: what compiling variants of `fn`
+/// reuses. An Interpreter keeps no fragments (it compiles them into
+/// storage its thread reuses), so a behavior whose variants are compiled
+/// pays for this once.
+StatementCode statement_code(const ir::Function& fn,
+                             const StatementCode* parent = nullptr);
+
 }  // namespace fact::sim
+
+extern template class fact::ir::StatementIndex<fact::sim::FragmentUnit>;

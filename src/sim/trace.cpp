@@ -192,7 +192,12 @@ Observations reference_observations(const ir::Function& fn, const Trace& trace,
 std::optional<Profile> profile_if_equivalent(const ir::Function& fn,
                                              const Trace& trace,
                                              const Observations& reference) {
-  const Interpreter interp(fn);
+  return profile_if_equivalent(Interpreter(fn), trace, reference);
+}
+
+std::optional<Profile> profile_if_equivalent(const Interpreter& interp,
+                                             const Trace& trace,
+                                             const Observations& reference) {
   Profile profile;
   if (!simulate_trace(interp, trace, &profile, comparer(interp, reference)))
     return std::nullopt;

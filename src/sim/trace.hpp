@@ -101,5 +101,9 @@ Observations reference_observations(const ir::Function& fn, const Trace& trace,
 std::optional<Profile> profile_if_equivalent(const ir::Function& fn,
                                              const Trace& trace,
                                              const Observations& reference);
+/// The same, with the behavior already compiled.
+std::optional<Profile> profile_if_equivalent(const Interpreter& interp,
+                                             const Trace& trace,
+                                             const Observations& reference);
 
 }  // namespace fact::sim

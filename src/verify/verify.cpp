@@ -1,11 +1,17 @@
 #include "verify/verify.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
 #include <map>
+#include <optional>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "util/intern_table.hpp"
+#include "util/pointer_map.hpp"
 #include "util/strfmt.hpp"
 
 namespace fact::verify {
@@ -56,12 +62,31 @@ void check_or_throw(const Report& r) {
 
 namespace {
 
-/// The declared array names, in declaration order. Programs declare a
-/// handful, so a linear scan serves.
-using ArrayNames = std::vector<std::string_view>;
+/// The declared array names, in declaration order, behind a one-word
+/// filter of their lengths and first letters that most scalar names fail.
+/// Programs declare a handful, so a linear scan serves the rest.
+struct ArrayNames {
+  std::vector<std::string_view> names;
+  uint64_t filter = 0;
+
+  static uint64_t bit(std::string_view n) {
+    const unsigned first = n.empty() ? 0 : static_cast<unsigned char>(n[0]);
+    return uint64_t{1} << ((first * 7 + n.size()) % 64);
+  }
+  void clear() {
+    names.clear();
+    filter = 0;
+  }
+  void push_back(std::string_view n) {
+    names.push_back(n);
+    filter |= bit(n);
+  }
+};
 
 bool is_array(const ArrayNames& arrays, std::string_view name) {
-  return std::find(arrays.begin(), arrays.end(), name) != arrays.end();
+  return (arrays.filter & ArrayNames::bit(name)) &&
+         std::find(arrays.names.begin(), arrays.names.end(), name) !=
+             arrays.names.end();
 }
 
 /// Preorder over the statements Function::for_each visits: `s`, then each
@@ -92,10 +117,20 @@ bool has_unwalked_list(const ir::Stmt& s) {
   }
 }
 
+/// Calls `read` on the name of every Var node of `e`.
+template <typename F>
+void for_each_read(const ir::ExprPtr& e, F& read) {
+  if (!e) return;
+  if (e->op() == ir::Op::Var) read(e->name());
+  for (const auto& a : e->args()) for_each_read(a, read);
+}
+
 /// Checks one expression tree: non-null nodes/args, op arity, named leaves,
-/// and the scalar/array namespace split.
+/// and the scalar/array namespace split. Calls `read` on the name of every
+/// Var node, as for_each_read does.
+template <typename F>
 void check_expr(Report& r, const ir::ExprPtr& e, int stmt_id,
-                const ArrayNames& arrays) {
+                const ArrayNames& arrays, F& read) {
   if (!e) {
     add(r, "ir.expr-null", strfmt("statement %d holds a null expression", stmt_id));
     return;
@@ -105,6 +140,7 @@ void check_expr(Report& r, const ir::ExprPtr& e, int stmt_id,
       add(r, "ir.expr-null",
           strfmt("statement %d: '%s' node has a null operand", stmt_id,
                  ir::op_token(e->op())));
+      for_each_read(e, read);
       return;  // cannot recurse safely
     }
   }
@@ -115,6 +151,7 @@ void check_expr(Report& r, const ir::ExprPtr& e, int stmt_id,
                stmt_id, ir::op_token(e->op()), e->num_args(), want));
   switch (e->op()) {
     case ir::Op::Var:
+      read(e->name());
       if (e->name().empty())
         add(r, "ir.expr-name", strfmt("statement %d: unnamed Var node", stmt_id));
       else if (is_array(arrays, e->name()))
@@ -134,7 +171,7 @@ void check_expr(Report& r, const ir::ExprPtr& e, int stmt_id,
     default:
       break;
   }
-  for (const auto& a : e->args()) check_expr(r, a, stmt_id, arrays);
+  for (const auto& a : e->args()) check_expr(r, a, stmt_id, arrays, read);
 }
 
 /// Statement shape: per kind, the right slots must be present and the
@@ -197,24 +234,36 @@ void check_stmt_shape(Report& r, const ir::Stmt& s, const ArrayNames& arrays) {
   }
 }
 
-/// Statement ids seen so far: one flag per id below kFlagged, a set for
-/// the rest (only a corrupted function carries ids that large).
+/// Statement ids seen so far in one check: a stamp per id below kFlagged,
+/// kept from check to check (an id is seen when its stamp is the check's),
+/// and a set for the rest (only a corrupted function carries ids that
+/// large).
 class IdSet {
  public:
+  /// Forgets every id.
+  void clear() {
+    if (++stamp_ == 0) {  // wrapped: no old stamp may match
+      std::fill(stamps_.begin(), stamps_.end(), 0);
+      stamp_ = 1;
+    }
+    rest_.clear();
+  }
+
   /// False when `id` (>= 0) was inserted before.
   bool insert(int id) {
     if (id >= kFlagged) return rest_.insert(id).second;
     const size_t i = static_cast<size_t>(id);
-    if (i >= flags_.size())
-      flags_.resize(std::max({i + 1, 2 * flags_.size(), size_t{256}}));
-    if (flags_[i]) return false;
-    flags_[i] = 1;
+    if (i >= stamps_.size())
+      stamps_.resize(std::max({i + 1, 2 * stamps_.size(), size_t{256}}), 0);
+    if (stamps_[i] == stamp_) return false;
+    stamps_[i] = stamp_;
     return true;
   }
 
  private:
   static constexpr int kFlagged = 1 << 20;
-  std::vector<char> flags_;
+  std::vector<uint32_t> stamps_;
+  uint32_t stamp_ = 0;
   std::set<int> rest_;
 };
 
@@ -238,134 +287,304 @@ std::vector<int> sorted_ids(const std::vector<ir::StmtPtr>& list) {
   return ids;
 }
 
-/// Must-define forward analysis over interned scalar names: walks a
-/// statement list with the flags of the names surely defined on entry and
-/// flags every read outside them. Names are views into the function, which
-/// outlives the analysis.
-class MustDefine {
- public:
-  /// Flags per name id; ids past the end are not defined.
-  using Defined = std::vector<char>;
+}  // namespace
 
-  explicit MustDefine(const ir::Function& fn) {
-    names_.reserve(32);
-    Defined defined;
-    for (const auto& p : fn.params()) define(defined, intern(p));
-    if (fn.body()) walk(fn.body()->stmts, defined);
+/// The results of one FunctionChecks, per statement, in flat arrays (an
+/// ir::StatementIndex unit). A record's children are references, into this
+/// unit or into an ancestor's, which `base` keeps alive (the parent's
+/// unit, whose own base is the grandparent's, and so on). Records name
+/// scalars by their numbers in `names`, which extends the parent unit's
+/// table, so a number means the same in every unit of the chain.
+struct CheckUnit {
+  using Ref = ir::UnitRef<CheckUnit>;
+  using Range = ir::UnitRange;
+  /// One statement's results. Its must-define summary, as sets of scalars
+  /// (one bit per number, in `words`): `reads` are those it reads on some
+  /// path before it defines them itself, `defs` those it defines on every
+  /// path. A scalar read in it is undefined exactly when it is in `reads`
+  /// and not defined on entry, and the scalars defined on exit are those
+  /// on entry plus `defs`.
+  struct Record {
+    const ir::Stmt* stmt = nullptr;
+    Range issues;  // its own shape and expression issues, in report order
+    Range reads, defs;
+    Range kids;  // the non-null statements of the lists its kind walks
+    uint32_t then_kids = 0;  // of kids, an If's then list
+    bool unwalked = false;   // has_unwalked_list
+  };
+
+  static std::span<const uint64_t> words_of(Ref r, Range Record::*set) {
+    const Range& g = (*r).*set;
+    return {r.unit->words.data() + g.begin, g.size};
   }
 
-  /// The names read before any definition, sorted.
-  std::vector<std::string_view> undefined() const {
-    std::vector<std::string_view> out;
-    for (const Name& n : names_)
-      if (n.undefined) out.push_back(n.text);
-    std::sort(out.begin(), out.end());
-    return out;
+  /// The records of the body's statements.
+  std::span<const Ref> top() const {
+    if (!body) return {};
+    const Range k = (**body).kids;
+    return {kids.data() + k.begin, k.size};
+  }
+
+  std::vector<Record> records;
+  std::vector<Issue> issues;
+  std::vector<uint64_t> words;
+  std::vector<Ref> kids;
+  std::optional<Ref> body;
+  InternTable<std::string> names;  // the scalars
+  std::shared_ptr<const CheckUnit> base;
+};
+
+namespace {
+
+using Unit = CheckUnit;
+
+/// A set of scalars, one bit per number; words past the end are zero.
+using Bits = std::vector<uint64_t>;
+
+void set_bit(Bits& b, int32_t id) {
+  const size_t w = static_cast<size_t>(id) / 64;
+  if (w >= b.size()) b.resize(w + 1, 0);
+  b[w] |= uint64_t{1} << (id % 64);
+}
+
+/// Storage a check reuses from one function to the next on a thread.
+struct Scratch {
+  Unit unit;  // the records of the check under way
+  ArrayNames arrays;
+  IdSet ids;
+  std::vector<int32_t> own;  // the scalars a statement reads itself
+  Bits reads, defs, other_reads, other_defs;
+  std::vector<Unit::Ref> kids, top;
+  std::vector<std::string_view> undefined;
+};
+Scratch& scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
+/// Checks statements into the records of one Unit, reusing the parent's
+/// record of every statement the parent holds, and reports in one
+/// preorder walk what verify_function reports of them: each statement's
+/// id issue, then its own issues (fresh or the reused record's).
+class Checker {
+ public:
+  Checker(Unit& unit, const ArrayNames& arrays,
+          const PointerMap<Unit::Ref>* parent, Report& out)
+      : u_(unit), arrays_(arrays), parent_(parent), out_(out), sc_(scratch()) {
+    sc_.ids.clear();
+  }
+
+  /// The record of `s`: the parent's, or a new one. Reports the subtree
+  /// unless reporting is off.
+  Unit::Ref get(const ir::Stmt& s) {
+    if (parent_)
+      if (const Unit::Ref* r = parent_->find(&s)) {
+        if (reporting_) report(*r);
+        return *r;
+      }
+    return check(s);
+  }
+
+  /// Stops reporting: get() then only finds or makes records.
+  void stop_reporting() { reporting_ = false; }
+
+  /// Whether the guard-exclusion check can fire: some id reported was
+  /// unassigned or repeated, or some statement holds a child list its kind
+  /// does not walk.
+  bool guard_possible() const { return guard_possible_; }
+
+  /// The must-define summary of `kids` run in order: `reads` are the
+  /// scalars some statement reads before the ones before it define them,
+  /// `defs` the scalars they define on every path.
+  static void compose(std::span<const Unit::Ref> kids, Bits& reads,
+                      Bits& defs) {
+    reads.clear();
+    defs.clear();
+    for (const Unit::Ref k : kids) {
+      const auto kr = Unit::words_of(k, &Unit::Record::reads);
+      const auto kd = Unit::words_of(k, &Unit::Record::defs);
+      if (reads.size() < kr.size()) reads.resize(kr.size(), 0);
+      for (size_t i = 0; i < kr.size(); ++i)
+        reads[i] |= kr[i] & ~(i < defs.size() ? defs[i] : 0);
+      if (defs.size() < kd.size()) defs.resize(kd.size(), 0);
+      for (size_t i = 0; i < kd.size(); ++i) defs[i] |= kd[i];
+    }
   }
 
  private:
-  struct Name {
-    std::string_view text;
-    bool undefined = false;
-  };
-
-  /// The slot of `name` in the open-addressing table of name ids (-1 =
-  /// empty), or the empty slot where it belongs.
-  size_t slot(std::string_view name) const {
-    const size_t mask = slots_.size() - 1;
-    size_t i = std::hash<std::string_view>{}(name) & mask;
-    while (slots_[i] >= 0 && names_[static_cast<size_t>(slots_[i])].text != name)
-      i = (i + 1) & mask;
-    return i;
-  }
-
-  /// The dense id of `name`; the table is kept at most half full.
-  int intern(std::string_view name) {
-    const size_t i = slot(name);
-    if (slots_[i] >= 0) return slots_[i];
-    const int id = static_cast<int>(names_.size());
-    slots_[i] = id;
-    names_.push_back(Name{name});
-    if (2 * names_.size() > slots_.size()) {
-      slots_.assign(2 * slots_.size(), -1);
-      for (size_t k = 0; k < names_.size(); ++k)
-        slots_[slot(names_[k].text)] = static_cast<int>(k);
+  /// Reports `s`'s id, and notes whether its lists make the guard check
+  /// possible.
+  void report_id(const ir::Stmt& s, bool unwalked) {
+    if (s.id < 0) {
+      add(out_, "ir.stmt-id-assigned",
+          "a statement has no id (renumber/assign_fresh_ids missed it)");
+      guard_possible_ = true;
+    } else if (!sc_.ids.insert(s.id)) {
+      add(out_, "ir.stmt-id-unique",
+          strfmt("statement id %d appears twice", s.id));
+      guard_possible_ = true;
     }
-    return id;
+    if (unwalked) guard_possible_ = true;
   }
 
-  static void define(Defined& d, int id) {
-    const size_t i = static_cast<size_t>(id);
-    if (i >= d.size()) d.resize(i + 1, 0);
-    d[i] = 1;
-  }
-
-  void reads(const ir::ExprPtr& e, const Defined& d) {
-    if (!e) return;
-    if (e->op() == ir::Op::Var) {
-      const size_t i = static_cast<size_t>(intern(e->name()));
-      if (i >= d.size() || !d[i]) names_[i].undefined = true;
+  /// Reports the statements of the reused record `ref`'s subtree.
+  void report(Unit::Ref ref) {
+    const Unit::Record& rec = *ref;
+    report_id(*rec.stmt, rec.unwalked);
+    if (rec.issues.size) {
+      const auto first = ref.unit->issues.begin() + rec.issues.begin;
+      out_.issues.insert(out_.issues.end(), first, first + rec.issues.size);
     }
-    for (const auto& a : e->args()) reads(a, d);
+    for (uint32_t k = 0; k < rec.kids.size; ++k)
+      report(ref.unit->kids[rec.kids.begin + k]);
   }
 
-  void walk(const std::vector<ir::StmtPtr>& list, Defined& defined) {
-    for (const auto& s : list) {
-      if (!s) continue;
-      switch (s->kind) {
-        case ir::StmtKind::Assign:
-          reads(s->value, defined);
-          define(defined, intern(s->target));
-          break;
-        case ir::StmtKind::Store:
-          reads(s->index, defined);
-          reads(s->value, defined);
-          break;
-        case ir::StmtKind::If: {
-          reads(s->cond, defined);
-          // Defined after the If: defined on exit from both branches.
-          Defined then_def = defined;
-          walk(s->then_stmts, then_def);
-          walk(s->else_stmts, defined);
-          if (defined.size() > then_def.size()) defined.resize(then_def.size());
-          for (size_t i = 0; i < defined.size(); ++i) defined[i] &= then_def[i];
-          break;
-        }
-        case ir::StmtKind::While: {
-          reads(s->cond, defined);
-          // The body may execute zero times: defs inside do not reach the
-          // code after the loop, but they do reach later body statements.
-          Defined body_def = defined;
-          walk(s->then_stmts, body_def);
-          break;
-        }
-        case ir::StmtKind::Block:
-          walk(s->stmts, defined);
-          break;
+  /// Checks `s`: itself, then its children, then its summary.
+  Unit::Ref check(const ir::Stmt& s) {
+    Unit::Record r;
+    r.stmt = &s;
+    r.unwalked = has_unwalked_list(s);
+    if (reporting_) report_id(s, r.unwalked);
+
+    // The shape and expression checks, which also collect the scalars the
+    // slots that the must-define walk reads read: an Assign's value, a
+    // Store's index and value, an If's or While's condition.
+    Report own;
+    check_stmt_shape(own, s, arrays_);
+    std::vector<int32_t>& own_reads = sc_.own;
+    const size_t own_mark = own_reads.size();
+    const auto read = [&](std::string_view name) {
+      own_reads.push_back(u_.names.intern(name));
+    };
+    const auto ignore = [](std::string_view) {};
+    s.for_each_expr_slot([&](const ir::ExprPtr& e) {
+      const bool counts =
+          s.kind == ir::StmtKind::Assign ? &e == &s.value
+          : s.kind == ir::StmtKind::Store ? &e != &s.cond
+                                          : &e == &s.cond;
+      if (counts && s.kind != ir::StmtKind::Block)
+        check_expr(own, e, s.id, arrays_, read);
+      else
+        check_expr(own, e, s.id, arrays_, ignore);
+    });
+    r.issues = {static_cast<uint32_t>(u_.issues.size()),
+                static_cast<uint32_t>(own.issues.size())};
+    if (reporting_)
+      out_.issues.insert(out_.issues.end(), own.issues.begin(),
+                         own.issues.end());
+    std::move(own.issues.begin(), own.issues.end(),
+              std::back_inserter(u_.issues));
+
+    r.kids = ir::add_kids(
+        u_, s, sc_.kids, [&](const ir::Stmt& c) { return get(c); },
+        &r.then_kids);
+    summarize(s, r, std::span<const int32_t>(own_reads).subspan(own_mark));
+    own_reads.resize(own_mark);
+    u_.records.push_back(r);
+    return {&u_, static_cast<uint32_t>(u_.records.size() - 1)};
+  }
+
+  /// Fills in the must-define summary of `s`, whose kids are checked and
+  /// whose own reads are `own`.
+  void summarize(const ir::Stmt& s, Unit::Record& r,
+                 std::span<const int32_t> own) {
+    switch (s.kind) {
+      case ir::StmtKind::Assign: {
+        r.reads = put(own);
+        const int32_t target = u_.names.intern(s.target);
+        r.defs = put({&target, 1});
+        return;
       }
+      case ir::StmtKind::Store:
+        r.reads = put(own);
+        r.defs = {};
+        return;
+      default:
+        break;
     }
+    Scratch& sc = sc_;
+    Bits& reads = sc.reads;
+    Bits& defs = sc.defs;
+    const std::span<const Unit::Ref> kids(u_.kids.data() + r.kids.begin,
+                                          r.kids.size);
+    switch (s.kind) {
+      case ir::StmtKind::If: {
+        // Defined after the If: defined on exit from both branches.
+        compose(kids.first(r.then_kids), sc.other_reads, sc.other_defs);
+        compose(kids.subspan(r.then_kids), reads, defs);
+        defs.resize(std::min(defs.size(), sc.other_defs.size()));
+        for (size_t i = 0; i < defs.size(); ++i) defs[i] &= sc.other_defs[i];
+        unite(reads, sc.other_reads);
+        for (const int32_t id : own) set_bit(reads, id);
+        break;
+      }
+      case ir::StmtKind::While:
+        // The body may execute zero times: defs inside do not reach the
+        // code after the loop, but they do reach later body statements.
+        compose(kids, reads, sc.other_defs);
+        for (const int32_t id : own) set_bit(reads, id);
+        defs.clear();
+        break;
+      default:  // Block
+        compose(kids, reads, defs);
+        break;
+    }
+    r.reads = {static_cast<uint32_t>(u_.words.size()),
+               static_cast<uint32_t>(reads.size())};
+    u_.words.insert(u_.words.end(), reads.begin(), reads.end());
+    r.defs = {static_cast<uint32_t>(u_.words.size()),
+              static_cast<uint32_t>(defs.size())};
+    u_.words.insert(u_.words.end(), defs.begin(), defs.end());
   }
 
-  std::vector<int> slots_ = std::vector<int>(64, -1);
-  std::vector<Name> names_;
+  /// Appends the set of scalars `ids` to the unit's words.
+  Unit::Range put(std::span<const int32_t> ids) {
+    int32_t top = -1;
+    for (const int32_t id : ids) top = std::max(top, id);
+    const Unit::Range set{static_cast<uint32_t>(u_.words.size()),
+                          top < 0 ? 0 : static_cast<uint32_t>(top / 64 + 1)};
+    for (uint32_t w = 0; w < set.size; ++w) {
+      uint64_t word = 0;
+      for (const int32_t id : ids)
+        if (static_cast<uint32_t>(id) / 64 == w) word |= uint64_t{1} << (id % 64);
+      u_.words.push_back(word);
+    }
+    return set;
+  }
+
+  /// a = a ∪ b.
+  static void unite(Bits& a, const Bits& b) {
+    if (a.size() < b.size()) a.resize(b.size(), 0);
+    for (size_t i = 0; i < b.size(); ++i) a[i] |= b[i];
+  }
+
+  Unit& u_;
+  const ArrayNames& arrays_;
+  const PointerMap<Unit::Ref>* parent_;
+  Report& out_;
+  Scratch& sc_;  // kids and own: pending per open record
+  bool reporting_ = true;
+  bool guard_possible_ = false;
 };
 
 }  // namespace
 
-std::set<std::string> undefined_reads(const ir::Function& fn) {
-  std::set<std::string> out;
-  for (std::string_view v : MustDefine(fn).undefined()) out.emplace(v);
-  return out;
-}
-
-Report verify_function(const ir::Function& fn, Level level,
-                       const std::set<std::string>* undef_allowed) {
+FunctionChecks::FunctionChecks(const ir::Function& fn,
+                               const StatementChecks* parent) {
+  const PointerMap<Unit::Ref>* reuse =
+      parent ? parent->reusable_for(fn) : nullptr;
+  Unit& unit = scratch().unit;
+  unit.records.clear();
+  unit.issues.clear();
+  unit.words.clear();
+  unit.kids.clear();
+  unit.body.reset();
+  unit.names.reset(reuse ? &parent->unit()->names : nullptr);
   Report r;
-  if (level == Level::Off) return r;
 
   // Declarations.
-  ArrayNames arrays;
-  arrays.reserve(fn.arrays().size());
+  ArrayNames& arrays = scratch().arrays;
+  arrays.clear();
   for (const auto& a : fn.arrays()) {
     if (a.size == 0)
       add(r, "ir.arrays", strfmt("array '%s' has size 0", a.name.c_str()));
@@ -391,32 +610,17 @@ Report verify_function(const ir::Function& fn, Level level,
 
   if (!fn.body()) {
     add(r, "ir.shape", "function has no body");
-    return r;
+    issues_ = std::move(r.issues);
+    return;
   }
   if (fn.body()->kind != ir::StmtKind::Block)
     add(r, "ir.shape", "function body is not a Block");
 
-  // Statement ids, shape, and expression well-formedness, in one preorder
-  // walk. `guard_possible` records whether the guard-exclusion check below
-  // can fire: only when some id is unassigned or repeats, or when a
-  // statement holds a child list the walk skips.
-  IdSet seen_ids;
-  bool guard_possible = false;
-  auto check_stmt = [&](const ir::Stmt& s) {
-    if (s.id < 0) {
-      add(r, "ir.stmt-id-assigned",
-          "a statement has no id (renumber/assign_fresh_ids missed it)");
-      guard_possible = true;
-    } else if (!seen_ids.insert(s.id)) {
-      add(r, "ir.stmt-id-unique", strfmt("statement id %d appears twice", s.id));
-      guard_possible = true;
-    }
-    if (has_unwalked_list(s)) guard_possible = true;
-    check_stmt_shape(r, s, arrays);
-    s.for_each_expr_slot(
-        [&](const ir::ExprPtr& e) { check_expr(r, e, s.id, arrays); });
-  };
-  preorder(*fn.body(), check_stmt);
+  // Statement ids, shape and expressions, in one preorder walk that also
+  // makes the records.
+  Checker checker(unit, arrays, reuse, r);
+  const Unit::Ref body = checker.get(*fn.body());
+  unit.body = body;
 
   // Guard exclusion: an If's branches must cover disjoint id sets. A
   // statement id reachable under both polarities of one guard breaks the
@@ -424,7 +628,7 @@ Report verify_function(const ir::Function& fn, Level level,
   // profile keys ambiguous. When every id above was assigned and distinct
   // and no skipped list exists, the branches' ids are disjoint and the
   // walk is skipped.
-  if (guard_possible) {
+  if (checker.guard_possible()) {
     auto check_guard = [&](const ir::Stmt& s) {
       if (s.kind != ir::StmtKind::If) return;
       const std::vector<int> then_ids = sorted_ids(s.then_stmts);
@@ -437,19 +641,76 @@ Report verify_function(const ir::Function& fn, Level level,
     };
     preorder(*fn.body(), check_guard);
   }
+  issues_ = std::move(r.issues);
 
-  // Differential def-before-use.
+  // Must-define over the body's statements, with the parameters defined
+  // on entry.
+  std::span<const uint64_t> reads = Unit::words_of(body, &Unit::Record::reads);
+  if (fn.body()->kind != ir::StmtKind::Block) {
+    Scratch& sc = scratch();
+    sc.top.clear();
+    checker.stop_reporting();
+    for (const auto& s : fn.body()->stmts)
+      if (s) sc.top.push_back(checker.get(*s));
+    Checker::compose(sc.top, sc.reads, sc.defs);
+    reads = sc.reads;
+  }
+  std::vector<std::string_view>& undefined = scratch().undefined;
+  undefined.clear();
+  for (size_t w = 0; w < reads.size(); ++w)
+    for (uint64_t bits = reads[w]; bits; bits &= bits - 1) {
+      const std::string& v =
+          unit.names[static_cast<int32_t>(w * 64) + std::countr_zero(bits)];
+      if (std::find(params.begin(), params.end(), v) == params.end())
+        undefined.push_back(v);
+    }
+  std::sort(undefined.begin(), undefined.end());
+  undefined_.assign(undefined.begin(), undefined.end());
+  checked_ = unit.records.size();
+}
+
+Report FunctionChecks::report(
+    const std::set<std::string>* undef_allowed) const {
+  Report r;
+  r.issues = issues_;
   if (undef_allowed) {
-    for (std::string_view v : MustDefine(fn).undefined()) {
-      std::string name(v);
+    for (const std::string& name : undefined_)
       if (!undef_allowed->count(name))
         add(r, "ir.def-before-use",
             strfmt("transform introduced read-before-def of '%s'",
                    name.c_str()));
-    }
   }
-
   return r;
+}
+
+std::set<std::string> FunctionChecks::undefined_reads() const {
+  return {undefined_.begin(), undefined_.end()};
+}
+
+StatementChecks statement_checks(const ir::Function& fn,
+                                 const StatementChecks* parent) {
+  const FunctionChecks checked(fn, parent);
+  const Unit& scratch_unit = scratch().unit;
+  // A copy that owns its records, exactly sized, with the scratch unit's
+  // references to itself redirected to the copy.
+  auto unit = std::make_shared<Unit>(scratch_unit);
+  unit->names = scratch_unit.names.flattened();
+  for (Unit::Ref& r : unit->kids)
+    if (r.unit == &scratch_unit) r.unit = unit.get();
+  if (unit->body && unit->body->unit == &scratch_unit)
+    unit->body->unit = unit.get();
+  if (parent && parent->reusable_for(fn)) unit->base = parent->unit();
+  return StatementChecks(fn, std::move(unit));
+}
+
+std::set<std::string> undefined_reads(const ir::Function& fn) {
+  return FunctionChecks(fn).undefined_reads();
+}
+
+Report verify_function(const ir::Function& fn, Level level,
+                       const std::set<std::string>* undef_allowed) {
+  if (level == Level::Off) return {};
+  return FunctionChecks(fn).report(undef_allowed);
 }
 
 // ---------------------------------------------------------------------------
@@ -585,3 +846,5 @@ Report verify_schedule(const ir::Function& fn, const stg::Stg& stg,
 }
 
 }  // namespace fact::verify
+
+template class fact::ir::StatementIndex<fact::verify::CheckUnit>;

@@ -1,11 +1,13 @@
 #pragma once
 
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "hlslib/library.hpp"
 #include "ir/function.hpp"
+#include "ir/statement_index.hpp"
 #include "stg/stg.hpp"
 #include "util/error.hpp"
 
@@ -78,6 +80,53 @@ std::set<std::string> undefined_reads(const ir::Function& fn);
 Report verify_function(const ir::Function& fn, Level level = Level::Full,
                        const std::set<std::string>* undef_allowed = nullptr);
 
+struct CheckUnit;  // the statements' results; defined in verify.cpp
+
+/// The statements' results of one FunctionChecks, found by statement
+/// pointer: what checking a variant reuses (see FunctionChecks and
+/// ir::StatementIndex). Made by statement_checks().
+using StatementChecks = ir::StatementIndex<CheckUnit>;
+
+/// The checks of verify_function on one behavior, made per statement:
+/// each statement's shape and expression issues and a must-define summary
+/// (the scalars it reads before defining them, the ones it defines on
+/// every path). The summaries compose into the function's undefined reads
+/// as the must-define walk would, so checking a variant against its
+/// parent's StatementChecks redoes only the statements it does not share
+/// with the parent by pointer. The walk for id uniqueness and issue order
+/// still visits every statement.
+class FunctionChecks {
+ public:
+  /// Checks `fn`. With a `parent`, built from the checks of a function
+  /// `fn` derives from, each statement the parent's function also holds
+  /// reuses the parent's results, provided both functions declare the same
+  /// parameters, arrays and outputs; otherwise every statement is checked.
+  /// The results are the same either way.
+  explicit FunctionChecks(const ir::Function& fn,
+                          const StatementChecks* parent = nullptr);
+
+  /// verify_function(fn, level, undef_allowed) at level Fast or Full.
+  Report report(const std::set<std::string>* undef_allowed) const;
+  /// undefined_reads(fn).
+  std::set<std::string> undefined_reads() const;
+
+  /// Statements these checks checked; they reused the parent's results
+  /// for the others.
+  size_t checked_statements() const { return checked_; }
+
+ private:
+  size_t checked_ = 0;
+  std::vector<Issue> issues_;  // all but ir.def-before-use, in report order
+  std::vector<std::string> undefined_;  // sorted
+};
+
+/// The statements' results of FunctionChecks(fn, parent), kept and indexed
+/// by statement: what checking variants of `fn` reuses. A FunctionChecks
+/// keeps no records (it makes them in storage its thread reuses), so a
+/// behavior whose variants are checked pays for this once.
+StatementChecks statement_checks(const ir::Function& fn,
+                                 const StatementChecks* parent = nullptr);
+
 /// Every issue of the STG's structure (stg::structure_issues, the checks
 /// of Stg::validate: stg.empty, stg.entry, stg.edges, stg.prob,
 /// stg.boundary, stg.reachable), then stg.deterministic: a state with more
@@ -108,3 +157,5 @@ Report verify_schedule(const ir::Function& fn, const stg::Stg& stg,
                        Level level = Level::Full);
 
 }  // namespace fact::verify
+
+extern template class fact::ir::StatementIndex<fact::verify::CheckUnit>;

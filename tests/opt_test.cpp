@@ -9,6 +9,7 @@
 #include "opt/baselines.hpp"
 #include "opt/fact.hpp"
 #include "opt/partition.hpp"
+#include "program_gen.hpp"
 #include "test_util.hpp"
 #include "util/parallel.hpp"
 #include "workloads/workloads.hpp"
@@ -282,6 +283,72 @@ TEST(Engine, AblationWinnerFailingItsFinalEvaluationDegrades) {
   EXPECT_TRUE(r.degraded_to_baseline);
   EXPECT_TRUE(r.applied.empty());
   EXPECT_EQ(r.best.str(), fn.str());
+}
+
+/// The standard library, except that every candidate it applies shares no
+/// node with its parent, so the gate compiles and verifies it whole.
+class UnsharedLibrary : public xform::TransformLibrary {
+ public:
+  explicit UnsharedLibrary(const xform::TransformLibrary& inner)
+      : inner_(inner) {}
+  std::vector<xform::Candidate> find_all(
+      const ir::Function& fn, const std::set<int>& region) const override {
+    return inner_.find_all(fn, region);
+  }
+  ir::Function apply(const ir::Function& fn,
+                     const xform::Candidate& c) const override {
+    ir::Function g = inner_.apply(fn, c);
+    g.for_each([](ir::Stmt&) {});  // copies every node shared with fn
+    return g;
+  }
+
+ private:
+  const xform::TransformLibrary& inner_;
+};
+
+TEST(Engine, GateReusingTheParentMatchesAWholeGate) {
+  // The gate compiles and verifies each candidate against its parent's
+  // statements. Over several moves and generations, in both the scheduled
+  // and the schedule-blind search, the run must be the one in which no
+  // candidate shares a statement with its parent.
+  Harness h;
+  const auto xforms = xform::TransformLibrary::standard();
+  const UnsharedLibrary unshared(xforms);
+  std::vector<workloads::Workload> programs;
+  for (const char* name : {"GCD", "SINTRAN", "TEST2"})
+    programs.push_back(workloads::by_name(name));
+  programs.push_back({"GEN1017", "", testgen::random_program(1017), {}, {}});
+  programs.back().trace.executions = 6;
+  for (const workloads::Workload& w : programs) {
+    const ir::Function& fn = w.fn;
+    const std::string& name = w.name;
+    const sim::Trace trace = sim::generate_trace(fn, w.trace, 5);
+    for (const bool scheduled : {true, false}) {
+      EngineOptions opts;
+      opts.max_moves = 3;
+      opts.max_neighbors_eval = 24;
+      opts.reschedule_in_loop = scheduled;
+      opts.validate = verify::Level::Full;
+      opts.jobs = 2;
+      const auto run = [&](const xform::TransformLibrary& lib) {
+        const TransformEngine engine(h.lib, h.alloc, h.sel, h.sched_opts,
+                                     h.power_opts, lib, opts);
+        return engine.optimize(fn, trace, Objective::Throughput, {}, 100.0);
+      };
+      const EngineResult reused = run(xforms);
+      const EngineResult whole = run(unshared);
+      const std::string what =
+          name + (scheduled ? " scheduled" : " schedule-blind");
+      EXPECT_GT(reused.counts.candidates, 20u) << what;
+      EXPECT_EQ(reused.counts, whole.counts) << what;
+      EXPECT_EQ(reused.quarantine_by_class, whole.quarantine_by_class) << what;
+      EXPECT_EQ(reused.applied, whole.applied) << what;
+      EXPECT_EQ(reused.best.str(), whole.best.str()) << what;
+      EXPECT_EQ(reused.telemetry.generations.size(),
+                whole.telemetry.generations.size())
+          << what;
+    }
+  }
 }
 
 // The full determinism contract over every bundled Table 2 workload:

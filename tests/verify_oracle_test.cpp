@@ -6,7 +6,9 @@
 // (check names, details, order) and on the undefined-read set for every
 // candidate of the Table 2 workloads and of generated programs, for the
 // same candidates after each FaultInjector corruption, and for hand-made
-// malformed functions.
+// malformed functions. The same holds for verify::FunctionChecks of each
+// candidate against its parent's StatementChecks, which reuses the
+// parent's results for the statements the candidate shares with it.
 
 #include <gtest/gtest.h>
 
@@ -587,6 +589,192 @@ TEST(VerifyOracle, SharedCandidatesFromFourThreads) {
     EXPECT_EQ(got_undef[t], serial_undef) << "thread " << t;
   }
   EXPECT_GT(jobs.size(), 100u);
+}
+
+// ---- checks against the parent's --------------------------------------------
+
+/// same_as_oracle for FunctionChecks of `f` against `parent`.
+bool same_as_oracle_against(const ir::Function& f,
+                            const StatementChecks& parent,
+                            const std::set<std::string>& allowed,
+                            const std::string& what) {
+  const FunctionChecks checks(f, &parent);
+  EXPECT_EQ(checks.undefined_reads(), oracle::undefined_reads(f)) << what;
+  bool flagged = false;
+  const std::set<std::string>* none = nullptr;
+  for (const std::set<std::string>* a : {none, &allowed}) {
+    const Issues want = issues(oracle::verify_function(f, a));
+    EXPECT_EQ(issues(checks.report(a)), want)
+        << what << " against the parent" << (a ? " (differential)" : "")
+        << "\n" << f.str();
+    flagged = flagged || !want.empty();
+  }
+  return flagged;
+}
+
+TEST(VerifyReuse, EveryCandidateAgainstItsParent) {
+  std::vector<Neighborhood> all = table2_neighborhoods();
+  for (Neighborhood& nb : generated_neighborhoods(true))
+    all.push_back(std::move(nb));
+  size_t n = 0, checked = 0, total = 0;
+  for (const Neighborhood& nb : all) {
+    const StatementChecks parent = statement_checks(nb.fn);
+    for (size_t i = 0; i < nb.candidates.size(); ++i, ++n) {
+      const ir::Function& c = nb.candidates[i];
+      same_as_oracle_against(c, parent, nb.allowed, nb.labels[i]);
+      checked += FunctionChecks(c, &parent).checked_statements();
+      total += c.stmt_count();
+    }
+  }
+  EXPECT_GT(n, 1000u);
+  // Candidates share most of their statements with the parent.
+  EXPECT_LT(checked * 2, total);
+}
+
+TEST(VerifyReuse, SecondLevelCandidates) {
+  // A first-level candidate's checks reuse records it took from the root.
+  for (const Neighborhood& nb : table2_neighborhoods()) {
+    const StatementChecks parent = statement_checks(nb.fn);
+    for (size_t i = 0; i < nb.candidates.size(); ++i) {
+      const ir::Function& c = nb.candidates[i];
+      const StatementChecks first_parent = statement_checks(c, &parent);
+      const Neighborhood next = neighborhood(nb.labels[i], c.clone());
+      for (size_t j = 0; j < next.candidates.size(); ++j)
+        same_as_oracle_against(next.candidates[j], first_parent, nb.allowed,
+                               next.labels[j]);
+    }
+  }
+}
+
+TEST(VerifyReuse, EveryFaultClassAgainstTheParent) {
+  static const xform::TransformLibrary inner =
+      xform::TransformLibrary::standard();
+  std::vector<Neighborhood> all = table2_neighborhoods();
+  for (Neighborhood& nb : generated_neighborhoods(false))
+    all.push_back(std::move(nb));
+  std::vector<StatementChecks> parents;
+  for (const Neighborhood& nb : all)
+    parents.push_back(statement_checks(nb.fn));
+  for (const FaultClass cls : all_fault_classes()) {
+    FaultInjectorOptions fo;
+    fo.rate = 1.0;
+    fo.seed = 7;
+    fo.classes = {cls};
+    const FaultInjector injector(inner, fo);
+    size_t flagged = 0;
+    for (size_t k = 0; k < all.size(); ++k) {
+      const Neighborhood& nb = all[k];
+      for (const xform::Candidate& c : inner.find_all(nb.fn, {})) {
+        ir::Function g;
+        try {
+          g = injector.apply(nb.fn, c);
+        } catch (const std::exception&) {
+          continue;  // ThrowException, or a declined rewrite
+        }
+        if (same_as_oracle_against(g, parents[k], nb.allowed,
+                                   std::string(to_string(cls)) + " " +
+                                       nb.name + " " + c.describe()))
+          ++flagged;
+      }
+    }
+    if (cls == FaultClass::DuplicateStmtId || cls == FaultClass::EmptyLoopBody ||
+        cls == FaultClass::UndeclaredArray || cls == FaultClass::UndefinedRead) {
+      EXPECT_GT(flagged, 0u) << to_string(cls);
+    }
+  }
+}
+
+TEST(VerifyReuse, NewIdCollidesWithALaterSharedStatement) {
+  // The new first statement takes the id of the While, a shared statement
+  // later in preorder: the repeat is reported there, in order.
+  const ir::Function f = parse(kBranches);
+  const StatementChecks parent = statement_checks(f);
+  int loop_id = -1;
+  f.for_each([&](const ir::Stmt& s) {
+    if (s.kind == ir::StmtKind::While) loop_id = s.id;
+  });
+  ir::StmtPtr first = ir::Stmt::assign("x", ir::Expr::constant(2));
+  first->id = loop_id;
+  const ir::Function g = f.clone_with(f.body()->stmts.front()->id, first);
+  const std::set<std::string> allowed = oracle::undefined_reads(f);
+  EXPECT_TRUE(same_as_oracle_against(g, parent, allowed, "colliding id"));
+  const Report r = FunctionChecks(g, &parent).report(&allowed);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.issues.front().detail,
+            strfmt("statement id %d appears twice", loop_id));
+  // Only the new statement and the body that holds it are checked anew.
+  EXPECT_EQ(FunctionChecks(g, &parent).checked_statements(), 2u);
+}
+
+TEST(VerifyReuse, OtherDeclarationsCheckWhole) {
+  // The parent reads an undeclared array; a variant that declares it must
+  // not keep the parent's issue for the shared statement.
+  ir::Function f = parse(kBranches);
+  first_if(f).then_stmts.push_back(ir::Stmt::assign(
+      "y", ir::Expr::array_read("q", ir::Expr::var("a"))));
+  f.assign_fresh_ids();
+  const StatementChecks parent = statement_checks(f);
+  EXPECT_TRUE(has_check(f, "ir.arrays"));
+  ir::Function g = f.clone();
+  g.add_array(ir::ArrayDecl{"q", 2, false});
+  same_as_oracle_against(g, parent, {}, "declared array");
+  EXPECT_TRUE(FunctionChecks(g, &parent).report(nullptr).ok());
+  EXPECT_EQ(FunctionChecks(g, &parent).checked_statements(),
+            FunctionChecks(g).checked_statements());
+}
+
+TEST(VerifyReuse, IndexKeepsOnlyItsFunctionsNodes) {
+  // Records of a function indexed under a copy that shares none of its
+  // nodes: none may serve as a key, and the copy's variants check whole.
+  const Neighborhood nb =
+      neighborhood("GEN1014", testgen::random_program(1014));
+  ir::Function g = nb.fn.clone();
+  g.for_each([](ir::Stmt&) {});  // copies every node
+  const StatementChecks foreign(g, statement_checks(nb.fn).unit());
+  EXPECT_EQ(foreign.size(), 0u);
+  const Neighborhood copies = neighborhood("GEN1014 copy", std::move(g));
+  for (size_t i = 0; i < copies.candidates.size(); ++i) {
+    const ir::Function& c = copies.candidates[i];
+    same_as_oracle_against(c, foreign, nb.allowed, copies.labels[i]);
+    EXPECT_EQ(FunctionChecks(c, &foreign).checked_statements(),
+              FunctionChecks(c).checked_statements());
+  }
+}
+
+TEST(VerifyReuse, OneParentFromFourThreads) {
+  // Candidates are checked against one parent's results concurrently; the
+  // results are only read, and every report is the serial one.
+  const Neighborhood nb =
+      neighborhood("GEN1017", testgen::random_program(1017));
+  const StatementChecks parent = statement_checks(nb.fn);
+  std::vector<Issues> serial;
+  std::vector<std::set<std::string>> serial_undef;
+  for (const ir::Function& c : nb.candidates) {
+    serial.push_back(issues(verify_function(c, Level::Fast, &nb.allowed)));
+    serial_undef.push_back(undefined_reads(c));
+  }
+  constexpr size_t kThreads = 4;
+  const size_t n = nb.candidates.size();
+  std::vector<std::vector<Issues>> got(kThreads, std::vector<Issues>(n));
+  std::vector<std::vector<std::set<std::string>>> got_undef(
+      kThreads, std::vector<std::set<std::string>>(n));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < n; ++k) {
+        const size_t i = (k + t * n / kThreads) % n;
+        const FunctionChecks checks(nb.candidates[i], &parent);
+        got[t][i] = issues(checks.report(&nb.allowed));
+        got_undef[t][i] = checks.undefined_reads();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], serial) << "thread " << t;
+    EXPECT_EQ(got_undef[t], serial_undef) << "thread " << t;
+  }
+  EXPECT_GT(n, 50u);
 }
 
 }  // namespace

@@ -16,8 +16,11 @@
 #                       tests exercise multi-threaded candidate evaluation
 #                       via EngineOptions::jobs > 1, and the WorkerPool
 #                       tests hammer the pool handoff directly), then
-#                       re-runs the parallel engine + pool + service tests
-#                       and the four-thread verifier test with
+#                       re-runs the parallel engine + pool + service tests,
+#                       the four-thread verifier test, the compile- and
+#                       verify-reuse oracles (one parent's state read from
+#                       four threads at once) and the engine's reusing
+#                       gate at jobs = 2 with
 #                       TSAN_OPTIONS=halt_on_error=1 so any data race in
 #                       the evaluation waves, the verifier or the factd
 #                       service fails loudly, and finally drives a
@@ -142,7 +145,7 @@ if [ "$cmake_flag" = thread ]; then
   # with real thread contention, with races promoted to hard failures.
   TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \
     ctest --test-dir "$build_dir" --output-on-failure \
-      -R 'WorkerPool|JobsInvariant|JobsDeterminism|EvalCache|FusedFragment|SharedScheduler|Gate3|Engine\.EnginesSharing|Service\.|Server\.|FactdE2E|Obs\.|VerifyOracle\.SharedCandidates|LaneOracle'
+      -R 'WorkerPool|JobsInvariant|JobsDeterminism|EvalCache|FusedFragment|SharedScheduler|Gate3|Engine\.EnginesSharing|Service\.|Server\.|FactdE2E|Obs\.|VerifyOracle\.SharedCandidates|LaneOracle|CompileReuse\.|VerifyReuse\.|Engine\.GateReusing'
 
   # Server integration under TSan: a sanitized factd on a unix socket,
   # hammered by concurrent factcli clients, must exit cleanly (TSan makes
