@@ -19,43 +19,46 @@ void Function::set_body(StmtPtr b) {
   renumber();
 }
 
-Stmt* Function::body() {
-  detach_deep(body_);
-  return body_.get();
-}
-
-void Function::renumber() {
-  int next = 0;
-  for_each([&](Stmt& s) { s.id = next++; });
-}
-
 namespace {
 
-bool has_unnumbered(const StmtPtr& s) {
-  if (s->id < 0) return true;
-  for (const auto* list : static_cast<const Stmt&>(*s).child_lists())
-    for (const auto& c : *list)
-      if (has_unnumbered(c)) return true;
-  return false;
+// Whether numbering the subtree at `s` from `next` changes an id; advances
+// `next` past the ids the numbering would hand out.
+bool number_changes(const Stmt& s, int& next, bool all) {
+  bool changes = false;
+  if (all || s.id < 0) changes = s.id != next++;
+  s.for_each_child_list([&](const std::vector<StmtPtr>& list) {
+    for (const auto& c : list) changes |= number_changes(*c, next, all);
+  });
+  return changes;
 }
 
 // Preorder numbering that descends — and detaches — only into subtrees
-// that actually contain unnumbered statements, so subtrees shared with
-// other functions stay shared.
-void assign_fresh_rec(StmtPtr& s, int& next) {
-  if (!has_unnumbered(s)) return;
+// whose ids change, so subtrees shared with other functions stay shared.
+// With `all` every statement gets the next id; otherwise only statements
+// with none (id -1) do.
+void number(StmtPtr& s, int& next, bool all) {
+  int probe = next;
+  if (!number_changes(*s, probe, all)) {
+    next = probe;
+    return;
+  }
   detach(s);
-  if (s->id < 0) s->id = next++;
+  if (all || s->id < 0) s->id = next++;
   for (auto* list : s->child_lists())
-    for (auto& c : *list) assign_fresh_rec(c, next);
+    for (auto& c : *list) number(c, next, all);
 }
 
 }  // namespace
 
+void Function::renumber() {
+  int next = 0;
+  if (body_) number(body_, next, /*all=*/true);
+}
+
 void Function::assign_fresh_ids() {
   if (!body_) return;
   int next = max_stmt_id() + 1;
-  assign_fresh_rec(body_, next);
+  number(body_, next, /*all=*/false);
 }
 
 int Function::max_stmt_id() const {
@@ -86,8 +89,9 @@ namespace {
 // `s` to the statement with `id` (the statement itself is the last step;
 // `s` is not considered a match). Preorder, matching the original editor's
 // search order.
-bool find_path(const StmtPtr& s, int id,
-               std::vector<std::pair<size_t, size_t>>& path) {
+using Path = std::vector<std::pair<size_t, size_t>>;
+
+bool find_path(const StmtPtr& s, int id, Path& path) {
   const auto lists = static_cast<const Stmt&>(*s).child_lists();
   for (size_t li = 0; li < lists.size(); ++li) {
     const auto& list = *lists[li];
@@ -100,28 +104,26 @@ bool find_path(const StmtPtr& s, int id,
   return false;
 }
 
+// Detaches `root` and the nodes the first `steps` steps of `path` lead to,
+// and returns the slot of the last of them: the path copy that makes that
+// node private to `root`'s function while its children stay shared.
+StmtPtr& detach_path(StmtPtr& root, const Path& path, size_t steps) {
+  StmtPtr* slot = &root;
+  detach(*slot);
+  for (size_t k = 0; k < steps; ++k) {
+    slot = &(*(*slot)->child_lists()[path[k].first])[path[k].second];
+    detach(*slot);
+  }
+  return *slot;
+}
+
 }  // namespace
 
-Stmt* Function::find_stmt(int id) {
+Stmt* Function::edit(int id) {
   if (!body_) return nullptr;
-  if (body_->id == id) {
-    detach_deep(body_);
-    return body_.get();
-  }
-  std::vector<std::pair<size_t, size_t>> path;
-  if (!find_path(body_, id, path)) return nullptr;
-  // Copy the spine down to the statement, then make its subtree private:
-  // the caller may mutate anything below the returned pointer.
-  detach(body_);
-  Stmt* cur = body_.get();
-  StmtPtr* slot = nullptr;
-  for (const auto& [li, ei] : path) {
-    slot = &(*cur->child_lists()[li])[ei];
-    detach(*slot);
-    cur = slot->get();
-  }
-  detach_deep(*slot);
-  return slot->get();
+  Path path;
+  if (body_->id != id && !find_path(body_, id, path)) return nullptr;
+  return detach_path(body_, path, path.size()).get();
 }
 
 Function Function::clone() const {
@@ -147,18 +149,12 @@ Function Function::clone_with(int stmt_id, StmtPtr replacement) const {
 bool Function::splice(int stmt_id, std::vector<StmtPtr> replacement,
                       bool insert_only) {
   if (!body_) return false;
-  std::vector<std::pair<size_t, size_t>> path;
+  Path path;
   if (!find_path(body_, stmt_id, path)) return false;
-  // Copy the spine down to the list that contains the statement; sibling
-  // subtrees (and the statement itself) stay shared.
-  detach(body_);
-  Stmt* cur = body_.get();
-  for (size_t k = 0; k + 1 < path.size(); ++k) {
-    StmtPtr& slot = (*cur->child_lists()[path[k].first])[path[k].second];
-    detach(slot);
-    cur = slot.get();
-  }
-  std::vector<StmtPtr>& list = *cur->child_lists()[path.back().first];
+  // Copy the path down to the owner of the list that contains the
+  // statement; sibling subtrees (and the statement itself) stay shared.
+  Stmt& owner = *detach_path(body_, path, path.size() - 1);
+  std::vector<StmtPtr>& list = *owner.child_lists()[path.back().first];
   const size_t at = path.back().second;
   std::vector<StmtPtr> out;
   out.reserve(list.size() + replacement.size());
@@ -192,11 +188,6 @@ std::string Function::str() const {
 void Function::for_each(const std::function<void(const Stmt&)>& fn) const {
   // Must use the const walker: with shared subtrees, a "const" walk that
   // const_casts through the mutable path would race with other readers.
-  for_each_stmt(body_, fn);
-}
-
-void Function::for_each(const std::function<void(Stmt&)>& fn) {
-  detach_deep(body_);
   for_each_stmt(body_, fn);
 }
 

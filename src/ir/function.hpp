@@ -49,17 +49,15 @@ class Function {
            outputs_ == other.outputs_;
   }
 
-  /// The body is always a Block statement. The mutable overload is a
-  /// copy-on-write barrier: it makes the whole tree uniquely owned first
-  /// (callers may mutate anything through the returned pointer), so prefer
-  /// find_stmt/splice — which copy only the path to the mutation — on
-  /// performance-sensitive paths.
+  /// The body is always a Block statement. Read only, like every accessor
+  /// that walks the tree: the one way to change a statement in place is
+  /// edit(), and the one way to add or remove statements is splice().
   const Stmt* body() const { return body_.get(); }
-  Stmt* body();
   void set_body(StmtPtr b);
 
   /// Assigns fresh preorder statement ids (0, 1, 2, ...). Called after any
-  /// structural edit that adds statements.
+  /// structural edit that adds statements. Copies only the statements whose
+  /// id changes and the paths to them.
   void renumber();
 
   /// Assigns ids only to statements that have none (id == -1), continuing
@@ -75,18 +73,21 @@ class Function {
   /// transform-created statements).
   std::vector<int> stmt_ids() const;
 
-  /// Finds the statement with the given id, or nullptr. The mutable
-  /// overload is copy-on-write: it copies the spine from the root to the
-  /// statement and makes the statement's subtree uniquely owned, so the
-  /// caller may freely mutate through the returned pointer without
-  /// affecting functions that share the rest of the tree.
+  /// Finds the statement with the given id, or nullptr.
   const Stmt* find_stmt(int id) const;
-  Stmt* find_stmt(int id);
+
+  /// The statement with the given id, made private to this function for
+  /// editing, or nullptr. Copies the path from the root to the statement
+  /// and the statement node itself (copy-on-write), and nothing below it:
+  /// the caller may change the node's own fields, expression slots and
+  /// child lists, but its children stay shared with other functions, so a
+  /// child is changed through its own edit(child id) or through splice().
+  Stmt* edit(int id);
 
   /// O(1) copy sharing the whole body with this function (copy-on-write:
-  /// any mutation through the clone's accessors detaches just the touched
-  /// path). Statement ids are preserved, so transformation candidates
-  /// expressed as (stmt id, expr path) remain valid on the clone.
+  /// edit() and splice() on the clone copy just the path they touch).
+  /// Statement ids are preserved, so transformation candidates expressed
+  /// as (stmt id, expr path) remain valid on the clone.
   Function clone() const;
 
   /// Path-copying clone: a clone() whose statement `stmt_id` is replaced
@@ -106,10 +107,8 @@ class Function {
   /// Source-like rendering of the whole function.
   std::string str() const;
 
-  /// Preorder walk over every statement in the body. The mutable overload
-  /// makes the whole tree uniquely owned first (copy-on-write barrier).
+  /// Preorder walk over every statement in the body.
   void for_each(const std::function<void(const Stmt&)>& fn) const;
-  void for_each(const std::function<void(Stmt&)>& fn);
 
   /// Total number of statements.
   size_t stmt_count() const;

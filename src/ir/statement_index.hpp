@@ -103,7 +103,7 @@ template <typename Unit>
 StatementIndex<Unit>::StatementIndex(const Function& fn,
                                      std::shared_ptr<const Unit> unit)
     : fn_(fn), unit_(std::move(unit)) {
-  const Stmt* body = std::as_const(fn_).body();  // no copy-on-write
+  const Stmt* body = fn_.body();
   if (!body) return;
   const std::span<const Ref> top = unit_->top();
   size_t k = 0;

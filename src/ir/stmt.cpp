@@ -144,15 +144,9 @@ void for_each_stmt(const StmtPtr& s,
                    const std::function<void(const Stmt&)>& fn) {
   if (!s) return;
   fn(*s);
-  for (const auto* list : s->child_lists())
-    for (const auto& c : *list) for_each_stmt(c, fn);
-}
-
-void for_each_stmt(StmtPtr& s, const std::function<void(Stmt&)>& fn) {
-  if (!s) return;
-  fn(*s);
-  for (auto* list : s->child_lists())
-    for (auto& c : *list) for_each_stmt(c, fn);
+  s->for_each_child_list([&](const std::vector<StmtPtr>& list) {
+    for (const auto& c : list) for_each_stmt(c, fn);
+  });
 }
 
 namespace cow {
@@ -192,14 +186,6 @@ void detach(StmtPtr& s) {
   // The default copy shares the ExprPtrs (expressions are immutable) and
   // copies the child-pointer vectors, leaving the child subtrees shared.
   s = std::make_shared<Stmt>(*s);
-}
-
-void detach_deep(StmtPtr& s) {
-  if (!s) return;
-  detach(s);
-  // Even a uniquely-owned node can hold shared children; always recurse.
-  for (auto* list : s->child_lists())
-    for (auto& c : *list) detach_deep(c);
 }
 
 }  // namespace fact::ir

@@ -20,11 +20,12 @@ enum class StmtKind {
 struct Stmt;
 /// Statements are reference-counted so that Function::clone() can share
 /// the whole body in O(1): candidate behaviors in the optimizer's
-/// population are overwhelmingly identical to their parent, and the
-/// copy-on-write editing layer (detach / Function::find_stmt /
-/// Function::splice) copies only the path from the root to a mutation.
-/// A shared subtree is never mutated in place — every mutable access path
-/// detaches first.
+/// population are overwhelmingly identical to their parent. There is one
+/// copy-on-write rule: an edit (Function::edit / Function::splice) copies
+/// the path from the root to the edited statement and that statement's
+/// node, never a subtree below it, so the edited node's children stay
+/// shared. A shared node is never mutated in place — the only mutable
+/// access paths detach first.
 using StmtPtr = std::shared_ptr<Stmt>;
 
 /// One statement of the behavior IR. A single struct (rather than a class
@@ -101,21 +102,16 @@ struct Stmt {
   std::string str(int indent = 0) const;
 };
 
-/// Preorder walk over a statement subtree. The mutable overload requires
-/// the subtree to be uniquely owned (see detach_deep); Function's mutable
-/// walkers guarantee that before calling it.
+/// Preorder walk over a statement subtree (read only).
 void for_each_stmt(const StmtPtr& s, const std::function<void(const Stmt&)>& fn);
-void for_each_stmt(StmtPtr& s, const std::function<void(Stmt&)>& fn);
 
-/// Copy-on-write primitives. detach() replaces a shared node (use_count
+/// The copy-on-write primitive. detach() replaces a shared node (use_count
 /// > 1) with a shallow copy that owns its own child-pointer vectors while
 /// still sharing the child subtrees; it is a no-op on a uniquely-owned
-/// node. detach_deep() makes the entire subtree uniquely owned. Both are
-/// safe to run concurrently against other readers of the shared tree:
-/// shared nodes are only read, and the copy is published through the
-/// caller's own StmtPtr slot.
+/// node. It is safe to run concurrently against other readers of the
+/// shared tree: shared nodes are only read, and the copy is published
+/// through the caller's own StmtPtr slot.
 void detach(StmtPtr& s);
-void detach_deep(StmtPtr& s);
 
 /// Copy-on-write instrumentation (process-wide, relaxed atomics — exact
 /// in serial runs, approximate under concurrency). `clones` counts O(1)

@@ -547,7 +547,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
         Member& m = in_set[gi];
         std::vector<xform::Candidate> cands = xforms_.find_all(m.fn, m.region);
         if (cands.size() >= kOwnGateCandidates &&
-            m.gate->fn.body() != std::as_const(m.fn).body())
+            m.gate->fn.body() != m.fn.body())
           m.gate = std::make_shared<const GateState>(m.fn, m.gate.get(),
                                                      checked);
         // Deterministic shuffle so the evaluation budget samples the
@@ -787,7 +787,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
           if (out_of_budget()) break;
           // Ablation: schedule-blind search scores by static op count.
           size_t ops = 0;
-          std::as_const(m.fn).for_each([&](const ir::Stmt& s) {
+          m.fn.for_each([&](const ir::Stmt& s) {
             for (const auto* slot : s.expr_slots())
               ops += (*slot)->tree_size();
           });

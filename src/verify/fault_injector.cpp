@@ -53,6 +53,12 @@ int FaultInjector::injected_total() const {
 
 bool FaultInjector::corrupt(ir::Function& g, FaultClass cls) const {
   const int k = ++counter_;
+  // Corruptions change `g` through edit(), which leaves the statements it
+  // shares with the candidate's parent untouched.
+  auto append = [&](ir::StmtPtr s) {
+    g.edit(g.body()->id)->stmts.push_back(std::move(s));
+    g.assign_fresh_ids();
+  };
   switch (cls) {
     case FaultClass::WrongSemantics: {
       // Mutate state that is always observed: bump an array cell (final
@@ -63,15 +69,13 @@ bool FaultInjector::corrupt(ir::Function& g, FaultClass cls) const {
         const ir::ArrayDecl& a = g.arrays().front();
         const int64_t idx = k % static_cast<int64_t>(a.size);
         ir::ExprPtr cell = Expr::array_read(a.name, Expr::constant(idx));
-        g.body()->stmts.push_back(Stmt::store(
-            a.name, Expr::constant(idx),
-            Expr::binary(ir::Op::Add, cell, Expr::constant(k))));
+        append(Stmt::store(a.name, Expr::constant(idx),
+                           Expr::binary(ir::Op::Add, cell, Expr::constant(k))));
       } else {
         const std::string out = strfmt("__fault_out%d", k);
-        g.body()->stmts.push_back(Stmt::assign(out, Expr::constant(k)));
+        append(Stmt::assign(out, Expr::constant(k)));
         g.add_output(out);
       }
-      g.assign_fresh_ids();
       return true;
     }
     case FaultClass::ThrowException:
@@ -79,36 +83,33 @@ bool FaultInjector::corrupt(ir::Function& g, FaultClass cls) const {
           strfmt("injected fault %d: transform implementation crashed", k));
     case FaultClass::DuplicateStmtId: {
       if (g.stmt_count() < 2) return false;
-      int first_id = -1;
-      ir::Stmt* last = nullptr;
-      g.for_each([&](ir::Stmt& s) {
+      int first_id = -1, last_id = -1;
+      g.for_each([&](const ir::Stmt& s) {
         if (first_id < 0) first_id = s.id;
-        last = &s;
+        last_id = s.id;
       });
-      if (!last || last->id == first_id) return false;
-      last->id = first_id;
+      if (last_id < 0 || last_id == first_id) return false;
+      g.edit(last_id)->id = first_id;
       return true;
     }
     case FaultClass::EmptyLoopBody: {
-      ir::Stmt* loop = nullptr;
-      g.for_each([&](ir::Stmt& s) {
-        if (!loop && s.kind == ir::StmtKind::While) loop = &s;
+      int loop_id = -1;
+      g.for_each([&](const ir::Stmt& s) {
+        if (loop_id < 0 && s.kind == ir::StmtKind::While) loop_id = s.id;
       });
-      if (!loop) return false;
-      loop->then_stmts.clear();
+      if (loop_id < 0) return false;
+      g.edit(loop_id)->then_stmts.clear();
       return true;
     }
     case FaultClass::UndeclaredArray: {
-      g.body()->stmts.push_back(Stmt::assign(
+      append(Stmt::assign(
           strfmt("__fault_t%d", k),
           Expr::array_read(strfmt("__fault_arr%d", k), Expr::constant(0))));
-      g.assign_fresh_ids();
       return true;
     }
     case FaultClass::UndefinedRead: {
-      g.body()->stmts.push_back(Stmt::assign(
-          strfmt("__fault_t%d", k), Expr::var(strfmt("__fault_u%d", k))));
-      g.assign_fresh_ids();
+      append(Stmt::assign(strfmt("__fault_t%d", k),
+                          Expr::var(strfmt("__fault_u%d", k))));
       return true;
     }
   }

@@ -38,49 +38,59 @@ bool expr_reads_memory(const ExprPtr& e) {
   return reads;
 }
 
-/// The statement list that directly contains stmt_id, or nullptr. The
-/// mutable overload goes through Function::body(), which detaches the
-/// whole tree (copy-on-write) because the caller may edit any part of the
-/// returned list; read-only pattern matching must use the const overload,
-/// which leaves sharing intact.
-std::vector<StmtPtr>* find_parent_list(ir::Function& fn, int stmt_id) {
-  std::vector<StmtPtr>* found = nullptr;
-  std::function<void(std::vector<StmtPtr>&)> walk =
-      [&](std::vector<StmtPtr>& list) {
-        for (auto& s : list) {
-          if (s->id == stmt_id) {
-            found = &list;
-            return;
-          }
-          for (auto* child : s->child_lists()) {
-            walk(*child);
-            if (found) return;
-          }
+/// Where statement `stmt_id` sits: the statement whose child list `list`
+/// holds it at `index`. `owner` is null if no statement has the id.
+struct Place {
+  const Stmt* owner = nullptr;
+  size_t list = 0, index = 0;
+
+  const std::vector<StmtPtr>& siblings() const {
+    return *owner->child_lists()[list];
+  }
+};
+
+Place find_place(const ir::Function& fn, int stmt_id) {
+  Place found;
+  std::function<bool(const Stmt&)> walk = [&](const Stmt& owner) {
+    const auto lists = owner.child_lists();
+    for (size_t li = 0; li < lists.size(); ++li)
+      for (size_t ei = 0; ei < lists[li]->size(); ++ei) {
+        const Stmt& s = *(*lists[li])[ei];
+        if (s.id == stmt_id) {
+          found = {&owner, li, ei};
+          return true;
         }
-      };
-  if (fn.body()) walk(fn.body()->stmts);
+        if (walk(s)) return true;
+      }
+    return false;
+  };
+  if (fn.body()) walk(*fn.body());
   return found;
 }
 
-const std::vector<StmtPtr>* find_parent_list(const ir::Function& fn,
-                                             int stmt_id) {
-  const std::vector<StmtPtr>* found = nullptr;
-  std::function<void(const std::vector<StmtPtr>&)> walk =
-      [&](const std::vector<StmtPtr>& list) {
-        for (const auto& s : list) {
-          if (s->id == stmt_id) {
-            found = &list;
-            return;
-          }
-          for (const auto* child :
-               static_cast<const Stmt&>(*s).child_lists()) {
-            walk(*child);
-            if (found) return;
-          }
-        }
-      };
-  if (fn.body()) walk(fn.body()->stmts);
-  return found;
+/// `s` with `subst` applied to its expressions and to those of every
+/// statement below it. Copies only the statements whose expressions change
+/// and the paths to them; returns `s` itself if nothing changes.
+StmtPtr substituted(const StmtPtr& s,
+                    const std::map<std::string, ExprPtr>& subst) {
+  const Stmt& src = *s;
+  StmtPtr out = s;
+  auto own = [&]() -> Stmt& {
+    if (out == s) ir::detach(out);
+    return *out;
+  };
+  const auto slots = src.expr_slots();
+  for (size_t k = 0; k < slots.size(); ++k) {
+    ExprPtr e = ir::substitute(*slots[k], subst);
+    if (e != *slots[k]) *own().expr_slots()[k] = std::move(e);
+  }
+  const auto lists = src.child_lists();
+  for (size_t li = 0; li < lists.size(); ++li)
+    for (size_t ei = 0; ei < lists[li]->size(); ++ei) {
+      StmtPtr c = substituted((*lists[li])[ei], subst);
+      if (c != (*lists[li])[ei]) (*own().child_lists()[li])[ei] = std::move(c);
+    }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -111,45 +121,33 @@ class ConstantPropagation final : public Transform {
   }
 
   ir::Function apply(const ir::Function& fn, const Candidate& c) const override {
-    ir::Function g = fn.clone();
-    std::vector<StmtPtr>* list = find_parent_list(g, c.stmt_id);
-    if (!list) throw Error("constprop: candidate statement not found");
-    size_t i = 0;
-    while (i < list->size() && (*list)[i]->id != c.stmt_id) ++i;
-    const Stmt& def = *(*list)[i];
+    const Place at = find_place(fn, c.stmt_id);
+    if (!at.owner) throw Error("constprop: candidate statement not found");
+    const Stmt& def = *at.siblings()[at.index];
     if (def.kind != StmtKind::Assign || def.value->op() != Op::Const)
       throw Error("constprop: candidate is not a constant assignment");
-    const std::string var = def.target;
+    const std::string& var = def.target;
     const std::map<std::string, ExprPtr> subst{{var, def.value}};
 
-    for (size_t j = i + 1; j < list->size(); ++j) {
-      Stmt& s = *(*list)[j];
-      // Stop if this statement (or anything nested in it) redefines var —
-      // except when it IS a simple assignment, where the rhs still sees
-      // the constant before the redefinition takes effect.
-      bool redefines = false;
-      if (s.kind == StmtKind::Assign) {
-        s.value = ir::substitute(s.value, subst);
-        if (s.target == var) break;
-        continue;
+    ir::Function g = fn.clone();
+    std::vector<StmtPtr>& list = *g.edit(at.owner->id)->child_lists()[at.list];
+    for (size_t j = at.index + 1; j < list.size(); ++j) {
+      const Stmt& s = *list[j];
+      // Stop before a control statement that redefines var anywhere inside
+      // it. An assignment to var still reads the constant in its rhs, so
+      // it is substituted and ends the run.
+      if (s.kind != StmtKind::Assign) {
+        bool redefines = false;
+        for (const auto* child : s.child_lists())
+          for (const auto& inner : ir::written_vars(*child))
+            if (inner == var) redefines = true;
+        if (redefines) break;
       }
-      for (const auto* child : s.child_lists()) {
-        for (const auto& inner : ir::written_vars(*child))
-          if (inner == var) redefines = true;
-      }
-      if (redefines) break;
-      for (auto* slot : s.expr_slots()) *slot = ir::substitute(*slot, subst);
-      // Descend into children via recursive full substitution: safe since
-      // nothing below redefines var.
-      std::function<void(Stmt&)> deep = [&](Stmt& st) {
-        for (auto* slot : st.expr_slots()) *slot = ir::substitute(*slot, subst);
-        for (auto* child : st.child_lists())
-          for (auto& cs : *child) deep(*cs);
-      };
-      for (auto* child : s.child_lists())
-        for (auto& cs : *child) deep(*cs);
+      const bool redefined = s.kind == StmtKind::Assign && s.target == var;
+      list[j] = substituted(list[j], subst);  // nothing below redefines var
+      if (redefined) break;
     }
-    return g;
+        return g;
   }
 };
 
@@ -213,7 +211,7 @@ class CodeMotion final : public Transform {
 
   ir::Function apply(const ir::Function& fn, const Candidate& c) const override {
     ir::Function g = fn.clone();
-    Stmt* s = g.find_stmt(c.stmt_id);
+    Stmt* s = g.edit(c.stmt_id);
     if (!s) throw Error("licm: candidate statement not found");
     auto slots = s->expr_slots();
     if (c.slot < 0 || static_cast<size_t>(c.slot) >= slots.size())
@@ -274,7 +272,7 @@ class LoopUnrolling final : public Transform {
 
   ir::Function apply(const ir::Function& fn, const Candidate& c) const override {
     ir::Function g = fn.clone();
-    Stmt* loop = g.find_stmt(c.stmt_id);
+    const Stmt* loop = g.find_stmt(c.stmt_id);
     if (!loop || loop->kind != StmtKind::While)
       throw Error("unroll: candidate loop not found");
 
@@ -301,7 +299,7 @@ class LoopUnrolling final : public Transform {
       body.push_back(Stmt::if_stmt(loop->cond, std::move(tail)));
     }
     ir::clear_ids(body);  // all copies count as new statements
-    loop->then_stmts = std::move(body);
+    g.edit(c.stmt_id)->then_stmts = std::move(body);
     g.assign_fresh_ids();
     return g;
   }
@@ -343,15 +341,10 @@ class LoopUnrolling final : public Transform {
     }
 
     // Initial value: the assignment `var = const` immediately preceding the
-    // loop in its parent list. Read-only: find() runs against functions
-    // whose subtrees may be shared (and concurrently read) by other
-    // candidates, so this must not take any mutable path.
-    const std::vector<StmtPtr>* list = find_parent_list(fn, loop.id);
-    if (!list) return -1;
-    size_t idx = 0;
-    while (idx < list->size() && (*list)[idx]->id != loop.id) ++idx;
-    if (idx == 0) return -1;
-    const Stmt& init = *(*list)[idx - 1];
+    // loop in its parent list.
+    const Place at = find_place(fn, loop.id);
+    if (!at.owner || at.index == 0) return -1;
+    const Stmt& init = *at.siblings()[at.index - 1];
     if (init.kind != StmtKind::Assign || init.target != var ||
         init.value->op() != Op::Const)
       return -1;
@@ -434,7 +427,7 @@ class Speculation final : public Transform {
 
   ir::Function apply(const ir::Function& fn, const Candidate& c) const override {
     ir::Function g = fn.clone();
-    Stmt* s = g.find_stmt(c.stmt_id);
+    const Stmt* s = g.find_stmt(c.stmt_id);
     if (!s || s->kind != StmtKind::If)
       throw Error("speculate: candidate if not found");
     const auto env_then = ir::symbolic_assigns(s->then_stmts);

@@ -4,8 +4,8 @@
 // the definitions substitution leaves behind — dead operations would still
 // burn functional units and power if left in the schedule).
 
-#include <utility>
 #include <set>
+#include <utility>
 
 #include "ir/edit.hpp"
 #include "util/error.hpp"
@@ -102,10 +102,8 @@ class ForwardSubstitution final : public Transform {
 
   ir::Function apply(const ir::Function& fn, const Candidate& c) const override {
     ir::Function g = fn.clone();
-    // Mutable lookup first (it copies the spine to `use`); the definition
-    // is only read, so a const lookup keeps its subtree shared.
-    Stmt* use = g.find_stmt(c.stmt_id);
-    const Stmt* def = std::as_const(g).find_stmt(c.variant);
+    Stmt* use = g.edit(c.stmt_id);
+    const Stmt* def = g.find_stmt(c.variant);
     if (!def || !use || def->kind != StmtKind::Assign)
       throw Error("fwdsub: candidate statements not found");
     auto slots = use->expr_slots();
@@ -149,7 +147,7 @@ class DeadCodeElimination final : public Transform {
 
   ir::Function apply(const ir::Function& fn, const Candidate& c) const override {
     ir::Function g = fn.clone();
-    const Stmt* s = std::as_const(g).find_stmt(c.stmt_id);
+    const Stmt* s = g.find_stmt(c.stmt_id);
     if (!s || s->kind != StmtKind::Assign)
       throw Error("dce: candidate statement not found");
     if (!ir::replace_stmt(g, c.stmt_id, {}))
@@ -209,7 +207,7 @@ class CommonSubexpressionElimination final : public Transform {
 
   ir::Function apply(const ir::Function& fn, const Candidate& c) const override {
     ir::Function g = fn.clone();
-    Stmt* s = g.find_stmt(c.stmt_id);
+    Stmt* s = g.edit(c.stmt_id);
     if (!s) throw Error("cse: candidate statement not found");
     auto slots = s->expr_slots();
     if (c.slot < 0 || static_cast<size_t>(c.slot) >= slots.size())

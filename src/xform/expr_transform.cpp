@@ -49,7 +49,7 @@ std::vector<Candidate> ExprTransform::find(const ir::Function& fn,
 ir::Function ExprTransform::apply(const ir::Function& fn,
                                   const Candidate& c) const {
   ir::Function g = fn.clone();
-  ir::Stmt* s = g.find_stmt(c.stmt_id);
+  ir::Stmt* s = g.edit(c.stmt_id);
   if (!s) throw Error("transform candidate references missing statement");
   auto slots = s->expr_slots();
   if (c.slot < 0 || static_cast<size_t>(c.slot) >= slots.size())

@@ -20,6 +20,7 @@
 #include "ir/function.hpp"
 #include "program_gen.hpp"
 #include "sim/interp.hpp"
+#include "test_util.hpp"
 #include "xform/transform.hpp"
 
 namespace fact::sim {
@@ -202,8 +203,7 @@ TEST(CompileReuse, IndexKeepsOnlyItsFunctionsNodes) {
   // Fragments of fn indexed under a copy that shares none of fn's nodes:
   // none of them may serve as a key, and the copy's variants compile whole.
   const ir::Function fn = testgen::random_program(1014);
-  ir::Function g = fn.clone();
-  g.for_each([](Stmt&) {});  // copies every node
+  const ir::Function g = unshared_copy(fn);
   const StatementCode foreign(g, statement_code(fn).unit());
   EXPECT_EQ(foreign.size(), 0u);
   for (const ir::Function& h : candidates(g, 16)) {

@@ -132,7 +132,7 @@ TEST(Function, FindStmtAndClone) {
 TEST(Function, AssignFreshIdsKeepsExisting) {
   Function f("t");
   f.set_body(Stmt::block(make_vector(Stmt::assign("a", c(1)))));
-  Stmt* body = f.body();
+  Stmt* body = f.edit(f.body()->id);
   body->stmts.push_back(Stmt::assign("b", c(2)));  // id -1
   f.assign_fresh_ids();
   EXPECT_EQ(body->stmts[0]->id, 1);  // unchanged
@@ -272,10 +272,8 @@ Function hash_fixture() {
   return f;
 }
 
-void bump_ids(Stmt& s) {
-  s.id += 100;
-  for (auto* list : s.child_lists())
-    for (auto& child : *list) bump_ids(*child);
+void bump_ids(Function& f) {
+  for (int id : f.stmt_ids()) f.edit(id)->id += 100;
 }
 }  // namespace
 
@@ -291,7 +289,7 @@ TEST(StructuralHash, IgnoresStatementIds) {
   // are not rendered, so renumbering must not change the hash.
   const Function a = hash_fixture();
   Function b = hash_fixture();
-  bump_ids(*b.body());
+  bump_ids(b);
   EXPECT_EQ(structural_hash(a), structural_hash(b));
 }
 
@@ -300,31 +298,29 @@ TEST(StructuralHash, MutationsChangeTheHash) {
 
   {  // changed constant
     Function f = hash_fixture();
-    f.body()->stmts[0]->value = c(1);
+    f.edit(f.body()->stmts[0]->id)->value = c(1);
     EXPECT_NE(structural_hash(f), base);
   }
   {  // renamed assignment target
     Function f = hash_fixture();
-    f.body()->stmts[0]->target = "j";
+    f.edit(f.body()->stmts[0]->id)->target = "j";
     EXPECT_NE(structural_hash(f), base);
   }
   {  // different operator deep inside the loop body
     Function f = hash_fixture();
-    Stmt* wh = f.body()->stmts[2].get();
-    wh->then_stmts[2]->value =
-        Expr::binary(Op::Sub, v("i"), c(1));
+    const Stmt* wh = f.body()->stmts[2].get();
+    f.edit(wh->then_stmts[2]->id)->value = Expr::binary(Op::Sub, v("i"), c(1));
     EXPECT_NE(structural_hash(f), base);
   }
   {  // extra trailing statement
     Function f = hash_fixture();
-    f.body()->stmts.push_back(Stmt::assign("t", c(0)));
+    f.edit(f.body()->id)->stmts.push_back(Stmt::assign("t", c(0)));
     f.renumber();
     EXPECT_NE(structural_hash(f), base);
   }
   {  // statement moved across a child-list boundary (same statement set)
     Function f = hash_fixture();
-    Stmt* wh = f.body()->stmts[2].get();
-    Stmt* br = wh->then_stmts[0].get();
+    Stmt* br = f.edit(f.body()->stmts[2]->then_stmts[0]->id);
     br->else_stmts.push_back(std::move(br->then_stmts[0]));
     br->then_stmts.clear();
     EXPECT_NE(structural_hash(f), base);
@@ -392,47 +388,66 @@ TEST(Cow, CloneSharesAndEditDetaches) {
   const uint64_t h = structural_hash(f);
   Function g = f.clone();
   // The clone shares the body outright; no statement was copied.
-  EXPECT_EQ(std::as_const(f).body()->stmts[0].get(),
-            std::as_const(g).body()->stmts[0].get());
+  EXPECT_EQ(f.body()->stmts[0].get(), g.body()->stmts[0].get());
   // Mutating the child through ir::edit leaves the parent untouched.
   std::vector<StmtPtr> repl;
   repl.push_back(Stmt::assign("c", c(7)));
-  const int cid = std::as_const(g).body()->stmts[2]->id;
+  const int cid = g.body()->stmts[2]->id;
   ASSERT_TRUE(replace_stmt(g, cid, std::move(repl)));
   EXPECT_EQ(structural_hash(f), h);
   EXPECT_NE(structural_hash(g), h);
   // Untouched siblings are still the same nodes.
-  EXPECT_EQ(std::as_const(f).body()->stmts[1].get(),
-            std::as_const(g).body()->stmts[1].get());
+  EXPECT_EQ(f.body()->stmts[1].get(), g.body()->stmts[1].get());
 }
 
-TEST(Cow, MutableFindStmtIsolatesTheChild) {
+TEST(Cow, EditIsolatesTheChild) {
   Function f = cow_fixture();
   const uint64_t h = structural_hash(f);
   const std::string before = f.str();
   Function g = f.clone();
-  // Mutate deep inside the loop through the child's mutable accessor.
-  const int target =
-      std::as_const(g).body()->stmts[1]->then_stmts[1]->id;
-  Stmt* s = g.find_stmt(target);
+  // Mutate deep inside the loop through edit().
+  const Stmt& loop = *f.body()->stmts[1];
+  Stmt* s = g.edit(loop.then_stmts[1]->id);
   ASSERT_NE(s, nullptr);
   s->value = c(99);
   EXPECT_EQ(structural_hash(f), h);
   EXPECT_EQ(f.str(), before);
   EXPECT_NE(g.str(), before);
+  // Only the path to the statement was copied: the loop's other statement
+  // and the statements beside the loop are still the parent's nodes.
+  const Stmt& g_loop = *g.body()->stmts[1];
+  EXPECT_NE(&g_loop, &loop);
+  EXPECT_EQ(g_loop.then_stmts[0].get(), loop.then_stmts[0].get());
+  EXPECT_EQ(g.body()->stmts[0].get(), f.body()->stmts[0].get());
+  EXPECT_EQ(g.body()->stmts[2].get(), f.body()->stmts[2].get());
+}
+
+TEST(Cow, EditLeavesTheChildrenShared) {
+  Function f = cow_fixture();
+  Function g = f.clone();
+  // Editing the loop copies the loop node, never the statements below it.
+  const Stmt& loop = *f.body()->stmts[1];
+  cow::reset();
+  Stmt* s = g.edit(loop.id);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(cow::node_copies(), 2u);  // the body block and the loop
+  EXPECT_NE(s, &loop);
+  ASSERT_EQ(s->then_stmts.size(), loop.then_stmts.size());
+  for (size_t i = 0; i < loop.then_stmts.size(); ++i)
+    EXPECT_EQ(s->then_stmts[i].get(), loop.then_stmts[i].get());
+  EXPECT_EQ(g.edit(12345), nullptr);
 }
 
 TEST(Cow, CloneWithReplacesExactlyOneStatement) {
   Function f = cow_fixture();
   const uint64_t h = structural_hash(f);
-  const int target = std::as_const(f).body()->stmts[2]->id;  // c = b
+  const int target = f.body()->stmts[2]->id;  // c = b
   Function g = f.clone_with(target, Stmt::assign("c", c(0)));
   EXPECT_EQ(structural_hash(f), h);
   EXPECT_NE(structural_hash(g), h);
   EXPECT_NE(f.str(), g.str());
   // The loop subtree was not on the path to the replacement: still shared.
-  EXPECT_EQ(std::as_const(f).body()->stmts[1].get(),
-            std::as_const(g).body()->stmts[1].get());
+  EXPECT_EQ(f.body()->stmts[1].get(), g.body()->stmts[1].get());
   EXPECT_THROW(f.clone_with(12345, Stmt::assign("x", c(1))), Error);
 }
 
@@ -444,7 +459,7 @@ TEST(Cow, InstrumentationCountsClonesAndCopies) {
   EXPECT_EQ(cow::node_copies(), 0u);
   // Replacing the last top-level statement copies only the spine: the
   // body block itself (the replacement node is fresh, not a copy).
-  ASSERT_TRUE(g.splice(std::as_const(g).body()->stmts[2]->id,
+  ASSERT_TRUE(g.splice(g.body()->stmts[2]->id,
                        make_vector(Stmt::assign("c", c(5))), false));
   EXPECT_EQ(cow::node_copies(), 1u);
   EXPECT_LT(cow::node_copies(), f.stmt_count());

@@ -253,7 +253,7 @@ class MultiplyLibrary : public xform::TransformLibrary {
   ir::Function apply(const ir::Function& fn,
                      const xform::Candidate&) const override {
     ir::Function g = fn.clone();
-    g.body()->stmts[0]->value = ir::Expr::binary(
+    g.edit(fn.body()->stmts[0]->id)->value = ir::Expr::binary(
         ir::Op::Mul, ir::Expr::var("x"), ir::Expr::constant(8));
     return g;
   }
@@ -297,9 +297,7 @@ class UnsharedLibrary : public xform::TransformLibrary {
   }
   ir::Function apply(const ir::Function& fn,
                      const xform::Candidate& c) const override {
-    ir::Function g = inner_.apply(fn, c);
-    g.for_each([](ir::Stmt&) {});  // copies every node shared with fn
-    return g;
+    return unshared_copy(inner_.apply(fn, c));
   }
 
  private:
@@ -866,7 +864,7 @@ class SpinningLibrary : public xform::TransformLibrary {
   ir::Function apply(const ir::Function& fn,
                      const xform::Candidate&) const override {
     ir::Function g = fn.clone();
-    g.body()->stmts.push_back(ir::Stmt::while_stmt(
+    g.edit(g.body()->id)->stmts.push_back(ir::Stmt::while_stmt(
         ir::Expr::constant(1), {ir::Stmt::assign("y", ir::Expr::var("y"))}));
     g.renumber();
     return g;

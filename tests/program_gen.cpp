@@ -12,6 +12,14 @@ using ir::StmtPtr;
 
 namespace {
 
+/// `prefix` followed by `k`, appended in place (a `"x" + std::to_string(k)`
+/// temporary draws a GCC 12 -Wrestrict false positive in Release builds).
+std::string numbered(const char* prefix, int k) {
+  std::string s = prefix;
+  s += std::to_string(k);
+  return s;
+}
+
 class Generator {
  public:
   Generator(uint64_t seed, const GenOptions& opts) : rng_(seed), opts_(opts) {}
@@ -22,7 +30,7 @@ class Generator {
     fn.add_param("p1");
     names_ = {"p0", "p1"};
     for (int i = 0; i < opts_.scalar_pool; ++i)
-      names_.push_back("v" + std::to_string(i));
+      names_.push_back(numbered("v", i));
     // Loop counters are readable but never reassigned by generated code,
     // which keeps every loop's termination proof intact.
     assignable_ = names_;
@@ -94,14 +102,14 @@ class Generator {
   void append_concurrent_loops(ir::Function& fn, std::vector<StmtPtr>& out) {
     const int loops = irand(2, 4);
     for (int k = 0; k < loops; ++k) {
-      out.push_back(Stmt::assign("f" + std::to_string(k),
+      out.push_back(Stmt::assign(numbered("f", k),
                                  Expr::constant(irand(-4, 4))));
-      out.push_back(Stmt::assign("cf" + std::to_string(k), Expr::constant(0)));
+      out.push_back(Stmt::assign(numbered("cf", k), Expr::constant(0)));
     }
     for (int k = 0; k < loops; ++k) {
-      const std::string scalar = "f" + std::to_string(k);
-      const std::string array = "af" + std::to_string(k);
-      const std::string counter = "cf" + std::to_string(k);
+      const std::string scalar = numbered("f", k);
+      const std::string array = numbered("af", k);
+      const std::string counter = numbered("cf", k);
       fn.add_array({array, 8, false});
       fn.add_output(scalar);
       names_.push_back(scalar);
@@ -149,7 +157,7 @@ class Generator {
                                     std::move(else_b)));
       } else {
         // Counted loop: fresh counter, constant trip, i++ at the end.
-        const std::string counter = "c" + std::to_string(counter_id_++);
+        const std::string counter = numbered("c", counter_id_++);
         names_.push_back(counter);
         const int trip = irand(1, opts_.max_loop_trip);
         out.push_back(Stmt::assign(counter, Expr::constant(0)));

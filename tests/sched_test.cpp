@@ -319,19 +319,28 @@ class ReferenceDfgBuilder {
         reg_write ? " reg_write" : "", relax_war ? " relax_war" : "",
         std::string(fu).c_str(), std::string(array).c_str(),
         std::string(def_var).c_str(), stmt_id, var_reads);
-    for (const std::string& o : operands) out += " " + o;
+    for (const std::string& o : operands) {
+      out += ' ';
+      out += o;
+    }
     out += " )";
     for (const auto& [what, list] :
          {std::pair{" preds", preds}, std::pair{" war", war_preds},
           std::pair{" mem", mem_war_preds}}) {
       out += what;
-      for (int p : list) out += " " + std::to_string(p);
+      for (int p : list) {
+        out += ' ';
+        out += std::to_string(p);
+      }
     }
     return out + "\n";
   }
   static std::string render_carried(int def, std::span<const int> reads) {
     std::string out = strfmt("carried %d:", def);
-    for (int r : reads) out += " " + std::to_string(r);
+    for (int r : reads) {
+      out += ' ';
+      out += std::to_string(r);
+    }
     return out + "\n";
   }
 

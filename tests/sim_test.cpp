@@ -309,7 +309,7 @@ ir::Function redeclared(const ir::Function& fn, Edit edit) {
 /// `fn` followed by a loop that never exits.
 ir::Function with_spin(const ir::Function& fn) {
   ir::Function spin = fn.clone();
-  spin.body()->stmts.push_back(ir::Stmt::while_stmt(
+  spin.edit(spin.body()->id)->stmts.push_back(ir::Stmt::while_stmt(
       ir::Expr::constant(1),
       {ir::Stmt::assign("v0", ir::Expr::var("v0"))}));
   spin.renumber();

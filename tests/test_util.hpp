@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "ir/function.hpp"
 #include "ir/stmt.hpp"
 #include "obs/metrics.hpp"
 
@@ -17,6 +18,16 @@ std::vector<ir::StmtPtr> make_vector(T&&... stmts) {
   v.reserve(sizeof...(stmts));
   (v.push_back(std::forward<T>(stmts)), ...);
   return v;
+}
+
+/// A copy of `fn` that shares no statement node with it: the same
+/// statements, with the same ids, in fresh nodes (each top-level statement
+/// spliced in as a Stmt::clone(), which also copies the body block).
+inline ir::Function unshared_copy(const ir::Function& fn) {
+  ir::Function g = fn.clone();
+  for (const auto& s : fn.body()->stmts)
+    g.splice(s->id, {s->clone()}, /*insert_only=*/false);
+  return g;
 }
 
 /// How much the process-wide registry counter `name` grew since this

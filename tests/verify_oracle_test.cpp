@@ -18,6 +18,7 @@
 
 #include "lang/parser.hpp"
 #include "program_gen.hpp"
+#include "test_util.hpp"
 #include "util/strfmt.hpp"
 #include "verify/fault_injector.hpp"
 #include "verify/verify.hpp"
@@ -420,14 +421,25 @@ B(int a, int b) {
 }
 )";
 
-/// The first If of `fn` (mutable: detaches the tree).
+/// The first If of `fn`, through edit(): its own fields and lists may be
+/// changed, and a child through edit(child id).
 ir::Stmt& first_if(ir::Function& fn) {
-  ir::Stmt* guard = nullptr;
-  fn.for_each([&](ir::Stmt& s) {
-    if (!guard && s.kind == ir::StmtKind::If) guard = &s;
+  int id = -1;
+  fn.for_each([&](const ir::Stmt& s) {
+    if (id < 0 && s.kind == ir::StmtKind::If) id = s.id;
   });
+  ir::Stmt* guard = fn.edit(id);
   EXPECT_NE(guard, nullptr);
   return *guard;
+}
+
+/// The ids of the loops of `fn`, in preorder.
+std::vector<int> loop_ids(const ir::Function& fn) {
+  std::vector<int> ids;
+  fn.for_each([&](const ir::Stmt& s) {
+    if (s.kind == ir::StmtKind::While) ids.push_back(s.id);
+  });
+  return ids;
 }
 
 bool has_check(const ir::Function& f, const char* check) {
@@ -439,7 +451,7 @@ bool has_check(const ir::Function& f, const char* check) {
 TEST(VerifyOracle, IdRepeatedAcrossBranches) {
   ir::Function f = parse(kBranches);
   ir::Stmt& guard = first_if(f);
-  guard.else_stmts.back()->id = guard.then_stmts.front()->id;
+  f.edit(guard.else_stmts.back()->id)->id = guard.then_stmts.front()->id;
   same_as_oracle(f, oracle::undefined_reads(parse(kBranches)), "repeated id");
   EXPECT_TRUE(has_check(f, "ir.guard-exclusion"));
 }
@@ -449,8 +461,10 @@ TEST(VerifyOracle, UnassignedIdsInBothBranches) {
   // guard check still reports id -1 in both branches.
   ir::Function f = parse(kBranches);
   ir::Stmt& guard = first_if(f);
-  guard.then_stmts.front()->id = -1;
-  guard.else_stmts.front()->id = -1;
+  const int then_id = guard.then_stmts.front()->id;
+  const int else_id = guard.else_stmts.front()->id;
+  f.edit(then_id)->id = -1;
+  f.edit(else_id)->id = -1;
   same_as_oracle(f, {}, "two unassigned ids");
   EXPECT_TRUE(has_check(f, "ir.guard-exclusion"));
   EXPECT_TRUE(has_check(f, "ir.stmt-id-assigned"));
@@ -471,7 +485,7 @@ TEST(VerifyOracle, IdHiddenInUnwalkedList) {
   ir::Stmt& guard = first_if(f);
   ir::StmtPtr hidden = ir::Stmt::assign("y", ir::Expr::constant(1));
   hidden->id = guard.else_stmts.front()->id;
-  guard.then_stmts.front()->then_stmts.push_back(hidden);
+  f.edit(guard.then_stmts.front()->id)->then_stmts.push_back(hidden);
   same_as_oracle(f, {}, "hidden list");
   EXPECT_TRUE(has_check(f, "ir.guard-exclusion"));
   EXPECT_TRUE(has_check(f, "ir.shape"));
@@ -516,19 +530,18 @@ TEST(VerifyOracle, MalformedStatements) {
   {
     ir::Function f = parse(kBranches);
     ir::Stmt& guard = first_if(f);
-    guard.then_stmts.front()->value = nullptr;
+    f.edit(guard.then_stmts.front()->id)->value = nullptr;
     guard.cond = nullptr;
     guard.stmts.push_back(ir::Stmt::assign("q", ir::Expr::var("a")));
     same_as_oracle(f, allowed, "missing slots");
   }
   {
     ir::Function f = parse(kBranches);
-    f.for_each([](ir::Stmt& s) {
-      if (s.kind == ir::StmtKind::While) {
-        s.else_stmts = std::move(s.then_stmts);
-        s.then_stmts.clear();
+    for (const int id : loop_ids(f))
+      if (ir::Stmt* loop = f.edit(id)) {
+        loop->else_stmts = std::move(loop->then_stmts);
+        loop->then_stmts.clear();
       }
-    });
     same_as_oracle(f, allowed, "empty loop with else list");
   }
   {
@@ -728,8 +741,7 @@ TEST(VerifyReuse, IndexKeepsOnlyItsFunctionsNodes) {
   // nodes: none may serve as a key, and the copy's variants check whole.
   const Neighborhood nb =
       neighborhood("GEN1014", testgen::random_program(1014));
-  ir::Function g = nb.fn.clone();
-  g.for_each([](ir::Stmt&) {});  // copies every node
+  ir::Function g = unshared_copy(nb.fn);
   const StatementChecks foreign(g, statement_checks(nb.fn).unit());
   EXPECT_EQ(foreign.size(), 0u);
   const Neighborhood copies = neighborhood("GEN1014 copy", std::move(g));

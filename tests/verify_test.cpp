@@ -30,6 +30,16 @@ GCD(int a, int b) {
 }
 )";
 
+/// Clears the body of every outermost loop of `fn`.
+void empty_loops(ir::Function& fn) {
+  std::vector<int> loops;
+  fn.for_each([&](const ir::Stmt& s) {
+    if (s.kind == ir::StmtKind::While) loops.push_back(s.id);
+  });
+  for (const int id : loops)
+    if (ir::Stmt* loop = fn.edit(id)) loop->then_stmts.clear();
+}
+
 // ---- levels and reports -------------------------------------------------
 
 TEST(VerifyLevel, ParsesAndRejects) {
@@ -71,23 +81,20 @@ TEST(VerifyFunction, CleanFunctionPasses) {
 
 TEST(VerifyFunction, OffSkipsEverything) {
   ir::Function fn = parse(kGcd);
-  fn.for_each([&](ir::Stmt& s) {
-    if (s.kind == ir::StmtKind::While) s.then_stmts.clear();
-  });
+  empty_loops(fn);
   EXPECT_TRUE(verify_function(fn, Level::Off).ok());
   EXPECT_FALSE(verify_function(fn, Level::Fast).ok());
 }
 
 TEST(VerifyFunction, DuplicateStmtIdFlagged) {
   ir::Function fn = parse(kGcd);
-  int first_id = -1;
-  ir::Stmt* last = nullptr;
-  fn.for_each([&](ir::Stmt& s) {
+  int first_id = -1, last_id = -1;
+  fn.for_each([&](const ir::Stmt& s) {
     if (first_id < 0) first_id = s.id;
-    last = &s;
+    last_id = s.id;
   });
-  ASSERT_NE(last, nullptr);
-  last->id = first_id;
+  ASSERT_NE(last_id, first_id);
+  fn.edit(last_id)->id = first_id;
   const Report r = verify_function(fn, Level::Fast);
   EXPECT_TRUE(has_check(r, "ir.stmt-id-unique")) << r.str();
   // The thin ir-level validator now rejects this too.
@@ -96,23 +103,21 @@ TEST(VerifyFunction, DuplicateStmtIdFlagged) {
 
 TEST(VerifyFunction, UnassignedStmtIdFlagged) {
   ir::Function fn = parse(kGcd);
-  fn.body()->stmts.front()->id = -1;
+  fn.edit(fn.body()->stmts.front()->id)->id = -1;
   const Report r = verify_function(fn, Level::Fast);
   EXPECT_TRUE(has_check(r, "ir.stmt-id-assigned")) << r.str();
 }
 
 TEST(VerifyFunction, EmptyLoopBodyFlagged) {
   ir::Function fn = parse(kGcd);
-  fn.for_each([&](ir::Stmt& s) {
-    if (s.kind == ir::StmtKind::While) s.then_stmts.clear();
-  });
+  empty_loops(fn);
   const Report r = verify_function(fn, Level::Fast);
   EXPECT_TRUE(has_check(r, "ir.empty-loop")) << r.str();
 }
 
 TEST(VerifyFunction, UndeclaredArrayFlagged) {
   ir::Function fn = parse(kGcd);
-  fn.body()->stmts.push_back(ir::Stmt::assign(
+  fn.edit(fn.body()->id)->stmts.push_back(ir::Stmt::assign(
       "t", ir::Expr::array_read("nope", ir::Expr::constant(0))));
   fn.assign_fresh_ids();
   const Report r = verify_function(fn, Level::Fast);
@@ -123,21 +128,21 @@ TEST(VerifyFunction, GuardExclusionFlagged) {
   ir::Function fn = parse(kGcd);
   // Alias the else-branch statement's id to the then-branch statement's:
   // the same id becomes reachable under both polarities of the guard.
-  ir::Stmt* guard = nullptr;
-  fn.for_each([&](ir::Stmt& s) {
+  const ir::Stmt* guard = nullptr;
+  fn.for_each([&](const ir::Stmt& s) {
     if (s.kind == ir::StmtKind::If) guard = &s;
   });
   ASSERT_NE(guard, nullptr);
   ASSERT_FALSE(guard->then_stmts.empty());
   ASSERT_FALSE(guard->else_stmts.empty());
-  guard->else_stmts.front()->id = guard->then_stmts.front()->id;
+  fn.edit(guard->else_stmts.front()->id)->id = guard->then_stmts.front()->id;
   const Report r = verify_function(fn, Level::Fast);
   EXPECT_TRUE(has_check(r, "ir.guard-exclusion")) << r.str();
 }
 
 TEST(VerifyFunction, DifferentialDefBeforeUse) {
   ir::Function fn = parse(kGcd);
-  fn.body()->stmts.push_back(
+  fn.edit(fn.body()->id)->stmts.push_back(
       ir::Stmt::assign("q", ir::Expr::var("neverdef")));
   fn.assign_fresh_ids();
 

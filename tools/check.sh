@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Robustness gate: build src/ and tools/ as fact-bench does (Release) and
-# require a build free of compiler warnings, then build the whole tree under
+# Robustness gate: build the whole tree in Release, as fact-bench builds
+# src/ and tools/, and require a build free of compiler warnings, then build the whole tree under
 # a sanitizer and run the full test suite (including the fault-injection
 # and verifier tests). Usage:
 #
@@ -19,8 +19,10 @@
 #                       re-runs the parallel engine + pool + service tests,
 #                       the four-thread verifier test, the compile- and
 #                       verify-reuse oracles (one parent's state read from
-#                       four threads at once) and the engine's reusing
-#                       gate at jobs = 2 with
+#                       four threads at once), the copy-on-write sharing
+#                       test (one parent's candidates applied from four
+#                       threads) and the engine's reusing gate at jobs = 2
+#                       with
 #                       TSAN_OPTIONS=halt_on_error=1 so any data race in
 #                       the evaluation waves, the verifier or the factd
 #                       service fails loudly, and finally drives a
@@ -58,17 +60,18 @@ case "$sanitize" in
     ;;
 esac
 
-# Warning-free Release build: every library under src/ and the three tools,
-# compiled from clean (a warning prints only when its file compiles).
+# Warning-free Release build of the whole tree (every library under src/,
+# the tools, the tests, the benches and the examples), compiled from clean
+# (a warning prints only when its file compiles).
 release_dir="$build_dir-release"
 release_log="$release_dir/build.log"
 cmake -S "$repo_root" -B "$release_dir" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$release_dir" --target clean
-cmake --build "$release_dir" -j "$(nproc)" --target factc factd factcli \
+cmake --build "$release_dir" -j "$(nproc)" --target all \
   >"$release_log" 2>&1 \
   || { cat "$release_log" >&2; echo "check.sh: Release build failed" >&2; exit 1; }
 if grep 'warning:' "$release_log" >&2; then
-  echo "check.sh: the Release build of src/ and tools/ printed warnings" >&2
+  echo "check.sh: the Release build printed warnings" >&2
   exit 1
 fi
 
@@ -145,7 +148,7 @@ if [ "$cmake_flag" = thread ]; then
   # with real thread contention, with races promoted to hard failures.
   TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \
     ctest --test-dir "$build_dir" --output-on-failure \
-      -R 'WorkerPool|JobsInvariant|JobsDeterminism|EvalCache|FusedFragment|SharedScheduler|Gate3|Engine\.EnginesSharing|Service\.|Server\.|FactdE2E|Obs\.|VerifyOracle\.SharedCandidates|LaneOracle|CompileReuse\.|VerifyReuse\.|Engine\.GateReusing'
+      -R 'WorkerPool|JobsInvariant|JobsDeterminism|EvalCache|FusedFragment|SharedScheduler|Gate3|Engine\.EnginesSharing|Service\.|Server\.|FactdE2E|Obs\.|VerifyOracle\.SharedCandidates|LaneOracle|CompileReuse\.|VerifyReuse\.|Engine\.GateReusing|CowSharing\.'
 
   # Server integration under TSan: a sanitized factd on a unix socket,
   # hammered by concurrent factcli clients, must exit cleanly (TSan makes
