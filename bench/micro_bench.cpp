@@ -150,10 +150,11 @@ BENCHMARK(BM_EquivalenceCheck);
 // The IR half of the candidate gate: the verifier's checks and the
 // interpreter's compile of every first-level standard-library candidate of
 // a generated program (fact-bench's `generated` draw, GEN<seed>; GEN1019
-// has no candidate), against the parent's per-statement results
-// (parent:1, as the search gates) or whole (parent:0). `per_candidate` is
-// the time per candidate; `compiled` and `checked` are the shares of the
-// candidates' statements the compile and the checks redid.
+// has no candidate), against a store to which the parent was added
+// (parent:1, as the search gates its first move) or whole (parent:0).
+// `per_candidate` is the time per candidate; `compiled` and `checked` are
+// the shares of the candidates' statements the compile and the checks
+// redid.
 void BM_CandidateGate(benchmark::State& state) {
   const ir::Function fn =
       testgen::random_program(static_cast<uint64_t>(state.range(0)));
@@ -167,9 +168,12 @@ void BM_CandidateGate(benchmark::State& state) {
       // declined at apply time
     }
   }
-  const sim::StatementCode code = sim::statement_code(fn);
-  const verify::StatementChecks checks = verify::statement_checks(fn);
-  const std::set<std::string> allowed = verify::undefined_reads(fn);
+  sim::StatementCode code;
+  code.add(fn);
+  verify::StatementChecks checks;
+  checks.add(fn);
+  const std::set<std::string> allowed =
+      verify::FunctionChecks(fn, &checks).undefined_reads();
   size_t stmts = 0, compiled = 0, checked = 0;
   for (auto _ : state) {
     stmts = compiled = checked = 0;

@@ -75,14 +75,6 @@ std::vector<int> Function::stmt_ids() const {
   return ids;
 }
 
-const Stmt* Function::find_stmt(int id) const {
-  const Stmt* found = nullptr;
-  for_each([&](const Stmt& s) {
-    if (s.id == id) found = &s;
-  });
-  return found;
-}
-
 namespace {
 
 // Fills `path` with (child-list index, element index) steps leading from
@@ -96,6 +88,7 @@ bool find_path(const StmtPtr& s, int id, Path& path) {
   for (size_t li = 0; li < lists.size(); ++li) {
     const auto& list = *lists[li];
     for (size_t ei = 0; ei < list.size(); ++ei) {
+      if (!list[ei]) continue;
       path.emplace_back(li, ei);
       if (list[ei]->id == id || find_path(list[ei], id, path)) return true;
       path.pop_back();
@@ -118,6 +111,15 @@ StmtPtr& detach_path(StmtPtr& root, const Path& path, size_t steps) {
 }
 
 }  // namespace
+
+const Stmt* Function::find_stmt(int id) const {
+  if (!body_) return nullptr;
+  Path path;
+  if (body_->id != id && !find_path(body_, id, path)) return nullptr;
+  const Stmt* s = body_.get();
+  for (const auto& [li, ei] : path) s = (*s->child_lists()[li])[ei].get();
+  return s;
+}
 
 Stmt* Function::edit(int id) {
   if (!body_) return nullptr;

@@ -73,7 +73,8 @@ class Function {
   /// transform-created statements).
   std::vector<int> stmt_ids() const;
 
-  /// Finds the statement with the given id, or nullptr.
+  /// The first statement in preorder with the given id (the one edit()
+  /// and splice() take), or nullptr.
   const Stmt* find_stmt(int id) const;
 
   /// The statement with the given id, made private to this function for

@@ -2,8 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "ir/function.hpp"
@@ -11,14 +9,13 @@
 
 namespace fact::ir {
 
-/// One statement's record in a unit: the per-statement results of one pass
-/// over a function, in flat arrays (sim::FragmentUnit, the compiled
+/// One statement's record in a unit: the per-statement results of passes
+/// over functions, in flat arrays (sim::FragmentUnit, the compiled
 /// fragments; verify::CheckUnit, the checks). A Unit has `records`, each
 /// with the `stmt` it was made from and the range of its children's refs
-/// in `kids`. A pass over a variant of a function reuses the records of
-/// the statements the variant shares with the function, so a unit's
-/// `kids` may refer into the unit it reused them from, which its `base`
-/// keeps alive.
+/// in `kids`. A pass reuses the records a StatementIndex holds of the
+/// statements it shares with the index's functions, so the `kids` of the
+/// unit a pass fills may refer into the index's unit.
 template <typename Unit>
 struct UnitRef {
   const Unit* unit = nullptr;
@@ -60,67 +57,70 @@ UnitRange add_kids(Unit& unit, const Stmt& s,
   return kids;
 }
 
-/// The records of one pass over a function, found by statement pointer:
-/// what a pass over a variant of the function reuses. Only the records of
-/// the function's own statements are keys (a record of a node it does not
-/// hold is skipped), and the index holds the function's tree, so every key
-/// is a live node: a freed node's address cannot come back as a key while
-/// the index lives. Read only, so any number of threads may use one at
-/// once.
+/// One search's store of per-statement results, found by statement
+/// pointer: what a pass over a candidate reuses. It is append only. An add
+/// runs the pass over a function into the store's one unit, which makes
+/// records of only the statements the store does not hold yet, keys those
+/// new records, and keeps a copy of the function (O(1), sharing the tree).
+/// Every key is a node of a kept function, so it stays a live node while
+/// the store lives: a freed node's address cannot come back as a key.
+/// Adds are serial; between them any number of threads may read the store
+/// at once.
 ///
-/// The member functions are defined below but instantiated only where
-/// the Unit is complete (sim/interp.cpp, verify/verify.cpp).
+/// The Unit runs its pass as `unit.pass(fn, reuse)`. The member functions
+/// are defined below but instantiated only where the Unit is complete
+/// (sim/interp.cpp, verify/verify.cpp).
 template <typename Unit>
 class StatementIndex {
  public:
   using Ref = UnitRef<Unit>;
 
-  /// Indexes `unit`, a pass over `fn` whose records of the statements of
-  /// fn's body are `unit->top()`, in order.
-  StatementIndex(const Function& fn, std::shared_ptr<const Unit> unit);
+  StatementIndex();
+  // Move only: a copy would share the unit with the original.
+  StatementIndex(StatementIndex&&) = default;
+  StatementIndex& operator=(StatementIndex&&) = default;
+
+  /// Adds `fn` unless its declarations differ from the first function's.
+  /// Returns the statements the pass made records of: those of `fn` the
+  /// store did not hold (0 for a function it did not add).
+  size_t add(const Function& fn);
 
   /// The records a pass over `variant` may reuse: null unless `variant`
-  /// declares the same parameters, arrays and outputs as the function
-  /// (a statement compiles and checks alike under equal declarations).
+  /// declares the same parameters, arrays and outputs as the functions
+  /// added (a statement compiles and checks alike under equal
+  /// declarations).
   const PointerMap<Ref>* reusable_for(const Function& variant) const {
-    return fn_.same_declarations(variant) ? &refs_ : nullptr;
+    return !fns_.empty() && fns_.front().same_declarations(variant) ? &refs_
+                                                                   : nullptr;
   }
 
-  const std::shared_ptr<const Unit>& unit() const { return unit_; }
+  const Unit& unit() const { return *unit_; }
 
   /// Statements indexed.
   size_t size() const { return refs_.size(); }
 
  private:
-  void add(const Stmt& s, Ref r);
-
-  Function fn_;  // a copy (O(1), sharing the tree): holds the keys' nodes
-  std::shared_ptr<const Unit> unit_;
+  // Refs point at the unit, so it never moves; a shared_ptr deletes it
+  // where the Unit is incomplete.
+  std::shared_ptr<Unit> unit_;
+  std::vector<Function> fns_;   // copies: they hold the keys' nodes
   PointerMap<Ref> refs_;
 };
 
 template <typename Unit>
-StatementIndex<Unit>::StatementIndex(const Function& fn,
-                                     std::shared_ptr<const Unit> unit)
-    : fn_(fn), unit_(std::move(unit)) {
-  const Stmt* body = fn_.body();
-  if (!body) return;
-  const std::span<const Ref> top = unit_->top();
-  size_t k = 0;
-  for (const auto& s : body->stmts)
-    if (s && k < top.size()) add(*s, top[k++]);
-}
+StatementIndex<Unit>::StatementIndex() : unit_(std::make_shared<Unit>()) {}
 
 template <typename Unit>
-void StatementIndex<Unit>::add(const Stmt& s, Ref r) {
-  if (r->stmt != &s) return;
-  refs_.insert(&s, r);
-  const UnitRange kids = r->kids;
-  uint32_t k = 0;
-  s.for_each_child_list([&](const std::vector<StmtPtr>& list) {
-    for (const auto& c : list)
-      if (c && k < kids.size) add(*c, r.unit->kids[kids.begin + k++]);
-  });
+size_t StatementIndex<Unit>::add(const Function& fn) {
+  if (!fns_.empty() && !fns_.front().same_declarations(fn)) return 0;
+  const auto mark = static_cast<uint32_t>(unit_->records.size());
+  unit_->pass(fn, &refs_);
+  fns_.push_back(fn);
+  // The pass made every new record from a node of fn.
+  const auto end = static_cast<uint32_t>(unit_->records.size());
+  for (uint32_t i = mark; i < end; ++i)
+    refs_.insert(unit_->records[i].stmt, Ref{unit_.get(), i});
+  return end - mark;
 }
 
 }  // namespace fact::ir

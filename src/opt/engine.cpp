@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <iterator>
-#include <memory>
 #include <typeinfo>
 #include <unordered_set>
 #include <utility>
@@ -23,36 +22,12 @@ namespace fact::opt {
 
 namespace {
 
-/// What gating a member's candidates reuses: the member's compiled
-/// statements and verifier results, by statement pointer. Workers only
-/// read it.
-struct GateState {
-  /// The state of `f`, a variant of the function `parent` is the state
-  /// of (null for the root); its checks only when `checked`.
-  GateState(const ir::Function& f, const GateState* parent, bool checked)
-      : fn(f) {
-    try {
-      code.emplace(sim::statement_code(
-          fn, parent && parent->code ? &*parent->code : nullptr));
-    } catch (const Error&) {
-      // fn does not compile; its candidates compile whole, at gate 3.
-    }
-    if (checked)
-      checks.emplace(verify::statement_checks(
-          fn, parent && parent->checks ? &*parent->checks : nullptr));
-  }
-
-  const ir::Function fn;
-  std::optional<sim::StatementCode> code;
-  std::optional<verify::StatementChecks> checks;
-};
-
-/// A member gets a GateState of its own only when it has at least this
-/// many candidates; one with fewer gates them against the state it
-/// inherited. Making a state costs about two candidates' gates, and on the
-/// Table 2 behaviors, whose members have 5 to 21 candidates, a candidate
-/// redoes 40% to 87% of its statements whichever state it is gated
-/// against; the generated behaviors' members have a hundred or more.
+/// A member's statements go into the gate's store only when it has at
+/// least this many candidates; the candidates of one with fewer reuse what
+/// the store holds already. An add costs about two candidates' gates, and
+/// on the Table 2 behaviors, whose members have 5 to 21 candidates, a
+/// candidate redoes 40% to 87% of its statements whatever the store holds;
+/// the generated behaviors' members have a hundred or more.
 constexpr size_t kOwnGateCandidates = 32;
 
 /// One member of the search population: a transformed variant plus the
@@ -68,10 +43,6 @@ struct Member {
   /// from the reference pass), handed to evaluation and dropped there.
   /// Empty for a root whose reference pass aborted.
   std::optional<sim::Profile> profile;
-  /// The state its candidates are gated against: the root's own, else
-  /// the one it inherited from its parent, or its own (made against that)
-  /// if it has kOwnGateCandidates candidates.
-  std::shared_ptr<const GateState> gate;
 };
 
 /// Adds one optimize() call's search to the process-wide registry (obs),
@@ -370,12 +341,6 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
   if (!opts_.pool) own_pool.emplace(jobs);
   WorkerPool& pool = opts_.pool ? *opts_.pool : *own_pool;
 
-  // Reads-before-def present in the *input* behavior are legal (registers
-  // read as 0); candidates may not enlarge the set.
-  const std::set<std::string> baseline_undef =
-      opts_.validate == verify::Level::Off ? std::set<std::string>{}
-                                           : verify::undefined_reads(fn);
-
   auto out_of_budget = [&]() {
     if (result.truncated) return true;
     if (opts_.cancel && opts_.cancel->load(std::memory_order_relaxed)) {
@@ -469,21 +434,37 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
   root.fn = fn.clone();
   root.region = region;
   root.hash = ir::structural_hash(fn);
+
+  // The gate's store, one per run: the compiled statements and verifier
+  // results of the root and of every member with kOwnGateCandidates
+  // candidates, found by statement pointer. Members are added serially,
+  // during neighborhood generation; workers only read it. Every candidate
+  // is gated against it and redoes only the statements it does not hold.
   const bool checked = opts_.validate != verify::Level::Off;
-  root.gate = std::make_shared<const GateState>(root.fn, nullptr, checked);
+  sim::StatementCode code;
+  verify::StatementChecks checks;
+  if (checked) checks.add(root.fn);
+
+  // Reads-before-def present in the *input* behavior are legal (registers
+  // read as 0); candidates may not enlarge the set.
+  const std::set<std::string> baseline_undef =
+      checked ? verify::FunctionChecks(root.fn, &checks).undefined_reads()
+              : std::set<std::string>{};
 
   // Gate 3 compares every candidate against the input behavior, so the
   // input is simulated once, here: its observations become the reference
   // and the same pass yields the root's profile. If the input itself
-  // aborts, the root's evaluation re-raises the error and every candidate
-  // is quarantined with it.
+  // aborts (or does not compile), the root's evaluation re-raises the
+  // error and every candidate is quarantined with it.
   sim::Observations reference;
   std::optional<std::string> reference_error;
   {
     obs::Span sp_ref = obs::span("reference", "opt");
     try {
+      code.add(root.fn);
       sim::Profile p;
-      reference = sim::reference_observations(fn, trace, &p);
+      reference = sim::reference_observations(sim::Interpreter(root.fn, &code),
+                                              trace, &p);
       root.profile = std::move(p);
     } catch (const std::exception& e) {
       reference_error = e.what();
@@ -546,10 +527,11 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
         if (out_of_budget()) break;
         Member& m = in_set[gi];
         std::vector<xform::Candidate> cands = xforms_.find_all(m.fn, m.region);
-        if (cands.size() >= kOwnGateCandidates &&
-            m.gate->fn.body() != m.fn.body())
-          m.gate = std::make_shared<const GateState>(m.fn, m.gate.get(),
-                                                     checked);
+        if (cands.size() >= kOwnGateCandidates && !m.applied.empty()) {
+          // (The root, which applied nothing, is in the store already.)
+          code.add(m.fn);
+          if (checked) checks.add(m.fn);
+        }
         // Deterministic shuffle so the evaluation budget samples the
         // neighborhood uniformly instead of front-loading one transform.
         for (size_t i = cands.size(); i > 1; --i)
@@ -581,7 +563,6 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
         pool.parallel_for(wave, [&](size_t w) {
           const WorkItem& item = work[next_item + w];
           const Member& g = in_set[item.parent];
-          const GateState& base = *g.gate;
           Outcome& o = outcomes[w];
           obs::Span sp_cand = obs::span("candidate", "opt");
           sp_cand.arg("transform", item.cand.transform);
@@ -608,13 +589,12 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
           // Gate 2: deep IR invariants, before dedup so that even a
           // corruption that leaves the structural hash unchanged (e.g. a
           // duplicated statement id) is caught and accounted for. Only
-          // the statements the candidate does not share with the state it
-          // is gated against are checked afresh.
-          if (opts_.validate != verify::Level::Off) {
+          // the statements the candidate does not share with the gate's
+          // store are checked afresh.
+          if (checked) {
             obs::Span sp_verify = obs::span("verify", "opt");
-            const verify::FunctionChecks checks(
-                o.fn, base.checks ? &*base.checks : nullptr);
-            const verify::Report rep = checks.report(&baseline_undef);
+            const verify::Report rep =
+                verify::FunctionChecks(o.fn, &checks).report(&baseline_undef);
             if (!rep.ok()) {
               o.status = Outcome::Status::Quarantined;
               o.pass = "verify";
@@ -640,14 +620,13 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
 
           // Gate 3: observable behavior must match the original. One
           // interpreter pass checks it against the reference and profiles
-          // the candidate for evaluation. The compile links the state's
+          // the candidate for evaluation. The compile links the store's
           // fragments of the statements the candidate shares with it.
           {
             obs::Span sp_eq = obs::span("equivalence", "opt");
             try {
               if (reference_error) throw Error(*reference_error);
-              const sim::Interpreter compiled(
-                  o.fn, base.code ? &*base.code : nullptr);
+              const sim::Interpreter compiled(o.fn, &code);
               o.profile =
                   sim::profile_if_equivalent(compiled, trace, reference);
             } catch (const std::exception& e) {
@@ -718,7 +697,6 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
               }
               m.fn = std::move(o.fn);
               m.profile = std::move(o.profile);
-              m.gate = g.gate;
               m.applied = std::move(seq);
               m.via = item.cand.transform;
               m.hash = o.hash;

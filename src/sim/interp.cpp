@@ -110,13 +110,13 @@ struct Interpreter::Program {
   std::vector<std::string> errors;  // Fail messages
 };
 
-/// The fragments one compile made, in flat arrays (an ir::StatementIndex
-/// unit). A fragment's own code and tables are contiguous ranges; its
-/// children are references, into this unit or into an ancestor's, which
-/// `base` keeps alive (the parent's unit, whose own base is the
-/// grandparent's, and so on). Fragments number scalars and constants in
-/// `names` and `consts`, which extend the parent unit's tables, so a
-/// number means the same in every unit of the chain.
+/// The fragments of passes over functions, in flat arrays (an
+/// ir::StatementIndex unit). A fragment's own code and tables are
+/// contiguous ranges; its children are references, into this unit or, for
+/// the fragments a pass reused, into the store's. Fragments number scalars
+/// and constants in `names` and `consts`; a pass that reuses a store's
+/// fragments extends the store's tables, so a number means the same in
+/// both units.
 struct FragmentUnit {
   using Ref = ir::UnitRef<FragmentUnit>;
   using Range = ir::UnitRange;
@@ -136,17 +136,23 @@ struct FragmentUnit {
   /// In `sights`, a child's place.
   static constexpr int32_t kChild = -1;
 
-  std::span<const Ref> top() const { return body; }
+  /// Compiles each statement of `fn` that `reuse` (if non-null) does not
+  /// hold into a fragment, appending it; `body` gets the fragments of the
+  /// top-level statements.
+  void compile(const ir::Function& fn,
+               const std::vector<Interpreter::Program::Array>& arrays,
+               const PointerMap<Ref>* reuse);
+  /// The same, laying out fn's arrays: the pass of a StatementCode.
+  void pass(const ir::Function& fn, const PointerMap<Ref>* reuse);
 
   std::vector<Fragment> records;
   std::vector<Instr> code;
   std::vector<int32_t> sights;
   std::vector<std::string> errors;
   std::vector<Ref> kids;
-  std::vector<Ref> body;  // the top-level statements, in order
+  std::vector<Ref> body;  // the last pass's top-level statements, in order
   InternTable<std::string> names;  // the scalars
   InternTable<int64_t> consts;
-  std::shared_ptr<const FragmentUnit> base;
 };
 
 namespace {
@@ -197,20 +203,20 @@ CompileScratch& compile_scratch() {
 }
 
 /// Compiles statements into the fragments of one Unit, reusing the
-/// parent's fragment of every statement the parent holds.
+/// fragment of every statement `reuse` holds.
 class FragmentCompiler {
  public:
   FragmentCompiler(Unit& unit, const std::vector<Program::Array>& arrays,
-                   const PointerMap<Unit::Ref>* parent)
+                   const PointerMap<Unit::Ref>* reuse)
       : u_(unit),
         arrays_(arrays),
-        parent_(parent),
+        reuse_(reuse),
         kids_(compile_scratch().kids) {}
 
-  /// The fragment of `s`: the parent's, or a new one.
+  /// The fragment of `s`: the one `reuse` holds, or a new one.
   Unit::Ref get(const Stmt& s) {
-    if (parent_)
-      if (const Unit::Ref* r = parent_->find(&s)) return *r;
+    if (reuse_)
+      if (const Unit::Ref* r = reuse_->find(&s)) return *r;
     return compile(s);
   }
 
@@ -401,7 +407,7 @@ class FragmentCompiler {
 
   Unit& u_;
   const std::vector<Program::Array>& arrays_;
-  const PointerMap<Unit::Ref>* parent_;
+  const PointerMap<Unit::Ref>* reuse_;
   std::vector<Unit::Ref>& kids_;  // children compiled, per pending fragment
   Unit::Fragment f_;              // the open fragment
   int32_t next_kid_ = 0;
@@ -1032,61 +1038,52 @@ double RunStats::expected_iterations(int stmt_id, double fallback) const {
 namespace {
 
 /// Compiles the fragments of `fn` into the thread's scratch unit, reusing
-/// `parent`'s where it allows, and returns the unit. It holds them until
+/// `store`'s where it allows, and returns the unit. It holds them until
 /// the thread's next compile.
 const Unit& compile_fragments(const ir::Function& fn,
-                              const StatementCode* parent,
+                              const StatementCode* store,
                               const std::vector<Program::Array>& arrays) {
   const PointerMap<Unit::Ref>* reuse =
-      parent ? parent->reusable_for(fn) : nullptr;
+      store ? store->reusable_for(fn) : nullptr;
   Unit& unit = compile_scratch().unit;
   unit.records.clear();
   unit.code.clear();
   unit.sights.clear();
   unit.errors.clear();
   unit.kids.clear();
-  unit.body.clear();
-  unit.names.reset(reuse ? &parent->unit()->names : nullptr);
-  unit.consts.reset(reuse ? &parent->unit()->consts : nullptr);
-  if (!reuse) {
-    // Same declarations, same names: a parent's table holds these.
-    for (const auto& n : fn.params()) unit.names.intern(n);
-    for (const auto& n : fn.outputs()) unit.names.intern(n);
-  }
-  if (fn.body()) {
-    FragmentCompiler compiler(unit, arrays, reuse);
-    for (const auto& s : fn.body()->stmts)
-      if (s) unit.body.push_back(compiler.get(*s));
-  }
+  unit.names.reset(reuse ? &store->unit().names : nullptr);
+  unit.consts.reset(reuse ? &store->unit().consts : nullptr);
+  unit.compile(fn, arrays, reuse);
   return unit;
 }
 
 }  // namespace
 
-Interpreter::Interpreter(const ir::Function& fn, const StatementCode* parent) {
-  int32_t memory_size = 0;
-  std::vector<Program::Array> arrays = lay_out_arrays(fn, memory_size);
-  const Unit& unit = compile_fragments(fn, parent, arrays);
-  compiled_ = unit.records.size();
-  prog_ = Linker(fn, std::move(arrays), memory_size, unit).take();
+void FragmentUnit::compile(const ir::Function& fn,
+                           const std::vector<Program::Array>& arrays,
+                           const PointerMap<Ref>* reuse) {
+  // The parameters and outputs are numbered first (in a table that extends
+  // a store's, the store's numbers hold them: same declarations).
+  for (const auto& n : fn.params()) names.intern(n);
+  for (const auto& n : fn.outputs()) names.intern(n);
+  body.clear();
+  if (!fn.body()) return;
+  FragmentCompiler compiler(*this, arrays, reuse);
+  for (const auto& s : fn.body()->stmts)
+    if (s) body.push_back(compiler.get(*s));
 }
 
-StatementCode statement_code(const ir::Function& fn,
-                             const StatementCode* parent) {
+void FragmentUnit::pass(const ir::Function& fn, const PointerMap<Ref>* reuse) {
   int32_t memory_size = 0;
-  const Unit& scratch =
-      compile_fragments(fn, parent, lay_out_arrays(fn, memory_size));
-  // A copy that owns its fragments, exactly sized, with the scratch
-  // unit's references to itself redirected to the copy.
-  auto unit = std::make_shared<Unit>(scratch);
-  unit->names = scratch.names.flattened();
-  unit->consts = scratch.consts.flattened();
-  for (Unit::Ref& r : unit->kids)
-    if (r.unit == &scratch) r.unit = unit.get();
-  for (Unit::Ref& r : unit->body)
-    if (r.unit == &scratch) r.unit = unit.get();
-  if (parent && parent->reusable_for(fn)) unit->base = parent->unit();
-  return StatementCode(fn, std::move(unit));
+  compile(fn, lay_out_arrays(fn, memory_size), reuse);
+}
+
+Interpreter::Interpreter(const ir::Function& fn, const StatementCode* store) {
+  int32_t memory_size = 0;
+  std::vector<Program::Array> arrays = lay_out_arrays(fn, memory_size);
+  const Unit& unit = compile_fragments(fn, store, arrays);
+  compiled_ = unit.records.size();
+  prog_ = Linker(fn, std::move(arrays), memory_size, unit).take();
 }
 
 const ObservationLayout& Interpreter::layout() const { return prog_->layout; }

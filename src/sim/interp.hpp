@@ -72,11 +72,16 @@ struct RunStats {
 /// A "typical input trace": one Stimulus per execution of the behavior.
 using Trace = std::vector<Stimulus>;
 
-struct FragmentUnit;  // the fragments of one compile; defined in interp.cpp
+struct FragmentUnit;  // the fragments of passes; defined in interp.cpp
 
-/// The fragments of one compile of a behavior, found by statement pointer:
-/// what compiling a variant of the behavior reuses (see Interpreter and
-/// ir::StatementIndex). Made by statement_code().
+/// A search's store of compiled fragments, found by statement pointer:
+/// what compiling a candidate reuses (see Interpreter and
+/// ir::StatementIndex). StatementCode::add(fn) compiles the statements of
+/// `fn` the store does not hold, as Interpreter(fn, &store) compiles them,
+/// and keeps them; it throws fact::Error where the Interpreter would. An
+/// Interpreter keeps no fragments (it compiles them into storage its
+/// thread reuses), so a behavior whose variants are compiled is added
+/// once.
 using StatementCode = ir::StatementIndex<FragmentUnit>;
 
 /// Reference interpreter for the behavior IR.
@@ -123,9 +128,9 @@ using StatementCode = ir::StatementIndex<FragmentUnit>;
 /// and merges each statement's step into the open run, so the program is
 /// the one a compile of the whole function in one walk would give. A
 /// fragment depends only on its statement and the array declarations.
-/// Compiling a variant against its parent's StatementCode therefore reuses
-/// the fragment of every statement the variant shares with the parent by
-/// pointer, and compiles only the rest.
+/// Compiling a variant against a StatementCode therefore reuses the
+/// fragment of every statement the variant shares by pointer with the
+/// functions added to it, and compiles only the rest.
 ///
 /// The optimizer interprets each candidate over a whole trace (one pass
 /// that both checks equivalence and profiles, see
@@ -141,13 +146,13 @@ using StatementCode = ir::StatementIndex<FragmentUnit>;
 /// more than 2^31 - 1 cells in all.
 class Interpreter {
  public:
-  /// Compiles `fn`. With a `parent`, built from the compile of a function
-  /// `fn` derives from, each statement of `fn` that the parent's function
-  /// also holds reuses the parent's fragment, provided both functions
-  /// declare the same parameters, arrays and outputs; otherwise every
-  /// statement compiles. The program is the same either way.
+  /// Compiles `fn`. With a `store`, each statement of `fn` that the store
+  /// holds reuses the store's fragment, provided `fn` declares the same
+  /// parameters, arrays and outputs as the functions added to it;
+  /// otherwise every statement compiles. The program is the same either
+  /// way.
   explicit Interpreter(const ir::Function& fn,
-                       const StatementCode* parent = nullptr);
+                       const StatementCode* store = nullptr);
 
   /// Step limit of one execution (not of a whole trace).
   void set_max_steps(uint64_t n) { max_steps_ = n; }
@@ -181,8 +186,8 @@ class Interpreter {
   /// their listings are equal (the tests compare them).
   std::string listing() const;
 
-  /// Statements this compile compiled; it reused the parent's fragments
-  /// of the others.
+  /// Statements this compile compiled; it reused the store's fragments of
+  /// the others.
   size_t compiled_statements() const { return compiled_; }
 
   struct Program;  // compiled form; defined in interp.cpp
@@ -192,14 +197,6 @@ class Interpreter {
   size_t compiled_ = 0;
   uint64_t max_steps_ = 10'000'000;
 };
-
-/// The fragments of `fn`, compiled as Interpreter(fn, parent) compiles
-/// them, kept and indexed by statement: what compiling variants of `fn`
-/// reuses. An Interpreter keeps no fragments (it compiles them into
-/// storage its thread reuses), so a behavior whose variants are compiled
-/// pays for this once.
-StatementCode statement_code(const ir::Function& fn,
-                             const StatementCode* parent = nullptr);
 
 }  // namespace fact::sim
 

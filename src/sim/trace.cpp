@@ -183,7 +183,11 @@ bool equivalent_on_trace(const ir::Function& a, const ir::Function& b,
 
 Observations reference_observations(const ir::Function& fn, const Trace& trace,
                                     Profile* profile) {
-  const Interpreter interp(fn);
+  return reference_observations(Interpreter(fn), trace, profile);
+}
+
+Observations reference_observations(const Interpreter& interp,
+                                    const Trace& trace, Profile* profile) {
   Observations out;
   simulate_trace(interp, trace, profile, recorder(interp, trace.size(), out));
   return out;

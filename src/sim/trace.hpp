@@ -87,6 +87,10 @@ struct Observations {
 /// `profile` when non-null (equal to profile_function(fn, trace)).
 Observations reference_observations(const ir::Function& fn, const Trace& trace,
                                     Profile* profile = nullptr);
+/// The same, with the behavior already compiled.
+Observations reference_observations(const Interpreter& interp,
+                                    const Trace& trace,
+                                    Profile* profile = nullptr);
 
 /// One interpreter pass that both checks and profiles a transformed
 /// behavior: runs `fn` over the trace, comparing each execution's

@@ -17,7 +17,9 @@ namespace fact {
 /// another that extends none, read only: it numbers the other's values as
 /// the other does and the values it adds itself after them, so results
 /// keyed by number stay valid in the tables that extend theirs. The
-/// extended table must outlive the extending one and not change meanwhile.
+/// extended table must outlive the extending one and not change meanwhile
+/// (a search's statement store extends its one table between passes, and
+/// each pass over a candidate extends the store's table anew).
 /// T is std::string (found by std::string_view) or an integer type.
 template <typename T>
 class InternTable {
@@ -33,14 +35,6 @@ class InternTable {
     base_ = base;
     first_ = base ? static_cast<int32_t>(base->size()) : 0;
     own_.clear();
-  }
-
-  /// A table with this table's values, numbered alike, that extends none.
-  InternTable flattened() const {
-    InternTable t;
-    for (int32_t id = 0; id < static_cast<int32_t>(size()); ++id)
-      t.own_.add((*this)[id]);
-    return t;
   }
 
   /// The number of `v`, or -1.

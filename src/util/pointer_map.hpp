@@ -7,7 +7,7 @@
 namespace fact {
 
 /// A map from non-null pointers to small values, in one open-addressing
-/// array: filled once, then only read, so any number of threads may look
+/// array. Inserts are serial; between them any number of threads may look
 /// up at once. A key inserted twice keeps its first value.
 template <typename V>
 class PointerMap {

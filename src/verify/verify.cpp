@@ -4,7 +4,6 @@
 #include <bit>
 #include <iterator>
 #include <map>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <unordered_map>
@@ -289,12 +288,12 @@ std::vector<int> sorted_ids(const std::vector<ir::StmtPtr>& list) {
 
 }  // namespace
 
-/// The results of one FunctionChecks, per statement, in flat arrays (an
-/// ir::StatementIndex unit). A record's children are references, into this
-/// unit or into an ancestor's, which `base` keeps alive (the parent's
-/// unit, whose own base is the grandparent's, and so on). Records name
-/// scalars by their numbers in `names`, which extends the parent unit's
-/// table, so a number means the same in every unit of the chain.
+/// The results of FunctionChecks' passes, per statement, in flat arrays
+/// (an ir::StatementIndex unit). A record's children are references, into
+/// this unit or, for the records a pass reused, into the store's. Records
+/// name scalars by their numbers in `names`; a pass that reuses a store's
+/// records extends the store's table, so a number means the same in both
+/// units.
 struct CheckUnit {
   using Ref = ir::UnitRef<CheckUnit>;
   using Range = ir::UnitRange;
@@ -318,20 +317,18 @@ struct CheckUnit {
     return {r.unit->words.data() + g.begin, g.size};
   }
 
-  /// The records of the body's statements.
-  std::span<const Ref> top() const {
-    if (!body) return {};
-    const Range k = (**body).kids;
-    return {kids.data() + k.begin, k.size};
+  /// Checks `fn` as FunctionChecks does, appending the records of the
+  /// statements `reuse` (if non-null) does not hold: the pass of a
+  /// StatementChecks.
+  void pass(const ir::Function& fn, const PointerMap<Ref>* reuse) {
+    FunctionChecks().check(fn, *this, reuse);
   }
 
   std::vector<Record> records;
   std::vector<Issue> issues;
   std::vector<uint64_t> words;
   std::vector<Ref> kids;
-  std::optional<Ref> body;
   InternTable<std::string> names;  // the scalars
-  std::shared_ptr<const CheckUnit> base;
 };
 
 namespace {
@@ -362,23 +359,23 @@ Scratch& scratch() {
   return s;
 }
 
-/// Checks statements into the records of one Unit, reusing the parent's
-/// record of every statement the parent holds, and reports in one
-/// preorder walk what verify_function reports of them: each statement's
-/// id issue, then its own issues (fresh or the reused record's).
+/// Checks statements into the records of one Unit, reusing the record of
+/// every statement `reuse` holds, and reports in one preorder walk what
+/// verify_function reports of them: each statement's id issue, then its
+/// own issues (fresh or the reused record's).
 class Checker {
  public:
   Checker(Unit& unit, const ArrayNames& arrays,
-          const PointerMap<Unit::Ref>* parent, Report& out)
-      : u_(unit), arrays_(arrays), parent_(parent), out_(out), sc_(scratch()) {
+          const PointerMap<Unit::Ref>* reuse, Report& out)
+      : u_(unit), arrays_(arrays), reuse_(reuse), out_(out), sc_(scratch()) {
     sc_.ids.clear();
   }
 
-  /// The record of `s`: the parent's, or a new one. Reports the subtree
-  /// unless reporting is off.
+  /// The record of `s`: the one `reuse` holds, or a new one. Reports the
+  /// subtree unless reporting is off.
   Unit::Ref get(const ir::Stmt& s) {
-    if (parent_)
-      if (const Unit::Ref* r = parent_->find(&s)) {
+    if (reuse_)
+      if (const Unit::Ref* r = reuse_->find(&s)) {
         if (reporting_) report(*r);
         return *r;
       }
@@ -560,7 +557,7 @@ class Checker {
 
   Unit& u_;
   const ArrayNames& arrays_;
-  const PointerMap<Unit::Ref>* parent_;
+  const PointerMap<Unit::Ref>* reuse_;
   Report& out_;
   Scratch& sc_;  // kids and own: pending per open record
   bool reporting_ = true;
@@ -570,16 +567,21 @@ class Checker {
 }  // namespace
 
 FunctionChecks::FunctionChecks(const ir::Function& fn,
-                               const StatementChecks* parent) {
+                               const StatementChecks* store) {
   const PointerMap<Unit::Ref>* reuse =
-      parent ? parent->reusable_for(fn) : nullptr;
+      store ? store->reusable_for(fn) : nullptr;
   Unit& unit = scratch().unit;
   unit.records.clear();
   unit.issues.clear();
   unit.words.clear();
   unit.kids.clear();
-  unit.body.reset();
-  unit.names.reset(reuse ? &parent->unit()->names : nullptr);
+  unit.names.reset(reuse ? &store->unit().names : nullptr);
+  check(fn, unit, reuse);
+}
+
+void FunctionChecks::check(const ir::Function& fn, CheckUnit& unit,
+                           const PointerMap<CheckUnit::Ref>* reuse) {
+  const size_t mark = unit.records.size();
   Report r;
 
   // Declarations.
@@ -620,7 +622,6 @@ FunctionChecks::FunctionChecks(const ir::Function& fn,
   // makes the records.
   Checker checker(unit, arrays, reuse, r);
   const Unit::Ref body = checker.get(*fn.body());
-  unit.body = body;
 
   // Guard exclusion: an If's branches must cover disjoint id sets. A
   // statement id reachable under both polarities of one guard breaks the
@@ -666,7 +667,7 @@ FunctionChecks::FunctionChecks(const ir::Function& fn,
     }
   std::sort(undefined.begin(), undefined.end());
   undefined_.assign(undefined.begin(), undefined.end());
-  checked_ = unit.records.size();
+  checked_ = unit.records.size() - mark;
 }
 
 Report FunctionChecks::report(
@@ -685,22 +686,6 @@ Report FunctionChecks::report(
 
 std::set<std::string> FunctionChecks::undefined_reads() const {
   return {undefined_.begin(), undefined_.end()};
-}
-
-StatementChecks statement_checks(const ir::Function& fn,
-                                 const StatementChecks* parent) {
-  const FunctionChecks checked(fn, parent);
-  const Unit& scratch_unit = scratch().unit;
-  // A copy that owns its records, exactly sized, with the scratch unit's
-  // references to itself redirected to the copy.
-  auto unit = std::make_shared<Unit>(scratch_unit);
-  unit->names = scratch_unit.names.flattened();
-  for (Unit::Ref& r : unit->kids)
-    if (r.unit == &scratch_unit) r.unit = unit.get();
-  if (unit->body && unit->body->unit == &scratch_unit)
-    unit->body->unit = unit.get();
-  if (parent && parent->reusable_for(fn)) unit->base = parent->unit();
-  return StatementChecks(fn, std::move(unit));
 }
 
 std::set<std::string> undefined_reads(const ir::Function& fn) {

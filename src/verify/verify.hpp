@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -82,50 +81,54 @@ Report verify_function(const ir::Function& fn, Level level = Level::Full,
 
 struct CheckUnit;  // the statements' results; defined in verify.cpp
 
-/// The statements' results of one FunctionChecks, found by statement
-/// pointer: what checking a variant reuses (see FunctionChecks and
-/// ir::StatementIndex). Made by statement_checks().
+/// A search's store of per-statement check results, found by statement
+/// pointer: what checking a candidate reuses (see FunctionChecks and
+/// ir::StatementIndex). StatementChecks::add(fn) checks the statements of
+/// `fn` the store does not hold, as FunctionChecks(fn, &store) checks
+/// them, and keeps their results. A FunctionChecks keeps no records (it
+/// makes them in storage its thread reuses), so a behavior whose variants
+/// are checked is added once.
 using StatementChecks = ir::StatementIndex<CheckUnit>;
 
 /// The checks of verify_function on one behavior, made per statement:
 /// each statement's shape and expression issues and a must-define summary
 /// (the scalars it reads before defining them, the ones it defines on
 /// every path). The summaries compose into the function's undefined reads
-/// as the must-define walk would, so checking a variant against its
-/// parent's StatementChecks redoes only the statements it does not share
-/// with the parent by pointer. The walk for id uniqueness and issue order
-/// still visits every statement.
+/// as the must-define walk would, so checking a variant against a
+/// StatementChecks redoes only the statements it does not share by
+/// pointer with the functions added to it. The walk for id uniqueness and
+/// issue order still visits every statement.
 class FunctionChecks {
  public:
-  /// Checks `fn`. With a `parent`, built from the checks of a function
-  /// `fn` derives from, each statement the parent's function also holds
-  /// reuses the parent's results, provided both functions declare the same
-  /// parameters, arrays and outputs; otherwise every statement is checked.
-  /// The results are the same either way.
+  /// Checks `fn`. With a `store`, each statement of `fn` that the store
+  /// holds reuses the store's results, provided `fn` declares the same
+  /// parameters, arrays and outputs as the functions added to it;
+  /// otherwise every statement is checked. The results are the same
+  /// either way.
   explicit FunctionChecks(const ir::Function& fn,
-                          const StatementChecks* parent = nullptr);
+                          const StatementChecks* store = nullptr);
 
   /// verify_function(fn, level, undef_allowed) at level Fast or Full.
   Report report(const std::set<std::string>* undef_allowed) const;
   /// undefined_reads(fn).
   std::set<std::string> undefined_reads() const;
 
-  /// Statements these checks checked; they reused the parent's results
-  /// for the others.
+  /// Statements these checks checked; they reused the store's results for
+  /// the others.
   size_t checked_statements() const { return checked_; }
 
  private:
+  friend struct CheckUnit;
+  FunctionChecks() = default;
+  /// Checks `fn`, appending the records of the statements `reuse` (if
+  /// non-null) does not hold to `unit`.
+  void check(const ir::Function& fn, CheckUnit& unit,
+             const PointerMap<ir::UnitRef<CheckUnit>>* reuse);
+
   size_t checked_ = 0;
   std::vector<Issue> issues_;  // all but ir.def-before-use, in report order
   std::vector<std::string> undefined_;  // sorted
 };
-
-/// The statements' results of FunctionChecks(fn, parent), kept and indexed
-/// by statement: what checking variants of `fn` reuses. A FunctionChecks
-/// keeps no records (it makes them in storage its thread reuses), so a
-/// behavior whose variants are checked pays for this once.
-StatementChecks statement_checks(const ir::Function& fn,
-                                 const StatementChecks* parent = nullptr);
 
 /// Every issue of the STG's structure (stg::structure_issues, the checks
 /// of Stg::validate: stg.empty, stg.entry, stg.edges, stg.prob,

@@ -1,13 +1,14 @@
-// Compiling a variant against its parent's StatementCode against compiling
-// it whole: the interpreter reuses the parent's fragment of every
-// statement the variant shares with the parent by pointer, and the linked
-// program must be the one a compile without the parent gives, instruction
-// for instruction, with the same register file, layout, branch counters
-// and error messages (Interpreter::listing). Covered: generated programs
-// of three shapes with two levels of standard-library candidates, hand
-// cases for a statement shared by both branches of an If, for declarations
-// that differ from the parent's and for an unknown array, and one parent
-// read from four threads at once.
+// Compiling a variant against a StatementCode, a search's store of
+// compiled fragments, against compiling it whole: the interpreter reuses
+// the store's fragment of every statement the variant shares by pointer
+// with the functions added to it, and the linked program must be the one a
+// compile without the store gives, instruction for instruction, with the
+// same register file, layout, branch counters and error messages
+// (Interpreter::listing). Covered: generated programs of three shapes with
+// two levels of standard-library candidates, hand cases for a statement
+// shared by both branches of an If, for declarations that differ from the
+// store's and for an unknown array, a statement only a sibling introduced,
+// and one store read from four threads at once.
 
 #include <gtest/gtest.h>
 
@@ -51,12 +52,19 @@ std::vector<ir::Function> candidates(const ir::Function& fn, size_t limit) {
   return out;
 }
 
-/// The listing of `fn` compiled against `parent`, after checking it is
-/// the listing of `fn` compiled whole. Returns the compile.
+/// A store to which `fn` was added.
+StatementCode store_of(const ir::Function& fn) {
+  StatementCode code;
+  code.add(fn);
+  return code;
+}
+
+/// The listing of `fn` compiled against `store`, after checking it is the
+/// listing of `fn` compiled whole. Returns the compile.
 Interpreter expect_same_program(const ir::Function& fn,
-                                const StatementCode& parent,
+                                const StatementCode& store,
                                 const std::string& what) {
-  Interpreter reused(fn, &parent);
+  Interpreter reused(fn, &store);
   const Interpreter whole(fn);
   EXPECT_EQ(reused.listing(), whole.listing()) << what << "\n" << fn.str();
   EXPECT_LE(reused.compiled_statements(), whole.compiled_statements()) << what;
@@ -82,16 +90,25 @@ TEST(CompileReuse, GeneratedProgramsTwoLevelsDeep) {
       const std::string what =
           std::string(shape.name) + " seed " + std::to_string(seed);
       const ir::Function fn = testgen::random_program(seed, shape.opts);
-      const StatementCode code = statement_code(fn);
-      EXPECT_EQ(code.size(), fn.stmt_count() - 1) << what;  // all but the body
-      for (const ir::Function& g : candidates(fn, shape.first_level)) {
+      StatementCode code;
+      EXPECT_EQ(code.add(fn), fn.stmt_count() - 1) << what;  // all but the body
+      EXPECT_EQ(code.size(), fn.stmt_count() - 1) << what;
+      const std::vector<ir::Function> first_level =
+          candidates(fn, shape.first_level);
+      for (const ir::Function& g : first_level) {
         const Interpreter first = expect_same_program(g, code, what);
         compiled += first.compiled_statements();
         total += g.stmt_count() - 1;
-        // The second level reuses fragments the first level reused.
-        const StatementCode first_code = statement_code(g, &code);
+      }
+      // The second level reuses fragments of the root and of every first
+      // level candidate added, its parent's among them.
+      for (const ir::Function& g : first_level) {
+        // An add compiles what a compile against the store compiles.
+        const size_t fresh = Interpreter(g, &code).compiled_statements();
+        EXPECT_EQ(code.add(g), fresh) << what;
+        EXPECT_EQ(Interpreter(g, &code).compiled_statements(), 0u) << what;
         for (const ir::Function& h : candidates(g, shape.second_level))
-          expect_same_program(h, first_code, what + " (second level)");
+          expect_same_program(h, code, what + " (second level)");
       }
     }
   }
@@ -138,7 +155,7 @@ TEST(CompileReuse, StatementSharedByBothBranches) {
                      {Stmt::assign("y", Expr::select(a(), k(7), k(9))), shared}),
        Stmt::assign("x", Expr::binary(Op::Mul, Expr::var("x"), Expr::var("y")))});
   const Interpreter root(fn);
-  const StatementCode code = statement_code(fn);
+  const StatementCode code = store_of(fn);
   // The function against its own fragments reuses every statement.
   const Interpreter self(fn, &code);
   EXPECT_EQ(self.listing(), root.listing());
@@ -159,7 +176,7 @@ TEST(CompileReuse, OtherDeclarationsCompileWhole) {
       {Stmt::store("m", a(), Expr::binary(Op::Add, a(), k(1))),
        Stmt::assign("x", Expr::array_read("m", Expr::binary(Op::Sub, a(), k(1))))});
   const Interpreter root(fn);
-  const StatementCode code = statement_code(fn);
+  const StatementCode code = store_of(fn);
   // An array that sorts before m moves m's memory segment; a reused
   // fragment would still address the old one.
   ir::Function g = fn.clone();
@@ -176,6 +193,11 @@ TEST(CompileReuse, OtherDeclarationsCompileWhole) {
   o.add_output("y");
   EXPECT_EQ(expect_same_program(o, code, "new output").compiled_statements(),
             2u);
+  // The store takes none of them.
+  StatementCode store = store_of(fn);
+  for (const ir::Function* other : {&g, &h, &o}) EXPECT_EQ(store.add(*other), 0u);
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(Interpreter(g, &store).compiled_statements(), 2u);
 }
 
 TEST(CompileReuse, UnknownArrayCompilesToFail) {
@@ -188,7 +210,7 @@ TEST(CompileReuse, UnknownArrayCompilesToFail) {
                      {Stmt::store("nope", k(0), a())}),
        Stmt::assign("x", Expr::binary(Op::Add, Expr::var("x"), k(4)))});
   const Interpreter root(fn);
-  const StatementCode code = statement_code(fn);
+  const StatementCode code = store_of(fn);
   EXPECT_NE(root.listing().find("read of unknown array 'zz'"), std::string::npos);
   EXPECT_NE(root.listing().find("store to unknown array 'nope'"),
             std::string::npos);
@@ -200,33 +222,78 @@ TEST(CompileReuse, UnknownArrayCompilesToFail) {
 }
 
 TEST(CompileReuse, IndexKeepsOnlyItsFunctionsNodes) {
-  // Fragments of fn indexed under a copy that shares none of fn's nodes:
-  // none of them may serve as a key, and the copy's variants compile whole.
+  // The store keys the nodes of the functions added to it and nothing
+  // else: a copy that shares none of fn's nodes reuses none of fn's
+  // fragments, and once added, its variants compile as against a store of
+  // the copy alone.
   const ir::Function fn = testgen::random_program(1014);
   const ir::Function g = unshared_copy(fn);
-  const StatementCode foreign(g, statement_code(fn).unit());
-  EXPECT_EQ(foreign.size(), 0u);
-  for (const ir::Function& h : candidates(g, 16)) {
-    const Interpreter reused = expect_same_program(h, foreign, "foreign");
+  StatementCode code = store_of(fn);
+  const std::vector<ir::Function> variants = candidates(g, 16);
+  for (const ir::Function& h : variants) {
+    const Interpreter reused = expect_same_program(h, code, "foreign");
     EXPECT_EQ(reused.compiled_statements(), Interpreter(h).compiled_statements());
   }
-  // The index keeps its function's tree: its keys outlive the function
-  // it was built from.
-  std::optional<StatementCode> code;
+  EXPECT_EQ(code.add(g), g.stmt_count() - 1);
+  EXPECT_EQ(code.size(), 2 * (fn.stmt_count() - 1));
+  const StatementCode own = store_of(g);
+  for (const ir::Function& h : variants)
+    EXPECT_EQ(expect_same_program(h, code, "copy added").compiled_statements(),
+              Interpreter(h, &own).compiled_statements());
+  // The store keeps the functions' trees: its keys outlive the functions
+  // added.
+  std::optional<StatementCode> kept;
   {
     const ir::Function copy = testgen::random_program(1014);
-    code.emplace(statement_code(copy));
+    kept.emplace(store_of(copy));
   }
-  EXPECT_EQ(code->size(), fn.stmt_count() - 1);
+  EXPECT_EQ(kept->size(), fn.stmt_count() - 1);
+}
+
+TEST(CompileReuse, StoreServesEverySiblingOnce) {
+  // What a chain of per-member indexes cannot do: after the root and two
+  // sibling members are added, a candidate of one sibling reuses a
+  // statement that only the other sibling introduced. Adding a function
+  // the store holds compiles nothing.
+  const ir::Function fn = behavior(
+      {{"m", 4, false}},
+      {Stmt::assign("y", k(5)), Stmt::store("m", a(), Expr::var("y")),
+       Stmt::assign("x", Expr::binary(Op::Mul, a(), Expr::var("y")))});
+  const ir::StmtPtr only_a = Stmt::if_stmt(
+      Expr::binary(Op::Gt, a(), k(1)),
+      {Stmt::assign("y", Expr::binary(Op::Add, a(), k(2)))},
+      {Stmt::assign("y", Expr::select(a(), k(7), k(9)))});
+  const ir::Function sibling_a = replaced(fn, 0, only_a);
+  ir::StmtPtr only_b = Stmt::assign("x", Expr::binary(Op::Sub, a(), k(4)));
+  only_b->id = 10;  // apart from sibling_a's fresh ids
+  const ir::Function sibling_b = replaced(fn, 2, only_b);
+  // sibling_b with sibling_a's first statement, the same node.
+  const ir::Function cand = replaced(sibling_b, 0, sibling_a.body()->stmts[0]);
+  StatementCode code = store_of(fn);
+  EXPECT_EQ(code.add(sibling_a), 3u);  // the If and its two children
+  EXPECT_EQ(code.add(sibling_b), 1u);
+  EXPECT_EQ(expect_same_program(cand, code, "sibling's statement")
+                .compiled_statements(),
+            0u);
+  // The root's and sibling_b's fragments alone, all a chain would gate
+  // sibling_b's candidates against, leave sibling_a's If to compile.
+  StatementCode chain = store_of(fn);
+  chain.add(sibling_b);
+  EXPECT_EQ(Interpreter(cand, &chain).compiled_statements(), 3u);
+  const size_t keys = code.size();
+  for (const ir::Function* held : {&fn, &sibling_a, &sibling_b, &cand})
+    EXPECT_EQ(code.add(*held), 0u);
+  EXPECT_EQ(code.size(), keys);
 }
 
 TEST(CompileReuse, OneParentFromFourThreads) {
-  // Candidates compile against one parent's fragments concurrently; the
-  // fragments are only read, and every compile is the serial one.
+  // Candidates compile against one store concurrently, after the root and
+  // a few of them were added; the fragments are only read, and every
+  // compile is the serial one.
   const ir::Function fn = testgen::random_program(1017);
-  const Interpreter root(fn);
-  const StatementCode code = statement_code(fn);
   const std::vector<ir::Function> cands = candidates(fn, SIZE_MAX);
+  StatementCode code = store_of(fn);
+  for (size_t i = 0; i < cands.size(); i += 16) code.add(cands[i]);
   std::vector<std::string> serial;
   for (const ir::Function& g : cands) serial.push_back(Interpreter(g).listing());
   constexpr size_t kThreads = 4;

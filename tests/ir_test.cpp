@@ -129,6 +129,28 @@ TEST(Function, FindStmtAndClone) {
   EXPECT_EQ(g.str(), f.str());
 }
 
+TEST(Function, FindStmtTakesTheFirstOfARepeatedId) {
+  // A repeated id, as the fault injector's DuplicateStmtId makes (the last
+  // statement takes the id of the first, the body): find_stmt names the
+  // first statement with the id in preorder, the one edit() detaches.
+  Function f("t");
+  f.set_body(Stmt::block(make_vector(
+      Stmt::while_stmt(Expr::binary(Op::Lt, v("a"), c(3)),
+                       make_vector(Stmt::assign("a", Expr::binary(Op::Add, v("a"), c(1))))),
+      Stmt::assign("b", c(2)))));
+  // Ids: the body 0, the loop 1, its assignment 2, the last statement 3.
+  const std::string last = f.find_stmt(3)->str();
+  for (const int repeated : {0, 2}) {
+    Function g = f.clone();
+    g.edit(3)->id = repeated;
+    const Stmt* found = g.find_stmt(repeated);
+    ASSERT_NE(found, nullptr);
+    const std::string text = found->str();
+    EXPECT_NE(text, last) << repeated;
+    EXPECT_EQ(g.edit(repeated)->str(), text) << repeated;
+  }
+}
+
 TEST(Function, AssignFreshIdsKeepsExisting) {
   Function f("t");
   f.set_body(Stmt::block(make_vector(Stmt::assign("a", c(1)))));

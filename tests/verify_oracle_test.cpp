@@ -7,8 +7,9 @@
 // candidate of the Table 2 workloads and of generated programs, for the
 // same candidates after each FaultInjector corruption, and for hand-made
 // malformed functions. The same holds for verify::FunctionChecks of each
-// candidate against its parent's StatementChecks, which reuses the
-// parent's results for the statements the candidate shares with it.
+// candidate against a StatementChecks, a search's store of per-statement
+// results, which reuses the results of the statements the candidate shares
+// with the functions added to it.
 
 #include <gtest/gtest.h>
 
@@ -604,21 +605,28 @@ TEST(VerifyOracle, SharedCandidatesFromFourThreads) {
   EXPECT_GT(jobs.size(), 100u);
 }
 
-// ---- checks against the parent's --------------------------------------------
+// ---- checks against a store --------------------------------------------------
 
-/// same_as_oracle for FunctionChecks of `f` against `parent`.
+/// A store to which `fn` was added.
+StatementChecks store_of(const ir::Function& fn) {
+  StatementChecks checks;
+  checks.add(fn);
+  return checks;
+}
+
+/// same_as_oracle for FunctionChecks of `f` against `store`.
 bool same_as_oracle_against(const ir::Function& f,
-                            const StatementChecks& parent,
+                            const StatementChecks& store,
                             const std::set<std::string>& allowed,
                             const std::string& what) {
-  const FunctionChecks checks(f, &parent);
+  const FunctionChecks checks(f, &store);
   EXPECT_EQ(checks.undefined_reads(), oracle::undefined_reads(f)) << what;
   bool flagged = false;
   const std::set<std::string>* none = nullptr;
   for (const std::set<std::string>* a : {none, &allowed}) {
     const Issues want = issues(oracle::verify_function(f, a));
     EXPECT_EQ(issues(checks.report(a)), want)
-        << what << " against the parent" << (a ? " (differential)" : "")
+        << what << " against the store" << (a ? " (differential)" : "")
         << "\n" << f.str();
     flagged = flagged || !want.empty();
   }
@@ -631,7 +639,7 @@ TEST(VerifyReuse, EveryCandidateAgainstItsParent) {
     all.push_back(std::move(nb));
   size_t n = 0, checked = 0, total = 0;
   for (const Neighborhood& nb : all) {
-    const StatementChecks parent = statement_checks(nb.fn);
+    const StatementChecks parent = store_of(nb.fn);
     for (size_t i = 0; i < nb.candidates.size(); ++i, ++n) {
       const ir::Function& c = nb.candidates[i];
       same_as_oracle_against(c, parent, nb.allowed, nb.labels[i]);
@@ -645,15 +653,20 @@ TEST(VerifyReuse, EveryCandidateAgainstItsParent) {
 }
 
 TEST(VerifyReuse, SecondLevelCandidates) {
-  // A first-level candidate's checks reuse records it took from the root.
+  // Each first-level candidate is added to the root's store, which checks
+  // only what the store does not hold; the second level reuses records of
+  // the root and of every first-level candidate added so far.
   for (const Neighborhood& nb : table2_neighborhoods()) {
-    const StatementChecks parent = statement_checks(nb.fn);
+    StatementChecks store = store_of(nb.fn);
     for (size_t i = 0; i < nb.candidates.size(); ++i) {
       const ir::Function& c = nb.candidates[i];
-      const StatementChecks first_parent = statement_checks(c, &parent);
+      const size_t fresh = FunctionChecks(c, &store).checked_statements();
+      EXPECT_EQ(store.add(c), fresh) << nb.labels[i];
+      EXPECT_EQ(FunctionChecks(c, &store).checked_statements(), 0u)
+          << nb.labels[i];
       const Neighborhood next = neighborhood(nb.labels[i], c.clone());
       for (size_t j = 0; j < next.candidates.size(); ++j)
-        same_as_oracle_against(next.candidates[j], first_parent, nb.allowed,
+        same_as_oracle_against(next.candidates[j], store, nb.allowed,
                                next.labels[j]);
     }
   }
@@ -667,7 +680,7 @@ TEST(VerifyReuse, EveryFaultClassAgainstTheParent) {
     all.push_back(std::move(nb));
   std::vector<StatementChecks> parents;
   for (const Neighborhood& nb : all)
-    parents.push_back(statement_checks(nb.fn));
+    parents.push_back(store_of(nb.fn));
   for (const FaultClass cls : all_fault_classes()) {
     FaultInjectorOptions fo;
     fo.rate = 1.0;
@@ -701,7 +714,7 @@ TEST(VerifyReuse, NewIdCollidesWithALaterSharedStatement) {
   // The new first statement takes the id of the While, a shared statement
   // later in preorder: the repeat is reported there, in order.
   const ir::Function f = parse(kBranches);
-  const StatementChecks parent = statement_checks(f);
+  const StatementChecks parent = store_of(f);
   int loop_id = -1;
   f.for_each([&](const ir::Stmt& s) {
     if (s.kind == ir::StmtKind::While) loop_id = s.id;
@@ -726,7 +739,7 @@ TEST(VerifyReuse, OtherDeclarationsCheckWhole) {
   first_if(f).then_stmts.push_back(ir::Stmt::assign(
       "y", ir::Expr::array_read("q", ir::Expr::var("a"))));
   f.assign_fresh_ids();
-  const StatementChecks parent = statement_checks(f);
+  const StatementChecks parent = store_of(f);
   EXPECT_TRUE(has_check(f, "ir.arrays"));
   ir::Function g = f.clone();
   g.add_array(ir::ArrayDecl{"q", 2, false});
@@ -734,31 +747,89 @@ TEST(VerifyReuse, OtherDeclarationsCheckWhole) {
   EXPECT_TRUE(FunctionChecks(g, &parent).report(nullptr).ok());
   EXPECT_EQ(FunctionChecks(g, &parent).checked_statements(),
             FunctionChecks(g).checked_statements());
+  // The store does not take it.
+  StatementChecks store = store_of(f);
+  EXPECT_EQ(store.add(g), 0u);
+  EXPECT_EQ(store.size(), f.stmt_count());
+  EXPECT_TRUE(FunctionChecks(g, &store).report(nullptr).ok());
 }
 
 TEST(VerifyReuse, IndexKeepsOnlyItsFunctionsNodes) {
-  // Records of a function indexed under a copy that shares none of its
-  // nodes: none may serve as a key, and the copy's variants check whole.
+  // The store keys the nodes of the functions added to it and nothing
+  // else: a copy that shares none of fn's nodes reuses none of fn's
+  // records, and once added, its variants check as against a store of the
+  // copy alone.
   const Neighborhood nb =
       neighborhood("GEN1014", testgen::random_program(1014));
   ir::Function g = unshared_copy(nb.fn);
-  const StatementChecks foreign(g, statement_checks(nb.fn).unit());
-  EXPECT_EQ(foreign.size(), 0u);
-  const Neighborhood copies = neighborhood("GEN1014 copy", std::move(g));
+  StatementChecks store = store_of(nb.fn);
+  EXPECT_EQ(store.size(), nb.fn.stmt_count());  // the body too
+  const Neighborhood copies = neighborhood("GEN1014 copy", g.clone());
   for (size_t i = 0; i < copies.candidates.size(); ++i) {
     const ir::Function& c = copies.candidates[i];
-    same_as_oracle_against(c, foreign, nb.allowed, copies.labels[i]);
-    EXPECT_EQ(FunctionChecks(c, &foreign).checked_statements(),
+    same_as_oracle_against(c, store, nb.allowed, copies.labels[i]);
+    EXPECT_EQ(FunctionChecks(c, &store).checked_statements(),
               FunctionChecks(c).checked_statements());
+  }
+  EXPECT_EQ(store.add(g), g.stmt_count());
+  EXPECT_EQ(store.size(), 2 * nb.fn.stmt_count());
+  const StatementChecks own = store_of(g);
+  for (size_t i = 0; i < copies.candidates.size(); ++i) {
+    const ir::Function& c = copies.candidates[i];
+    same_as_oracle_against(c, store, nb.allowed, copies.labels[i]);
+    EXPECT_EQ(FunctionChecks(c, &store).checked_statements(),
+              FunctionChecks(c, &own).checked_statements());
   }
 }
 
+TEST(VerifyReuse, StoreServesEverySiblingOnce) {
+  // What a chain of per-member indexes cannot do: after the root and two
+  // sibling members are added, a candidate of one sibling reuses a
+  // statement that only the other sibling introduced. Adding a function
+  // the store holds checks nothing.
+  const ir::Function f = parse(kBranches);
+  const std::set<std::string> allowed = oracle::undefined_reads(f);
+  const int first = f.body()->stmts.front()->id;
+  const int loop = loop_ids(f).front();
+  ir::StmtPtr only_a = ir::Stmt::if_stmt(
+      ir::Expr::var("a"), {ir::Stmt::assign("x", ir::Expr::var("b"))},
+      {ir::Stmt::assign("x", ir::Expr::constant(3))});
+  only_a->id = 20;
+  only_a->then_stmts[0]->id = 21;
+  only_a->else_stmts[0]->id = 22;
+  const ir::Function sibling_a = f.clone_with(first, only_a);
+  ir::StmtPtr only_b = ir::Stmt::assign("a", ir::Expr::constant(1));
+  only_b->id = 30;
+  const ir::Function sibling_b = f.clone_with(loop, only_b);
+  // sibling_b with sibling_a's first statement, the same node.
+  const ir::Function cand = sibling_b.clone_with(first, only_a);
+  StatementChecks store = store_of(f);
+  EXPECT_EQ(store.add(sibling_a), 4u);  // the If, its children, the body
+  EXPECT_EQ(store.add(sibling_b), 2u);  // the assignment and the body
+  same_as_oracle_against(cand, store, allowed, "sibling's statement");
+  EXPECT_EQ(FunctionChecks(cand, &store).checked_statements(), 1u);  // body
+  // The root's and sibling_b's results alone, all a chain would gate
+  // sibling_b's candidates against, leave sibling_a's If to check.
+  StatementChecks chain = store_of(f);
+  chain.add(sibling_b);
+  same_as_oracle_against(cand, chain, allowed, "sibling's statement (chain)");
+  EXPECT_EQ(FunctionChecks(cand, &chain).checked_statements(), 4u);
+  store.add(cand);
+  const size_t keys = store.size();
+  for (const ir::Function* held : {&f, &sibling_a, &sibling_b, &cand})
+    EXPECT_EQ(store.add(*held), 0u);
+  EXPECT_EQ(store.size(), keys);
+}
+
 TEST(VerifyReuse, OneParentFromFourThreads) {
-  // Candidates are checked against one parent's results concurrently; the
-  // results are only read, and every report is the serial one.
+  // Candidates are checked against one store concurrently, after the root
+  // and a few of them were added; the results are only read, and every
+  // report is the serial one.
   const Neighborhood nb =
       neighborhood("GEN1017", testgen::random_program(1017));
-  const StatementChecks parent = statement_checks(nb.fn);
+  StatementChecks parent = store_of(nb.fn);
+  for (size_t i = 0; i < nb.candidates.size(); i += 16)
+    parent.add(nb.candidates[i]);
   std::vector<Issues> serial;
   std::vector<std::set<std::string>> serial_undef;
   for (const ir::Function& c : nb.candidates) {
