@@ -43,6 +43,10 @@ struct Member {
   /// from the reference pass), handed to evaluation and dropped there.
   /// Empty for a root whose reference pass aborted.
   std::optional<sim::Profile> profile;
+  /// fn's checkpoints from the same pass, which its candidates' passes
+  /// resume from. Null for a root whose reference pass aborted.
+  sim::CheckpointsPtr checkpoints;
+  std::vector<int> ids;  // fn.stmt_ids() when region is not empty
 };
 
 /// Adds one optimize() call's search to the process-wide registry (obs),
@@ -434,6 +438,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
   root.fn = fn.clone();
   root.region = region;
   root.hash = ir::structural_hash(fn);
+  if (!region.empty()) root.ids = root.fn.stmt_ids();
 
   // The gate's store, one per run: the compiled statements and verifier
   // results of the root and of every member with kOwnGateCandidates
@@ -453,9 +458,9 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
 
   // Gate 3 compares every candidate against the input behavior, so the
   // input is simulated once, here: its observations become the reference
-  // and the same pass yields the root's profile. If the input itself
-  // aborts (or does not compile), the root's evaluation re-raises the
-  // error and every candidate is quarantined with it.
+  // and the same pass yields the root's profile and checkpoints. If the
+  // input itself aborts (or does not compile), the root's evaluation
+  // re-raises the error and every candidate is quarantined with it.
   sim::Observations reference;
   std::optional<std::string> reference_error;
   {
@@ -463,8 +468,8 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
     try {
       code.add(root.fn);
       sim::Profile p;
-      reference = sim::reference_observations(sim::Interpreter(root.fn, &code),
-                                              trace, &p);
+      reference = sim::reference_observations(root.fn, &code, trace, &p,
+                                              &root.checkpoints);
       root.profile = std::move(p);
     } catch (const std::exception& e) {
       reference_error = e.what();
@@ -499,11 +504,96 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
     Status status = Status::Duplicate;
     ir::Function fn;            // transformed (valid past gate 1)
     std::optional<sim::Profile> profile;  // from gate 3 when Survived
+    sim::CheckpointsPtr checkpoints;      // from gate 3 when Survived
     uint64_t hash = 0;          // valid when past_dedup
     bool past_dedup = false;    // reached the dedup gate (post-verify)
     const char* pass = "";      // quarantine pass when Quarantined
     std::string failure_class;
     std::string message;
+    /// Unless a known Duplicate: the parent's sequence and this move's
+    /// description. When Survived: the region and fn's ids (see Member).
+    std::vector<std::string> seq;
+    std::set<int> region;
+    std::vector<int> ids;
+  };
+
+  // Gates 1-3 of one candidate of member `g`, on a worker: the outcome's
+  // status and what it carries.
+  auto gauntlet = [&](const Member& g, const xform::Candidate& cand,
+                      Outcome& o) {
+    // Gate 1: the rewrite itself. A transform implementation may throw
+    // anything; the candidate is quarantined, never the run.
+    try {
+      obs::Span sp_apply = obs::span("apply", "opt");
+      o.fn = xforms_.apply(g.fn, cand);
+    } catch (const Error& e) {
+      o.status = Outcome::Status::Quarantined;
+      o.pass = "apply";
+      o.failure_class = "apply-error";
+      o.message = e.what();
+      return;
+    } catch (const std::exception& e) {
+      o.status = Outcome::Status::Quarantined;
+      o.pass = "apply";
+      o.failure_class = strfmt("exception:%s", typeid(e).name());
+      o.message = e.what();
+      return;
+    }
+
+    // Gate 2: deep IR invariants, before dedup so that even a corruption
+    // that leaves the structural hash unchanged (e.g. a duplicated
+    // statement id) is caught and accounted for. Only the statements the
+    // candidate does not share with the gate's store are checked afresh.
+    if (checked) {
+      obs::Span sp_verify = obs::span("verify", "opt");
+      const verify::Report rep =
+          verify::FunctionChecks(o.fn, &checks).report(&baseline_undef);
+      if (!rep.ok()) {
+        o.status = Outcome::Status::Quarantined;
+        o.pass = "verify";
+        o.failure_class = rep.first_check();
+        o.message = rep.str();
+        return;
+      }
+    }
+
+    {
+      obs::Span sp_hash = obs::span("hash", "opt");
+      o.hash = ir::structural_hash(o.fn);
+    }
+    o.past_dedup = true;
+    // Pre-filter against the dedup set, frozen during the wave: known
+    // duplicates skip the equivalence simulation. The authoritative dedup
+    // (which also catches duplicates *within* this wave) runs in the
+    // reduction.
+    if (seen.count(o.hash)) {
+      o.status = Outcome::Status::Duplicate;
+      return;
+    }
+
+    // Gate 3: observable behavior must match the original. One
+    // interpreter pass checks it against the reference and profiles the
+    // candidate for evaluation. The compile links the store's fragments of
+    // the statements the candidate shares with it, and the pass resumes
+    // from the parent's checkpoints at the first top-level statement the
+    // candidate changes.
+    {
+      obs::Span sp_eq = obs::span("equivalence", "opt");
+      try {
+        if (reference_error) throw Error(*reference_error);
+        o.profile = sim::profile_if_equivalent(o.fn, &code, trace, reference,
+                                               g.checkpoints.get(),
+                                               &o.checkpoints);
+      } catch (const std::exception& e) {
+        o.status = Outcome::Status::Quarantined;
+        o.pass = "equivalence";
+        o.failure_class = "simulation-error";
+        o.message = e.what();
+        return;
+      }
+    }
+    o.status = o.profile ? Outcome::Status::Survived
+                         : Outcome::Status::NonEquivalent;
   };
 
   double best_score = result.best_eval.score;
@@ -529,6 +619,7 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
         std::vector<xform::Candidate> cands = xforms_.find_all(m.fn, m.region);
         if (cands.size() >= kOwnGateCandidates && !m.applied.empty()) {
           // (The root, which applied nothing, is in the store already.)
+          obs::Span sp_store = obs::span("store", "opt");
           code.add(m.fn);
           if (checked) checks.add(m.fn);
         }
@@ -550,8 +641,6 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
       // survivors still wanted — independent of the jobs count — so even
       // the set of speculatively processed candidates is deterministic.
       std::vector<Member> behavior_set;
-      // Statement ids of each parent, computed on its first survivor.
-      std::vector<std::optional<std::vector<int>>> parent_ids(in_set.size());
       size_t next_item = 0;
       while (next_item < work.size() &&
              behavior_set.size() < opts_.max_neighbors_eval &&
@@ -566,83 +655,22 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
           Outcome& o = outcomes[w];
           obs::Span sp_cand = obs::span("candidate", "opt");
           sp_cand.arg("transform", item.cand.transform);
-
-          // Gate 1: the rewrite itself. A transform implementation may
-          // throw anything; the candidate is quarantined, never the run.
-          try {
-            obs::Span sp_apply = obs::span("apply", "opt");
-            o.fn = xforms_.apply(g.fn, item.cand);
-          } catch (const Error& e) {
-            o.status = Outcome::Status::Quarantined;
-            o.pass = "apply";
-            o.failure_class = "apply-error";
-            o.message = e.what();
-            return;
-          } catch (const std::exception& e) {
-            o.status = Outcome::Status::Quarantined;
-            o.pass = "apply";
-            o.failure_class = strfmt("exception:%s", typeid(e).name());
-            o.message = e.what();
-            return;
+          gauntlet(g, item.cand, o);
+          if (o.status == Outcome::Status::Duplicate) return;
+          // What the reduction keeps of the candidate, made here so that
+          // it only moves it: its transform sequence and, for a survivor,
+          // its region, the parent's ids plus any transform-created ones.
+          o.seq.reserve(g.applied.size() + 1);
+          o.seq = g.applied;
+          o.seq.push_back(item.cand.describe());
+          if (o.status != Outcome::Status::Survived) return;
+          o.region = g.region;
+          if (!g.region.empty()) {
+            o.ids = o.fn.stmt_ids();
+            std::set_difference(o.ids.begin(), o.ids.end(), g.ids.begin(),
+                                g.ids.end(),
+                                std::inserter(o.region, o.region.end()));
           }
-
-          // Gate 2: deep IR invariants, before dedup so that even a
-          // corruption that leaves the structural hash unchanged (e.g. a
-          // duplicated statement id) is caught and accounted for. Only
-          // the statements the candidate does not share with the gate's
-          // store are checked afresh.
-          if (checked) {
-            obs::Span sp_verify = obs::span("verify", "opt");
-            const verify::Report rep =
-                verify::FunctionChecks(o.fn, &checks).report(&baseline_undef);
-            if (!rep.ok()) {
-              o.status = Outcome::Status::Quarantined;
-              o.pass = "verify";
-              o.failure_class = rep.first_check();
-              o.message = rep.str();
-              return;
-            }
-          }
-
-          {
-            obs::Span sp_hash = obs::span("hash", "opt");
-            o.hash = ir::structural_hash(o.fn);
-          }
-          o.past_dedup = true;
-          // Pre-filter against the dedup set, frozen during the wave:
-          // known duplicates skip the equivalence simulation. The
-          // authoritative dedup (which also catches duplicates *within*
-          // this wave) runs in the reduction below.
-          if (seen.count(o.hash)) {
-            o.status = Outcome::Status::Duplicate;
-            return;
-          }
-
-          // Gate 3: observable behavior must match the original. One
-          // interpreter pass checks it against the reference and profiles
-          // the candidate for evaluation. The compile links the store's
-          // fragments of the statements the candidate shares with it.
-          {
-            obs::Span sp_eq = obs::span("equivalence", "opt");
-            try {
-              if (reference_error) throw Error(*reference_error);
-              const sim::Interpreter compiled(o.fn, &code);
-              o.profile =
-                  sim::profile_if_equivalent(compiled, trace, reference);
-            } catch (const std::exception& e) {
-              o.status = Outcome::Status::Quarantined;
-              o.pass = "equivalence";
-              o.failure_class = "simulation-error";
-              o.message = e.what();
-              return;
-            }
-          }
-          if (!o.profile) {
-            o.status = Outcome::Status::NonEquivalent;
-            o.message = item.cand.describe();
-            return;
-          }
-          o.status = Outcome::Status::Survived;
         });
 
         // The serial reduction: dedup, quarantine accounting, regions.
@@ -661,43 +689,25 @@ EngineResult TransformEngine::optimize(const ir::Function& fn,
           }
 
           const WorkItem& item = work[next_item + w];
-          const Member& g = in_set[item.parent];
-          // The candidate's transform sequence. A non-equivalent
-          // candidate's message is its description, formatted once by the
-          // worker.
-          std::vector<std::string> seq = g.applied;
-          seq.push_back(o.status == Outcome::Status::NonEquivalent
-                            ? o.message
-                            : item.cand.describe());
-
           switch (o.status) {
             case Outcome::Status::Quarantined:
               quarantine(o.pass, std::move(o.failure_class),
-                         std::move(o.message), seq);
+                         std::move(o.message), o.seq);
               break;
             case Outcome::Status::Duplicate:
               break;  // unreachable: the seen-insert above filtered it
             case Outcome::Status::NonEquivalent:
               result.counts.nonequivalent++;
-              quarantine("equivalence", "nonequivalent", std::move(o.message),
-                         seq);
+              quarantine("equivalence", "nonequivalent", o.seq.back(), o.seq);
               break;
             case Outcome::Status::Survived: {
               Member m;
-              // Region: keep the parent's ids plus any transform-created
-              // ones.
-              m.region = g.region;
-              if (!m.region.empty()) {
-                auto& pids = parent_ids[item.parent];
-                if (!pids) pids = g.fn.stmt_ids();
-                const std::vector<int> ids = o.fn.stmt_ids();
-                std::set_difference(ids.begin(), ids.end(), pids->begin(),
-                                    pids->end(),
-                                    std::inserter(m.region, m.region.end()));
-              }
               m.fn = std::move(o.fn);
+              m.region = std::move(o.region);
+              m.ids = std::move(o.ids);
               m.profile = std::move(o.profile);
-              m.applied = std::move(seq);
+              m.checkpoints = std::move(o.checkpoints);
+              m.applied = std::move(o.seq);
               m.via = item.cand.transform;
               m.hash = o.hash;
               behavior_set.push_back(std::move(m));

@@ -1,10 +1,12 @@
 #include "sim/interp.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <charconv>
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string_view>
 
 #include "obs/metrics.hpp"
@@ -34,6 +36,7 @@ enum class Code : uint8_t {
   JumpIfZero,  // jump to b when a is zero
   Jump,        // jump to b
   Fail,        // abort with message a
+  Mark,        // top-level boundary a: the machine stops here
   Halt,
   // Fragment pieces only, never in a program: the link's bookkeeping, at
   // the point of the compile where it happens.
@@ -108,6 +111,16 @@ struct Interpreter::Program {
   ObservationLayout layout;
   std::vector<int> branch_ids;      // branch counter -> statement id
   std::vector<std::string> errors;  // Fail messages
+  std::vector<std::string> scalar_names;  // per scalar register
+  // The top-level statements the program runs, a range of its function's
+  // (marks part them, numbered from 1): per statement its first branch
+  // counter, then the counters' end; per statement and array whether the
+  // statement stores to the array, at [statement * arrays + array]; and
+  // per array whether the program loads or stores it at all.
+  size_t statements = 0;
+  std::vector<int32_t> top_counters;
+  std::vector<uint8_t> top_stores;
+  std::vector<uint8_t> touches;
 };
 
 /// The fragments of passes over functions, in flat arrays (an
@@ -193,7 +206,7 @@ std::vector<Program::Array> lay_out_arrays(const ir::Function& fn,
 struct CompileScratch {
   Unit unit;  // the fragments of the compile under way
   std::vector<Unit::Ref> kids;
-  std::vector<int32_t> regs, consts, temps, at;
+  std::vector<int32_t> regs, consts, temps, at, scalar_ids, starts;
   std::vector<int64_t> values;
   std::vector<std::pair<std::string_view, int32_t>> outs;
 };
@@ -414,24 +427,32 @@ class FragmentCompiler {
   int32_t next_temp_ = 0, max_temps_ = 0;
 };
 
-/// Links a function's fragments into its Program, in two passes. The
-/// first gives the registers, as a compile of the whole function in one
-/// walk would as it goes: the parameters', then each top-level
-/// statement's scalars and constants in the order its subtree first sees
-/// them, then the outputs'; the temporaries sit between the scalars and
-/// the constants. The second replays each fragment's pieces in program
-/// order with those registers: it numbers the branch counters and errors
-/// and merges each statement's step into the open run.
+/// Links top-level statements [first, last) of a function's fragments into
+/// a Program, in two passes. The first gives the registers, as a compile
+/// of those statements in one walk would as it goes: the parameters', then
+/// each top-level statement's scalars and constants in the order its
+/// subtree first sees them, then the outputs'; the temporaries sit between
+/// the scalars and the constants. The second replays each fragment's
+/// pieces in program order with those registers: it numbers the branch
+/// counters and errors and merges each statement's step into the open run,
+/// which a mark between two top-level statements closes. With `tables` it
+/// also keeps what recording and resuming read: the scalars' names and the
+/// top-level statements' counters and arrays.
 class Linker {
  public:
   Linker(const ir::Function& fn, std::vector<Program::Array> arrays,
-         int32_t memory_size, const Unit& unit)
+         int32_t memory_size, const Unit& unit, size_t first, size_t last,
+         bool tables)
       : p_(std::make_shared<Program>()),
+        names_(unit.names),
+        tables_(tables),
+        scalar_ids_(compile_scratch().scalar_ids),
         regs_(compile_scratch().regs),
         consts_(compile_scratch().consts),
         temps_(compile_scratch().temps),
         at_(compile_scratch().at) {
     regs_.assign(unit.names.size(), -1);
+    scalar_ids_.clear();
     consts_.assign(unit.consts.size(), -1);
     p_->fn_name = fn.name();
     p_->arrays = std::move(arrays);
@@ -442,9 +463,12 @@ class Linker {
     std::vector<int64_t>& consts = compile_scratch().values;
     consts.clear();
     int32_t temps = 0;
-    uint32_t instrs = 1;  // Halt
+    const std::span<const Unit::Ref> body(unit.body.data() + first,
+                                          last - first);
+    // Halt, and a mark between each two statements.
+    uint32_t instrs = static_cast<uint32_t>(std::max<size_t>(body.size(), 1));
     uint32_t counters = 0;
-    for (const Unit::Ref& r : unit.body) {
+    for (const Unit::Ref& r : body) {
       see(r, unit, consts);
       const Unit::Fragment& f = *r;
       temps = std::max(temps, f.temps);
@@ -456,6 +480,11 @@ class Linker {
     outs.clear();
     for (const auto& o : fn.outputs())
       outs.emplace_back(o, reg(unit.names.find(o)));
+    if (tables_) {
+      p_->scalar_names.reserve(scalar_ids_.size());
+      for (const int32_t id : scalar_ids_)
+        p_->scalar_names.push_back(names_[id]);
+    }
     temps_.resize(static_cast<size_t>(temps));
     for (int32_t t = 0; t < temps; ++t)
       temps_[static_cast<size_t>(t)] = p_->num_scalars + t;
@@ -472,9 +501,24 @@ class Linker {
     p_->code.resize(instrs);
     code_ = p_->code.data();
     p_->branch_ids.reserve(counters);
-    for (const Unit::Ref& r : unit.body) link(r);
+    p_->statements = body.size();
+    std::vector<int32_t>& starts = compile_scratch().starts;
+    starts.clear();
+    for (size_t k = 0; k < body.size(); ++k) {
+      if (k > 0) emit({Code::Mark, 0, static_cast<int32_t>(k)});
+      if (tables_)
+        p_->top_counters.push_back(
+            static_cast<int32_t>(p_->branch_ids.size()));
+      starts.push_back(here());
+      link(body[k]);
+    }
+    starts.push_back(here());
     emit({Code::Halt});
     p_->code.resize(static_cast<size_t>(size_));
+    if (tables_) {
+      p_->top_counters.push_back(static_cast<int32_t>(p_->branch_ids.size()));
+      find_stores(starts);
+    }
     layout(outs);
   }
 
@@ -504,8 +548,31 @@ class Linker {
   /// The register of the scalar numbered `id`, given as first seen.
   int32_t reg(int32_t id) {
     int32_t& r = regs_[static_cast<size_t>(id)];
-    if (r < 0) r = p_->num_scalars++;
+    if (r < 0) {
+      r = p_->num_scalars++;
+      scalar_ids_.push_back(id);
+    }
     return r;
+  }
+
+  /// Which arrays each top-level statement, its code at [starts[k],
+  /// starts[k + 1]), stores to, and which the program loads or stores.
+  void find_stores(const std::vector<int32_t>& starts) {
+    const size_t arrays = p_->arrays.size();
+    p_->top_stores.assign(p_->statements * arrays, 0);
+    p_->touches.assign(arrays, 0);
+    for (size_t k = 0; k < p_->statements; ++k)
+      for (int32_t pc = starts[k]; pc < starts[k + 1]; ++pc) {
+        const Instr& in = code_[pc];
+        if (in.code != Code::Store && in.code != Code::Load) continue;
+        const int32_t offset = in.code == Code::Store ? in.d : in.b;
+        for (size_t a = 0; a < arrays; ++a) {  // the array is not empty
+          if (p_->arrays[a].offset != offset || p_->arrays[a].size == 0)
+            continue;
+          p_->touches[a] = 1;
+          if (in.code == Code::Store) p_->top_stores[k * arrays + a] = 1;
+        }
+      }
   }
 
   int32_t here() const { return size_; }
@@ -611,6 +678,9 @@ class Linker {
   }
 
   std::shared_ptr<Program> p_;
+  const InternTable<std::string>& names_;
+  bool tables_;
+  std::vector<int32_t>& scalar_ids_;  // per scalar register: its name
   std::vector<int32_t>& regs_;    // per name: its register, -1 while unseen
   std::vector<int32_t>& consts_;  // per constant: its register, -1 if unused
   std::vector<int32_t>& temps_;   // per temporary: its register
@@ -632,17 +702,18 @@ constexpr size_t kLanes = 4;
 
 constexpr int32_t kHalted = -1;
 
-/// Where a run stopped: at Halt (`pc` is kHalted) or at the branch where
-/// the lanes disagree, before it counted; and the steps taken so far.
+/// Where a run stopped: at Halt (`pc` is kHalted), at a mark, or at the
+/// branch where the lanes disagree, before it counted; and the steps taken
+/// so far.
 struct Stop {
   int32_t pc;
   uint64_t steps;
 };
 
 /// Executes a compiled Program on `W` lanes at once, each lane one
-/// execution: from a given instruction and step count to Halt, or, when
-/// `W` > 1, to the first If, Loop or JumpIfZero on which the lanes
-/// disagree. Registers are laid out [reg][lane]; each lane's memory is one
+/// execution: from a given instruction and step count to Halt, to the next
+/// mark when `marks` is set (else it runs through them), or, when `W` > 1,
+/// to the first If, Loop or JumpIfZero on which the lanes disagree. Registers are laid out [reg][lane]; each lane's memory is one
 /// segment of `stride` cells (lane-major). A branch counter adds the lanes
 /// it counts for, and the step count is shared: in lockstep every lane
 /// has taken the same steps. `W` = 1 is the serial machine.
@@ -650,14 +721,15 @@ template <size_t W>
 class Machine {
  public:
   Machine(const Program& p, uint64_t max_steps, int64_t* regs, int64_t* memory,
-          size_t stride, BranchStats* branches, uint64_t lanes)
+          size_t stride, BranchStats* branches, uint64_t lanes, bool marks)
       : p_(p),
         regs_(regs),
         memory_(memory),
         stride_(stride),
         branches_(branches),
         lanes_(lanes),
-        max_steps_(max_steps) {}
+        max_steps_(max_steps),
+        marks_(marks) {}
 
   /// Runs from instruction `pc` with `steps` steps taken. Dispatch is
   /// threaded: each handler jumps straight to the next instruction's
@@ -669,7 +741,7 @@ class Machine {
     static const void* const kHandler[] = {
         &&Add, &&Sub, &&Mul, &&Lt, &&Le, &&Gt, &&Ge, &&Eq, &&Ne, &&BitNot,
         &&Shl, &&Shr, &&And, &&Or, &&Not, &&Mov, &&Load, &&Store,
-        &&Step, &&If, &&Loop, &&JumpIfZero, &&Jump, &&Fail, &&Halt};
+        &&Step, &&If, &&Loop, &&JumpIfZero, &&Jump, &&Fail, &&Mark, &&Halt};
     static_assert(std::size(kHandler) == static_cast<size_t>(Code::Halt) + 1);
     const Instr* const code = p_.code.data();
     int64_t* const r = regs_;
@@ -750,6 +822,9 @@ class Machine {
     FACT_JUMP(in->b);
   Fail:
     throw Error(p_.errors[static_cast<size_t>(in->a)]);
+  Mark:
+    if (!marks_) FACT_NEXT;
+    return {static_cast<int32_t>(in - code), steps};
   Halt:
     return {kHalted, steps};
 #undef FACT_NEXT
@@ -793,6 +868,7 @@ class Machine {
   BranchStats* branches_;
   uint64_t lanes_;  // counted per branch: the lanes that are executions
   uint64_t max_steps_;
+  bool marks_;  // stop at marks
 };
 
 /// What a trace pass reuses from one pass to the next on a thread. Storage
@@ -851,6 +927,188 @@ LaneCounters& lane_counters() {
   return c;
 }
 
+}  // namespace
+
+/// See interp.hpp. Boundary b lies before top-level statement b; the last
+/// is after every statement.
+struct Checkpoints {
+  /// The values of names [first, first + count) of `names`, for every
+  /// execution, execution-major.
+  struct Scalars {
+    uint32_t first = 0, count = 0;
+    std::vector<int64_t> values;
+  };
+  /// Every execution's state at one boundary: its scalars, in disjoint
+  /// blocks (a name in none reads 0), and per array of the program layout
+  /// every execution's cells, execution-major. A block or an array that a
+  /// statement did not change is shared with the state before it.
+  struct State {
+    std::vector<std::shared_ptr<const Scalars>> scalars;
+    std::vector<std::shared_ptr<const std::vector<int64_t>>> arrays;
+
+    /// Execution-major values of names [0, n), into `out` (n per
+    /// execution).
+    void flatten(size_t n, size_t executions, int64_t* out) const {
+      std::fill_n(out, n * executions, 0);
+      for (const auto& b : scalars)
+        for (size_t e = 0; e < executions; ++e)
+          for (uint32_t i = 0; i < b->count && b->first + i < n; ++i)
+            out[e * n + b->first + i] = b->values[e * b->count + i];
+    }
+  };
+  /// One top-level statement's share of the pass: each execution's steps
+  /// in it, and its branch counters that counted, in counter order.
+  struct Segment {
+    std::vector<uint64_t> steps;
+    std::vector<std::pair<int, BranchStats>> branches;
+    uint64_t total = 0;  // the steps of every execution
+  };
+
+  ir::Function fn;                     // holds the statements' nodes
+  std::vector<const Stmt*> stmts;      // fn's top-level statements
+  const Stimulus* trace = nullptr;     // the stimuli, by address
+  size_t executions = 0;
+  std::shared_ptr<const InternTable<std::string>> names;  // the scalars
+  std::vector<std::shared_ptr<const State>> states;      // stmts + 1
+  std::vector<std::shared_ptr<const Segment>> segments;  // per statement
+};
+
+namespace {
+
+using State = Checkpoints::State;
+using Segment = Checkpoints::Segment;
+using NameTable = InternTable<std::string>;
+
+/// The non-null top-level statements of `fn`, in order: those a link
+/// numbers.
+std::vector<const Stmt*> top_level(const ir::Function& fn) {
+  std::vector<const Stmt*> out;
+  if (fn.body())
+    for (const auto& s : fn.body()->stmts)
+      if (s) out.push_back(s.get());
+  return out;
+}
+
+/// Records the states of a pass of `p` at the top-level boundaries it
+/// reaches, for every execution, and each statement's segment. `p` runs
+/// top-level statements [first, first + p.statements) of its function, and
+/// the states hold the scalars of `names`, each of p's among them. A pass
+/// that resumes from `start`, the state at `first` with `start_steps` per
+/// execution taken before it, leaves the names p does not hold and the
+/// arrays p's statements do not store to as they are there; a pass from
+/// reset (`start` null) also records the reset state, at boundary 0.
+class Recorder {
+ public:
+  Recorder(const Program& p, const NameTable& names, const State* start,
+           const uint64_t* start_steps, size_t executions)
+      : p_(p),
+        n_(names.size()),
+        executions_(executions),
+        first_(start ? 1 : 0),
+        start_steps_(start_steps) {
+    name_of_.reserve(p.scalar_names.size());
+    for (const std::string& name : p.scalar_names) {
+      name_of_.push_back(static_cast<uint32_t>(names.find(name)));
+      assert(names.find(name) >= 0);
+    }
+    const size_t arrays = p.arrays.size();
+    const size_t boundaries = p.statements + 1;
+    scalars_.resize(boundaries);
+    arrays_.resize(boundaries);
+    fill_.resize(boundaries);
+    steps_.resize(boundaries);
+    std::vector<int64_t> initial(executions * n_, 0);
+    if (start) start->flatten(n_, executions, initial.data());
+    for (size_t j = first_; j < boundaries; ++j) {
+      scalars_[j] = std::make_shared<Checkpoints::Scalars>(
+          Checkpoints::Scalars{0, static_cast<uint32_t>(n_), initial});
+      steps_[j].assign(executions, 0);
+      arrays_[j].resize(arrays);
+      fill_[j].assign(arrays, nullptr);
+      for (size_t a = 0; a < arrays; ++a) {
+        if (j == 0 || p.top_stores[(j - 1) * arrays + a]) {
+          auto cells = std::make_shared<std::vector<int64_t>>(
+              executions * static_cast<size_t>(p.arrays[a].size));
+          fill_[j][a] = cells->data();
+          arrays_[j][a] = std::move(cells);
+        } else {
+          arrays_[j][a] = j == first_ ? start->arrays[a] : arrays_[j - 1][a];
+        }
+      }
+    }
+  }
+
+  /// Execution `e` at boundary `j` of the program (0 is its start), with
+  /// `steps` taken in all: its scalars in lane `lane` of the `W`-lane
+  /// registers `regs`, its memory at `mem`.
+  void record(size_t j, size_t e, const int64_t* regs, size_t W, size_t lane,
+              const int64_t* mem, uint64_t steps) {
+    int64_t* v = scalars_[j]->values.data() + e * n_;
+    for (size_t r = 0; r < name_of_.size(); ++r) v[name_of_[r]] = regs[r * W + lane];
+    for (size_t a = 0; a < fill_[j].size(); ++a) {
+      if (!fill_[j][a]) continue;
+      const auto size = static_cast<size_t>(p_.arrays[a].size);
+      std::copy_n(mem + p_.arrays[a].offset, size, fill_[j][a] + e * size);
+    }
+    steps_[j][e] = steps;
+  }
+
+  /// Appends the states it recorded and every statement's segment, with
+  /// its branch counters' totals from `counters`.
+  void finish(const std::vector<BranchStats>& counters,
+              std::vector<std::shared_ptr<const State>>& states,
+              std::vector<std::shared_ptr<const Segment>>& segments) const {
+    for (size_t j = first_; j <= p_.statements; ++j) {
+      State st;
+      st.scalars.push_back(scalars_[j]);
+      st.arrays = arrays_[j];
+      states.push_back(std::make_shared<const State>(std::move(st)));
+    }
+    for (size_t k = 0; k < p_.statements; ++k) {
+      Segment seg;
+      seg.steps.resize(executions_);
+      for (size_t e = 0; e < executions_; ++e) {
+        seg.steps[e] = steps_[k + 1][e] -
+                       (k >= first_ ? steps_[k][e] : start_steps_[e]);
+        seg.total += seg.steps[e];
+      }
+      for (int32_t c = p_.top_counters[k]; c < p_.top_counters[k + 1]; ++c) {
+        const BranchStats& b = counters[static_cast<size_t>(c)];
+        if (b.total != 0)
+          seg.branches.emplace_back(p_.branch_ids[static_cast<size_t>(c)], b);
+      }
+      segments.push_back(std::make_shared<const Segment>(std::move(seg)));
+    }
+  }
+
+ private:
+  const Program& p_;
+  size_t n_, executions_, first_;
+  const uint64_t* start_steps_;
+  std::vector<uint32_t> name_of_;  // per scalar register: its name
+  // Per boundary: the scalars, the arrays, the cells of the arrays it
+  // fills (null for those it shares), and every execution's steps.
+  std::vector<std::shared_ptr<Checkpoints::Scalars>> scalars_;
+  std::vector<std::vector<std::shared_ptr<const std::vector<int64_t>>>>
+      arrays_;
+  std::vector<std::vector<int64_t*>> fill_;
+  std::vector<std::vector<uint64_t>> steps_;
+};
+
+/// Where a resumed pass starts each execution and where it leaves it: per
+/// execution its scalars (the program's, in register order), its slot of
+/// `stride` values (room for the outputs, then the memory, as in an
+/// observation; padding lanes use the slots past the last), and the steps
+/// taken before the pass and in it.
+struct Resume {
+  const int64_t* start = nullptr;     // executions x scalars
+  int64_t* end = nullptr;             // executions x scalars
+  int64_t* slots = nullptr;           // (executions + kLanes - 1) x stride
+  const uint64_t* offsets = nullptr;  // per execution
+  uint64_t* steps = nullptr;          // per execution
+  size_t executions = 0;
+};
+
 /// One interpreter pass over a trace. Runs the trace in order, in groups
 /// of kLanes executions (a last group of two or three is padded with
 /// copies of its last execution, which never disagree with it; a last
@@ -864,13 +1122,19 @@ LaneCounters& lane_counters() {
 /// visited, so the first mismatch, the first abort and the statistics are
 /// those of running the executions one by one. An abort in lockstep hits
 /// every lane at once; the serial pass would have hit it in the group's
-/// first execution, with the same message.
+/// first execution, with the same message. At each mark (and at the start
+/// and the end) a Recorder, if given, reads every lane's state.
+///
+/// A resumed pass (resume()) runs the same way from given states, with
+/// each lane's steps offset by those it took before; a lane stops at the
+/// limit less the group's largest offset, so it may stop early, but never
+/// late. It visits nothing: it leaves each execution's state in place.
 class Pass {
  public:
   using Visit = std::function<bool(size_t, std::span<const int64_t>)>;
 
-  Pass(const Program& p, uint64_t max_steps)
-      : p_(p), max_steps_(max_steps), stride_(p.layout.size) {
+  Pass(const Program& p, uint64_t max_steps, Recorder* rec = nullptr)
+      : p_(p), max_steps_(max_steps), stride_(p.layout.size), rec_(rec) {
     s_->branches.assign(p.branch_ids.size(), {});
     s_->serial.assign(p.registers.begin(), p.registers.end());
   }
@@ -883,24 +1147,21 @@ class Pass {
   Pass(const Pass&) = delete;
   Pass& operator=(const Pass&) = delete;
 
-  /// Runs `trace`; false as soon as `visit` returns false.
+  /// Runs `trace` from reset; false as soon as `visit` returns false.
   bool run(std::span<const Stimulus> trace, const Visit& visit) {
     s_->observations.resize((trace.size() >= 2 ? kLanes : 1) * stride_);
-    size_t i = 0;
-    if (trace.size() >= 2) {
-      // Every lane's constants; temporaries are written before they are
-      // read, and scalars are reset per group.
-      const std::vector<int64_t>& init = p_.registers;
-      s_->lanes.resize(init.size() * kLanes);
-      for (size_t reg = 0; reg < init.size(); ++reg)
-        std::fill_n(s_->lanes.begin() + reg * kLanes, kLanes, init[reg]);
-      while (trace.size() - i >= 2) {
-        const size_t n = std::min(kLanes, trace.size() - i);
-        if (!group<kLanes>(trace.subspan(i, n), i, visit)) return false;
-        i += n;
-      }
-    }
-    return i >= trace.size() || group<1>(trace.subspan(i), i, visit);
+    slots_ = s_->observations.data();
+    stimuli_ = trace.data();
+    visit_ = &visit;
+    return groups(trace.size());
+  }
+
+  /// Runs every execution of `r` from its state there; throws fact::Error
+  /// where an execution aborts.
+  void resume(const Resume& r) {
+    resume_ = &r;
+    slots_ = r.slots;
+    groups(r.executions);
   }
 
   /// Adds the pass's counters into `stats` (branches the behavior never
@@ -916,42 +1177,120 @@ class Pass {
     }
   }
 
+  /// The pass's branch counters.
+  const std::vector<BranchStats>& branches() const { return s_->branches; }
+
  private:
-  /// Runs `group` (executions first, first + 1, ...) from reset on W lanes.
-  template <size_t W>
-  bool group(std::span<const Stimulus> group, size_t first,
-             const Visit& visit) {
-    int64_t* regs = W == 1 ? s_->serial.data() : s_->lanes.data();
-    for (size_t l = 0; l < W; ++l)
-      reset<W>(group[std::min(l, group.size() - 1)], regs, l);
-    if constexpr (W > 1) groups_++;
-    const Stop stop =
-        Machine<W>(p_, max_steps_, regs, memory(0), stride_,
-                   s_->branches.data(), group.size())
-            .run(0, 0);
-    if (stop.pc == kHalted) {
-      steps_ += stop.steps * group.size();
-      for (size_t l = 0; l < group.size(); ++l) {
-        observe<W>(regs, l);
-        if (!visit(first + l, observation(l))) return false;
+  bool groups(size_t executions) {
+    size_t i = 0;
+    if (executions >= 2) {
+      // Every lane's constants; temporaries are written before they are
+      // read, and scalars are set per group.
+      const std::vector<int64_t>& init = p_.registers;
+      s_->lanes.resize(init.size() * kLanes);
+      for (size_t reg = 0; reg < init.size(); ++reg)
+        std::fill_n(s_->lanes.begin() + reg * kLanes, kLanes, init[reg]);
+      while (executions - i >= 2) {
+        const size_t n = std::min(kLanes, executions - i);
+        if (!group<kLanes>(i, n)) return false;
+        i += n;
       }
+    }
+    return i >= executions || group<1>(i, 1);
+  }
+
+  /// Runs executions first, first + 1, ..., first + n - 1 on W lanes.
+  template <size_t W>
+  bool group(size_t first, size_t n) {
+    int64_t* regs = W == 1 ? s_->serial.data() : s_->lanes.data();
+    uint64_t offset = 0;  // the most steps a lane took before
+    for (size_t l = 0; l < W; ++l) {
+      const size_t e = first + std::min(l, n - 1);
+      if (resume_) {
+        load<W>(e, regs, first, l);
+        offset = std::max(offset, resume_->offsets[e]);
+      } else {
+        reset<W>(stimuli_[e], regs, l);
+      }
+    }
+    if (rec_ && !resume_)
+      for (size_t l = 0; l < n; ++l)
+        rec_->record(0, first + l, regs, W, l, memory(first, l), 0);
+    if constexpr (W > 1) groups_++;
+    Machine<W> lockstep(p_, max_steps_ - offset, regs, memory(first, 0),
+                        stride_, s_->branches.data(), n, rec_ != nullptr);
+    Stop stop = lockstep.run(0, 0);
+    while (marked(stop)) {
+      for (size_t l = 0; l < n; ++l) mark(stop, first, l, regs, W, l);
+      stop = lockstep.run(stop.pc + 1, stop.steps);
+    }
+    if (stop.pc == kHalted) {
+      for (size_t l = 0; l < n; ++l)
+        if (!finish(first, l, regs, W, l, stop.steps)) return false;
       return true;
     }
     if constexpr (W > 1) {
       splits_++;
       int64_t* serial = s_->serial.data();
-      for (size_t l = 0; l < group.size(); ++l) {
+      for (size_t l = 0; l < n; ++l) {
         for (size_t reg = 0; reg < s_->serial.size(); ++reg)
           serial[reg] = regs[reg * W + l];
-        steps_ += Machine<1>(p_, max_steps_, serial, memory(l), stride_,
-                             s_->branches.data(), 1)
-                      .run(stop.pc, stop.steps)
-                      .steps;
-        observe<1>(serial, l);
-        if (!visit(first + l, observation(l))) return false;
+        Machine<1> alone(p_, max_steps_ - offset_of(first + l), serial,
+                         memory(first, l), stride_, s_->branches.data(), 1,
+                         rec_ != nullptr);
+        Stop at = alone.run(stop.pc, stop.steps);
+        while (marked(at)) {
+          mark(at, first, l, serial, 1, 0);
+          at = alone.run(at.pc + 1, at.steps);
+        }
+        if (!finish(first, l, serial, 1, 0, at.steps)) return false;
       }
     }
     return true;
+  }
+
+  bool marked(const Stop& stop) const {
+    return stop.pc != kHalted &&
+           p_.code[static_cast<size_t>(stop.pc)].code == Code::Mark;
+  }
+
+  uint64_t offset_of(size_t e) const {
+    return resume_ ? resume_->offsets[e] : 0;
+  }
+
+  /// Lane `l` of the group at `first` stopped at a mark; its registers are
+  /// lane `lane` of `W`-lane `regs`.
+  void mark(const Stop& stop, size_t first, size_t l, const int64_t* regs,
+            size_t W, size_t lane) {
+    if (rec_)
+      rec_->record(
+          static_cast<size_t>(p_.code[static_cast<size_t>(stop.pc)].a),
+          first + l, regs, W, lane, memory(first, l),
+          offset_of(first + l) + stop.steps);
+  }
+
+  /// Lane `l` of the group at `first` halted after `steps` steps: visits
+  /// its observation, or keeps its state when resumed.
+  bool finish(size_t first, size_t l, const int64_t* regs, size_t W,
+              size_t lane, uint64_t steps) {
+    const size_t e = first + l;
+    steps_ += steps;
+    if (rec_ && p_.statements > 0)
+      rec_->record(p_.statements, e, regs, W, lane, memory(first, l),
+                   offset_of(e) + steps);
+    const auto scalars = static_cast<size_t>(p_.num_scalars);
+    if (resume_) {
+      resume_->steps[e] = steps;
+      int64_t* end = resume_->end + e * scalars;
+      for (size_t reg = 0; reg < scalars; ++reg) end[reg] = regs[reg * W + lane];
+      return true;
+    }
+    // Copies the outputs in front of the memory, so that one buffer is
+    // the execution's observation.
+    int64_t* out = slots_ + l * stride_;
+    for (int32_t reg : p_.output_registers)
+      *out++ = regs[static_cast<size_t>(reg) * W + lane];
+    return (*visit_)(e, {slots_ + l * stride_, stride_});
   }
 
   /// Lane `lane` of `regs` and its memory at reset for `in`: every scalar
@@ -967,7 +1306,7 @@ class Pass {
         regs[static_cast<size_t>(reg) * W + lane] = it->second;
     }
     for (const auto& a : p_.arrays) {
-      int64_t* mem = memory(lane) + a.offset;
+      int64_t* mem = memory(0, lane) + a.offset;
       size_t given = 0;
       if (a.is_input) {
         auto it = in.arrays.find(a.name);
@@ -980,28 +1319,35 @@ class Pass {
     }
   }
 
-  /// Copies lane `lane`'s outputs in front of its memory, so that one
-  /// buffer is the execution's observation. A serial machine's registers
-  /// (W = 1) may belong to any lane.
+  /// Lane `lane` of `regs` and its memory as execution `e` starts the
+  /// resumed pass. A padding lane copies the memory of `e`, its group's
+  /// last execution.
   template <size_t W>
-  void observe(const int64_t* regs, size_t lane) {
-    int64_t* out = s_->observations.data() + lane * stride_;
-    for (int32_t reg : p_.output_registers)
-      *out++ = regs[static_cast<size_t>(reg) * W + (W == 1 ? 0 : lane)];
+  void load(size_t e, int64_t* regs, size_t first, size_t lane) {
+    const auto scalars = static_cast<size_t>(p_.num_scalars);
+    const int64_t* from = resume_->start + e * scalars;
+    for (size_t reg = 0; reg < scalars; ++reg) regs[reg * W + lane] = from[reg];
+    if (first + lane != e)
+      std::copy_n(memory(first, e - first), p_.memory_size,
+                  memory(first, lane));
   }
 
-  int64_t* memory(size_t lane) {
-    return s_->observations.data() + lane * stride_ +
+  /// Lane `l`'s memory in the group at `first`: a resumed pass keeps every
+  /// execution's, a pass from reset one per lane.
+  int64_t* memory(size_t first, size_t l) const {
+    return slots_ + ((resume_ ? first : 0) + l) * stride_ +
            p_.output_registers.size();
-  }
-  std::span<const int64_t> observation(size_t lane) const {
-    return {s_->observations.data() + lane * stride_, stride_};
   }
 
   const Program& p_;
   uint64_t max_steps_;
   size_t stride_;  // values per observation
+  Recorder* rec_;
   ScratchLease s_;
+  int64_t* slots_ = nullptr;
+  const Stimulus* stimuli_ = nullptr;
+  const Visit* visit_ = nullptr;
+  const Resume* resume_ = nullptr;
   uint64_t steps_ = 0;
   uint64_t groups_ = 0, splits_ = 0;  // lockstep groups; the ones that split
 };
@@ -1078,12 +1424,23 @@ void FragmentUnit::pass(const ir::Function& fn, const PointerMap<Ref>* reuse) {
   compile(fn, lay_out_arrays(fn, memory_size), reuse);
 }
 
-Interpreter::Interpreter(const ir::Function& fn, const StatementCode* store) {
+Interpreter::Interpreter(const ir::Function& fn, const StatementCode* store)
+    : Interpreter(fn, store, false) {}
+
+Interpreter Interpreter::recording(const ir::Function& fn,
+                                   const StatementCode* store) {
+  return Interpreter(fn, store, true);
+}
+
+Interpreter::Interpreter(const ir::Function& fn, const StatementCode* store,
+                         bool tables) {
   int32_t memory_size = 0;
   std::vector<Program::Array> arrays = lay_out_arrays(fn, memory_size);
   const Unit& unit = compile_fragments(fn, store, arrays);
   compiled_ = unit.records.size();
-  prog_ = Linker(fn, std::move(arrays), memory_size, unit).take();
+  prog_ = Linker(fn, std::move(arrays), memory_size, unit, 0,
+                 unit.body.size(), tables)
+              .take();
 }
 
 const ObservationLayout& Interpreter::layout() const { return prog_->layout; }
@@ -1145,13 +1502,380 @@ Observation Interpreter::run(const Stimulus& in, RunStats* stats) const {
   return obs;
 }
 
+namespace {
+
+using Visit = std::function<bool(size_t, std::span<const int64_t>)>;
+
+/// One pass of `p` over `trace` from reset (Interpreter::run_trace). When
+/// `record` is non-null and the pass runs the whole trace, it records the
+/// checkpoints of `fn`, whose whole program `p` is, linked with its
+/// tables; but none of a function with one top-level statement, as no
+/// variant can resume from them (a variant sharing that statement is `fn`
+/// itself).
+bool run_pass(const Program& p, uint64_t max_steps,
+              std::span<const Stimulus> trace, RunStats* stats,
+              const Visit& visit, const ir::Function* fn,
+              CheckpointsPtr* record) {
+  if (p.statements < 2 || p.top_counters.empty()) record = nullptr;
+  std::shared_ptr<NameTable> names;
+  std::optional<Recorder> rec;
+  if (record) {
+    names = std::make_shared<NameTable>();
+    for (const std::string& name : p.scalar_names) names->intern(name);
+    rec.emplace(p, *names, nullptr, nullptr, trace.size());
+  }
+  Pass pass(p, max_steps, rec ? &*rec : nullptr);
+  if (!pass.run(trace, visit)) return false;
+  if (stats) pass.flush(*stats);
+  if (record) {
+    auto cp = std::make_shared<Checkpoints>();
+    cp->fn = *fn;
+    cp->stmts = top_level(*fn);
+    cp->trace = trace.data();
+    cp->executions = trace.size();
+    cp->names = std::move(names);
+    rec->finish(pass.branches(), cp->states, cp->segments);
+    *record = std::move(cp);
+  }
+  return true;
+}
+
+/// The fewest of the parent's steps per execution, on average, that a
+/// resumed pass must be able to skip: below that, setting up the resumed
+/// runs and recording their states costs more than the steps it skips.
+constexpr uint64_t kResumeMinSteps = 64;
+
+/// What resume_trace reuses from one call to the next on a thread.
+struct ResumeScratch {
+  std::vector<int64_t> start, end, slots, mine, theirs;
+  std::vector<uint64_t> offsets, rest_offsets, steps;
+};
+
+/// This thread's ResumeScratch.
+ResumeScratch& resume_scratch() {
+  thread_local ResumeScratch s;
+  return s;
+}
+
+/// The runs of resume_trace: top-level statements [p, mine_end) of `fn`
+/// (the variant's own) from the parent's state at its boundary p, with
+/// only the arrays they touch loaded, and, where the state after them does
+/// not rejoin the parent's at boundary their_end, every array and the last
+/// s statements from the variant's own states. run() throws fact::Error
+/// where an execution aborts, and returns false where a total could cross
+/// the step limit.
+class Resumption {
+ public:
+  Resumption(const ir::Function& fn, const Checkpoints& parent,
+             const Unit& unit, const std::vector<Program::Array>& arrays,
+             int32_t memory_size, size_t p, size_t s, uint64_t max_steps,
+             ResumeScratch& rs)
+      : fn_(fn),
+        parent_(parent),
+        unit_(unit),
+        arrays_(arrays),
+        memory_size_(memory_size),
+        p_(p),
+        s_(s),
+        mine_end_(unit.body.size() - s),
+        their_end_(parent.stmts.size() - s),
+        executions_(parent.executions),
+        max_steps_(max_steps),
+        rs_(rs) {}
+
+  bool run() {
+    const size_t E = executions_;
+    rs_.offsets.assign(E, 0);
+    for (size_t k = 0; k < p_; ++k)
+      for (size_t e = 0; e < E; ++e)
+        rs_.offsets[e] += parent_.segments[k]->steps[e];
+    if (!within_limit(rs_.offsets)) return false;
+    const std::shared_ptr<const Program> own = link(p_, mine_end_);
+    // The variant's names: the parent's, then those its own statements
+    // introduce.
+    std::shared_ptr<NameTable> grown;
+    for (const std::string& name : own->scalar_names)
+      if (parent_.names->find(name) < 0) {
+        if (!grown) grown = std::make_shared<NameTable>(*parent_.names);
+        grown->intern(name);
+      }
+    names_ = grown ? std::shared_ptr<const NameTable>(grown) : parent_.names;
+
+    const State& from = *parent_.states[p_];
+    rs_.slots.resize((E + kLanes - 1) * own->layout.size);
+    loaded_.assign(own->arrays.size(), 0);
+    load(*own, from, own->touches);
+    run_from(own, from, rs_.offsets);
+
+    const State& mine = states_.empty() ? from : *states_.back();
+    rejoined_ = same(mine, *parent_.states[their_end_]);
+    rs_.rest_offsets.resize(E);
+    for (size_t e = 0; e < E; ++e) {
+      rs_.rest_offsets[e] = rs_.offsets[e] + rs_.steps[e];
+      if (rejoined_)
+        for (size_t k = their_end_; k < parent_.stmts.size(); ++k)
+          rs_.rest_offsets[e] += parent_.segments[k]->steps[e];
+    }
+    if (!within_limit(rs_.rest_offsets)) return false;
+    if (rejoined_) return true;
+    // The arrays the own statements did not touch are as they were.
+    load(*own, from, std::vector<uint8_t>(own->arrays.size(), 1));
+    if (s_ > 0)
+      run_from(link(mine_end_, unit_.body.size()), mine, rs_.rest_offsets);
+    return true;
+  }
+
+  /// Visits each execution, unless every state rejoined the parent's.
+  bool visit(const Visit& visit) const {
+    if (rejoined_) return true;
+    const auto scalars = static_cast<size_t>(last_->num_scalars);
+    const size_t stride = last_->layout.size;
+    for (size_t e = 0; e < executions_; ++e) {
+      int64_t* slot = rs_.slots.data() + e * stride;
+      for (size_t i = 0; i < last_->output_registers.size(); ++i)
+        slot[i] = rs_.end[e * scalars +
+                          static_cast<size_t>(last_->output_registers[i])];
+      if (!visit(e, {slot, stride})) return false;
+    }
+    return true;
+  }
+
+  /// The variant's segments: the parent's outside the statements that ran.
+  std::vector<std::shared_ptr<const Segment>> segments() const {
+    std::vector<std::shared_ptr<const Segment>> out(
+        parent_.segments.begin(),
+        parent_.segments.begin() + static_cast<ptrdiff_t>(p_));
+    out.insert(out.end(), segments_.begin(), segments_.end());
+    if (rejoined_)
+      out.insert(out.end(),
+                 parent_.segments.begin() + static_cast<ptrdiff_t>(their_end_),
+                 parent_.segments.end());
+    return out;
+  }
+
+  /// The variant's states: the parent's outside the statements that ran;
+  /// where the states rejoined, with the values of the names the
+  /// variant's own statements introduced.
+  std::vector<std::shared_ptr<const State>> states() const {
+    std::vector<std::shared_ptr<const State>> out(
+        parent_.states.begin(),
+        parent_.states.begin() + static_cast<ptrdiff_t>(p_ + 1));
+    out.insert(out.end(), states_.begin(), states_.end());
+    if (!rejoined_) return out;
+    out.resize(mine_end_);
+    std::shared_ptr<Checkpoints::Scalars> added;
+    const size_t known = parent_.names->size(), all = names_->size();
+    if (all > known) {
+      const size_t E = executions_;
+      rs_.mine.resize(all * E);
+      states_.back()->flatten(all, E, rs_.mine.data());
+      added = std::make_shared<Checkpoints::Scalars>();
+      added->first = static_cast<uint32_t>(known);
+      added->count = static_cast<uint32_t>(all - known);
+      for (size_t e = 0; e < E; ++e)
+        added->values.insert(
+            added->values.end(),
+            rs_.mine.begin() + static_cast<ptrdiff_t>(e * all + known),
+            rs_.mine.begin() + static_cast<ptrdiff_t>((e + 1) * all));
+    }
+    for (size_t b = their_end_; b < parent_.states.size(); ++b) {
+      if (!added) {
+        out.push_back(parent_.states[b]);
+        continue;
+      }
+      State st = *parent_.states[b];
+      st.scalars.push_back(added);
+      out.push_back(std::make_shared<const State>(std::move(st)));
+    }
+    return out;
+  }
+
+  const std::shared_ptr<const NameTable>& names() const { return names_; }
+  bool rejoined() const { return rejoined_; }
+
+  /// The parent's steps the runs took from its segments instead.
+  uint64_t skipped() const {
+    uint64_t n = 0;
+    for (size_t k = 0; k < parent_.stmts.size(); ++k)
+      if (k < p_ || (rejoined_ && k >= their_end_))
+        n += parent_.segments[k]->total;
+    return n;
+  }
+
+ private:
+  std::shared_ptr<const Program> link(size_t first, size_t last) const {
+    return Linker(fn_, arrays_, memory_size_, unit_, first, last, true)
+        .take();
+  }
+
+  /// Copies each array `want` names and not copied yet from state `from`
+  /// into every execution's slot, laid out as `prog`'s memory.
+  void load(const Program& prog, const State& from,
+            const std::vector<uint8_t>& want) {
+    const size_t stride = prog.layout.size;
+    const size_t outs = prog.output_registers.size();
+    for (size_t a = 0; a < prog.arrays.size(); ++a) {
+      if (!want[a] || loaded_[a]) continue;
+      loaded_[a] = 1;
+      const auto size = static_cast<size_t>(prog.arrays[a].size);
+      const int64_t* cells = from.arrays[a]->data();
+      for (size_t e = 0; e < executions_; ++e)
+        std::copy_n(cells + e * size, size,
+                    rs_.slots.data() + e * stride + outs +
+                        static_cast<size_t>(prog.arrays[a].offset));
+    }
+  }
+
+  bool within_limit(const std::vector<uint64_t>& steps) const {
+    return std::all_of(steps.begin(), steps.end(),
+                       [&](uint64_t n) { return n <= max_steps_; });
+  }
+
+  /// Runs `prog` over every execution from state `from`, whose memory is
+  /// in the slots already, with `offsets` steps taken before; records its
+  /// states and segments.
+  void run_from(std::shared_ptr<const Program> program, const State& from,
+                const std::vector<uint64_t>& offsets) {
+    const Program& prog = *program;
+    const size_t E = executions_;
+    const auto scalars = static_cast<size_t>(prog.num_scalars);
+    rs_.start.resize(E * scalars);
+    for (size_t r = 0; r < scalars; ++r) {
+      const int32_t name = names_->find(prog.scalar_names[r]);
+      const Checkpoints::Scalars* block = nullptr;
+      for (const auto& b : from.scalars)
+        if (static_cast<uint32_t>(name) - b->first < b->count) block = b.get();
+      for (size_t e = 0; e < E; ++e)
+        rs_.start[e * scalars + r] =
+            block ? block->values[e * block->count +
+                                  (static_cast<uint32_t>(name) - block->first)]
+                  : 0;
+    }
+    rs_.end.resize(E * scalars);
+    rs_.steps.assign(E, 0);
+    Recorder rec(prog, *names_, &from, offsets.data(), E);
+    Pass pass(prog, max_steps_, &rec);
+    pass.resume({rs_.start.data(), rs_.end.data(), rs_.slots.data(),
+                 offsets.data(), rs_.steps.data(), E});
+    rec.finish(pass.branches(), states_, segments_);
+    last_ = std::move(program);
+  }
+
+  /// Whether every execution has the same scalars (every name the
+  /// parent's states hold) and memory in `a` as in `b`.
+  bool same(const State& a, const State& b) const {
+    const size_t n = parent_.names->size(), E = executions_;
+    rs_.mine.resize(n * E);
+    rs_.theirs.resize(n * E);
+    a.flatten(n, E, rs_.mine.data());
+    b.flatten(n, E, rs_.theirs.data());
+    if (rs_.mine != rs_.theirs) return false;
+    for (size_t i = 0; i < a.arrays.size(); ++i)
+      if (a.arrays[i] != b.arrays[i] && *a.arrays[i] != *b.arrays[i])
+        return false;
+    return true;
+  }
+
+  const ir::Function& fn_;
+  const Checkpoints& parent_;
+  const Unit& unit_;
+  const std::vector<Program::Array>& arrays_;
+  int32_t memory_size_;
+  size_t p_, s_, mine_end_, their_end_, executions_;
+  uint64_t max_steps_;
+  ResumeScratch& rs_;
+  std::shared_ptr<const NameTable> names_;
+  // What the runs recorded, in boundary and statement order.
+  std::vector<std::shared_ptr<const State>> states_;
+  std::vector<std::shared_ptr<const Segment>> segments_;
+  std::shared_ptr<const Program> last_;  // the program that ran last
+  std::vector<uint8_t> loaded_;  // per array: in the slots
+  bool rejoined_ = false;
+};
+
+}  // namespace
+
 bool Interpreter::run_trace(
     std::span<const Stimulus> trace, RunStats* stats,
     const std::function<bool(size_t, std::span<const int64_t>)>& visit)
     const {
-  Pass pass(*prog_, max_steps_);
-  if (!pass.run(trace, visit)) return false;
-  if (stats) pass.flush(*stats);
+  return run_pass(*prog_, max_steps_, trace, stats, visit, nullptr, nullptr);
+}
+
+bool Interpreter::run_trace(
+    std::span<const Stimulus> trace, RunStats* stats,
+    const std::function<bool(size_t, std::span<const int64_t>)>& visit,
+    const ir::Function& fn, CheckpointsPtr* record) const {
+  return run_pass(*prog_, max_steps_, trace, stats, visit, &fn, record);
+}
+
+std::optional<bool> resume_trace(
+    const ir::Function& fn, const StatementCode* store,
+    const Checkpoints& parent, std::span<const Stimulus> trace,
+    RunStats* stats,
+    const std::function<bool(size_t, std::span<const int64_t>)>& visit,
+    CheckpointsPtr* record, ResumeStats* how, uint64_t max_steps) {
+  if (trace.empty() || parent.trace != trace.data() ||
+      parent.executions != trace.size())
+    return std::nullopt;
+  std::vector<const Stmt*> mine = top_level(fn);
+  const std::vector<const Stmt*>& theirs = parent.stmts;
+  const size_t common = std::min(mine.size(), theirs.size());
+  size_t p = 0, s = 0;
+  while (p < common && mine[p] == theirs[p]) ++p;
+  while (p + s < common &&
+         mine[mine.size() - 1 - s] == theirs[theirs.size() - 1 - s])
+    ++s;
+  uint64_t skippable = 0;
+  for (size_t k = 0; k < theirs.size(); ++k)
+    if (k < p || k >= theirs.size() - s) skippable += parent.segments[k]->total;
+  if (skippable < kResumeMinSteps * trace.size() ||
+      !parent.fn.same_declarations(fn))
+    return std::nullopt;
+
+  int32_t memory_size = 0;
+  const std::vector<Program::Array> arrays = lay_out_arrays(fn, memory_size);
+  const Unit& unit = compile_fragments(fn, store, arrays);
+  Resumption r(fn, parent, unit, arrays, memory_size, p, s, max_steps,
+               resume_scratch());
+  bool resumed = false;
+  try {
+    resumed = r.run();
+  } catch (const Error&) {
+    // The pass from reset decides which execution aborts, and how.
+  }
+  if (!resumed) {
+    const auto whole =
+        Linker(fn, arrays, memory_size, unit, 0, mine.size(), false).take();
+    return run_pass(*whole, max_steps, trace, stats, visit, nullptr, nullptr);
+  }
+  if (how) {
+    how->steps_skipped = r.skipped();
+    how->resumed = true;
+    how->diverged = !r.rejoined();
+  }
+  if (!r.visit(visit)) return false;
+  std::vector<std::shared_ptr<const Segment>> segments = r.segments();
+  if (stats)
+    for (const auto& seg : segments) {
+      stats->steps += seg->total;
+      for (const auto& [id, b] : seg->branches) {
+        BranchStats& d = stats->branches[id];
+        d.taken += b.taken;
+        d.total += b.total;
+      }
+    }
+  if (record) {
+    auto cp = std::make_shared<Checkpoints>();
+    cp->fn = fn;
+    cp->stmts = std::move(mine);
+    cp->trace = trace.data();
+    cp->executions = trace.size();
+    cp->names = r.names();
+    cp->states = r.states();
+    cp->segments = std::move(segments);
+    *record = std::move(cp);
+  }
   return true;
 }
 

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -72,6 +73,29 @@ struct RunStats {
 /// A "typical input trace": one Stimulus per execution of the behavior.
 using Trace = std::vector<Stimulus>;
 
+/// Steps one execution may take unless set otherwise.
+inline constexpr uint64_t kDefaultMaxSteps = 10'000'000;
+
+/// A behavior's state at each boundary between two of its top-level
+/// statements (and before the first and after the last), for every
+/// execution of one trace, plus what each top-level statement added to the
+/// pass's branch counts and each execution's steps. The state holds the
+/// scalars by name, the memory, and the steps taken. A pass records them
+/// (Interpreter::run_trace, resume_trace); resume_trace resumes a variant
+/// of the behavior from them. Immutable once recorded, so any number of
+/// threads may read them; a variant's share the states and arrays its
+/// own pass did not change with the behavior's (defined in interp.cpp).
+struct Checkpoints;
+using CheckpointsPtr = std::shared_ptr<const Checkpoints>;
+
+/// What resume_trace skipped (the write-only gate counters read it).
+struct ResumeStats {
+  uint64_t steps_skipped = 0;  // the parent's steps taken from checkpoints
+  bool resumed = false;        // it ran only the variant's own statements
+  bool diverged = false;       // ... and then the rest, as the state after
+                               // them differed from the parent's
+};
+
 struct FragmentUnit;  // the fragments of passes; defined in interp.cpp
 
 /// A search's store of compiled fragments, found by statement pointer:
@@ -113,9 +137,12 @@ using StatementCode = ir::StatementIndex<FragmentUnit>;
 /// the arm it does not choose, and a step instruction opens each run of
 /// statements that no jump enters or leaves, counting them all at once
 /// (none of them but the last can abort, so the step count and the order
-/// of errors are those of one check per statement). Arrays live in one flat
-/// memory, one segment per array. Per-stimulus execution never touches a
-/// string.
+/// of errors are those of one check per statement). A mark between two
+/// top-level statements ends such a run, so the step count there is
+/// exact; in a pass that records checkpoints the machine stops at it for
+/// the pass to read the state.
+/// Arrays live in one flat memory, one segment per array. Per-stimulus
+/// execution never touches a string.
 ///
 /// Compiling is two steps. Each statement, at every nesting level, first
 /// compiles on its own into a relocatable fragment: its code, with the
@@ -153,6 +180,11 @@ class Interpreter {
   /// way.
   explicit Interpreter(const ir::Function& fn,
                        const StatementCode* store = nullptr);
+  /// The same compile, also keeping what recording checkpoints reads (the
+  /// scalars' names, the top-level statements' counters and arrays), which
+  /// a plain compile leaves out as most passes never record.
+  static Interpreter recording(const ir::Function& fn,
+                               const StatementCode* store = nullptr);
 
   /// Step limit of one execution (not of a whole trace).
   void set_max_steps(uint64_t n) { max_steps_ = n; }
@@ -179,6 +211,14 @@ class Interpreter {
       std::span<const Stimulus> trace, RunStats* stats,
       const std::function<bool(size_t, std::span<const int64_t>)>& visit)
       const;
+  /// The same, also recording the checkpoints of `fn`, the function this
+  /// Interpreter compiled (made by recording(); otherwise, and for a `fn`
+  /// with one top-level statement, it records none), into `*record` when
+  /// the pass runs the whole trace.
+  bool run_trace(
+      std::span<const Stimulus> trace, RunStats* stats,
+      const std::function<bool(size_t, std::span<const int64_t>)>& visit,
+      const ir::Function& fn, CheckpointsPtr* record) const;
 
   /// The compiled program as text, one line per instruction, then its
   /// register file, observation layout, branch counters' statement ids
@@ -193,10 +233,45 @@ class Interpreter {
   struct Program;  // compiled form; defined in interp.cpp
 
  private:
+  Interpreter(const ir::Function& fn, const StatementCode* store,
+              bool tables);
+
   std::shared_ptr<const Program> prog_;
   size_t compiled_ = 0;
-  uint64_t max_steps_ = 10'000'000;
+  uint64_t max_steps_ = kDefaultMaxSteps;
 };
+
+/// Runs `fn`, compiled against `store`, over `trace` as
+/// Interpreter(fn, store) with `max_steps` runs run_trace(trace, stats,
+/// visit), but resumed from the checkpoints of `parent`, which were
+/// recorded over the same stimuli (by address). Let `fn` share its first p
+/// and last s top-level statements with `parent`'s behavior, by pointer.
+/// Each execution then starts from its state at the parent's boundary p
+/// and runs only the statements in between, on a program linked from just
+/// those. Where every execution's state after them equals the parent's at
+/// its boundary s statements before its end (every scalar the parent's
+/// state holds, and all memory), the rest runs as it did for the parent:
+/// no execution is visited, as each observes what the parent observed, and
+/// the parent's counts of the last s statements complete the statistics.
+/// Otherwise the last s statements run from the variant's own states and
+/// every execution is visited. So the result is run_trace's whenever
+/// `visit` accepts each of the parent's observations. Should an execution
+/// abort, or a total cross `max_steps`, the whole trace runs from reset
+/// instead. A pass that resumed records fn's checkpoints into `*record`
+/// (if non-null) when it runs the whole trace; they share the parent's
+/// outside the statements it ran. Returns nullopt, having run nothing,
+/// where it would not resume: other stimuli, other declarations, or fewer
+/// than 64 of the parent's steps per execution in its first p and last s
+/// statements (so also p = s = 0). `how` (if non-null) receives what it
+/// skipped, once it resumed. `visit` must not call resume_trace: the
+/// observations it gets live in storage its thread reuses.
+std::optional<bool> resume_trace(
+    const ir::Function& fn, const StatementCode* store,
+    const Checkpoints& parent, std::span<const Stimulus> trace,
+    RunStats* stats,
+    const std::function<bool(size_t, std::span<const int64_t>)>& visit,
+    CheckpointsPtr* record, ResumeStats* how = nullptr,
+    uint64_t max_steps = kDefaultMaxSteps);
 
 }  // namespace fact::sim
 

@@ -106,12 +106,17 @@ using Visit = std::function<bool(size_t, std::span<const int64_t>)>;
 
 /// One interpreter pass of `fn` over the trace (Interpreter::run_trace):
 /// hands each execution's observation to `visit(index, values)` and, when
-/// `profile` is non-null, aggregates branch statistics into it. Stops
-/// early, returning false, as soon as `visit` does.
+/// `profile` is non-null, aggregates branch statistics into it; records
+/// the checkpoints of `fn`, the function `interp` compiled, into `*record`
+/// when non-null. Stops early, returning false, as soon as `visit` does.
 bool simulate_trace(const Interpreter& interp, const Trace& trace,
-                    Profile* profile, const Visit& visit) {
+                    Profile* profile, const Visit& visit,
+                    const ir::Function* fn = nullptr,
+                    CheckpointsPtr* record = nullptr) {
   trace_passes().inc();
-  if (!interp.run_trace(trace, profile ? &profile->stats : nullptr, visit))
+  RunStats* stats = profile ? &profile->stats : nullptr;
+  if (!(record ? interp.run_trace(trace, stats, visit, *fn, record)
+               : interp.run_trace(trace, stats, visit)))
     return false;
   if (profile) {
     profile->executions += trace.size();
@@ -132,11 +137,29 @@ Visit recorder(const Interpreter& interp, size_t executions,
   };
 }
 
+/// The gate passes' skipped and executed steps, and the resumed ones whose
+/// state did not rejoin the parent's (write-only).
+struct GateCounters {
+  obs::Counter& run = obs::Registry::global().counter(
+      "fact_sim_gate_steps_run_total",
+      "Steps the gate passes that returned a profile executed");
+  obs::Counter& skipped = obs::Registry::global().counter(
+      "fact_sim_gate_steps_skipped_total",
+      "Steps of those passes taken from the parent's checkpoints instead");
+  obs::Counter& diverged = obs::Registry::global().counter(
+      "fact_sim_gate_diverged_total",
+      "Resumed gate passes whose state did not rejoin the parent's");
+};
+GateCounters& gate_counters() {
+  static GateCounters c;
+  return c;
+}
+
 /// Compares each execution's observation with the same execution's in
 /// `reference`; false at the first mismatch. A behavior observing another
-/// layout mismatches on the first execution it finishes.
-Visit comparer(const Interpreter& interp, const Observations& reference) {
-  const bool same_layout = interp.layout() == reference.layout;
+/// layout (`same_layout` false) mismatches on the first execution it
+/// finishes.
+Visit comparer(bool same_layout, const Observations& reference) {
   return [&reference, same_layout](size_t i, std::span<const int64_t> ob) {
     if (!same_layout || i >= reference.executions) return false;
     return std::equal(ob.begin(), ob.end(),
@@ -193,6 +216,17 @@ Observations reference_observations(const Interpreter& interp,
   return out;
 }
 
+Observations reference_observations(const ir::Function& fn,
+                                    const StatementCode* store,
+                                    const Trace& trace, Profile* profile,
+                                    CheckpointsPtr* checkpoints) {
+  const Interpreter interp = Interpreter::recording(fn, store);
+  Observations out;
+  simulate_trace(interp, trace, profile, recorder(interp, trace.size(), out),
+                 &fn, checkpoints);
+  return out;
+}
+
 std::optional<Profile> profile_if_equivalent(const ir::Function& fn,
                                              const Trace& trace,
                                              const Observations& reference) {
@@ -203,8 +237,41 @@ std::optional<Profile> profile_if_equivalent(const Interpreter& interp,
                                              const Trace& trace,
                                              const Observations& reference) {
   Profile profile;
-  if (!simulate_trace(interp, trace, &profile, comparer(interp, reference)))
+  if (!simulate_trace(interp, trace, &profile,
+                      comparer(interp.layout() == reference.layout,
+                               reference)))
     return std::nullopt;
+  return profile;
+}
+
+std::optional<Profile> profile_if_equivalent(const ir::Function& fn,
+                                             const StatementCode* store,
+                                             const Trace& trace,
+                                             const Observations& reference,
+                                             const Checkpoints* parent,
+                                             CheckpointsPtr* checkpoints) {
+  trace_passes().inc();
+  Profile profile;
+  ResumeStats how;
+  // A parent has the reference's layout, and a variant it resumes has the
+  // parent's declarations.
+  std::optional<bool> passed =
+      parent ? resume_trace(fn, store, *parent, trace, &profile.stats,
+                            comparer(true, reference), checkpoints, &how)
+             : std::nullopt;
+  if (!passed) {
+    const Interpreter interp(fn, store);
+    passed = interp.run_trace(
+        trace, &profile.stats,
+        comparer(interp.layout() == reference.layout, reference));
+  }
+  if (!*passed) return std::nullopt;
+  profile.executions = trace.size();
+  profiles().inc();
+  GateCounters& c = gate_counters();
+  c.run.inc(profile.stats.steps - how.steps_skipped);
+  if (how.steps_skipped) c.skipped.inc(how.steps_skipped);
+  if (how.diverged) c.diverged.inc();
   return profile;
 }
 

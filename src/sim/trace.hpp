@@ -91,6 +91,13 @@ Observations reference_observations(const ir::Function& fn, const Trace& trace,
 Observations reference_observations(const Interpreter& interp,
                                     const Trace& trace,
                                     Profile* profile = nullptr);
+/// The same, with `fn` compiled against `store` (when non-null), also
+/// recording fn's checkpoints into `*checkpoints` when the pass runs the
+/// whole trace: what profile_if_equivalent resumes fn's variants from.
+Observations reference_observations(const ir::Function& fn,
+                                    const StatementCode* store,
+                                    const Trace& trace, Profile* profile,
+                                    CheckpointsPtr* checkpoints);
 
 /// One interpreter pass that both checks and profiles a transformed
 /// behavior: runs `fn` over the trace, comparing each execution's
@@ -109,5 +116,20 @@ std::optional<Profile> profile_if_equivalent(const ir::Function& fn,
 std::optional<Profile> profile_if_equivalent(const Interpreter& interp,
                                              const Trace& trace,
                                              const Observations& reference);
+/// The same pass for `fn` compiled against `store` (when non-null), resumed
+/// from the checkpoints of `parent` (when non-null) where sim::resume_trace
+/// does: `parent` must be a behavior whose own pass over `trace` matched
+/// `reference` (the original's, recorded by reference_observations, or a
+/// variant's, recorded here). When the pass resumed and returns a profile,
+/// and `checkpoints` is non-null, fn's checkpoints go to `*checkpoints`; a
+/// pass from reset records none. The result is always the one
+/// profile_if_equivalent(fn, trace, reference) gives: the same profile,
+/// nullopt, or the same error. Each call is one trace pass.
+std::optional<Profile> profile_if_equivalent(const ir::Function& fn,
+                                             const StatementCode* store,
+                                             const Trace& trace,
+                                             const Observations& reference,
+                                             const Checkpoints* parent,
+                                             CheckpointsPtr* checkpoints);
 
 }  // namespace fact::sim

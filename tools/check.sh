@@ -148,7 +148,7 @@ if [ "$cmake_flag" = thread ]; then
   # with real thread contention, with races promoted to hard failures.
   TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \
     ctest --test-dir "$build_dir" --output-on-failure \
-      -R 'WorkerPool|JobsInvariant|JobsDeterminism|EvalCache|FusedFragment|SharedScheduler|Gate3|Engine\.EnginesSharing|Service\.|Server\.|FactdE2E|Obs\.|VerifyOracle\.SharedCandidates|LaneOracle|CompileReuse\.|VerifyReuse\.|Engine\.GateReusing|CowSharing\.'
+      -R 'WorkerPool|JobsInvariant|JobsDeterminism|EvalCache|FusedFragment|SharedScheduler|Gate3|Engine\.EnginesSharing|Service\.|Server\.|FactdE2E|Obs\.|VerifyOracle\.SharedCandidates|LaneOracle|CompileReuse\.|VerifyReuse\.|Engine\.GateReusing|CowSharing\.|CheckpointOracle'
 
   # Server integration under TSan: a sanitized factd on a unix socket,
   # hammered by concurrent factcli clients, must exit cleanly (TSan makes
